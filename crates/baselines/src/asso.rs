@@ -16,13 +16,12 @@
 //!    `w⁺·(newly covered 1s) − w⁻·(newly covered 0s)`.
 
 use dbtf_tensor::{BitMatrix, BitVec};
-use serde::{Deserialize, Serialize};
 
 use crate::{BaselineError, Deadline};
 
 /// ASSO parameters. The DBTF paper's experiments use `τ = 0.7` and default
 /// weights (`w⁺ = w⁻ = 1`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AssoConfig {
     /// Rank `R` (number of basis vectors).
     pub rank: usize,

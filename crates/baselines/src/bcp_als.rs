@@ -19,14 +19,13 @@
 
 use dbtf_tensor::ops::khatri_rao;
 use dbtf_tensor::{BitMatrix, BitVec, BoolTensor, Mode, Unfolding};
-use serde::{Deserialize, Serialize};
 
 use crate::asso::{asso, asso_memory_estimate, AssoConfig};
 use crate::{BaselineError, Deadline};
 
 /// BCP_ALS parameters (paper Section IV-A2: ASSO threshold 0.7, defaults
 /// elsewhere).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BcpAlsConfig {
     /// Rank `R`.
     pub rank: usize,

@@ -22,14 +22,13 @@ use dbtf_tensor::reconstruct::reconstruct;
 use dbtf_tensor::{BitMatrix, BoolTensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::{BaselineError, Deadline};
 
 /// Walk'n'Merge parameters (defaults follow the DBTF paper's Section
 /// IV-A2 setup).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WnmConfig {
     /// Merging/density threshold `t` (the paper sets `t = 1 − n_d`).
     pub merge_threshold: f64,
@@ -64,7 +63,7 @@ impl Default for WnmConfig {
 
 /// A dense block found by Walk'n'Merge: a combinatorial box with its
 /// one-count.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WnmBlock {
     /// Sorted mode-1 indices.
     pub is: Vec<u32>,
@@ -184,21 +183,20 @@ pub fn walk_n_merge(
         ));
     } else {
         let threads = config.threads;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for t in 0..threads {
                 let walks = num_walks / threads + usize::from(t < num_walks % threads);
                 let seed = config.seed ^ (t as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
                 let (fik, fjk) = (&fiber_ik, &fiber_jk);
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     walk_range(x, entries, fik, fjk, config, walks, seed, deadline)
                 }));
             }
             for h in handles {
                 thread_results.push(h.join().expect("walker thread panicked"));
             }
-        })
-        .expect("walker scope failed");
+        });
     }
     let mut raw_blocks: Vec<WnmBlock> = Vec::new();
     let mut seen_boxes: std::collections::HashSet<(Vec<u32>, Vec<u32>, Vec<u32>)> =

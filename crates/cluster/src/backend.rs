@@ -7,6 +7,7 @@
 //! model).
 
 use crate::metrics::MetricsSnapshot;
+use crate::pool::lock;
 use crate::storage::{Broadcast, DistVec};
 use crate::task::TaskContext;
 use crate::Cluster;
@@ -344,7 +345,7 @@ impl ExecutionBackend for Cluster {
     }
 
     fn take_task_events(&self) -> Vec<crate::TaskEvents> {
-        std::mem::take(&mut *self.inner.task_events.lock())
+        std::mem::take(&mut *lock(&self.inner.task_events))
     }
 
     fn core_throughput(&self, worker: usize) -> f64 {

@@ -1,7 +1,5 @@
 //! Cluster and network configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::FaultPlan;
 
 /// A simple latency + bandwidth network cost model.
@@ -10,7 +8,7 @@ use crate::fault::FaultPlan;
 /// of virtual time. Broadcasts are charged once per receiving worker (the
 /// driver's uplink is the bottleneck, as in Spark's default non-torrent
 /// broadcast of small variables).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Per-transfer fixed latency in seconds.
     pub latency_secs: f64,
@@ -54,7 +52,7 @@ impl Default for NetworkModel {
 }
 
 /// Configuration of a simulated cluster.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Number of worker machines (the paper's experiments use 4–16).
     pub workers: usize,
@@ -75,7 +73,6 @@ pub struct ClusterConfig {
     /// or ops metric (results and metrics are bit-identical for every
     /// setting). The `DBTF_COMPUTE_THREADS` environment variable, when
     /// set, takes precedence over `None`.
-    #[serde(default)]
     pub compute_threads: Option<usize>,
     /// Superstep-pipelining window: how many supersteps the scheduler may
     /// admit before merging the oldest one.
@@ -88,7 +85,6 @@ pub struct ClusterConfig {
     /// order — results and metrics are bit-identical for every depth.
     /// Ignored (forced to 1) when the fault plan schedules worker crashes,
     /// because lineage recovery requires a quiescent pipeline.
-    #[serde(default)]
     pub pipeline_depth: Option<usize>,
     /// Abstract ops one core retires per virtual second. Calibrate against
     /// a real single-worker run to map ops to seconds; the default
@@ -109,7 +105,6 @@ pub struct ClusterConfig {
     /// [`FaultPlan`]: worker crashes, transient task failures with retry,
     /// and slow tasks with speculative re-execution — all recovered by the
     /// engine such that results stay bit-identical to a fault-free run.
-    #[serde(default)]
     pub fault_plan: Option<FaultPlan>,
 }
 

@@ -29,16 +29,15 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::Sender;
 
 use crate::config::ClusterConfig;
 use crate::executor::{spawn_worker, WorkerMsg};
 use crate::fault::FaultPlan;
 use crate::metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
-use crate::pool::PoolCounters;
+use crate::pool::{lock, PoolCounters};
 use crate::storage::DatasetState;
 
 /// Errors surfaced while booting a [`Cluster`].
@@ -123,20 +122,20 @@ pub(crate) struct Inner {
     pub(crate) in_flight: AtomicU64,
     /// Wall-clock work-stealing statistics shared by all workers' pools.
     pub(crate) pool_counters: Arc<PoolCounters>,
-    pub(crate) senders: parking_lot::Mutex<Vec<Sender<WorkerMsg>>>,
-    pub(crate) handles: parking_lot::Mutex<Vec<Option<JoinHandle<()>>>>,
+    pub(crate) senders: Mutex<Vec<Sender<WorkerMsg>>>,
+    pub(crate) handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     pub(crate) metrics: CommMetrics,
     pub(crate) next_dataset: AtomicU64,
-    pub(crate) registry: parking_lot::Mutex<HashMap<u64, DatasetState>>,
+    pub(crate) registry: Mutex<HashMap<u64, DatasetState>>,
     pub(crate) fault: Option<Arc<FaultPlan>>,
     /// `(superstep, worker)` crash entries already fired (each at most once).
-    pub(crate) crashes_done: parking_lot::Mutex<Vec<(u64, usize)>>,
+    pub(crate) crashes_done: Mutex<Vec<(u64, usize)>>,
     /// When set, supersteps ship per-kernel events back to the driver
     /// (tracing on). Purely observational — never affects metering.
     pub(crate) capture_task_events: std::sync::atomic::AtomicBool,
     /// Task events of the most recent superstep, sorted by partition
     /// index; drained by [`crate::ExecutionBackend::take_task_events`].
-    pub(crate) task_events: parking_lot::Mutex<Vec<crate::TaskEvents>>,
+    pub(crate) task_events: Mutex<Vec<crate::TaskEvents>>,
 }
 
 /// A simulated cluster: one driver (the calling thread) plus
@@ -205,7 +204,7 @@ impl Cluster {
         let mut senders = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
         for worker_id in 0..config.workers {
-            let (tx, rx) = crossbeam::channel::unbounded::<WorkerMsg>();
+            let (tx, rx) = std::sync::mpsc::channel::<WorkerMsg>();
             senders.push(tx);
             // On failure the earlier workers' senders drop with `senders`,
             // so their event loops exit and join on their own.
@@ -226,14 +225,14 @@ impl Cluster {
                 submitted_steps: AtomicU64::new(0),
                 in_flight: AtomicU64::new(0),
                 pool_counters,
-                senders: parking_lot::Mutex::new(senders),
-                handles: parking_lot::Mutex::new(handles),
+                senders: Mutex::new(senders),
+                handles: Mutex::new(handles),
                 next_dataset: AtomicU64::new(0),
-                registry: parking_lot::Mutex::new(HashMap::new()),
+                registry: Mutex::new(HashMap::new()),
                 fault,
-                crashes_done: parking_lot::Mutex::new(Vec::new()),
+                crashes_done: Mutex::new(Vec::new()),
                 capture_task_events: std::sync::atomic::AtomicBool::new(false),
-                task_events: parking_lot::Mutex::new(Vec::new()),
+                task_events: Mutex::new(Vec::new()),
             }),
         })
     }
@@ -286,10 +285,10 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        for sender in self.inner.senders.lock().iter() {
+        for sender in lock(&self.inner.senders).iter() {
             let _ = sender.send(WorkerMsg::Shutdown);
         }
-        for handle in self.inner.handles.lock().iter_mut() {
+        for handle in lock(&self.inner.handles).iter_mut() {
             if let Some(handle) = handle.take() {
                 let _ = handle.join();
             }

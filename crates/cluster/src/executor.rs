@@ -7,12 +7,9 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::io;
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use std::sync::{Condvar, Mutex};
-
-use crossbeam::channel::{Receiver, Sender};
 
 use crate::engine::{AnyPart, TaskFaults, TaskFn};
 use crate::pool::{lock, ComputePool, Job, PoolCounters};

@@ -44,15 +44,13 @@
 //!   replying, exercising the driver's timeout/heartbeat paths. Wire-level
 //!   only: no metering impact.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic, seed-driven fault schedule for one cluster.
 ///
 /// Attach to [`crate::ClusterConfig::fault_plan`]. Every decision is a pure
 /// function of `(seed, superstep, partition, attempt)`, so the same plan on
 /// the same workload injects the same faults in every run, independent of
 /// thread scheduling, worker count, or host speed.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for all probabilistic fault decisions.
     pub seed: u64,
@@ -84,20 +82,16 @@ pub struct FaultPlan {
     /// superstep (decided per `(superstep, worker)`). Simulated crash on
     /// in-process backends, real `SIGKILL` on the networked backend; both
     /// recover through lineage with identical metering.
-    #[serde(default)]
     pub process_kill_rate: f64,
     /// Probability in `[0, 1]` that a worker drops its driver connection
     /// after receiving a request (networked backend only; the driver
     /// reconnects and resends).
-    #[serde(default)]
     pub connection_drop_rate: f64,
     /// Probability in `[0, 1]` that a worker delays a reply by
     /// [`FaultPlan::response_delay_ms`] (networked backend only).
-    #[serde(default)]
     pub response_delay_rate: f64,
     /// Wall-clock delay for [`FaultPlan::response_delay_rate`] hits, in
     /// milliseconds.
-    #[serde(default)]
     pub response_delay_ms: u64,
 }
 

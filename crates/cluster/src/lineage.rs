@@ -3,12 +3,12 @@
 //! closures, and replaying per-dataset task logs (Spark-style lineage).
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-
-use crossbeam::channel::unbounded;
 
 use crate::engine::{AnyPart, Cluster};
 use crate::executor::{spawn_worker, WorkerMsg};
+use crate::pool::lock;
 use crate::storage::DistVec;
 
 impl Cluster {
@@ -26,7 +26,7 @@ impl Cluster {
             Arc::ptr_eq(&self.inner, &data.inner),
             "dataset belongs to a different cluster"
         );
-        if let Some(ds) = self.inner.registry.lock().get_mut(&data.id) {
+        if let Some(ds) = lock(&self.inner.registry).get_mut(&data.id) {
             ds.log.clear();
         }
     }
@@ -47,7 +47,7 @@ impl Cluster {
             return;
         }
         let pending: Vec<usize> = {
-            let mut done = self.inner.crashes_done.lock();
+            let mut done = lock(&self.inner.crashes_done);
             kills
                 .into_iter()
                 .filter(|&w| {
@@ -77,8 +77,8 @@ impl Cluster {
     fn crash_and_recover(&self, step: u64, w: usize) {
         // Kill: swap in a fresh channel; the old thread drains to Shutdown
         // and exits, dropping its partition storage (the "lost memory").
-        let (tx, rx) = unbounded::<WorkerMsg>();
-        let old_sender = std::mem::replace(&mut self.inner.senders.lock()[w], tx);
+        let (tx, rx) = channel::<WorkerMsg>();
+        let old_sender = std::mem::replace(&mut lock(&self.inner.senders)[w], tx);
         let _ = old_sender.send(WorkerMsg::Shutdown);
         drop(old_sender);
         // Mid-run recovery has no Result channel back to the caller; an OS
@@ -90,7 +90,7 @@ impl Cluster {
             Arc::clone(&self.inner.pool_counters),
         )
         .unwrap_or_else(|e| panic!("failed to respawn crashed worker {w}: {e}"));
-        if let Some(old) = self.inner.handles.lock()[w].replace(fresh) {
+        if let Some(old) = lock(&self.inner.handles)[w].replace(fresh) {
             let _ = old.join();
         }
         self.inner
@@ -99,8 +99,8 @@ impl Cluster {
             .fetch_add(1, Ordering::Relaxed);
 
         let cfg = &self.inner.config;
-        let sender = self.inner.senders.lock()[w].clone();
-        let mut registry = self.inner.registry.lock();
+        let sender = lock(&self.inner.senders)[w].clone();
+        let mut registry = lock(&self.inner.registry);
         let mut ids: Vec<u64> = registry.keys().copied().collect();
         ids.sort_unstable(); // deterministic recovery order
         for id in ids {
@@ -134,7 +134,7 @@ impl Cluster {
             self.inner
                 .metrics
                 .charge_recovery(cfg.network.transfer_secs(bytes));
-            let (ack_tx, ack_rx) = unbounded();
+            let (ack_tx, ack_rx) = channel();
             sender
                 .send(WorkerMsg::Store {
                     dataset: id,
@@ -148,7 +148,7 @@ impl Cluster {
             // the driver consumed them long ago; only the rebuilt state
             // matters. Ops are charged to recovery, not to `total_ops`.
             for task in &ds.log {
-                let (reply_tx, reply_rx) = unbounded();
+                let (reply_tx, reply_rx) = channel();
                 sender
                     .send(WorkerMsg::Run {
                         dataset: id,

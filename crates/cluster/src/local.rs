@@ -18,13 +18,12 @@
 //! `cores_per_worker` shape — only `virtual_time` differs, by exactly the
 //! network term.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::config::ClusterConfig;
 use crate::metrics::{CommMetrics, MetricsSnapshot};
+use crate::pool::lock;
 use crate::storage::Broadcast;
 use crate::task::TaskContext;
 
@@ -204,7 +203,7 @@ impl ExecutionBackend for LocalBackend {
             .inner
             .capture_task_events
             .load(std::sync::atomic::Ordering::Relaxed);
-        let mut parts = data.parts.lock();
+        let mut parts = lock(&data.parts);
         let mut out = Vec::with_capacity(parts.len());
         // Per-logical-worker accounting, identical to the cluster's batch
         // reduction: partition `idx` belongs to worker `idx % workers`.
@@ -232,7 +231,7 @@ impl ExecutionBackend for LocalBackend {
         }
         if capture {
             // Already in partition order (inline execution).
-            *self.inner.task_events.lock() = events;
+            *lock(&self.inner.task_events) = events;
         }
         // Fold the per-worker batches in worker order — the same fixed
         // reduction order as the cluster (every worker replies, including
@@ -255,7 +254,7 @@ impl ExecutionBackend for LocalBackend {
         metrics.note_superstep_submitted(1);
         let mut makespan = 0.0f64;
         {
-            let mut busy = metrics.worker_busy_secs.lock();
+            let mut busy = lock(&metrics.worker_busy_secs);
             for (w, &time) in times.iter().enumerate() {
                 busy[w] += time;
                 makespan = makespan.max(time);
@@ -330,7 +329,7 @@ impl ExecutionBackend for LocalBackend {
     }
 
     fn take_task_events(&self) -> Vec<crate::TaskEvents> {
-        std::mem::take(&mut *self.inner.task_events.lock())
+        std::mem::take(&mut *lock(&self.inner.task_events))
     }
 
     fn core_throughput(&self, worker: usize) -> f64 {

@@ -1,14 +1,15 @@
 //! Virtual-time clock and communication metering.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use crate::pool::lock;
 
 /// A span of virtual time, in seconds.
 ///
 /// Separate from `std::time::Duration` to make it impossible to confuse
 /// simulated cluster time with host wall-clock time.
-#[derive(Clone, Copy, Debug, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, PartialOrd, Default)]
 pub struct VirtualDuration(f64);
 
 impl VirtualDuration {
@@ -149,7 +150,7 @@ impl CommMetrics {
     }
 
     pub(crate) fn advance_clock(&self, secs: f64) {
-        *self.clock_secs.lock() += secs;
+        *lock(&self.clock_secs) += secs;
     }
 
     pub(crate) fn add_reshipped(&self, bytes: u64) {
@@ -170,7 +171,7 @@ impl CommMetrics {
     /// superstep's effective makespan and only the stretch beyond the
     /// fault-free schedule is recovery overhead).
     pub(crate) fn note_recovery(&self, secs: f64) {
-        *self.recovery_secs.lock() += secs;
+        *lock(&self.recovery_secs) += secs;
     }
 
     /// Records a superstep entering the pipeline with `in_flight` total
@@ -186,7 +187,7 @@ impl CommMetrics {
     /// Accumulates virtual idle time (worker busy-time below the superstep
     /// makespan, summed over workers).
     pub(crate) fn add_pool_idle(&self, secs: f64) {
-        *self.pool_idle_secs.lock() += secs;
+        *lock(&self.pool_idle_secs) += secs;
     }
 
     /// Takes a consistent snapshot of all counters.
@@ -207,12 +208,12 @@ impl CommMetrics {
             recovery_ops: self.recovery_ops.load(Ordering::Relaxed),
             speculative_tasks: self.speculative_tasks.load(Ordering::Relaxed),
             speculative_wins: self.speculative_wins.load(Ordering::Relaxed),
-            recovery_time: VirtualDuration::from_secs_f64(*self.recovery_secs.lock()),
-            virtual_time: VirtualDuration::from_secs_f64(*self.clock_secs.lock()),
-            worker_busy_secs: self.worker_busy_secs.lock().clone(),
+            recovery_time: VirtualDuration::from_secs_f64(*lock(&self.recovery_secs)),
+            virtual_time: VirtualDuration::from_secs_f64(*lock(&self.clock_secs)),
+            worker_busy_secs: lock(&self.worker_busy_secs).clone(),
             pool_tasks_stolen: 0,
             pool_max_queue_depth: 0,
-            pool_idle_secs: *self.pool_idle_secs.lock(),
+            pool_idle_secs: *lock(&self.pool_idle_secs),
             pipeline_supersteps_overlapped: self.pipeline_overlapped.load(Ordering::Relaxed),
             pipeline_max_in_flight: self.pipeline_max_in_flight.load(Ordering::Relaxed),
             net_heartbeats_missed: self.net_heartbeats_missed.load(Ordering::Relaxed),
@@ -233,7 +234,7 @@ impl CommMetrics {
 /// depths. The pool/pipeline observability fields (`pool_*`,
 /// `pipeline_*`) depend on the host schedule or on purely-internal
 /// admission bookkeeping and are excluded; see the manual impl below.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Bytes moved by [`crate::Cluster::distribute`] (the one-off
     /// partitioning shuffle — Lemma 6).
@@ -285,56 +286,44 @@ pub struct MetricsSnapshot {
     pub worker_busy_secs: Vec<f64>,
     /// Work-stealing pool: jobs a compute thread stole from a sibling's
     /// deque. Wall-clock statistic — nondeterministic, excluded from `==`.
-    #[serde(default)]
     pub pool_tasks_stolen: u64,
     /// Work-stealing pool: high-water mark of any per-thread deque.
     /// Wall-clock statistic — nondeterministic, excluded from `==`.
-    #[serde(default)]
     pub pool_max_queue_depth: u64,
     /// Virtual idle-seconds across workers (busy-time below each
     /// superstep's makespan). Deterministic but observability-only;
     /// excluded from `==` alongside the other pool/pipeline fields.
-    #[serde(default)]
     pub pool_idle_secs: f64,
     /// Supersteps admitted while at least one other superstep was still in
     /// flight (pipelining overlap). Excluded from `==`.
-    #[serde(default)]
     pub pipeline_supersteps_overlapped: u64,
     /// High-water mark of supersteps simultaneously in flight. Excluded
     /// from `==`.
-    #[serde(default)]
     pub pipeline_max_in_flight: u64,
     /// Networked backend: heartbeat probes that timed out or errored.
     /// Wall-clock statistic — nondeterministic, excluded from `==`.
-    #[serde(default)]
     pub net_heartbeats_missed: u64,
     /// Networked backend: live-worker connections re-established after a
     /// drop. Depends on injected wire faults — excluded from `==`.
-    #[serde(default)]
     pub net_reconnects: u64,
     /// Networked backend: requests that hit the socket timeout and were
     /// retried. Wall-clock statistic — excluded from `==`.
-    #[serde(default)]
     pub net_request_timeouts: u64,
     /// Networked backend: measured payload bytes shipped driver→worker.
     /// On a networked run this equals `bytes_shuffled + bytes_broadcast`
     /// exactly (the Lemma 6/7 meters, now *measured* on the wire); zero on
     /// in-process backends, hence excluded from cross-backend `==`.
-    #[serde(default)]
     pub net_wire_bytes_sent: u64,
     /// Networked backend: measured payload bytes received worker→driver;
     /// equals `bytes_collected` exactly. Excluded from `==` (zero on
     /// in-process backends).
-    #[serde(default)]
     pub net_wire_bytes_received: u64,
     /// Networked backend: wire bytes outside the Lemma meters (headers,
     /// task params, acks, heartbeats, drop-triggered resends). Excluded
     /// from `==`.
-    #[serde(default)]
     pub net_wire_overhead_bytes: u64,
     /// Networked backend: payload bytes re-shipped to respawned worker
     /// processes during recovery. Excluded from `==`.
-    #[serde(default)]
     pub net_wire_reship_bytes: u64,
 }
 

@@ -44,10 +44,9 @@ pub use worker::worker_main;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dbtf_wire::{frame_data_len, EncodedFrame, WireResult};
-use parking_lot::Mutex;
 
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::config::ClusterConfig;
@@ -58,6 +57,7 @@ use crate::metrics::{CommMetrics, MetricsSnapshot};
 use crate::net::proto::{BatchReply, Frame};
 use crate::net::registry::intern_kernel_name;
 use crate::net::supervisor::{InFlight, RequestError, Supervisor};
+use crate::pool::lock;
 use crate::scheduler::merge_superstep;
 use crate::storage::Broadcast;
 use dbtf_telemetry::KernelEvent;
@@ -143,7 +143,7 @@ impl<P> NetVec<P> {
 impl<P> Drop for NetVec<P> {
     fn drop(&mut self) {
         self.shared.metrics.sub_stored(self.part_bytes.iter().sum());
-        self.shared.datasets.lock().remove(&self.id);
+        lock(&self.shared.datasets).remove(&self.id);
         let mut overhead = 0u64;
         for w in 0..self.shared.config.workers {
             overhead += self
@@ -313,7 +313,7 @@ impl NetBackend {
             shared.meter_exchange(primary_per_worker[w], 0, ex.bytes_sent, ex.bytes_received);
         }
 
-        shared.datasets.lock().insert(
+        lock(&shared.datasets).insert(
             id,
             NetDatasetState {
                 placement: placement.clone(),
@@ -361,7 +361,7 @@ impl NetBackend {
             return;
         }
         let pending: Vec<usize> = {
-            let mut done = shared.crashes_done.lock();
+            let mut done = lock(&shared.crashes_done);
             kills
                 .into_iter()
                 .filter(|&w| {
@@ -449,10 +449,7 @@ impl ExecutionBackend for NetBackend {
             shared.expect_ack(&ex.reply);
             shared.meter_exchange(data_len, 0, ex.bytes_sent, ex.bytes_received);
         }
-        shared
-            .broadcast_cache
-            .lock()
-            .push((id, frame_bytes, data_len));
+        lock(&shared.broadcast_cache).push((id, frame_bytes, data_len));
         Broadcast {
             value: Arc::new(value),
             wire_id: Some(id),
@@ -489,7 +486,7 @@ impl ExecutionBackend for NetBackend {
                  registry (NetRegistry::register_task)"
             )
         });
-        if let Some(ds) = shared.datasets.lock().get_mut(&data.id) {
+        if let Some(ds) = lock(&shared.datasets).get_mut(&data.id) {
             if ds.rebuild.is_some() {
                 ds.log.push(RunSpec {
                     step,
@@ -702,7 +699,7 @@ impl ExecutionBackend for NetBackend {
     }
 
     fn reset_lineage<P: Send + 'static>(&self, data: &NetVec<P>) {
-        if let Some(ds) = self.shared.datasets.lock().get_mut(&data.id) {
+        if let Some(ds) = lock(&self.shared.datasets).get_mut(&data.id) {
             ds.log.clear();
         }
     }
@@ -716,7 +713,7 @@ impl ExecutionBackend for NetBackend {
     }
 
     fn take_task_events(&self) -> Vec<crate::TaskEvents> {
-        std::mem::take(&mut *self.shared.task_events.lock())
+        std::mem::take(&mut *lock(&self.shared.task_events))
     }
 
     fn core_throughput(&self, worker: usize) -> f64 {

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use crate::net::proto::Frame;
 use crate::net::supervisor::{Exchange, InFlight, RequestError};
+use crate::pool::lock;
 use crate::ClusterError;
 
 use super::NetShared;
@@ -168,7 +169,7 @@ impl NetShared {
         let cfg = &self.config;
         let mut reship = 0u64;
         // Broadcasts first: replayed tasks below may read any of them.
-        let broadcasts: Vec<(u64, Arc<Vec<u8>>, u64)> = self.broadcast_cache.lock().clone();
+        let broadcasts: Vec<(u64, Arc<Vec<u8>>, u64)> = lock(&self.broadcast_cache).clone();
         for (bid, frame, _) in &broadcasts {
             let ex = self
                 .supervisor
@@ -180,7 +181,7 @@ impl NetShared {
             self.expect_ack(&ex.reply);
             reship += ex.bytes_sent + ex.bytes_received;
         }
-        let mut datasets = self.datasets.lock();
+        let mut datasets = lock(&self.datasets);
         let mut ids: Vec<u64> = datasets.keys().copied().collect();
         ids.sort_unstable(); // deterministic recovery order
         for id in ids {

@@ -11,11 +11,11 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dbtf_wire::{EncodedFrame, Wire, WireNamed, WireResult};
-use parking_lot::Mutex;
 
+use crate::pool::lock;
 use crate::task::TaskContext;
 
 /// A type-erased partition payload (mirrors the executor's `AnyPart`).
@@ -181,7 +181,7 @@ impl BroadcastStore {
     }
 
     pub(crate) fn insert(&self, id: u64, frame: Vec<u8>) {
-        self.inner.lock().insert(
+        lock(&self.inner).insert(
             id,
             BcastEntry {
                 frame: Arc::new(frame),
@@ -197,7 +197,7 @@ impl BroadcastStore {
     /// Panics if the id was never installed (driver/worker protocol bug)
     /// or the frame does not decode as `T` (mismatched registries).
     pub fn get<T: Wire + Send + Sync + 'static>(&self, id: u64) -> Arc<T> {
-        let mut map = self.inner.lock();
+        let mut map = lock(&self.inner);
         let entry = map
             .get_mut(&id)
             .unwrap_or_else(|| panic!("broadcast id {id} is not installed on this worker"));
@@ -226,7 +226,7 @@ impl BroadcastStore {
 pub(crate) fn intern_kernel_name(name: String) -> &'static str {
     static NAMES: std::sync::OnceLock<Mutex<Vec<&'static str>>> = std::sync::OnceLock::new();
     let names = NAMES.get_or_init(|| Mutex::new(Vec::new()));
-    let mut names = names.lock();
+    let mut names = lock(names);
     if let Some(existing) = names.iter().find(|n| **n == name) {
         return existing;
     }

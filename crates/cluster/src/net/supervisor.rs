@@ -21,16 +21,15 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::metrics::CommMetrics;
 use crate::net::proto::{read_frame, write_frame, Frame};
 use crate::net::registry::NetRegistry;
 use crate::net::worker::worker_main;
+use crate::pool::lock;
 
 /// How a networked worker is hosted.
 pub enum WorkerHost {
@@ -80,12 +79,6 @@ impl Default for NetTuning {
             respawn_budget: 3,
         }
     }
-}
-
-/// Locks ignoring poisoning: a panicking superstep must not wedge the
-/// supervisor's shutdown path.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Why a request could not be delivered.

@@ -46,12 +46,11 @@
 //! speculation need no special casing, because their accounting happens
 //! entirely inside the (deferred, ordered) merge.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::backend::ExecutionBackend;
 use crate::plan::OpKind;
+use crate::pool::lock;
 use crate::scheduler::Scheduler;
 
 /// One deferred metering action: a superstep merge, a broadcast metering,
@@ -94,7 +93,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         run: impl FnOnce(&B) + 'a,
     ) {
         let backend = self.backend;
-        self.pending.lock().push_back(PendingAction {
+        lock(&self.pending).push_back(PendingAction {
             kind,
             label,
             partitions,
@@ -106,7 +105,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// Pops and executes the oldest deferred action under the standard
     /// instrumentation wrapper. Returns `false` when the queue is empty.
     pub(crate) fn drain_one(&self) -> bool {
-        let Some(action) = self.pending.lock().pop_front() else {
+        let Some(action) = lock(&self.pending).pop_front() else {
             return false;
         };
         let PendingAction {
@@ -128,7 +127,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
 
     /// Superstep merges currently waiting in the queue.
     pub(crate) fn supersteps_in_flight(&self) -> usize {
-        self.pending.lock().iter().filter(|a| a.superstep).count()
+        lock(&self.pending).iter().filter(|a| a.superstep).count()
     }
 
     /// Like [`Scheduler::map_partitions`], but at `pipeline_depth > 1` the
@@ -186,13 +185,13 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         let stash: Arc<Mutex<Option<Vec<T>>>> = Arc::new(Mutex::new(None));
         let fill = Arc::clone(&stash);
         let backend = self.backend;
-        self.pending.lock().push_back(PendingAction {
+        lock(&self.pending).push_back(PendingAction {
             kind: OpKind::MapPartitions,
             label,
             partitions: nparts,
             superstep: true,
             run: Box::new(move || {
-                *fill.lock() = Some(backend.wait_map_partitions(pending));
+                *lock(&fill) = Some(backend.wait_map_partitions(pending));
             }),
         });
         Deferred { stash }
@@ -202,7 +201,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// (FIFO — program order) until this superstep's merge has run.
     pub fn wait<T>(&self, deferred: Deferred<T>) -> Vec<T> {
         loop {
-            if let Some(values) = deferred.stash.lock().take() {
+            if let Some(values) = lock(&deferred.stash).take() {
                 return values;
             }
             let drained = self.drain_one();

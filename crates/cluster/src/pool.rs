@@ -23,8 +23,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// Locks ignoring poisoning: pool jobs never unwind (the executor wraps
-/// every task in `catch_unwind`), and the queues hold plain data anyway.
+/// Locks ignoring poisoning; every mutex in this crate is locked through
+/// here. Pool jobs never unwind (the executor wraps every task in
+/// `catch_unwind`), the guarded state is plain data that a panic cannot
+/// leave half-updated in a way later readers care about, and a panicking
+/// superstep must not wedge a shutdown path that locks after it.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -225,6 +228,21 @@ mod tests {
         }
         assert_eq!(hits.load(Ordering::Relaxed), 3 * 64);
         assert!(counters.max_queue_depth.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn lock_returns_the_data_after_a_holder_panics() {
+        let shared = Arc::new(Mutex::new(1u32));
+        let holder = Arc::clone(&shared);
+        let joined = std::thread::spawn(move || {
+            let _guard = lock(&holder);
+            panic!("poison the mutex");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(shared.is_poisoned());
+        *lock(&shared) += 1;
+        assert_eq!(*lock(&shared), 2);
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! recording the per-operator trace.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::engine::{AnyPart, Cluster, RebuildFn, TaskFaults, TaskFn};
 use crate::executor::{BatchResult, WorkerMsg};
 use crate::plan::{OpKind, OpRecord, PlanTrace};
+use crate::pool::lock;
 use crate::storage::{Broadcast, DatasetState, DistVec};
 use crate::task::TaskContext;
 use dbtf_telemetry::{SpanKind, Tracer};
@@ -119,7 +119,7 @@ impl Cluster {
             .fold(0.0, f64::max);
         self.inner.metrics.advance_clock(step);
 
-        self.inner.registry.lock().insert(
+        lock(&self.inner.registry).insert(
             id,
             DatasetState {
                 placement: placement.clone(),
@@ -129,8 +129,8 @@ impl Cluster {
             },
         );
 
-        let senders = self.inner.senders.lock().clone();
-        let (ack_tx, ack_rx) = unbounded();
+        let senders = lock(&self.inner.senders).clone();
+        let (ack_tx, ack_rx) = channel();
         let mut expected = 0;
         for (w, batch) in per_worker.into_iter().enumerate() {
             if batch.is_empty() {
@@ -272,7 +272,7 @@ impl Cluster {
         });
         // Record the task in the dataset's lineage log (replayed after a
         // crash) before it runs anywhere.
-        if let Some(ds) = self.inner.registry.lock().get_mut(&data.id) {
+        if let Some(ds) = lock(&self.inner.registry).get_mut(&data.id) {
             if ds.rebuild.is_some() {
                 ds.log.push(Arc::clone(&task));
             }
@@ -286,8 +286,8 @@ impl Cluster {
             .map(|plan| (Arc::clone(plan), step));
 
         let capture = self.inner.capture_task_events.load(Ordering::Relaxed);
-        let (reply_tx, reply_rx): (Sender<BatchResult>, Receiver<BatchResult>) = unbounded();
-        let senders = self.inner.senders.lock().clone();
+        let (reply_tx, reply_rx): (Sender<BatchResult>, Receiver<BatchResult>) = channel();
+        let senders = lock(&self.inner.senders).clone();
         for sender in &senders {
             sender
                 .send(WorkerMsg::Run {
@@ -371,12 +371,11 @@ impl Cluster {
 /// golden-testable operator sequence with per-op cost/byte annotations.
 pub struct Scheduler<'a, B: ExecutionBackend> {
     pub(crate) backend: &'a B,
-    pub(crate) trace: parking_lot::Mutex<Vec<OpRecord>>,
+    pub(crate) trace: Mutex<Vec<OpRecord>>,
     pub(crate) tracer: Tracer,
     /// FIFO queue of deferred metering actions — the superstep-pipelining
     /// machinery (see [`crate::pipeline`]). Always empty at depth ≤ 1.
-    pub(crate) pending:
-        parking_lot::Mutex<std::collections::VecDeque<crate::pipeline::PendingAction<'a>>>,
+    pub(crate) pending: Mutex<std::collections::VecDeque<crate::pipeline::PendingAction<'a>>>,
 }
 
 impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
@@ -395,9 +394,9 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         }
         Scheduler {
             backend,
-            trace: parking_lot::Mutex::new(Vec::new()),
+            trace: Mutex::new(Vec::new()),
             tracer,
-            pending: parking_lot::Mutex::new(std::collections::VecDeque::new()),
+            pending: Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
@@ -436,13 +435,13 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     pub fn into_trace(self) -> PlanTrace {
         self.drain();
         PlanTrace {
-            ops: std::mem::take(&mut *self.trace.lock()),
+            ops: std::mem::take(&mut *lock(&self.trace)),
         }
     }
 
     /// Number of operators executed so far.
     pub fn ops_executed(&self) -> usize {
-        self.trace.lock().len()
+        lock(&self.trace).len()
     }
 
     /// The single instrumentation point: runs `f`, then records the
@@ -464,7 +463,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         if self.tracer.is_enabled() {
             self.record_op_spans(kind, label, &record, &before, &after, wall_start);
         }
-        self.trace.lock().push(record);
+        lock(&self.trace).push(record);
         out
     }
 
@@ -583,7 +582,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         value: T,
         bytes: u64,
     ) -> Broadcast<T> {
-        if self.pending.lock().is_empty() {
+        if lock(&self.pending).is_empty() {
             return self.instrumented(OpKind::Broadcast, label, 0, || {
                 self.backend.broadcast(value, bytes)
             });
@@ -643,7 +642,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// deferred supersteps pending, the charge joins the queue so the
     /// clock still advances in program order.
     pub fn charge_driver(&self, label: &'static str, ops: u64) {
-        if self.pending.lock().is_empty() {
+        if lock(&self.pending).is_empty() {
             self.instrumented(OpKind::DriverCompute, label, 0, || {
                 self.backend.charge_driver(ops)
             });
@@ -696,7 +695,7 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
     part_bytes: &[u64],
     capture: bool,
     mut batches: Vec<BatchResult>,
-    task_events: &parking_lot::Mutex<Vec<crate::TaskEvents>>,
+    task_events: &Mutex<Vec<crate::TaskEvents>>,
 ) -> Vec<T> {
     // Fixed reduction order regardless of reply arrival.
     batches.sort_by_key(|b| b.worker);
@@ -717,7 +716,7 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
     let mut task_panics: Vec<(usize, usize, String)> = Vec::new();
     let mut events: Vec<crate::TaskEvents> = Vec::new();
     {
-        let mut busy = metrics.worker_busy_secs.lock();
+        let mut busy = lock(&metrics.worker_busy_secs);
         for (mut batch, &time) in batches.into_iter().zip(&times) {
             for (idx, msg) in &batch.panics {
                 task_panics.push((*idx, batch.worker, msg.clone()));
@@ -765,7 +764,7 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
     }
     if capture {
         events.sort_by_key(|e| e.partition);
-        *task_events.lock() = events;
+        *lock(task_events) = events;
     }
     metrics.advance_clock(makespan + collect_secs);
     metrics.supersteps.fetch_add(1, Ordering::Relaxed);

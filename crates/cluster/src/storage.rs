@@ -3,12 +3,12 @@
 //! analogue), [`Broadcast`] variables, and residency probes.
 
 use std::marker::PhantomData;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-
-use crossbeam::channel::unbounded;
 
 use crate::engine::{Cluster, Inner, RebuildFn, TaskFn};
 use crate::executor::WorkerMsg;
+use crate::pool::lock;
 
 /// Driver-side lineage record of one distributed dataset.
 pub(crate) struct DatasetState {
@@ -39,8 +39,8 @@ impl Cluster {
     /// the `DistVec` handle was dropped (see [`DistVec::id`]), e.g. to
     /// verify that dropping the handle actually evicted worker memory.
     pub fn stored_partition_count_by_id(&self, dataset: u64) -> usize {
-        let senders = self.inner.senders.lock().clone();
-        let (tx, rx) = unbounded();
+        let senders = lock(&self.inner.senders).clone();
+        let (tx, rx) = channel();
         for sender in &senders {
             sender
                 .send(WorkerMsg::Count {
@@ -104,8 +104,8 @@ impl<P> DistVec<P> {
 impl<P> Drop for DistVec<P> {
     fn drop(&mut self) {
         self.inner.metrics.sub_stored(self.total_bytes());
-        self.inner.registry.lock().remove(&self.id);
-        for sender in self.inner.senders.lock().iter() {
+        lock(&self.inner.registry).remove(&self.id);
+        for sender in lock(&self.inner.senders).iter() {
             // The cluster may already be shut down; eviction is best-effort.
             let _ = sender.send(WorkerMsg::DropDataset { dataset: self.id });
         }

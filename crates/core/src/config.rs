@@ -1,7 +1,5 @@
 //! DBTF configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors reported by [`DbtfConfig::validate`] and the factorization entry
 /// points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +98,7 @@ impl From<dbtf_tensor::stream::IngestError> for DbtfError {
 /// ablation bench demonstrates this). We therefore default to random
 /// *data-driven* sampling, the standard practice in Boolean factorization
 /// implementations, and keep the uniform variant for ablation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum InitStrategy {
     /// Each component `r` samples a random non-zero `(i, j, k)` of `X` and
     /// seeds `b_{:r}` with the mode-2 fiber `x_{i,:,k}` and `c_{:r}` with
@@ -118,7 +116,7 @@ pub enum InitStrategy {
 /// Both backends produce bit-identical factors, errors, op counts, and
 /// Lemma 6/7 byte counters for the same configuration; they differ only
 /// in *physical* execution and costing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// The simulated multi-worker cluster: real worker threads, network
     /// costing under the `NetworkModel`, and optional fault injection.
@@ -165,7 +163,7 @@ impl std::str::FromStr for BackendKind {
 /// configuration: the partitions a run distributes are equal byte for byte
 /// regardless of where the unfolding rows were read from, and file I/O is
 /// never charged to the virtual cost model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageKind {
     /// Heap-resident unfoldings ([`dbtf_tensor::Unfolding`]): each mode's
     /// row lists live in memory while the driver partitions them.
@@ -203,7 +201,7 @@ impl std::str::FromStr for StorageKind {
 
 /// Configuration of a DBTF factorization run (the paper's Algorithm 2
 /// inputs plus the initialization knobs the paper leaves open).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DbtfConfig {
     /// Rank `R`: the number of rank-1 components.
     pub rank: usize,
@@ -259,13 +257,11 @@ pub struct DbtfConfig {
     pub backend: BackendKind,
     /// Where the driver materializes the unfolded tensors (see
     /// [`StorageKind`]). Results are bit-identical across storage kinds.
-    #[serde(default)]
     pub storage: StorageKind,
     /// For [`StorageKind::Mmap`]: the directory the spilled unfolding
     /// files live in. Each run creates (and on completion removes) a
     /// uniquely named subdirectory, so concurrent runs can share a spill
     /// directory. `None` uses the system temporary directory.
-    #[serde(default)]
     pub spill_dir: Option<String>,
 }
 

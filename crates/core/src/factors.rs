@@ -4,13 +4,12 @@ use dbtf_tensor::reconstruct;
 use dbtf_tensor::{BitMatrix, BoolTensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{DbtfConfig, InitStrategy};
 
 /// One set of Boolean CP factor matrices `(A ∈ B^{I×R}, B ∈ B^{J×R},
 /// C ∈ B^{K×R})`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FactorSet {
     /// Mode-1 factor (`I × R`).
     pub a: BitMatrix,

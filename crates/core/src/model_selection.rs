@@ -23,14 +23,13 @@
 
 use dbtf_cluster::ExecutionBackend;
 use dbtf_tensor::BoolTensor;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{DbtfConfig, DbtfError};
 use crate::driver::factorize;
 use crate::factors::FactorSet;
 
 /// One candidate rank's outcome in a [`select_rank`] sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RankCandidate {
     /// The rank tried.
     pub rank: usize,

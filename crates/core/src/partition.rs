@@ -9,13 +9,11 @@
 //! fetched: a full-slab block reads the full-size cache directly, while the
 //! at-most-two edge blocks of a partition use vertically sliced caches.
 
-use serde::{Deserialize, Serialize};
-
 use dbtf_tensor::UnfoldingStore;
 
 /// The block types of the paper's Figure 5, keyed by how a block sits
 /// inside its PVM slab.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// Type (1): a strict interior range of one slab (the partition starts
     /// and ends inside the same slab).
@@ -35,7 +33,7 @@ pub enum BlockKind {
 /// column array) rather than as per-row `Vec`s: at NELL-like shapes a
 /// partition holds hundreds of blocks over tens of thousands of rows, and
 /// 24-byte `Vec` headers per (row, block) pair would dwarf the data.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     /// Index `k` of the PVM slab this block lies in (a row of `M_f`).
     pub slab: usize,
@@ -72,7 +70,7 @@ impl Block {
 
 /// One vertical partition of an unfolded tensor (Algorithm 3's `p_i`),
 /// split into blocks and ready to be shipped to a worker.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModePartition {
     /// Partition index (`0..N`).
     pub index: usize,

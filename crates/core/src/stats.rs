@@ -1,7 +1,6 @@
 //! Run statistics reported by a DBTF factorization.
 
 use dbtf_cluster::MetricsSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Resource accounting for one [`crate::factorize`] run.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `bytes_broadcast + bytes_collected` is Lemma 7's per-iteration
 /// `O(T·I·R·(M + N))` traffic; `total_ops` are the Boolean word operations
 /// of Lemma 4.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DbtfStats {
     /// Host wall-clock seconds spent in the run.
     pub wall_secs: f64,

@@ -36,13 +36,12 @@
 use dbtf_tensor::{BitMatrix, BitVec, BoolTensor, Mode, TensorBuilder, Unfolding};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::config::DbtfError;
 
 /// Configuration of a Boolean Tucker run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TuckerConfig {
     /// Core ranks `[R₁, R₂, R₃]` (factor column counts per mode).
     pub ranks: [usize; 3],

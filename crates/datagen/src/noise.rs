@@ -9,10 +9,9 @@ use dbtf_tensor::BoolTensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Noise levels relative to the number of ones of the clean tensor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NoiseSpec {
     /// Fraction of `|X|` new ones inserted at random zero cells
     /// (e.g. `0.10` = 10% additive noise).

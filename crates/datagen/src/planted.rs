@@ -5,14 +5,13 @@ use dbtf_tensor::reconstruct::reconstruct;
 use dbtf_tensor::{BitMatrix, BoolTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::noise::{add_noise, NoiseSpec};
 
 /// Parameters of a planted tensor: the four axes the paper's error
 /// experiments sweep (factor density, rank, additive noise, destructive
 /// noise), "when we vary one aspect, others are fixed".
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlantedConfig {
     /// Tensor shape.
     pub dims: [usize; 3],

@@ -26,10 +26,9 @@
 use dbtf_tensor::{BoolTensor, TensorBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which structural generator a proxy uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProxyKind {
     /// Temporal communities (Facebook-like).
     TemporalCommunities,
@@ -42,7 +41,7 @@ pub enum ProxyKind {
 }
 
 /// One Table III dataset: original shape, non-zero count and structure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset name as in Table III.
     pub name: &'static str,

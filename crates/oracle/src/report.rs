@@ -73,7 +73,7 @@ impl SweepReport {
         )
     }
 
-    /// Renders the report as a JSON document (no serde needed for this
+    /// Renders the report as a JSON document (hand-written for this flat
     /// shape; strings pass through [`json_escape`]).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");

@@ -42,8 +42,6 @@ pub mod cache;
 pub mod engine;
 pub mod harness;
 pub mod metrics;
-#[cfg(all(unix, target_endian = "little"))]
-mod mmap_sys;
 pub mod protocol;
 pub mod server;
 pub mod store;

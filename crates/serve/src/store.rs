@@ -22,11 +22,13 @@
 //! word 2      set_version      caller-assigned factor-set version
 //! word 3..=5  I, J, K          factor row counts (tensor dims)
 //! word 6      R                rank (columns per factor)
-//! word 7      data_checksum    FNV-1a over words 9.. (LE bytes)
-//! word 8      header_checksum  FNV-1a over words 0..=7 (LE bytes)
+//! word 7      data_checksum    FNV-1a over words 9.. (LE bytes)*
+//! word 8      header_checksum  FNV-1a over words 0..=7 (LE bytes)*
 //! word 9..    A rows, then B rows, then C rows — each row is
 //!             ceil(R/64) packed words, row-major
 //! ```
+//!
+//! \* With the v1 multiplier `0x1000_0000_01b3` in place of the FNV prime.
 //!
 //! Both checksums are verified on open for both sources; a served answer
 //! must never come from silently corrupt factors. A `format_version`
@@ -37,6 +39,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use dbtf::{Checkpoint, FactorSet};
+use dbtf_tensor::columnar::fnv_words;
 
 /// Magic word: `b"DBTFFSET"` as a little-endian `u64`.
 pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"DBTFFSET");
@@ -44,6 +47,15 @@ pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"DBTFFSET");
 pub const STORE_FORMAT_VERSION: u64 = 1;
 /// Words before the factor data begins.
 const HEADER_WORDS: usize = 9;
+/// The multiplier of both `DBTFFSET` v1 checksums. It is not the FNV
+/// prime ([`dbtf_tensor::columnar::FNV_PRIME`], one hex digit shorter),
+/// but v1 fixed it: every store written so far is checksummed with it.
+const CHECKSUM_PRIME: u64 = 0x1000_0000_01b3;
+
+/// The `DBTFFSET` v1 checksum of `words`.
+fn checksum(words: &[u64]) -> u64 {
+    fnv_words(words, CHECKSUM_PRIME)
+}
 
 /// Failure to load or write a factor store.
 #[derive(Debug)]
@@ -107,25 +119,12 @@ impl std::fmt::Display for SourceKind {
     }
 }
 
-/// FNV-1a over the little-endian bytes of `words` (the columnar-file
-/// checksum convention).
-fn fnv_words(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    hash
-}
-
 enum Backing {
     /// Factor words only (file words 9.., or packed from a `FactorSet`).
     Heap(Vec<u64>),
     /// The whole mapped file; factor words start at [`HEADER_WORDS`].
     #[cfg(all(unix, target_endian = "little"))]
-    Map(crate::mmap_sys::Map),
+    Map(dbtf_tensor::mmap_sys::Map),
 }
 
 impl Backing {
@@ -190,13 +189,20 @@ impl FactorStore {
     }
 
     /// Writes `factors` as a `DBTFFSET v1` store file, atomically
-    /// (temp file + fsync + rename, the checkpoint discipline).
+    /// (temp file + fsync + rename, the checkpoint discipline). A rank-0
+    /// set is refused, as [`FactorStore::open`] would refuse the file.
     pub fn write_store(
         path: &Path,
         set_version: u64,
         factors: &FactorSet,
     ) -> Result<(), ServeError> {
         let io_err = |e: std::io::Error| ServeError::Io(format!("{}: {e}", path.display()));
+        if factors.rank() == 0 {
+            return Err(ServeError::Format(format!(
+                "{}: cannot store a rank-0 factor set",
+                path.display()
+            )));
+        }
         let store = FactorStore::from_factor_set(set_version, factors);
         let data = match &store.backing {
             Backing::Heap(words) => words.as_slice(),
@@ -211,8 +217,8 @@ impl FactorStore {
         header[4] = store.dims[1] as u64;
         header[5] = store.dims[2] as u64;
         header[6] = store.rank as u64;
-        header[7] = fnv_words(data);
-        header[8] = fnv_words(&header[..8]);
+        header[7] = checksum(data);
+        header[8] = checksum(&header[..8]);
         let tmp = path.with_extension("tmp");
         let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
         let mut buf = std::io::BufWriter::new(&mut file);
@@ -279,7 +285,11 @@ impl FactorStore {
         let (backing, file_words): (Backing, Vec<u64>) = {
             #[cfg(all(unix, target_endian = "little"))]
             if source == SourceKind::Mmap {
-                let map = crate::mmap_sys::Map::new(&file, len).map_err(io_err)?;
+                // SAFETY: stores are written once, by temp file and
+                // rename, and never modified in place; `len` is the file's
+                // length.
+                let map = unsafe { dbtf_tensor::mmap_sys::Map::new(&file, len) };
+                let map = map.map_err(io_err)?;
                 (Backing::Map(map), Vec::new())
             } else {
                 (
@@ -303,20 +313,32 @@ impl FactorStore {
         if header[0] != STORE_MAGIC {
             return Err(fmt_err("bad magic".into()));
         }
-        if header[8] != fnv_words(&header[..8]) {
+        if header[8] != checksum(&header[..8]) {
             return Err(fmt_err("header checksum mismatch".into()));
         }
         if header[1] != STORE_FORMAT_VERSION {
             return Err(ServeError::Version { found: header[1] });
         }
+        // A rank-0 set has no factor words, so the length check alone
+        // would let it claim any mode sizes and make `count_columns` walk
+        // them all; `write_store` never produces one.
+        if header[6] == 0 {
+            return Err(fmt_err("rank 0".into()));
+        }
+        if let Some(size) = header[3..6].iter().find(|&&d| d > u64::from(u32::MAX)) {
+            return Err(fmt_err(format!("mode size {size} exceeds u32 range")));
+        }
         let dims = [header[3] as usize, header[4] as usize, header[5] as usize];
         let rank = header[6] as usize;
         let wpr = rank.div_ceil(64);
-        let expect_words = HEADER_WORDS + (dims[0] + dims[1] + dims[2]) * wpr;
-        if len / 8 != expect_words {
+        let expect_words = (dims[0] + dims[1] + dims[2])
+            .checked_mul(wpr)
+            .and_then(|w| w.checked_add(HEADER_WORDS));
+        if expect_words != Some(len / 8) {
             return Err(fmt_err(format!(
-                "file has {} words but the header implies {expect_words}",
-                len / 8
+                "file has {} words but the header implies {}",
+                len / 8,
+                expect_words.map_or("more than usize::MAX".to_string(), |w| w.to_string())
             )));
         }
         let backing = match backing {
@@ -324,7 +346,7 @@ impl FactorStore {
             #[cfg(all(unix, target_endian = "little"))]
             map => map,
         };
-        if fnv_words(backing.factor_words()) != header[7] {
+        if checksum(backing.factor_words()) != header[7] {
             return Err(fmt_err("data checksum mismatch".into()));
         }
         let mut store = FactorStore {
@@ -580,7 +602,7 @@ mod tests {
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
         words[1] = 9;
-        words[8] = fnv_words(&words[..8]);
+        words[8] = checksum(&words[..8]);
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         std::fs::write(&path, &bytes).unwrap();
         let err = FactorStore::open(&path, SourceKind::Ram).unwrap_err();
@@ -600,17 +622,51 @@ mod tests {
     }
 
     #[test]
-    fn rank_zero_store_is_servable() {
-        let factors = FactorSet {
+    fn checksum_keeps_the_v1_multiplier() {
+        // Pinned so stores written by earlier builds keep opening.
+        assert_eq!(checksum(&[0x0123_4567_89ab_cdef]), 0xf0dc_8333_4776_1c55);
+    }
+
+    /// A header-only store with valid checksums claiming `dims` and `rank`.
+    fn header_only_store(path: &Path, dims: [u64; 3], rank: u64) {
+        let mut words = [STORE_MAGIC, STORE_FORMAT_VERSION, 1, 0, 0, 0, rank, 0, 0];
+        words[3..6].copy_from_slice(&dims);
+        words[7] = checksum(&[]);
+        words[8] = checksum(&words[..8]);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn crafted_headers_are_rejected_promptly() {
+        let path = tmp("crafted.dbtfs");
+        let start = std::time::Instant::now();
+        for (dims, rank) in [
+            // Rank 0 makes the length check vacuous for any dims.
+            ([1 << 40, 1, 1], 0),
+            // Mode sizes beyond u32, and dims whose row words overflow.
+            ([1 << 33, 1, 1], 1),
+            ([u32::MAX as u64; 3], u64::MAX),
+        ] {
+            header_only_store(&path, dims, rank);
+            for source in [SourceKind::Ram, SourceKind::Mmap] {
+                let err = FactorStore::open(&path, source).unwrap_err();
+                assert!(
+                    matches!(err, ServeError::Format(_)),
+                    "{dims:?} {rank}: {err}"
+                );
+            }
+        }
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        let empty = FactorSet {
             a: BitMatrix::zeros(3, 0),
             b: BitMatrix::zeros(2, 0),
             c: BitMatrix::zeros(4, 0),
         };
-        let path = tmp("rank0.dbtfs");
-        FactorStore::write_store(&path, 1, &factors).unwrap();
-        let store = FactorStore::open(&path, SourceKind::Ram).unwrap();
-        assert_eq!(store.rank(), 0);
-        assert!(store.row(0, 2).is_empty());
+        assert!(matches!(
+            FactorStore::write_store(&path, 1, &empty),
+            Err(ServeError::Format(_))
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 }

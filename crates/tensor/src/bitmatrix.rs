@@ -1,7 +1,6 @@
 //! Bit-packed binary matrices.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{BitVec, WORD_BITS};
@@ -15,7 +14,7 @@ use crate::{BitVec, WORD_BITS};
 ///
 /// As in [`BitVec`], bits past `cols()` within each row's final word are kept
 /// zero at all times.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BitMatrix {
     rows: usize,
     cols: usize,

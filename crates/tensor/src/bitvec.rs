@@ -1,6 +1,5 @@
 //! Bit-packed binary vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::WORD_BITS;
@@ -17,7 +16,7 @@ use crate::WORD_BITS;
 /// Bits beyond `len()` within the final storage word are kept zero at all
 /// times; every mutating operation restores this invariant, so popcounts
 /// never need masking.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     nbits: usize,
     words: Vec<u64>,

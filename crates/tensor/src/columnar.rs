@@ -57,31 +57,45 @@ fn align_page(x: u64) -> u64 {
     x.div_ceil(PAGE) * PAGE
 }
 
-/// Incremental 64-bit FNV-1a, matching the golden-test fingerprint hash.
+/// The 64-bit FNV prime: the multiplier of every `DBTFUNFD` checksum.
+pub const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Incremental 64-bit FNV-1a under multiplier `prime` ([`FNV_PRIME`]
+/// gives the golden-test fingerprint hash).
 #[derive(Clone)]
-struct Fnv(u64);
+struct Fnv {
+    hash: u64,
+    prime: u64,
+}
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+    fn new(prime: u64) -> Self {
+        Fnv {
+            hash: 0xcbf2_9ce4_8422_2325,
+            prime,
+        }
     }
 
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(self.prime);
         }
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        self.hash
     }
 }
 
-/// FNV-1a over a word slice, hashing each word's little-endian bytes so the
-/// digest equals a byte-wise hash of the on-disk section on any host.
-fn fnv_words(words: &[u64]) -> u64 {
-    let mut h = Fnv::new();
+/// FNV-1a over a word slice under multiplier `prime`, hashing each word's
+/// little-endian bytes so the digest equals a byte-wise hash of the
+/// on-disk section on any host. The checksum of both word-aligned file
+/// formats: `DBTFUNFD` sections here (with [`FNV_PRIME`]) and the serving
+/// layer's `DBTFFSET` factor store (with the multiplier its v1 format
+/// fixed).
+pub fn fnv_words(words: &[u64], prime: u64) -> u64 {
+    let mut h = Fnv::new(prime);
     for &w in words {
         h.update(&w.to_le_bytes());
     }
@@ -163,7 +177,7 @@ fn read_header_from(file: &mut File, path: &Path) -> Result<UnfoldingHeader, Sto
             supported: UNFOLDING_VERSION,
         });
     }
-    let mut h = Fnv::new();
+    let mut h = Fnv::new(FNV_PRIME);
     h.update(&buf[..96]);
     if h.finish() != rd_u64(&buf, 96) {
         return Err(StoreError::ChecksumMismatch {
@@ -266,7 +280,7 @@ impl UnfoldingWriter {
             offsets,
             nnz: 0,
             last: None,
-            data_fnv: Fnv::new(),
+            data_fnv: Fnv::new(FNV_PRIME),
         })
     }
 
@@ -324,7 +338,7 @@ impl UnfoldingWriter {
             .map_err(|e| StoreError::io(&self.path, e))?;
         file.seek(SeekFrom::Start(self.index_off))
             .map_err(|e| StoreError::io(&self.path, e))?;
-        let mut index_fnv = Fnv::new();
+        let mut index_fnv = Fnv::new(FNV_PRIME);
         let mut w = std::io::BufWriter::new(&mut file);
         for &off in &self.offsets {
             let bytes = off.to_le_bytes();
@@ -349,7 +363,7 @@ impl UnfoldingWriter {
         header[72..80].copy_from_slice(&self.data_off.to_le_bytes());
         header[80..88].copy_from_slice(&self.data_fnv.finish().to_le_bytes());
         header[88..96].copy_from_slice(&index_fnv.finish().to_le_bytes());
-        let mut h = Fnv::new();
+        let mut h = Fnv::new(FNV_PRIME);
         h.update(&header[..96]);
         header[96..104].copy_from_slice(&h.finish().to_le_bytes());
         file.seek(SeekFrom::Start(0))
@@ -441,7 +455,7 @@ impl MmapUnfolding {
             backing,
         };
         let index = store.index();
-        if fnv_words(index) != header.index_checksum {
+        if fnv_words(index, FNV_PRIME) != header.index_checksum {
             return Err(StoreError::ChecksumMismatch {
                 path: p(),
                 section: "row index",
@@ -461,9 +475,11 @@ impl MmapUnfolding {
 
     #[cfg(all(unix, target_endian = "little"))]
     fn back(file: &mut File, path: &Path, needed: usize) -> Result<Backing, StoreError> {
-        Ok(Backing::Map(
-            sys::Map::new(file, needed).map_err(|e| StoreError::io(path, e))?,
-        ))
+        // SAFETY: unfolding files are written once (`UnfoldingWriter`) and
+        // never modified in place, and `open` checked the file holds
+        // `needed` bytes.
+        let map = unsafe { sys::Map::new(file, needed) };
+        Ok(Backing::Map(map.map_err(|e| StoreError::io(path, e))?))
     }
 
     #[cfg(not(all(unix, target_endian = "little")))]
@@ -517,7 +533,7 @@ impl MmapUnfolding {
     /// Recomputes the data-section checksum (faults in the whole data
     /// section). Returns [`StoreError::ChecksumMismatch`] on corruption.
     pub fn verify_data(&self) -> Result<(), StoreError> {
-        if fnv_words(self.data()) != self.header.data_checksum {
+        if fnv_words(self.data(), FNV_PRIME) != self.header.data_checksum {
             return Err(StoreError::ChecksumMismatch {
                 path: self.path.display().to_string(),
                 section: "column data",

@@ -137,42 +137,58 @@ const BINARY_MAGIC: &[u8; 8] = b"DBTFBIN1";
 /// Roughly 12 bytes per non-zero versus ~12–20 for the text format, and
 /// no parsing on load — the practical choice for the multi-hundred-MB
 /// tensors of the paper's Table III.
-pub fn write_tensor_binary_buf(tensor: &BoolTensor) -> bytes::Bytes {
-    use bytes::BufMut;
-    let mut buf = bytes::BytesMut::with_capacity(8 + 32 + tensor.nnz() * 12);
-    buf.put_slice(BINARY_MAGIC);
+pub fn write_tensor_binary_buf(tensor: &BoolTensor) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + 32 + tensor.nnz() * 12);
+    buf.extend_from_slice(BINARY_MAGIC);
     for d in tensor.dims() {
-        buf.put_u64_le(d as u64);
+        buf.extend_from_slice(&(d as u64).to_le_bytes());
     }
-    buf.put_u64_le(tensor.nnz() as u64);
-    for [i, j, k] in tensor.iter() {
-        buf.put_u32_le(i);
-        buf.put_u32_le(j);
-        buf.put_u32_le(k);
+    buf.extend_from_slice(&(tensor.nnz() as u64).to_le_bytes());
+    for entry in tensor.iter() {
+        for c in entry {
+            buf.extend_from_slice(&c.to_le_bytes());
+        }
     }
-    buf.freeze()
+    buf
+}
+
+/// Decodes the 32 header bytes after the `DBTFBIN1` magic: three `u64`
+/// mode sizes and the `u64` entry count. A mode size above `u32::MAX`
+/// cannot be addressed by the `u32` coordinates, so it is a parse error
+/// here instead of a panic in [`TensorBuilder`].
+fn parse_binary_header(head: &[u8; 32]) -> Result<([usize; 3], u64), ParseError> {
+    let word =
+        |i: usize| u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().expect("8-byte slice"));
+    let mut dims = [0usize; 3];
+    for (m, d) in dims.iter_mut().enumerate() {
+        let size = word(m);
+        if size > u64::from(u32::MAX) {
+            return Err(ParseError::Malformed(
+                0,
+                format!("mode size {size} exceeds u32 range"),
+            ));
+        }
+        *d = size as usize;
+    }
+    Ok((dims, word(3)))
 }
 
 /// Parses the binary format produced by [`write_tensor_binary_buf`].
-pub fn read_tensor_binary_buf(mut data: &[u8]) -> Result<BoolTensor, ParseError> {
-    use bytes::Buf;
+pub fn read_tensor_binary_buf(data: &[u8]) -> Result<BoolTensor, ParseError> {
     let malformed = |msg: &str| ParseError::Malformed(0, msg.to_string());
     if data.len() < 8 + 32 || &data[..8] != BINARY_MAGIC {
         return Err(malformed("missing DBTFBIN1 magic"));
     }
-    data.advance(8);
-    let dims = [
-        data.get_u64_le() as usize,
-        data.get_u64_le() as usize,
-        data.get_u64_le() as usize,
-    ];
-    let count = data.get_u64_le() as usize;
-    if data.remaining() < count * 12 {
-        return Err(malformed("truncated entry section"));
-    }
+    let (dims, count) = parse_binary_header(data[8..40].try_into().expect("32-byte slice"))?;
+    let body = &data[40..];
+    let count = usize::try_from(count)
+        .ok()
+        .filter(|&c| c.checked_mul(12).is_some_and(|n| n <= body.len()))
+        .ok_or_else(|| malformed("truncated entry section"))?;
     let mut builder = TensorBuilder::with_capacity(dims, count);
-    for _ in 0..count {
-        let (i, j, k) = (data.get_u32_le(), data.get_u32_le(), data.get_u32_le());
+    for rec in body.chunks_exact(12).take(count) {
+        let coord = |i: usize| u32::from_le_bytes(rec[i..i + 4].try_into().expect("4-byte slice"));
+        let (i, j, k) = (coord(0), coord(4), coord(8));
         if i as usize >= dims[0] || j as usize >= dims[1] || k as usize >= dims[2] {
             return Err(ParseError::OutOfRange(0, format!("({i}, {j}, {k})")));
         }
@@ -242,9 +258,7 @@ impl TensorStream {
             reader
                 .read_exact(&mut head)
                 .map_err(|_| ParseError::Malformed(0, "truncated DBTFBIN1 header".to_string()))?;
-            let rd = |i: usize| u64::from_le_bytes(head[i..i + 8].try_into().unwrap());
-            let dims = [rd(0) as usize, rd(8) as usize, rd(16) as usize];
-            let nnz = rd(24);
+            let (dims, nnz) = parse_binary_header(&head)?;
             return Ok(TensorStream {
                 dims,
                 nnz,
@@ -597,6 +611,39 @@ mod tests {
         assert!(matches!(
             read_tensor_binary_buf(&bad),
             Err(ParseError::OutOfRange(_, _))
+        ));
+    }
+
+    /// A `DBTFBIN1` header naming `dims` and `count`, with no entries.
+    fn binary_header(dims: [u64; 3], count: u64) -> Vec<u8> {
+        let mut buf = BINARY_MAGIC.to_vec();
+        for word in dims.into_iter().chain([count]) {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn binary_rejects_mode_size_beyond_u32() {
+        let buf = binary_header([u64::from(u32::MAX) + 1, 2, 2], 0);
+        assert!(matches!(
+            read_tensor_binary_buf(&buf),
+            Err(ParseError::Malformed(_, _))
+        ));
+        let path = stream_tmp("huge_dims.dbtf");
+        std::fs::write(&path, &buf).unwrap();
+        assert!(matches!(
+            TensorStream::open(&path),
+            Err(ParseError::Malformed(_, _))
+        ));
+    }
+
+    #[test]
+    fn binary_rejects_entry_count_that_overflows_the_length() {
+        let buf = binary_header([4, 4, 4], 1 << 62);
+        assert!(matches!(
+            read_tensor_binary_buf(&buf),
+            Err(ParseError::Malformed(_, _))
         ));
     }
 

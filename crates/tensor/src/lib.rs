@@ -61,7 +61,7 @@ mod delta;
 pub mod io;
 pub mod matrix_io;
 #[cfg(all(unix, target_endian = "little"))]
-mod mmap_sys;
+pub mod mmap_sys;
 pub mod ops;
 pub mod reconstruct;
 mod store;

@@ -1,6 +1,7 @@
 //! Raw read-only memory map (little-endian unix only): the
 //! `extern "C"` mmap/munmap/madvise bindings behind
-//! [`crate::columnar::MmapUnfolding`]'s zero-copy backing.
+//! [`crate::columnar::MmapUnfolding`]'s zero-copy backing and the
+//! serving layer's memory-mapped factor store.
 
 use std::os::unix::io::AsRawFd;
 
@@ -24,19 +25,30 @@ extern "C" {
 }
 
 /// A read-only, private, file-backed mapping of the first `len` bytes.
-pub(crate) struct Map {
+pub struct Map {
     ptr: *mut core::ffi::c_void,
     len: usize,
 }
 
-// The mapping is immutable for its whole lifetime (PROT_READ, private),
-// so shared references to it are safe to send and share.
+// SAFETY: `ptr` addresses a PROT_READ, MAP_PRIVATE mapping that nothing
+// writes through and that only `Drop` unmaps, and `len` is a plain
+// integer; sending the owner or sharing `&Map` across threads is sound.
 unsafe impl Send for Map {}
 unsafe impl Sync for Map {}
 
 impl Map {
-    pub(crate) fn new(file: &std::fs::File, len: usize) -> std::io::Result<Map> {
+    /// Maps the first `len` bytes of `file` read-only.
+    ///
+    /// # Safety
+    ///
+    /// While the map is alive, `file` must stay at least `len` bytes long
+    /// and no one may modify those bytes: [`Map::words`] hands out shared
+    /// slices of them. Both mapped formats meet this by construction, as
+    /// their files are written once and never modified in place.
+    pub unsafe fn new(file: &std::fs::File, len: usize) -> std::io::Result<Map> {
         debug_assert!(len > 0);
+        // SAFETY: a fresh read-only private mapping chosen by the kernel
+        // (null hint) aliases no Rust object; failure is checked below.
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -53,18 +65,20 @@ impl Map {
         Ok(Map { ptr, len })
     }
 
-    /// The mapped bytes viewed as little-endian words. `len` is always a
-    /// multiple of 8 here (header, index and data are all word-aligned).
-    pub(crate) fn words(&self) -> &[u64] {
+    /// The mapped bytes viewed as little-endian words. Both mapped formats
+    /// are whole words (every `DBTFUNFD` section and every `DBTFFSET`
+    /// field is word-aligned), so `len` is a multiple of 8.
+    pub fn words(&self) -> &[u64] {
         debug_assert_eq!(self.len % 8, 0);
-        // Safety: the mapping is page-aligned (so u64-aligned), spans
-        // `len` readable bytes, and outlives the returned borrow.
+        // SAFETY: the mapping is page-aligned (so u64-aligned), spans
+        // `len` readable bytes that `new`'s contract keeps unchanged, and
+        // outlives the returned borrow.
         unsafe { std::slice::from_raw_parts(self.ptr as *const u64, self.len / 8) }
     }
 
     /// Tells the kernel the pages are no longer needed; they are
     /// re-faulted from the file on next access. Best-effort.
-    pub(crate) fn evict(&self) {
+    pub fn evict(&self) {
         unsafe {
             madvise(self.ptr, self.len, MADV_DONTNEED);
         }

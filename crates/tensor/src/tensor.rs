@@ -1,6 +1,5 @@
 //! Sparse three-way Boolean tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A sparse three-way binary tensor `X ∈ B^{I×J×K}`.
@@ -12,7 +11,7 @@ use std::fmt;
 ///
 /// Construct with [`TensorBuilder`] (streaming inserts) or
 /// [`BoolTensor::from_entries`].
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BoolTensor {
     dims: [usize; 3],
     /// Sorted, deduplicated `(i, j, k)` coordinates of the ones.

@@ -1,11 +1,9 @@
 //! Mode-n matricization (unfolding) of three-way tensors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::BoolTensor;
 
 /// One of the three modes of a three-way tensor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Mode {
     /// Mode 1: rows of `X_(1)` are indexed by `i`; columns by `j + k·J`.
     One,
@@ -109,7 +107,7 @@ impl Mode {
 /// Stored as one sorted column-index list (`u64`) per row — the layout DBTF
 /// partitions vertically and scores error against. Column counts can exceed
 /// `u32` (`J·K` for large tensors), hence `u64` indices.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Unfolding {
     mode: Mode,
     dims: [usize; 3],
