@@ -179,38 +179,10 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     });
 }
 
-/// End-to-end factor updates through the cluster engine at pipeline depth
-/// 1 (barrier execution) vs 4 (overlapped supersteps). Results are
-/// bit-identical by contract; the delta measures the wall-clock value of
-/// hiding driver-side merge/decision work behind worker compute.
-fn bench_pipeline_depth(c: &mut Criterion) {
-    let x = dbtf_datagen::uniform_random([48, 48, 48], 0.05, 11);
-    let config = dbtf::DbtfConfig {
-        rank: 4,
-        max_iters: 2,
-        initial_sets: 1,
-        seed: 9,
-        ..dbtf::DbtfConfig::default()
-    };
-    for depth in [1usize, 4] {
-        c.bench_function(&format!("update/factorize_cluster_depth{depth}"), |bench| {
-            bench.iter(|| {
-                let cluster = dbtf_cluster::Cluster::new(dbtf_cluster::ClusterConfig {
-                    workers: 4,
-                    compute_threads: Some(2),
-                    pipeline_depth: Some(depth),
-                    ..dbtf_cluster::ClusterConfig::paper_cluster()
-                });
-                black_box(dbtf::factorize(&cluster, &x, &config).expect("factorize"))
-            })
-        });
-    }
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_column_errors, bench_partition_error, bench_apply_column, bench_superstep,
-        bench_telemetry_overhead, bench_pipeline_depth
+        bench_telemetry_overhead
 }
 criterion_main!(benches);

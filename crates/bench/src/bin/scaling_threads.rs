@@ -1,9 +1,8 @@
 //! Wall-clock scaling of the factor-update supersteps across real
-//! per-worker compute threads and superstep pipeline depths.
+//! per-worker compute threads.
 //!
 //! Runs the same factorization with `--threads 1,2,4` (default) compute
-//! threads per worker at a fixed `--pipeline-depth D` (default 1 =
-//! barrier execution) and reports **host wall-clock** seconds side by
+//! threads per worker and reports **host wall-clock** seconds side by
 //! side with the (identical) virtual seconds, asserting that the final
 //! error is bit-identical across settings — real parallelism must never
 //! change results. Numbers land in EXPERIMENTS.md; note that speedup is
@@ -16,14 +15,14 @@
 //! ```text
 //! cargo run --release -p dbtf-bench --bin scaling_threads -- \
 //!     --dim 96 --density 0.05 --rank 10 --workers 4 --threads 1,2,4 \
-//!     --pipeline-depth 4 [--json target/scaling_threads.json]
+//!     [--json target/scaling_threads.json]
 //! ```
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use dbtf::DbtfConfig;
-use dbtf_bench::{print_header, print_row, run_dbtf_threads_depth, Args};
+use dbtf_bench::{print_header, print_row, run_dbtf_threads, Args};
 use dbtf_datagen::uniform_random;
 
 fn main() {
@@ -33,7 +32,6 @@ fn main() {
     let rank = args.get("rank", 10usize);
     let workers = args.get("workers", 4usize);
     let seed = args.get("seed", 0u64);
-    let depth = args.get("pipeline-depth", 1usize);
     let threads_raw: String = args.get("threads", "1,2,4".to_string());
     let threads: Vec<usize> = threads_raw
         .split(',')
@@ -49,8 +47,8 @@ fn main() {
 
     print_header(
         &format!(
-            "Compute-thread scaling — {dim}^3, density {density}, rank {rank}, {workers} workers, \
-             pipeline depth {depth} (host cores: {})",
+            "Compute-thread scaling — {dim}^3, density {density}, rank {rank}, {workers} workers \
+             (host cores: {})",
             std::thread::available_parallelism().map_or(0, |n| n.get())
         ),
         "threads/worker",
@@ -62,7 +60,7 @@ fn main() {
     let mut points: Vec<(usize, f64, f64, u64)> = Vec::new();
     for &t in &threads {
         let start = Instant::now();
-        let outcome = run_dbtf_threads_depth(&x, &config, workers, Some(t), Some(depth));
+        let outcome = run_dbtf_threads(&x, &config, workers, Some(t));
         let wall = start.elapsed().as_secs_f64();
         let (vsecs, error) = (
             outcome.secs().expect("run completed"),
@@ -96,8 +94,8 @@ fn main() {
     } {
         let mut json = format!(
             "{{\n  \"experiment\": \"scaling_threads\",\n  \"dim\": {dim}, \
-             \"density\": {density}, \"rank\": {rank}, \"workers\": {workers}, \
-             \"pipeline_depth\": {depth},\n  \"cells\": [\n"
+             \"density\": {density}, \"rank\": {rank}, \"workers\": {workers},\n  \
+             \"cells\": [\n"
         );
         for (i, (t, wall, vsecs, error)) in points.iter().enumerate() {
             let _ = writeln!(

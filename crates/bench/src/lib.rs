@@ -83,24 +83,9 @@ pub fn run_dbtf_threads(
     workers: usize,
     compute_threads: Option<usize>,
 ) -> Outcome {
-    run_dbtf_threads_depth(x, config, workers, compute_threads, None)
-}
-
-/// Like [`run_dbtf_threads`] but also pinning the superstep pipeline depth
-/// (`None` = barrier execution, depth 1). Results and virtual-time metrics
-/// are bit-identical for every `(threads, depth)` pair; only host
-/// wall-clock changes.
-pub fn run_dbtf_threads_depth(
-    x: &BoolTensor,
-    config: &DbtfConfig,
-    workers: usize,
-    compute_threads: Option<usize>,
-    pipeline_depth: Option<usize>,
-) -> Outcome {
     let cluster = Cluster::new(ClusterConfig {
         workers,
         compute_threads,
-        pipeline_depth,
         ..ClusterConfig::paper_cluster()
     });
     match factorize(&cluster, x, config) {

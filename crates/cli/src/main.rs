@@ -3,7 +3,7 @@
 //! ```text
 //! dbtf factorize   --input X.txt --rank 10 [--workers 16] [--iters 10]
 //!                  [--sets 1] [--seed 0] [--partitions N] [--v 15]
-//!                  [--compute-threads T] [--pipeline-depth D]
+//!                  [--compute-threads T]
 //!                  [--backend cluster|local|net] [--output PREFIX]
 //!                  [--storage ram|mmap] [--spill-dir DIR]
 //!                  [--net-respawn-budget N]
@@ -148,11 +148,6 @@ common options:
 
 factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
            [--partitions N] [--v 15] [--compute-threads T] [--output PREFIX]
-           [--pipeline-depth D]
-                 keep up to D supersteps in flight (default 1 = barrier
-                 execution; DBTF_PIPELINE_DEPTH also works). Results and
-                 every metric are bit-identical for every D; crash-plan
-                 runs pin D to 1. No effect on --backend local
            [--backend cluster|local|net]
                  cluster (default): simulated multi-worker engine with
                  network-model costing and optional fault injection;
@@ -305,16 +300,6 @@ fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
         ),
         None => None,
     };
-    // `--pipeline-depth D` admits up to D supersteps in flight
-    // (`DBTF_PIPELINE_DEPTH` also works); results and metrics are
-    // bit-identical for every setting, only host wall-clock changes.
-    let pipeline_depth: Option<usize> = match parsed.get_str("pipeline-depth") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| ArgError(format!("invalid value for --pipeline-depth: {raw:?}")))?,
-        ),
-        None => None,
-    };
     let checkpoint_path = parsed.get_str("checkpoint").map(str::to_string);
     let config = DbtfConfig {
         rank: parsed.require("rank")?,
@@ -351,7 +336,6 @@ fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
     let cluster_config = ClusterConfig {
         workers,
         compute_threads,
-        pipeline_depth,
         fault_plan: fault_plan.clone(),
         ..ClusterConfig::paper_cluster()
     };

@@ -215,6 +215,61 @@ fn usage_and_runtime_errors_use_distinct_exit_codes() {
     );
 }
 
+/// A crafted input fails like any other bad input: exit 1 and a one-line
+/// `dbtf:` message, never a panic or an allocation abort.
+fn assert_clean_runtime_error(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+    assert!(stderr.starts_with("dbtf: "), "{what}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("memory allocation"),
+        "{what}: {stderr}"
+    );
+}
+
+#[test]
+fn text_dims_header_beyond_u32_is_a_clean_error() {
+    let dir = tempdir("huge_dims");
+    let x = dir.join("x.txt");
+    std::fs::write(&x, "# dims 5000000000 2 2\n0 0 0\n").unwrap();
+    let out = dbtf(&[
+        "factorize",
+        "--input",
+        x.to_str().unwrap(),
+        "--rank",
+        "2",
+        "--workers",
+        "2",
+    ]);
+    assert_clean_runtime_error(&out, "factorize --input");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn crafted_checkpoint_header_is_a_clean_error() {
+    let dir = tempdir("crafted_checkpoint");
+    let ck = dir.join("ck.dbtf");
+    let store = dir.join("f.dbtfs");
+    for matrices in [
+        "matrix a 1099511627776 64\n",
+        "matrix a 0 1099511627776\nmatrix b 0 1099511627776\nmatrix c 0 1099511627776\n",
+    ] {
+        let preamble = "DBTFCKPT v1\niteration 1\nerror 0\niteration_errors 0\n";
+        std::fs::write(&ck, format!("{preamble}{matrices}")).unwrap();
+        let out = dbtf(&[
+            "export-factors",
+            "--checkpoint",
+            ck.to_str().unwrap(),
+            "--output",
+            store.to_str().unwrap(),
+        ]);
+        assert_clean_runtime_error(&out, matrices);
+        assert!(!store.exists());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn trace_out_roundtrips_through_stats() {
     let dir = tempdir("trace");

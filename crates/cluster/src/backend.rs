@@ -127,11 +127,6 @@ pub trait ExecutionBackend {
     /// Handle to a distributed dataset of partitions of type `P`.
     type Dataset<P: Send + 'static>;
 
-    /// Handle to a superstep that has been submitted (workers computing)
-    /// but not yet merged. `'static` so the scheduler can park it in its
-    /// deferral queue regardless of the backend borrow's lifetime.
-    type Pending<T: Send + 'static>: 'static;
-
     /// Short backend name for logs and CLI output (`"cluster"`/`"local"`).
     fn name(&self) -> &'static str;
 
@@ -184,47 +179,6 @@ pub trait ExecutionBackend {
         T: Send + 'static,
         F: PartitionTask<P, T>;
 
-    /// The superstep-pipelining window this backend supports: how many
-    /// supersteps may be submitted before the oldest must be merged.
-    /// `1` means strict barrier execution (submit and wait always paired);
-    /// backends that execute inline report `1` unconditionally.
-    fn pipeline_depth(&self) -> usize {
-        1
-    }
-
-    /// First half of a pipelined superstep: ships the task so workers
-    /// start computing, but performs **no metering**. Backends without
-    /// real asynchrony may simply execute eagerly and return the finished
-    /// results as the pending handle — then `wait_map_partitions` is where
-    /// the (already settled) metering appears to have happened, which is
-    /// only sound at `pipeline_depth() == 1`.
-    fn submit_map_partitions<P, T, F>(&self, data: &Self::Dataset<P>, f: F) -> Self::Pending<T>
-    where
-        P: Send + 'static,
-        T: Send + 'static,
-        F: PartitionTask<P, T>;
-
-    #[doc(hidden)] // closure-bound convenience mirroring `map_partitions`
-    fn submit_map_partitions_fn<P, T, F>(&self, data: &Self::Dataset<P>, f: F) -> Self::Pending<T>
-    where
-        P: Send + 'static,
-        T: Send + 'static,
-        F: Fn(usize, &mut P, &mut TaskContext) -> T + Send + Sync + 'static,
-    {
-        self.submit_map_partitions(data, f)
-    }
-
-    /// Second half of a pipelined superstep: blocks for the workers'
-    /// replies and settles all metering exactly as a barrier
-    /// `map_partitions` would.
-    fn wait_map_partitions<T: Send + 'static>(&self, pending: Self::Pending<T>) -> Vec<T>;
-
-    /// The metering half of [`ExecutionBackend::broadcast`] (bytes and, on
-    /// backends with a network model, clock). Used by the scheduler to
-    /// defer a broadcast's accounting behind in-flight supersteps while
-    /// the value itself is shared immediately.
-    fn meter_broadcast(&self, bytes: u64);
-
     /// Clones every partition back to the driver, metered like a collect.
     fn gather<P>(&self, data: &Self::Dataset<P>) -> Vec<P>
     where
@@ -252,7 +206,6 @@ pub trait ExecutionBackend {
 
 impl ExecutionBackend for Cluster {
     type Dataset<P: Send + 'static> = DistVec<P>;
-    type Pending<T: Send + 'static> = crate::scheduler::ClusterPending<T>;
 
     fn name(&self) -> &'static str {
         "cluster"
@@ -293,34 +246,6 @@ impl ExecutionBackend for Cluster {
         F: PartitionTask<P, T>,
     {
         Cluster::map_partitions_task(self, data, f)
-    }
-
-    fn pipeline_depth(&self) -> usize {
-        Cluster::pipeline_depth(self)
-    }
-
-    fn submit_map_partitions<P, T, F>(
-        &self,
-        data: &DistVec<P>,
-        f: F,
-    ) -> crate::scheduler::ClusterPending<T>
-    where
-        P: Send + 'static,
-        T: Send + 'static,
-        F: PartitionTask<P, T>,
-    {
-        Cluster::submit_superstep(self, data, f)
-    }
-
-    fn wait_map_partitions<T: Send + 'static>(
-        &self,
-        pending: crate::scheduler::ClusterPending<T>,
-    ) -> Vec<T> {
-        Cluster::wait_superstep(self, pending)
-    }
-
-    fn meter_broadcast(&self, bytes: u64) {
-        Cluster::meter_broadcast(self, bytes)
     }
 
     fn gather<P>(&self, data: &DistVec<P>) -> Vec<P>

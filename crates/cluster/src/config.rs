@@ -74,18 +74,6 @@ pub struct ClusterConfig {
     /// setting). The `DBTF_COMPUTE_THREADS` environment variable, when
     /// set, takes precedence over `None`.
     pub compute_threads: Option<usize>,
-    /// Superstep-pipelining window: how many supersteps the scheduler may
-    /// admit before merging the oldest one.
-    ///
-    /// `None` (the default) means depth 1 — strict barrier execution,
-    /// unless the `DBTF_PIPELINE_DEPTH` environment variable overrides it.
-    /// Depth `d > 1` lets up to `d` independent `MapPartitions` supersteps
-    /// be in flight on the workers at once while the driver defers their
-    /// merges into a FIFO queue, so every meter still settles in program
-    /// order — results and metrics are bit-identical for every depth.
-    /// Ignored (forced to 1) when the fault plan schedules worker crashes,
-    /// because lineage recovery requires a quiescent pipeline.
-    pub pipeline_depth: Option<usize>,
     /// Abstract ops one core retires per virtual second. Calibrate against
     /// a real single-worker run to map ops to seconds; the default
     /// (2 × 10⁹) approximates one 64-bit Boolean word-op per cycle at 2 GHz.
@@ -154,27 +142,6 @@ impl ClusterConfig {
         threads
     }
 
-    /// The superstep-pipelining window each scheduler over this cluster
-    /// uses: [`ClusterConfig::pipeline_depth`] if set, else the
-    /// `DBTF_PIPELINE_DEPTH` environment variable, else `1` (barrier
-    /// execution).
-    ///
-    /// A malformed `DBTF_PIPELINE_DEPTH` value is ignored, and a depth of
-    /// `0` (from either source) is clamped to `1`; both emit a one-time
-    /// warning through the telemetry log layer naming the bad value and
-    /// the resolution used.
-    pub fn resolved_pipeline_depth(&self) -> usize {
-        let (depth, warning) = resolve_pipeline_depth(
-            self.pipeline_depth,
-            std::env::var("DBTF_PIPELINE_DEPTH").ok().as_deref(),
-        );
-        if let Some(msg) = warning {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| dbtf_telemetry::log::warn(msg));
-        }
-        depth
-    }
-
     /// A cluster with the given fault plan and default everything else.
     pub fn with_fault_plan(workers: usize, plan: FaultPlan) -> Self {
         ClusterConfig {
@@ -200,7 +167,6 @@ impl Default for ClusterConfig {
             workers: 4,
             cores_per_worker: 8,
             compute_threads: None,
-            pipeline_depth: None,
             core_throughput_ops_per_sec: 2e9,
             network: NetworkModel::default(),
             stragglers: 0,
@@ -252,48 +218,6 @@ fn resolve_compute_threads(
                     "ignoring malformed DBTF_COMPUTE_THREADS={raw:?} \
                      (not a non-negative integer); falling back to \
                      cores_per_worker = {cores_per_worker}"
-                )),
-            ),
-        },
-    }
-}
-
-/// Resolves the superstep-pipelining window from the config field and the
-/// `DBTF_PIPELINE_DEPTH` environment value, returning `(depth, warning)`.
-/// Pure for the same reason as [`resolve_compute_threads`]: every branch —
-/// including the warning text — is directly unit-testable.
-fn resolve_pipeline_depth(field: Option<usize>, env: Option<&str>) -> (usize, Option<String>) {
-    if let Some(d) = field {
-        if d == 0 {
-            return (
-                1,
-                Some(
-                    "clamping pipeline_depth = 0 to 1 \
-                     (the pipeline needs a window of at least one superstep)"
-                        .to_string(),
-                ),
-            );
-        }
-        return (d, None);
-    }
-    match env {
-        None => (1, None),
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(0) => (
-                1,
-                Some(
-                    "clamping DBTF_PIPELINE_DEPTH=0 to 1 \
-                     (the pipeline needs a window of at least one superstep)"
-                        .to_string(),
-                ),
-            ),
-            Ok(d) => (d, None),
-            Err(_) => (
-                1,
-                Some(format!(
-                    "ignoring malformed DBTF_PIPELINE_DEPTH={raw:?} \
-                     (not a non-negative integer); falling back to \
-                     barrier execution (depth 1)"
                 )),
             ),
         },
@@ -390,38 +314,6 @@ mod tests {
         assert!(warning
             .expect("zero must warn")
             .contains("compute_threads = 0"));
-    }
-
-    #[test]
-    fn env_pipeline_depth_parsing() {
-        assert_eq!(resolve_pipeline_depth(None, None), (1, None));
-        assert_eq!(resolve_pipeline_depth(None, Some("4")), (4, None));
-        assert_eq!(resolve_pipeline_depth(None, Some(" 2 ")), (2, None));
-        // The field wins over the environment.
-        assert_eq!(resolve_pipeline_depth(Some(3), Some("8")), (3, None));
-        // Malformed values fall back to barrier execution with a warning
-        // naming the raw value.
-        for bad in ["deep", "", "-1"] {
-            let (depth, warning) = resolve_pipeline_depth(None, Some(bad));
-            assert_eq!(depth, 1);
-            let msg = warning.expect("malformed value must warn");
-            assert!(
-                msg.contains(&format!("{bad:?}")),
-                "warning names value: {msg}"
-            );
-            assert!(msg.contains("depth 1"), "warning names fallback: {msg}");
-        }
-        // Zero clamps to 1 with a warning, from either source.
-        let (depth, warning) = resolve_pipeline_depth(Some(0), None);
-        assert_eq!(depth, 1);
-        assert!(warning
-            .expect("zero must warn")
-            .contains("pipeline_depth = 0"));
-        let (depth, warning) = resolve_pipeline_depth(None, Some("0"));
-        assert_eq!(depth, 1);
-        assert!(warning
-            .expect("zero must warn")
-            .contains("DBTF_PIPELINE_DEPTH=0"));
     }
 
     #[test]

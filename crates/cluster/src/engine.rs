@@ -110,16 +110,9 @@ pub(crate) type TaskFaults = (Arc<FaultPlan>, u64);
 pub(crate) struct Inner {
     pub(crate) config: ClusterConfig,
     pub(crate) compute_threads: usize,
-    /// Resolved superstep-pipelining window (1 = barrier execution). Forced
-    /// to 1 when the fault plan schedules worker crashes: recovery rebuilds
-    /// datasets through lineage replay and needs a quiescent pipeline.
-    pub(crate) pipeline_depth: usize,
-    /// Supersteps handed to workers so far (submission order). Equals the
-    /// merged-superstep counter in barrier mode; with pipelining it runs
-    /// ahead by the number of supersteps in flight.
+    /// Supersteps handed to workers so far: the index the fault plan keys
+    /// its per-superstep decisions off.
     pub(crate) submitted_steps: AtomicU64,
-    /// Supersteps submitted but not yet merged.
-    pub(crate) in_flight: AtomicU64,
     /// Wall-clock work-stealing statistics shared by all workers' pools.
     pub(crate) pool_counters: Arc<PoolCounters>,
     pub(crate) senders: Mutex<Vec<Sender<WorkerMsg>>>,
@@ -191,15 +184,6 @@ impl Cluster {
             plan.validate(config.workers);
         }
         let compute_threads = config.resolved_compute_threads();
-        let schedules_crashes = config
-            .fault_plan
-            .as_ref()
-            .is_some_and(|plan| plan.schedules_crashes());
-        let pipeline_depth = if schedules_crashes {
-            1
-        } else {
-            config.resolved_pipeline_depth()
-        };
         let pool_counters = Arc::new(PoolCounters::default());
         let mut senders = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
@@ -221,9 +205,7 @@ impl Cluster {
                 metrics: CommMetrics::new(config.workers),
                 config,
                 compute_threads,
-                pipeline_depth,
                 submitted_steps: AtomicU64::new(0),
-                in_flight: AtomicU64::new(0),
                 pool_counters,
                 senders: Mutex::new(senders),
                 handles: Mutex::new(handles),
@@ -250,11 +232,6 @@ impl Cluster {
     /// Current virtual clock reading.
     pub fn virtual_time(&self) -> VirtualDuration {
         self.metrics().virtual_time
-    }
-
-    /// Resolved superstep-pipelining window (1 = barrier execution).
-    pub fn pipeline_depth(&self) -> usize {
-        self.inner.pipeline_depth
     }
 
     /// Snapshot of the communication and compute counters, overlaid with

@@ -204,8 +204,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan can kill workers at superstep boundaries (scheduled
-    /// crashes or a positive kill rate). Crash recovery needs a quiescent
-    /// pipeline, so an affirmative forces `pipeline_depth = 1`.
+    /// crashes or a positive kill rate).
     pub fn schedules_crashes(&self) -> bool {
         !self.worker_crashes.is_empty() || self.process_kill_rate > 0.0
     }

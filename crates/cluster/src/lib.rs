@@ -23,11 +23,7 @@
 //! [`ClusterConfig::compute_threads`] or `DBTF_COMPUTE_THREADS`), so the
 //! execution is genuinely concurrent on a multi-core host. The compute
 //! threads form a persistent per-worker work-stealing pool (they live as
-//! long as the worker; no per-superstep spawn/join), and the scheduler
-//! can additionally keep up to [`ClusterConfig::pipeline_depth`]
-//! supersteps in flight (`DBTF_PIPELINE_DEPTH`) while deferring their
-//! merges in program order — results and every meter stay bit-identical
-//! to barrier execution. But wall-clock
+//! long as the worker; no per-superstep spawn/join). But wall-clock
 //! time on one host cannot reproduce the paper's *machine scalability*
 //! experiment (Figure 7), so the engine additionally keeps a **virtual
 //! clock**: every task reports its cost in abstract ops
@@ -99,7 +95,6 @@ mod lineage;
 mod local;
 mod metrics;
 mod net;
-mod pipeline;
 mod plan;
 mod pool;
 mod scheduler;
@@ -113,10 +108,9 @@ pub use fault::FaultPlan;
 pub use local::{LocalBackend, LocalDataset};
 pub use metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
 pub use net::{
-    worker_main, BroadcastStore, NetBackend, NetPending, NetRegistry, NetTuning, NetVec,
-    TaskFactory, WorkerHost, WorkerTaskFn,
+    worker_main, BroadcastStore, NetBackend, NetRegistry, NetTuning, NetVec, TaskFactory,
+    WorkerHost, WorkerTaskFn,
 };
-pub use pipeline::Deferred;
 pub use plan::{OpKind, OpRecord, PlanTrace};
 pub use scheduler::Scheduler;
 pub use storage::{Broadcast, DistVec};

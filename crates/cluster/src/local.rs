@@ -133,9 +133,6 @@ impl<P> Drop for LocalDataset<P> {
 
 impl ExecutionBackend for LocalBackend {
     type Dataset<P: Send + 'static> = LocalDataset<P>;
-    // Inline execution has nothing to overlap: "pending" results are
-    // already-finished results, and the depth is pinned to 1 below.
-    type Pending<T: Send + 'static> = Vec<T>;
 
     fn name(&self) -> &'static str {
         "local"
@@ -184,7 +181,11 @@ impl ExecutionBackend for LocalBackend {
     }
 
     fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
-        self.meter_broadcast(bytes);
+        // Byte metering only — the local backend never charges network
+        // time (see the module docs).
+        self.inner
+            .metrics
+            .add_broadcast(bytes * self.inner.workers as u64);
         Broadcast {
             value: Arc::new(value),
             wire_id: None,
@@ -251,7 +252,6 @@ impl ExecutionBackend for LocalBackend {
         if idle > 0.0 {
             metrics.add_pool_idle(idle);
         }
-        metrics.note_superstep_submitted(1);
         let mut makespan = 0.0f64;
         {
             let mut busy = lock(&metrics.worker_busy_secs);
@@ -272,35 +272,6 @@ impl ExecutionBackend for LocalBackend {
             .supersteps
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         out
-    }
-
-    fn pipeline_depth(&self) -> usize {
-        // Inline execution cannot overlap anything; any configured or
-        // env-requested depth is a documented no-op on this backend.
-        1
-    }
-
-    fn submit_map_partitions<P, T, F>(&self, data: &LocalDataset<P>, f: F) -> Vec<T>
-    where
-        P: Send + 'static,
-        T: Send + 'static,
-        F: PartitionTask<P, T>,
-    {
-        // Eager execution as permitted for pipeline_depth() == 1: the
-        // "pending" handle is the finished, fully-metered result.
-        self.map_partitions_task(data, f)
-    }
-
-    fn wait_map_partitions<T: Send + 'static>(&self, pending: Vec<T>) -> Vec<T> {
-        pending
-    }
-
-    fn meter_broadcast(&self, bytes: u64) {
-        // Byte metering only — the local backend never charges network
-        // time (see the module docs).
-        self.inner
-            .metrics
-            .add_broadcast(bytes * self.inner.workers as u64);
     }
 
     fn gather<P>(&self, data: &LocalDataset<P>) -> Vec<P>

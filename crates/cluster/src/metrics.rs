@@ -86,8 +86,6 @@ pub struct CommMetrics {
     pub(crate) recovery_ops: AtomicU64,
     pub(crate) speculative_tasks: AtomicU64,
     pub(crate) speculative_wins: AtomicU64,
-    pub(crate) pipeline_overlapped: AtomicU64,
-    pub(crate) pipeline_max_in_flight: AtomicU64,
     /// Networked backend: heartbeat probes that timed out or errored.
     pub(crate) net_heartbeats_missed: AtomicU64,
     /// Networked backend: times a live worker's connection was re-established.
@@ -174,16 +172,6 @@ impl CommMetrics {
         *lock(&self.recovery_secs) += secs;
     }
 
-    /// Records a superstep entering the pipeline with `in_flight` total
-    /// supersteps now outstanding (1 in barrier mode).
-    pub(crate) fn note_superstep_submitted(&self, in_flight: u64) {
-        if in_flight > 1 {
-            self.pipeline_overlapped.fetch_add(1, Ordering::Relaxed);
-        }
-        self.pipeline_max_in_flight
-            .fetch_max(in_flight, Ordering::Relaxed);
-    }
-
     /// Accumulates virtual idle time (worker busy-time below the superstep
     /// makespan, summed over workers).
     pub(crate) fn add_pool_idle(&self, secs: f64) {
@@ -214,8 +202,6 @@ impl CommMetrics {
             pool_tasks_stolen: 0,
             pool_max_queue_depth: 0,
             pool_idle_secs: *lock(&self.pool_idle_secs),
-            pipeline_supersteps_overlapped: self.pipeline_overlapped.load(Ordering::Relaxed),
-            pipeline_max_in_flight: self.pipeline_max_in_flight.load(Ordering::Relaxed),
             net_heartbeats_missed: self.net_heartbeats_missed.load(Ordering::Relaxed),
             net_reconnects: self.net_reconnects.load(Ordering::Relaxed),
             net_request_timeouts: self.net_request_timeouts.load(Ordering::Relaxed),
@@ -230,10 +216,10 @@ impl CommMetrics {
 /// A point-in-time copy of a cluster's [`CommMetrics`].
 ///
 /// Equality (`PartialEq`) covers every *deterministic* field — the ones the
-/// bit-identity contract pins across backends, thread counts and pipeline
-/// depths. The pool/pipeline observability fields (`pool_*`,
-/// `pipeline_*`) depend on the host schedule or on purely-internal
-/// admission bookkeeping and are excluded; see the manual impl below.
+/// bit-identity contract pins across backends and thread counts. The
+/// observability fields (`pool_*`, `net_*`) depend on the host schedule
+/// or on injected wire faults and are excluded; see the manual impl
+/// below.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Bytes moved by [`crate::Cluster::distribute`] (the one-off
@@ -292,14 +278,8 @@ pub struct MetricsSnapshot {
     pub pool_max_queue_depth: u64,
     /// Virtual idle-seconds across workers (busy-time below each
     /// superstep's makespan). Deterministic but observability-only;
-    /// excluded from `==` alongside the other pool/pipeline fields.
+    /// excluded from `==` alongside the other pool fields.
     pub pool_idle_secs: f64,
-    /// Supersteps admitted while at least one other superstep was still in
-    /// flight (pipelining overlap). Excluded from `==`.
-    pub pipeline_supersteps_overlapped: u64,
-    /// High-water mark of supersteps simultaneously in flight. Excluded
-    /// from `==`.
-    pub pipeline_max_in_flight: u64,
     /// Networked backend: heartbeat probes that timed out or errored.
     /// Wall-clock statistic — nondeterministic, excluded from `==`.
     pub net_heartbeats_missed: u64,
@@ -329,10 +309,10 @@ pub struct MetricsSnapshot {
 
 impl PartialEq for MetricsSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        // Deliberately NOT derived: the pool_*/pipeline_* observability
-        // fields are outside the determinism contract (they vary with the
-        // host schedule and the pipeline admission window), so snapshot
-        // equality compares only the deterministic meters.
+        // Deliberately NOT derived: the pool_*/net_* observability fields
+        // are outside the determinism contract (they vary with the host
+        // schedule or injected wire faults), so snapshot equality compares
+        // only the deterministic meters.
         self.bytes_shuffled == other.bytes_shuffled
             && self.bytes_broadcast == other.bytes_broadcast
             && self.bytes_collected == other.bytes_collected
@@ -382,10 +362,6 @@ impl MetricsSnapshot {
             // later absolute value.
             pool_max_queue_depth: self.pool_max_queue_depth,
             pool_idle_secs: (self.pool_idle_secs - earlier.pool_idle_secs).max(0.0),
-            pipeline_supersteps_overlapped: self
-                .pipeline_supersteps_overlapped
-                .saturating_sub(earlier.pipeline_supersteps_overlapped),
-            pipeline_max_in_flight: self.pipeline_max_in_flight,
             net_heartbeats_missed: self
                 .net_heartbeats_missed
                 .saturating_sub(earlier.net_heartbeats_missed),
@@ -458,11 +434,6 @@ impl MetricsSnapshot {
             ("pool.tasks_stolen", self.pool_tasks_stolen as f64),
             ("pool.max_queue_depth", self.pool_max_queue_depth as f64),
             ("pool.idle_virtual_secs", self.pool_idle_secs),
-            (
-                "pipeline.supersteps_overlapped",
-                self.pipeline_supersteps_overlapped as f64,
-            ),
-            ("pipeline.max_in_flight", self.pipeline_max_in_flight as f64),
             ("net.heartbeats_missed", self.net_heartbeats_missed as f64),
             ("net.reconnects", self.net_reconnects as f64),
             ("net.request_timeouts", self.net_request_timeouts as f64),
@@ -564,12 +535,8 @@ mod tests {
     #[test]
     fn pool_and_pipeline_counters_are_exported_but_not_compared() {
         let m = CommMetrics::new(2);
-        m.note_superstep_submitted(1); // barrier: no overlap recorded
-        m.note_superstep_submitted(3);
         m.add_pool_idle(0.75);
         let s = m.snapshot();
-        assert_eq!(s.pipeline_supersteps_overlapped, 1);
-        assert_eq!(s.pipeline_max_in_flight, 3);
         assert_eq!(s.pool_idle_secs, 0.75);
 
         // The observability fields must not participate in equality: two
@@ -578,8 +545,6 @@ mod tests {
         other.pool_tasks_stolen = 999;
         other.pool_max_queue_depth = 42;
         other.pool_idle_secs = 0.0;
-        other.pipeline_supersteps_overlapped = 0;
-        other.pipeline_max_in_flight = 0;
         other.net_heartbeats_missed = 7;
         other.net_reconnects = 3;
         other.net_request_timeouts = 2;
@@ -598,8 +563,6 @@ mod tests {
             "pool.tasks_stolen",
             "pool.max_queue_depth",
             "pool.idle_virtual_secs",
-            "pipeline.supersteps_overlapped",
-            "pipeline.max_in_flight",
             "net.heartbeats_missed",
             "net.reconnects",
             "net.request_timeouts",

@@ -56,7 +56,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{CommMetrics, MetricsSnapshot};
 use crate::net::proto::{BatchReply, Frame};
 use crate::net::registry::intern_kernel_name;
-use crate::net::supervisor::{InFlight, RequestError, Supervisor};
+use crate::net::supervisor::{InFlight, Supervisor};
 use crate::pool::lock;
 use crate::scheduler::merge_superstep;
 use crate::storage::Broadcast;
@@ -156,21 +156,6 @@ impl<P> Drop for NetVec<P> {
             .net_wire_overhead_bytes
             .fetch_add(overhead, Ordering::Relaxed);
     }
-}
-
-/// A submitted-but-unmerged networked superstep (the backend's
-/// [`ExecutionBackend::Pending`] handle).
-pub struct NetPending<T> {
-    step: u64,
-    nparts: usize,
-    part_bytes: Vec<u64>,
-    capture: bool,
-    dataset: u64,
-    name: &'static str,
-    params: Vec<u8>,
-    faults: RunFaults,
-    inflights: Vec<Option<InFlight>>,
-    decode: fn(&[u8]) -> WireResult<T>,
 }
 
 /// The networked [`ExecutionBackend`]: real worker processes (or
@@ -383,7 +368,6 @@ impl NetBackend {
 
 impl ExecutionBackend for NetBackend {
     type Dataset<P: Send + 'static> = NetVec<P>;
-    type Pending<T: Send + 'static> = NetPending<T>;
 
     fn name(&self) -> &'static str {
         "net"
@@ -423,8 +407,11 @@ impl ExecutionBackend for NetBackend {
     }
 
     fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
-        self.meter_broadcast(bytes);
         let shared = &self.shared;
+        let workers = shared.config.workers as u64;
+        shared.metrics.add_broadcast(bytes * workers);
+        let secs = shared.config.network.transfer_secs(bytes * workers);
+        shared.metrics.advance_clock(secs);
         let encoder = shared.registry.bcast_encoder_of::<T>();
         let frame = encoder(&value as &(dyn Any + Send + Sync));
         let data_len = frame.data_len;
@@ -462,16 +449,6 @@ impl ExecutionBackend for NetBackend {
         T: Send + 'static,
         F: PartitionTask<P, T>,
     {
-        let pending = self.submit_map_partitions(data, f);
-        self.wait_map_partitions(pending)
-    }
-
-    fn submit_map_partitions<P, T, F>(&self, data: &NetVec<P>, f: F) -> NetPending<T>
-    where
-        P: Send + 'static,
-        T: Send + 'static,
-        F: PartitionTask<P, T>,
-    {
         let shared = &self.shared;
         assert!(
             Arc::ptr_eq(shared, &data.shared),
@@ -497,64 +474,26 @@ impl ExecutionBackend for NetBackend {
         }
         let capture = shared.capture_task_events.load(Ordering::Relaxed);
         let faults = self.run_faults();
-        let mut inflights = Vec::with_capacity(shared.config.workers);
+        let build = run_builder(
+            data.id,
+            step,
+            wire.name,
+            &wire.params.bytes,
+            faults,
+            capture,
+        );
+        // Send to every worker before collecting any reply, so all workers
+        // compute concurrently; then decode each reply as it is collected,
+        // so at most one undecoded batch is held at a time.
         for w in 0..shared.config.workers {
             shared.supervisor.set_busy(w);
         }
-        for w in 0..shared.config.workers {
-            let build = run_builder(
-                data.id,
-                step,
-                wire.name,
-                &wire.params.bytes,
-                faults,
-                capture,
-            );
-            inflights.push(Some(shared.begin_recovering(step, w, Some(step), &build)));
-        }
-        shared.metrics.note_superstep_submitted(1);
-        NetPending {
-            step,
-            nparts: data.nparts,
-            part_bytes: data.part_bytes.clone(),
-            capture,
-            dataset: data.id,
-            name: wire.name,
-            params: wire.params.bytes.clone(),
-            faults,
-            inflights,
-            decode: wire.decode_result,
-        }
-    }
-
-    fn wait_map_partitions<T: Send + 'static>(&self, pending: NetPending<T>) -> Vec<T> {
-        let shared = &self.shared;
-        let NetPending {
-            step,
-            nparts,
-            part_bytes,
-            capture,
-            dataset,
-            name,
-            params,
-            faults,
-            mut inflights,
-            decode,
-        } = pending;
+        let inflights: Vec<InFlight> = (0..shared.config.workers)
+            .map(|w| shared.begin_recovering(step, w, Some(step), &build))
+            .collect();
         let mut batches = Vec::with_capacity(shared.config.workers);
-        for (w, slot) in inflights.iter_mut().enumerate() {
-            let build = run_builder(dataset, step, name, &params, faults, capture);
-            let mut inflight = slot.take().expect("submitted to every worker");
-            let ex = loop {
-                match shared.supervisor.finish(w, inflight, &build) {
-                    Ok(ex) => break ex,
-                    Err(RequestError::WorkerDead) => {
-                        shared.respawn_and_recover(step, w, Some(step));
-                        inflight = shared.begin_recovering(step, w, Some(step), &build);
-                    }
-                    Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
-                }
-            };
+        for (w, inflight) in inflights.into_iter().enumerate() {
+            let ex = shared.finish_recovering(step, w, Some(step), inflight, &build);
             shared.supervisor.set_idle(w);
             let (bytes_sent, bytes_received) = (ex.bytes_sent, ex.bytes_received);
             let Frame::Batch { reply, .. } = ex.reply else {
@@ -563,7 +502,7 @@ impl ExecutionBackend for NetBackend {
                     ex.reply
                 ));
             };
-            let (batch, primary_received) = decode_batch::<T>(reply, decode);
+            let (batch, primary_received) = decode_batch::<T>(reply, wire.decode_result);
             shared.meter_exchange(0, primary_received, bytes_sent, bytes_received);
             batches.push(batch);
         }
@@ -572,20 +511,12 @@ impl ExecutionBackend for NetBackend {
             &shared.metrics,
             shared.fault.as_ref(),
             step,
-            nparts,
-            &part_bytes,
+            data.nparts,
+            &data.part_bytes,
             capture,
             batches,
             &shared.task_events,
         )
-    }
-
-    fn meter_broadcast(&self, bytes: u64) {
-        let shared = &self.shared;
-        let workers = shared.config.workers as u64;
-        shared.metrics.add_broadcast(bytes * workers);
-        let secs = shared.config.network.transfer_secs(bytes * workers);
-        shared.metrics.advance_clock(secs);
     }
 
     fn gather<P>(&self, data: &NetVec<P>) -> Vec<P>
@@ -617,7 +548,6 @@ impl ExecutionBackend for NetBackend {
             })
             .collect();
         let exchanges = shared.fanout(step, None, &builders);
-        shared.metrics.note_superstep_submitted(1);
         let mut batches = Vec::with_capacity(shared.config.workers);
         for (w, ex) in exchanges.into_iter().enumerate() {
             let ex = ex.expect("gather queried every worker");

@@ -17,26 +17,6 @@ use crate::storage::{Broadcast, DatasetState, DistVec};
 use crate::task::TaskContext;
 use dbtf_telemetry::{SpanKind, Tracer};
 
-/// A superstep that has been shipped to the workers but not yet merged.
-/// Created by `Cluster::submit_superstep`, consumed by
-/// `Cluster::wait_superstep`; the window between the two is where
-/// pipelined supersteps overlap. Public only because it names
-/// [`crate::ExecutionBackend::Pending`] for the cluster backend — it has
-/// no user-callable surface.
-pub struct ClusterPending<T> {
-    /// Submission-order superstep index (drives fault-plan decisions).
-    step: u64,
-    /// Global partition count of the dataset.
-    nparts: usize,
-    /// Per-partition payload bytes (speculation re-ship costing).
-    part_bytes: Vec<u64>,
-    /// Whether workers were asked to capture task events.
-    capture: bool,
-    /// Receives one [`BatchResult`] per worker.
-    reply_rx: Receiver<BatchResult>,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
 impl Cluster {
     /// Shuffles `parts` across the workers round-robin and persists them in
     /// worker memory, returning a handle to the distributed dataset.
@@ -166,21 +146,14 @@ impl Cluster {
     /// the driver's uplink, priced by [`crate::NetworkModel::transfer_secs`]
     /// — the single costing path every transfer in the engine goes through.
     pub fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
-        self.meter_broadcast(bytes);
-        Broadcast {
-            value: Arc::new(value),
-            wire_id: None,
-        }
-    }
-
-    /// The metering half of [`Cluster::broadcast`]: byte counters plus the
-    /// uplink-serialised transfer time. Split out so a pipelined scheduler
-    /// can defer it behind in-flight supersteps in program order.
-    pub(crate) fn meter_broadcast(&self, bytes: u64) {
         let workers = self.num_workers() as u64;
         self.inner.metrics.add_broadcast(bytes * workers);
         let secs = self.inner.config.network.transfer_secs(bytes * workers);
         self.inner.metrics.advance_clock(secs);
+        Broadcast {
+            value: Arc::new(value),
+            wire_id: None,
+        }
     }
 
     /// Runs `f` once per partition of `data`, on the worker holding the
@@ -229,25 +202,11 @@ impl Cluster {
     }
 
     /// [`Cluster::map_partitions`] for any [`PartitionTask`] value.
-    pub fn map_partitions_task<P, T, F>(&self, data: &DistVec<P>, f: F) -> Vec<T>
-    where
-        P: Send + 'static,
-        T: Send + 'static,
-        F: PartitionTask<P, T>,
-    {
-        let pending = self.submit_superstep(data, f);
-        self.wait_superstep(pending)
-    }
-
-    /// Ships one superstep's task to every worker and returns a handle the
-    /// driver merges later with [`Cluster::wait_superstep`]. Workers start
-    /// executing immediately; all *metering* (clock, busy time, byte and op
-    /// counters) happens at merge time, so supersteps submitted ahead of
-    /// their merge (pipelining) leave every meter in program order.
     ///
-    /// Splitting submit from wait is what makes superstep pipelining
-    /// possible; `map_partitions` is exactly `wait(submit(..))`.
-    pub(crate) fn submit_superstep<P, T, F>(&self, data: &DistVec<P>, f: F) -> ClusterPending<T>
+    /// The task is shipped to every worker before any reply is collected,
+    /// so all workers compute concurrently; the merge then settles every
+    /// meter (clock, busy time, byte and op counters) in one place.
+    pub fn map_partitions_task<P, T, F>(&self, data: &DistVec<P>, f: F) -> Vec<T>
     where
         P: Send + 'static,
         T: Send + 'static,
@@ -257,10 +216,8 @@ impl Cluster {
             Arc::ptr_eq(&self.inner, &data.inner),
             "dataset belongs to a different cluster"
         );
-        // Supersteps are numbered in submission order. In barrier mode this
-        // equals the merged-superstep counter the fault plan historically
-        // keyed off (submit and merge strictly alternate); with pipelining
-        // it keeps fault decisions deterministic while merges lag behind.
+        // Supersteps are numbered in execution order; the fault plan keys
+        // its crash, failure and slowdown decisions off this index.
         let step = self.inner.submitted_steps.fetch_add(1, Ordering::Relaxed);
         self.inject_crashes(step);
 
@@ -301,47 +258,20 @@ impl Cluster {
         }
         drop(reply_tx);
 
-        let now_in_flight = self.inner.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner.metrics.note_superstep_submitted(now_in_flight);
-
-        ClusterPending {
-            step,
-            nparts: data.nparts,
-            part_bytes: data.part_bytes.clone(),
-            capture,
-            reply_rx,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Blocks until every worker has replied to a submitted superstep, then
-    /// merges results in deterministic global-partition order and settles
-    /// all metering exactly as barrier execution would.
-    pub(crate) fn wait_superstep<T: Send + 'static>(&self, pending: ClusterPending<T>) -> Vec<T> {
-        let ClusterPending {
-            step,
-            nparts,
-            part_bytes,
-            capture,
-            reply_rx,
-            _marker,
-        } = pending;
         let batches: Vec<BatchResult> = (0..self.num_workers())
             .map(|_| reply_rx.recv().expect("worker hung up"))
             .collect();
-        let out = merge_superstep(
+        merge_superstep(
             &self.inner.config,
             &self.inner.metrics,
             self.inner.fault.as_ref(),
             step,
-            nparts,
-            &part_bytes,
+            data.nparts,
+            &data.part_bytes,
             capture,
             batches,
             &self.inner.task_events,
-        );
-        self.inner.in_flight.fetch_sub(1, Ordering::Relaxed);
-        out
+        )
     }
 
     /// Clones every partition back to the driver, in partition order.
@@ -370,12 +300,9 @@ impl Cluster {
 /// order, and the recorded [`PlanTrace`] **is** the executed plan — the
 /// golden-testable operator sequence with per-op cost/byte annotations.
 pub struct Scheduler<'a, B: ExecutionBackend> {
-    pub(crate) backend: &'a B,
-    pub(crate) trace: Mutex<Vec<OpRecord>>,
-    pub(crate) tracer: Tracer,
-    /// FIFO queue of deferred metering actions — the superstep-pipelining
-    /// machinery (see [`crate::pipeline`]). Always empty at depth ≤ 1.
-    pub(crate) pending: Mutex<std::collections::VecDeque<crate::pipeline::PendingAction<'a>>>,
+    backend: &'a B,
+    trace: Mutex<Vec<OpRecord>>,
+    tracer: Tracer,
 }
 
 impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
@@ -396,7 +323,6 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
             backend,
             trace: Mutex::new(Vec::new()),
             tracer,
-            pending: Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
@@ -418,14 +344,9 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         if !self.tracer.is_enabled() {
             return f(self);
         }
-        // Settle any deferred supersteps before reading the clock for the
-        // phase boundary stamps: drains happen in program order anyway, so
-        // this changes no value — it only ensures the clock is current.
-        self.drain();
         let start = self.backend.metrics().virtual_time.as_secs_f64();
         let span = self.tracer.begin(SpanKind::Phase, name, start);
         let out = f(self);
-        self.drain();
         let end = self.backend.metrics().virtual_time.as_secs_f64();
         self.tracer.end(span, end);
         out
@@ -433,7 +354,6 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
 
     /// Consumes the scheduler and returns the executed plan.
     pub fn into_trace(self) -> PlanTrace {
-        self.drain();
         PlanTrace {
             ops: std::mem::take(&mut *lock(&self.trace)),
         }
@@ -448,7 +368,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// metrics deltas it caused under (`kind`, `label`) — and, with a
     /// tracer attached, an operator/superstep span with task and kernel
     /// child spans built from the backend's task events.
-    pub(crate) fn instrumented<R>(
+    fn instrumented<R>(
         &self,
         kind: OpKind,
         label: &'static str,
@@ -561,9 +481,6 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static,
     {
-        // A distribute moves the clock and installs new partitions; it is
-        // not deferrable, so everything queued ahead of it settles first.
-        self.drain();
         let nparts = parts.len();
         self.instrumented(OpKind::Distribute, label, nparts, || {
             self.backend.distribute_with_lineage(parts, rebuild)
@@ -571,30 +488,15 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     }
 
     /// Executes a `Broadcast` op metering `bytes` per receiving worker.
-    ///
-    /// With deferred supersteps pending, the `Arc` wrapper is built
-    /// immediately (workers read broadcasts through it, never through the
-    /// meters) while the byte/clock metering joins the deferral queue in
-    /// program order.
     pub fn broadcast<T: Send + Sync + 'static>(
         &self,
         label: &'static str,
         value: T,
         bytes: u64,
     ) -> Broadcast<T> {
-        if lock(&self.pending).is_empty() {
-            return self.instrumented(OpKind::Broadcast, label, 0, || {
-                self.backend.broadcast(value, bytes)
-            });
-        }
-        let handle = Broadcast {
-            value: Arc::new(value),
-            wire_id: None,
-        };
-        self.defer_action(OpKind::Broadcast, label, 0, move |backend: &B| {
-            backend.meter_broadcast(bytes)
-        });
-        handle
+        self.instrumented(OpKind::Broadcast, label, 0, || {
+            self.backend.broadcast(value, bytes)
+        })
     }
 
     /// Executes a `MapPartitions` op (one superstep) over `data`.
@@ -621,8 +523,10 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         T: Send + 'static,
         F: PartitionTask<P, T>,
     {
-        let deferred = self.map_partitions_task_deferred(label, data, f);
-        self.wait(deferred)
+        let nparts = self.backend.dataset_partitions(data);
+        self.instrumented(OpKind::MapPartitions, label, nparts, || {
+            self.backend.map_partitions_task(data, f)
+        })
     }
 
     /// Executes a `Gather` op: clones every partition back to the driver.
@@ -630,26 +534,15 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     where
         P: Clone + Send + 'static,
     {
-        // Gather reads partition state, which deferred supersteps may still
-        // be mutating on the workers — settle them first.
-        self.drain();
         let nparts = self.backend.dataset_partitions(data);
         self.instrumented(OpKind::Gather, label, nparts, || self.backend.gather(data))
     }
 
     /// Records a `DriverCompute` op charging `ops` driver-side operations
-    /// to the virtual clock (Algorithm 4's column-decision reduce). With
-    /// deferred supersteps pending, the charge joins the queue so the
-    /// clock still advances in program order.
+    /// to the virtual clock (Algorithm 4's column-decision reduce).
     pub fn charge_driver(&self, label: &'static str, ops: u64) {
-        if lock(&self.pending).is_empty() {
-            self.instrumented(OpKind::DriverCompute, label, 0, || {
-                self.backend.charge_driver(ops)
-            });
-            return;
-        }
-        self.defer_action(OpKind::DriverCompute, label, 0, move |backend: &B| {
-            backend.charge_driver(ops)
+        self.instrumented(OpKind::DriverCompute, label, 0, || {
+            self.backend.charge_driver(ops)
         });
     }
 
@@ -657,9 +550,6 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// checkpoint write) and records it in the trace. Local disk I/O is
     /// not network traffic, so no bytes are metered.
     pub fn checkpoint<R>(&self, label: &'static str, f: impl FnOnce() -> R) -> R {
-        // Checkpoints persist observable state (factors, metrics): settle
-        // every deferred superstep so the written snapshot is current.
-        self.drain();
         self.instrumented(OpKind::Checkpoint, label, 0, f)
     }
 
@@ -667,15 +557,6 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// driver-side metadata, free and not traced).
     pub fn reset_lineage<P: Send + 'static>(&self, data: &B::Dataset<P>) {
         self.backend.reset_lineage(data);
-    }
-}
-
-impl<B: ExecutionBackend> Drop for Scheduler<'_, B> {
-    fn drop(&mut self) {
-        // A scheduler dropped with supersteps still in flight must settle
-        // them: workers hold partition state and the metrics hold partial
-        // accounts until every deferred merge has run.
-        self.drain();
     }
 }
 

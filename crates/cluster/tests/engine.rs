@@ -760,49 +760,6 @@ fn idle_threads_steal_queued_work() {
     assert!(m.pool_max_queue_depth >= 1);
 }
 
-/// Two supersteps submitted without waiting must actually overlap under a
-/// depth-4 pipeline, and the observability counters must say so — while
-/// staying excluded from snapshot equality.
-#[test]
-fn pipeline_counters_report_overlap() {
-    use dbtf_cluster::Scheduler;
-    let cluster = Cluster::new(ClusterConfig {
-        workers: 2,
-        cores_per_worker: 2,
-        compute_threads: Some(2),
-        pipeline_depth: Some(4),
-        core_throughput_ops_per_sec: 1e6,
-        ..ClusterConfig::default()
-    });
-    assert_eq!(cluster.pipeline_depth(), 4);
-    let sched = Scheduler::new(&cluster);
-    let data =
-        sched.distribute_with_lineage("data", (0..8u64).map(|v| (v, 8)).collect(), |i| i as u64);
-    let first = sched.map_partitions_deferred("step.one", &data, |_idx, v: &mut u64, ctx| {
-        ctx.charge(10);
-        *v + 1
-    });
-    let second = sched.map_partitions_deferred("step.two", &data, |_idx, v: &mut u64, ctx| {
-        ctx.charge(10);
-        *v * 2
-    });
-    assert_eq!(sched.wait(first), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    assert_eq!(sched.wait(second), vec![0, 2, 4, 6, 8, 10, 12, 14]);
-    let m = cluster.metrics();
-    assert!(m.pipeline_supersteps_overlapped >= 1);
-    assert!(m.pipeline_max_in_flight >= 2);
-    let names: Vec<&str> = m.named_counters().iter().map(|(n, _)| *n).collect();
-    for name in [
-        "pool.tasks_stolen",
-        "pool.max_queue_depth",
-        "pool.idle_virtual_secs",
-        "pipeline.supersteps_overlapped",
-        "pipeline.max_in_flight",
-    ] {
-        assert!(names.contains(&name), "missing counter {name}");
-    }
-}
-
 #[test]
 fn try_new_reports_invalid_configs_as_typed_errors() {
     use dbtf_cluster::ClusterError;

@@ -82,6 +82,23 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Replaces `path` through `<path>.tmp`: `fill` writes the temp file,
+/// which is then renamed over `path`, so readers see either the old file
+/// or the complete new one. If `fill` or the rename fails, the temp file
+/// is removed again. The factor-store writer shares this discipline.
+pub fn replace_via_temp(
+    path: &Path,
+    fill: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    let replaced = fill(&mut file).and_then(|()| std::fs::rename(&tmp, path));
+    if replaced.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    replaced
+}
+
 fn write_matrix<W: Write>(out: &mut W, name: &str, m: &BitMatrix) -> std::io::Result<()> {
     writeln!(out, "matrix {name} {} {}", m.rows(), m.cols())?;
     let mut row = String::with_capacity(m.cols());
@@ -102,9 +119,9 @@ impl Checkpoint {
     /// publish a torn file), and the parent directory is fsynced after it
     /// (so the rename itself survives a crash) — readers, including
     /// `--resume`, always see either the old complete checkpoint or the
-    /// new one, even across power loss.
+    /// new one, even across power loss. A failed write leaves no
+    /// `<path>.tmp` behind.
     pub fn write(&self, path: &Path) -> Result<(), DbtfError> {
-        let tmp = path.with_extension("tmp");
         let write_all = || -> std::io::Result<()> {
             // A checkpoint path like `runs/2026-08-06/ck.dbtf` should not
             // require the user to pre-create the directory tree.
@@ -113,21 +130,21 @@ impl Checkpoint {
                     std::fs::create_dir_all(parent)?;
                 }
             }
-            let file = std::fs::File::create(&tmp)?;
-            let mut out = BufWriter::new(file);
-            writeln!(out, "{MAGIC}")?;
-            writeln!(out, "iteration {}", self.iteration)?;
-            writeln!(out, "error {}", self.error)?;
-            write!(out, "iteration_errors")?;
-            for e in &self.iteration_errors {
-                write!(out, " {e}")?;
-            }
-            writeln!(out)?;
-            write_matrix(&mut out, "a", &self.factors.a)?;
-            write_matrix(&mut out, "b", &self.factors.b)?;
-            write_matrix(&mut out, "c", &self.factors.c)?;
-            out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&tmp, path)?;
+            replace_via_temp(path, |file| {
+                let mut out = BufWriter::new(file);
+                writeln!(out, "{MAGIC}")?;
+                writeln!(out, "iteration {}", self.iteration)?;
+                writeln!(out, "error {}", self.error)?;
+                write!(out, "iteration_errors")?;
+                for e in &self.iteration_errors {
+                    write!(out, " {e}")?;
+                }
+                writeln!(out)?;
+                write_matrix(&mut out, "a", &self.factors.a)?;
+                write_matrix(&mut out, "b", &self.factors.b)?;
+                write_matrix(&mut out, "c", &self.factors.c)?;
+                out.into_inner().map_err(|e| e.into_error())?.sync_all()
+            })?;
             sync_parent_dir(path)
         };
         write_all().map_err(|e| ck_err(path, format!("write failed: {e}")))
@@ -142,6 +159,7 @@ impl Checkpoint {
     /// *missing* file separately — see [`Checkpoint::read_if_exists`].)
     pub fn read(path: &Path) -> Result<Checkpoint, DbtfError> {
         let file = std::fs::File::open(path).map_err(|e| ck_err(path, e))?;
+        let file_len = file.metadata().map_err(|e| ck_err(path, e))?.len();
         let mut lines = BufReader::new(file).lines();
         let mut next = |what: &str| -> Result<String, DbtfError> {
             match lines.next() {
@@ -218,6 +236,25 @@ impl Checkpoint {
             };
             let rows = parse_dim(toks.next())?;
             let cols = parse_dim(toks.next())?;
+            // Each row line holds `cols` bits plus a newline, so a header
+            // claiming more rows than the file can hold is refused before
+            // it sizes the allocation. A matrix without rows may not claim
+            // a row wider than the file either: the column count is the
+            // rank, which readers size per-column tables by (`factorize`
+            // never writes an empty factor matrix).
+            let fits = (cols as u64)
+                .checked_add(1)
+                .and_then(|line| line.checked_mul(rows.max(1) as u64))
+                .is_some_and(|bytes| bytes <= file_len);
+            if !fits {
+                return Err(ck_err(
+                    path,
+                    format!(
+                        "matrix {name} header claims {rows} rows of {cols} bits, \
+                         more than the {file_len}-byte file holds"
+                    ),
+                ));
+            }
             let mut m = BitMatrix::zeros(rows, cols);
             for r in 0..rows {
                 let line = next(&format!("row {r} of matrix {name}"))?;
@@ -248,6 +285,17 @@ impl Checkpoint {
         let a = read_matrix("a")?;
         let b = read_matrix("b")?;
         let c = read_matrix("c")?;
+        if b.cols() != a.cols() || c.cols() != a.cols() {
+            return Err(ck_err(
+                path,
+                format!(
+                    "factor matrices disagree on the rank: a has {}, b {}, c {} columns",
+                    a.cols(),
+                    b.cols(),
+                    c.cols()
+                ),
+            ));
+        }
         Ok(Checkpoint {
             iteration,
             error,
@@ -367,6 +415,7 @@ mod tests {
             "DBTFCKPT v1\niteration 2\nerror 5\niteration_errors 9\nmatrix a 0 0\nmatrix b 0 0\nmatrix c 0 0\n", // count mismatch
             "DBTFCKPT v1\niteration 1\nerror 5\niteration_errors 9\nmatrix a 0 0\nmatrix b 0 0\nmatrix c 0 0\n", // last ≠ error
             "DBTFCKPT v1\niteration 1\nerror 5\niteration_errors 5\nmatrix a 1 2\n1x\nmatrix b 0 2\nmatrix c 0 2\n", // bad bit
+            "DBTFCKPT v1\niteration 1\nerror 5\niteration_errors 5\nmatrix a 1 2\n10\nmatrix b 1 3\n100\nmatrix c 1 2\n01\n", // ranks disagree
         ] {
             std::fs::write(&path, bad).unwrap();
             let err = Checkpoint::read(&path).expect_err(bad);
@@ -422,8 +471,8 @@ mod tests {
         }
 
         // Destination is a directory → the rename stage fails, after the
-        // temp file was written and fsynced. The error is still clean and
-        // a sibling good checkpoint is untouched.
+        // temp file was written and fsynced. The error is still clean, the
+        // temp file is gone, and a sibling good checkpoint is untouched.
         let dir_dest = tmp_path("error-dest-dir");
         let _ = std::fs::remove_dir_all(&dir_dest);
         std::fs::create_dir_all(&dir_dest).unwrap();
@@ -431,11 +480,38 @@ mod tests {
         sample().write(&good).unwrap();
         let err = sample().write(&dir_dest).expect_err("rename must fail");
         assert!(matches!(err, DbtfError::Checkpoint(_)));
+        assert!(
+            !dir_dest.with_extension("tmp").exists(),
+            "a failed write must remove its temp file"
+        );
         assert_eq!(Checkpoint::read(&good).unwrap(), sample());
 
         std::fs::remove_file(&blocker).unwrap();
         std::fs::remove_file(&good).unwrap();
-        let _ = std::fs::remove_file(dir_dest.with_extension("tmp"));
         let _ = std::fs::remove_dir_all(&dir_dest);
+    }
+
+    /// A `matrix NAME R C` header cannot size the allocation beyond what
+    /// the file holds: a crafted terabyte-row claim is refused at once.
+    #[test]
+    fn crafted_matrix_header_is_rejected_promptly() {
+        let path = tmp_path("crafted");
+        let preamble = "DBTFCKPT v1\niteration 1\nerror 0\niteration_errors 0\n";
+        let start = std::time::Instant::now();
+        for header in [
+            "matrix a 1099511627776 64",
+            "matrix a 2 18446744073709551615",
+            "matrix a 18446744073709551615 2",
+            "matrix a 0 1099511627776",
+        ] {
+            std::fs::write(&path, format!("{preamble}{header}\n")).unwrap();
+            let err = Checkpoint::read(&path).expect_err(header);
+            let DbtfError::Checkpoint(msg) = &err else {
+                panic!("expected Checkpoint error, got {err:?}");
+            };
+            assert!(msg.contains("matrix a"), "{header}: {msg}");
+        }
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -278,7 +278,6 @@ fn run_delta<B: ExecutionBackend>(
             break;
         }
     }
-    sched.drain();
 
     debug_assert!(
         error <= pre_error,
@@ -406,11 +405,7 @@ fn distribute_overlays<B: ExecutionBackend>(
             }
             (None, None) => unreachable!("one storage root always exists"),
         };
-        drop(sched.map_partitions_task_deferred(
-            "delta.unfold.organize",
-            &data,
-            net_tasks::organize_task(),
-        ));
+        sched.map_partitions_task("delta.unfold.organize", &data, net_tasks::organize_task());
         sched.reset_lineage(&data);
         datasets.push(data);
     }

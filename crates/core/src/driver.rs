@@ -173,11 +173,9 @@ pub fn factorize_instrumented<B: ExecutionBackend>(
 /// Runs `f`, converting a panicking [`ClusterError`] — how backends
 /// report unrecoverable cluster failures, e.g. the networked backend's
 /// exhausted respawn budget — into a typed result instead of unwinding
-/// through the driver. Any other panic resumes unwinding. Safe because the
-/// scheduler's pending queue is empty whenever the driver is between
-/// superstep waits (pipelined runs pin `pipeline_depth` to 1 on backends
-/// that can raise cluster errors), so dropping mid-phase state never
-/// double-panics.
+/// through the driver. Any other panic resumes unwinding. Safe because
+/// every operator runs to completion before the next is issued, so
+/// dropping mid-phase state never double-panics.
 pub(crate) fn catch_cluster<R>(f: impl FnOnce() -> R) -> Result<R, ClusterError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => Ok(r),
@@ -367,10 +365,6 @@ fn run<B: ExecutionBackend>(
         save_if_due(iteration_errors.len(), &factors, &iteration_errors)?;
     }
 
-    // Settle any still-deferred supersteps before the final metric read.
-    // (The phase() wrappers above already drain, so this is a no-op today —
-    // but the metric snapshot must never race a pending merge.)
-    sched.drain();
     let comm = sched.backend().metrics().since(&metrics_start);
     let relative_error = if x.nnz() == 0 {
         if error == 0 {
@@ -481,14 +475,8 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
         };
         // Distributed block organization (Algorithm 3 line 4): each worker
         // walks its share of the non-zeros once. The driver never reads the
-        // result, so the superstep is submitted without waiting — under
-        // `pipeline_depth > 1` it overlaps with unfolding/partitioning the
-        // next mode (and with the driver's initial-factor sampling).
-        drop(sched.map_partitions_task_deferred(
-            "unfold.organize",
-            &data,
-            net_tasks::organize_task(),
-        ));
+        // result.
+        sched.map_partitions_task("unfold.organize", &data, net_tasks::organize_task());
         // Read-only superstep: partitions still equal their rebuilt form.
         sched.reset_lineage(&data);
         datasets.push(data);
@@ -611,11 +599,8 @@ pub(crate) fn update_factor_subset<B: ExecutionBackend>(
     let errors: Option<Vec<u64>> = if compute_error {
         Some(sched.map_partitions_task(labels.finish, data, finish))
     } else {
-        // All results are zero and nothing downstream reads them, so the
-        // superstep is submitted without waiting — under
-        // `pipeline_depth > 1` it overlaps with the next mode's broadcast
-        // and cache-building begin.
-        drop(sched.map_partitions_task_deferred(labels.finish, data, finish));
+        // All results are zero and nothing downstream reads them.
+        sched.map_partitions_task(labels.finish, data, finish);
         None
     };
     // The partitions are back to their distribute-time state (`part` is

@@ -61,31 +61,6 @@ fn cp_trace_virtual_fingerprint_invariant_across_compute_threads() {
     );
 }
 
-/// The same invariant one axis further: superstep pipelining must leave
-/// the virtual-axis fingerprint — span structure plus the exact f64 bits
-/// of every virtual timestamp — untouched, because deferred merges settle
-/// in program order.
-#[test]
-fn cp_trace_virtual_fingerprint_invariant_across_pipeline_depths() {
-    let cluster_with_depth = |depth: usize| {
-        Cluster::new(ClusterConfig {
-            workers: 4,
-            compute_threads: Some(2),
-            pipeline_depth: Some(depth),
-            ..ClusterConfig::default()
-        })
-    };
-    let baseline = cp_trace(&cluster_with_depth(1));
-    for depth in [2usize, 4] {
-        let traced = cp_trace(&cluster_with_depth(depth));
-        assert_eq!(
-            baseline.fingerprint_virtual(),
-            traced.fingerprint_virtual(),
-            "virtual-axis trace must not depend on pipeline depth {depth}"
-        );
-    }
-}
-
 #[test]
 fn cp_trace_structure_invariant_across_backends() {
     let cluster_log = cp_trace(&cluster_with_threads(2));

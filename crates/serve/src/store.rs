@@ -38,6 +38,7 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
+use dbtf::checkpoint::replace_via_temp;
 use dbtf::{Checkpoint, FactorSet};
 use dbtf_tensor::columnar::fnv_words;
 
@@ -189,8 +190,9 @@ impl FactorStore {
     }
 
     /// Writes `factors` as a `DBTFFSET v1` store file, atomically
-    /// (temp file + fsync + rename, the checkpoint discipline). A rank-0
-    /// set is refused, as [`FactorStore::open`] would refuse the file.
+    /// (temp file + fsync + rename, the checkpoint discipline; a failed
+    /// write leaves no `<path>.tmp` behind). A rank-0 set is refused, as
+    /// [`FactorStore::open`] would refuse the file.
     pub fn write_store(
         path: &Path,
         set_version: u64,
@@ -219,17 +221,14 @@ impl FactorStore {
         header[6] = store.rank as u64;
         header[7] = checksum(data);
         header[8] = checksum(&header[..8]);
-        let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        let mut buf = std::io::BufWriter::new(&mut file);
-        for w in header.iter().chain(data.iter()) {
-            buf.write_all(&w.to_le_bytes()).map_err(io_err)?;
-        }
-        buf.flush().map_err(io_err)?;
-        drop(buf);
-        file.sync_all().map_err(io_err)?;
-        std::fs::rename(&tmp, path).map_err(io_err)?;
-        Ok(())
+        replace_via_temp(path, |file| {
+            let mut buf = std::io::BufWriter::new(file);
+            for w in header.iter().chain(data.iter()) {
+                buf.write_all(&w.to_le_bytes())?;
+            }
+            buf.into_inner().map_err(|e| e.into_error())?.sync_all()
+        })
+        .map_err(io_err)
     }
 
     /// Opens `path` — a `DBTFFSET` store or a `DBTFCKPT v1` checkpoint —
@@ -635,6 +634,24 @@ mod tests {
         words[8] = checksum(&words[..8]);
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         std::fs::write(path, bytes).unwrap();
+    }
+
+    /// A failed write (here: the destination is a directory, so the
+    /// rename fails after the temp file was written) leaves no temp file.
+    #[test]
+    fn failed_write_store_leaves_no_temp_file() {
+        let dest = tmp("dir-dest");
+        let _ = std::fs::remove_dir_all(&dest);
+        std::fs::create_dir_all(&dest).unwrap();
+        let factors = FactorSet {
+            a: BitMatrix::identity(3),
+            b: BitMatrix::identity(3),
+            c: BitMatrix::identity(3),
+        };
+        let err = FactorStore::write_store(&dest, 1, &factors).unwrap_err();
+        assert!(matches!(err, ServeError::Io(_)), "{err}");
+        assert!(!dest.with_extension("tmp").exists());
+        std::fs::remove_dir_all(&dest).unwrap();
     }
 
     #[test]

@@ -45,71 +45,19 @@ impl From<io::Error> for ParseError {
 
 /// Reads a tensor from the text format.
 pub fn read_tensor<R: Read>(reader: R) -> Result<BoolTensor, ParseError> {
-    let reader = BufReader::new(reader);
-    let mut declared_dims: Option<[usize; 3]> = None;
+    let mut shape = TextShape::default();
     let mut entries: Vec<[u32; 3]> = Vec::new();
-    let mut max = [0u32; 3];
-    let mut line_buf = String::new();
-    let mut reader = reader;
-    let mut line_no = 0usize;
-    loop {
-        line_buf.clear();
-        if reader.read_line(&mut line_buf)? == 0 {
-            break;
-        }
-        line_no += 1;
-        let line = line_buf.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let rest = rest.trim();
-            if let Some(dims_str) = rest.strip_prefix("dims") {
-                let parsed: Vec<usize> = dims_str
-                    .split_whitespace()
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| ParseError::Malformed(line_no, line.to_string()))?;
-                if parsed.len() != 3 {
-                    return Err(ParseError::Malformed(line_no, line.to_string()));
-                }
-                declared_dims = Some([parsed[0], parsed[1], parsed[2]]);
-            }
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let mut triple = [0u32; 3];
-        for t in &mut triple {
-            *t = parts
-                .next()
-                .and_then(|p| p.parse().ok())
-                .ok_or_else(|| ParseError::Malformed(line_no, line.to_string()))?;
-        }
-        if parts.next().is_some() {
-            return Err(ParseError::Malformed(line_no, line.to_string()));
-        }
-        if let Some(dims) = declared_dims {
-            if (0..3).any(|m| triple[m] as usize >= dims[m]) {
+    scan_text(reader, |parsed, line_no, line| {
+        if let TextLine::Entry(e) = parsed {
+            if shape.declared.is_some_and(|dims| outside(e, dims)) {
                 return Err(ParseError::OutOfRange(line_no, line.to_string()));
             }
+            entries.push(e);
         }
-        for m in 0..3 {
-            max[m] = max[m].max(triple[m]);
-        }
-        entries.push(triple);
-    }
-    let dims = declared_dims.unwrap_or_else(|| {
-        if entries.is_empty() {
-            [0, 0, 0]
-        } else {
-            [
-                max[0] as usize + 1,
-                max[1] as usize + 1,
-                max[2] as usize + 1,
-            ]
-        }
-    });
-    let mut builder = TensorBuilder::with_capacity(dims, entries.len());
+        shape.note(parsed);
+        Ok(())
+    })?;
+    let mut builder = TensorBuilder::with_capacity(shape.dims(), entries.len());
     for [i, j, k] in entries {
         builder.insert(i, j, k);
     }
@@ -270,35 +218,14 @@ impl TensorStream {
         }
         // Text: pre-scan for declared dims / max coordinates and the count.
         drop(file);
-        let mut declared: Option<[usize; 3]> = None;
-        let mut max = [0u32; 3];
-        let mut nnz = 0u64;
-        let mut any = false;
-        scan_text(std::fs::File::open(path)?, |parsed| {
-            match parsed {
-                TextLine::Dims(d) => declared = Some(d),
-                TextLine::Entry(e) => {
-                    any = true;
-                    nnz += 1;
-                    for m in 0..3 {
-                        max[m] = max[m].max(e[m]);
-                    }
-                }
-            }
+        let mut shape = TextShape::default();
+        scan_text(std::fs::File::open(path)?, |parsed, _, _| {
+            shape.note(parsed);
             Ok(())
         })?;
-        let dims = declared.unwrap_or(if any {
-            [
-                max[0] as usize + 1,
-                max[1] as usize + 1,
-                max[2] as usize + 1,
-            ]
-        } else {
-            [0, 0, 0]
-        });
         Ok(TensorStream {
-            dims,
-            nnz,
+            dims: shape.dims(),
+            nnz: shape.entries,
             inner: StreamInner::Text {
                 reader: BufReader::new(std::fs::File::open(path)?),
                 line_no: 0,
@@ -335,7 +262,7 @@ impl Iterator for TensorStream {
                 *remaining -= 1;
                 let coord = |i: usize| u32::from_le_bytes(rec[i..i + 4].try_into().unwrap());
                 let e = [coord(0), coord(4), coord(8)];
-                if (0..3).any(|m| e[m] as usize >= self.dims[m]) {
+                if outside(e, self.dims) {
                     *remaining = 0;
                     return Some(Err(ParseError::OutOfRange(0, format!("{e:?}"))));
                 }
@@ -360,7 +287,7 @@ impl Iterator for TensorStream {
                 match parse_entry_line(line, *line_no) {
                     Err(e) => return Some(Err(e)),
                     Ok(e) => {
-                        if (0..3).any(|m| e[m] as usize >= self.dims[m]) {
+                        if outside(e, self.dims) {
                             return Some(Err(ParseError::OutOfRange(*line_no, line.to_string())));
                         }
                         return Some(Ok(e));
@@ -371,9 +298,74 @@ impl Iterator for TensorStream {
     }
 }
 
+/// One meaningful line of the text format.
+#[derive(Clone, Copy)]
 enum TextLine {
     Dims([usize; 3]),
     Entry([u32; 3]),
+}
+
+/// The shape bookkeeping both text readers share: the `# dims` header, if
+/// any, plus the per-mode maximum coordinate and the entry-record count.
+#[derive(Default)]
+struct TextShape {
+    declared: Option<[usize; 3]>,
+    max: [u32; 3],
+    entries: u64,
+}
+
+impl TextShape {
+    fn note(&mut self, parsed: TextLine) {
+        match parsed {
+            TextLine::Dims(d) => self.declared = Some(d),
+            TextLine::Entry(e) => {
+                self.entries += 1;
+                for (max, coord) in self.max.iter_mut().zip(e) {
+                    *max = (*max).max(coord);
+                }
+            }
+        }
+    }
+
+    /// The declared shape, else `max + 1` per mode (empty without entries).
+    fn dims(&self) -> [usize; 3] {
+        match self.declared {
+            Some(dims) => dims,
+            None if self.entries == 0 => [0, 0, 0],
+            None => self.max.map(|m| m as usize + 1),
+        }
+    }
+}
+
+/// Whether coordinate `e` falls outside shape `dims`.
+fn outside(e: [u32; 3], dims: [usize; 3]) -> bool {
+    (0..3).any(|m| e[m] as usize >= dims[m])
+}
+
+/// Parses the mode sizes after a `# dims` header. A mode size above
+/// `u32::MAX` cannot be addressed by the `u32` coordinates, so it is a
+/// parse error here instead of a panic in [`TensorBuilder`] — the same
+/// rule [`parse_binary_header`] applies to the binary format.
+fn parse_dims_header(sizes: &str, line_no: usize, line: &str) -> Result<[usize; 3], ParseError> {
+    let malformed = |text: String| ParseError::Malformed(line_no, text);
+    let mut parts = sizes.split_whitespace();
+    let mut dims = [0usize; 3];
+    for d in &mut dims {
+        let size: u64 = parts
+            .next()
+            .and_then(|p| p.parse().ok())
+            .ok_or_else(|| malformed(line.to_string()))?;
+        if size > u64::from(u32::MAX) {
+            return Err(malformed(format!(
+                "{line} (mode size {size} exceeds u32 range)"
+            )));
+        }
+        *d = size as usize;
+    }
+    if parts.next().is_some() {
+        return Err(malformed(line.to_string()));
+    }
+    Ok(dims)
 }
 
 fn parse_entry_line(line: &str, line_no: usize) -> Result<[u32; 3], ParseError> {
@@ -391,11 +383,15 @@ fn parse_entry_line(line: &str, line_no: usize) -> Result<[u32; 3], ParseError> 
     Ok(triple)
 }
 
-fn scan_text<F>(file: std::fs::File, mut sink: F) -> Result<(), ParseError>
+/// Reads the text format line by line, handing every `# dims` header and
+/// entry to `sink` with its 1-based line number and trimmed text. Blank
+/// lines and other `#` comments are skipped.
+fn scan_text<R, F>(reader: R, mut sink: F) -> Result<(), ParseError>
 where
-    F: FnMut(TextLine) -> Result<(), ParseError>,
+    R: Read,
+    F: FnMut(TextLine, usize, &str) -> Result<(), ParseError>,
 {
-    let mut reader = BufReader::new(file);
+    let mut reader = BufReader::new(reader);
     let mut buf = String::new();
     let mut line_no = 0usize;
     loop {
@@ -408,21 +404,14 @@ where
         if line.is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix('#') {
-            if let Some(dims_str) = rest.trim().strip_prefix("dims") {
-                let parsed: Vec<usize> = dims_str
-                    .split_whitespace()
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| ParseError::Malformed(line_no, line.to_string()))?;
-                if parsed.len() != 3 {
-                    return Err(ParseError::Malformed(line_no, line.to_string()));
-                }
-                sink(TextLine::Dims([parsed[0], parsed[1], parsed[2]]))?;
-            }
-            continue;
-        }
-        sink(TextLine::Entry(parse_entry_line(line, line_no)?))?;
+        let parsed = match line.strip_prefix('#') {
+            Some(rest) => match rest.trim().strip_prefix("dims") {
+                Some(sizes) => TextLine::Dims(parse_dims_header(sizes, line_no, line)?),
+                None => continue,
+            },
+            None => TextLine::Entry(parse_entry_line(line, line_no)?),
+        };
+        sink(parsed, line_no, line)?;
     }
 }
 
@@ -636,6 +625,41 @@ mod tests {
             TensorStream::open(&path),
             Err(ParseError::Malformed(_, _))
         ));
+    }
+
+    #[test]
+    fn text_dims_header_is_checked_by_both_readers() {
+        let path = stream_tmp("bad_header.tsv");
+        for header in [
+            "# dims 5000000000 2 2",
+            "# dims 2 2",
+            "# dims 2 2 2 2",
+            "# dims two 2 2",
+            "# dims -1 2 2",
+        ] {
+            let text = format!("{header}\n0 0 0\n");
+            assert!(
+                matches!(
+                    read_tensor(text.as_bytes()),
+                    Err(ParseError::Malformed(1, _))
+                ),
+                "{header}"
+            );
+            std::fs::write(&path, &text).unwrap();
+            assert!(
+                matches!(TensorStream::open(&path), Err(ParseError::Malformed(1, _))),
+                "{header}"
+            );
+        }
+        // A mode size beyond u32 says so.
+        let err = read_tensor("# dims 5000000000 2 2\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("exceeds u32 range"), "{err}");
+        // The largest addressable mode size still parses.
+        let edge = format!("# dims {} 1 1\n0 0 0\n", u32::MAX);
+        assert_eq!(
+            read_tensor(edge.as_bytes()).unwrap().dims(),
+            [u32::MAX as usize, 1, 1]
+        );
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! Real intra-worker parallelism and superstep pipelining must be
-//! invisible in every output: the same factorization run with 1, 2 and 4
-//! compute threads per worker, at every pipeline depth, has to produce
-//! bit-identical factors, errors and virtual-time metrics (only host
-//! wall-clock may differ). The trace variant checks the same invariant
-//! one level deeper: the executed dataflow plan — every operator with its
-//! byte/op annotations — is identical too. Fault injection composes: a
-//! crash plan pins the pipeline to barrier execution, transient task
-//! faults retry under pipelining, and both stay bit-identical.
+//! Real intra-worker parallelism must be invisible in every output: the
+//! same factorization run with 1, 2 and 4 compute threads per worker has
+//! to produce bit-identical factors, errors and virtual-time metrics (only
+//! host wall-clock may differ). The trace variant checks the same
+//! invariant one level deeper: the executed dataflow plan — every operator
+//! with its byte/op annotations — is identical too.
 
 use dbtf::{factorize, factorize_traced, DbtfConfig, DbtfResult};
-use dbtf_cluster::{Cluster, ClusterConfig, FaultPlan, PlanTrace};
+use dbtf_cluster::{Cluster, ClusterConfig, PlanTrace};
 use dbtf_datagen::uniform_random;
 use dbtf_tensor::BoolTensor;
 
@@ -23,29 +20,20 @@ fn config() -> DbtfConfig {
     }
 }
 
-fn cluster_with(threads: usize, depth: usize) -> Cluster {
+fn cluster_with_threads(threads: usize) -> Cluster {
     Cluster::new(ClusterConfig {
         workers: 3,
         compute_threads: Some(threads),
-        pipeline_depth: Some(depth),
         ..ClusterConfig::default()
     })
 }
 
-fn cluster_with_threads(threads: usize) -> Cluster {
-    cluster_with(threads, 1)
-}
-
-fn run_with(x: &BoolTensor, threads: usize, depth: usize) -> DbtfResult {
-    factorize(&cluster_with(threads, depth), x, &config()).unwrap()
-}
-
 fn run_with_threads(x: &BoolTensor, threads: usize) -> DbtfResult {
-    run_with(x, threads, 1)
+    factorize(&cluster_with_threads(threads), x, &config()).unwrap()
 }
 
 /// Asserts every deterministic field of `run` equals `baseline`.
-/// (`MetricsSnapshot` equality deliberately excludes the pool/pipeline
+/// (`MetricsSnapshot` equality deliberately excludes the pool
 /// observability counters, which depend on the host schedule.)
 fn assert_same_result(run: &DbtfResult, baseline: &DbtfResult, what: &str) {
     assert_eq!(run.factors, baseline.factors, "{what}");
@@ -78,25 +66,6 @@ fn factorization_identical_across_compute_threads() {
 }
 
 #[test]
-fn factorization_identical_across_threads_and_pipeline_depths() {
-    let x = uniform_random([18, 15, 12], 0.15, 3);
-    let baseline = run_with(&x, 1, 1);
-    for threads in [1usize, 2, 4] {
-        for depth in [1usize, 2, 4] {
-            if (threads, depth) == (1, 1) {
-                continue;
-            }
-            let run = run_with(&x, threads, depth);
-            assert_same_result(
-                &run,
-                &baseline,
-                &format!("{threads} threads, pipeline depth {depth}"),
-            );
-        }
-    }
-}
-
-#[test]
 fn executed_plan_identical_across_compute_threads() {
     let x = uniform_random([18, 15, 12], 0.15, 3);
     let trace_with = |threads: usize| -> PlanTrace {
@@ -116,93 +85,4 @@ fn executed_plan_identical_across_compute_threads() {
         // With no fault plan, threading must never surface as recovery.
         assert_eq!(trace.recovery_events(), 0, "{threads} threads");
     }
-}
-
-#[test]
-fn executed_plan_identical_across_pipeline_depths() {
-    let x = uniform_random([18, 15, 12], 0.15, 3);
-    let trace_with = |threads: usize, depth: usize| -> PlanTrace {
-        let (_, trace) = factorize_traced(&cluster_with(threads, depth), &x, &config()).unwrap();
-        trace
-    };
-    let baseline = trace_with(1, 1);
-    assert!(!baseline.is_empty());
-    for (threads, depth) in [(1usize, 2usize), (1, 4), (2, 2), (4, 4)] {
-        let trace = trace_with(threads, depth);
-        assert_eq!(trace.len(), baseline.len(), "{threads}t depth {depth}");
-        assert_eq!(
-            trace.fingerprint(),
-            baseline.fingerprint(),
-            "{threads}t depth {depth}"
-        );
-        assert_eq!(trace.recovery_events(), 0, "{threads}t depth {depth}");
-    }
-}
-
-/// A crash plan pins the pipeline to barrier execution (lineage replay
-/// needs a quiescent pipeline), so a depth-4 request with scheduled
-/// crashes must behave exactly like depth 1 — and the crash recovery
-/// itself stays bit-identical to a fault-free run's results.
-#[test]
-fn crash_plan_pins_pipeline_to_barrier_execution() {
-    let x = uniform_random([18, 15, 12], 0.15, 3);
-    let plan = FaultPlan {
-        worker_crashes: vec![(5, 1), (20, 2)],
-        ..FaultPlan::with_seed(13)
-    };
-    let crashed_cluster = |depth: usize| {
-        Cluster::new(ClusterConfig {
-            workers: 3,
-            compute_threads: Some(2),
-            pipeline_depth: Some(depth),
-            fault_plan: Some(plan.clone()),
-            ..ClusterConfig::default()
-        })
-    };
-    let deep = crashed_cluster(4);
-    assert_eq!(deep.pipeline_depth(), 1, "crash plan must force depth 1");
-    let baseline = factorize(&crashed_cluster(1), &x, &config()).unwrap();
-    let run = factorize(&deep, &x, &config()).unwrap();
-    assert_same_result(&run, &baseline, "crashes under requested depth 4");
-    // Recovery must also match the fault-free outputs (not the metrics —
-    // recovery charges extra virtual time).
-    let fault_free = run_with(&x, 2, 1);
-    assert_eq!(run.factors, fault_free.factors);
-    assert_eq!(run.iteration_errors, fault_free.iteration_errors);
-}
-
-/// Transient task faults retry inside the worker and are accounted at
-/// merge time, so they compose with pipelining: results and recovery
-/// counters are bit-identical at every depth.
-#[test]
-fn transient_faults_compose_with_pipelining() {
-    let x = uniform_random([18, 15, 12], 0.15, 3);
-    let plan = FaultPlan {
-        task_failure_rate: 0.08,
-        ..FaultPlan::with_seed(21)
-    };
-    let faulty_cluster = |depth: usize| {
-        Cluster::new(ClusterConfig {
-            workers: 3,
-            compute_threads: Some(2),
-            pipeline_depth: Some(depth),
-            fault_plan: Some(plan.clone()),
-            ..ClusterConfig::default()
-        })
-    };
-    let shallow = faulty_cluster(1);
-    let deep = faulty_cluster(4);
-    assert_eq!(
-        deep.pipeline_depth(),
-        4,
-        "transient faults must not disable pipelining"
-    );
-    let baseline = factorize(&shallow, &x, &config()).unwrap();
-    let run = factorize(&deep, &x, &config()).unwrap();
-    assert_same_result(&run, &baseline, "transient faults at depth 4");
-    // The injected faults must actually have fired, and identically so.
-    let (b, d) = (shallow.metrics(), deep.metrics());
-    assert!(b.task_retries > 0, "fault plan injected nothing");
-    assert_eq!(b.task_retries, d.task_retries);
-    assert_eq!(b, d, "recovery counters must match across depths");
 }

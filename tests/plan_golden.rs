@@ -65,18 +65,9 @@ fn cp_on_cluster(
     compute_threads: Option<usize>,
     plan: Option<FaultPlan>,
 ) -> (DbtfResult, PlanTrace, MetricsSnapshot) {
-    cp_on_cluster_depth(compute_threads, None, plan)
-}
-
-fn cp_on_cluster_depth(
-    compute_threads: Option<usize>,
-    pipeline_depth: Option<usize>,
-    plan: Option<FaultPlan>,
-) -> (DbtfResult, PlanTrace, MetricsSnapshot) {
     let cluster = Cluster::new(ClusterConfig {
         workers: 3,
         compute_threads,
-        pipeline_depth,
         fault_plan: plan,
         ..ClusterConfig::default()
     });
@@ -154,36 +145,6 @@ fn cp_plan_is_invariant_across_thread_counts() {
             baseline.fingerprint(),
             "{threads} compute threads"
         );
-    }
-}
-
-/// Pipelined execution must hit the *same pinned constants* as barrier
-/// execution — including the virtual clock to the exact f64 bit. This is
-/// the strongest statement of the pipeline's determinism contract: every
-/// deferred merge settles in program order, so the order-sensitive f64
-/// clock sum is unchanged.
-#[test]
-fn cp_golden_holds_at_every_pipeline_depth() {
-    for depth in [2usize, 4] {
-        for threads in [None, Some(4)] {
-            let (result, trace, m) = cp_on_cluster_depth(threads, Some(depth), None);
-            let what = format!("depth {depth}, threads {threads:?}");
-            assert_cp_golden(&result, &m, &what);
-            assert_eq!(
-                m.virtual_time.as_secs_f64().to_bits(),
-                CP_VIRTUAL_TIME_BITS,
-                "{what}"
-            );
-            assert_eq!(trace.count(OpKind::MapPartitions) as u64, CP_SUPERSTEPS);
-            assert_eq!(trace.recovery_events(), 0, "{what}");
-            // Pipelining must actually have happened (observability
-            // counter — excluded from snapshot equality).
-            assert!(
-                m.pipeline_supersteps_overlapped > 0,
-                "{what}: no supersteps overlapped"
-            );
-            assert!(m.pipeline_max_in_flight >= 2, "{what}");
-        }
     }
 }
 
