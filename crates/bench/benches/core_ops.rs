@@ -83,7 +83,7 @@ fn bench_cache(c: &mut Criterion) {
             let mut acc = 0usize;
             for &k in &keys {
                 let (row, pop) = cache.fetch_single(k);
-                acc += pop as usize + row.words()[0] as usize % 2;
+                acc += pop as usize + row[0] as usize % 2;
             }
             black_box(acc)
         })

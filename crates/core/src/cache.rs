@@ -80,11 +80,14 @@ impl GroupLayout {
     }
 }
 
-/// One group's table: the Boolean sums of every subset of its rank rows.
+/// One group's table: the Boolean sums of every subset of its rank rows,
+/// stored flat so that building or slicing a table allocates twice, not
+/// twice per entry.
 #[derive(Clone, Debug)]
 struct GroupTable {
-    /// `rows[mask]` = OR of the cached base rows selected by `mask`.
-    rows: Vec<BitVec>,
+    /// `entries × row_words` words; entry `mask` (the OR of the cached base
+    /// rows selected by `mask`) is `words[mask·row_words..][..row_words]`.
+    words: Vec<u64>,
     /// Popcount of each cached row (precomputed so single-group fetches
     /// never rescan).
     pops: Vec<u32>,
@@ -95,11 +98,23 @@ struct GroupTable {
 ///
 /// The *width* is the number of columns of the cached rows — the slab width
 /// `S` for the full-size cache, or a block's width for the sliced caches of
-/// edge blocks (Section III-D).
+/// edge blocks (Section III-D). Rows are returned as packed `u64` words,
+/// `width().div_ceil(64)` per row, with the bits past the width zero.
 #[derive(Clone, Debug)]
 pub struct RowSumCache {
     width: usize,
+    /// Words per cached row (`width.div_ceil(64)`).
+    row_words: usize,
     tables: Vec<GroupTable>,
+}
+
+/// Whether this CPU executes `popcnt`. The standard library caches the
+/// probe, so the choice between a kernel's hardware-popcount copy and its
+/// portable body is made once per process.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[inline]
+pub(crate) fn hardware_popcnt() -> bool {
+    std::arch::is_x86_feature_detected!("popcnt")
 }
 
 impl RowSumCache {
@@ -110,28 +125,54 @@ impl RowSumCache {
     /// entry with a single base row (`O(S)` per entry), as assumed by the
     /// Lemma 4 cost analysis.
     pub fn build(ms: &BitMatrix, layout: &GroupLayout) -> Self {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if hardware_popcnt() {
+            // SAFETY: `hardware_popcnt` just confirmed the CPU has `popcnt`.
+            return unsafe { Self::build_popcnt(ms, layout) };
+        }
+        Self::build_portable(ms, layout)
+    }
+
+    /// [`RowSumCache::build`] compiled with hardware popcount.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `popcnt` (see [`hardware_popcnt`]).
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "popcnt")]
+    fn build_popcnt(ms: &BitMatrix, layout: &GroupLayout) -> Self {
+        Self::build_portable(ms, layout)
+    }
+
+    #[inline(always)]
+    fn build_portable(ms: &BitMatrix, layout: &GroupLayout) -> Self {
         assert_eq!(ms.cols(), layout.rank(), "factor rank mismatch");
         let width = ms.rows();
+        let row_words = width.div_ceil(64);
         let mst = ms.transpose(); // R × S: row r = column r of M_s.
         let mut tables = Vec::with_capacity(layout.num_groups());
         for g in 0..layout.num_groups() {
             let (first, bits) = layout.group(g);
             let size = 1usize << bits;
-            let mut rows = Vec::with_capacity(size);
-            let mut pops = Vec::with_capacity(size);
-            rows.push(BitVec::zeros(width));
-            pops.push(0);
-            for mask in 1..size {
-                let low = mask & mask.wrapping_sub(1); // mask without lowest bit
-                let bit = mask.trailing_zeros() as usize;
-                let mut row = rows[low].clone();
-                row.or_assign(&mst.row_bitvec(first + bit));
-                pops.push(row.count_ones() as u32);
-                rows.push(row);
+            let mut words = vec![0u64; size * row_words];
+            let mut pops = vec![0u32; size];
+            for (mask, pop) in pops.iter_mut().enumerate().skip(1) {
+                let low = mask & (mask - 1); // mask without lowest bit
+                let base = mst.row(first + mask.trailing_zeros() as usize);
+                let (done, rest) = words.split_at_mut(mask * row_words);
+                let prev = &done[low * row_words..(low + 1) * row_words];
+                for ((d, &p), &b) in rest[..row_words].iter_mut().zip(prev).zip(base) {
+                    *d = p | b;
+                    *pop += d.count_ones();
+                }
             }
-            tables.push(GroupTable { rows, pops });
+            tables.push(GroupTable { words, pops });
         }
-        RowSumCache { width, tables }
+        RowSumCache {
+            width,
+            row_words,
+            tables,
+        }
     }
 
     /// Width (columns) of the cached rows.
@@ -147,12 +188,12 @@ impl RowSumCache {
     /// Total number of cached rows across groups (Lemma 2's
     /// `⌈R/V⌉ · 2^(R/⌈R/V⌉)`).
     pub fn num_entries(&self) -> usize {
-        self.tables.iter().map(|t| t.rows.len()).sum()
+        self.tables.iter().map(|t| t.pops.len()).sum()
     }
 
     /// Approximate heap footprint in bytes (for Lemma 5 memory metering).
     pub fn byte_size(&self) -> u64 {
-        let row_bytes = self.width.div_ceil(64) as u64 * 8;
+        let row_bytes = self.row_words as u64 * 8;
         self.num_entries() as u64 * (row_bytes + 4)
     }
 
@@ -162,20 +203,20 @@ impl RowSumCache {
     ///
     /// Debug-panics if the cache has more than one group.
     #[inline]
-    pub fn fetch_single(&self, key: u64) -> (&BitVec, u32) {
+    pub fn fetch_single(&self, key: u64) -> (&[u64], u32) {
         debug_assert_eq!(self.tables.len(), 1, "fetch_single on multi-group cache");
-        let t = &self.tables[0];
-        (&t.rows[key as usize], t.pops[key as usize])
+        (self.group_row(0, key), self.tables[0].pops[key as usize])
     }
 
     /// General fetch: ORs the cached row of each group's key into
     /// `scratch` (which must hold `width().div_ceil(64)` words and is
     /// cleared first). Returns the popcount of the combined row.
+    #[inline]
     pub fn fetch_or(&self, keys: &[u64], scratch: &mut [u64]) -> u32 {
         debug_assert_eq!(keys.len(), self.tables.len(), "one key per group");
         scratch.fill(0);
-        for (t, &key) in self.tables.iter().zip(keys) {
-            for (d, s) in scratch.iter_mut().zip(t.rows[key as usize].words()) {
+        for (g, &key) in keys.iter().enumerate() {
+            for (d, s) in scratch.iter_mut().zip(self.group_row(g, key)) {
                 *d |= s;
             }
         }
@@ -186,36 +227,58 @@ impl RowSumCache {
     /// combine group rows themselves — e.g. the column superstep, which
     /// shares the OR of all non-candidate groups between both candidates.
     #[inline]
-    pub fn group_row(&self, g: usize, key: u64) -> &BitVec {
-        &self.tables[g].rows[key as usize]
-    }
-
-    /// The per-group cached rows for `keys` (no OR), for callers that can
-    /// test bits across groups themselves.
-    #[inline]
-    pub fn group_rows<'a>(&'a self, keys: &[u64]) -> impl Iterator<Item = &'a BitVec> + 'a {
-        let keys: Vec<u64> = keys.to_vec();
-        self.tables
-            .iter()
-            .zip(keys)
-            .map(|(t, key)| &t.rows[key as usize])
+    pub fn group_row(&self, g: usize, key: u64) -> &[u64] {
+        let at = key as usize * self.row_words;
+        &self.tables[g].words[at..at + self.row_words]
     }
 
     /// Derives the vertically sliced cache for an edge block covering
     /// columns `[lo, lo + len)` of the caching unit (Algorithm 5 line 4):
     /// a single pass over the full-size cache.
     pub fn slice(&self, lo: usize, len: usize) -> RowSumCache {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if hardware_popcnt() {
+            // SAFETY: `hardware_popcnt` just confirmed the CPU has `popcnt`.
+            return unsafe { self.slice_popcnt(lo, len) };
+        }
+        self.slice_portable(lo, len)
+    }
+
+    /// [`RowSumCache::slice`] compiled with hardware popcount.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `popcnt` (see [`hardware_popcnt`]).
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "popcnt")]
+    fn slice_popcnt(&self, lo: usize, len: usize) -> RowSumCache {
+        self.slice_portable(lo, len)
+    }
+
+    #[inline(always)]
+    fn slice_portable(&self, lo: usize, len: usize) -> RowSumCache {
         assert!(lo + len <= self.width, "slice out of bounds");
-        let tables = self
-            .tables
-            .iter()
-            .map(|t| {
-                let rows: Vec<BitVec> = t.rows.iter().map(|r| r.slice(lo, len)).collect();
-                let pops = rows.iter().map(|r| r.count_ones() as u32).collect();
-                GroupTable { rows, pops }
-            })
-            .collect();
-        RowSumCache { width: len, tables }
+        let row_words = len.div_ceil(64);
+        // A plain loop, not a closure: the body must stay inside this
+        // function to be compiled with the caller's target features.
+        let mut tables = Vec::with_capacity(self.tables.len());
+        for t in &self.tables {
+            let entries = t.pops.len();
+            let mut words = vec![0u64; entries * row_words];
+            let mut pops = vec![0u32; entries];
+            for (e, pop) in pops.iter_mut().enumerate() {
+                let src = &t.words[e * self.row_words..(e + 1) * self.row_words];
+                let dst = &mut words[e * row_words..(e + 1) * row_words];
+                BitVec::slice_into(src, lo, len, dst);
+                *pop = dst.iter().map(|w| w.count_ones()).sum();
+            }
+            tables.push(GroupTable { words, pops });
+        }
+        RowSumCache {
+            width: len,
+            row_words,
+            tables,
+        }
     }
 }
 
@@ -284,7 +347,7 @@ mod tests {
             let sel = BitVec::from_words(r, vec![mask]);
             let expect = or_selected_rows(&mst, &sel);
             let (row, pop) = cache.fetch_single(mask);
-            assert_eq!(row, &expect, "mask {mask:#b}");
+            assert_eq!(row, expect.words(), "mask {mask:#b}");
             assert_eq!(pop as usize, expect.count_ones());
         }
     }
@@ -336,8 +399,9 @@ mod tests {
         for mask in 0u64..32 {
             let (full_row, _) = full.fetch_single(mask);
             let (slice_row, pop) = sliced.fetch_single(mask);
-            assert_eq!(slice_row, &full_row.slice(30, 45));
-            assert_eq!(pop as usize, slice_row.count_ones());
+            let full_row = BitVec::from_words(100, full_row.to_vec());
+            assert_eq!(slice_row, full_row.slice(30, 45).words());
+            assert_eq!(pop, popcount(slice_row));
         }
     }
 
@@ -355,6 +419,46 @@ mod tests {
         let cache = RowSumCache::build(&ms, &GroupLayout::new(4, 15));
         let (row, pop) = cache.fetch_single(0);
         assert_eq!(pop, 0);
-        assert_eq!(row.count_ones(), 0);
+        assert_eq!(popcount(row), 0);
+    }
+
+    /// The hardware-popcount copies of `build` and `slice` must produce
+    /// the same tables as the portable bodies, word for word, including
+    /// multi-group layouts and slices that start and end mid-word.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn popcnt_copies_match_portable() {
+        if !hardware_popcnt() {
+            return;
+        }
+        let same = |x: &RowSumCache, y: &RowSumCache| {
+            assert_eq!((x.width, x.row_words), (y.width, y.row_words));
+            assert_eq!(x.tables.len(), y.tables.len());
+            for (tx, ty) in x.tables.iter().zip(&y.tables) {
+                assert_eq!(tx.words, ty.words);
+                assert_eq!(tx.pops, ty.pops);
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(14);
+        for (s, r) in [(1usize, 3usize), (64, 5), (200, 7), (130, 20)] {
+            let ms = BitMatrix::random(s, r, 0.3, &mut rng);
+            for v in [15usize, 2, 1] {
+                let layout = GroupLayout::new(r, v);
+                let portable = RowSumCache::build_portable(&ms, &layout);
+                // SAFETY: checked above that the CPU supports `popcnt`.
+                let fast = unsafe { RowSumCache::build_popcnt(&ms, &layout) };
+                same(&portable, &fast);
+                for (lo, len) in [(0, s), (s / 3, s - s / 3), (s / 4, s / 2 + 1)] {
+                    let len = len.min(s - lo).max(1);
+                    // SAFETY: as above.
+                    let fast = unsafe { portable.slice_popcnt(lo, len) };
+                    same(&portable.slice_portable(lo, len), &fast);
+                }
+            }
+        }
+    }
+
+    fn popcount(row: &[u64]) -> u32 {
+        row.iter().map(|w| w.count_ones()).sum()
     }
 }

@@ -30,7 +30,7 @@
 //! payload); block kinds are re-derived from slab geometry on decode.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dbtf_cluster::{
     Broadcast, BroadcastStore, ClusterConfig, ClusterError, NetBackend, NetRegistry, NetTuning,
@@ -146,6 +146,7 @@ impl Wire for PartitionSlot {
                 kind,
                 row_offsets,
                 cols,
+                dense: OnceLock::new(),
             });
         }
         Ok(PartitionSlot::new(ModePartition {
@@ -369,7 +370,7 @@ pub fn net_backend(
 mod tests {
     use super::*;
     use crate::partition::partition_unfolding;
-    use dbtf_tensor::{BoolTensor, Mode, Unfolding};
+    use dbtf_tensor::{BitMatrix, BoolTensor, Mode, Unfolding};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -405,6 +406,31 @@ mod tests {
                     assert!(back.work.is_none() && back.tucker.is_none());
                 }
             }
+        }
+    }
+
+    /// A used partition carries dense bitmaps, which never ship: its frame
+    /// still carries exactly `byte_size()` data bytes and decodes to a
+    /// partition equal to it.
+    #[test]
+    fn partition_slot_payload_is_unchanged_by_an_update() {
+        let t = random_tensor([6, 5, 7], 0.9, 22);
+        let u = Unfolding::new(&t, Mode::One);
+        let mut rng = StdRng::seed_from_u64(23);
+        let a = BitMatrix::random(6, 3, 0.5, &mut rng);
+        let c = BitMatrix::random(7, 3, 0.5, &mut rng);
+        let b = BitMatrix::random(5, 3, 0.5, &mut rng);
+        for part in partition_unfolding(&u, 3) {
+            let slot = PartitionSlot::new(part);
+            let before = slot.to_frame();
+            assert_eq!(before.data_len, slot.part.byte_size());
+            WorkState::build(&slot.part, &a, &c, &b, 15);
+            assert!(slot.part.blocks.iter().any(|b| b.dense.get().is_some()));
+            let after = slot.to_frame();
+            assert_eq!(after.data_len, slot.part.byte_size());
+            assert_eq!(after.bytes, before.bytes);
+            let back = PartitionSlot::from_frame(&after.bytes).unwrap();
+            assert_eq!(back.part, slot.part);
         }
     }
 

@@ -9,6 +9,8 @@
 //! fetched: a full-slab block reads the full-size cache directly, while the
 //! at-most-two edge blocks of a partition use vertically sliced caches.
 
+use std::sync::OnceLock;
+
 use dbtf_tensor::UnfoldingStore;
 
 /// The block types of the paper's Figure 5, keyed by how a block sits
@@ -33,7 +35,12 @@ pub enum BlockKind {
 /// column array) rather than as per-row `Vec`s: at NELL-like shapes a
 /// partition holds hundreds of blocks over tens of thousands of rows, and
 /// 24-byte `Vec` headers per (row, block) pair would dwarf the data.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// A block dense enough for the bitmap intersection path also carries a
+/// dense copy of its rows, built the first time a factor update needs it
+/// and kept for the life of the block. It is derived data: never shipped on
+/// the wire and ignored by equality.
+#[derive(Clone, Debug)]
 pub struct Block {
     /// Index `k` of the PVM slab this block lies in (a row of `M_f`).
     pub slab: usize,
@@ -47,6 +54,45 @@ pub struct Block {
     pub(crate) row_offsets: Vec<u32>,
     /// Concatenated sorted column offsets (relative to `inner_lo`).
     pub(crate) cols: Vec<u32>,
+    /// The dense bitmap of the rows, built on first use.
+    pub(crate) dense: OnceLock<DenseRows>,
+}
+
+impl PartialEq for Block {
+    /// Compares the block's data; the derived bitmap is not part of it.
+    fn eq(&self, other: &Self) -> bool {
+        self.slab == other.slab
+            && self.inner_lo == other.inner_lo
+            && self.inner_len == other.inner_len
+            && self.kind == other.kind
+            && self.row_offsets == other.row_offsets
+            && self.cols == other.cols
+    }
+}
+
+impl Eq for Block {}
+
+/// A dense row-major bitmap of one block's rows, for blocks dense enough
+/// that word-wise AND + popcount beats per-nonzero probing.
+#[derive(Clone, Debug)]
+pub(crate) struct DenseRows {
+    /// Words per row (`inner_len.div_ceil(64)`).
+    words: usize,
+    /// `nrows × words` bitmap; bit `c` of row `r` ⇔ block one at `(r, c)`.
+    pub(crate) data: Vec<u64>,
+}
+
+impl DenseRows {
+    /// The bitmap words of row `r`.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[u64] {
+        &self.data[r * self.words..(r + 1) * self.words]
+    }
+
+    /// Heap bytes held.
+    pub(crate) fn byte_size(&self) -> u64 {
+        self.data.len() as u64 * 8
+    }
 }
 
 impl Block {
@@ -65,6 +111,30 @@ impl Block {
     /// Number of ones stored in this block.
     pub fn nnz(&self) -> usize {
         self.cols.len()
+    }
+
+    /// Whether the block should intersect via its dense bitmap: per-row
+    /// probing costs `O(nnz)` over the block, the dense path
+    /// `O(nrows × words)`, so the bitmap wins once the ones outnumber the
+    /// words. A pure function of the block, so virtual-time ops never
+    /// depend on the execution schedule.
+    pub(crate) fn prefers_dense(&self) -> bool {
+        self.nnz() >= self.nrows() * (self.inner_len as usize).div_ceil(64)
+    }
+
+    /// The block's dense bitmap, built from the CSR rows on the first call
+    /// and kept for the life of the block.
+    pub(crate) fn dense_rows(&self) -> &DenseRows {
+        self.dense.get_or_init(|| {
+            let words = (self.inner_len as usize).div_ceil(64);
+            let mut data = vec![0u64; self.nrows() * words];
+            for (r, row) in data.chunks_exact_mut(words).enumerate() {
+                for &o in self.row(r) {
+                    row[(o / 64) as usize] |= 1u64 << (o % 64);
+                }
+            }
+            DenseRows { words, data }
+        })
     }
 }
 
@@ -223,6 +293,7 @@ fn build_partition<S: UnfoldingStore>(
             kind,
             row_offsets,
             cols,
+            dense: OnceLock::new(),
         });
         lo = hi;
     }
@@ -441,6 +512,30 @@ mod tests {
             }
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    /// The dense bitmap is derived data: a partition whose bitmaps were
+    /// built equals a freshly built one, and a clone keeps them.
+    #[test]
+    fn equality_ignores_the_dense_bitmap() {
+        let t = random_tensor([5, 6, 4], 0.9, 9);
+        let u = Unfolding::new(&t, Mode::Two);
+        let used = partition_unfolding(&u, 2);
+        for p in &used {
+            for b in &p.blocks {
+                let bitmap = b.dense_rows();
+                for r in 0..b.nrows() {
+                    let ones: usize = bitmap.row(r).iter().map(|w| w.count_ones() as usize).sum();
+                    assert_eq!(ones, b.row(r).len());
+                }
+            }
+        }
+        assert_eq!(used, partition_unfolding(&u, 2));
+        assert!(used[0]
+            .clone()
+            .blocks
+            .iter()
+            .all(|b| b.dense.get().is_some()));
     }
 
     #[test]

@@ -136,14 +136,15 @@ impl TuckerWorkState {
             let mut inter = 0u64;
             for &o in actual {
                 let bit = o as usize + width_off;
-                inter += u64::from(cached.words()[bit / 64] & (1u64 << (bit % 64)) != 0);
+                inter += u64::from(cached[bit / 64] & (1u64 << (bit % 64)) != 0);
             }
             // Popcount restricted to the block's columns.
             let pop_in_block = if part.blocks[block].inner_len as usize == cache.width() {
                 pop as u64
             } else {
                 ops += (part.blocks[block].inner_len as u64).div_ceil(64);
-                cached.count_range(width_off, part.blocks[block].inner_len as usize) as u64
+                BitVec::count_range_in(cached, width_off, part.blocks[block].inner_len as usize)
+                    as u64
             };
             (inter, pop_in_block)
         } else {
@@ -161,10 +162,8 @@ impl TuckerWorkState {
                 let bit = o as usize + width_off;
                 inter += u64::from(scratch[bit / 64] & (1u64 << (bit % 64)) != 0);
             }
-            let lo = width_off;
             let len = part.blocks[block].inner_len as usize;
-            let full = BitVec::from_words(cache.width(), scratch[..words].to_vec());
-            pop += full.count_range(lo, len) as u64;
+            pop += BitVec::count_range_in(&scratch[..words], width_off, len) as u64;
             (inter, pop)
         };
         (pop + nnz - 2 * inter, ops)

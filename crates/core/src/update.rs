@@ -20,15 +20,27 @@
 //!   broadcast column) instead of rebuilding the whole buffer each call.
 //! - **Owned scratch.** Key and OR scratch buffers live in the state, sized
 //!   once in [`WorkState::build`].
-//! - **Density-adaptive intersection.** Each block chooses, at build time,
-//!   between probing its sparse ones against the cached row (cost
-//!   `O(nnz)`) and a word-wise AND + popcount against a dense bitmap of
-//!   its rows (cost `O(width/64)` per row) — whichever is cheaper.
+//! - **Density-adaptive intersection.** Each block chooses between probing
+//!   its sparse ones against the cached row (cost `O(nnz)`) and a word-wise
+//!   AND + popcount against a dense bitmap of its rows (cost `O(width/64)`
+//!   per row) — whichever is cheaper. The bitmap depends only on the
+//!   immutable block, so it lives on the
+//!   [`Block`](crate::partition::Block): built by the first update that
+//!   needs it and reused by every later one. The build still charges its
+//!   ops and reports its bytes every call, so the cost model prices a
+//!   rebuild per update as before.
+//! - **Hardware popcount.** [`WorkState::column_errors`],
+//!   [`WorkState::partition_error`] and the cache build each have a copy
+//!   compiled with `popcnt` enabled, chosen at run time when the CPU has
+//!   the instruction; the portable body is the fallback. Both copies
+//!   compute the same bits and charge the same ops.
 
 use dbtf_tensor::{BitMatrix, BitVec};
 
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+use crate::cache::hardware_popcnt;
 use crate::cache::{GroupLayout, RowSumCache};
-use crate::partition::{Block, BlockKind, ModePartition, PartitionData};
+use crate::partition::{BlockKind, ModePartition, PartitionData};
 
 /// A partition plus its transient update state; the element type stored in
 /// the cluster's distributed datasets.
@@ -59,50 +71,6 @@ enum BlockCache {
     Sliced(RowSumCache),
 }
 
-/// A dense row-major bitmap of one block's rows, built when the block is
-/// dense enough that word-wise AND + popcount beats per-nonzero probing.
-struct DenseRows {
-    /// Words per row (`inner_len.div_ceil(64)`).
-    words: usize,
-    /// `nrows × words` bitmap; bit `c` of row `r` ⇔ block one at `(r, c)`.
-    data: Vec<u64>,
-}
-
-impl DenseRows {
-    /// Builds the bitmap from the block's CSR rows.
-    fn build(block: &Block, nrows: usize) -> Self {
-        let words = (block.inner_len as usize).div_ceil(64);
-        let mut data = vec![0u64; nrows * words];
-        for r in 0..nrows {
-            let row = &mut data[r * words..(r + 1) * words];
-            for &o in block.row(r) {
-                row[(o / 64) as usize] |= 1u64 << (o % 64);
-            }
-        }
-        DenseRows { words, data }
-    }
-
-    /// The bitmap words of row `r`.
-    #[inline]
-    fn row(&self, r: usize) -> &[u64] {
-        &self.data[r * self.words..(r + 1) * self.words]
-    }
-
-    /// Heap bytes held.
-    fn byte_size(&self) -> u64 {
-        self.data.len() as u64 * 8
-    }
-}
-
-/// Whether `block` should intersect via a dense bitmap: per-row probing
-/// costs `O(nnz)` over the block, the dense path `O(nrows × words)`, so
-/// the bitmap wins once the ones outnumber the words. Deterministic per
-/// block, so virtual-time ops never depend on the execution schedule.
-fn use_dense(block: &Block, nrows: usize) -> bool {
-    let words = (block.inner_len as usize).div_ceil(64);
-    block.nnz() >= nrows * words
-}
-
 /// Transient state of one partition during an `UpdateFactor` call.
 ///
 /// Public so benchmarks can drive the column-superstep kernel directly;
@@ -120,8 +88,9 @@ pub struct WorkState {
     mf_masks: Vec<Vec<u64>>,
     full_cache: RowSumCache,
     block_caches: Vec<BlockCache>,
-    /// Per-block dense bitmaps for blocks past the density threshold.
-    dense_rows: Vec<Option<DenseRows>>,
+    /// Bytes of the dense bitmaps of the blocks past the density
+    /// threshold; the bitmaps themselves live on the blocks.
+    dense_bytes: u64,
     /// Scratch: one key word per group.
     keys: Vec<u64>,
     /// Scratch: OR of the cached rows of all groups except the superstep's.
@@ -174,7 +143,7 @@ impl WorkState {
 
         let mut mf_masks = Vec::with_capacity(part.blocks().len());
         let mut block_caches = Vec::with_capacity(part.blocks().len());
-        let mut dense_rows = Vec::with_capacity(part.blocks().len());
+        let mut dense_bytes = 0u64;
         for block in part.blocks() {
             let mut masks = vec![0u64; ngroups];
             layout.row_masks(mf, block.slab, &mut masks);
@@ -191,12 +160,12 @@ impl WorkState {
                     block_caches.push(BlockCache::Sliced(sliced));
                 }
             }
-            if use_dense(block, part.nrows()) {
-                let dense = DenseRows::build(block, part.nrows());
+            if block.prefers_dense() {
+                // Built by the first update only, but charged as a rebuild
+                // every time: the cost model prices it per update.
+                let dense = block.dense_rows();
                 ops += dense.data.len() as u64 * cost::WORD;
-                dense_rows.push(Some(dense));
-            } else {
-                dense_rows.push(None);
+                dense_bytes += dense.byte_size();
             }
         }
 
@@ -215,7 +184,7 @@ impl WorkState {
             mf_masks,
             full_cache,
             block_caches,
-            dense_rows,
+            dense_bytes,
             keys: vec![0u64; ngroups],
             scratch_base: vec![0u64; scratch_words],
             scratch0: vec![0u64; scratch_words],
@@ -235,13 +204,7 @@ impl WorkState {
                 BlockCache::Sliced(s) => s.byte_size(),
             })
             .sum();
-        let dense: u64 = self
-            .dense_rows
-            .iter()
-            .flatten()
-            .map(DenseRows::byte_size)
-            .sum();
-        self.full_cache.byte_size() + sliced + dense
+        self.full_cache.byte_size() + sliced + self.dense_bytes
     }
 
     /// Applies a decided column to the working factor copy by patching the
@@ -288,6 +251,35 @@ impl WorkState {
         part: &P,
         col: usize,
     ) -> (Vec<(u64, u64)>, u64) {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if hardware_popcnt() {
+            // SAFETY: `hardware_popcnt` just confirmed the CPU has `popcnt`.
+            return unsafe { self.column_errors_popcnt(part, col) };
+        }
+        self.column_errors_portable(part, col)
+    }
+
+    /// [`WorkState::column_errors`] compiled with hardware popcount.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `popcnt` (see [`hardware_popcnt`]).
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "popcnt")]
+    fn column_errors_popcnt<P: PartitionData + ?Sized>(
+        &mut self,
+        part: &P,
+        col: usize,
+    ) -> (Vec<(u64, u64)>, u64) {
+        self.column_errors_portable(part, col)
+    }
+
+    #[inline(always)]
+    fn column_errors_portable<P: PartitionData + ?Sized>(
+        &mut self,
+        part: &P,
+        col: usize,
+    ) -> (Vec<(u64, u64)>, u64) {
         let nrows = part.nrows();
         let ngroups = self.layout.num_groups();
         let (gc, off) = self.layout.locate(col);
@@ -304,7 +296,7 @@ impl WorkState {
                 BlockCache::Full => &self.full_cache,
                 BlockCache::Sliced(s) => s,
             };
-            let dense = self.dense_rows[b].as_ref();
+            let dense = block.prefers_dense().then(|| block.dense_rows());
             // Loop-invariant per block: word width of the cached rows.
             let cache_words = cache.width().div_ceil(64);
             if ngroups == 1 {
@@ -320,10 +312,9 @@ impl WorkState {
                     match dense {
                         Some(d) => {
                             let (mut i0, mut i1) = (0u64, 0u64);
-                            let dr = d.row(r);
-                            for (w, &dw) in dr.iter().enumerate() {
-                                i0 += (row0.words()[w] & dw).count_ones() as u64;
-                                i1 += (row1.words()[w] & dw).count_ones() as u64;
+                            for ((&w0, &w1), &dw) in row0.iter().zip(row1).zip(d.row(r)) {
+                                i0 += (w0 & dw).count_ones() as u64;
+                                i1 += (w1 & dw).count_ones() as u64;
                             }
                             (inter0, inter1) = (i0, i1);
                             ops += cost::KEY + 2 * cache_words as u64 * cost::DENSE_AND;
@@ -333,8 +324,8 @@ impl WorkState {
                             for &o in block.row(r) {
                                 let w = (o / 64) as usize;
                                 let bit = 1u64 << (o % 64);
-                                i0 += u64::from(row0.words()[w] & bit != 0);
-                                i1 += u64::from(row1.words()[w] & bit != 0);
+                                i0 += u64::from(row0[w] & bit != 0);
+                                i1 += u64::from(row1[w] & bit != 0);
                             }
                             (inter0, inter1) = (i0, i1);
                             ops += cost::KEY + 2 * nnz * cost::NNZ_TEST;
@@ -349,37 +340,39 @@ impl WorkState {
                     for (g, key) in self.keys.iter_mut().enumerate() {
                         *key = self.row_masks[base + g] & mf[g];
                     }
-                    // The two candidates differ only in group `gc`, so OR
-                    // the other groups once and share the result.
-                    let sb = &mut self.scratch_base[..cache_words];
-                    sb.fill(0);
-                    for g in 0..ngroups {
-                        if g != gc {
-                            for (d, s) in
-                                sb.iter_mut().zip(cache.group_row(g, self.keys[g]).words())
-                            {
+                    // The two candidates differ only in group `gc`, so the
+                    // OR of the other groups is shared. With two groups it
+                    // is one cached row; otherwise OR them into scratch.
+                    // The ops below charge the OR either way.
+                    let shared: &[u64] = if ngroups == 2 {
+                        cache.group_row(1 - gc, self.keys[1 - gc])
+                    } else {
+                        let sb = &mut self.scratch_base[..cache_words];
+                        sb.fill(0);
+                        for g in (0..ngroups).filter(|&g| g != gc) {
+                            for (d, s) in sb.iter_mut().zip(cache.group_row(g, self.keys[g])) {
                                 *d |= s;
                             }
                         }
-                    }
+                        sb
+                    };
                     let key0 = self.keys[gc] & !col_bit;
                     let key1 = self.keys[gc] | col_bit;
-                    let row0 = cache.group_row(gc, key0).words();
-                    let row1 = cache.group_row(gc, key1).words();
+                    let row0 = cache.group_row(gc, key0);
+                    let row1 = cache.group_row(gc, key1);
                     let nnz = block.row(r).len() as u64;
                     let (mut pop0, mut pop1) = (0u64, 0u64);
                     let (inter0, inter1);
                     match dense {
                         Some(d) => {
                             let (mut i0, mut i1) = (0u64, 0u64);
-                            let dr = d.row(r);
-                            for w in 0..cache_words {
-                                let w0 = self.scratch_base[w] | row0[w];
-                                let w1 = self.scratch_base[w] | row1[w];
+                            let words = shared.iter().zip(row0).zip(row1).zip(d.row(r));
+                            for (((&s, &a0), &a1), &dw) in words {
+                                let (w0, w1) = (s | a0, s | a1);
                                 pop0 += w0.count_ones() as u64;
                                 pop1 += w1.count_ones() as u64;
-                                i0 += (w0 & dr[w]).count_ones() as u64;
-                                i1 += (w1 & dr[w]).count_ones() as u64;
+                                i0 += (w0 & dw).count_ones() as u64;
+                                i1 += (w1 & dw).count_ones() as u64;
                             }
                             (inter0, inter1) = (i0, i1);
                             ops += ngroups as u64 * cost::KEY
@@ -387,13 +380,12 @@ impl WorkState {
                                 + 2 * cache_words as u64 * (cost::WORD + cost::DENSE_AND);
                         }
                         None => {
-                            for w in 0..cache_words {
-                                let w0 = self.scratch_base[w] | row0[w];
-                                let w1 = self.scratch_base[w] | row1[w];
-                                pop0 += w0.count_ones() as u64;
-                                pop1 += w1.count_ones() as u64;
-                                self.scratch0[w] = w0;
-                                self.scratch1[w] = w1;
+                            let words = shared.iter().zip(row0).zip(row1);
+                            let out = self.scratch0.iter_mut().zip(self.scratch1.iter_mut());
+                            for (((&s, &a0), &a1), (o0, o1)) in words.zip(out) {
+                                (*o0, *o1) = (s | a0, s | a1);
+                                pop0 += o0.count_ones() as u64;
+                                pop1 += o1.count_ones() as u64;
                             }
                             let (mut i0, mut i1) = (0u64, 0u64);
                             for &o in block.row(r) {
@@ -421,6 +413,27 @@ impl WorkState {
     /// the *current* working factor copy:
     /// `Σ_rows |[X_(n)]_{r, lo..hi} ⊕ [A ∘ (M_f ⊙ M_s)ᵀ]_{r, lo..hi}|`.
     pub fn partition_error<P: PartitionData + ?Sized>(&mut self, part: &P) -> (u64, u64) {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if hardware_popcnt() {
+            // SAFETY: `hardware_popcnt` just confirmed the CPU has `popcnt`.
+            return unsafe { self.partition_error_popcnt(part) };
+        }
+        self.partition_error_portable(part)
+    }
+
+    /// [`WorkState::partition_error`] compiled with hardware popcount.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `popcnt` (see [`hardware_popcnt`]).
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "popcnt")]
+    fn partition_error_popcnt<P: PartitionData + ?Sized>(&mut self, part: &P) -> (u64, u64) {
+        self.partition_error_portable(part)
+    }
+
+    #[inline(always)]
+    fn partition_error_portable<P: PartitionData + ?Sized>(&mut self, part: &P) -> (u64, u64) {
         let nrows = part.nrows();
         let ngroups = self.layout.num_groups();
         let mut ops = 0u64;
@@ -431,7 +444,7 @@ impl WorkState {
                 BlockCache::Full => &self.full_cache,
                 BlockCache::Sliced(s) => s,
             };
-            let dense = self.dense_rows[b].as_ref();
+            let dense = block.prefers_dense().then(|| block.dense_rows());
             // Loop-invariant per block: word width of the cached rows.
             let cache_words = cache.width().div_ceil(64);
             for r in 0..nrows {
@@ -444,8 +457,8 @@ impl WorkState {
                     match dense {
                         Some(d) => {
                             let mut i = 0u64;
-                            for (w, &dw) in d.row(r).iter().enumerate() {
-                                i += (row.words()[w] & dw).count_ones() as u64;
+                            for (&rw, &dw) in row.iter().zip(d.row(r)) {
+                                i += (rw & dw).count_ones() as u64;
                             }
                             inter = i;
                             ops += cost::KEY + cache_words as u64 * cost::DENSE_AND;
@@ -454,7 +467,7 @@ impl WorkState {
                             let mut i = 0u64;
                             for &o in block.row(r) {
                                 let w = (o / 64) as usize;
-                                i += u64::from(row.words()[w] & (1u64 << (o % 64)) != 0);
+                                i += u64::from(row[w] & (1u64 << (o % 64)) != 0);
                             }
                             inter = i;
                             ops += cost::KEY + nnz * cost::NNZ_TEST;
@@ -588,7 +601,7 @@ mod tests {
         let s = Mode::One.slab_width(dims) as u64;
 
         for n in [1usize, 3, 7] {
-            for v in [15usize, 1] {
+            for v in [15usize, 2, 1] {
                 let parts = partition_unfolding(&unf, n);
                 for col in 0..rank {
                     // Gather distributed (err0, err1) sums per row.
@@ -717,7 +730,7 @@ mod tests {
         let mut used_dense = false;
         for p in &parts {
             for block in &p.blocks {
-                used_dense |= use_dense(block, p.nrows);
+                used_dense |= block.prefers_dense();
             }
             for v in [15usize, 2] {
                 let (mut ws, _) = WorkState::build(p, &a, &c, &b, v);
@@ -728,6 +741,82 @@ mod tests {
             }
         }
         assert!(used_dense, "test tensor should trigger the dense path");
+    }
+
+    /// The hardware-popcount copies of the kernels must return the same
+    /// errors and charge the same ops as the portable bodies, on dense,
+    /// sparse and edge (sliced-cache) blocks, for one- and multi-group
+    /// caches.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn popcnt_kernels_match_portable() {
+        if !hardware_popcnt() {
+            return;
+        }
+        let dims = [70, 6, 9];
+        let rank = 5;
+        let mut rng = StdRng::seed_from_u64(32);
+        let a = BitMatrix::random(dims[0], rank, 0.5, &mut rng);
+        let b = BitMatrix::random(dims[1], rank, 0.5, &mut rng);
+        let c = BitMatrix::random(dims[2], rank, 0.5, &mut rng);
+        let (mut dense, mut sparse, mut sliced) = (false, false, false);
+        for (density, seed) in [(0.9, 33), (0.01, 34)] {
+            let t = random_tensor(dims, density, seed);
+            // Mode 3: S = 70 (two words per row); 4 × 105 columns ⇒ edge blocks.
+            let unf = Unfolding::new(&t, Mode::Three);
+            for p in &partition_unfolding(&unf, 4) {
+                for block in &p.blocks {
+                    dense |= block.prefers_dense();
+                    sparse |= !block.prefers_dense();
+                    sliced |= block.kind != BlockKind::Full;
+                }
+                for v in [15usize, 3, 2, 1] {
+                    let (mut ws, _) = WorkState::build(p, &c, &b, &a, v);
+                    for col in 0..rank {
+                        let portable = ws.column_errors_portable(p, col);
+                        // SAFETY: checked above that the CPU supports `popcnt`.
+                        let fast = unsafe { ws.column_errors_popcnt(p, col) };
+                        assert_eq!(portable, fast, "V = {v}, col {col}");
+                        ws.apply_column(col, &c.column((col + 1) % rank));
+                        let portable = ws.partition_error_portable(p);
+                        // SAFETY: as above.
+                        let fast = unsafe { ws.partition_error_popcnt(p) };
+                        assert_eq!(portable, fast, "V = {v}, after col {col}");
+                    }
+                }
+            }
+        }
+        assert!(
+            dense && sparse && sliced,
+            "every block kind must be covered"
+        );
+    }
+
+    /// The dense bitmaps are built by the first update and reused by the
+    /// next, while every build still charges and reports them.
+    #[test]
+    fn dense_bitmap_is_built_once_per_block() {
+        let dims = [4, 6, 5];
+        let t = random_tensor(dims, 0.9, 35);
+        let mut rng = StdRng::seed_from_u64(36);
+        let a = BitMatrix::random(dims[0], 3, 0.5, &mut rng);
+        let b = BitMatrix::random(dims[1], 3, 0.5, &mut rng);
+        let c = BitMatrix::random(dims[2], 3, 0.5, &mut rng);
+        let part = partition_unfolding(&Unfolding::new(&t, Mode::One), 2).remove(0);
+        let bitmaps = |p: &ModePartition| -> Vec<Option<*const u64>> {
+            p.blocks
+                .iter()
+                .map(|b| b.dense.get().map(|d| d.data.as_ptr()))
+                .collect()
+        };
+        assert!(bitmaps(&part).iter().all(Option::is_none));
+        let (first, ops1) = WorkState::build(&part, &a, &c, &b, 15);
+        let built = bitmaps(&part);
+        assert!(built.iter().any(Option::is_some), "no dense block");
+        let (second, ops2) = WorkState::build(&part, &a, &c, &b, 15);
+        assert_eq!(bitmaps(&part), built, "the bitmaps must be reused");
+        assert_eq!(ops1, ops2);
+        assert_eq!(first.cache_bytes(), second.cache_bytes());
     }
 
     #[test]

@@ -191,8 +191,9 @@ impl FactorStore {
 
     /// Writes `factors` as a `DBTFFSET v1` store file, atomically
     /// (temp file + fsync + rename, the checkpoint discipline; a failed
-    /// write leaves no `<path>.tmp` behind). A rank-0 set is refused, as
-    /// [`FactorStore::open`] would refuse the file.
+    /// write leaves no `<path>.tmp` behind). A rank-0 set and a set with
+    /// an empty mode are refused, as [`FactorStore::open`] would refuse the
+    /// file.
     pub fn write_store(
         path: &Path,
         set_version: u64,
@@ -202,6 +203,15 @@ impl FactorStore {
         if factors.rank() == 0 {
             return Err(ServeError::Format(format!(
                 "{}: cannot store a rank-0 factor set",
+                path.display()
+            )));
+        }
+        if [&factors.a, &factors.b, &factors.c]
+            .iter()
+            .any(|m| m.rows() == 0)
+        {
+            return Err(ServeError::Format(format!(
+                "{}: cannot store a factor set with an empty mode",
                 path.display()
             )));
         }
@@ -323,6 +333,14 @@ impl FactorStore {
         // them all; `write_store` never produces one.
         if header[6] == 0 {
             return Err(fmt_err("rank 0".into()));
+        }
+        // Likewise an all-zero shape passes the length check for any rank,
+        // and `count_columns` would then allocate three rank-long tables.
+        if header[3..6].contains(&0) {
+            return Err(fmt_err(format!(
+                "mode size 0 in shape {}×{}×{}",
+                header[3], header[4], header[5]
+            )));
         }
         if let Some(size) = header[3..6].iter().find(|&&d| d > u64::from(u32::MAX)) {
             return Err(fmt_err(format!("mode size {size} exceeds u32 range")));
@@ -664,6 +682,9 @@ mod tests {
             // Mode sizes beyond u32, and dims whose row words overflow.
             ([1 << 33, 1, 1], 1),
             ([u32::MAX as u64; 3], u64::MAX),
+            // All-zero mode sizes make it vacuous for any rank.
+            ([0, 0, 0], u64::MAX),
+            ([0, 0, 0], 1 << 40),
         ] {
             header_only_store(&path, dims, rank);
             for source in [SourceKind::Ram, SourceKind::Mmap] {
@@ -682,6 +703,15 @@ mod tests {
         };
         assert!(matches!(
             FactorStore::write_store(&path, 1, &empty),
+            Err(ServeError::Format(_))
+        ));
+        let no_rows = FactorSet {
+            a: BitMatrix::zeros(0, 2),
+            b: BitMatrix::zeros(2, 2),
+            c: BitMatrix::zeros(4, 2),
+        };
+        assert!(matches!(
+            FactorStore::write_store(&path, 1, &no_rows),
             Err(ServeError::Format(_))
         ));
         std::fs::remove_file(&path).unwrap();

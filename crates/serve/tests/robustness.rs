@@ -3,7 +3,7 @@
 //! wedged server. Each test finishes by proving the server still drains.
 
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dbtf::{random_factor_sets, DbtfConfig, FactorSet};
 use dbtf_serve::{
@@ -157,6 +157,24 @@ fn oversized_line_gets_typed_reply_then_close() {
     );
     // A fresh connection is unaffected.
     assert!(harness.client().ping().is_ok());
+    assert!(harness.shutdown());
+}
+
+/// A line near the default 1 MiB limit holding one long string gets its
+/// typed reply within 2 s: request parsing is linear in the line length,
+/// so one such line cannot hold a connection thread for long.
+#[test]
+fn near_limit_string_line_is_answered_promptly() {
+    let harness = harness();
+    let mut client = harness.client();
+    let line = format!("{{\"q\":\"point\",\"pad\":\"{}\"}}", "x".repeat(1_000_000));
+    assert!(line.len() < ServeLimits::default().max_line_bytes);
+    let started = Instant::now();
+    let code = server_code(typed(&mut client, &line));
+    let elapsed = started.elapsed();
+    assert_eq!(code, "bad_request");
+    assert!(elapsed < Duration::from_secs(2), "reply took {elapsed:?}");
+    assert!(client.ping().is_ok());
     assert!(harness.shutdown());
 }
 

@@ -340,12 +340,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or escape as one slice.
+                // Both are ASCII, so the run ends on a character boundary,
+                // and every byte is validated once: parsing stays linear.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -634,5 +639,23 @@ mod tests {
         assert_eq!(b[3], JsonValue::Null);
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("[1] garbage").is_err());
+        assert!(JsonValue::parse(r#"["unterminated"#).is_err());
+    }
+
+    /// String parsing is linear in the input: a 4 MiB string (multi-byte
+    /// characters and escapes mixed in) parses in well under a second.
+    #[test]
+    fn json_parser_is_linear_in_string_length() {
+        let chunk = "abcdefgh\\n\\\"é\\u00e9";
+        let expect_chunk = "abcdefgh\n\"éé";
+        let reps = (4 << 20) / chunk.len();
+        let text = format!("[\"{}\"]", chunk.repeat(reps));
+        let t = std::time::Instant::now();
+        let v = JsonValue::parse(&text).unwrap();
+        let elapsed = t.elapsed();
+        let got = v.as_array().unwrap()[0].as_str().unwrap();
+        assert_eq!(got.len(), expect_chunk.len() * reps);
+        assert!(got.starts_with(expect_chunk) && got.ends_with(expect_chunk));
+        assert!(elapsed.as_secs_f64() < 1.0, "4 MiB string took {elapsed:?}");
     }
 }

@@ -170,23 +170,7 @@ impl BitMatrix {
     /// factor rows.
     pub fn row_word(&self, r: usize, start: usize, len: usize) -> u64 {
         assert!(len <= 64 && start + len <= self.cols, "range out of bounds");
-        if len == 0 {
-            return 0;
-        }
-        let base = r * self.words_per_row;
-        let wi = start / WORD_BITS;
-        let off = start % WORD_BITS;
-        let lo = self.data[base + wi] >> off;
-        let value = if off + len > WORD_BITS {
-            lo | (self.data[base + wi + 1] << (WORD_BITS - off))
-        } else {
-            lo
-        };
-        if len == 64 {
-            value
-        } else {
-            value & ((1u64 << len) - 1)
-        }
+        BitVec::extract_word_in(self.row(r), start, len)
     }
 
     /// Number of ones in the whole matrix.

@@ -213,16 +213,28 @@ impl BitVec {
     ///
     /// Panics if `len > 64` or `start + len > self.len()`.
     pub fn extract_word(&self, start: usize, len: usize) -> u64 {
-        assert!(len <= 64, "can extract at most 64 bits");
         assert!(start + len <= self.nbits, "range out of bounds");
+        Self::extract_word_in(&self.words, start, len)
+    }
+
+    /// [`BitVec::extract_word`] over bare packed words (bit `i` is bit
+    /// `i % 64` of `words[i / 64]`), for rows held outside a `BitVec`,
+    /// such as a [`BitMatrix`](crate::BitMatrix) row or a flat cache table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64` or the range runs past the end of `words`.
+    #[inline]
+    pub fn extract_word_in(words: &[u64], start: usize, len: usize) -> u64 {
+        assert!(len <= 64, "can extract at most 64 bits");
         if len == 0 {
             return 0;
         }
         let wi = start / WORD_BITS;
         let off = start % WORD_BITS;
-        let lo = self.words[wi] >> off;
+        let lo = words[wi] >> off;
         let value = if off + len > WORD_BITS {
-            lo | (self.words[wi + 1] << (WORD_BITS - off))
+            lo | (words[wi + 1] << (WORD_BITS - off))
         } else {
             lo
         };
@@ -240,27 +252,46 @@ impl BitVec {
     pub fn slice(&self, start: usize, len: usize) -> BitVec {
         assert!(start + len <= self.nbits, "slice out of bounds");
         let mut out = BitVec::zeros(len);
-        let nwords = out.words.len();
-        for (w, out_word) in out.words.iter_mut().enumerate() {
-            let bit = start + w * WORD_BITS;
-            let remaining = len - w * WORD_BITS;
-            let take = remaining.min(WORD_BITS);
-            // Only the final word may need fewer than WORD_BITS bits.
-            debug_assert!(take == WORD_BITS || w == nwords - 1);
-            *out_word = self.extract_word(bit, take);
-        }
+        Self::slice_into(&self.words, start, len, &mut out.words);
         out
+    }
+
+    /// [`BitVec::slice`] over bare packed words: writes the bit range
+    /// `[start, start + len)` of `words` into `out`, which must hold
+    /// `len.div_ceil(64)` words. Bits past `len` in the last word come out
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of `words`.
+    #[inline]
+    pub fn slice_into(words: &[u64], start: usize, len: usize, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), words_for(len), "output word count");
+        for (w, out_word) in out.iter_mut().enumerate() {
+            let take = (len - w * WORD_BITS).min(WORD_BITS);
+            *out_word = Self::extract_word_in(words, start + w * WORD_BITS, take);
+        }
     }
 
     /// Counts ones within the bit range `[start, start + len)`.
     pub fn count_range(&self, start: usize, len: usize) -> usize {
         assert!(start + len <= self.nbits, "range out of bounds");
+        Self::count_range_in(&self.words, start, len)
+    }
+
+    /// [`BitVec::count_range`] over bare packed words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of `words`.
+    #[inline]
+    pub fn count_range_in(words: &[u64], start: usize, len: usize) -> usize {
         let mut count = 0usize;
         let mut pos = start;
         let end = start + len;
         while pos < end {
             let take = (end - pos).min(WORD_BITS);
-            count += self.extract_word(pos, take).count_ones() as usize;
+            count += Self::extract_word_in(words, pos, take).count_ones() as usize;
             pos += take;
         }
         count
@@ -408,6 +439,25 @@ mod tests {
         let v = BitVec::from_indices(300, &[0, 63, 64, 128, 200, 299]);
         for (start, len) in [(0, 300), (0, 64), (63, 2), (100, 150), (299, 1), (150, 0)] {
             assert_eq!(v.count_range(start, len), v.slice(start, len).count_ones());
+        }
+    }
+
+    #[test]
+    fn word_slice_forms_agree_with_bitvec() {
+        let v = BitVec::from_indices(300, &[0, 63, 64, 128, 200, 299]);
+        for (start, len) in [(0, 300), (0, 64), (63, 2), (100, 150), (299, 1), (150, 0)] {
+            assert_eq!(
+                BitVec::count_range_in(v.words(), start, len),
+                v.count_range(start, len)
+            );
+            let mut out = vec![!0u64; len.div_ceil(64)];
+            BitVec::slice_into(v.words(), start, len, &mut out);
+            assert_eq!(out, v.slice(start, len).words());
+            let short = len.min(64);
+            assert_eq!(
+                BitVec::extract_word_in(v.words(), start, short),
+                v.extract_word(start, short)
+            );
         }
     }
 

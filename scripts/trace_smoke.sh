@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Telemetry smoke check: run a small factorization with --trace-out,
 # validate the emitted Chrome trace-event JSON against the schema
-# (`dbtf stats --trace` exits non-zero on a malformed trace), and assert
-# the disabled-telemetry factor-update path is within noise of the plain
-# one — the zero-overhead-when-disabled contract of DESIGN.md §1.2.4.
+# (`dbtf stats --trace` exits non-zero on a malformed trace), validate a
+# multi-MB trace under a 20 s timeout (the parser must stay linear), and
+# assert the disabled-telemetry factor-update path is within noise of the
+# plain one — the zero-overhead-when-disabled contract of DESIGN.md §1.2.4.
 #
 # Usage: scripts/trace_smoke.sh [work-dir]   (default: target/trace_smoke)
 set -euo pipefail
@@ -33,6 +34,22 @@ if $dbtf stats --trace "$dir/torn.json" 2> "$dir/torn.err"; then
   exit 1
 fi
 grep -q "invalid trace" "$dir/torn.err"
+
+echo "trace_smoke: validating a multi-MB trace within 20 s..."
+# A 96³ rank-8 run over three factor sets on 8 workers writes a trace of
+# about 4 MB. Validation must stay linear in its size: with a quadratic
+# JSON string parser, `stats --trace` takes minutes on it.
+$dbtf generate random --dims 96,96,96 --density 0.05 --seed 7 \
+  --output "$dir/big.txt"
+$dbtf factorize --input "$dir/big.txt" --rank 8 --iters 3 --sets 3 --workers 8 \
+  --trace-out "$dir/big.json" > "$dir/big.out"
+size=$(wc -c < "$dir/big.json")
+if (( size < 2000000 )); then
+  echo "trace_smoke: FAIL — the large trace is only $size bytes" >&2
+  exit 1
+fi
+timeout 20 $dbtf stats --trace "$dir/big.json" > "$dir/big_stats.out"
+grep -q "cp.update.sweep" "$dir/big_stats.out"
 
 echo "trace_smoke: checking disabled-telemetry bench overhead..."
 # Criterion (vendored harness) prints "name time: [lo mid hi]"; compare
