@@ -23,10 +23,7 @@ use std::time::{Duration, Instant};
 
 use dbtf::{random_factor_sets, DbtfConfig};
 use dbtf_bench::Args;
-use dbtf_serve::{
-    FactorStore, QueryMix, Request, SeededQueries, ServeClient, ServeHarness, ServeLimits,
-    ServerConfig,
-};
+use dbtf_serve::{FactorStore, QueryMix, Request, SeededQueries, ServeClient, ServeHarness};
 
 const BATCHES: [usize; 3] = [1, 16, 64];
 
@@ -215,14 +212,7 @@ fn main() {
         ..DbtfConfig::with_rank(grid.rank)
     };
     let factors = random_factor_sets(grid.dims, grid.density, &cfg).remove(0);
-    let harness = ServeHarness::start_with(
-        FactorStore::from_factor_set(1, &factors),
-        ServerConfig {
-            cache_fibers: 4096,
-            limits: ServeLimits::default(),
-            ..ServerConfig::default()
-        },
-    );
+    let harness = ServeHarness::start(FactorStore::from_factor_set(1, &factors));
     let addr = harness.addr();
     println!(
         "replaying {} queries/cell against {} ({} × {} × {}, rank {})",
@@ -243,8 +233,8 @@ fn main() {
             let lines = encode_lines(grid.seed, grid.dims, mix, grid.queries, batch);
             for shape in ["closed", "open"] {
                 let mut client = ServeClient::connect(addr).expect("connect");
-                // One warm-up pass primes the fiber cache so every cell
-                // measures the steady state, not cold compulsory misses.
+                // One warm-up pass per connection, so every cell
+                // measures the steady state.
                 let (_, _) = run_closed(&mut client, &lines[..lines.len().min(256)]);
                 let (latencies, elapsed) = match shape {
                     "closed" => run_closed(&mut client, &lines),

@@ -213,8 +213,8 @@ update:    --input X.txt --delta DELTA.txt --factors STORE --output FILE
                  Bit-identical across backends and storage kinds
            [--reload ADDR [--reload-source ram|mmap]]
                  after writing --output, ask the `dbtf serve` at ADDR to
-                 hot-swap to it (the delta file is passed along, so only
-                 the cached fibers it touched are invalidated)
+                 hot-swap to it (the absolute path is sent, so the server
+                 may run in another working directory)
 worker:    --connect ADDR --id N [--incarnation N]
                  connect to a --backend net driver and serve tasks; spawned
                  automatically, only useful directly for debugging
@@ -230,12 +230,12 @@ serve:     --store FILE (DBTFFSET export or DBTFCKPT checkpoint)
            [--addr HOST:PORT]    listen address (default 127.0.0.1:7450)
            [--source ram|mmap]   factor rows on the heap or served from a
                  read-only map of the DBTFFSET file (checkpoints: ram only)
-           [--cache-fibers N]    LRU fiber-cache entries (default 1024;
-                 0 disables caching)
            [--max-line-bytes N] [--max-batch N]  protocol limits
                  the protocol is line-delimited JSON; each line is one
                  request object or an array of them (a batch), answered
                  in order with typed errors, never dropped connections.
+                 every answer is computed from the factor rows (nothing
+                 is cached).
                  a client `shutdown` request drains the server: in-flight
                  requests are answered, then every connection closes.
                  a `reload` request hot-swaps the factor set in place

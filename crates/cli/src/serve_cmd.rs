@@ -23,7 +23,7 @@ fn source_arg(parsed: &ParsedArgs) -> Result<SourceKind, ArgError> {
 }
 
 /// `dbtf serve --store FILE [--addr HOST:PORT] [--source ram|mmap]
-/// [--cache-fibers N] [--max-line-bytes N] [--max-batch N]`
+/// [--max-line-bytes N] [--max-batch N]`
 ///
 /// Loads a factor store (a `DBTFFSET` export or a `DBTFCKPT` checkpoint)
 /// and serves reconstruction queries until a client sends `shutdown`.
@@ -33,7 +33,6 @@ pub fn cmd_serve(parsed: &ParsedArgs) -> CliResult {
     let defaults = ServeLimits::default();
     let config = ServerConfig {
         addr: parsed.get("addr", "127.0.0.1:7450".to_string())?,
-        cache_fibers: parsed.get("cache-fibers", 1024)?,
         limits: ServeLimits {
             max_line_bytes: parsed.get("max-line-bytes", defaults.max_line_bytes)?,
             max_batch: parsed.get("max-batch", defaults.max_batch)?,
@@ -41,11 +40,10 @@ pub fn cmd_serve(parsed: &ParsedArgs) -> CliResult {
     };
     let [i, j, k] = store.dims();
     println!(
-        "serving factor set v{} ({i} × {j} × {k}, rank {}, {} source, {} cached fibers)",
+        "serving factor set v{} ({i} × {j} × {k}, rank {}, {} source)",
         store.set_version(),
         store.rank(),
         store.source(),
-        config.cache_fibers,
     );
     let handle = Server::start(store, config)?;
     println!("listening on {}", handle.addr());

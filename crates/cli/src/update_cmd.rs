@@ -28,8 +28,9 @@ use dbtf_tensor::TensorDelta;
 /// The updated factors are written to `--output` as a `DBTFFSET` store
 /// whose set version defaults to the input store's version + 1. With
 /// `--reload ADDR`, a running `dbtf serve` is then asked to hot-swap to
-/// the new store (passing the delta file along so only the fibers the
-/// delta touched are dropped from its cache).
+/// the new store. The server opens the path itself, so it is sent
+/// absolute: a relative `--output` names a file in *this* process's
+/// working directory, not the server's.
 pub fn cmd_update(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let x = crate::load_tensor(parsed)?;
     let delta_path: String = parsed.require("delta")?;
@@ -146,12 +147,13 @@ pub fn cmd_update(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>>
             raw.parse::<SourceKind>()
                 .map_err(|e| ArgError(format!("invalid --reload-source: {e}")))?;
         }
-        let (version, generation, invalidated) =
-            client.reload(&out_path, source, Some(&delta_path))?;
-        println!(
-            "reloaded {addr}: serving v{version} (generation {generation}, \
-             {invalidated} cached fibers invalidated)"
-        );
+        let store_path = std::fs::canonicalize(&out_path)
+            .map_err(|e| format!("cannot resolve --output {out_path}: {e}"))?;
+        let store_path = store_path
+            .to_str()
+            .ok_or_else(|| format!("--output {out_path} resolves to a non-UTF-8 path"))?;
+        let (version, generation) = client.reload(store_path, source)?;
+        println!("reloaded {addr}: serving v{version} (generation {generation})");
     }
     Ok(())
 }

@@ -4,9 +4,9 @@
 //! process answers a scripted `dbtf query` session — including the
 //! oracle-backed agreement sweep — before draining cleanly.
 
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::io::{BufRead, BufReader, Lines};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
 
 fn dbtf(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dbtf"))
@@ -28,6 +28,31 @@ fn stdout(out: &Output) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// Spawns `dbtf serve ARGS --addr 127.0.0.1:0` in `cwd` and waits for its
+/// `listening on` line; returns the process, its remaining stdout lines,
+/// and the address it listens on.
+fn spawn_serve(cwd: &Path, args: &[&str]) -> (Child, Lines<BufReader<ChildStdout>>, String) {
+    let mut server = Command::new(env!("CARGO_BIN_EXE_dbtf"))
+        .current_dir(cwd)
+        .arg("serve")
+        .args(args)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn dbtf serve");
+    let mut lines = BufReader::new(server.stdout.take().unwrap()).lines();
+    let addr = loop {
+        let line = lines
+            .next()
+            .expect("serve exited before listening")
+            .unwrap();
+        if let Some(addr) = line.strip_prefix("listening on ") {
+            break addr.to_string();
+        }
+    };
+    (server, lines, addr)
 }
 
 /// Generates a planted tensor, factorizes it with checkpointing on, and
@@ -186,29 +211,9 @@ fn serve_process_answers_scripted_query_session() {
     let ck = make_checkpoint(&dir);
     let store = export(&dir, &ck);
 
-    let mut server = Command::new(env!("CARGO_BIN_EXE_dbtf"))
-        .args([
-            "serve",
-            "--store",
-            &store,
-            "--addr",
-            "127.0.0.1:0",
-            "--cache-fibers",
-            "64",
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn dbtf serve");
-    let mut lines = BufReader::new(server.stdout.take().unwrap()).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("serve exited before listening")
-            .unwrap();
-        if let Some(addr) = line.strip_prefix("listening on ") {
-            break addr.to_string();
-        }
-    };
+    // `--cache-fibers` is no longer read; the ledger benchmark still
+    // passes it, so the server must keep starting with it.
+    let (mut server, lines, addr) = spawn_serve(&dir, &["--store", &store, "--cache-fibers", "64"]);
 
     let query = |extra: &[&str]| {
         let mut args = vec!["query", "--connect", addr.as_str()];
@@ -274,5 +279,42 @@ fn serve_process_answers_scripted_query_session() {
         rest.iter().any(|l| l == "drained cleanly"),
         "missing drain message in {rest:?}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `dbtf update --reload` run from another working directory than the
+/// server, with a relative `--output`: the server must load the file the
+/// update wrote, not look for that name in its own directory.
+#[test]
+fn update_reload_resolves_relative_output_where_update_runs() {
+    let dir = tempdir("reload_cwd");
+    let ck = make_checkpoint(&dir);
+    let store = export(&dir, &ck);
+    let (server_dir, update_dir) = (dir.join("server"), dir.join("update"));
+    std::fs::create_dir_all(&server_dir).unwrap();
+    std::fs::create_dir_all(&update_dir).unwrap();
+    let (mut server, _stdout, addr) = spawn_serve(&server_dir, &["--store", &store]);
+
+    let delta = dir.join("delta.txt");
+    std::fs::write(&delta, "+ 0 0 0\n- 1 2 3\n").unwrap();
+    let update = Command::new(env!("CARGO_BIN_EXE_dbtf"))
+        .current_dir(&update_dir)
+        .args(["update", "--input", dir.join("x.txt").to_str().unwrap()])
+        .args(["--delta", delta.to_str().unwrap(), "--factors", &store])
+        .args(["--output", "v3.dbtfs", "--workers", "2", "--reload", &addr])
+        .output()
+        .expect("binary runs");
+    let info = dbtf(&["query", "--connect", &addr, "--info"]);
+    // Stop the server before asserting, so a failure leaves no process.
+    dbtf(&["query", "--connect", &addr, "--shutdown-server"]);
+    let status = server.wait().expect("serve exits");
+
+    let text = stdout(&update);
+    assert!(text.contains(": serving v3 (generation 1)"), "{text}");
+    assert!(update_dir.join("v3.dbtfs").is_file());
+    assert!(!server_dir.join("v3.dbtfs").exists());
+    let info = stdout(&info);
+    assert!(info.contains("factor set v3 24 × 20 × 16"), "{info}");
+    assert!(status.success(), "serve exited {status:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

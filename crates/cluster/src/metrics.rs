@@ -533,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_pipeline_counters_are_exported_but_not_compared() {
+    fn pool_and_net_counters_are_exported_but_not_compared() {
         let m = CommMetrics::new(2);
         m.add_pool_idle(0.75);
         let s = m.snapshot();

@@ -1,9 +1,9 @@
 //! Slow, obviously-correct oracles for the serving layer's query API.
 //!
 //! `crates/serve` answers reconstruction queries with bit-packed row
-//! intersections, cached fibers, and precomputed column weights. The
-//! oracles here answer the *same questions* from first principles — a
-//! point is a lookup in the materialized cell-by-cell reconstruction
+//! intersections and precomputed column weights. The oracles here answer
+//! the *same questions* from first principles — a point is a lookup in
+//! the materialized cell-by-cell reconstruction
 //! ([`crate::oracles::cp_reconstruct`]), a slice is a plain scan of that
 //! tensor, and a topk weight is a literal double loop counting the cells
 //! a column contributes — sharing no code with the serving engine beyond

@@ -1,18 +1,14 @@
-//! The reconstruction query engine: point / slice / topk over a
-//! [`FactorStore`], memoized through the [`FiberCache`].
+//! The reconstruction query engine: point / slice / topk computed from
+//! a [`FactorStore`]'s factor rows.
 //!
 //! No query ever materializes the reconstruction `X̃ = ⋁_r a_r ∘ b_r ∘
 //! c_r`. A **point** is the nonzero test of a three-way AND over `R`-bit
-//! rows; a **slice** (one fiber) is a two-row mask scanned against every
-//! row of the free mode's factor; **topk** never touches the tensor at
+//! rows; a **slice** (one fiber) scans the free mode's factor once,
+//! ANDing each row with the two fixed rows and pushing the matching
+//! indices straight into the reply; **topk** never touches the tensor at
 //! all — it ranks the columns set in one entity's factor row by the
-//! precomputed column weights in the store.
-//!
-//! With a non-bypass cache, point and slice share fibers: a point query
-//! computes (and caches) the whole fiber through its cell, so the
-//! cache-cold and cache-hot answers are the same bits by construction —
-//! and the differential tests verify exactly that against the oracle's
-//! cell-by-cell reconstruction.
+//! precomputed column weights in the store. Nothing is memoized: a point
+//! costs one word per 64 ranks, less than a cache lookup would.
 //!
 //! All index validation happens here, as typed [`QueryError`]s — the
 //! store's row accessors are allowed to panic precisely because this
@@ -21,25 +17,21 @@
 //! # Hot swap
 //!
 //! [`QueryEngine::reload`] swaps in a new factor set while queries are in
-//! flight. The store lives behind an `RwLock<Arc<FactorStore>>` paired
-//! with a monotone generation counter; every query takes one `(store,
-//! generation)` snapshot up front and answers entirely from it, so a
-//! query that started before a reload finishes against the old factors —
-//! never a mix of generations. The fiber cache is generation-tagged (see
-//! [`crate::cache`]): the swap bumps the cache's generation and eagerly
-//! retires only the fibers the delta touched; everything else retires
-//! lazily. Cache-lock poisoning is recovered rather than propagated —
-//! the cache holds only derived data, so a panic mid-insert at worst
-//! loses entries, and one crashed connection thread must not wedge every
-//! later query into a `lock().unwrap()` panic.
+//! flight. The store lives behind one `RwLock` holding `(Arc<FactorStore>,
+//! generation)`; every query clones the `Arc` once up front and answers
+//! entirely from it, so a query that started before a reload finishes
+//! against the old factors — never a mix of generations. A reload is a
+//! dims check plus a swap of that pair under the write lock. Lock
+//! poisoning is recovered rather than propagated: the lock guards a pair
+//! that is only ever replaced whole, so a panic elsewhere cannot leave it
+//! half-written, and one crashed connection thread must not wedge every
+//! later query into an `unwrap()` panic.
 
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-use dbtf_tensor::{BitVec, TensorDelta};
+use dbtf_tensor::TensorDelta;
 
-use crate::cache::{FiberCache, FiberKey};
 use crate::metrics::ServeMetrics;
 use crate::store::FactorStore;
 
@@ -61,8 +53,8 @@ impl std::fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// The store actually being served plus the engine-local generation it
-/// was installed under. Kept in one `RwLock` so a snapshot observes a
-/// consistent pair.
+/// was installed under. Kept in one `RwLock` so a reload replaces the
+/// pair in one step.
 struct Generation {
     store: Arc<FactorStore>,
     number: u64,
@@ -75,14 +67,15 @@ pub struct ReloadOutcome {
     pub set_version: u64,
     /// The engine-local generation the swap installed.
     pub generation: u64,
-    /// Cached fibers eagerly invalidated because the delta touched them.
+    /// Always 0: nothing is cached, so a reload invalidates nothing.
+    /// Kept only because the ledger benchmark
+    /// (`crates/bench/src/bin/ledger`) still reads it.
     pub invalidated: u64,
 }
 
-/// The serving engine: one store, one cache, shared metrics.
+/// The serving engine: one store generation and shared metrics.
 pub struct QueryEngine {
     current: RwLock<Generation>,
-    cache: Mutex<FiberCache>,
     metrics: Arc<ServeMetrics>,
 }
 
@@ -95,20 +88,22 @@ fn fixed_modes(free: usize) -> (usize, usize) {
     }
 }
 
+/// Do three packed factor rows share a set bit?
+fn intersects(x: &[u64], y: &[u64], z: &[u64]) -> bool {
+    x.iter().zip(y).zip(z).any(|((x, y), z)| x & y & z != 0)
+}
+
 impl QueryEngine {
-    /// Builds an engine over `store` with an LRU of `cache_capacity`
-    /// fibers (0 = bypass: every query computed from the factors).
-    pub fn new(
-        store: FactorStore,
-        cache_capacity: usize,
-        metrics: Arc<ServeMetrics>,
-    ) -> QueryEngine {
+    /// Builds an engine over `store`.
+    ///
+    /// The `usize` argument is ignored; it stays only because the ledger
+    /// benchmark (`crates/bench/src/bin/ledger`) still passes one.
+    pub fn new(store: FactorStore, _: usize, metrics: Arc<ServeMetrics>) -> QueryEngine {
         QueryEngine {
             current: RwLock::new(Generation {
                 store: Arc::new(store),
                 number: 0,
             }),
-            cache: Mutex::new(FiberCache::new(cache_capacity)),
             metrics,
         }
     }
@@ -118,24 +113,8 @@ impl QueryEngine {
     /// after — which is exactly how in-flight queries finish against the
     /// factors they started with.
     pub fn store(&self) -> Arc<FactorStore> {
-        Arc::clone(&self.read_current().store)
-    }
-
-    /// One consistent `(store, generation)` pair for a whole query.
-    fn snapshot(&self) -> (Arc<FactorStore>, u64) {
-        let current = self.read_current();
-        (Arc::clone(&current.store), current.number)
-    }
-
-    fn read_current(&self) -> std::sync::RwLockReadGuard<'_, Generation> {
-        self.current.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The cache lock, recovering from poisoning: the cache holds only
-    /// derived (recomputable) data, so a panic in some other connection
-    /// thread while it held the lock must not wedge the whole server.
-    fn lock_cache(&self) -> MutexGuard<'_, FiberCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+        let current = self.current.read().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(&current.store)
     }
 
     /// The shared metrics sink.
@@ -143,83 +122,46 @@ impl QueryEngine {
         &self.metrics
     }
 
-    /// Fibers currently resident in the cache.
-    pub fn cached_fibers(&self) -> usize {
-        self.lock_cache().len()
-    }
-
     /// Hot-swaps `store` in as the new serving generation.
     ///
     /// The swap is one write-lock critical section: queries already
     /// holding a snapshot finish against the old `Arc`; every later query
-    /// snapshots the new one. When `delta` names the edits that produced
-    /// the new factors, only the cached fibers running through an edited
-    /// cell are eagerly removed (all three orientations per cell); the
-    /// remaining old-generation entries retire lazily via the cache's
-    /// generation tags. With no delta, nothing is removed eagerly and the
-    /// generation bump alone invalidates everything.
+    /// snapshots the new one.
     ///
     /// Rejects a store whose dimensions differ from the serving one —
     /// clients hold entity indices, and silently changing the space under
     /// them would turn valid queries into out-of-range errors (or worse,
-    /// silently reinterpret them).
+    /// silently reinterpret them). Of `delta`, only the dims are checked
+    /// against the serving space; the argument stays only because the
+    /// ledger benchmark (`crates/bench/src/bin/ledger`) still passes one.
+    /// The server passes `None`.
     pub fn reload(
         &self,
         store: FactorStore,
         delta: Option<&TensorDelta>,
     ) -> Result<ReloadOutcome, String> {
         let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        if store.dims() != current.store.dims() {
+        let dims = current.store.dims();
+        if store.dims() != dims {
             return Err(format!(
-                "dims mismatch: serving {:?}, reload has {:?}",
-                current.store.dims(),
+                "dims mismatch: serving {dims:?}, reload has {:?}",
                 store.dims()
             ));
         }
-        if let Some(delta) = delta {
-            if delta.dims() != current.store.dims() {
-                return Err(format!(
-                    "delta dims mismatch: serving {:?}, delta has {:?}",
-                    current.store.dims(),
-                    delta.dims()
-                ));
-            }
+        if let Some(delta) = delta.filter(|d| d.dims() != dims) {
+            return Err(format!(
+                "delta dims mismatch: serving {dims:?}, delta has {:?}",
+                delta.dims()
+            ));
         }
-        current.number += 1;
-        current.store = Arc::new(store);
-        let generation = current.number;
-        let set_version = current.store.set_version();
-        let mut cache = self.lock_cache();
-        cache.set_generation(generation);
-        let mut invalidated = 0u64;
-        if let Some(delta) = delta {
-            for cell in delta.cells() {
-                let [i, j, k] = cell.coord;
-                for key in [
-                    FiberKey {
-                        free_mode: 0,
-                        lo: j,
-                        hi: k,
-                    },
-                    FiberKey {
-                        free_mode: 1,
-                        lo: i,
-                        hi: k,
-                    },
-                    FiberKey {
-                        free_mode: 2,
-                        lo: i,
-                        hi: j,
-                    },
-                ] {
-                    invalidated += cache.remove(&key) as u64;
-                }
-            }
-        }
+        *current = Generation {
+            store: Arc::new(store),
+            number: current.number + 1,
+        };
         Ok(ReloadOutcome {
-            set_version,
-            generation,
-            invalidated,
+            set_version: current.store.set_version(),
+            generation: current.number,
+            invalidated: 0,
         })
     }
 
@@ -247,85 +189,16 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// One reconstruction fiber, computed from `store`'s factors.
-    fn compute_fiber(store: &FactorStore, free: usize, lo: usize, hi: usize) -> BitVec {
-        let (m1, m2) = fixed_modes(free);
-        let row_lo = store.row(m1, lo);
-        let row_hi = store.row(m2, hi);
-        let n = store.dims()[free];
-        let wpr = store.words_per_row();
-        let mut fiber = BitVec::zeros(n);
-        for t in 0..n {
-            let row = store.row(free, t);
-            let mut any = 0u64;
-            for w in 0..wpr {
-                any |= row_lo[w] & row_hi[w] & row[w];
-            }
-            if any != 0 {
-                fiber.set(t, true);
-            }
-        }
-        fiber
-    }
-
-    /// The fiber for `key` under the snapshotted `(store, generation)`,
-    /// from cache if resident (counting hit, miss, and eviction metrics).
-    /// Misses compute outside the cache lock so concurrent cold fibers
-    /// don't serialize on it — and an insert that loses the race with a
-    /// reload is discarded by the cache's generation check.
-    fn fiber_cached(&self, store: &FactorStore, generation: u64, key: FiberKey) -> Arc<BitVec> {
-        if let Some(fiber) = self.lock_cache().get(&key, generation) {
-            ServeMetrics::add(&self.metrics.cache_hits, 1);
-            return fiber;
-        }
-        let fiber = Arc::new(Self::compute_fiber(
-            store,
-            key.free_mode as usize,
-            key.lo as usize,
-            key.hi as usize,
-        ));
-        ServeMetrics::add(&self.metrics.cache_misses, 1);
-        let evicted = self
-            .lock_cache()
-            .insert(key, Arc::clone(&fiber), generation);
-        ServeMetrics::add(&self.metrics.cache_evictions, evicted);
-        fiber
-    }
-
-    fn bypass(&self) -> bool {
-        self.lock_cache().capacity() == 0
-    }
-
-    fn time_into(&self, counter: &AtomicU64, t0: Instant) {
-        ServeMetrics::add(counter, t0.elapsed().as_micros() as u64);
-    }
-
     /// Was cell `X̃[i, j, k]` set in the reconstruction?
     pub fn point(&self, i: usize, j: usize, k: usize) -> Result<bool, QueryError> {
         let t0 = Instant::now();
-        let (store, generation) = self.snapshot();
+        let store = self.store();
         Self::check_index(&store, "i", i, 0)?;
         Self::check_index(&store, "j", j, 1)?;
         Self::check_index(&store, "k", k, 2)?;
-        let answer = if self.bypass() {
-            let (a, b, c) = (store.row(0, i), store.row(1, j), store.row(2, k));
-            let mut any = 0u64;
-            for w in 0..store.words_per_row() {
-                any |= a[w] & b[w] & c[w];
-            }
-            any != 0
-        } else {
-            // Warm the whole X̃[i, j, :] fiber; repeat points on this
-            // (i, j) pair — and slices of it — become bit tests.
-            let key = FiberKey {
-                free_mode: 2,
-                lo: i as u32,
-                hi: j as u32,
-            };
-            self.fiber_cached(&store, generation, key).get(k)
-        };
+        let answer = intersects(store.row(0, i), store.row(1, j), store.row(2, k));
         ServeMetrics::add(&self.metrics.point_queries, 1);
-        self.time_into(&self.metrics.point_micros, t0);
+        ServeMetrics::add_elapsed(&self.metrics.point_nanos, t0.elapsed());
         Ok(answer)
     }
 
@@ -335,27 +208,17 @@ impl QueryEngine {
     /// `X̃[lo, hi, :]`).
     pub fn slice(&self, free_mode: usize, lo: usize, hi: usize) -> Result<Vec<usize>, QueryError> {
         let t0 = Instant::now();
-        let (store, generation) = self.snapshot();
+        let store = self.store();
         Self::check_mode(free_mode)?;
         let (m1, m2) = fixed_modes(free_mode);
         Self::check_index(&store, "lo", lo, m1)?;
         Self::check_index(&store, "hi", hi, m2)?;
-        let indices = if self.bypass() {
-            Self::compute_fiber(&store, free_mode, lo, hi)
-                .iter_ones()
-                .collect()
-        } else {
-            let key = FiberKey {
-                free_mode: free_mode as u8,
-                lo: lo as u32,
-                hi: hi as u32,
-            };
-            self.fiber_cached(&store, generation, key)
-                .iter_ones()
-                .collect()
-        };
+        let (row_lo, row_hi) = (store.row(m1, lo), store.row(m2, hi));
+        let indices = (0..store.dims()[free_mode])
+            .filter(|&t| intersects(row_lo, row_hi, store.row(free_mode, t)))
+            .collect();
         ServeMetrics::add(&self.metrics.slice_queries, 1);
-        self.time_into(&self.metrics.slice_micros, t0);
+        ServeMetrics::add_elapsed(&self.metrics.slice_nanos, t0.elapsed());
         Ok(indices)
     }
 
@@ -372,7 +235,7 @@ impl QueryEngine {
         k: usize,
     ) -> Result<Vec<(usize, u64)>, QueryError> {
         let t0 = Instant::now();
-        let (store, _) = self.snapshot();
+        let store = self.store();
         Self::check_mode(mode)?;
         Self::check_index(&store, "entity", entity, mode)?;
         let row = store.row(mode, entity);
@@ -383,7 +246,7 @@ impl QueryEngine {
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(k);
         ServeMetrics::add(&self.metrics.topk_queries, 1);
-        self.time_into(&self.metrics.topk_micros, t0);
+        ServeMetrics::add_elapsed(&self.metrics.topk_nanos, t0.elapsed());
         Ok(ranked)
     }
 }
@@ -393,7 +256,7 @@ mod tests {
     use super::*;
     use dbtf::{random_factor_sets, DbtfConfig, FactorSet};
 
-    fn engine(cache: usize) -> (QueryEngine, FactorSet) {
+    fn engine() -> (QueryEngine, FactorSet) {
         let cfg = DbtfConfig {
             seed: 11,
             ..DbtfConfig::with_rank(6)
@@ -401,28 +264,25 @@ mod tests {
         let factors = random_factor_sets([8, 7, 9], 0.4, &cfg).remove(0);
         let store = FactorStore::from_factor_set(1, &factors);
         (
-            QueryEngine::new(store, cache, Arc::new(ServeMetrics::new())),
+            QueryEngine::new(store, 0, Arc::new(ServeMetrics::new())),
             factors,
         )
     }
 
     #[test]
     fn point_matches_reconstruction_cold_and_hot() {
-        for capacity in [0, 4, 1000] {
-            let (engine, factors) = engine(capacity);
-            let recon = factors.reconstruct();
-            for i in 0..8 {
-                for j in 0..7 {
-                    for k in 0..9 {
-                        // Ask twice: the second pass is cache-hot when
-                        // capacity > 0 and must agree bit for bit.
-                        for _ in 0..2 {
-                            assert_eq!(
-                                engine.point(i, j, k).unwrap(),
-                                recon.contains(i as u32, j as u32, k as u32),
-                                "cell ({i},{j},{k}) capacity {capacity}"
-                            );
-                        }
+        let (engine, factors) = engine();
+        let recon = factors.reconstruct();
+        for i in 0..8 {
+            for j in 0..7 {
+                for k in 0..9 {
+                    // Ask twice: a repeat query must agree bit for bit.
+                    for _ in 0..2 {
+                        assert_eq!(
+                            engine.point(i, j, k).unwrap(),
+                            recon.contains(i as u32, j as u32, k as u32),
+                            "cell ({i},{j},{k})"
+                        );
                     }
                 }
             }
@@ -431,7 +291,7 @@ mod tests {
 
     #[test]
     fn slice_matches_point_on_every_axis() {
-        let (engine, _) = engine(16);
+        let (engine, _) = engine();
         let dims = engine.store().dims();
         for free in 0..3 {
             let (m1, m2) = super::fixed_modes(free);
@@ -456,7 +316,7 @@ mod tests {
 
     #[test]
     fn topk_ranks_by_weight_then_column() {
-        let (engine, factors) = engine(0);
+        let (engine, factors) = engine();
         let full = engine.topk(0, 3, usize::MAX).unwrap();
         let row_ones: Vec<usize> = factors.a.iter_row_ones(3).collect();
         assert_eq!(full.len(), row_ones.len(), "every set column appears");
@@ -478,7 +338,7 @@ mod tests {
 
     #[test]
     fn out_of_range_is_typed_never_a_panic() {
-        let (engine, _) = engine(4);
+        let (engine, _) = engine();
         assert!(matches!(
             engine.point(8, 0, 0),
             Err(QueryError::OutOfRange(_))
@@ -508,77 +368,49 @@ mod tests {
     }
 
     #[test]
-    fn cache_metrics_track_hits_misses_evictions() {
-        let (engine, _) = engine(2);
-        let m = Arc::clone(engine.metrics());
-        let load = |c: &AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
-        engine.point(0, 0, 0).unwrap();
-        engine.point(0, 0, 1).unwrap(); // same fiber → hit
-        assert_eq!(load(&m.cache_misses), 1);
-        assert_eq!(load(&m.cache_hits), 1);
-        engine.point(1, 0, 0).unwrap();
-        engine.point(2, 0, 0).unwrap(); // third fiber → eviction
-        assert_eq!(load(&m.cache_evictions), 1);
-        assert_eq!(engine.cached_fibers(), 2);
-
-        // Bypass mode never touches cache counters.
-        let (cold, _) = engine_pair_bypass();
-        cold.point(0, 0, 0).unwrap();
-        cold.slice(2, 0, 0).unwrap();
-        let mc = Arc::clone(cold.metrics());
-        assert_eq!(load(&mc.cache_hits) + load(&mc.cache_misses), 0);
-    }
-
-    fn engine_pair_bypass() -> (QueryEngine, FactorSet) {
-        engine(0)
-    }
-
-    #[test]
     fn poisoned_cache_lock_recovers_instead_of_wedging() {
-        let (engine, factors) = engine(16);
+        let (engine, factors) = engine();
         let engine = Arc::new(engine);
-        let expect = factors.reconstruct().contains(1, 2, 3);
-        // Warm the fiber, then poison the cache mutex: a connection
-        // thread panicking while holding the lock is exactly what a bug
-        // in a future cache path would look like.
-        assert_eq!(engine.point(1, 2, 3).unwrap(), expect);
+        let recon = factors.reconstruct();
+        let expect = |i: usize, j: usize, k: usize| recon.contains(i as u32, j as u32, k as u32);
+        let slice_before = engine.slice(2, 1, 2).unwrap();
+        let topk_before = engine.topk(0, 3, usize::MAX).unwrap();
+        // Poison the store lock: a thread panicking while it holds the
+        // write guard is what a bug in a future reload path would look
+        // like.
         let poisoner = Arc::clone(&engine);
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.cache.lock().unwrap();
-            panic!("poison the cache lock");
+            let _guard = poisoner.current.write().unwrap();
+            panic!("poison the store lock");
         })
         .join();
-        assert!(engine.cache.lock().is_err(), "lock really is poisoned");
-        // Every query path that touches the cache must keep answering —
+        assert!(engine.current.read().is_err(), "lock really is poisoned");
+        // Every query path crosses the lock and must keep answering —
         // and keep answering the same bits.
-        assert_eq!(engine.point(1, 2, 3).unwrap(), expect, "cached path");
-        assert_eq!(
-            engine.point(0, 0, 0).unwrap(),
-            engine.point(0, 0, 0).unwrap()
-        );
-        engine.slice(2, 1, 2).unwrap();
-        assert!(engine.cached_fibers() > 0);
-        // Reload also crosses the cache lock and must survive poisoning.
-        let store = FactorStore::from_factor_set(2, &factors);
-        engine.reload(store, None).unwrap();
-        assert_eq!(engine.point(1, 2, 3).unwrap(), expect);
+        assert_eq!(engine.point(1, 2, 3).unwrap(), expect(1, 2, 3));
+        assert_eq!(engine.point(0, 0, 0).unwrap(), expect(0, 0, 0));
+        assert_eq!(engine.slice(2, 1, 2).unwrap(), slice_before);
+        assert_eq!(engine.topk(0, 3, usize::MAX).unwrap(), topk_before);
+        // Reload takes the write side and must survive poisoning too.
+        let outcome = engine
+            .reload(FactorStore::from_factor_set(2, &factors), None)
+            .unwrap();
+        assert_eq!((outcome.set_version, outcome.generation), (2, 1));
+        assert_eq!(engine.point(1, 2, 3).unwrap(), expect(1, 2, 3));
+        assert_eq!(engine.slice(2, 1, 2).unwrap(), slice_before);
+        assert_eq!(engine.topk(0, 3, usize::MAX).unwrap(), topk_before);
     }
 
     #[test]
     fn reload_swaps_generations_atomically() {
-        let (engine, factors) = engine(64);
-        // Old generation: warm a few fibers.
+        let (engine, factors) = engine();
         let recon = factors.reconstruct();
-        for j in 0..7 {
-            engine.slice(2, 0, j).unwrap();
-        }
-        let warmed = engine.cached_fibers();
-        assert!(warmed > 0);
         let old_store = engine.store();
         assert_eq!(old_store.set_version(), 1);
 
         // New generation: an all-zeros factor set — every answer flips
-        // to empty, so a stale fiber would be caught immediately.
+        // to empty, so an answer from the old factors would be caught
+        // immediately.
         let zero = FactorSet {
             a: dbtf_tensor::BitMatrix::zeros(8, 6),
             b: dbtf_tensor::BitMatrix::zeros(7, 6),
@@ -589,11 +421,11 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.set_version, 9);
         assert_eq!(outcome.generation, 1);
-        assert_eq!(outcome.invalidated, 0, "no delta → lazy invalidation only");
+        assert_eq!(outcome.invalidated, 0);
 
         // The old snapshot still answers from the old factors.
         assert_eq!(old_store.set_version(), 1);
-        // New queries see only the new generation, cached or not.
+        // New queries see only the new generation.
         for i in 0..8 {
             for j in 0..7 {
                 for k in 0..9 {
@@ -617,38 +449,8 @@ mod tests {
     }
 
     #[test]
-    fn reload_with_delta_invalidates_only_touched_fibers() {
-        use dbtf_tensor::{DeltaCell, TensorDelta};
-        let (engine, factors) = engine(64);
-        // Warm the three orientations through cell (1, 2, 3) plus two
-        // unrelated fibers.
-        engine.slice(0, 2, 3).unwrap();
-        engine.slice(1, 1, 3).unwrap();
-        engine.slice(2, 1, 2).unwrap();
-        engine.slice(2, 5, 5).unwrap();
-        engine.slice(0, 0, 0).unwrap();
-        assert_eq!(engine.cached_fibers(), 5);
-        let delta = TensorDelta::new(
-            [8, 7, 9],
-            vec![DeltaCell {
-                coord: [1, 2, 3],
-                set: true,
-            }],
-        )
-        .unwrap();
-        let outcome = engine
-            .reload(FactorStore::from_factor_set(2, &factors), Some(&delta))
-            .unwrap();
-        assert_eq!(
-            outcome.invalidated, 3,
-            "exactly the three fibers through (1,2,3)"
-        );
-        assert_eq!(engine.cached_fibers(), 2, "unrelated fibers stay resident");
-    }
-
-    #[test]
     fn reload_rejects_dims_mismatch() {
-        let (engine, _) = engine(4);
+        let (engine, _) = engine();
         let cfg = DbtfConfig {
             seed: 5,
             ..DbtfConfig::with_rank(6)
@@ -660,7 +462,7 @@ mod tests {
         assert!(err.contains("dims mismatch"), "{err}");
         assert_eq!(engine.store().set_version(), 1, "serving store unchanged");
 
-        let (engine2, factors2) = super::tests::engine(4);
+        let (engine2, factors2) = super::tests::engine();
         let delta = dbtf_tensor::TensorDelta::new(
             [4, 4, 4],
             vec![dbtf_tensor::DeltaCell {

@@ -313,25 +313,16 @@ impl ServeClient {
     }
 
     /// `reload`: asks the server to hot-swap the factor set at `path`
-    /// (a path on the *server's* filesystem). `source` overrides the
-    /// storage kind (`"ram"`/`"mmap"`); `delta` names the delta file
-    /// that produced the new factors, enabling targeted fiber
-    /// invalidation. Returns `(set_version, generation, invalidated)`.
-    pub fn reload(
-        &mut self,
-        path: &str,
-        source: Option<&str>,
-        delta: Option<&str>,
-    ) -> Result<(u64, u64, u64), ClientError> {
+    /// (a path on the *server's* filesystem, so send an absolute one
+    /// unless both sides share a working directory). `source` overrides
+    /// the storage kind (`"ram"`/`"mmap"`). Returns `(set_version,
+    /// generation)`.
+    pub fn reload(&mut self, path: &str, source: Option<&str>) -> Result<(u64, u64), ClientError> {
         let mut body = String::from("\"q\":\"reload\",\"path\":");
         crate::protocol::push_json_string(path, &mut body);
         if let Some(source) = source {
             body.push_str(",\"source\":");
             crate::protocol::push_json_string(source, &mut body);
-        }
-        if let Some(delta) = delta {
-            body.push_str(",\"delta\":");
-            crate::protocol::push_json_string(delta, &mut body);
         }
         let reply = self.request(&body)?;
         let bad = |what: &str| ClientError::Protocol(format!("reload reply missing {what}"));
@@ -339,7 +330,6 @@ impl ServeClient {
         Ok((
             get("set_version").ok_or_else(|| bad("set_version"))?,
             get("generation").ok_or_else(|| bad("generation"))?,
-            get("invalidated").ok_or_else(|| bad("invalidated"))?,
         ))
     }
 

@@ -13,13 +13,14 @@
 //! - **topk** — the strongest factor columns for one entity, ranked by
 //!   the size of the rank-1 block each column contributes.
 //!
-//! Answers never materialize the reconstruction: a point is one bitwise
-//! AND over three `R`-bit factor rows, a fiber is one masked scan over a
-//! single factor, and both are memoized in an LRU cache of hot
-//! reconstruction fibers ([`FiberCache`]). The store itself reads from
-//! the heap or from a read-only memory map of the `DBTFFSET` file
-//! ([`SourceKind`]), so a serving process can stay far smaller than the
-//! factors it would need for a dense reconstruction.
+//! Answers never materialize the reconstruction, and nothing is
+//! memoized: a point is one bitwise AND over three `R`-bit factor rows,
+//! a fiber is one masked scan over a single factor, and both are
+//! computed from the factor rows on every query ([`QueryEngine`]). The
+//! store itself reads from the heap or from a read-only memory map of
+//! the `DBTFFSET` file ([`SourceKind`]), so a serving process can stay
+//! far smaller than the factors it would need for a dense
+//! reconstruction.
 //!
 //! The protocol follows the discipline of `crates/wire` and the
 //! `crates/cluster/net` listener: hard limits fail fast ([`ServeLimits`];
@@ -33,12 +34,12 @@
 //! Everything here is continuously verified against `crates/oracle`'s
 //! cell-by-cell CP reconstruction: the differential tests replay seeded
 //! query sweeps ([`sweep`]) through a real server ([`ServeHarness`]) and
-//! require bit-exact agreement, cache hot and cold, heap and mmap.
+//! require bit-exact agreement for heap, mmap and checkpoint stores, on
+//! the first pass and on replay.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cache;
 pub mod engine;
 pub mod harness;
 pub mod metrics;
@@ -47,7 +48,6 @@ pub mod server;
 pub mod store;
 pub mod sweep;
 
-pub use cache::FiberCache;
 pub use engine::{QueryEngine, QueryError, ReloadOutcome};
 pub use harness::{ClientError, ServeClient, ServeHarness, StoreInfo};
 pub use metrics::ServeMetrics;

@@ -1,5 +1,5 @@
-//! Serving counters: per-request-class volumes and latencies, typed
-//! error counts, and cache effectiveness.
+//! Serving counters: per-request-class volumes and latencies, and
+//! typed error counts.
 //!
 //! One [`ServeMetrics`] instance is shared by the engine, every
 //! connection thread, and the admin `stats` query, so everything is a
@@ -11,6 +11,7 @@
 //! same reports as factorization counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use dbtf_telemetry::CounterRegistry;
 
@@ -25,18 +26,12 @@ pub struct ServeMetrics {
     pub topk_queries: AtomicU64,
     /// Admin queries answered (`ping`, `stats`, `info`, `shutdown`).
     pub admin_queries: AtomicU64,
-    /// Total wall-µs spent answering `point` queries.
-    pub point_micros: AtomicU64,
-    /// Total wall-µs spent answering `slice` queries.
-    pub slice_micros: AtomicU64,
-    /// Total wall-µs spent answering `topk` queries.
-    pub topk_micros: AtomicU64,
-    /// Fiber-cache hits.
-    pub cache_hits: AtomicU64,
-    /// Fiber-cache misses (fiber computed, cache enabled).
-    pub cache_misses: AtomicU64,
-    /// Fiber-cache evictions.
-    pub cache_evictions: AtomicU64,
+    /// Total wall-ns spent answering `point` queries.
+    pub point_nanos: AtomicU64,
+    /// Total wall-ns spent answering `slice` queries.
+    pub slice_nanos: AtomicU64,
+    /// Total wall-ns spent answering `topk` queries.
+    pub topk_nanos: AtomicU64,
     /// Connections accepted.
     pub connections_opened: AtomicU64,
     /// Connections fully closed.
@@ -65,11 +60,8 @@ pub struct ServeMetrics {
     pub draining_errors: AtomicU64,
     /// `reload` requests received (ok or error).
     pub reload_requests: AtomicU64,
-    /// `reload` errors returned (unopenable store, bad delta, dims
-    /// mismatch).
+    /// `reload` errors returned (unopenable store, dims mismatch).
     pub reload_errors: AtomicU64,
-    /// Cached fibers eagerly invalidated by reload deltas.
-    pub reload_fibers_invalidated: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -81,6 +73,12 @@ impl ServeMetrics {
     /// Adds `n` to `counter` (relaxed; these are tallies).
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds `elapsed` in whole nanoseconds to a `*_nanos` counter, so a
+    /// sub-microsecond query still counts.
+    pub fn add_elapsed(counter: &AtomicU64, elapsed: Duration) {
+        ServeMetrics::add(counter, elapsed.as_nanos() as u64);
     }
 
     /// Bumps the error counter matching a protocol error `code`; codes
@@ -101,20 +99,20 @@ impl ServeMetrics {
         ServeMetrics::add(counter, 1);
     }
 
-    /// Every counter under its stable dotted export name.
+    /// Every counter under its stable dotted export name. The
+    /// `serve.*.micros` totals are exported as nanoseconds / 1000, so
+    /// they carry fractions of a microsecond.
     pub fn named_counters(&self) -> Vec<(&'static str, f64)> {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
+        let micros = |c: &AtomicU64| get(c) / 1000.0;
         vec![
             ("serve.point.queries", get(&self.point_queries)),
-            ("serve.point.micros", get(&self.point_micros)),
+            ("serve.point.micros", micros(&self.point_nanos)),
             ("serve.slice.queries", get(&self.slice_queries)),
-            ("serve.slice.micros", get(&self.slice_micros)),
+            ("serve.slice.micros", micros(&self.slice_nanos)),
             ("serve.topk.queries", get(&self.topk_queries)),
-            ("serve.topk.micros", get(&self.topk_micros)),
+            ("serve.topk.micros", micros(&self.topk_nanos)),
             ("serve.admin.queries", get(&self.admin_queries)),
-            ("serve.cache.hits", get(&self.cache_hits)),
-            ("serve.cache.misses", get(&self.cache_misses)),
-            ("serve.cache.evictions", get(&self.cache_evictions)),
             ("serve.conns.opened", get(&self.connections_opened)),
             ("serve.conns.closed", get(&self.connections_closed)),
             ("serve.lines.total", get(&self.lines_total)),
@@ -133,10 +131,6 @@ impl ServeMetrics {
             ("serve.errors.draining", get(&self.draining_errors)),
             ("serve.reload.requests", get(&self.reload_requests)),
             ("serve.reload.errors", get(&self.reload_errors)),
-            (
-                "serve.reload.fibers_invalidated",
-                get(&self.reload_fibers_invalidated),
-            ),
         ]
     }
 
@@ -189,6 +183,14 @@ mod tests {
         let mut registry = CounterRegistry::new();
         m.export_into(&mut registry);
         assert_eq!(registry.get("serve.point.queries"), Some(3.0));
+    }
+
+    #[test]
+    fn sub_microsecond_latencies_are_not_truncated() {
+        let m = ServeMetrics::new();
+        ServeMetrics::add_elapsed(&m.point_nanos, Duration::from_nanos(600));
+        let counters: std::collections::HashMap<_, _> = m.named_counters().into_iter().collect();
+        assert_eq!(counters["serve.point.micros"], 0.6);
     }
 
     #[test]

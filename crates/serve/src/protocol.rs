@@ -96,10 +96,6 @@ pub enum Request {
         /// Optional storage source override (`"ram"` or `"mmap"`);
         /// defaults to how the serving store was opened.
         source: Option<String>,
-        /// Optional path of the delta file (`dbtf update` text format)
-        /// that produced the new factors — enables targeted fiber
-        /// invalidation instead of a full lazy flush.
-        delta: Option<String>,
     },
     /// Begin graceful drain; this reply is the connection's last.
     Shutdown,
@@ -139,7 +135,7 @@ impl RequestError {
             ),
         }
     }
-    /// A reload could not be applied (unopenable store, bad delta, dims
+    /// A reload could not be applied (unopenable store, dims
     /// mismatch). The serving generation is unchanged.
     pub fn reload(message: impl Into<String>) -> RequestError {
         RequestError {
@@ -307,7 +303,7 @@ fn parse_request(value: &JsonValue) -> (Option<u64>, Result<Request, RequestErro
             "slice" => {
                 let free_mode = mode_field(value)?;
                 // The request names the *fixed* axes; the lower-mode one
-                // is `lo` (matching the engine/cache convention).
+                // is `lo` (matching the engine's convention).
                 let (lo_name, hi_name) = match free_mode {
                     0 => ("j", "k"),
                     1 => ("i", "k"),
@@ -330,7 +326,6 @@ fn parse_request(value: &JsonValue) -> (Option<u64>, Result<Request, RequestErro
             "reload" => Ok(Request::Reload {
                 path: string_field(value, "path")?,
                 source: optional_string_field(value, "source")?,
-                delta: optional_string_field(value, "delta")?,
             }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(RequestError::unknown_query(other)),
@@ -434,17 +429,10 @@ pub fn reply_stats(id: Option<u64>, counters: &[(&'static str, f64)]) -> String 
     out
 }
 
-/// `reload` reply: the new generation's identity plus how many cached
-/// fibers were eagerly invalidated.
-pub fn reply_reload(
-    id: Option<u64>,
-    set_version: u64,
-    generation: u64,
-    invalidated: u64,
-) -> String {
+/// `reload` reply: the new generation's identity.
+pub fn reply_reload(id: Option<u64>, set_version: u64, generation: u64) -> String {
     format!(
-        "{},\"reloaded\":true,\"set_version\":{set_version},\"generation\":{generation},\
-         \"invalidated\":{invalidated}}}",
+        "{},\"reloaded\":true,\"set_version\":{set_version},\"generation\":{generation}}}",
         open_reply(id, true)
     )
 }
@@ -545,7 +533,6 @@ mod tests {
                 Ok(Request::Reload {
                     path: "/tmp/f.dbtfs".into(),
                     source: None,
-                    delta: None,
                 })
             )
         );
@@ -556,7 +543,6 @@ mod tests {
                 Ok(Request::Reload {
                     path: "f.dbtfs".into(),
                     source: Some("mmap".into()),
-                    delta: Some("d.delta".into()),
                 })
             )
         );
@@ -585,10 +571,11 @@ mod tests {
         assert_eq!(code(r#"{"q":"slice","mode":3,"i":0,"k":0}"#), "bad_request");
         assert_eq!(code(r#"{"q":"reload"}"#), "bad_request"); // missing path
         assert_eq!(code(r#"{"q":"reload","path":7}"#), "bad_request");
-        assert_eq!(
-            code(r#"{"q":"reload","path":"f","delta":3}"#),
-            "bad_request"
-        );
+        // Keys the parser does not read are ignored whatever their type
+        // (older clients still send a `delta` path with `reload`).
+        assert!(parse_one(r#"{"q":"reload","path":"f","delta":3}"#)
+            .1
+            .is_ok());
     }
 
     #[test]
@@ -629,7 +616,7 @@ mod tests {
             ),
             (reply_ping(Some(9)), ("pong", "true")),
             (reply_shutdown(Some(9)), ("draining", "true")),
-            (reply_reload(Some(9), 3, 2, 5), ("set_version", "3")),
+            (reply_reload(Some(9), 3, 2), ("set_version", "3")),
         ] {
             let parsed = JsonValue::parse(&reply).expect(&reply);
             assert_eq!(parsed.get("id").unwrap().as_u64(), Some(9), "{reply}");

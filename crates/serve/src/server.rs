@@ -22,8 +22,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dbtf_tensor::TensorDelta;
-
 use crate::engine::QueryEngine;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{self, parse_line, Request, RequestError, ServeLimits};
@@ -34,8 +32,6 @@ use crate::store::{FactorStore, SourceKind};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (the harness default).
     pub addr: String,
-    /// Fiber-cache capacity in entries (0 = bypass).
-    pub cache_fibers: usize,
     /// Protocol input limits.
     pub limits: ServeLimits,
 }
@@ -44,7 +40,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            cache_fibers: 1024,
             limits: ServeLimits::default(),
         }
     }
@@ -85,7 +80,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::new());
         let shared = Arc::new(Shared {
-            engine: QueryEngine::new(store, config.cache_fibers, metrics),
+            engine: QueryEngine::new(store, 0, metrics),
             limits: config.limits,
             addr,
             draining: AtomicBool::new(false),
@@ -412,40 +407,20 @@ fn execute(
                 &store.source().to_string(),
             )
         }
-        Request::Reload {
-            path,
-            source,
-            delta,
-        } => {
+        Request::Reload { path, source } => {
             ServeMetrics::add(&metrics.reload_requests, 1);
-            let current = engine.store();
             let attempt = (|| -> Result<String, RequestError> {
                 let source = match source {
                     Some(s) => s.parse::<SourceKind>().map_err(RequestError::reload)?,
-                    None => current.source(),
+                    None => engine.store().source(),
                 };
                 let store = FactorStore::open(std::path::Path::new(&path), source)
                     .map_err(|e| RequestError::reload(format!("{path}: {e}")))?;
-                let delta = match delta {
-                    Some(dpath) => {
-                        let text = std::fs::read_to_string(&dpath)
-                            .map_err(|e| RequestError::reload(format!("{dpath}: {e}")))?;
-                        Some(
-                            TensorDelta::parse(&text, current.dims())
-                                .map_err(|e| RequestError::reload(format!("{dpath}: {e}")))?,
-                        )
-                    }
-                    None => None,
-                };
-                let outcome = engine
-                    .reload(store, delta.as_ref())
-                    .map_err(RequestError::reload)?;
-                ServeMetrics::add(&metrics.reload_fibers_invalidated, outcome.invalidated);
+                let outcome = engine.reload(store, None).map_err(RequestError::reload)?;
                 Ok(protocol::reply_reload(
                     id,
                     outcome.set_version,
                     outcome.generation,
-                    outcome.invalidated,
                 ))
             })();
             match attempt {

@@ -1,8 +1,7 @@
 //! The serving differential suite: a live `dbtf serve` instance must
 //! agree bit-for-bit with `crates/oracle`'s cell-by-cell reconstruction
 //! on a seeded query sweep — for every factor-store source (checkpoint,
-//! binary ram, binary mmap) and every cache regime (bypass, saturated
-//! and evicting, comfortably hot), cold and on replay.
+//! binary ram, binary mmap), on the first pass and on replay.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -10,8 +9,7 @@ use std::sync::atomic::Ordering;
 use dbtf::{random_factor_sets, Checkpoint, DbtfConfig, FactorSet};
 use dbtf_oracle::{cp_reconstruct, serving_point, serving_slice, serving_topk};
 use dbtf_serve::{
-    FactorStore, QueryMix, Request, SeededQueries, ServeClient, ServeHarness, ServeLimits,
-    ServerConfig, SourceKind,
+    FactorStore, QueryMix, Request, SeededQueries, ServeClient, ServeHarness, SourceKind,
 };
 use dbtf_tensor::BoolTensor;
 
@@ -72,16 +70,8 @@ fn replay_against_oracle(
 
 type StoreOpener<'a> = Box<dyn Fn() -> FactorStore + 'a>;
 
-fn config(cache_fibers: usize) -> ServerConfig {
-    ServerConfig {
-        addr: String::new(), // harness overrides
-        cache_fibers,
-        limits: ServeLimits::default(),
-    }
-}
-
-/// The tentpole matrix: store source × cache regime, two passes each so
-/// the second pass is cache-hot wherever a cache exists.
+/// Every store source against the oracle, two passes each so a repeat
+/// query must agree with its first answer too.
 #[test]
 fn seeded_sweep_agrees_with_oracle_across_sources_and_caches() {
     let factors = factors();
@@ -98,8 +88,6 @@ fn seeded_sweep_agrees_with_oracle_across_sources_and_caches() {
     .write(&ck_path)
     .unwrap();
 
-    // (open the store, label, cache capacity): bypass, a 2-fiber cache
-    // that must evict constantly, and one large enough to go fully hot.
     let sources: Vec<(&str, StoreOpener<'_>)> = vec![
         (
             "ram",
@@ -115,31 +103,11 @@ fn seeded_sweep_agrees_with_oracle_across_sources_and_caches() {
         ),
     ];
     for (label, open) in &sources {
-        for cache_fibers in [0usize, 2, 4096] {
-            let harness = ServeHarness::start_with(open(), config(cache_fibers));
-            let mut client = harness.client();
-            let ran = replay_against_oracle(&mut client, &factors, &recon, 2);
-            assert_eq!(ran, 2 * SWEEP_LEN);
-            let m = harness.metrics();
-            let hits = m.cache_hits.load(Ordering::Relaxed);
-            let evictions = m.cache_evictions.load(Ordering::Relaxed);
-            match cache_fibers {
-                0 => assert_eq!(
-                    hits + m.cache_misses.load(Ordering::Relaxed),
-                    0,
-                    "{label}: bypass never touches the cache"
-                ),
-                2 => assert!(
-                    evictions > 0,
-                    "{label}: a 2-fiber cache must evict on this sweep"
-                ),
-                _ => assert!(
-                    hits > 0,
-                    "{label}: the second pass must hit a 4096-fiber cache"
-                ),
-            }
-            assert!(harness.shutdown(), "{label}: clean drain");
-        }
+        let harness = ServeHarness::start(open());
+        let mut client = harness.client();
+        let ran = replay_against_oracle(&mut client, &factors, &recon, 2);
+        assert_eq!(ran, 2 * SWEEP_LEN);
+        assert!(harness.shutdown(), "{label}: clean drain");
     }
     std::fs::remove_file(&store_path).unwrap();
     std::fs::remove_file(&ck_path).unwrap();
@@ -152,14 +120,8 @@ fn ram_and_mmap_replies_are_identical() {
     let factors = factors();
     let store_path = tmp("pair.dbtfs");
     FactorStore::write_store(&store_path, 3, &factors).unwrap();
-    let ram = ServeHarness::start_with(
-        FactorStore::open(&store_path, SourceKind::Ram).unwrap(),
-        config(64),
-    );
-    let mmap = ServeHarness::start_with(
-        FactorStore::open(&store_path, SourceKind::Mmap).unwrap(),
-        config(64),
-    );
+    let ram = ServeHarness::start(FactorStore::open(&store_path, SourceKind::Ram).unwrap());
+    let mmap = ServeHarness::start(FactorStore::open(&store_path, SourceKind::Mmap).unwrap());
     let (mut c1, mut c2) = (ram.client(), mmap.client());
     assert_eq!(c1.info().unwrap().set_version, 3);
     assert_eq!(c1.info().unwrap().dims, c2.info().unwrap().dims);
@@ -257,10 +219,7 @@ fn live_reload_serves_whole_generations_under_concurrent_load() {
     }
     .write(&ck_path)
     .unwrap();
-    let harness = ServeHarness::start_with(
-        FactorStore::open(&ck_path, SourceKind::Ram).unwrap(),
-        config(256),
-    );
+    let harness = ServeHarness::start(FactorStore::open(&ck_path, SourceKind::Ram).unwrap());
     let addr = harness.addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -322,8 +281,8 @@ fn live_reload_serves_whole_generations_under_concurrent_load() {
             (&fa, "ram")
         };
         FactorStore::write_store(&store_path, round + 2, set).unwrap();
-        let (set_version, generation, _) = admin
-            .reload(store_path.to_str().unwrap(), Some(source), None)
+        let (set_version, generation) = admin
+            .reload(store_path.to_str().unwrap(), Some(source))
             .unwrap();
         assert_eq!(set_version, round + 2, "reload reports the new version");
         assert_eq!(generation, last_generation + 1, "generations are monotone");
@@ -403,9 +362,7 @@ fn topk_equal_weight_ties_stay_column_ascending_across_generations() {
     assert_eq!(client.topk(1, 0, 4).unwrap(), expect);
     let store_path = tmp("ties.dbtfs");
     FactorStore::write_store(&store_path, 2, &fb).unwrap();
-    client
-        .reload(store_path.to_str().unwrap(), None, None)
-        .unwrap();
+    client.reload(store_path.to_str().unwrap(), None).unwrap();
     assert_eq!(
         client.topk(1, 0, 4).unwrap(),
         expect,

@@ -30,7 +30,6 @@ fn harness_with(limits: ServeLimits) -> ServeHarness {
     ServeHarness::start_with(
         FactorStore::from_factor_set(1, &factors()),
         ServerConfig {
-            cache_fibers: 16,
             limits,
             ..ServerConfig::default()
         },
@@ -313,12 +312,12 @@ fn reload_failures_are_typed_and_leave_the_serving_generation_alone() {
 
     // Unopenable store path.
     assert_eq!(
-        server_code(client.reload("/definitely/not/here.dbtfs", None, None)),
+        server_code(client.reload("/definitely/not/here.dbtfs", None)),
         "reload"
     );
     // Unknown source kind, checked before any file I/O.
     assert_eq!(
-        server_code(client.reload("whatever.dbtfs", Some("floppy"), None)),
+        server_code(client.reload("whatever.dbtfs", Some("floppy"))),
         "reload"
     );
     // A store whose dimensions do not match the serving space.
@@ -329,56 +328,46 @@ fn reload_failures_are_typed_and_leave_the_serving_generation_alone() {
     let misshapen = random_factor_sets([4, 4, 4], 0.4, &cfg).remove(0);
     let bad_path = tmp("misshapen.dbtfs");
     FactorStore::write_store(&bad_path, 9, &misshapen).unwrap();
-    match client.reload(bad_path.to_str().unwrap(), None, None) {
+    match client.reload(bad_path.to_str().unwrap(), None) {
         Err(ClientError::Server { code, message }) => {
             assert_eq!(code, "reload");
             assert!(message.contains("dims mismatch"), "{message}");
         }
         other => panic!("expected dims-mismatch refusal, got {other:?}"),
     }
-    // A good store paired with an unreadable delta file.
-    let good_path = tmp("good.dbtfs");
-    FactorStore::write_store(&good_path, 2, &factors()).unwrap();
-    assert_eq!(
-        server_code(client.reload(good_path.to_str().unwrap(), None, Some("/no/such.delta"))),
-        "reload"
-    );
-    // ...and with a delta that does not parse.
-    let bad_delta = tmp("bad.delta");
-    std::fs::write(&bad_delta, "+ 1 2\n").unwrap();
-    assert_eq!(
-        server_code(client.reload(
-            good_path.to_str().unwrap(),
-            None,
-            Some(bad_delta.to_str().unwrap()),
-        )),
-        "reload"
-    );
 
-    // Five refusals, zero swaps: the serving generation never moved and
+    // Three refusals, zero swaps: the serving generation never moved and
     // the connection still answers.
     assert_eq!(client.info().unwrap().set_version, v0);
     let m = harness.metrics();
-    assert_eq!(m.reload_requests.load(Ordering::Relaxed), 5);
-    assert_eq!(m.reload_errors.load(Ordering::Relaxed), 5);
+    assert_eq!(m.reload_requests.load(Ordering::Relaxed), 3);
+    assert_eq!(m.reload_errors.load(Ordering::Relaxed), 3);
     assert!(client.ping().is_ok());
 
-    // A valid reload still works after all those failures...
-    let (set_version, generation, _) = client
-        .reload(good_path.to_str().unwrap(), None, None)
-        .unwrap();
-    assert_eq!((set_version, generation), (2, 1));
+    // A valid reload still works after all those failures, even one that
+    // names an unreadable `delta` file: the server does not read that
+    // key, so it swaps...
+    let good_path = tmp("good.dbtfs");
+    FactorStore::write_store(&good_path, 2, &factors()).unwrap();
+    let mut line = String::from(r#"{"q":"reload","delta":"/no/such.delta","path":"#);
+    dbtf_serve::protocol::push_json_string(good_path.to_str().unwrap(), &mut line);
+    line.push('}');
+    let reply = JsonValue::parse(&client.raw_line(&line).unwrap()).unwrap();
+    assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(true));
+    assert_eq!(reply.get("generation").and_then(JsonValue::as_u64), Some(1));
+    assert_eq!(client.info().unwrap().set_version, 2);
+    assert_eq!(m.reload_errors.load(Ordering::Relaxed), 3);
     // ...and once draining, reload is refused like any other query.
     client.shutdown().unwrap();
     if let Ok(mut late) = dbtf_serve::ServeClient::connect(harness.addr()) {
-        match late.reload(good_path.to_str().unwrap(), None, None) {
+        match late.reload(good_path.to_str().unwrap(), None) {
             Err(ClientError::Server { code, .. }) => assert_eq!(code, "draining"),
             Err(ClientError::Io(_)) => {} // closed before the reply — also clean
             other => panic!("draining server answered reload with {other:?}"),
         }
     }
     assert!(harness.shutdown());
-    for path in [bad_path, good_path, bad_delta] {
+    for path in [bad_path, good_path] {
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -5,6 +5,9 @@
 # socket. The final oracle-check is the gate: after the hot-swap, a
 # seeded query sweep answered by the live server must match the oracle's
 # cell-by-cell reconstruction of the re-swept factors bit for bit.
+# `dbtf update` runs in another working directory than `dbtf serve` and
+# writes a relative --output, so the reload only works if the path it
+# sends resolves on the server's side too.
 #
 # Usage: scripts/delta_smoke.sh [work-dir]   (default: target/delta_smoke)
 set -euo pipefail
@@ -12,8 +15,8 @@ cd "$(dirname "$0")/.."
 
 dir="${1:-target/delta_smoke}"
 rm -rf "$dir"
-mkdir -p "$dir"
-dbtf="cargo run --release -q -p dbtf-cli --bin dbtf --"
+mkdir -p "$dir/update"
+dbtf="cargo run --release -q --manifest-path $PWD/Cargo.toml -p dbtf-cli --bin dbtf --"
 
 cleanup() {
   if [ -n "${server_pid:-}" ] && kill -0 "$server_pid" 2>/dev/null; then
@@ -57,7 +60,7 @@ if [ -z "$addr" ]; then
 fi
 echo "delta_smoke: server is listening on $addr"
 
-# Warm the fiber cache so the reload has something to invalidate.
+# Queries against the first generation, before the reload.
 $dbtf query --connect "$addr" --slice 3:1,2 > /dev/null
 $dbtf query --connect "$addr" --slice 1:0,0 > /dev/null
 
@@ -71,22 +74,24 @@ cat > "$dir/delta.txt" <<'EOF'
 + 10 0 7
 EOF
 
-echo "delta_smoke: bounded re-sweep through dbtf update (mmap storage) + live reload..."
-$dbtf update --input "$dir/x.txt" --delta "$dir/delta.txt" \
-  --factors "$dir/factors.dbtfs" --output "$dir/factors_v2.dbtfs" \
-  --workers 3 --storage mmap --reload "$addr" | tee "$dir/update.out"
+echo "delta_smoke: bounded re-sweep through dbtf update (mmap storage) + live reload,"
+echo "delta_smoke: run from $dir/update with a relative --output..."
+(cd "$dir/update" && $dbtf update --input ../x.txt --delta ../delta.txt \
+  --factors ../factors.dbtfs --output factors_v2.dbtfs \
+  --workers 3 --storage mmap --reload "$addr") | tee "$dir/update.out"
 grep -q "re-swept" "$dir/update.out"
-grep -q "reloaded $addr: serving v" "$dir/update.out"
+version=$(sed -n 's/^wrote factor set v\([0-9]*\) to .*/\1/p' "$dir/update.out")
+grep -q "reloaded $addr: serving v$version " "$dir/update.out"
 
-echo "delta_smoke: the server now serves the new generation..."
+echo "delta_smoke: the server now serves the new generation (v$version)..."
 $dbtf query --connect "$addr" --info | tee "$dir/info.out"
-grep -q "32 × 28 × 24 rank 4" "$dir/info.out"
+grep -q "factor set v$version 32 × 28 × 24 rank 4" "$dir/info.out"
 $dbtf query --connect "$addr" --stats > "$dir/stats.out"
 grep -q "serve.reload.requests 1" "$dir/stats.out"
 grep -q "serve.reload.errors 0" "$dir/stats.out"
 
 echo "delta_smoke: oracle agreement sweep against the re-swept factors..."
-$dbtf query --connect "$addr" --oracle-check "$dir/factors_v2.dbtfs" \
+$dbtf query --connect "$addr" --oracle-check "$dir/update/factors_v2.dbtfs" \
   --seed 42 --count 300 | tee "$dir/oracle.out"
 grep -q "oracle-check: 300 queries agree (seed 42)" "$dir/oracle.out"
 
