@@ -116,7 +116,7 @@ fn bench_apply_column(c: &mut Criterion) {
 
 /// One full simulated superstep over all partitions: score a column,
 /// decide per-row winners, apply the decision — the unit the cluster
-/// engine fans out across compute threads.
+/// engine spreads across its workers.
 fn bench_superstep(c: &mut Criterion) {
     for label in ["sparse", "dense"] {
         let fx = tensor_for(label);

@@ -1,7 +1,7 @@
 //! Randomized differential verification sweep (see `crates/oracle`).
 //!
 //! Each point draws a `(tensor family, rank, config, backend shape,
-//! thread count, fault plan)` tuple from one seed and runs the full DBTF
+//! storage, fault plan)` tuple from one seed and runs the full DBTF
 //! pipeline under the sequential reference, the cluster backend, the
 //! local backend and (on sampled points) a fault-injected replica,
 //! checking every oracle: bit-identity, plan-trace fingerprints,

@@ -71,21 +71,8 @@ impl Outcome {
 /// Runs DBTF on a fresh paper-shaped cluster (16 workers × 8 cores by
 /// default) and reports **virtual** seconds.
 pub fn run_dbtf(x: &BoolTensor, config: &DbtfConfig, workers: usize) -> Outcome {
-    run_dbtf_threads(x, config, workers, None)
-}
-
-/// Like [`run_dbtf`] but pinning the number of *real* compute threads per
-/// worker (`None` = one per simulated core). Results and virtual-time
-/// metrics are identical for every setting; only host wall-clock changes.
-pub fn run_dbtf_threads(
-    x: &BoolTensor,
-    config: &DbtfConfig,
-    workers: usize,
-    compute_threads: Option<usize>,
-) -> Outcome {
     let cluster = Cluster::new(ClusterConfig {
         workers,
-        compute_threads,
         ..ClusterConfig::paper_cluster()
     });
     match factorize(&cluster, x, config) {

@@ -3,7 +3,6 @@
 //! ```text
 //! dbtf factorize   --input X.txt --rank 10 [--workers 16] [--iters 10]
 //!                  [--sets 1] [--seed 0] [--partitions N] [--v 15]
-//!                  [--compute-threads T]
 //!                  [--backend cluster|local|net] [--output PREFIX]
 //!                  [--storage ram|mmap] [--spill-dir DIR]
 //!                  [--net-respawn-budget N]
@@ -147,7 +146,7 @@ common options:
   --seed N         RNG seed (default 0)
 
 factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
-           [--partitions N] [--v 15] [--compute-threads T] [--output PREFIX]
+           [--partitions N] [--v 15] [--output PREFIX]
            [--backend cluster|local|net]
                  cluster (default): simulated multi-worker engine with
                  network-model costing and optional fault injection;
@@ -169,7 +168,6 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
                  read-only memory map, bounding driver memory by the
                  partition size instead of the tensor size. Factors,
                  errors, and every meter are bit-identical either way.
-                 DBTF_STORAGE also works; the flag wins
            [--spill-dir DIR]
                  where --storage mmap spills its unfolding files
                  (default: the system temp dir); each run uses and
@@ -234,6 +232,8 @@ serve:     --store FILE (DBTFFSET export or DBTFCKPT checkpoint)
                  the protocol is line-delimited JSON; each line is one
                  request object or an array of them (a batch), answered
                  in order with typed errors, never dropped connections.
+                 at most 64 connections at once: one more gets a `busy`
+                 error line and is closed.
                  every answer is computed from the factor rows (nothing
                  is cached).
                  a client `shutdown` request drains the server: in-flight
@@ -290,16 +290,6 @@ fn save_tensor(
 fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let x = load_tensor(parsed)?;
     let workers: usize = parsed.get("workers", 16)?;
-    // `--compute-threads N` pins the real per-worker thread count (the
-    // `DBTF_COMPUTE_THREADS` env var also works); results are identical
-    // for every setting, only host wall-clock changes.
-    let compute_threads: Option<usize> = match parsed.get_str("compute-threads") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| ArgError(format!("invalid value for --compute-threads: {raw:?}")))?,
-        ),
-        None => None,
-    };
     let checkpoint_path = parsed.get_str("checkpoint").map(str::to_string);
     let config = DbtfConfig {
         rank: parsed.require("rank")?,
@@ -319,10 +309,7 @@ fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
         checkpoint_path,
         resume: parsed.has_flag("resume"),
         backend: parsed.get("backend", BackendKind::default())?,
-        storage: resolve_storage(
-            parsed.get_str("storage"),
-            std::env::var("DBTF_STORAGE").ok().as_deref(),
-        )?,
+        storage: resolve_storage(parsed.get_str("storage"))?,
         spill_dir: parsed.get_str("spill-dir").map(str::to_string),
         ..DbtfConfig::default()
     };
@@ -335,7 +322,6 @@ fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
     let fault_plan = parse_fault_plan(parsed)?;
     let cluster_config = ClusterConfig {
         workers,
-        compute_threads,
         fault_plan: fault_plan.clone(),
         ..ClusterConfig::paper_cluster()
     };
@@ -449,27 +435,13 @@ fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
-/// Resolves the unfolding storage backend: the `--storage` flag wins over
-/// the `DBTF_STORAGE` environment variable. A malformed flag is an
-/// argument error; a malformed environment value warns on stderr and
-/// falls back to the default, so a stale environment never breaks an
-/// otherwise-valid invocation.
-fn resolve_storage(flag: Option<&str>, env: Option<&str>) -> Result<StorageKind, ArgError> {
-    if let Some(raw) = flag {
-        return raw
-            .parse()
-            .map_err(|e| ArgError(format!("invalid value for --storage: {e}")));
-    }
-    match env {
-        Some(raw) => match raw.parse() {
-            Ok(kind) => Ok(kind),
-            Err(e) => {
-                eprintln!("dbtf: ignoring DBTF_STORAGE: {e}");
-                Ok(StorageKind::default())
-            }
-        },
-        None => Ok(StorageKind::default()),
-    }
+/// Parses the `--storage ram|mmap` flag (default `ram`); a malformed value
+/// is an argument error.
+fn resolve_storage(flag: Option<&str>) -> Result<StorageKind, ArgError> {
+    flag.map_or(Ok(StorageKind::default()), |raw| {
+        raw.parse()
+            .map_err(|e| ArgError(format!("invalid value for --storage: {e}")))
+    })
 }
 
 /// Builds a [`FaultPlan`] from the `--fault-*` options, or `None` if no
@@ -725,23 +697,14 @@ mod tests {
 
     #[test]
     fn storage_flag_wins_over_env() {
-        assert_eq!(
-            resolve_storage(Some("mmap"), Some("ram")).unwrap(),
-            StorageKind::Mmap
-        );
-        assert_eq!(
-            resolve_storage(None, Some("mmap")).unwrap(),
-            StorageKind::Mmap
-        );
-        assert_eq!(resolve_storage(None, None).unwrap(), StorageKind::Ram);
+        assert_eq!(resolve_storage(Some("mmap")).unwrap(), StorageKind::Mmap);
+        assert_eq!(resolve_storage(Some("ram")).unwrap(), StorageKind::Ram);
+        assert_eq!(resolve_storage(None).unwrap(), StorageKind::Ram);
     }
 
     #[test]
     fn malformed_env_warns_and_defaults_but_malformed_flag_errors() {
-        assert_eq!(
-            resolve_storage(None, Some("floppy")).unwrap(),
-            StorageKind::Ram
-        );
-        assert!(resolve_storage(Some("floppy"), None).is_err());
+        let err = resolve_storage(Some("floppy")).unwrap_err();
+        assert!(err.0.contains("--storage"), "{err}");
     }
 }

@@ -56,10 +56,7 @@ pub fn cmd_update(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>>
         cache_group_limit: parsed.get("v", 15)?,
         seed: parsed.get("seed", 0)?,
         backend: parsed.get("backend", BackendKind::default())?,
-        storage: resolve_storage(
-            parsed.get_str("storage"),
-            std::env::var("DBTF_STORAGE").ok().as_deref(),
-        )?,
+        storage: resolve_storage(parsed.get_str("storage"))?,
         spill_dir: parsed.get_str("spill-dir").map(str::to_string),
         ..DbtfConfig::default()
     };

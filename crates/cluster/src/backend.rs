@@ -6,8 +6,8 @@
 //! [`crate::LocalBackend`]: inline in the driver process with no network
 //! model).
 
+use crate::lock;
 use crate::metrics::MetricsSnapshot;
-use crate::pool::lock;
 use crate::storage::{Broadcast, DistVec};
 use crate::task::TaskContext;
 use crate::Cluster;
@@ -102,7 +102,7 @@ where
 /// layer when task-event capture is on. Always sorted by `partition` when
 /// returned from [`ExecutionBackend::take_task_events`] — the same merge
 /// discipline that keeps result order deterministic keeps traces
-/// deterministic under any `compute_threads` setting.
+/// deterministic under any worker count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskEvents {
     /// Global partition index.

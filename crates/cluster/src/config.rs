@@ -59,21 +59,11 @@ pub struct ClusterConfig {
     /// Cores per worker machine (the paper's machines have 8 hyper-threaded
     /// cores; its executors use 8).
     ///
-    /// Drives both the virtual-time model (a worker retires
-    /// `cores_per_worker × core_throughput` ops per virtual second) and,
-    /// unless overridden by [`ClusterConfig::compute_threads`], the number
-    /// of real OS threads each worker fans its partition tasks out to.
+    /// Drives the virtual-time model (a worker retires
+    /// `cores_per_worker × core_throughput` ops per virtual second) and
+    /// the suggested partition count (`workers × cores_per_worker`). Each
+    /// worker runs its tasks on one real thread whatever this says.
     pub cores_per_worker: usize,
-    /// Override for the number of *real* compute threads per worker.
-    ///
-    /// `None` (the default) uses `cores_per_worker`, so the simulated and
-    /// the actual parallelism agree. Setting it decouples wall-clock
-    /// execution from the virtual-time model — e.g. `Some(1)` forces
-    /// serial execution for debugging, without changing any virtual-time
-    /// or ops metric (results and metrics are bit-identical for every
-    /// setting). The `DBTF_COMPUTE_THREADS` environment variable, when
-    /// set, takes precedence over `None`.
-    pub compute_threads: Option<usize>,
     /// Abstract ops one core retires per virtual second. Calibrate against
     /// a real single-worker run to map ops to seconds; the default
     /// (2 × 10⁹) approximates one 64-bit Boolean word-op per cycle at 2 GHz.
@@ -119,29 +109,6 @@ impl ClusterConfig {
         self.cores_per_worker as f64 * self.core_throughput(worker_id)
     }
 
-    /// The number of real compute threads each worker runs its partition
-    /// tasks on: [`ClusterConfig::compute_threads`] if set, else the
-    /// `DBTF_COMPUTE_THREADS` environment variable, else
-    /// [`ClusterConfig::cores_per_worker`].
-    ///
-    /// A malformed `DBTF_COMPUTE_THREADS` value is ignored, and a value of
-    /// `0` (from either source) is clamped to one thread; both emit a
-    /// one-time warning through the telemetry log layer naming the bad
-    /// value and the resolution used — a worker never gets a zero-thread
-    /// pool and never fails to boot over an env var.
-    pub fn resolved_compute_threads(&self) -> usize {
-        let (threads, warning) = resolve_compute_threads(
-            self.compute_threads,
-            std::env::var("DBTF_COMPUTE_THREADS").ok().as_deref(),
-            self.cores_per_worker,
-        );
-        if let Some(msg) = warning {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| dbtf_telemetry::log::warn(msg));
-        }
-        threads
-    }
-
     /// A cluster with the given fault plan and default everything else.
     pub fn with_fault_plan(workers: usize, plan: FaultPlan) -> Self {
         ClusterConfig {
@@ -166,61 +133,12 @@ impl Default for ClusterConfig {
         ClusterConfig {
             workers: 4,
             cores_per_worker: 8,
-            compute_threads: None,
             core_throughput_ops_per_sec: 2e9,
             network: NetworkModel::default(),
             stragglers: 0,
             straggler_slowdown: 1.0,
             fault_plan: None,
         }
-    }
-}
-
-/// Resolves the compute-thread count from the config field, the
-/// `DBTF_COMPUTE_THREADS` environment value, and the `cores_per_worker`
-/// fallback, returning `(threads, warning)`. Pure, so every branch —
-/// including the warning text — is directly unit-testable;
-/// [`ClusterConfig::resolved_compute_threads`] adds the env read and the
-/// one-time emission through the telemetry log layer.
-fn resolve_compute_threads(
-    field: Option<usize>,
-    env: Option<&str>,
-    cores_per_worker: usize,
-) -> (usize, Option<String>) {
-    if let Some(n) = field {
-        if n == 0 {
-            return (
-                1,
-                Some(
-                    "clamping compute_threads = 0 to 1 \
-                     (a worker needs at least one compute thread)"
-                        .to_string(),
-                ),
-            );
-        }
-        return (n, None);
-    }
-    match env {
-        None => (cores_per_worker, None),
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(0) => (
-                1,
-                Some(
-                    "clamping DBTF_COMPUTE_THREADS=0 to 1 \
-                     (a worker needs at least one compute thread)"
-                        .to_string(),
-                ),
-            ),
-            Ok(n) => (n, None),
-            Err(_) => (
-                cores_per_worker,
-                Some(format!(
-                    "ignoring malformed DBTF_COMPUTE_THREADS={raw:?} \
-                     (not a non-negative integer); falling back to \
-                     cores_per_worker = {cores_per_worker}"
-                )),
-            ),
-        },
     }
 }
 
@@ -250,70 +168,6 @@ mod tests {
         assert_eq!(cfg.workers, 16);
         assert_eq!(cfg.cores_per_worker, 8);
         assert!(cfg.worker_throughput(0) > cfg.core_throughput_ops_per_sec);
-    }
-
-    #[test]
-    fn compute_threads_default_to_cores() {
-        // (Only the field-driven paths: the DBTF_COMPUTE_THREADS fallback
-        // is env-dependent and exercised by the CLI, not unit tests.)
-        let cfg = ClusterConfig {
-            cores_per_worker: 6,
-            ..ClusterConfig::default()
-        };
-        if std::env::var("DBTF_COMPUTE_THREADS").is_err() {
-            assert_eq!(cfg.resolved_compute_threads(), 6);
-        }
-        let pinned = ClusterConfig {
-            compute_threads: Some(2),
-            ..cfg.clone()
-        };
-        assert_eq!(pinned.resolved_compute_threads(), 2);
-        let floor = ClusterConfig {
-            compute_threads: Some(0),
-            ..cfg
-        };
-        assert_eq!(floor.resolved_compute_threads(), 1);
-    }
-
-    #[test]
-    fn env_compute_threads_parsing() {
-        assert_eq!(resolve_compute_threads(None, None, 8), (8, None));
-        assert_eq!(resolve_compute_threads(None, Some("6"), 8), (6, None));
-        assert_eq!(resolve_compute_threads(None, Some(" 3 "), 8), (3, None));
-        // The field wins over the environment.
-        assert_eq!(resolve_compute_threads(Some(2), Some("6"), 8), (2, None));
-        // Malformed values fall back to cores_per_worker with a warning
-        // naming the raw value.
-        for bad in ["lots", "", "-2"] {
-            let (threads, warning) = resolve_compute_threads(None, Some(bad), 8);
-            assert_eq!(threads, 8);
-            let msg = warning.expect("malformed value must warn");
-            assert!(
-                msg.contains(&format!("{bad:?}")),
-                "warning names value: {msg}"
-            );
-            assert!(
-                msg.contains("cores_per_worker = 8"),
-                "warning names fallback: {msg}"
-            );
-        }
-    }
-
-    /// Regression: a zero thread count (field or env) used to be clamped
-    /// silently; it now clamps to 1 *with a warning*, so a zero-thread
-    /// pool can neither be built nor requested unnoticed.
-    #[test]
-    fn zero_compute_threads_clamp_with_warning() {
-        let (threads, warning) = resolve_compute_threads(None, Some("0"), 8);
-        assert_eq!(threads, 1);
-        assert!(warning
-            .expect("zero must warn")
-            .contains("DBTF_COMPUTE_THREADS=0"));
-        let (threads, warning) = resolve_compute_threads(Some(0), None, 8);
-        assert_eq!(threads, 1);
-        assert!(warning
-            .expect("zero must warn")
-            .contains("compute_threads = 0"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The cluster handle: construction, shared driver-side state, and the
 //! top-level accessors. The heavy lifting lives in the sibling modules —
-//! [`crate::scheduler`] (superstep execution), [`crate::executor`] (worker
-//! threads), [`crate::storage`] (dataset registry) and [`crate::lineage`]
-//! (crash recovery).
+//! [`crate::scheduler`] (superstep execution), [`crate::executor`] (one
+//! thread per worker, tasks run inline), [`crate::storage`] (dataset
+//! registry) and [`crate::lineage`] (crash recovery).
 //!
 //! # Fault tolerance
 //!
@@ -36,8 +36,8 @@ use std::thread::JoinHandle;
 use crate::config::ClusterConfig;
 use crate::executor::{spawn_worker, WorkerMsg};
 use crate::fault::FaultPlan;
+use crate::lock;
 use crate::metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
-use crate::pool::{lock, PoolCounters};
 use crate::storage::DatasetState;
 
 /// Errors surfaced while booting a [`Cluster`].
@@ -45,9 +45,9 @@ use crate::storage::DatasetState;
 pub enum ClusterError {
     /// The configuration is structurally invalid (zero workers/cores).
     InvalidConfig(String),
-    /// The OS refused to spawn a worker or compute-pool thread.
+    /// The OS refused to spawn a worker thread.
     WorkerSpawn {
-        /// Worker machine whose threads could not be created.
+        /// Worker machine whose thread could not be created.
         worker: usize,
         /// The underlying OS error.
         source: std::io::Error,
@@ -109,12 +109,9 @@ pub(crate) type TaskFaults = (Arc<FaultPlan>, u64);
 /// Shared driver-side state of a [`Cluster`].
 pub(crate) struct Inner {
     pub(crate) config: ClusterConfig,
-    pub(crate) compute_threads: usize,
     /// Supersteps handed to workers so far: the index the fault plan keys
     /// its per-superstep decisions off.
     pub(crate) submitted_steps: AtomicU64,
-    /// Wall-clock work-stealing statistics shared by all workers' pools.
-    pub(crate) pool_counters: Arc<PoolCounters>,
     pub(crate) senders: Mutex<Vec<Sender<WorkerMsg>>>,
     pub(crate) handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     pub(crate) metrics: CommMetrics,
@@ -183,8 +180,6 @@ impl Cluster {
         if let Some(plan) = &config.fault_plan {
             plan.validate(config.workers);
         }
-        let compute_threads = config.resolved_compute_threads();
-        let pool_counters = Arc::new(PoolCounters::default());
         let mut senders = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
         for worker_id in 0..config.workers {
@@ -192,11 +187,11 @@ impl Cluster {
             senders.push(tx);
             // On failure the earlier workers' senders drop with `senders`,
             // so their event loops exit and join on their own.
-            let handle = spawn_worker(worker_id, rx, compute_threads, Arc::clone(&pool_counters))
-                .map_err(|source| ClusterError::WorkerSpawn {
-                worker: worker_id,
-                source,
-            })?;
+            let handle =
+                spawn_worker(worker_id, rx).map_err(|source| ClusterError::WorkerSpawn {
+                    worker: worker_id,
+                    source,
+                })?;
             handles.push(Some(handle));
         }
         let fault = config.fault_plan.clone().map(Arc::new);
@@ -204,9 +199,7 @@ impl Cluster {
             inner: Arc::new(Inner {
                 metrics: CommMetrics::new(config.workers),
                 config,
-                compute_threads,
                 submitted_steps: AtomicU64::new(0),
-                pool_counters,
                 senders: Mutex::new(senders),
                 handles: Mutex::new(handles),
                 next_dataset: AtomicU64::new(0),
@@ -234,21 +227,9 @@ impl Cluster {
         self.metrics().virtual_time
     }
 
-    /// Snapshot of the communication and compute counters, overlaid with
-    /// the (wall-clock, nondeterministic) work-stealing pool statistics.
+    /// Snapshot of the communication and compute counters.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshot = self.inner.metrics.snapshot();
-        snapshot.pool_tasks_stolen = self
-            .inner
-            .pool_counters
-            .tasks_stolen
-            .load(std::sync::atomic::Ordering::Relaxed);
-        snapshot.pool_max_queue_depth = self
-            .inner
-            .pool_counters
-            .max_queue_depth
-            .load(std::sync::atomic::Ordering::Relaxed);
-        snapshot
+        self.inner.metrics.snapshot()
     }
 
     /// Charges driver-side compute (e.g. the column-update decision loop

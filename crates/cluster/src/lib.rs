@@ -16,17 +16,14 @@
 //!
 //! # Virtual time vs. real parallelism
 //!
-//! Workers are real OS threads with shared-nothing state (partitions are
-//! moved into the owning worker and never referenced from outside), and
-//! each worker additionally fans its partition tasks out across
-//! [`ClusterConfig::cores_per_worker`] compute threads (override:
-//! [`ClusterConfig::compute_threads`] or `DBTF_COMPUTE_THREADS`), so the
-//! execution is genuinely concurrent on a multi-core host. The compute
-//! threads form a persistent per-worker work-stealing pool (they live as
-//! long as the worker; no per-superstep spawn/join). But wall-clock
-//! time on one host cannot reproduce the paper's *machine scalability*
-//! experiment (Figure 7), so the engine additionally keeps a **virtual
-//! clock**: every task reports its cost in abstract ops
+//! Each worker is one real OS thread with shared-nothing state (partitions
+//! are moved into the owning worker and never referenced from outside),
+//! and it runs its partition tasks inline, in partition order, so the
+//! workers execute concurrently on a multi-core host and
+//! [`ClusterConfig::workers`] is the one real-parallelism knob. But
+//! wall-clock time on one host cannot reproduce the paper's *machine
+//! scalability* experiment (Figure 7), so the engine additionally keeps a
+//! **virtual clock**: every task reports its cost in abstract ops
 //! ([`TaskContext::charge`]), a superstep advances the clock by the makespan
 //! over workers (each worker's time is `total_ops / (cores × throughput)`,
 //! floored by its largest single task), and every transfer is charged
@@ -49,7 +46,7 @@
 //! (zero-overhead inline execution with identical byte/op metering,
 //! compute-only virtual time, no faults). For a fixed algorithm run, the
 //! trace fingerprint and every algorithmic output are bit-identical
-//! across backends, thread counts, and fault plans. See `DESIGN.md`
+//! across backends, worker counts, and fault plans. See `DESIGN.md`
 //! §1.2.3.
 //!
 //! # Fault tolerance
@@ -96,7 +93,6 @@ mod local;
 mod metrics;
 mod net;
 mod plan;
-mod pool;
 mod scheduler;
 mod storage;
 mod task;
@@ -115,3 +111,38 @@ pub use plan::{OpKind, OpRecord, PlanTrace};
 pub use scheduler::Scheduler;
 pub use storage::{Broadcast, DistVec};
 pub use task::TaskContext;
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Locks ignoring poisoning; every mutex in this crate is locked through
+/// here. The executor runs every task under `catch_unwind`, the guarded
+/// state is plain data that a panic cannot leave half-updated in a way
+/// later readers care about, and a panicking superstep must not wedge a
+/// shutdown path that locks after it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    match mutex.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn lock_returns_the_data_after_a_holder_panics() {
+        let shared = Arc::new(Mutex::new(1u32));
+        let holder = Arc::clone(&shared);
+        let joined = std::thread::spawn(move || {
+            let _guard = lock(&holder);
+            panic!("poison the mutex");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(shared.is_poisoned());
+        *lock(&shared) += 1;
+        assert_eq!(*lock(&shared), 2);
+    }
+}

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use crate::engine::{AnyPart, Cluster};
 use crate::executor::{spawn_worker, WorkerMsg};
-use crate::pool::lock;
+use crate::lock;
 use crate::storage::DistVec;
 
 impl Cluster {
@@ -83,13 +83,8 @@ impl Cluster {
         drop(old_sender);
         // Mid-run recovery has no Result channel back to the caller; an OS
         // refusing a thread here is unrecoverable, so panic with context.
-        let fresh = spawn_worker(
-            w,
-            rx,
-            self.inner.compute_threads,
-            Arc::clone(&self.inner.pool_counters),
-        )
-        .unwrap_or_else(|e| panic!("failed to respawn crashed worker {w}: {e}"));
+        let fresh = spawn_worker(w, rx)
+            .unwrap_or_else(|e| panic!("failed to respawn crashed worker {w}: {e}"));
         if let Some(old) = lock(&self.inner.handles)[w].replace(fresh) {
             let _ = old.join();
         }

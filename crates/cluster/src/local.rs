@@ -22,8 +22,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::config::ClusterConfig;
+use crate::lock;
 use crate::metrics::{CommMetrics, MetricsSnapshot};
-use crate::pool::lock;
 use crate::storage::Broadcast;
 use crate::task::TaskContext;
 
@@ -77,9 +77,9 @@ impl LocalBackend {
 
     /// A local backend with the worker/core/throughput shape of `config`.
     ///
-    /// The network model, straggler settings, fault plan, and
-    /// compute-thread override are ignored — that is the point of the
-    /// local backend (document near any CLI flag that selects it).
+    /// The network model, straggler settings and fault plan are ignored —
+    /// that is the point of the local backend (document near any CLI flag
+    /// that selects it).
     pub fn from_cluster_config(config: &ClusterConfig) -> Self {
         LocalBackend::with_throughput(
             config.workers,

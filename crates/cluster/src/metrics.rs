@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::pool::lock;
+use crate::lock;
 
 /// A span of virtual time, in seconds.
 ///
@@ -199,8 +199,6 @@ impl CommMetrics {
             recovery_time: VirtualDuration::from_secs_f64(*lock(&self.recovery_secs)),
             virtual_time: VirtualDuration::from_secs_f64(*lock(&self.clock_secs)),
             worker_busy_secs: lock(&self.worker_busy_secs).clone(),
-            pool_tasks_stolen: 0,
-            pool_max_queue_depth: 0,
             pool_idle_secs: *lock(&self.pool_idle_secs),
             net_heartbeats_missed: self.net_heartbeats_missed.load(Ordering::Relaxed),
             net_reconnects: self.net_reconnects.load(Ordering::Relaxed),
@@ -216,10 +214,10 @@ impl CommMetrics {
 /// A point-in-time copy of a cluster's [`CommMetrics`].
 ///
 /// Equality (`PartialEq`) covers every *deterministic* field — the ones the
-/// bit-identity contract pins across backends and thread counts. The
-/// observability fields (`pool_*`, `net_*`) depend on the host schedule
-/// or on injected wire faults and are excluded; see the manual impl
-/// below.
+/// bit-identity contract pins across backends and worker counts. The
+/// observability fields (`pool_idle_secs`, `net_*`) are excluded: the idle
+/// meter is observability-only, and the `net_*` fields depend on the host
+/// schedule or on injected wire faults; see the manual impl below.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Bytes moved by [`crate::Cluster::distribute`] (the one-off
@@ -270,15 +268,11 @@ pub struct MetricsSnapshot {
     pub virtual_time: VirtualDuration,
     /// Per-worker virtual busy time; the spread measures load balance.
     pub worker_busy_secs: Vec<f64>,
-    /// Work-stealing pool: jobs a compute thread stole from a sibling's
-    /// deque. Wall-clock statistic — nondeterministic, excluded from `==`.
-    pub pool_tasks_stolen: u64,
-    /// Work-stealing pool: high-water mark of any per-thread deque.
-    /// Wall-clock statistic — nondeterministic, excluded from `==`.
-    pub pool_max_queue_depth: u64,
     /// Virtual idle-seconds across workers (busy-time below each
-    /// superstep's makespan). Deterministic but observability-only;
-    /// excluded from `==` alongside the other pool fields.
+    /// superstep's makespan), exported as `pool.idle_virtual_secs`. A
+    /// virtual-clock meter, not thread-pool state: the name is kept
+    /// because counter names are stable API. Deterministic but
+    /// observability-only; excluded from `==`.
     pub pool_idle_secs: f64,
     /// Networked backend: heartbeat probes that timed out or errored.
     /// Wall-clock statistic — nondeterministic, excluded from `==`.
@@ -309,10 +303,10 @@ pub struct MetricsSnapshot {
 
 impl PartialEq for MetricsSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        // Deliberately NOT derived: the pool_*/net_* observability fields
-        // are outside the determinism contract (they vary with the host
-        // schedule or injected wire faults), so snapshot equality compares
-        // only the deterministic meters.
+        // Deliberately NOT derived: the idle meter and the net_*
+        // observability fields are outside the determinism contract (the
+        // net_* ones vary with the host schedule or injected wire faults),
+        // so snapshot equality compares only the deterministic meters.
         self.bytes_shuffled == other.bytes_shuffled
             && self.bytes_broadcast == other.bytes_broadcast
             && self.bytes_collected == other.bytes_collected
@@ -355,12 +349,6 @@ impl MetricsSnapshot {
             speculative_wins: self.speculative_wins - earlier.speculative_wins,
             recovery_time: self.recovery_time - earlier.recovery_time,
             virtual_time: self.virtual_time - earlier.virtual_time,
-            pool_tasks_stolen: self
-                .pool_tasks_stolen
-                .saturating_sub(earlier.pool_tasks_stolen),
-            // High-water marks don't difference meaningfully; keep the
-            // later absolute value.
-            pool_max_queue_depth: self.pool_max_queue_depth,
             pool_idle_secs: (self.pool_idle_secs - earlier.pool_idle_secs).max(0.0),
             net_heartbeats_missed: self
                 .net_heartbeats_missed
@@ -431,8 +419,6 @@ impl MetricsSnapshot {
             self.worker_busy_secs.iter().copied().fold(0.0, f64::max),
         ));
         out.extend([
-            ("pool.tasks_stolen", self.pool_tasks_stolen as f64),
-            ("pool.max_queue_depth", self.pool_max_queue_depth as f64),
             ("pool.idle_virtual_secs", self.pool_idle_secs),
             ("net.heartbeats_missed", self.net_heartbeats_missed as f64),
             ("net.reconnects", self.net_reconnects as f64),
@@ -542,8 +528,6 @@ mod tests {
         // The observability fields must not participate in equality: two
         // snapshots that differ only there still compare equal.
         let mut other = s.clone();
-        other.pool_tasks_stolen = 999;
-        other.pool_max_queue_depth = 42;
         other.pool_idle_secs = 0.0;
         other.net_heartbeats_missed = 7;
         other.net_reconnects = 3;
@@ -560,8 +544,6 @@ mod tests {
         // And they are all visible through the unified counter export.
         let names: Vec<&str> = s.named_counters().iter().map(|(n, _)| *n).collect();
         for name in [
-            "pool.tasks_stolen",
-            "pool.max_queue_depth",
             "pool.idle_virtual_secs",
             "net.heartbeats_missed",
             "net.reconnects",

@@ -53,11 +53,11 @@ use crate::config::ClusterConfig;
 use crate::engine::{AnyPart, ClusterError};
 use crate::executor::{BatchResult, TaskStat};
 use crate::fault::FaultPlan;
+use crate::lock;
 use crate::metrics::{CommMetrics, MetricsSnapshot};
 use crate::net::proto::{BatchReply, Frame};
 use crate::net::registry::intern_kernel_name;
 use crate::net::supervisor::{InFlight, Supervisor};
-use crate::pool::lock;
 use crate::scheduler::merge_superstep;
 use crate::storage::Broadcast;
 use dbtf_telemetry::KernelEvent;
@@ -189,14 +189,9 @@ impl NetBackend {
             plan.validate(config.workers);
         }
         let metrics = Arc::new(CommMetrics::new(config.workers));
-        let supervisor = Supervisor::start(
-            config.workers,
-            config.resolved_compute_threads(),
-            host,
-            tuning.clone(),
-            Arc::clone(&metrics),
-        )
-        .map_err(|e| ClusterError::Net(e.to_string()))?;
+        let supervisor =
+            Supervisor::start(config.workers, host, tuning.clone(), Arc::clone(&metrics))
+                .map_err(|e| ClusterError::Net(e.to_string()))?;
         let fault = config.fault_plan.clone().map(Arc::new);
         Ok(NetBackend {
             shared: Arc::new(NetShared {

@@ -55,8 +55,8 @@ pub(crate) struct BatchReply {
 pub(crate) enum Frame {
     /// Worker opens (or re-opens) its driver connection.
     Hello { worker: u64, incarnation: u64 },
-    /// Driver accepts the connection and configures the worker.
-    HelloAck { compute_threads: u64 },
+    /// Driver accepts the connection.
+    HelloAck,
     /// Install encoded partitions of a dataset (decode via `codec`).
     Store {
         req: u64,
@@ -240,10 +240,7 @@ impl Frame {
                 w.meta_u64(*worker);
                 w.meta_u64(*incarnation);
             }
-            Frame::HelloAck { compute_threads } => {
-                w.meta_u8(TAG_HELLO_ACK);
-                w.meta_u64(*compute_threads);
-            }
+            Frame::HelloAck => w.meta_u8(TAG_HELLO_ACK),
             Frame::Store {
                 req,
                 dataset,
@@ -340,9 +337,7 @@ impl Frame {
                 worker: r.meta_u64()?,
                 incarnation: r.meta_u64()?,
             },
-            TAG_HELLO_ACK => Frame::HelloAck {
-                compute_threads: r.meta_u64()?,
-            },
+            TAG_HELLO_ACK => Frame::HelloAck,
             TAG_STORE => Frame::Store {
                 req: r.meta_u64()?,
                 dataset: r.meta_u64()?,
@@ -450,7 +445,7 @@ mod tests {
             worker: 3,
             incarnation: 2,
         });
-        roundtrip(Frame::HelloAck { compute_threads: 4 });
+        roundtrip(Frame::HelloAck);
         roundtrip(Frame::Store {
             req: 9,
             dataset: 1,

@@ -9,9 +9,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use crate::lock;
 use crate::net::proto::Frame;
 use crate::net::supervisor::{Exchange, InFlight, RequestError};
-use crate::pool::lock;
 use crate::ClusterError;
 
 use super::NetShared;

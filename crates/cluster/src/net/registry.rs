@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use dbtf_wire::{EncodedFrame, Wire, WireNamed, WireResult};
 
-use crate::pool::lock;
+use crate::lock;
 use crate::task::TaskContext;
 
 /// A type-erased partition payload (mirrors the executor's `AnyPart`).

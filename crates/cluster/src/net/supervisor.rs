@@ -25,11 +25,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::lock;
 use crate::metrics::CommMetrics;
 use crate::net::proto::{read_frame, write_frame, Frame};
 use crate::net::registry::NetRegistry;
 use crate::net::worker::worker_main;
-use crate::pool::lock;
 
 /// How a networked worker is hosted.
 pub enum WorkerHost {
@@ -136,7 +136,6 @@ struct PendingConns {
 pub(crate) struct Supervisor {
     addr: SocketAddr,
     host: WorkerHost,
-    compute_threads: usize,
     tuning: NetTuning,
     slots: Arc<Vec<Mutex<WorkerSlot>>>,
     /// Per-worker "superstep in flight" flags; heartbeats skip busy
@@ -154,7 +153,6 @@ impl Supervisor {
     /// their handshakes, and starts the heartbeat monitor.
     pub(crate) fn start(
         workers: usize,
-        compute_threads: usize,
         host: WorkerHost,
         tuning: NetTuning,
         metrics: Arc<CommMetrics>,
@@ -176,7 +174,6 @@ impl Supervisor {
         let mut sup = Supervisor {
             addr,
             host,
-            compute_threads,
             tuning,
             slots: Arc::new(
                 (0..workers)
@@ -457,12 +454,7 @@ impl Supervisor {
         loop {
             if let Some(mut conn) = map.remove(&(w, incarnation)) {
                 drop(map);
-                match write_frame(
-                    &mut conn,
-                    &Frame::HelloAck {
-                        compute_threads: self.compute_threads as u64,
-                    },
-                ) {
+                match write_frame(&mut conn, &Frame::HelloAck) {
                     Ok(n) => {
                         self.metrics
                             .net_wire_overhead_bytes

@@ -3,10 +3,11 @@
 //! partitions, and executes registry tasks over them.
 //!
 //! Execution semantics are shared with the in-process backend by
-//! construction: batches run through the executor's `run_batch` (same
-//! compute-pool fan-out, same retry/panic handling, same deterministic
-//! merge order), so a networked superstep's reply is bit-identical to the
-//! simulated worker's.
+//! construction: batches run through the executor's `run_batch` (tasks
+//! inline in partition order, same retry/panic handling), so a networked
+//! superstep's reply is bit-identical to the simulated worker's. A
+//! `dbtf worker` process is single-threaded: it spawns no threads of its
+//! own.
 //!
 //! The worker is crash-oriented: any state it holds can be restored by
 //! the driver's lineage recovery, so on connection loss it simply
@@ -24,7 +25,6 @@ use crate::executor::run_batch;
 use crate::fault::FaultPlan;
 use crate::net::proto::{read_frame, write_frame, BatchReply, Frame, StatEntry};
 use crate::net::registry::{AnyPart, BroadcastStore, NetRegistry};
-use crate::pool::{ComputePool, PoolCounters};
 
 /// How long the worker keeps trying to (re)connect to the driver before
 /// giving up (the driver is normally already listening).
@@ -37,7 +37,6 @@ struct WorkerState {
     worker: usize,
     datasets: HashMap<u64, Vec<(usize, AnyPart)>>,
     bstore: BroadcastStore,
-    pool: Option<ComputePool>,
     /// Last `Run`/`Gather` reply, kept for resend dedup: a driver retry
     /// after a drop or timeout is answered from cache, never re-executed.
     cached_reply: Option<(u64, Frame)>,
@@ -64,7 +63,6 @@ pub fn worker_main(
         worker,
         datasets: HashMap::new(),
         bstore: BroadcastStore::new(),
-        pool: None,
         cached_reply: None,
     };
     loop {
@@ -77,19 +75,12 @@ pub fn worker_main(
             },
         )?;
         let (ack, _) = read_frame(&mut stream)?;
-        let Frame::HelloAck { compute_threads } = ack else {
+        let Frame::HelloAck = ack else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "expected HelloAck from driver",
             ));
         };
-        if state.pool.is_none() && compute_threads > 1 {
-            state.pool = Some(ComputePool::new(
-                worker,
-                compute_threads as usize,
-                Arc::new(PoolCounters::default()),
-            )?);
-        }
         match serve(&mut stream, &mut state, &registry) {
             Served::ConnLost => continue,
             Served::Exit => return Ok(()),
@@ -300,8 +291,8 @@ fn run_request(
     });
     let body = factory(params, &state.bstore)
         .unwrap_or_else(|e| panic!("task {name:?} rejected its parameter frame: {}", e.0));
-    let task: Arc<TaskFn> =
-        Arc::new(move |idx, part, ctx| Box::new(body(idx, part, ctx)) as AnyPart);
+    let task: Box<TaskFn> =
+        Box::new(move |idx, part, ctx| Box::new(body(idx, part, ctx)) as AnyPart);
     let faults: Option<TaskFaults> = (failure_rate > 0.0).then(|| {
         (
             Arc::new(FaultPlan {
@@ -312,18 +303,11 @@ fn run_request(
             step,
         )
     });
-    let parts = state.datasets.remove(&dataset).unwrap_or_default();
-    let (batch, parts) = run_batch(
-        state.worker,
-        parts,
-        &task,
-        faults.as_ref(),
-        state.pool.as_ref(),
-        capture,
-    );
-    if !parts.is_empty() {
-        state.datasets.insert(dataset, parts);
-    }
+    let parts = state
+        .datasets
+        .get_mut(&dataset)
+        .map_or(&mut [][..], Vec::as_mut_slice);
+    let batch = run_batch(state.worker, parts, task.as_ref(), faults.as_ref(), capture);
     BatchReply {
         worker: batch.worker as u64,
         results: batch

@@ -109,7 +109,7 @@ impl OpRecord {
     /// partition count, Lemma 6/7 byte counters, ops, and task count.
     ///
     /// Two runs of the same algorithm produce equal fingerprints per
-    /// operator regardless of backend, thread count, or fault plan — the
+    /// operator regardless of backend, worker schedule, or fault plan — the
     /// behavior-preservation invariant in testable form.
     pub fn fingerprint(&self) -> String {
         format!(
@@ -145,7 +145,7 @@ impl PlanTrace {
     }
 
     /// Per-operator [`OpRecord::fingerprint`]s joined by newlines —
-    /// equal across backends, thread counts, and fault plans for the same
+    /// equal across backends, runs, and fault plans for the same
     /// algorithm run.
     pub fn fingerprint(&self) -> String {
         let lines: Vec<String> = self.ops.iter().map(OpRecord::fingerprint).collect();

@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::engine::{AnyPart, Cluster, RebuildFn, TaskFaults, TaskFn};
 use crate::executor::{BatchResult, WorkerMsg};
+use crate::lock;
 use crate::plan::{OpKind, OpRecord, PlanTrace};
-use crate::pool::lock;
 use crate::storage::{Broadcast, DatasetState, DistVec};
 use crate::task::TaskContext;
 use dbtf_telemetry::{SpanKind, Tracer};
@@ -168,13 +168,11 @@ impl Cluster {
     /// partition (mutation persists — the dataset is cached), and the
     /// [`TaskContext`] for cost accounting.
     ///
-    /// Each worker fans its local partitions out across
-    /// [`crate::ClusterConfig::resolved_compute_threads`] compute threads
-    /// (`cores_per_worker` by default), so a multi-partition superstep uses
-    /// real intra-worker parallelism. Results are merged back in partition
-    /// order and the ops/bytes accounting is reduced in a fixed order, so
-    /// outputs and all virtual-time metrics are bit-identical for every
-    /// thread count.
+    /// Each worker runs its local partitions inline, in partition order, on
+    /// its own thread, so the workers compute concurrently. Results are
+    /// merged back in partition order and the ops/bytes accounting is
+    /// reduced in a fixed order, so outputs and all virtual-time metrics
+    /// are bit-identical for every worker count.
     ///
     /// With a [`crate::FaultPlan`] active, scheduled worker crashes are
     /// injected (and recovered from) at the superstep boundary, transient
@@ -388,7 +386,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     }
 
     /// Builds the span tree for one executed operator. Every annotation is
-    /// a metering delta (bit-identical across thread counts and, excluding
+    /// a metering delta (bit-identical across worker counts and, excluding
     /// virtual stamps, across backends), so traces inherit the engine's
     /// determinism contract.
     fn record_op_spans(

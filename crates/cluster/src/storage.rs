@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use crate::engine::{Cluster, Inner, RebuildFn, TaskFn};
 use crate::executor::WorkerMsg;
-use crate::pool::lock;
+use crate::lock;
 
 /// Driver-side lineage record of one distributed dataset.
 pub(crate) struct DatasetState {

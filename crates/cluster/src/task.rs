@@ -15,8 +15,8 @@ use dbtf_telemetry::KernelEvent;
 /// [`TaskContext::charge_kernel`] so the span layer can attribute ops to
 /// individual kernel calls. The events are buffered here — one buffer per
 /// task, never shared across threads — and merged by the driver in
-/// partition order, which keeps traces deterministic under any
-/// `compute_threads` setting.
+/// partition order, which keeps traces deterministic under any worker
+/// count.
 #[derive(Debug)]
 pub struct TaskContext {
     worker_id: usize,

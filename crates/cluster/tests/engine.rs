@@ -230,40 +230,10 @@ fn stragglers_dominate_makespan() {
 }
 
 #[test]
-fn compute_threads_do_not_change_results_or_metrics() {
-    let run = |threads: usize| {
-        let cluster = Cluster::new(ClusterConfig {
-            workers: 2,
-            cores_per_worker: 4,
-            compute_threads: Some(threads),
-            core_throughput_ops_per_sec: 1e6,
-            ..ClusterConfig::default()
-        });
-        let data = cluster.distribute((0..13u64).map(|v| (v, 8)).collect());
-        let mut outs = Vec::new();
-        for round in 0..3u64 {
-            outs.push(cluster.map_partitions(&data, move |idx, v, ctx| {
-                ctx.charge((idx as u64 + 1) * 1_000 * (round + 1));
-                ctx.set_result_bytes(idx as u64);
-                *v = v.wrapping_mul(31).wrapping_add(round);
-                *v
-            }));
-        }
-        (outs, cluster.gather(&data), cluster.metrics())
-    };
-    let (o1, g1, m1) = run(1);
-    let (o4, g4, m4) = run(4);
-    assert_eq!(o1, o4);
-    assert_eq!(g1, g4);
-    assert_eq!(m1, m4, "virtual-time metrics must not depend on threads");
-}
-
-#[test]
 fn task_panic_surfaces_cleanly_and_worker_survives() {
     let cluster = Cluster::new(ClusterConfig {
         workers: 2,
         cores_per_worker: 4,
-        compute_threads: Some(4),
         core_throughput_ops_per_sec: 1e6,
         network: NetworkModel::free(),
         ..ClusterConfig::default()
@@ -296,7 +266,6 @@ fn task_panic_surfaces_with_single_compute_thread() {
     let cluster = Cluster::new(ClusterConfig {
         workers: 1,
         cores_per_worker: 2,
-        compute_threads: Some(1),
         core_throughput_ops_per_sec: 1e6,
         ..ClusterConfig::default()
     });
@@ -319,7 +288,6 @@ fn non_string_panic_payload_surfaces_cleanly() {
     let cluster = Cluster::new(ClusterConfig {
         workers: 2,
         cores_per_worker: 2,
-        compute_threads: Some(2),
         network: NetworkModel::free(),
         ..ClusterConfig::default()
     });
@@ -364,7 +332,6 @@ fn mixed_panic_kinds_keep_deterministic_order() {
         let cluster = Cluster::new(ClusterConfig {
             workers: 3,
             cores_per_worker: 4,
-            compute_threads: Some(4),
             network: NetworkModel::free(),
             ..ClusterConfig::default()
         });
@@ -685,79 +652,6 @@ fn distribute_with_lineage_rebuild_closure_is_used() {
     let m = cluster.metrics();
     assert_eq!(m.worker_respawns, 1);
     assert_eq!(m.partitions_recomputed, 3);
-}
-
-/// Many tiny, wildly uneven tasks across every thread count: the
-/// work-stealing pool must produce identical results and identical
-/// virtual-time metrics regardless of how the host schedules the deques.
-#[test]
-fn queue_contention_under_uneven_tiny_tasks() {
-    let run = |threads: usize| {
-        let cluster = Cluster::new(ClusterConfig {
-            workers: 2,
-            cores_per_worker: 4,
-            compute_threads: Some(threads),
-            core_throughput_ops_per_sec: 1e6,
-            ..ClusterConfig::default()
-        });
-        let data = cluster.distribute((0..64u64).map(|v| (v, 8)).collect());
-        let mut outs = Vec::new();
-        for round in 0..5u64 {
-            outs.push(cluster.map_partitions(&data, move |idx, v, ctx| {
-                // Cost spans three orders of magnitude and shifts per
-                // round, so static round-robin placement is maximally
-                // unfair — only stealing balances it.
-                let cost = if idx % 7 == 0 {
-                    100_000
-                } else {
-                    37 + idx as u64
-                };
-                ctx.charge(cost * (round + 1));
-                *v = v.wrapping_mul(6364136223846793005).wrapping_add(round);
-                *v
-            }));
-        }
-        (outs, cluster.gather(&data), cluster.metrics())
-    };
-    let (o1, g1, m1) = run(1);
-    for threads in [2usize, 4, 8] {
-        let (o, g, m) = run(threads);
-        assert_eq!(o, o1, "{threads} threads");
-        assert_eq!(g, g1, "{threads} threads");
-        assert_eq!(m, m1, "{threads} threads");
-    }
-}
-
-/// With one monster task pinned to thread 0's deque and plenty of small
-/// ones behind it, the sibling thread must actually steal.
-#[test]
-fn idle_threads_steal_queued_work() {
-    let cluster = Cluster::new(ClusterConfig {
-        workers: 1,
-        cores_per_worker: 2,
-        compute_threads: Some(2),
-        core_throughput_ops_per_sec: 1e6,
-        ..ClusterConfig::default()
-    });
-    let data = cluster.distribute((0..32u64).map(|v| (v, 8)).collect());
-    for _ in 0..20 {
-        cluster.map_partitions(&data, |idx, _v: &mut u64, ctx| {
-            ctx.charge(1);
-            if idx == 0 {
-                // Hold thread 0 long enough that its queued jobs are
-                // visibly up for grabs.
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        });
-    }
-    let m = cluster.metrics();
-    assert!(
-        m.pool_tasks_stolen >= 1,
-        "expected at least one steal, counters: stolen={} max_depth={}",
-        m.pool_tasks_stolen,
-        m.pool_max_queue_depth
-    );
-    assert!(m.pool_max_queue_depth >= 1);
 }
 
 #[test]

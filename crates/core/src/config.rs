@@ -14,7 +14,7 @@ pub enum DbtfError {
     /// is.
     Checkpoint(String),
     /// Booting the execution engine failed (e.g. the OS refused to spawn a
-    /// worker's compute-pool threads). Carries the rendered engine error;
+    /// worker thread). Carries the rendered engine error;
     /// the variant stores a `String` because this enum is `Clone + Eq` and
     /// the underlying `std::io::Error` is neither.
     Engine(String),

@@ -13,7 +13,7 @@
 //!   formulas checked against the engine's byte meters, plus recovery-
 //!   counter consistency.
 //! - [`runner`]: the differential runner — one seed pins a
-//!   `(tensor, rank, config, backend, thread-count, fault-plan)` point;
+//!   `(tensor, rank, config, backend, storage, fault-plan)` point;
 //!   the pipeline runs under the sequential reference, the cluster
 //!   backend, the local backend and a fault-injected replica, and every
 //!   oracle plus bit-identity/plan-fingerprint/checkpoint-resume

@@ -1,7 +1,7 @@
 //! Sweep aggregation and JSON reporting.
 //!
 //! [`SweepReport`] collects the [`PointReport`]s of a sweep, tracks the
-//! diversity of what actually ran (backends, thread counts, fault plans —
+//! diversity of what actually ran (backends, checkpoints, fault plans —
 //! a sweep that never sampled a fault tested less than it claims), and
 //! serializes to a small hand-written JSON document for CI artifacts.
 
@@ -35,10 +35,10 @@ impl SweepReport {
         self.violations() == 0
     }
 
-    /// Diversity counters: `(faulty, crashed, multi_worker, single_thread,
-    /// checkpointed, tucker)` point counts.
-    pub fn diversity(&self) -> [usize; 6] {
-        let mut d = [0; 6];
+    /// Diversity counters: `(faulty, crashed, multi_worker, checkpointed,
+    /// tucker)` point counts.
+    pub fn diversity(&self) -> [usize; 5] {
+        let mut d = [0; 5];
         for p in &self.points {
             let s = &p.point;
             d[0] += usize::from(s.fault_plan.is_some());
@@ -48,26 +48,24 @@ impl SweepReport {
                     .is_some_and(|f| !f.worker_crashes.is_empty()),
             );
             d[2] += usize::from(s.workers > 1);
-            d[3] += usize::from(s.compute_threads == Some(1));
-            d[4] += usize::from(s.check_checkpoint);
-            d[5] += usize::from(s.check_tucker);
+            d[3] += usize::from(s.check_checkpoint);
+            d[4] += usize::from(s.check_tucker);
         }
         d
     }
 
     /// One-line human summary.
     pub fn summary(&self) -> String {
-        let [faulty, crashed, multi, serial, ckpt, tucker] = self.diversity();
+        let [faulty, crashed, multi, ckpt, tucker] = self.diversity();
         format!(
             "{}/{} points passed, {} violation(s); diversity: {} faulty ({} with crashes), \
-             {} multi-worker, {} single-thread, {} checkpointed, {} tucker",
+             {} multi-worker, {} checkpointed, {} tucker",
             self.passed(),
             self.points.len(),
             self.violations(),
             faulty,
             crashed,
             multi,
-            serial,
             ckpt,
             tucker,
         )
@@ -80,11 +78,10 @@ impl SweepReport {
         out.push_str(&format!("  \"points\": {},\n", self.points.len()));
         out.push_str(&format!("  \"passed\": {},\n", self.passed()));
         out.push_str(&format!("  \"violations\": {},\n", self.violations()));
-        let [faulty, crashed, multi, serial, ckpt, tucker] = self.diversity();
+        let [faulty, crashed, multi, ckpt, tucker] = self.diversity();
         out.push_str(&format!(
             "  \"diversity\": {{\"faulty\": {faulty}, \"crashed\": {crashed}, \
-             \"multi_worker\": {multi}, \"single_thread\": {serial}, \
-             \"checkpointed\": {ckpt}, \"tucker\": {tucker}}},\n"
+             \"multi_worker\": {multi}, \"checkpointed\": {ckpt}, \"tucker\": {tucker}}},\n"
         ));
         out.push_str("  \"results\": [\n");
         for (i, p) in self.points.iter().enumerate() {

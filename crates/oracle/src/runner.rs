@@ -2,7 +2,7 @@
 //! configuration → every oracle and engine invariant checked at once.
 //!
 //! A [`SamplePoint`] pins a `(tensor family, rank, config, backend shape,
-//! thread count, fault plan)` tuple from a single `u64`. [`run_point`]
+//! storage, fault plan)` tuple from a single `u64`. [`run_point`]
 //! then executes the full DBTF pipeline several times over and returns
 //! the list of violations:
 //!
@@ -51,8 +51,6 @@ pub struct SamplePoint {
     pub workers: usize,
     /// Cores per worker (drives default partitioning and virtual time).
     pub cores_per_worker: usize,
-    /// Real compute-thread override (`None` = one thread per core).
-    pub compute_threads: Option<usize>,
     /// Fault plan for the fault-injected replica run (`None` on half the
     /// points; the fault-free runs never see it).
     pub fault_plan: Option<FaultPlan>,
@@ -70,7 +68,10 @@ impl SamplePoint {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0D1F_F3A1);
         let workers = rng.gen_range(1..=4usize);
         let cores_per_worker = rng.gen_range(1..=4usize);
-        let compute_threads = *pick(&mut rng, &[None, Some(1), Some(2)]);
+        // Discarded draw: this slot once picked a compute-thread count.
+        // Drawing it still keeps every later coordinate, and so every
+        // seed's point, the same as before that axis went away.
+        let _ = rng.gen_range(0..3usize);
         let partitions = *pick(&mut rng, &[None, Some(1), Some(2), Some(4), Some(8)]);
         let config = DbtfConfig {
             rank: rng.gen_range(2..=6),
@@ -118,7 +119,6 @@ impl SamplePoint {
             config,
             workers,
             cores_per_worker,
-            compute_threads,
             fault_plan,
             check_checkpoint: seed.is_multiple_of(3),
             check_tucker: seed.is_multiple_of(4),
@@ -128,7 +128,7 @@ impl SamplePoint {
     /// Short human-readable descriptor for reports.
     pub fn describe(&self) -> String {
         format!(
-            "{} rank={} iters={} sets={} parts={:?} {}w×{}c threads={:?} storage={} faults={} ckpt={} tucker={}",
+            "{} rank={} iters={} sets={} parts={:?} {}w×{}c storage={} faults={} ckpt={} tucker={}",
             self.family.describe(),
             self.config.rank,
             self.config.max_iters,
@@ -136,7 +136,6 @@ impl SamplePoint {
             self.config.partitions,
             self.workers,
             self.cores_per_worker,
-            self.compute_threads,
             self.config.storage,
             self.fault_plan.is_some(),
             self.check_checkpoint,
@@ -186,7 +185,6 @@ pub fn run_point(point: &SamplePoint) -> PointReport {
     let cluster = Cluster::new(ClusterConfig {
         workers: point.workers,
         cores_per_worker: point.cores_per_worker,
-        compute_threads: point.compute_threads,
         ..ClusterConfig::default()
     });
     let tracer = Tracer::enabled();
@@ -355,7 +353,6 @@ fn check_storage_differential(
         let cluster = Cluster::new(ClusterConfig {
             workers: point.workers,
             cores_per_worker: point.cores_per_worker,
-            compute_threads: point.compute_threads,
             fault_plan,
             ..ClusterConfig::default()
         });
@@ -388,7 +385,6 @@ fn run_faulty_replica(
     let cluster = Cluster::new(ClusterConfig {
         workers: point.workers,
         cores_per_worker: point.cores_per_worker,
-        compute_threads: point.compute_threads,
         fault_plan: Some(plan.clone()),
         ..ClusterConfig::default()
     });
@@ -438,7 +434,6 @@ fn check_checkpoint_resume(v: &mut Vec<String>, point: &SamplePoint, x: &BoolTen
     let cluster = Cluster::new(ClusterConfig {
         workers: point.workers,
         cores_per_worker: point.cores_per_worker,
-        compute_threads: point.compute_threads,
         ..ClusterConfig::default()
     });
     let full = match factorize_traced(&cluster, x, &full_config) {
@@ -529,7 +524,6 @@ fn check_tucker(v: &mut Vec<String>, point: &SamplePoint, x: &BoolTensor) {
     let cluster = Cluster::new(ClusterConfig {
         workers: point.workers,
         cores_per_worker: point.cores_per_worker,
-        compute_threads: point.compute_threads,
         ..ClusterConfig::default()
     });
     let (cluster_result, cluster_trace) =
@@ -595,8 +589,6 @@ mod tests {
         assert!(points.iter().any(|p| p.fault_plan.is_none()));
         assert!(points.iter().any(|p| p.workers == 1));
         assert!(points.iter().any(|p| p.workers > 1));
-        assert!(points.iter().any(|p| p.compute_threads == Some(1)));
-        assert!(points.iter().any(|p| p.compute_threads.is_none()));
         assert!(points.iter().any(|p| p.check_tucker));
         assert!(points.iter().any(|p| p.check_checkpoint));
         assert!(points.iter().any(|p| p.config.storage == StorageKind::Mmap));

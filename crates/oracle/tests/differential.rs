@@ -9,8 +9,8 @@ use dbtf_oracle::{run_point, SamplePoint, SweepReport};
 
 /// Seeds chosen so the slice covers all the sampled dimensions: both
 /// tensor families, fault-free and fault-injected points (with at least
-/// one worker crash), single- and multi-worker backends, thread-count
-/// overrides, checkpoint/resume, and Tucker.
+/// one worker crash), single- and multi-worker backends,
+/// checkpoint/resume, and Tucker.
 const SLICE_SEEDS: std::ops::Range<u64> = 0..12;
 
 #[test]
@@ -21,7 +21,7 @@ fn fixed_seed_slice_has_zero_violations() {
     }
     // The slice must actually exercise the interesting axes, or a green
     // run proves much less than it appears to.
-    let [faulty, crashed, multi_worker, _single_thread, checkpointed, tucker] = report.diversity();
+    let [faulty, crashed, multi_worker, checkpointed, tucker] = report.diversity();
     assert!(faulty >= 2, "{}", report.summary());
     assert!(crashed >= 1, "{}", report.summary());
     assert!(multi_worker >= 2, "{}", report.summary());

@@ -58,6 +58,8 @@ pub struct ServeMetrics {
     pub batch_limit_errors: AtomicU64,
     /// `draining` errors returned (request arrived during shutdown).
     pub draining_errors: AtomicU64,
+    /// `busy` errors returned (connection refused at the connection cap).
+    pub busy_errors: AtomicU64,
     /// `reload` requests received (ok or error).
     pub reload_requests: AtomicU64,
     /// `reload` errors returned (unopenable store, dims mismatch).
@@ -93,6 +95,7 @@ impl ServeMetrics {
             "oversized" => &self.oversized_errors,
             "batch_limit" => &self.batch_limit_errors,
             "draining" => &self.draining_errors,
+            "busy" => &self.busy_errors,
             "reload" => &self.reload_errors,
             _ => &self.parse_errors,
         };
@@ -129,6 +132,7 @@ impl ServeMetrics {
             ("serve.errors.oversized", get(&self.oversized_errors)),
             ("serve.errors.batch_limit", get(&self.batch_limit_errors)),
             ("serve.errors.draining", get(&self.draining_errors)),
+            ("serve.errors.busy", get(&self.busy_errors)),
             ("serve.reload.requests", get(&self.reload_requests)),
             ("serve.reload.errors", get(&self.reload_errors)),
         ]
@@ -157,6 +161,7 @@ mod tests {
             "oversized",
             "batch_limit",
             "draining",
+            "busy",
             "reload",
         ] {
             m.count_error(code);
@@ -170,6 +175,7 @@ mod tests {
             "serve.errors.oversized",
             "serve.errors.batch_limit",
             "serve.errors.draining",
+            "serve.errors.busy",
             "serve.reload.errors",
         ] {
             assert_eq!(counters[name], 1.0, "{name}");

@@ -24,7 +24,7 @@
 //! Failures follow the `crates/wire` discipline: every malformed input
 //! maps to a typed [`RequestError`] with a stable machine-readable
 //! `code` — `parse`, `bad_request`, `unknown_query`, `out_of_range`,
-//! `oversized`, `batch_limit`, `draining` — returned as
+//! `oversized`, `batch_limit`, `draining`, `busy` — returned as
 //! `{"ok":false,"code":...,"error":...}`, and hard limits
 //! ([`ServeLimits`]) fail fast before any large allocation.
 
@@ -169,6 +169,14 @@ impl RequestError {
         RequestError {
             code: "draining",
             message: "server is draining; connection closing".into(),
+        }
+    }
+    /// The server already holds `limit` open connections; this one is
+    /// refused and closed.
+    pub fn busy(limit: usize) -> RequestError {
+        RequestError {
+            code: "busy",
+            message: format!("server is at its limit of {limit} connections; connection closing"),
         }
     }
 }

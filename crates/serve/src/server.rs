@@ -1,12 +1,14 @@
 //! The `dbtf serve` TCP server: one accept loop, one thread per
-//! connection, line-delimited JSON in and out.
+//! connection up to [`MAX_CONNECTIONS`], line-delimited JSON in and out.
 //!
 //! Connection discipline follows the `crates/cluster/net` listener:
 //! `TCP_NODELAY` on every socket, hard input limits enforced *while*
 //! reading (an oversized line is rejected after `max_line_bytes` bytes,
 //! not buffered to completion), and every failure mode mapped to a typed
 //! reply — a malformed line gets `{"ok":false,"code":"parse",...}`, not
-//! a dropped connection.
+//! a dropped connection. A connection beyond the cap gets one `busy`
+//! reply and is closed without a thread, so outside clients cannot claim
+//! threads and line buffers without bound.
 //!
 //! Shutdown drains. A `shutdown` request (or [`ServerHandle::shutdown`])
 //! sets the draining flag; the accept loop is woken by a self-connect
@@ -26,6 +28,10 @@ use crate::engine::QueryEngine;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{self, parse_line, Request, RequestError, ServeLimits};
 use crate::store::{FactorStore, SourceKind};
+
+/// Most connections served at once. Each holds a thread and may buffer a
+/// line of up to [`ServeLimits::max_line_bytes`].
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// How a server should listen and bound its inputs.
 #[derive(Clone, Debug)]
@@ -170,12 +176,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match stream {
+        let mut stream = match stream {
             Ok(stream) => stream,
             Err(_) => continue,
         };
         {
             let mut active = shared.active.lock().unwrap();
+            if *active >= MAX_CONNECTIONS {
+                drop(active);
+                // A fresh socket's send buffer takes this one short line
+                // without blocking the accept loop.
+                let err = RequestError::busy(MAX_CONNECTIONS);
+                shared.metrics().count_error(err.code);
+                let _ = stream.set_nodelay(true);
+                let _ = writeln_flush(&mut stream, &protocol::reply_error(None, &err));
+                continue;
+            }
             *active += 1;
         }
         ServeMetrics::add(&shared.metrics().connections_opened, 1);

@@ -2,10 +2,13 @@
 //! produce a typed error (or a clean close) — never a panic, never a
 //! wedged server. Each test finishes by proving the server still drains.
 
+use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use dbtf::{random_factor_sets, DbtfConfig, FactorSet};
+use dbtf_serve::server::MAX_CONNECTIONS;
 use dbtf_serve::{
     ClientError, FactorStore, QueryMix, Request, SeededQueries, ServeClient, ServeHarness,
     ServeLimits, ServerConfig,
@@ -298,6 +301,38 @@ fn drain_refuses_new_queries_but_acknowledges() {
         }
     }
     assert!(harness.shutdown(), "drain completes");
+}
+
+/// Past the connection cap a client gets one typed `busy` line and a
+/// close; once a held connection goes away, new clients are served again.
+#[test]
+fn connections_past_the_cap_get_busy_then_close() {
+    let harness = harness();
+    let mut held: Vec<ServeClient> = (0..MAX_CONNECTIONS).map(|_| harness.client()).collect();
+    // A raw socket with a read timeout, so a server without the cap fails
+    // this test instead of hanging it.
+    let refused = TcpStream::connect(harness.addr()).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(refused);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a busy reply");
+    assert!(line.contains("\"ok\":false"), "{line:?}");
+    assert!(line.contains("\"code\":\"busy\""), "{line:?}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then EOF");
+    assert_eq!(harness.metrics().busy_errors.load(Ordering::Relaxed), 1);
+    assert!(held[0].ping().is_ok(), "held connections are still served");
+
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while harness.client().ping().is_err() {
+        assert!(Instant::now() < deadline, "no slot freed after a close");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(held);
+    assert!(harness.shutdown());
 }
 
 #[test]

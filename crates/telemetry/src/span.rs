@@ -8,14 +8,14 @@
 //!
 //! - the **virtual axis** (`virtual_start` / `virtual_end`, seconds of the
 //!   engine's simulated cluster time) — fully deterministic: bit-identical
-//!   across compute-thread counts and, structurally, across backends;
+//!   from run to run and, structurally, across backends;
 //! - the **wall axis** (`wall_start` / `wall_end`, host seconds since the
 //!   tracer was created) — real time, excluded from every fingerprint.
 //!
 //! Determinism contract: spans are recorded only from the driver thread.
-//! Worker-side kernel events are buffered per task (one buffer per compute
-//! thread, by construction) and merged in partition order before any span
-//! is created, so the span sequence is independent of thread scheduling.
+//! Worker-side kernel events are buffered per task (one buffer per task,
+//! by construction) and merged in partition order before any span is
+//! created, so the span sequence is independent of thread scheduling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -54,8 +54,8 @@ impl std::fmt::Display for SpanKind {
 
 /// One kernel call recorded inside a partition task.
 ///
-/// Buffered in the task's `TaskContext` scratch (one buffer per compute
-/// thread by construction) and merged deterministically by partition
+/// Buffered in the task's `TaskContext` scratch (one buffer per task by
+/// construction) and merged deterministically by partition
 /// index — never written to shared state from a worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelEvent {
@@ -299,8 +299,8 @@ impl TraceLog {
 
     /// The **structural** fingerprint: kind, name, tree position, worker,
     /// partition, and the deterministic args of every span — no wall *or*
-    /// virtual timestamps. Identical across execution backends,
-    /// compute-thread counts, and fault plans for the same algorithm run.
+    /// virtual timestamps. Identical across execution backends, runs, and
+    /// fault plans for the same algorithm run.
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
         self.write_fingerprint(&mut out, false);
@@ -309,8 +309,8 @@ impl TraceLog {
 
     /// The **virtual-axis** fingerprint: the structural fingerprint plus
     /// the exact bit patterns of every span's virtual start/end. Identical
-    /// across compute-thread counts and fault-free runs on the *same*
-    /// backend (backends differ in network costing, so use
+    /// across fault-free runs on the *same* backend (backends differ in
+    /// network costing, so use
     /// [`TraceLog::fingerprint`] to compare across backends).
     pub fn fingerprint_virtual(&self) -> String {
         let mut out = String::new();

@@ -43,12 +43,6 @@ if [ -d "$dir/spill" ] && [ -n "$(ls -A "$dir/spill")" ]; then
   exit 1
 fi
 
-echo "ooc_smoke: DBTF_STORAGE env selects mmap too..."
-DBTF_STORAGE=mmap $dbtf factorize --input "$dir/x.dbtf" --rank 4 --iters 3 \
-  --workers 3 --seed 7 > "$dir/env.out"
-grep -q "^storage: mmap" "$dir/env.out"
-grep -v "^storage: mmap" "$dir/env.out" | diff "$dir/ram.out" -
-
 echo "ooc_smoke: scaling_memory bench (smoke size, scratch kept for stats)..."
 cargo run --release -q -p dbtf-bench --bin scaling_memory -- \
   --dim 64 --density 0.05 --budget-mb 1 --partitions 8 \

@@ -5,9 +5,9 @@
 //! The invariant under test: for a fixed `(config, x)`, the executed plan
 //! (operator sequence with byte/op annotations, compared via
 //! [`PlanTrace::fingerprint`]) and every algorithmic output are
-//! bit-identical across execution backends, compute-thread counts, and
-//! fault plans. Virtual time is pinned too — down to the exact `f64` bit
-//! pattern — on the cluster backend, where the network model applies.
+//! bit-identical across execution backends, runs, and fault plans.
+//! Virtual time is pinned too — down to the exact `f64` bit pattern — on
+//! the cluster backend, where the network model applies.
 
 use dbtf::tucker::TuckerConfig;
 use dbtf::tucker_distributed::tucker_factorize_distributed_traced;
@@ -61,13 +61,9 @@ fn cp_config() -> DbtfConfig {
     }
 }
 
-fn cp_on_cluster(
-    compute_threads: Option<usize>,
-    plan: Option<FaultPlan>,
-) -> (DbtfResult, PlanTrace, MetricsSnapshot) {
+fn cp_on_cluster(plan: Option<FaultPlan>) -> (DbtfResult, PlanTrace, MetricsSnapshot) {
     let cluster = Cluster::new(ClusterConfig {
         workers: 3,
-        compute_threads,
         fault_plan: plan,
         ..ClusterConfig::default()
     });
@@ -92,7 +88,7 @@ fn assert_cp_golden(result: &DbtfResult, m: &MetricsSnapshot, what: &str) {
 
 #[test]
 fn cp_cluster_matches_pre_refactor_golden() {
-    let (result, trace, m) = cp_on_cluster(None, None);
+    let (result, trace, m) = cp_on_cluster(None);
     assert_cp_golden(&result, &m, "cluster");
     // Virtual time pinned to the bit: the plan path must charge exactly
     // the pre-refactor network + compute costs, in the same order.
@@ -117,7 +113,7 @@ fn cp_cluster_matches_pre_refactor_golden() {
 
 #[test]
 fn cp_local_backend_is_metering_identical_to_cluster() {
-    let (cluster_result, cluster_trace, cluster_m) = cp_on_cluster(None, None);
+    let (cluster_result, cluster_trace, cluster_m) = cp_on_cluster(None);
 
     let backend = LocalBackend::new(3, 8); // same worker/core shape as the cluster above
     let (local_result, local_trace) =
@@ -135,28 +131,27 @@ fn cp_local_backend_is_metering_identical_to_cluster() {
     assert!(local_m.virtual_time.as_secs_f64() > 0.0);
 }
 
+/// Each worker is one thread, and a superstep's replies reach the driver
+/// in whatever order the host schedules those threads; the executed plan
+/// must not depend on that order.
 #[test]
 fn cp_plan_is_invariant_across_thread_counts() {
-    let (_, baseline, _) = cp_on_cluster(Some(1), None);
-    for threads in [2usize, 4] {
-        let (_, trace, _) = cp_on_cluster(Some(threads), None);
-        assert_eq!(
-            trace.fingerprint(),
-            baseline.fingerprint(),
-            "{threads} compute threads"
-        );
+    let (_, baseline, _) = cp_on_cluster(None);
+    for run in 1..=2 {
+        let (_, trace, _) = cp_on_cluster(None);
+        assert_eq!(trace.fingerprint(), baseline.fingerprint(), "rerun {run}");
     }
 }
 
 #[test]
 fn cp_plan_is_invariant_under_faults_with_recovery_visible_in_trace() {
-    let (clean_result, clean_trace, _) = cp_on_cluster(None, None);
+    let (clean_result, clean_trace, _) = cp_on_cluster(None);
     let plan = FaultPlan {
         worker_crashes: vec![(20, 2), (45, 0)],
         task_failure_rate: 0.05,
         ..FaultPlan::with_seed(99)
     };
-    let (faulty_result, faulty_trace, faulty_m) = cp_on_cluster(None, Some(plan));
+    let (faulty_result, faulty_trace, faulty_m) = cp_on_cluster(Some(plan));
 
     assert_cp_golden(&faulty_result, &faulty_m, "faulty");
     assert_eq!(faulty_result.factors, clean_result.factors);
@@ -264,8 +259,8 @@ fn tucker_matches_golden_and_backends_agree() {
 }
 
 /// The Tucker driver's plan trace (and its bit-exact outputs) must be
-/// invariant across compute-thread counts and fault plans on the cluster
-/// backend — the same contract `cp_*_invariant` pins for the CP driver.
+/// invariant across fault plans on the cluster backend — the same
+/// contract `cp_*_invariant` pins for the CP driver.
 #[test]
 fn tucker_trace_invariant_across_threads_and_faults() {
     let xt = uniform_random([12, 10, 8], 0.2, 11);
@@ -276,13 +271,12 @@ fn tucker_trace_invariant_across_threads_and_faults() {
         seed: 5,
         ..TuckerConfig::default()
     };
-    let run = |compute_threads: Option<usize>, plan: Option<FaultPlan>| {
+    let run = |plan: Option<FaultPlan>| {
         let expect_respawns = plan.as_ref().is_some_and(|p| !p.worker_crashes.is_empty());
         let expect_retries = plan.as_ref().is_some_and(|p| p.task_failure_rate > 0.0);
         let cluster = Cluster::new(ClusterConfig {
             workers: 2,
             cores_per_worker: 2,
-            compute_threads,
             fault_plan: plan,
             ..ClusterConfig::default()
         });
@@ -299,7 +293,7 @@ fn tucker_trace_invariant_across_threads_and_faults() {
         (result, trace)
     };
 
-    let (base_result, base_trace) = run(None, None);
+    let (base_result, base_trace) = run(None);
     assert_eq!(base_result.error, TUCKER_ERROR);
     let crashy = FaultPlan {
         worker_crashes: vec![(4, 1)],
@@ -310,13 +304,8 @@ fn tucker_trace_invariant_across_threads_and_faults() {
         max_task_attempts: 16,
         ..FaultPlan::with_seed(3)
     };
-    for (threads, plan, what) in [
-        (Some(1), None, "serial"),
-        (Some(3), None, "3 threads"),
-        (None, Some(crashy), "worker crash"),
-        (Some(1), Some(flaky), "serial + transient task failures"),
-    ] {
-        let (result, trace) = run(threads, plan);
+    for (plan, what) in [(crashy, "worker crash"), (flaky, "transient task failures")] {
+        let (result, trace) = run(Some(plan));
         assert_eq!(result.factorization, base_result.factorization, "{what}");
         assert_eq!(result.error, base_result.error, "{what}");
         assert_eq!(
