@@ -126,8 +126,9 @@ fn main() {
     assert_eq!(part_nnz_total, 3 * nnz, "partitions must cover every entry");
 
     // What the heap path holds at its peak: the materialized tensor
-    // (12 B/entry) plus one heap unfolding per mode (8 B/entry + row Vecs).
-    let heap_estimate = nnz * 12 + 3 * (nnz * 8 + (dim as u64 + 1) * 24);
+    // (12 B/entry) plus one CSR heap unfolding per mode (an 8-byte column
+    // per entry and an 8-byte offset per row, plus one).
+    let heap_estimate = nnz * 12 + 3 * (nnz * 8 + (dim as u64 + 1) * 8);
 
     print_header(
         &format!(

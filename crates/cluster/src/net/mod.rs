@@ -276,11 +276,12 @@ impl NetBackend {
                 if batch.is_empty() {
                     None
                 } else {
+                    let batch: Arc<[(u64, Vec<u8>)]> = batch.into();
                     Some(Box::new(move |req, _delivery| Frame::Store {
                         req,
                         dataset: id,
                         codec: codec_name.to_string(),
-                        parts: batch.clone(),
+                        parts: Arc::clone(&batch),
                     })
                         as Box<dyn Fn(u64, u64) -> Frame + '_>)
                 }

@@ -15,7 +15,8 @@
 //! drop or timeout is answered from cache instead of re-executing —
 //! exactly-once execution over an at-least-once transport.
 
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
+use std::sync::Arc;
 
 use dbtf_wire::{EncodedFrame, WireError, WireReader, WireResult, WireWriter};
 
@@ -62,8 +63,9 @@ pub(crate) enum Frame {
         req: u64,
         dataset: u64,
         codec: String,
-        /// `(global partition index, encoded partition frame)`.
-        parts: Vec<(u64, Vec<u8>)>,
+        /// `(global partition index, encoded partition frame)`, shared so
+        /// every (re)send of the request ships the one encoded copy.
+        parts: Arc<[(u64, Vec<u8>)]>,
     },
     /// Install a broadcast value under a wire id.
     BroadcastValue { req: u64, id: u64, frame: Vec<u8> },
@@ -342,7 +344,7 @@ impl Frame {
                 req: r.meta_u64()?,
                 dataset: r.meta_u64()?,
                 codec: get_string(&mut r)?,
-                parts: get_indexed_blobs(&mut r)?,
+                parts: get_indexed_blobs(&mut r)?.into(),
             },
             TAG_BROADCAST => Frame::BroadcastValue {
                 req: r.meta_u64()?,
@@ -396,13 +398,66 @@ fn wire_to_io(e: WireError) -> std::io::Error {
 /// Writes one length-prefixed frame; returns total bytes put on the wire
 /// (prefix included), for the overhead meters.
 pub(crate) fn write_frame<S: Write>(stream: &mut S, frame: &Frame) -> std::io::Result<u64> {
+    if let Frame::Store {
+        req,
+        dataset,
+        codec,
+        parts,
+    } = frame
+    {
+        return write_store_frame(stream, *req, *dataset, codec, parts);
+    }
     let encoded = frame.encode();
-    let len = u32::try_from(encoded.bytes.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"))?;
+    let len = u32::try_from(encoded.bytes.len()).map_err(|_| frame_too_large())?;
     stream.write_all(&len.to_le_bytes())?;
     stream.write_all(&encoded.bytes)?;
     stream.flush()?;
     Ok(4 + encoded.bytes.len() as u64)
+}
+
+fn frame_too_large() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large")
+}
+
+/// Buffer of [`write_store_frame`]: gathers the small header and per-part
+/// fields into few writes; partition blobs past its size go straight
+/// through.
+const STORE_WRITE_BUF: usize = 64 << 10;
+
+/// Streams a `Store` frame — length prefix, header, then every partition
+/// blob in place — byte-identical to [`Frame::encode`] behind its length
+/// prefix, without materializing the encoded frame. A `Store` frame is
+/// all meta channel: `[len][meta_len][tag, req, dataset, codec, count,
+/// (idx, blob len, blob)…]`.
+fn write_store_frame<S: Write>(
+    stream: &mut S,
+    req: u64,
+    dataset: u64,
+    codec: &str,
+    parts: &[(u64, Vec<u8>)],
+) -> std::io::Result<u64> {
+    // Tag, req, dataset, codec length and bytes, part count; then per
+    // part its index, blob length and blob.
+    let header = 1 + 8 + 8 + 8 + codec.len() + 8;
+    let meta_len = header + parts.iter().map(|(_, blob)| 16 + blob.len()).sum::<usize>();
+    let meta_len32 = u32::try_from(meta_len).map_err(|_| frame_too_large())?;
+    let len = meta_len32.checked_add(4).ok_or_else(frame_too_large)?;
+    let mut w = BufWriter::with_capacity(STORE_WRITE_BUF, &mut *stream);
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&meta_len32.to_le_bytes())?;
+    w.write_all(&[TAG_STORE])?;
+    w.write_all(&req.to_le_bytes())?;
+    w.write_all(&dataset.to_le_bytes())?;
+    w.write_all(&(codec.len() as u64).to_le_bytes())?;
+    w.write_all(codec.as_bytes())?;
+    w.write_all(&(parts.len() as u64).to_le_bytes())?;
+    for (idx, blob) in parts {
+        w.write_all(&idx.to_le_bytes())?;
+        w.write_all(&(blob.len() as u64).to_le_bytes())?;
+        w.write_all(blob)?;
+    }
+    w.flush()?;
+    Ok(4 + len as u64)
 }
 
 /// Reads one length-prefixed frame; returns the frame and total bytes read.
@@ -450,7 +505,7 @@ mod tests {
             req: 9,
             dataset: 1,
             codec: "tensor.bitmatrix".into(),
-            parts: vec![(0, vec![1, 2, 3]), (4, vec![])],
+            parts: vec![(0, vec![1, 2, 3]), (4, vec![])].into(),
         });
         roundtrip(Frame::BroadcastValue {
             req: 10,
@@ -502,6 +557,41 @@ mod tests {
                 result_bytes: 3,
             },
         });
+    }
+
+    /// The streamed `Store` bytes are exactly the encoded frame behind its
+    /// length prefix — for no parts, zero-length blobs, an empty codec
+    /// name, and blobs larger than the stream buffer.
+    #[test]
+    fn streamed_store_frames_equal_their_encoding() {
+        let big: Vec<u8> = (0..STORE_WRITE_BUF as u32 + 77).map(|i| i as u8).collect();
+        let store = |req: u64, codec: &str, parts: Vec<(u64, Vec<u8>)>| Frame::Store {
+            req,
+            dataset: 3,
+            codec: codec.into(),
+            parts: parts.into(),
+        };
+        let frames = [
+            store(40, "dbtf.partition_slot", vec![]),
+            store(41, "", vec![(0, vec![])]),
+            store(42, "u64", vec![(3, vec![]), (7, vec![5; 9]), (11, vec![])]),
+            store(
+                43,
+                "dbtf.partition_slot",
+                vec![(1, big.clone()), (2, vec![]), (5, big)],
+            ),
+        ];
+        for (i, frame) in frames.into_iter().enumerate() {
+            let encoded = frame.encode().bytes;
+            let mut want = (encoded.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&encoded);
+            let mut streamed = Vec::new();
+            let written = write_frame(&mut streamed, &frame).unwrap();
+            assert_eq!(streamed, want, "case {i}");
+            assert_eq!(written, want.len() as u64, "case {i}");
+            let (back, read) = read_frame(&mut std::io::Cursor::new(streamed)).unwrap();
+            assert_eq!((back, read), (frame, written), "case {i}");
+        }
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl NetShared {
             // Re-install the distribute-time payloads (declared-byte
             // metering identical to the simulated cluster's recovery).
             let bytes: u64 = lost.iter().map(|&i| ds.part_bytes[i]).sum();
-            let parts: Vec<(u64, Vec<u8>)> =
+            let parts: Arc<[(u64, Vec<u8>)]> =
                 lost.iter().map(|&i| (i as u64, rebuild(i).bytes)).collect();
             self.metrics
                 .partitions_recomputed
@@ -220,7 +220,7 @@ impl NetShared {
                 req,
                 dataset: id,
                 codec: codec.clone(),
-                parts: parts.clone(),
+                parts: Arc::clone(&parts),
             })?;
             self.expect_ack(&ex.reply);
             reship += ex.bytes_sent + ex.bytes_received;

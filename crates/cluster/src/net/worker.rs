@@ -116,7 +116,7 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                 req,
                 dataset,
                 codec,
-                parts,
+                mut parts,
             } => {
                 let codec = registry.part_codec_named(&codec).unwrap_or_else(|| {
                     panic!(
@@ -126,14 +126,17 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                     )
                 });
                 let slot = state.datasets.entry(dataset).or_default();
-                for (idx, bytes) in parts {
+                // Each blob is freed as soon as its partition is decoded.
+                let parts = Arc::get_mut(&mut parts).expect("a decoded frame owns its parts");
+                for (idx, bytes) in parts.iter_mut() {
+                    let bytes = std::mem::take(bytes);
                     let part = (codec.decode)(&bytes).unwrap_or_else(|e| {
                         panic!(
                             "partition {idx} of dataset {dataset} failed to decode: {}",
                             e.0
                         )
                     });
-                    slot.push((idx as usize, part));
+                    slot.push((*idx as usize, part));
                 }
                 slot.sort_by_key(|(idx, _)| *idx);
                 // A resent Store (the Ack was lost, not the request) lands

@@ -166,14 +166,15 @@ impl std::str::FromStr for BackendKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageKind {
     /// Heap-resident unfoldings ([`dbtf_tensor::Unfolding`]): each mode's
-    /// row lists live in memory while the driver partitions them.
+    /// CSR unfolding lives in memory while the driver partitions it.
     #[default]
     Ram,
     /// Out-of-core unfoldings ([`dbtf_tensor::MmapUnfolding`]): each mode
     /// is spilled to an on-disk columnar file in one streaming pass with a
     /// bounded sort buffer, then partitioned through a read-only memory
-    /// map. Peak driver memory is bounded by the partition size instead of
-    /// the tensor size, and lineage recompute re-opens the file instead of
+    /// map, so no heap unfolding exists. The driver still holds the
+    /// tensor, and one mode's partitions while they ship (DESIGN.md
+    /// §1.2.7). Lineage recompute re-opens the file instead of
     /// re-unfolding a heap copy of the tensor.
     Mmap,
 }

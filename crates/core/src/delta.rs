@@ -30,19 +30,18 @@
 //! restricted to the same columns, across all backends and storage
 //! kinds).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use dbtf_cluster::{ExecutionBackend, PlanTrace, Scheduler};
 use dbtf_telemetry::Tracer;
-use dbtf_tensor::{BoolTensor, MmapUnfolding, Mode, OverlayUnfolding, TensorDelta, Unfolding};
+use dbtf_tensor::{BoolTensor, TensorDelta};
 
-use crate::config::{DbtfConfig, DbtfError, StorageKind};
-use crate::driver::{catch_cluster, update_factor_subset, UpdateOutcome, DELTA_UPDATE_LABELS};
+use crate::config::{DbtfConfig, DbtfError};
+use crate::driver::{
+    catch_cluster, distribute_unfoldings, update_factor_subset, UpdateOutcome,
+    DELTA_DISTRIBUTE_LABELS, DELTA_UPDATE_LABELS,
+};
 use crate::factors::FactorSet;
-use crate::net_tasks;
-use crate::ooc::RunStores;
-use crate::partition::{partition_unfolding, partition_unfolding_one};
 use crate::stats::DbtfStats;
 use crate::update::PartitionSlot;
 
@@ -244,10 +243,11 @@ fn run_delta<B: ExecutionBackend>(
     // ---- Distribute the three overlaid unfoldings (no rebuild). --------
     let ([px1, px2, px3], partition_bytes) = catch_cluster(|| {
         sched.phase("delta.distribute", |s| {
-            distribute_overlays(
+            distribute_unfoldings(
                 s,
                 x,
-                delta,
+                Some(delta),
+                &DELTA_DISTRIBUTE_LABELS,
                 n_partitions,
                 config.storage,
                 config.spill_dir.as_deref(),
@@ -330,89 +330,6 @@ fn delta_round<B: ExecutionBackend>(
     let error = o3.error.expect("error requested");
     let cache = o1.cache_bytes.max(o2.cache_bytes).max(o3.cache_bytes);
     (FactorSet { a, b, c }, error, cache)
-}
-
-/// The overlay mirror of the full driver's `distribute_unfoldings`:
-/// partitions each mode's *patched* unfolding — old base plus
-/// copy-on-write delta rows — and distributes it with full shuffle
-/// metering under `delta.unfold.*` labels. Lineage closures re-apply the
-/// delta over the re-opened base, so a lost partition rebuilds to the
-/// same patched bytes.
-fn distribute_overlays<B: ExecutionBackend>(
-    sched: &Scheduler<'_, B>,
-    x: &BoolTensor,
-    delta: &TensorDelta,
-    n_partitions: usize,
-    storage: StorageKind,
-    spill_dir: Option<&str>,
-) -> Result<([B::Dataset<PartitionSlot>; 3], u64), DbtfError> {
-    let delta = Arc::new(delta.clone());
-    let (source, stores) = match storage {
-        StorageKind::Ram => (Some(Arc::new(x.clone())), None),
-        StorageKind::Mmap => (None, Some(RunStores::build(x, spill_dir)?)),
-    };
-    let map_ops = (x.nnz() + delta.len()) as u64;
-    let mut partition_bytes = 0u64;
-    let mut datasets = Vec::with_capacity(3);
-    for mode in Mode::ALL {
-        let parts = match &stores {
-            None => {
-                let base = Unfolding::new(x, mode);
-                let overlay = OverlayUnfolding::new(&base, &delta);
-                sched.charge_driver("delta.unfold.map", map_ops);
-                partition_unfolding(&overlay, n_partitions)
-            }
-            Some(stores) => {
-                let base = stores.open(mode)?;
-                let overlay = OverlayUnfolding::new(&base, &delta);
-                sched.charge_driver("delta.unfold.map", map_ops);
-                partition_unfolding(&overlay, n_partitions)
-            }
-        };
-        let elems: Vec<(PartitionSlot, u64)> = parts
-            .into_iter()
-            .map(|p| {
-                let bytes = p.byte_size();
-                (PartitionSlot::new(p), bytes)
-            })
-            .collect();
-        partition_bytes += elems.iter().map(|e| e.1).sum::<u64>();
-        let data = match (&source, &stores) {
-            (Some(source), _) => {
-                let rebuild_src = Arc::clone(source);
-                let rebuild_delta = Arc::clone(&delta);
-                sched.distribute_with_lineage("delta.unfold.distribute", elems, move |idx| {
-                    let base = Unfolding::new(&rebuild_src, mode);
-                    let overlay = OverlayUnfolding::new(&base, &rebuild_delta);
-                    let mut parts = partition_unfolding(&overlay, n_partitions);
-                    PartitionSlot::new(parts.swap_remove(idx))
-                })
-            }
-            (None, Some(stores)) => {
-                // The closure holds the spill-directory guard, so the file
-                // outlives every dataset that could still replay from it.
-                let guard = stores.guard();
-                let path = stores.path(mode).to_path_buf();
-                let rebuild_delta = Arc::clone(&delta);
-                sched.distribute_with_lineage("delta.unfold.distribute", elems, move |idx| {
-                    let _keep_files = &guard;
-                    let base = MmapUnfolding::open(&path).unwrap_or_else(|e| {
-                        panic!("lineage rebuild lost its spilled unfolding: {e}")
-                    });
-                    let overlay = OverlayUnfolding::new(&base, &rebuild_delta);
-                    PartitionSlot::new(partition_unfolding_one(&overlay, idx, n_partitions))
-                })
-            }
-            (None, None) => unreachable!("one storage root always exists"),
-        };
-        sched.map_partitions_task("delta.unfold.organize", &data, net_tasks::organize_task());
-        sched.reset_lineage(&data);
-        datasets.push(data);
-    }
-    let px3 = datasets.pop().expect("three modes");
-    let px2 = datasets.pop().expect("three modes");
-    let px1 = datasets.pop().expect("three modes");
-    Ok(([px1, px2, px3], partition_bytes))
 }
 
 #[cfg(test)]

@@ -23,14 +23,17 @@ use std::time::Instant;
 
 use dbtf_cluster::{ClusterError, ExecutionBackend, PlanTrace, Scheduler};
 use dbtf_telemetry::{SpanKind, Tracer};
-use dbtf_tensor::{BitMatrix, BoolTensor, FactorTriple, MmapUnfolding, Mode, Unfolding};
+use dbtf_tensor::{
+    BitMatrix, BoolTensor, FactorTriple, Mode, OverlayUnfolding, TensorDelta, Unfolding,
+    UnfoldingStore,
+};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{DbtfConfig, DbtfError, StorageKind};
 use crate::factors::{initial_factor_sets, FactorSet};
 use crate::net_tasks;
 use crate::ooc::RunStores;
-use crate::partition::{partition_unfolding, partition_unfolding_one};
+use crate::partition::{partition_unfolding, partition_unfolding_one, ModePartition};
 use crate::stats::DbtfStats;
 use crate::sweep::{column_sweep_subset, SweepLabels};
 use crate::update::PartitionSlot;
@@ -230,6 +233,8 @@ fn run<B: ExecutionBackend>(
             distribute_unfoldings(
                 s,
                 x,
+                None,
+                &CP_DISTRIBUTE_LABELS,
                 n_partitions,
                 config.storage,
                 config.spill_dir.as_deref(),
@@ -393,54 +398,156 @@ fn run<B: ExecutionBackend>(
     })
 }
 
-/// Unfolds `x` along all three modes, partitions each unfolding into
-/// `n_partitions` PVM-blocked vertical partitions (Algorithm 3), and
-/// distributes them across the backend with full shuffle metering. Returns
-/// the three datasets (mode order) and the total metered bytes.
+/// Trace labels of one distribute phase, so the full factorization and
+/// the delta update meter their driver map, shuffle and block organization
+/// under distinct `unfold.*` / `delta.unfold.*` operator names.
+pub(crate) struct DistributeLabels {
+    /// The driver-side unfolding map (charged once per mode).
+    pub map: &'static str,
+    /// The partition shuffle.
+    pub distribute: &'static str,
+    /// The worker-side block organization superstep.
+    pub organize: &'static str,
+}
+
+/// The labels of the full factorization's distribute phase.
+pub(crate) const CP_DISTRIBUTE_LABELS: DistributeLabels = DistributeLabels {
+    map: "unfold.map",
+    distribute: "unfold.distribute",
+    organize: "unfold.organize",
+};
+
+/// The labels of the delta update's distribute phase (`dbtf update`).
+pub(crate) const DELTA_DISTRIBUTE_LABELS: DistributeLabels = DistributeLabels {
+    map: "delta.unfold.map",
+    distribute: "delta.unfold.distribute",
+    organize: "delta.unfold.organize",
+};
+
+/// Where a run's partitions are cut from, and re-cut from when lineage
+/// recovery rebuilds a lost one (Spark's recompute-from-source contract).
+#[derive(Clone)]
+enum PartitionSource {
+    /// A heap copy of the tensor, re-unfolded on demand.
+    Ram(Arc<BoolTensor>),
+    /// The run's three spilled columnar files, re-opened on demand. The
+    /// stores hold the spill-directory guard, so the files outlive every
+    /// dataset that could still replay from them.
+    Mmap(RunStores),
+}
+
+impl PartitionSource {
+    /// All `n` partitions of mode `mode`, with `delta` overlaid.
+    fn partitions(
+        &self,
+        mode: Mode,
+        delta: Option<&TensorDelta>,
+        n: usize,
+    ) -> Result<Vec<ModePartition>, DbtfError> {
+        Ok(match self {
+            PartitionSource::Ram(x) => cut_all(Unfolding::new(x, mode), delta, n),
+            PartitionSource::Mmap(stores) => cut_all(stores.open(mode)?, delta, n),
+        })
+    }
+
+    /// Partition `idx` of `n` of mode `mode` alone, with `delta` overlaid.
+    fn partition(
+        &self,
+        mode: Mode,
+        delta: Option<&TensorDelta>,
+        idx: usize,
+        n: usize,
+    ) -> ModePartition {
+        match self {
+            PartitionSource::Ram(x) => cut_one(Unfolding::new(x, mode), delta, idx, n),
+            PartitionSource::Mmap(stores) => {
+                let base = stores
+                    .open(mode)
+                    .unwrap_or_else(|e| panic!("lineage rebuild lost its spilled unfolding: {e}"));
+                cut_one(base, delta, idx, n)
+            }
+        }
+    }
+}
+
+/// [`partition_unfolding`] of `base`, through an overlay only when there
+/// is a delta.
+fn cut_all<S: UnfoldingStore>(
+    base: S,
+    delta: Option<&TensorDelta>,
+    n: usize,
+) -> Vec<ModePartition> {
+    match delta {
+        None => partition_unfolding(&base, n),
+        Some(d) => partition_unfolding(&OverlayUnfolding::new(base, d), n),
+    }
+}
+
+/// [`partition_unfolding_one`] of `base`, through an overlay only when
+/// there is a delta.
+fn cut_one<S: UnfoldingStore>(
+    base: S,
+    delta: Option<&TensorDelta>,
+    idx: usize,
+    n: usize,
+) -> ModePartition {
+    match delta {
+        None => partition_unfolding_one(&base, idx, n),
+        Some(d) => partition_unfolding_one(&OverlayUnfolding::new(base, d), idx, n),
+    }
+}
+
+/// Unfolds `x` (with `delta` applied, if given) along all three modes,
+/// partitions each unfolding into `n_partitions` PVM-blocked vertical
+/// partitions (Algorithm 3), and distributes them across the backend with
+/// full shuffle metering under `labels`. Returns the three datasets (mode
+/// order) and the total metered bytes.
+///
+/// A delta is never applied to the unfoldings themselves: each mode's base
+/// unfolding is read through a copy-on-write [`OverlayUnfolding`], which
+/// yields the partitions of the updated tensor bit for bit. The driver map
+/// is charged `|X| + |Δ|` ops per mode.
 ///
 /// With [`StorageKind::Ram`] each unfolding is materialized on the heap;
 /// with [`StorageKind::Mmap`] it is spilled once to an on-disk columnar
-/// file and partitioned through a read-only map, so driver memory is
-/// bounded by one partition instead of one unfolding. The partitions (and
-/// therefore every downstream byte, op, and clock meter) are identical
-/// byte for byte either way: the spill pass is real I/O, never charged to
-/// the virtual cost model.
+/// file and partitioned through a read-only map, so no heap unfolding
+/// exists. The driver still holds the whole tensor, and each mode's N
+/// partitions plus their encoded frames while that mode ships: on the
+/// benchmark's `cp-ooc-net` job (2560×2560×640, |X| ≈ 1.4M, N = 16, two
+/// net workers) the mmap driver peaks near 60 MiB while a mode ships, and
+/// the RAM driver near 67 MiB. The partitions (and therefore every downstream
+/// byte, op, and clock meter) are identical byte for byte either way: the
+/// spill pass is real I/O, never charged to the virtual cost model.
 ///
-/// Shared by the CP and the distributed-Tucker drivers — both operate on
-/// exactly this layout.
+/// A lost partition is rebuilt alone (`partition_unfolding_one`) from the
+/// same source on both storages: RAM runs keep a heap copy of the tensor
+/// and re-unfold it, mmap runs re-open the spilled file.
+///
+/// Shared by the CP, the delta-update and the distributed-Tucker drivers —
+/// all three operate on exactly this layout.
 pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
     x: &BoolTensor,
+    delta: Option<&TensorDelta>,
+    labels: &DistributeLabels,
     n_partitions: usize,
     storage: StorageKind,
     spill_dir: Option<&str>,
 ) -> Result<([B::Dataset<PartitionSlot>; 3], u64), DbtfError> {
-    // The lineage root: a lost partition is re-derived deterministically
-    // (Spark's recompute-from-source contract). RAM runs keep a heap copy
-    // of the source tensor and re-unfold it; mmap runs re-open the spilled
-    // columnar file and re-slice only the lost partition's column range.
-    let (source, stores) = match storage {
-        StorageKind::Ram => (Some(Arc::new(x.clone())), None),
-        StorageKind::Mmap => (None, Some(RunStores::build(x, spill_dir)?)),
+    let source = match storage {
+        StorageKind::Ram => PartitionSource::Ram(Arc::new(x.clone())),
+        StorageKind::Mmap => PartitionSource::Mmap(RunStores::build(x, spill_dir)?),
     };
+    let delta = delta.map(|d| Arc::new(d.clone()));
+    // The driver-side unfolding map is O(|X| + |Δ|) (Lemma 4 part 1),
+    // identical on both storage paths — mmap runs paid the same logical
+    // work during the spill pass.
+    let map_ops = (x.nnz() + delta.as_ref().map_or(0, |d| d.len())) as u64;
     let mut partition_bytes = 0u64;
     let mut datasets = Vec::with_capacity(3);
     for mode in Mode::ALL {
-        // The driver-side unfolding map is O(|X|) (Lemma 4 part 1),
-        // identical on both storage paths — mmap runs paid the same
-        // logical work during the spill pass.
-        let parts = match &stores {
-            None => {
-                let unfolding = Unfolding::new(x, mode);
-                sched.charge_driver("unfold.map", x.nnz() as u64);
-                partition_unfolding(&unfolding, n_partitions)
-            }
-            Some(stores) => {
-                let unfolding = stores.open(mode)?;
-                sched.charge_driver("unfold.map", x.nnz() as u64);
-                partition_unfolding(&unfolding, n_partitions)
-            }
-        };
+        let parts = source.partitions(mode, delta.as_deref(), n_partitions)?;
+        sched.charge_driver(labels.map, map_ops);
         let elems: Vec<(PartitionSlot, u64)> = parts
             .into_iter()
             .map(|p| {
@@ -449,34 +556,14 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
             })
             .collect();
         partition_bytes += elems.iter().map(|e| e.1).sum::<u64>();
-        let data = match (&source, &stores) {
-            (Some(source), _) => {
-                let rebuild_src = Arc::clone(source);
-                sched.distribute_with_lineage("unfold.distribute", elems, move |idx| {
-                    let unfolding = Unfolding::new(&rebuild_src, mode);
-                    let mut parts = partition_unfolding(&unfolding, n_partitions);
-                    PartitionSlot::new(parts.swap_remove(idx))
-                })
-            }
-            (None, Some(stores)) => {
-                // The closure holds the spill-directory guard, so the file
-                // outlives every dataset that could still replay from it.
-                let guard = stores.guard();
-                let path = stores.path(mode).to_path_buf();
-                sched.distribute_with_lineage("unfold.distribute", elems, move |idx| {
-                    let _keep_files = &guard;
-                    let unfolding = MmapUnfolding::open(&path).unwrap_or_else(|e| {
-                        panic!("lineage rebuild lost its spilled unfolding: {e}")
-                    });
-                    PartitionSlot::new(partition_unfolding_one(&unfolding, idx, n_partitions))
-                })
-            }
-            (None, None) => unreachable!("one storage root always exists"),
-        };
+        let (root, delta) = (source.clone(), delta.clone());
+        let data = sched.distribute_with_lineage(labels.distribute, elems, move |idx| {
+            PartitionSlot::new(root.partition(mode, delta.as_deref(), idx, n_partitions))
+        });
         // Distributed block organization (Algorithm 3 line 4): each worker
         // walks its share of the non-zeros once. The driver never reads the
         // result.
-        sched.map_partitions_task("unfold.organize", &data, net_tasks::organize_task());
+        sched.map_partitions_task(labels.organize, &data, net_tasks::organize_task());
         // Read-only superstep: partitions still equal their rebuilt form.
         sched.reset_lineage(&data);
         datasets.push(data);

@@ -54,6 +54,9 @@ pub const FINISH_TASK: &str = "cp.update.finish";
 impl Wire for PartitionSlot {
     fn encode(&self, w: &mut WireWriter) {
         let p = &self.part;
+        // Exact sizes: one nnz count per block on the meta channel, and
+        // `byte_size()` bytes of data.
+        w.reserve(8 * p.blocks.len(), p.byte_size() as usize);
         w.data_u64(p.index as u64);
         w.data_u64(p.col_lo);
         w.data_u64(p.col_hi);

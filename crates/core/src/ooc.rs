@@ -10,7 +10,7 @@
 //! the execution backend keep the files alive for exactly as long as a
 //! lost partition could still need them.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,18 +44,12 @@ fn spill_chunk_bytes() -> usize {
 
 /// A run-scoped spill directory, deleted (best-effort) when dropped.
 ///
-/// Held behind an [`Arc`] by [`RunStores`] and by every mmap lineage
-/// rebuild closure, so the files outlive any possible recompute.
+/// Held behind an [`Arc`] by [`RunStores`], whose clones live in every
+/// mmap lineage rebuild closure, so the files outlive any possible
+/// recompute.
 #[derive(Debug)]
-pub(crate) struct SpillGuard {
+struct SpillGuard {
     dir: PathBuf,
-}
-
-impl SpillGuard {
-    /// The directory the spilled unfolding files live in.
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 impl Drop for SpillGuard {
@@ -64,11 +58,11 @@ impl Drop for SpillGuard {
     }
 }
 
-/// The three spilled unfolding files of one out-of-core run.
+/// The three spilled unfolding files of one out-of-core run. Clones share
+/// the spill directory, which is removed when the last clone drops.
 #[derive(Clone, Debug)]
 pub(crate) struct RunStores {
     guard: Arc<SpillGuard>,
-    paths: [PathBuf; 3],
 }
 
 impl RunStores {
@@ -88,37 +82,28 @@ impl RunStores {
         std::fs::create_dir_all(&dir).map_err(|e| {
             DbtfError::StorageIo(format!("create spill directory {}: {e}", dir.display()))
         })?;
-        let guard = Arc::new(SpillGuard { dir });
-        let spill = SpillConfig::new(guard.dir()).with_chunk_bytes(spill_chunk_bytes());
+        let stores = RunStores {
+            guard: Arc::new(SpillGuard { dir }),
+        };
+        let spill = SpillConfig::new(&stores.guard.dir).with_chunk_bytes(spill_chunk_bytes());
         let dims = x.dims();
-        let mut paths = Vec::with_capacity(3);
         for mode in Mode::ALL {
-            let path = guard
-                .dir()
-                .join(format!("unfold_{}.dbtfu", mode.index() + 1));
-            write_unfolding_from_entries(x.iter().map(Ok), dims, mode, &path, &spill)?;
-            paths.push(path);
+            let entries = x.iter().map(Ok);
+            write_unfolding_from_entries(entries, dims, mode, &stores.path(mode), &spill)?;
         }
-        Ok(RunStores {
-            guard,
-            paths: paths.try_into().expect("three modes"),
-        })
+        Ok(stores)
     }
 
     /// The file holding mode `mode`'s unfolding.
-    pub(crate) fn path(&self, mode: Mode) -> &Path {
-        &self.paths[mode.index()]
-    }
-
-    /// The spill-directory guard; clone into any closure that may re-open
-    /// the files later.
-    pub(crate) fn guard(&self) -> Arc<SpillGuard> {
-        Arc::clone(&self.guard)
+    pub(crate) fn path(&self, mode: Mode) -> PathBuf {
+        self.guard
+            .dir
+            .join(format!("unfold_{}.dbtfu", mode.index() + 1))
     }
 
     /// Opens mode `mode`'s unfolding through a read-only map.
     pub(crate) fn open(&self, mode: Mode) -> Result<MmapUnfolding, StoreError> {
-        MmapUnfolding::open(self.path(mode))
+        MmapUnfolding::open(&self.path(mode))
     }
 }
 
@@ -158,13 +143,14 @@ mod tests {
     fn spill_directory_removed_when_last_guard_drops() {
         let x = tiny_tensor();
         let stores = RunStores::build(&x, None).expect("build");
-        let dir = stores.guard().dir().to_path_buf();
-        let extra = stores.guard();
+        let dir = stores.guard.dir.clone();
+        let extra = stores.clone();
         assert!(dir.is_dir());
         drop(stores);
-        // A surviving guard (as a lineage closure would hold) keeps the
+        // A surviving clone (as a lineage closure would hold) keeps the
         // files alive.
         assert!(dir.is_dir());
+        assert!(extra.open(Mode::Three).is_ok());
         drop(extra);
         assert!(!dir.exists());
     }

@@ -254,6 +254,44 @@ pub fn partition_unfolding_one<S: UnfoldingStore>(
     build_partition(unfolding, index, col_lo, col_hi, s, nrows)
 }
 
+/// The block geometry of the partition `[col_lo, col_hi)`: one empty
+/// block per PVM slab the range touches, cut at the slab boundaries.
+fn empty_blocks(col_lo: u64, col_hi: u64, s: u64, nrows: usize) -> Vec<Block> {
+    let mut blocks = Vec::new();
+    let mut lo = col_lo;
+    while lo < col_hi {
+        let slab = lo / s;
+        let slab_start = slab * s;
+        let slab_end = slab_start + s;
+        let hi = col_hi.min(slab_end);
+        let inner_lo = (lo - slab_start) as u32;
+        let kind = match (inner_lo == 0, hi == slab_end) {
+            (true, true) => BlockKind::Full,
+            (true, false) => BlockKind::Prefix,
+            (false, true) => BlockKind::Suffix,
+            (false, false) => BlockKind::Interior,
+        };
+        let mut row_offsets = Vec::with_capacity(nrows + 1);
+        row_offsets.push(0u32);
+        blocks.push(Block {
+            slab: slab as usize,
+            inner_lo,
+            inner_len: (hi - lo) as u32,
+            kind,
+            row_offsets,
+            cols: Vec::new(),
+            dense: OnceLock::new(),
+        });
+        lo = hi;
+    }
+    blocks
+}
+
+/// Fills the partition's blocks with one walk per row: each row's window
+/// `[col_lo, col_hi)` is fetched once, then split at the block bounds by a
+/// forward cursor — `O(window + blocks)` per row, with no search per
+/// (row, block) pair. The cursors advance block by block, so each block's
+/// arrays are written front to back.
 fn build_partition<S: UnfoldingStore>(
     unfolding: &S,
     index: usize,
@@ -262,6 +300,46 @@ fn build_partition<S: UnfoldingStore>(
     s: u64,
     nrows: usize,
 ) -> ModePartition {
+    let mut blocks = empty_blocks(col_lo, col_hi, s, nrows);
+    let mut windows: Vec<&[u64]> = (0..nrows)
+        .map(|r| unfolding.row_range(r, col_lo, col_hi))
+        .collect();
+    for b in &mut blocks {
+        // The block's global column range `[lo, hi)`.
+        let lo = b.slab as u64 * s + b.inner_lo as u64;
+        let hi = lo + b.inner_len as u64;
+        for window in &mut windows {
+            let n = window.iter().position(|&c| c >= hi).unwrap_or(window.len());
+            b.cols.extend(window[..n].iter().map(|&c| (c - lo) as u32));
+            *window = &window[n..];
+            b.row_offsets
+                .push(u32::try_from(b.cols.len()).expect("block nnz exceeds u32"));
+        }
+    }
+    ModePartition {
+        index,
+        col_lo,
+        col_hi,
+        slab_width: s as usize,
+        nrows,
+        blocks,
+    }
+}
+
+/// The binary-search builder [`build_partition`] replaced, kept as the
+/// reference it is checked against: block by block, one `row_range`
+/// search pair per (row, block).
+#[cfg(test)]
+fn reference_partition<S: UnfoldingStore>(
+    unfolding: &S,
+    index: usize,
+    n_partitions: usize,
+) -> ModePartition {
+    let q = unfolding.ncols();
+    let s = unfolding.mode().slab_width(unfolding.tensor_dims()) as u64;
+    let nrows = unfolding.nrows();
+    let (n, p) = (n_partitions as u64, index as u64);
+    let (col_lo, col_hi) = (p * q / n, (p + 1) * q / n);
     let mut blocks = Vec::new();
     let mut lo = col_lo;
     while lo < col_hi {
@@ -304,6 +382,93 @@ fn build_partition<S: UnfoldingStore>(
         slab_width: s as usize,
         nrows,
         blocks,
+    }
+}
+
+#[cfg(test)]
+mod reference_props {
+    use super::*;
+    use dbtf_tensor::{
+        BoolTensor, DeltaCell, MmapUnfolding, Mode, OverlayUnfolding, TensorDelta, Unfolding,
+    };
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static FILE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+    fn cell(dims: [usize; 3]) -> impl Strategy<Value = [u32; 3]> {
+        (0..dims[0] as u32, 0..dims[1] as u32, 0..dims[2] as u32).prop_map(|(i, j, k)| [i, j, k])
+    }
+
+    /// A tensor of random shape and density, a delta over it, and a
+    /// partition count from 1 to past the widest unfolding's column count.
+    fn case() -> impl Strategy<Value = (BoolTensor, Vec<DeltaCell>, usize)> {
+        (1usize..=6, 1usize..=7, 1usize..=7).prop_flat_map(|(i, j, k)| {
+            let dims = [i, j, k];
+            let q = (j * k).max(i * k).max(i * j);
+            (
+                proptest::collection::vec(cell(dims), 0..=i * j * k)
+                    .prop_map(move |entries| BoolTensor::from_entries(dims, entries)),
+                proptest::collection::vec(
+                    (cell(dims), proptest::bool::ANY)
+                        .prop_map(|(coord, set)| DeltaCell { coord, set }),
+                    0..=6,
+                ),
+                1usize..=q + 3,
+            )
+        })
+    }
+
+    /// Every partition of `store`, built all at once and one at a time,
+    /// equals the reference builder's.
+    fn matches_reference<S: UnfoldingStore>(
+        store: &S,
+        n: usize,
+        label: &str,
+    ) -> Result<(), TestCaseError> {
+        let all = partition_unfolding(store, n);
+        prop_assert_eq!(all.len(), n);
+        for (idx, part) in all.iter().enumerate() {
+            let want = reference_partition(store, idx, n);
+            prop_assert_eq!(part, &want, "{} partition {} of {}", label, idx, n);
+            let one = partition_unfolding_one(store, idx, n);
+            prop_assert_eq!(&one, &want, "{} single partition {} of {}", label, idx, n);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-walk builder equals the binary-search reference on heap,
+        /// mmap and overlay stores, in every mode, for every N.
+        #[test]
+        fn one_walk_builder_equals_the_reference((t, edits, n) in case()) {
+            let delta = TensorDelta::new(t.dims(), edits).unwrap();
+            let seq = FILE_SEQ.fetch_add(1, Ordering::Relaxed);
+            for mode in Mode::ALL {
+                let heap = Unfolding::new(&t, mode);
+                let path = std::env::temp_dir().join(format!(
+                    "dbtf-partition-prop-{}-{seq}-{}.unf",
+                    std::process::id(),
+                    mode.index()
+                ));
+                MmapUnfolding::write_from_store(&heap, &path).unwrap();
+                let mmap = MmapUnfolding::open(&path).unwrap();
+                let checked = matches_reference(&heap, n, "heap")
+                    .and_then(|()| matches_reference(&mmap, n, "mmap"))
+                    .and_then(|()| {
+                        matches_reference(&OverlayUnfolding::new(&heap, &delta), n, "overlay")
+                    })
+                    .and_then(|()| {
+                        matches_reference(&OverlayUnfolding::new(&mmap, &delta), n, "mmap overlay")
+                    });
+                drop(mmap);
+                let _ = std::fs::remove_file(&path);
+                checked?;
+            }
+        }
     }
 }
 

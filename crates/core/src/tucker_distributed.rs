@@ -37,7 +37,7 @@ use rand::SeedableRng;
 
 use crate::cache::{GroupLayout, RowSumCache};
 use crate::config::DbtfError;
-use crate::driver::distribute_unfoldings;
+use crate::driver::{distribute_unfoldings, CP_DISTRIBUTE_LABELS};
 use crate::partition::ModePartition;
 use crate::sweep::{column_sweep, SweepLabels};
 use crate::tucker::{
@@ -243,7 +243,15 @@ fn run<B: ExecutionBackend>(
     // §1.2.7). RAM distribution is infallible.
     let [px1, px2, px3] = sched
         .phase("tucker.distribute", |s| {
-            distribute_unfoldings(s, x, n_partitions, crate::config::StorageKind::Ram, None)
+            distribute_unfoldings(
+                s,
+                x,
+                None,
+                &CP_DISTRIBUTE_LABELS,
+                n_partitions,
+                crate::config::StorageKind::Ram,
+                None,
+            )
         })
         .expect("RAM distribution cannot fail")
         .0;

@@ -1,8 +1,8 @@
 //! On-disk columnar unfolding format (`DBTFUNFD` v1) and its mmap reader.
 //!
 //! The file holds one mode-n unfolding as a per-row offset index plus one
-//! packed array of sorted `u64` column indices — the same shape the heap
-//! [`Unfolding`](crate::Unfolding) keeps in `Vec`s, flattened so rows can be
+//! packed array of sorted `u64` column indices — the same CSR shape the
+//! heap [`Unfolding`](crate::Unfolding) keeps in memory, so rows can be
 //! served straight out of a read-only memory map without parsing:
 //!
 //! ```text

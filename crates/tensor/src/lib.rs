@@ -9,8 +9,8 @@
 //!   XOR-popcount distances.
 //! - [`BoolTensor`]: a sparse three-way binary tensor.
 //! - [`Unfolding`]: the mode-*n* matricization `X_(n)` of a tensor
-//!   (Equation 1 of the paper), stored sparsely row-by-row — the layout the
-//!   DBTF algorithm partitions across machines.
+//!   (Equation 1 of the paper), stored sparsely as one CSR array of sorted
+//!   rows — the layout the DBTF algorithm partitions across machines.
 //! - [`ops`]: Boolean matrix product (Eq. 6), Kronecker product (Eq. 2),
 //!   Khatri-Rao product (Eq. 3) and the pointwise vector-matrix product
 //!   (Eq. 4).

@@ -102,45 +102,100 @@ impl Mode {
     }
 }
 
+/// Row-bucket sort: the CSR form of a multiset of `(row, column)` pairs.
+///
+/// On return, row `r`'s columns are `cols[offsets[r]..offsets[r + 1]]`,
+/// sorted and duplicate-free, and `offsets.len() == nrows + 1`. `pairs` is
+/// walked twice: once to count each row's entries, once to scatter each
+/// column into its row's slot of `cols`. Each row slice is then sorted on
+/// its own (rows are short next to the whole set) and compacted in place,
+/// dropping duplicates — `O(|pairs|)` plus the short per-row sorts, where a
+/// sort of the pairs would pay `O(|pairs| log |pairs|)` on 16-byte tuples.
+/// Both buffers are cleared and reused, so a caller sorting chunk after
+/// chunk allocates only when a chunk outgrows the last one.
+///
+/// # Panics
+///
+/// Panics if a row is `>= nrows`.
+pub(crate) fn bucket_rows<I>(pairs: I, nrows: usize, offsets: &mut Vec<usize>, cols: &mut Vec<u64>)
+where
+    I: Iterator<Item = (u32, u64)> + Clone,
+{
+    offsets.clear();
+    offsets.resize(nrows + 1, 0);
+    for (r, _) in pairs.clone() {
+        offsets[r as usize + 1] += 1;
+    }
+    for r in 0..nrows {
+        offsets[r + 1] += offsets[r];
+    }
+    cols.clear();
+    cols.resize(offsets[nrows], 0);
+    // Scatter, using offsets[r] as row r's cursor: afterwards offsets[r]
+    // holds the end of row r.
+    for (r, c) in pairs {
+        let at = &mut offsets[r as usize];
+        cols[*at] = c;
+        *at += 1;
+    }
+    // Sort each row and compact it down to `write`, dropping duplicates;
+    // offsets[r] is read as row r's end before it becomes its new start.
+    let (mut start, mut write) = (0usize, 0usize);
+    for offset in &mut offsets[..nrows] {
+        let end = *offset;
+        let row_start = write;
+        *offset = row_start;
+        cols[start..end].sort_unstable();
+        for i in start..end {
+            let c = cols[i];
+            if write == row_start || cols[write - 1] != c {
+                cols[write] = c;
+                write += 1;
+            }
+        }
+        start = end;
+    }
+    offsets[nrows] = write;
+    cols.truncate(write);
+}
+
 /// The sparse mode-n matricization `X_(n)` of a [`BoolTensor`].
 ///
-/// Stored as one sorted column-index list (`u64`) per row — the layout DBTF
-/// partitions vertically and scores error against. Column counts can exceed
-/// `u32` (`J·K` for large tensors), hence `u64` indices.
+/// Stored as one CSR array: every row's sorted column indices (`u64`) back
+/// to back, plus `nrows + 1` row offsets — the layout DBTF partitions
+/// vertically and scores error against, and the same shape as the on-disk
+/// [`columnar`](crate::columnar) format. Column counts can exceed `u32`
+/// (`J·K` for large tensors), hence `u64` indices.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Unfolding {
     mode: Mode,
     dims: [usize; 3],
     nrows: usize,
     ncols: u64,
-    rows: Vec<Vec<u64>>,
+    /// Row `r` is `cols[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
+    cols: Vec<u64>,
 }
 
 impl Unfolding {
     /// Matricizes `tensor` along `mode` (Equation 1 of the paper).
     ///
-    /// Runs in `O(|X|)` plus the per-row sorts (input entries are already
-    /// in lexicographic order, so mode-1 rows come out sorted for free;
-    /// other modes pay `O(|X| log |X|)` in the worst case).
+    /// One row-bucket sort over the entries: `O(|X|)` plus a short sort
+    /// per row, into one CSR array sized exactly `|X|`.
     pub fn new(tensor: &BoolTensor, mode: Mode) -> Self {
         let dims = tensor.dims();
         let nrows = mode.nrows(dims);
         let ncols = mode.ncols(dims);
-        let mut rows: Vec<Vec<u64>> = vec![Vec::new(); nrows];
-        for e in tensor.iter() {
-            let (r, c) = mode.matricize(dims, e);
-            rows[r as usize].push(c);
-        }
-        for row in &mut rows {
-            row.sort_unstable();
-            row.dedup();
-        }
+        let (mut offsets, mut cols) = (Vec::new(), Vec::new());
+        let pairs = tensor.entries().iter().map(|&e| mode.matricize(dims, e));
+        bucket_rows(pairs, nrows, &mut offsets, &mut cols);
         Unfolding {
             mode,
             dims,
             nrows,
             ncols,
-            rows,
+            offsets,
+            cols,
         }
     }
 
@@ -170,19 +225,19 @@ impl Unfolding {
 
     /// Total number of ones (equals `|X|`).
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.cols.len()
     }
 
     /// The sorted one-column indices of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[u64] {
-        &self.rows[r]
+        &self.cols[self.offsets[r]..self.offsets[r + 1]]
     }
 
     /// The one-column indices of row `r` that fall in `[lo, hi)`, found by
     /// binary search (`O(log nnz_row + output)`). Empty when `lo >= hi`.
     pub fn row_range(&self, r: usize, lo: u64, hi: u64) -> &[u64] {
-        let row = &self.rows[r];
+        let row = self.row(r);
         let a = row.partition_point(|&c| c < lo);
         let b = row.partition_point(|&c| c < hi);
         &row[a..b.max(a)]
@@ -190,15 +245,15 @@ impl Unfolding {
 
     /// Tests whether the unfolded matrix has a one at `(r, c)`.
     pub fn get(&self, r: usize, c: u64) -> bool {
-        self.rows[r].binary_search(&c).is_ok()
+        self.row(r).binary_search(&c).is_ok()
     }
 
     /// Folds the matricization back into a tensor (exact inverse of
     /// [`Unfolding::new`]).
     pub fn refold(&self) -> BoolTensor {
         let mut entries = Vec::with_capacity(self.nnz());
-        for (r, row) in self.rows.iter().enumerate() {
-            for &c in row {
+        for r in 0..self.nrows {
+            for &c in self.row(r) {
                 entries.push(self.mode.dematricize(self.dims, r as u32, c));
             }
         }
@@ -370,6 +425,19 @@ mod tests {
     }
 
     #[test]
+    fn bucket_rows_sorts_dedups_and_keeps_empty_rows() {
+        let pairs = [(2u32, 9u64), (0, 4), (2, 1), (0, 4), (2, 9), (2, 3), (0, 0)];
+        let (mut offsets, mut cols) = (vec![7, 7], vec![1, 2, 3]);
+        bucket_rows(pairs.iter().copied(), 4, &mut offsets, &mut cols);
+        assert_eq!(offsets, [0, 2, 2, 5, 5]);
+        assert_eq!(cols, [0, 4, 1, 3, 9]);
+        // Reused buffers start over.
+        bucket_rows(std::iter::empty(), 2, &mut offsets, &mut cols);
+        assert_eq!(offsets, [0, 0, 0]);
+        assert!(cols.is_empty());
+    }
+
+    #[test]
     fn row_range_binary_search() {
         let t = sample();
         let u = Unfolding::new(&t, Mode::One);
@@ -471,6 +539,56 @@ mod row_range_contract_props {
                     prop_assert_eq!(u.row(r), crate::UnfoldingStore::row(&m, r));
                 }
                 let _ = std::fs::remove_file(&path);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod csr_build_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn any_shape_strategy() -> impl Strategy<Value = BoolTensor> {
+        (1usize..=7, 1usize..=9, 1usize..=9).prop_flat_map(|(i, j, k)| {
+            proptest::collection::vec(
+                (0..i as u32, 0..j as u32, 0..k as u32).prop_map(|(a, b, c)| [a, b, c]),
+                0..=i * j * k,
+            )
+            .prop_map(move |entries| BoolTensor::from_entries([i, j, k], entries))
+        })
+    }
+
+    /// The per-row build `Unfolding::new` used before the CSR layout: one
+    /// `Vec` per row, each sorted and deduplicated on its own.
+    fn per_row_reference(t: &BoolTensor, mode: Mode) -> Vec<Vec<u64>> {
+        let mut rows: Vec<Vec<u64>> = vec![Vec::new(); mode.nrows(t.dims())];
+        for e in t.iter() {
+            let (r, c) = mode.matricize(t.dims(), e);
+            rows[r as usize].push(c);
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+            row.dedup();
+        }
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The CSR build holds exactly the rows of the per-row build, for
+        /// any shape (unit modes and empty rows included) and density.
+        #[test]
+        fn csr_build_equals_the_per_row_build(t in any_shape_strategy()) {
+            for mode in Mode::ALL {
+                let u = Unfolding::new(&t, mode);
+                let want = per_row_reference(&t, mode);
+                prop_assert_eq!(u.nrows(), want.len());
+                prop_assert_eq!(u.nnz(), want.iter().map(Vec::len).sum::<usize>());
+                for (r, row) in want.iter().enumerate() {
+                    prop_assert_eq!(u.row(r), &row[..]);
+                }
             }
         }
     }

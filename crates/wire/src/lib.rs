@@ -87,6 +87,14 @@ impl WireWriter {
         WireWriter::default()
     }
 
+    /// Reserves room for at least `meta` more meta-channel bytes and
+    /// `data` more data-channel bytes, so a value that knows its encoded
+    /// size writes each channel into one allocation.
+    pub fn reserve(&mut self, meta: usize, data: usize) {
+        self.meta.reserve(meta);
+        self.data.reserve(data);
+    }
+
     /// Appends raw bytes to the meta channel.
     pub fn meta_bytes(&mut self, bytes: &[u8]) {
         self.meta.extend_from_slice(bytes);

@@ -5,7 +5,10 @@
 # disk and cleaning them up afterwards. Also exercises streaming generation
 # (the tensor is written without ever being materialized), `dbtf stats` on
 # both a streamed tensor file and a spilled `DBTFUNFD` columnar unfolding,
-# and the scaling_memory RSS-bound bench at a smoke-sized workload.
+# and the scaling_memory RSS-bound bench at a smoke-sized workload. The
+# benchmark's cp-ooc-net configuration (net backend, two worker processes)
+# runs three ways — ram, mmap, and mmap under a 1 MiB sort budget that
+# spills sorted runs — and must write the same factors either way.
 #
 # Usage: scripts/ooc_smoke.sh [work-dir]   (default: target/ooc_smoke)
 set -euo pipefail
@@ -35,6 +38,35 @@ $dbtf factorize --input "$dir/x.dbtf" --rank 4 --iters 3 --workers 3 \
 echo "ooc_smoke: comparing outputs (must be identical minus the storage line)..."
 grep -v "^storage: mmap" "$dir/mmap.out" > "$dir/mmap_clean.out"
 diff "$dir/ram.out" "$dir/mmap_clean.out"
+
+echo "ooc_smoke: checking the spill dir was cleaned up..."
+if [ -d "$dir/spill" ] && [ -n "$(ls -A "$dir/spill")" ]; then
+  echo "ooc_smoke: FAIL — spill files left behind:" >&2
+  ls -R "$dir/spill" >&2
+  exit 1
+fi
+
+echo "ooc_smoke: net backend (cp-ooc-net configuration): ram, mmap, mmap with spilled runs..."
+# 66,714 ones: two sort runs per mode under DBTF_SPILL_BUDGET_MB=1
+# (1 MiB / 24 B per buffered entry = 43,690 entries per run).
+$dbtf generate planted --dims 96,80,48 --rank 4 --factor-density 0.4 \
+  --additive 0.02 --destructive 0.05 --seed 13 --binary --output "$dir/xn.dbtf"
+net=(factorize --input "$dir/xn.dbtf" --rank 4 --iters 2 --workers 2
+  --backend net --seed 5)
+$dbtf "${net[@]}" --storage ram --output "$dir/net_ram" > "$dir/net_ram.out"
+$dbtf "${net[@]}" --storage mmap --spill-dir "$dir/spill" \
+  --output "$dir/net_mmap" > "$dir/net_mmap.out"
+DBTF_SPILL_BUDGET_MB=1 $dbtf "${net[@]}" --storage mmap --spill-dir "$dir/spill" \
+  --output "$dir/net_runs" > "$dir/net_runs.out"
+# Factors and the `factorized …` line must match; the `wire:` line is not
+# compared, since its framing-overhead figure varies from run to run.
+for run in ram mmap runs; do
+  grep "^factorized" "$dir/net_$run.out" > "$dir/net_$run.factorized"
+done
+for run in mmap runs; do
+  for m in A B C; do cmp "$dir/net_ram.$m.txt" "$dir/net_$run.$m.txt"; done
+  cmp "$dir/net_ram.factorized" "$dir/net_$run.factorized"
+done
 
 echo "ooc_smoke: checking the spill dir was cleaned up..."
 if [ -d "$dir/spill" ] && [ -n "$(ls -A "$dir/spill")" ]; then
