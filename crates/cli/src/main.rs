@@ -163,8 +163,9 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
            [--storage ram|mmap]
                  where the driver materializes the unfolded tensors.
                  ram (default): on the heap; mmap: spilled once to
-                 on-disk columnar files (bounded sort buffer, see
-                 DBTF_SPILL_BUDGET_MB) and partitioned through a
+                 on-disk columnar files, the three modes at once on
+                 one thread each within one sort budget (see
+                 DBTF_SPILL_BUDGET_MB), and partitioned through a
                  read-only memory map, so no heap unfolding exists.
                  The driver still holds the whole tensor and, while a
                  mode ships, that mode's partitions and their encoded

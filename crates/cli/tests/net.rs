@@ -4,6 +4,9 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
+
+use dbtf_cluster::{ClusterConfig, NetTuning, WorkerHost};
 
 fn dbtf(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dbtf"))
@@ -234,4 +237,36 @@ fn worker_subcommand_rejects_bad_invocations() {
 
     let out = dbtf(&["worker", "--connect", "not-an-addr", "--id", "0"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// Dropping a process-hosted backend tells every worker to shut down
+/// before reaping any of them, and sleeps through no fixed ticks: eight
+/// `dbtf worker` processes go in well under 100 ms. The fastest of three
+/// drops is timed, so a busy host cannot fail the test on its own.
+#[test]
+fn eight_process_workers_drop_promptly() {
+    let fastest = (0..3)
+        .map(|_| {
+            let backend = dbtf::net_tasks::net_backend(
+                ClusterConfig {
+                    workers: 8,
+                    ..ClusterConfig::default()
+                },
+                WorkerHost::Process {
+                    program: PathBuf::from(env!("CARGO_BIN_EXE_dbtf")),
+                    args: vec!["worker".into()],
+                },
+                NetTuning::default(),
+            )
+            .expect("eight workers boot");
+            let start = Instant::now();
+            drop(backend);
+            start.elapsed()
+        })
+        .min()
+        .expect("three drops");
+    assert!(
+        fastest < Duration::from_millis(100),
+        "dropping 8 process workers took {fastest:?}"
+    );
 }

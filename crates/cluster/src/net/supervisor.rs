@@ -491,9 +491,10 @@ impl Supervisor {
 
 impl Drop for Supervisor {
     fn drop(&mut self) {
-        // 1. Stop the heartbeat monitor.
+        // 1. Stop the heartbeat monitor (wake it if it is parked).
         self.hb_shutdown.store(true, Ordering::Release);
         if let Some(handle) = self.heartbeat.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         // 2. Stop the acceptor (poke it with a throwaway connection).
@@ -504,17 +505,20 @@ impl Drop for Supervisor {
         }
         // 3. Unblock any worker parked on an unanswered Hello.
         lock(&self.pending.map).clear();
-        // 4. Shut workers down and reap them.
+        // 4. Tell every worker to shut down, so they all exit at once...
         for slot in self.slots.iter() {
             let mut slot = lock(slot);
             if let Some(mut stream) = slot.stream.take() {
                 let _ = write_frame(&mut stream, &Frame::Shutdown);
             }
             slot.graveyard.clear();
+        }
+        // 5. ...then reap them. Shutdown was sent (or the socket closed);
+        // give the processes a moment, then force the issue.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for slot in self.slots.iter() {
+            let mut slot = lock(slot);
             if let Some(child) = slot.child.as_mut() {
-                // Shutdown was sent (or the socket closed); give the
-                // process a moment, then force the issue.
-                let deadline = Instant::now() + Duration::from_secs(5);
                 loop {
                     match child.try_wait() {
                         Ok(Some(_)) | Err(_) => break,
@@ -523,7 +527,7 @@ impl Drop for Supervisor {
                             let _ = child.wait();
                             break;
                         }
-                        Ok(None) => std::thread::sleep(Duration::from_millis(20)),
+                        Ok(None) => std::thread::sleep(Duration::from_millis(1)),
                     }
                 }
             }
@@ -578,8 +582,16 @@ fn heartbeat_loop(
     tuning: &NetTuning,
 ) {
     let mut last_beat = Instant::now();
-    while !shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(20));
+    loop {
+        // Parked until the next beat is due; `Supervisor::drop` unparks it.
+        std::thread::park_timeout(
+            tuning
+                .heartbeat_interval
+                .saturating_sub(last_beat.elapsed()),
+        );
+        if shutdown.load(Ordering::Acquire) {
+            return;
+        }
         if last_beat.elapsed() < tuning.heartbeat_interval {
             continue;
         }

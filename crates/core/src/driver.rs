@@ -508,10 +508,11 @@ fn cut_one<S: UnfoldingStore>(
 /// yields the partitions of the updated tensor bit for bit. The driver map
 /// is charged `|X| + |Δ|` ops per mode.
 ///
-/// With [`StorageKind::Ram`] each unfolding is materialized on the heap;
-/// with [`StorageKind::Mmap`] it is spilled once to an on-disk columnar
-/// file and partitioned through a read-only map, so no heap unfolding
-/// exists. The driver still holds the whole tensor, and each mode's N
+/// With [`StorageKind::Ram`] each unfolding is materialized on the heap,
+/// one mode at a time; with [`StorageKind::Mmap`] the three modes are
+/// spilled at once, one thread each within one sort budget, to on-disk
+/// columnar files and partitioned through a read-only map, so no heap
+/// unfolding exists. The driver still holds the whole tensor, and each mode's N
 /// partitions plus their encoded frames while that mode ships: on the
 /// benchmark's `cp-ooc-net` job (2560×2560×640, |X| ≈ 1.4M, N = 16, two
 /// net workers) the mmap driver peaks near 60 MiB while a mode ships, and

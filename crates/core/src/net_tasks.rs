@@ -72,10 +72,11 @@ impl Wire for PartitionSlot {
             w.data_u32(b.inner_len);
         }
         for b in &p.blocks {
+            let mut recs = w.data_tail(12 * b.nnz()).chunks_exact_mut(12);
             for r in 0..b.nrows() {
-                for &off in b.row(r) {
-                    w.data_u32(r as u32);
-                    w.data_u64(off as u64);
+                for (&off, rec) in b.row(r).iter().zip(&mut recs) {
+                    rec[..4].copy_from_slice(&(r as u32).to_le_bytes());
+                    rec[4..].copy_from_slice(&(off as u64).to_le_bytes());
                 }
             }
         }
@@ -86,24 +87,33 @@ impl Wire for PartitionSlot {
         let col_lo = r.data_u64()?;
         let col_hi = r.data_u64()?;
         let slab_width = r.data_u64()? as usize;
-        let nrows = r.data_u64()? as usize;
-        let nblocks = r.data_u64()? as usize;
+        let nrows = r.data_u64()?;
+        let nblocks = r.data_u64()?;
         let total_nnz = r.data_u64()?;
         let _reserved = r.data_u64()?;
-        let mut geom = Vec::with_capacity(nblocks);
+        // Rows are u32 on the wire. Block and non-zero counts must be
+        // backed by the data bytes they describe before anything is
+        // allocated for them; the row offsets, which no bytes back, are
+        // reserved fallibly.
+        if nrows > u32::MAX as u64 {
+            return Err(WireError(format!("partition claims {nrows} rows")));
+        }
+        let nrows = nrows as usize;
+        let geometry = r.data_bytes(records_len(nblocks, 16, "blocks")?)?;
+        let mut geom = Vec::with_capacity(geometry.len() / 16);
         let mut shipped = 0u64;
-        for _ in 0..nblocks {
+        for g in geometry.chunks_exact(16) {
             let nnz = r.meta_u64()?;
-            let slab = r.data_u64()? as usize;
-            let inner_lo = r.data_u32()?;
-            let inner_len = r.data_u32()?;
+            let slab = u64::from_le_bytes(g[..8].try_into().unwrap()) as usize;
+            let inner_lo = u32::from_le_bytes(g[8..12].try_into().unwrap());
+            let inner_len = u32::from_le_bytes(g[12..].try_into().unwrap());
             if inner_len == 0 || inner_lo as u64 + inner_len as u64 > slab_width as u64 {
                 return Err(WireError(format!(
                     "partition block outside its slab: lo {inner_lo} len {inner_len} \
                      slab width {slab_width}"
                 )));
             }
-            shipped += nnz;
+            shipped = shipped.saturating_add(nnz);
             geom.push((slab, inner_lo, inner_len, nnz));
         }
         if shipped != total_nnz {
@@ -111,14 +121,19 @@ impl Wire for PartitionSlot {
                 "partition header claims {total_nnz} non-zeros, blocks carry {shipped}"
             )));
         }
-        let mut blocks = Vec::with_capacity(nblocks);
+        let mut blocks = Vec::with_capacity(geom.len());
         for (slab, inner_lo, inner_len, nnz) in geom {
-            let mut row_offsets = vec![0u32; nrows + 1];
-            let mut cols = Vec::with_capacity(nnz as usize);
+            let records = r.data_bytes(records_len(nnz, 12, "non-zeros")?)?;
+            let mut row_offsets = Vec::new();
+            row_offsets
+                .try_reserve_exact(nrows + 1)
+                .map_err(|e| WireError(format!("partition row offsets for {nrows} rows: {e}")))?;
+            row_offsets.resize(nrows + 1, 0u32);
+            let mut cols = Vec::with_capacity(records.len() / 12);
             let mut last_row = 0usize;
-            for _ in 0..nnz {
-                let row = r.data_u32()? as usize;
-                let off = r.data_u64()?;
+            for rec in records.chunks_exact(12) {
+                let row = u32::from_le_bytes(rec[..4].try_into().unwrap()) as usize;
+                let off = u64::from_le_bytes(rec[4..].try_into().unwrap());
                 if row >= nrows || row < last_row || off >= inner_len as u64 {
                     return Err(WireError(format!(
                         "partition non-zero out of order or out of range: \
@@ -161,6 +176,15 @@ impl Wire for PartitionSlot {
             blocks,
         }))
     }
+}
+
+/// Byte length of `count` records of `size` bytes each, as a decoder
+/// asks for them; a count no frame could carry is an error.
+fn records_len(count: u64, size: usize, what: &str) -> WireResult<usize> {
+    usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(size))
+        .ok_or_else(|| WireError(format!("partition claims {count} {what}")))
 }
 
 impl WireNamed for PartitionSlot {
@@ -447,6 +471,35 @@ mod tests {
         for cut in [frame.bytes.len() / 3, frame.bytes.len() - 4] {
             assert!(PartitionSlot::from_frame(&frame.bytes[..cut]).is_err());
         }
+        // So must counts the frame does not back: a claim of 2^40 blocks,
+        // rows or non-zeros is an error, never an allocation of that size.
+        // Header (index, col_lo, col_hi, slab_width, nrows, nblocks, nnz,
+        // reserved), then one 4-wide block when `nblocks` is 1.
+        const HUGE: u64 = 1 << 40;
+        let crafted = |nrows: u64, nblocks: u64, nnz: u64| {
+            let mut w = WireWriter::new();
+            for v in [0, 0, 4, 4, nrows, nblocks, nnz, 0] {
+                w.data_u64(v);
+            }
+            if nblocks == 1 {
+                w.meta_u64(nnz);
+                w.data_u64(0);
+                w.data_u32(0);
+                w.data_u32(4);
+            }
+            w.finish().bytes
+        };
+        for (what, bytes) in [
+            ("blocks", crafted(2, HUGE, 0)),
+            ("rows", crafted(HUGE, 1, 0)),
+            ("non-zeros", crafted(2, 1, HUGE)),
+        ] {
+            assert!(
+                PartitionSlot::from_frame(&bytes).is_err(),
+                "a frame claiming 2^40 {what} must not decode"
+            );
+        }
+        assert!(PartitionSlot::from_frame(&crafted(2, 1, 0)).is_ok());
     }
 
     #[test]

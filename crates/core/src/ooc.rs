@@ -3,27 +3,30 @@
 //! A [`crate::config::StorageKind::Mmap`] run never holds a heap
 //! [`dbtf_tensor::Unfolding`]: each mode is spilled once into an on-disk
 //! columnar file ([`dbtf_tensor::columnar`]) through the bounded-memory
-//! external sort in [`dbtf_tensor::stream`], and the driver partitions the
-//! rows through a read-only memory map. This module owns the lifecycle of
-//! those files — a uniquely named spill subdirectory created per run and
-//! removed when the last handle drops, so lineage-rebuild closures held by
-//! the execution backend keep the files alive for exactly as long as a
-//! lost partition could still need them.
+//! external sort in [`dbtf_tensor::stream`], the three modes at once, and
+//! the driver partitions the rows through a read-only memory map. This
+//! module owns the lifecycle of those files — a uniquely named spill
+//! subdirectory created per run and removed when the last handle drops, so
+//! lineage-rebuild closures held by the execution backend keep the files
+//! alive for exactly as long as a lost partition could still need them.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dbtf_tensor::stream::{write_unfolding_from_entries, SpillConfig, DEFAULT_CHUNK_BYTES};
+use dbtf_tensor::stream::{
+    write_unfolding_from_slice, SortBuffers, SpillConfig, DEFAULT_CHUNK_BYTES,
+};
 use dbtf_tensor::{BoolTensor, MmapUnfolding, Mode, StoreError};
 
 use crate::config::DbtfError;
 
-/// Environment variable bounding the external-sort chunk buffer, in MiB.
+/// Environment variable bounding the external-sort chunk buffers, in MiB.
 /// Unset or malformed values fall back to
-/// [`dbtf_tensor::stream::DEFAULT_CHUNK_BYTES`]. The buffer bounds *driver*
-/// memory during the spill pass; it never affects the bytes written, so
-/// results are identical for every budget.
+/// [`dbtf_tensor::stream::DEFAULT_CHUNK_BYTES`]. The budget bounds *driver*
+/// memory during the spill pass, the three concurrent mode sorts together;
+/// it never affects the bytes written, so results are identical for every
+/// budget.
 pub const SPILL_BUDGET_ENV: &str = "DBTF_SPILL_BUDGET_MB";
 
 /// Distinguishes concurrent runs sharing one spill directory (and one
@@ -67,10 +70,25 @@ pub(crate) struct RunStores {
 
 impl RunStores {
     /// Spills all three mode unfoldings of `x` into a fresh subdirectory of
-    /// `spill_dir` (the system temporary directory if `None`), one
-    /// streaming pass per mode with a bounded sort buffer
-    /// ([`SPILL_BUDGET_ENV`]).
+    /// `spill_dir` (the system temporary directory if `None`). The three
+    /// modes spill at once, one thread each, every thread sorting straight
+    /// from `x`'s entry slice; one [`SPILL_BUDGET_ENV`] budget bounds the
+    /// three sort buffers together.
+    ///
+    /// # Errors
+    ///
+    /// The first failed mode's error, in mode order. The spill directory is
+    /// removed on every error; a panicking spill thread panics here.
     pub(crate) fn build(x: &BoolTensor, spill_dir: Option<&str>) -> Result<RunStores, DbtfError> {
+        RunStores::build_with(x, spill_dir, spill_chunk_bytes())
+    }
+
+    /// [`RunStores::build`] under a sort budget of `chunk_bytes`.
+    fn build_with(
+        x: &BoolTensor,
+        spill_dir: Option<&str>,
+        chunk_bytes: usize,
+    ) -> Result<RunStores, DbtfError> {
         let base = spill_dir
             .map(PathBuf::from)
             .unwrap_or_else(std::env::temp_dir);
@@ -85,11 +103,37 @@ impl RunStores {
         let stores = RunStores {
             guard: Arc::new(SpillGuard { dir }),
         };
-        let spill = SpillConfig::new(&stores.guard.dir).with_chunk_bytes(spill_chunk_bytes());
-        let dims = x.dims();
-        for mode in Mode::ALL {
-            let entries = x.iter().map(Ok);
-            write_unfolding_from_entries(entries, dims, mode, &stores.path(mode), &spill)?;
+        let spill = SpillConfig::new(&stores.guard.dir).with_chunk_bytes(chunk_bytes);
+        let (entries, dims) = (x.entries(), x.dims());
+        let paths = Mode::ALL.map(|mode| stores.path(mode));
+        // Allocated on this thread and lent to the spill threads: glibc
+        // serves each thread from an arena of its own, and buffers a spill
+        // thread allocated would stay resident after the spill, out of
+        // reach of the distribute step's allocations (DESIGN.md §1.2.7).
+        let mut bufs =
+            Mode::ALL.map(|mode| SortBuffers::new(&spill, mode.nrows(dims), entries.len()));
+        let written = std::thread::scope(|s| {
+            let spills: Vec<_> = Mode::ALL
+                .into_iter()
+                .zip(&paths)
+                .zip(&mut bufs)
+                .map(|((mode, path), bufs)| {
+                    let spill = &spill;
+                    s.spawn(move || {
+                        write_unfolding_from_slice(entries, dims, mode, path, spill, bufs)
+                    })
+                })
+                .collect();
+            spills
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect::<Vec<_>>()
+        });
+        for result in written {
+            result?;
         }
         Ok(stores)
     }
@@ -124,19 +168,60 @@ mod tests {
         BoolTensor::from_entries([5, 4, 3], entries)
     }
 
+    /// A few hundred distinct entries of a 9 × 11 × 7 tensor, so a 1-byte
+    /// budget (64-entry chunks) spills several runs per mode.
+    fn scattered_tensor() -> BoolTensor {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let entries = (0..400)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                [
+                    ((state >> 33) % 9) as u32,
+                    ((state >> 13) % 11) as u32,
+                    (state % 7) as u32,
+                ]
+            })
+            .collect();
+        BoolTensor::from_entries([9, 11, 7], entries)
+    }
+
+    /// The three modes spill at once; each file holds the very bytes its
+    /// heap unfolding serializes to, at the default budget (one chunk per
+    /// mode) and at a 1-byte budget (64-entry chunks, runs in every mode).
     #[test]
     fn builds_three_openable_unfoldings_matching_heap() {
-        let x = tiny_tensor();
-        let stores = RunStores::build(&x, None).expect("build");
-        for mode in Mode::ALL {
-            let mmap = stores.open(mode).expect("open");
-            let heap = Unfolding::new(&x, mode);
-            assert_eq!(mmap.nrows(), heap.nrows());
-            assert_eq!(mmap.nnz(), heap.nnz() as u64);
-            for r in 0..heap.nrows() {
-                assert_eq!(mmap.row(r), heap.row(r), "mode {mode:?} row {r}");
+        let x = scattered_tensor();
+        let base = std::env::temp_dir().join(format!("dbtf-ooc-heap-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        for budget in [DEFAULT_CHUNK_BYTES, 1] {
+            let stores =
+                RunStores::build_with(&x, Some(base.to_str().unwrap()), budget).expect("build");
+            for mode in Mode::ALL {
+                let mmap = stores.open(mode).expect("open");
+                let heap = Unfolding::new(&x, mode);
+                assert_eq!(mmap.nrows(), heap.nrows());
+                assert_eq!(mmap.nnz(), heap.nnz() as u64);
+                for r in 0..heap.nrows() {
+                    assert_eq!(mmap.row(r), heap.row(r), "mode {mode:?} row {r}");
+                }
+                let serialized = base.join(format!("heap-{budget}-{}.dbtfu", mode.index()));
+                MmapUnfolding::write_from_store(&heap, &serialized).unwrap();
+                assert_eq!(
+                    std::fs::read(stores.path(mode)).unwrap(),
+                    std::fs::read(&serialized).unwrap(),
+                    "budget {budget} {mode:?}"
+                );
             }
+            let runs_left = std::fs::read_dir(&stores.guard.dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.path().extension().is_some_and(|x| x == "run"))
+                .count();
+            assert_eq!(runs_left, 0, "budget {budget}");
         }
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -260,13 +260,25 @@ impl UnfoldingWriter {
     /// Creates `path` (truncating any existing file) and prepares to stream
     /// the mode-`mode` unfolding of a tensor with shape `dims`.
     pub fn create(path: &Path, mode: Mode, dims: [usize; 3]) -> Result<Self, StoreError> {
+        UnfoldingWriter::with_index(path, mode, dims, Vec::new())
+    }
+
+    /// [`UnfoldingWriter::create`], building the row index in `offsets`
+    /// (cleared first) so the caller decides where it is allocated.
+    pub(crate) fn with_index(
+        path: &Path,
+        mode: Mode,
+        dims: [usize; 3],
+        mut offsets: Vec<u64>,
+    ) -> Result<Self, StoreError> {
         let nrows = mode.nrows(dims);
         let index_off = PAGE;
         let data_off = align_page(index_off + 8 * (nrows as u64 + 1));
         let mut file = File::create(path).map_err(|e| StoreError::io(path, e))?;
         file.seek(SeekFrom::Start(data_off))
             .map_err(|e| StoreError::io(path, e))?;
-        let mut offsets = Vec::with_capacity(nrows + 1);
+        offsets.clear();
+        offsets.reserve_exact(nrows + 1);
         offsets.push(0);
         Ok(UnfoldingWriter {
             path: path.to_path_buf(),

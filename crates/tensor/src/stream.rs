@@ -1,16 +1,18 @@
 //! Bounded-memory COO → columnar-unfolding conversion.
 //!
-//! [`write_unfolding_from_entries`] turns a stream of tensor entries into an
-//! on-disk [`columnar`](crate::columnar) unfolding file without ever holding
-//! the unfolding (or the entry list) in memory: entries are checked against
-//! the tensor's dims and matricized into `(row, col)` pairs, gathered in
-//! fixed-size chunks, and each chunk is row-bucket sorted into sorted,
-//! duplicate-free rows. A lone chunk streams straight into the single-pass
-//! [`UnfoldingWriter`]; otherwise each chunk spills to a run file in a spill
-//! directory and the runs are k-way merged (with duplicate elimination)
-//! into the writer. Peak memory is one chunk plus its bucket buffer and one
-//! buffered reader per run — the configured [`SpillConfig::chunk_bytes`],
-//! never the nonzero count.
+//! Two entry points write one mode's unfolding to an on-disk
+//! [`columnar`](crate::columnar) file without ever holding the unfolding in
+//! memory. [`write_unfolding_from_slice`] sorts an in-memory entry slice
+//! chunk by chunk, straight from the slice; [`write_unfolding_from_entries`]
+//! first gathers a stream of entries into chunks of 12-byte entries. Either
+//! way every entry is checked against the tensor's dims, and each chunk is
+//! matricized and row-bucket sorted into sorted, duplicate-free rows. A lone
+//! chunk streams straight into the single-pass [`UnfoldingWriter`];
+//! otherwise each chunk spills to a run file in a spill directory and the
+//! runs are k-way merged (with duplicate elimination) into the writer. Peak
+//! memory is one chunk's sort buffers (plus, when streaming, the chunk
+//! itself) and one buffered reader per run — bounded by
+//! [`SpillConfig::chunk_bytes`], never by the nonzero count.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,17 +31,20 @@ pub struct SpillConfig {
     /// Directory run files are written to (created if absent, runs deleted
     /// after the merge).
     pub dir: PathBuf,
-    /// In-memory sort buffer budget in bytes. Each buffered entry costs 24
-    /// bytes (its `(row, col)` pair plus its slot in the row-bucket
-    /// buffer); values below one page are rounded up to a small minimum.
+    /// In-memory sort budget in bytes: a chunk holds `chunk_bytes / 24`
+    /// entries (at least 64). Sorting a chunk costs 8 bytes per entry, its
+    /// column slot in the row-bucket buffer, so three modes sorting from
+    /// slices at once stay within the budget; a streamed chunk adds its own
+    /// 12-byte entries, 20 bytes per entry for the one mode it sorts.
     pub chunk_bytes: usize,
 }
 
 /// Default in-memory sort budget: 64 MiB, i.e. ~2.8M entries per chunk.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 << 20;
 
-/// Sort memory per buffered entry: its 16-byte `(row, col)` pair in the
-/// chunk plus its 8-byte column slot in the row-bucket buffer.
+/// Budget bytes per chunk entry: the entry's 8-byte column slot in the
+/// row-bucket buffer, once for each of the three modes that may sort at
+/// once.
 const BYTES_PER_ENTRY: usize = 24;
 
 impl SpillConfig {
@@ -95,11 +100,40 @@ impl From<StoreError> for IngestError {
     }
 }
 
-fn spill_io(path: &Path, e: std::io::Error) -> IngestError {
-    IngestError::Store(StoreError::Io {
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    })
+/// The buffers one mode's sort works in: one chunk's row-bucket CSR
+/// (`nrows + 1` offsets and a column slot per entry) and the output file's
+/// row index (`nrows + 1` offsets).
+///
+/// [`write_unfolding_from_slice`] borrows them, so a caller that sorts
+/// modes on threads of its own allocates them on a thread that outlives
+/// those threads. glibc serves each thread from an arena of its own, and
+/// memory a short-lived thread allocated stays resident in that arena after
+/// it is freed, where the caller's later allocations never reuse it.
+#[derive(Debug, Default)]
+pub struct SortBuffers {
+    offsets: Vec<usize>,
+    cols: Vec<u64>,
+    index: Vec<u64>,
+}
+
+impl SortBuffers {
+    /// Buffers sized for sorting `entries` entries of an unfolding with
+    /// `nrows` rows under `spill`'s chunk budget, so no sort grows them.
+    pub fn new(spill: &SpillConfig, nrows: usize, entries: usize) -> SortBuffers {
+        SortBuffers {
+            offsets: Vec::with_capacity(nrows + 1),
+            cols: Vec::with_capacity(entries.min(spill.chunk_capacity())),
+            index: Vec::with_capacity(nrows + 1),
+        }
+    }
+
+    /// The sorted chunk's `(row, col)` entries, in order.
+    fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.offsets
+            .windows(2)
+            .enumerate()
+            .flat_map(move |(r, w)| self.cols[w[0]..w[1]].iter().map(move |&c| (r as u32, c)))
+    }
 }
 
 /// One spilled run of sorted `(row, col)` records, 12 bytes each.
@@ -110,14 +144,14 @@ struct Run {
 }
 
 impl Run {
-    fn next(&mut self) -> Result<Option<(u32, u64)>, IngestError> {
+    fn next(&mut self) -> Result<Option<(u32, u64)>, StoreError> {
         if self.remaining == 0 {
             return Ok(None);
         }
         let mut rec = [0u8; 12];
         self.reader
             .read_exact(&mut rec)
-            .map_err(|e| spill_io(&self.path, e))?;
+            .map_err(|e| StoreError::io(&self.path, e))?;
         self.remaining -= 1;
         Ok(Some((
             u32::from_le_bytes(rec[..4].try_into().unwrap()),
@@ -139,25 +173,9 @@ impl Drop for Runs {
     }
 }
 
-/// One chunk's bucketed rows in CSR form (see [`bucket_rows`]).
-#[derive(Default)]
-struct Buckets {
-    offsets: Vec<usize>,
-    cols: Vec<u64>,
-}
-
-impl Buckets {
-    fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.offsets
-            .windows(2)
-            .enumerate()
-            .flat_map(move |(r, w)| self.cols[w[0]..w[1]].iter().map(move |&c| (r as u32, c)))
-    }
-}
-
 /// Writes one chunk's sorted rows as run `seq`; a failed write removes
 /// its own file.
-fn spill_run(dir: &Path, tag: &str, seq: usize, rows: &Buckets) -> Result<Run, IngestError> {
+fn spill_run(dir: &Path, tag: &str, seq: usize, rows: &SortBuffers) -> Result<Run, StoreError> {
     let path = dir.join(format!("{}-{}-{}.run", tag, std::process::id(), seq));
     let write = || -> std::io::Result<Run> {
         let mut w = BufWriter::new(File::create(&path)?);
@@ -176,8 +194,135 @@ fn spill_run(dir: &Path, tag: &str, seq: usize, rows: &Buckets) -> Result<Run, I
     };
     write().map_err(|e| {
         let _ = std::fs::remove_file(&path);
-        spill_io(&path, e)
+        StoreError::io(&path, e)
     })
+}
+
+/// One mode's external sort in progress. Chunks are sorted one at a time
+/// into the borrowed buffers; a sorted chunk spills to a run only when
+/// another chunk follows it.
+struct ModeSort<'a> {
+    dims: [usize; 3],
+    mode: Mode,
+    out: &'a Path,
+    dir: &'a Path,
+    tag: String,
+    /// Holds the last sorted chunk; it is not spilled yet if `cols` is
+    /// non-empty.
+    bufs: &'a mut SortBuffers,
+    runs: Runs,
+}
+
+impl<'a> ModeSort<'a> {
+    fn new(
+        dims: [usize; 3],
+        mode: Mode,
+        out: &'a Path,
+        spill: &'a SpillConfig,
+        bufs: &'a mut SortBuffers,
+    ) -> Result<ModeSort<'a>, StoreError> {
+        std::fs::create_dir_all(&spill.dir).map_err(|e| StoreError::io(&spill.dir, e))?;
+        let tag = out
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "unfolding".to_string());
+        bufs.offsets.clear();
+        bufs.cols.clear();
+        Ok(ModeSort {
+            dims,
+            mode,
+            out,
+            dir: &spill.dir,
+            tag,
+            bufs,
+            runs: Runs::default(),
+        })
+    }
+
+    /// Rejects an entry outside `dims`, naming it. Checked before
+    /// matricizing, since an out-of-range index can alias another cell's
+    /// `(row, col)` in one mode and not in another.
+    fn check(&self, e: [u32; 3]) -> Result<(), StoreError> {
+        if e.iter().zip(self.dims).any(|(&x, d)| x as usize >= d) {
+            return Err(StoreError::Invalid {
+                path: self.out.display().to_string(),
+                detail: format!("entry {e:?} is out of range for dims {:?}", self.dims),
+            });
+        }
+        Ok(())
+    }
+
+    /// Row-bucket sorts the next chunk of checked entries, first spilling
+    /// the chunk before it.
+    fn sort(&mut self, chunk: &[[u32; 3]]) -> Result<(), StoreError> {
+        if !self.bufs.cols.is_empty() {
+            let run = spill_run(self.dir, &self.tag, self.runs.0.len(), self.bufs)?;
+            self.runs.0.push(run);
+        }
+        let (dims, mode) = (self.dims, self.mode);
+        bucket_rows(
+            chunk.iter().map(|&e| mode.matricize(dims, e)),
+            mode.nrows(dims),
+            &mut self.bufs.offsets,
+            &mut self.bufs.cols,
+        );
+        Ok(())
+    }
+
+    /// Writes the unfolding file: a lone chunk straight from its buckets,
+    /// otherwise the last chunk spills too and the runs are merged. Returns
+    /// the number of distinct entries written; on error no partial `out`
+    /// file is left behind.
+    fn finish(mut self) -> Result<u64, StoreError> {
+        if !self.runs.0.is_empty() && !self.bufs.cols.is_empty() {
+            let run = spill_run(self.dir, &self.tag, self.runs.0.len(), self.bufs)?;
+            self.runs.0.push(run);
+        }
+        let index = std::mem::take(&mut self.bufs.index);
+        let mut writer = UnfoldingWriter::with_index(self.out, self.mode, self.dims, index)?;
+        let mut sink = |r: u32, c: u64| writer.push(r, c);
+        let result = if self.runs.0.is_empty() {
+            self.bufs.entries().try_for_each(|(r, c)| sink(r, c))
+        } else {
+            merge_runs(&mut self.runs.0, sink)
+        };
+        drop(self.runs);
+        let result = result.and_then(|()| writer.finish());
+        if result.is_err() {
+            let _ = std::fs::remove_file(self.out);
+        }
+        result
+    }
+}
+
+/// Writes mode `mode`'s unfolding of the entries in `entries` to `out`,
+/// sorting straight from the slice a chunk at a time in `bufs`.
+///
+/// `entries` may be in any order and contain duplicates; the file is
+/// byte-identical to serializing [`Unfolding::new`](crate::Unfolding::new)
+/// of the same entries, and to what [`write_unfolding_from_entries`] writes
+/// for them, whatever the chunk budget. Returns the number of distinct
+/// entries written.
+///
+/// # Errors
+///
+/// An entry outside `dims` is [`StoreError::Invalid`] naming the entry; a
+/// failed file operation is [`StoreError::Io`]. On any error no run file
+/// and no partial `out` file is left behind.
+pub fn write_unfolding_from_slice(
+    entries: &[[u32; 3]],
+    dims: [usize; 3],
+    mode: Mode,
+    out: &Path,
+    spill: &SpillConfig,
+    bufs: &mut SortBuffers,
+) -> Result<u64, StoreError> {
+    let mut sort = ModeSort::new(dims, mode, out, spill, bufs)?;
+    for chunk in entries.chunks(spill.chunk_capacity()) {
+        chunk.iter().try_for_each(|&e| sort.check(e))?;
+        sort.sort(chunk)?;
+    }
+    sort.finish()
 }
 
 /// Streams COO entries into a columnar unfolding file for `mode`.
@@ -186,15 +331,16 @@ fn spill_run(dir: &Path, tag: &str, seq: usize, rows: &Buckets) -> Result<Run, I
 /// sort produces the same sorted, duplicate-free rows as
 /// [`Unfolding::new`](crate::Unfolding::new), so the resulting file is
 /// byte-identical to serializing the heap unfolding, whatever the chunk
-/// budget. Returns the number of distinct entries written.
+/// budget. Entries are gathered into chunks of 12-byte entries and each
+/// chunk is sorted as [`write_unfolding_from_slice`] sorts its slice.
+/// Returns the number of distinct entries written.
 ///
 /// # Errors
 ///
 /// A source error is returned as [`IngestError::Parse`]. An entry outside
-/// `dims` is [`StoreError::Invalid`] naming the entry — checked before
-/// matricizing, since an out-of-range index can alias another cell's
-/// `(row, col)` in one mode and not in another. On any error no run file
-/// and no partial `out` file is left behind.
+/// `dims` is [`StoreError::Invalid`] naming the entry, reported when the
+/// entry arrives. On any error no run file and no partial `out` file is
+/// left behind.
 pub fn write_unfolding_from_entries<I>(
     entries: I,
     dims: [usize; 3],
@@ -205,75 +351,26 @@ pub fn write_unfolding_from_entries<I>(
 where
     I: IntoIterator<Item = Result<[u32; 3], ParseError>>,
 {
-    std::fs::create_dir_all(&spill.dir).map_err(|e| spill_io(&spill.dir, e))?;
-    let tag = out
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "unfolding".to_string());
-    let nrows = mode.nrows(dims);
     let cap = spill.chunk_capacity();
-    let mut chunk: Vec<(u32, u64)> = Vec::with_capacity(cap.min(1 << 20));
-    let mut rows = Buckets::default();
-    let mut runs = Runs::default();
+    let mut bufs = SortBuffers::default();
+    let mut sort = ModeSort::new(dims, mode, out, spill, &mut bufs)?;
+    let mut chunk: Vec<[u32; 3]> = Vec::with_capacity(cap.min(1 << 20));
     for entry in entries {
         let e = entry?;
-        if e.iter().zip(dims).any(|(&x, d)| x as usize >= d) {
-            return Err(IngestError::Store(StoreError::Invalid {
-                path: out.display().to_string(),
-                detail: format!("entry {e:?} is out of range for dims {dims:?}"),
-            }));
-        }
-        chunk.push(mode.matricize(dims, e));
-        if chunk.len() >= cap {
-            bucket_rows(
-                chunk.iter().copied(),
-                nrows,
-                &mut rows.offsets,
-                &mut rows.cols,
-            );
+        sort.check(e)?;
+        if chunk.len() == cap {
+            sort.sort(&chunk)?;
             chunk.clear();
-            let run = spill_run(&spill.dir, &tag, runs.0.len(), &rows)?;
-            runs.0.push(run);
         }
+        chunk.push(e);
     }
-    bucket_rows(
-        chunk.iter().copied(),
-        nrows,
-        &mut rows.offsets,
-        &mut rows.cols,
-    );
+    sort.sort(&chunk)?;
     drop(chunk);
-    if !runs.0.is_empty() && !rows.cols.is_empty() {
-        let run = spill_run(&spill.dir, &tag, runs.0.len(), &rows)?;
-        runs.0.push(run);
-    }
-
-    let mut writer = UnfoldingWriter::create(out, mode, dims)?;
-    let mut written = 0u64;
-    let mut sink = |r: u32, c: u64| -> Result<(), StoreError> {
-        writer.push(r, c)?;
-        written += 1;
-        Ok(())
-    };
-    let result = if runs.0.is_empty() {
-        // Everything fit in one chunk: stream its rows straight out.
-        rows.entries()
-            .try_for_each(|(r, c)| sink(r, c))
-            .map_err(IngestError::Store)
-    } else {
-        drop(rows);
-        merge_runs(&mut runs.0, sink)
-    };
-    drop(runs);
-    let result = result.and_then(|()| writer.finish().map_err(IngestError::Store));
-    if result.is_err() {
-        let _ = std::fs::remove_file(out);
-    }
-    result.map(|_| written)
+    Ok(sort.finish()?)
 }
 
 /// K-way merge of sorted runs with duplicate elimination.
-fn merge_runs<F>(runs: &mut [Run], mut sink: F) -> Result<(), IngestError>
+fn merge_runs<F>(runs: &mut [Run], mut sink: F) -> Result<(), StoreError>
 where
     F: FnMut(u32, u64) -> Result<(), StoreError>,
 {
@@ -286,7 +383,7 @@ where
     let mut last: Option<(u32, u64)> = None;
     while let Some(Reverse((r, c, i))) = heap.pop() {
         if last != Some((r, c)) {
-            sink(r, c).map_err(IngestError::Store)?;
+            sink(r, c)?;
             last = Some((r, c));
         }
         if let Some((nr, nc)) = runs[i].next()? {
@@ -360,6 +457,7 @@ mod tests {
     fn in_memory_and_spilled_paths_produce_identical_files() {
         let (t, raw) = scrambled_entries();
         let dir = tmp_dir("identical");
+        let mut bufs = SortBuffers::default();
         for mode in Mode::ALL {
             let m = mode.index();
             let (big, small) = (
@@ -388,7 +486,31 @@ mod tests {
             let heap = dir.join(format!("heap{m}.unf"));
             MmapUnfolding::write_from_store(&Unfolding::new(&t, mode), &heap).unwrap();
             assert_eq!(big, std::fs::read(&heap).unwrap(), "{mode:?}");
+            // And to what the slice entry point writes at either budget,
+            // from the tensor's sorted entries or the scrambled ones with
+            // duplicates, with one set of buffers that every call resets.
+            for (b, spill) in both_budgets(&dir).into_iter().enumerate() {
+                for (side, entries) in [("sorted", t.entries()), ("scrambled", &raw[..])] {
+                    let sliced = dir.join(format!("slice-b{b}-{side}{m}.unf"));
+                    let written = write_unfolding_from_slice(
+                        entries,
+                        t.dims(),
+                        mode,
+                        &sliced,
+                        &spill,
+                        &mut bufs,
+                    )
+                    .unwrap();
+                    assert_eq!(written, t.nnz() as u64, "budget {b} {side} {mode:?}");
+                    assert_eq!(
+                        big,
+                        std::fs::read(&sliced).unwrap(),
+                        "budget {b} {side} {mode:?}"
+                    );
+                }
+            }
         }
+        assert!(files_with_ext(&dir, "run").is_empty());
     }
 
     #[test]
@@ -463,21 +585,26 @@ mod tests {
         for (b, spill) in both_budgets(&dir).into_iter().enumerate() {
             for mode in Mode::ALL {
                 let out = dir.join(format!("b{b}-m{}.unf", mode.index()));
-                let got = write_unfolding_from_entries(
+                let streamed = write_unfolding_from_entries(
                     entries.iter().map(|&e| Ok(e)),
                     dims,
                     mode,
                     &out,
                     &spill,
                 );
-                match got {
-                    Err(IngestError::Store(StoreError::Invalid { detail, .. })) => {
-                        assert!(
-                            detail.contains("[0, 3, 0]"),
-                            "budget {b} {mode:?}: {detail}"
-                        )
+                let mut bufs = SortBuffers::new(&spill, mode.nrows(dims), entries.len());
+                let sliced =
+                    write_unfolding_from_slice(&entries, dims, mode, &out, &spill, &mut bufs);
+                for got in [streamed, sliced.map_err(IngestError::Store)] {
+                    match got {
+                        Err(IngestError::Store(StoreError::Invalid { detail, .. })) => {
+                            assert!(
+                                detail.contains("[0, 3, 0]"),
+                                "budget {b} {mode:?}: {detail}"
+                            )
+                        }
+                        other => panic!("budget {b} {mode:?}: expected Invalid, got {other:?}"),
                     }
-                    other => panic!("budget {b} {mode:?}: expected Invalid, got {other:?}"),
                 }
                 assert!(!out.exists(), "budget {b} {mode:?}: output left behind");
                 assert!(

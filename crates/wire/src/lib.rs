@@ -125,6 +125,15 @@ impl WireWriter {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends `len` zero bytes to the data channel and returns them, so a
+    /// value with fixed-size records writes them in place rather than
+    /// field by field.
+    pub fn data_tail(&mut self, len: usize) -> &mut [u8] {
+        let start = self.data.len();
+        self.data.resize(start + len, 0);
+        &mut self.data[start..]
+    }
+
     /// Bytes written to the data channel so far.
     pub fn data_len(&self) -> u64 {
         self.data.len() as u64
