@@ -161,17 +161,18 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
                  respawns per worker before a net run degrades to a typed
                  error with a final checkpoint flush (default 3)
            [--storage ram|mmap]
-                 where the driver materializes the unfolded tensors.
-                 ram (default): on the heap; mmap: spilled once to
-                 on-disk columnar files, the three modes at once on
-                 one thread each within one sort budget (see
-                 DBTF_SPILL_BUDGET_MB), and partitioned through a
-                 read-only memory map, so no heap unfolding exists.
-                 The driver still holds the whole tensor and, while a
-                 mode ships, that mode's partitions and their encoded
-                 frames: a 2560×2560×640 net job with 1.4M ones peaks
-                 near 60 MiB on mmap and 67 MiB on ram. Factors,
-                 errors, and every meter are bit-identical either way.
+                 where the driver cuts the unfolded tensors'
+                 partitions from. ram (default): straight from the
+                 in-memory tensor, with no unfolding built; mmap:
+                 spilled once to on-disk columnar files, the three
+                 modes at once on one thread each within one sort
+                 budget (see DBTF_SPILL_BUDGET_MB), and partitioned
+                 through a read-only memory map. The driver holds the
+                 whole tensor either way and, while a mode ships, that
+                 mode's partitions and their encoded frames: a
+                 2560×2560×640 net job with 1.4M ones peaks near
+                 63 MiB on either storage. Factors, errors, and every
+                 meter are bit-identical either way.
            [--spill-dir DIR]
                  where --storage mmap spills its unfolding files
                  (default: the system temp dir); each run uses and
@@ -209,9 +210,9 @@ update:    --input X.txt --delta DELTA.txt --factors STORE --output FILE
                  comments). STORE (DBTFFSET or DBTFCKPT) holds factors
                  fitted to the pre-delta tensor; the rank comes from it.
                  Only the factor columns the delta is incident to are
-                 re-swept — through copy-on-write overlays of the old
-                 unfoldings, never a rebuild — and the result is proven
-                 no worse than the old factors on the updated tensor.
+                 re-swept, over partitions cut from the updated tensor,
+                 and the result is proven no worse than the old factors
+                 on the updated tensor.
                  Bit-identical across backends and storage kinds
            [--reload ADDR [--reload-source ram|mmap]]
                  after writing --output, ask the `dbtf serve` at ADDR to

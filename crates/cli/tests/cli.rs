@@ -247,6 +247,43 @@ fn text_dims_header_beyond_u32_is_a_clean_error() {
 }
 
 #[test]
+fn binary_count_disagreeing_with_the_body_is_a_clean_error() {
+    let dir = tempdir("binary_count");
+    let x = dir.join("x.dbtf");
+    let out = dbtf(&[
+        "generate",
+        "random",
+        "--dims",
+        "16,16,16",
+        "--density",
+        "0.1",
+        "--output",
+        x.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    // Halve the header's entry count: the records past it used to be
+    // dropped without a word.
+    let mut bytes = std::fs::read(&x).unwrap();
+    let count = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
+    assert!(count > 1);
+    bytes[32..40].copy_from_slice(&(count / 2).to_le_bytes());
+    std::fs::write(&x, &bytes).unwrap();
+    let input = x.to_str().unwrap();
+    assert_clean_runtime_error(&dbtf(&["stats", "--input", input]), "stats");
+    let out = dbtf(&[
+        "factorize",
+        "--input",
+        input,
+        "--rank",
+        "2",
+        "--workers",
+        "2",
+    ]);
+    assert_clean_runtime_error(&out, "factorize");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn crafted_checkpoint_header_is_a_clean_error() {
     let dir = tempdir("crafted_checkpoint");
     let ck = dir.join("ck.dbtf");

@@ -155,27 +155,29 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// Where the driver materializes the three unfolded tensors it partitions
-/// (DESIGN.md §1.2.7).
+/// Where the driver cuts the partitions of the three unfolded tensors
+/// from (DESIGN.md §1.2.7).
 ///
-/// Both backends produce bit-identical factors, errors, op counts, Lemma
+/// Both storages produce bit-identical factors, errors, op counts, Lemma
 /// 6/7 byte counters, virtual clocks, and trace fingerprints for the same
 /// configuration: the partitions a run distributes are equal byte for byte
-/// regardless of where the unfolding rows were read from, and file I/O is
-/// never charged to the virtual cost model.
+/// regardless of where they were cut from, and file I/O is never charged
+/// to the virtual cost model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// Heap-resident unfoldings ([`dbtf_tensor::Unfolding`]): each mode's
-    /// CSR unfolding lives in memory while the driver partitions it.
+    /// Straight from the in-memory tensor's sorted entries, with no
+    /// unfolding built.
+    /// On backends that replay lineage the driver keeps a heap copy of the
+    /// tensor to re-cut a lost partition from; on the local backend it
+    /// copies nothing.
     #[default]
     Ram,
     /// Out-of-core unfoldings ([`dbtf_tensor::MmapUnfolding`]): each mode
     /// is spilled to an on-disk columnar file in one streaming pass with a
     /// bounded sort buffer, then partitioned through a read-only memory
-    /// map, so no heap unfolding exists. The driver still holds the
-    /// tensor, and one mode's partitions while they ship (DESIGN.md
-    /// §1.2.7). Lineage recompute re-opens the file instead of
-    /// re-unfolding a heap copy of the tensor.
+    /// map. The driver still holds the tensor, and one mode's partitions
+    /// while they ship (DESIGN.md §1.2.7). Lineage recompute re-opens the
+    /// file instead of keeping a heap copy of the tensor.
     Mmap,
 }
 

@@ -5,12 +5,15 @@
 //! existing factor set after a *small* change to the tensor. The key
 //! observations, both consequences of how Algorithm 4 already works:
 //!
-//! 1. **The unfoldings don't need rebuilding.** Each delta cell maps
-//!    through the Equation-1 index maps to exactly one `(row, column)`
-//!    of each mode's unfolding, so a copy-on-write
-//!    [`OverlayUnfolding`] over the *old* unfolding (heap or mmap)
-//!    presents the updated tensor to the partitioner unchanged — and
-//!    produces partitions bit-identical to a rebuild.
+//! 1. **The partitions are cut from the updated tensor.** The driver
+//!    builds `x_new = Δ(X)` anyway, to score the pre-delta factors on
+//!    it, and cuts (or spills) it exactly as a fresh run does. The map
+//!    is still charged `|X| + |Δ|` per mode, as a read of the old
+//!    unfoldings through the delta: each delta cell maps through the
+//!    Equation-1 index maps to exactly one `(row, column)` of each
+//!    mode's unfolding, and a copy-on-write
+//!    [`OverlayUnfolding`](dbtf_tensor::OverlayUnfolding) over the old
+//!    unfolding yields the same partitions (the test reference).
 //! 2. **Only incident columns need re-sweeping.** A delta cell
 //!    `(i, j, k)` interacts with factor column `r` only through the
 //!    rows `a_i`, `b_j`, `c_k`; columns with no bit set in any of those
@@ -118,7 +121,7 @@ pub fn affected_columns(delta: &TensorDelta, factors: &FactorSet) -> Vec<usize> 
 /// Runs a bounded greedy re-sweep of only the [`affected_columns`]
 /// through the same superstep pipeline as [`crate::factorize`] — begin /
 /// per-column sweep / finish, metered under `delta.*` operator labels —
-/// over copy-on-write overlays of the existing unfoldings. Deterministic
+/// over the partitions of the updated tensor. Deterministic
 /// for a fixed `(config, x, delta, factors)` regardless of backend,
 /// worker count, or partitioning, exactly like the full driver.
 ///
@@ -240,13 +243,14 @@ fn run_delta<B: ExecutionBackend>(
         });
     }
 
-    // ---- Distribute the three overlaid unfoldings (no rebuild). --------
+    // ---- Distribute the updated tensor, cut or spilled like a fresh ----
+    // run's; the map is charged as an overlay read of the old unfoldings.
     let ([px1, px2, px3], partition_bytes) = catch_cluster(|| {
         sched.phase("delta.distribute", |s| {
             distribute_unfoldings(
                 s,
-                x,
-                Some(delta),
+                &x_new,
+                (x.nnz() + delta.len()) as u64,
                 &DELTA_DISTRIBUTE_LABELS,
                 n_partitions,
                 config.storage,

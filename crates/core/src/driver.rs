@@ -23,17 +23,17 @@ use std::time::Instant;
 
 use dbtf_cluster::{ClusterError, ExecutionBackend, PlanTrace, Scheduler};
 use dbtf_telemetry::{SpanKind, Tracer};
-use dbtf_tensor::{
-    BitMatrix, BoolTensor, FactorTriple, Mode, OverlayUnfolding, TensorDelta, Unfolding,
-    UnfoldingStore,
-};
+use dbtf_tensor::{BitMatrix, BoolTensor, FactorTriple, Mode};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{DbtfConfig, DbtfError, StorageKind};
 use crate::factors::{initial_factor_sets, FactorSet};
 use crate::net_tasks;
 use crate::ooc::RunStores;
-use crate::partition::{partition_unfolding, partition_unfolding_one, ModePartition};
+use crate::partition::{
+    partition_tensor, partition_tensor_one, partition_unfolding, partition_unfolding_one,
+    ModePartition,
+};
 use crate::stats::DbtfStats;
 use crate::sweep::{column_sweep_subset, SweepLabels};
 use crate::update::PartitionSlot;
@@ -233,7 +233,7 @@ fn run<B: ExecutionBackend>(
             distribute_unfoldings(
                 s,
                 x,
-                None,
+                x.nnz() as u64,
                 &CP_DISTRIBUTE_LABELS,
                 n_partitions,
                 config.storage,
@@ -424,11 +424,11 @@ pub(crate) const DELTA_DISTRIBUTE_LABELS: DistributeLabels = DistributeLabels {
     organize: "delta.unfold.organize",
 };
 
-/// Where a run's partitions are cut from, and re-cut from when lineage
-/// recovery rebuilds a lost one (Spark's recompute-from-source contract).
+/// Where lineage recovery re-cuts a lost partition from (Spark's
+/// recompute-from-source contract).
 #[derive(Clone)]
 enum PartitionSource {
-    /// A heap copy of the tensor, re-unfolded on demand.
+    /// A heap copy of the tensor, cut again on demand.
     Ram(Arc<BoolTensor>),
     /// The run's three spilled columnar files, re-opened on demand. The
     /// stores hold the spill-directory guard, so the files outlive every
@@ -437,117 +437,75 @@ enum PartitionSource {
 }
 
 impl PartitionSource {
-    /// All `n` partitions of mode `mode`, with `delta` overlaid.
-    fn partitions(
-        &self,
-        mode: Mode,
-        delta: Option<&TensorDelta>,
-        n: usize,
-    ) -> Result<Vec<ModePartition>, DbtfError> {
-        Ok(match self {
-            PartitionSource::Ram(x) => cut_all(Unfolding::new(x, mode), delta, n),
-            PartitionSource::Mmap(stores) => cut_all(stores.open(mode)?, delta, n),
-        })
-    }
-
-    /// Partition `idx` of `n` of mode `mode` alone, with `delta` overlaid.
-    fn partition(
-        &self,
-        mode: Mode,
-        delta: Option<&TensorDelta>,
-        idx: usize,
-        n: usize,
-    ) -> ModePartition {
+    /// Partition `idx` of `n` of mode `mode` alone.
+    fn partition(&self, mode: Mode, idx: usize, n: usize) -> ModePartition {
         match self {
-            PartitionSource::Ram(x) => cut_one(Unfolding::new(x, mode), delta, idx, n),
+            PartitionSource::Ram(x) => partition_tensor_one(x, mode, idx, n),
             PartitionSource::Mmap(stores) => {
-                let base = stores
+                let store = stores
                     .open(mode)
                     .unwrap_or_else(|e| panic!("lineage rebuild lost its spilled unfolding: {e}"));
-                cut_one(base, delta, idx, n)
+                partition_unfolding_one(&store, idx, n)
             }
         }
     }
 }
 
-/// [`partition_unfolding`] of `base`, through an overlay only when there
-/// is a delta.
-fn cut_all<S: UnfoldingStore>(
-    base: S,
-    delta: Option<&TensorDelta>,
-    n: usize,
-) -> Vec<ModePartition> {
-    match delta {
-        None => partition_unfolding(&base, n),
-        Some(d) => partition_unfolding(&OverlayUnfolding::new(base, d), n),
-    }
-}
-
-/// [`partition_unfolding_one`] of `base`, through an overlay only when
-/// there is a delta.
-fn cut_one<S: UnfoldingStore>(
-    base: S,
-    delta: Option<&TensorDelta>,
-    idx: usize,
-    n: usize,
-) -> ModePartition {
-    match delta {
-        None => partition_unfolding_one(&base, idx, n),
-        Some(d) => partition_unfolding_one(&OverlayUnfolding::new(base, d), idx, n),
-    }
-}
-
-/// Unfolds `x` (with `delta` applied, if given) along all three modes,
-/// partitions each unfolding into `n_partitions` PVM-blocked vertical
-/// partitions (Algorithm 3), and distributes them across the backend with
-/// full shuffle metering under `labels`. Returns the three datasets (mode
-/// order) and the total metered bytes.
+/// Partitions `x` along all three modes into `n_partitions` PVM-blocked
+/// vertical partitions each (Algorithm 3), and distributes them across the
+/// backend with full shuffle metering under `labels`. Returns the three
+/// datasets (mode order) and the total metered bytes.
 ///
-/// A delta is never applied to the unfoldings themselves: each mode's base
-/// unfolding is read through a copy-on-write [`OverlayUnfolding`], which
-/// yields the partitions of the updated tensor bit for bit. The driver map
-/// is charged `|X| + |Δ|` ops per mode.
+/// The driver map is charged `map_ops` per mode: `|X|` for a fresh
+/// factorization, and `|X| + |Δ|` for a delta update, which hands in the
+/// updated tensor it already built (Lemma 4 part 1).
 ///
-/// With [`StorageKind::Ram`] each unfolding is materialized on the heap,
-/// one mode at a time; with [`StorageKind::Mmap`] the three modes are
-/// spilled at once, one thread each within one sort budget, to on-disk
-/// columnar files and partitioned through a read-only map, so no heap
-/// unfolding exists. The driver still holds the whole tensor, and each mode's N
-/// partitions plus their encoded frames while that mode ships: on the
-/// benchmark's `cp-ooc-net` job (2560×2560×640, |X| ≈ 1.4M, N = 16, two
-/// net workers) the mmap driver peaks near 60 MiB while a mode ships, and
-/// the RAM driver near 67 MiB. The partitions (and therefore every downstream
-/// byte, op, and clock meter) are identical byte for byte either way: the
-/// spill pass is real I/O, never charged to the virtual cost model.
+/// With [`StorageKind::Ram`] each mode's partitions are cut straight from
+/// the tensor's sorted entries ([`partition_tensor`]), so no unfolding
+/// exists. With [`StorageKind::Mmap`] the three modes are spilled at once,
+/// one thread each within one sort budget, to on-disk columnar files and
+/// partitioned through a read-only map. The driver holds the whole tensor
+/// either way, and each mode's N partitions plus their encoded frames
+/// while that mode ships: on the benchmark's `cp-ooc-net` job
+/// (2560×2560×640, |X| ≈ 1.4M, N = 16, two net workers) the driver
+/// peaks near 63 MiB on either storage. The partitions (and therefore
+/// every downstream byte, op, and clock meter) are identical byte for byte
+/// either way: the spill pass is real I/O, never charged to the virtual
+/// cost model.
 ///
-/// A lost partition is rebuilt alone (`partition_unfolding_one`) from the
-/// same source on both storages: RAM runs keep a heap copy of the tensor
-/// and re-unfold it, mmap runs re-open the spilled file.
+/// A lost partition is rebuilt alone from a lineage source, kept only on
+/// backends that replay lineage ([`ExecutionBackend::replays_lineage`]):
+/// RAM runs keep a heap copy of the tensor and re-cut one partition from
+/// it (`partition_tensor_one`), mmap runs re-open the spilled file. The
+/// local backend never replays, so a RAM run there copies nothing.
 ///
 /// Shared by the CP, the delta-update and the distributed-Tucker drivers —
 /// all three operate on exactly this layout.
 pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
     x: &BoolTensor,
-    delta: Option<&TensorDelta>,
+    map_ops: u64,
     labels: &DistributeLabels,
     n_partitions: usize,
     storage: StorageKind,
     spill_dir: Option<&str>,
 ) -> Result<([B::Dataset<PartitionSlot>; 3], u64), DbtfError> {
     let source = match storage {
-        StorageKind::Ram => PartitionSource::Ram(Arc::new(x.clone())),
-        StorageKind::Mmap => PartitionSource::Mmap(RunStores::build(x, spill_dir)?),
+        StorageKind::Ram => sched
+            .backend()
+            .replays_lineage()
+            .then(|| PartitionSource::Ram(Arc::new(x.clone()))),
+        StorageKind::Mmap => Some(PartitionSource::Mmap(RunStores::build(x, spill_dir)?)),
     };
-    let delta = delta.map(|d| Arc::new(d.clone()));
-    // The driver-side unfolding map is O(|X| + |Δ|) (Lemma 4 part 1),
-    // identical on both storage paths — mmap runs paid the same logical
-    // work during the spill pass.
-    let map_ops = (x.nnz() + delta.as_ref().map_or(0, |d| d.len())) as u64;
     let mut partition_bytes = 0u64;
     let mut datasets = Vec::with_capacity(3);
     for mode in Mode::ALL {
-        let parts = source.partitions(mode, delta.as_deref(), n_partitions)?;
+        let parts = match &source {
+            Some(PartitionSource::Mmap(stores)) => {
+                partition_unfolding(&stores.open(mode)?, n_partitions)
+            }
+            Some(PartitionSource::Ram(_)) | None => partition_tensor(x, mode, n_partitions),
+        };
         sched.charge_driver(labels.map, map_ops);
         let elems: Vec<(PartitionSlot, u64)> = parts
             .into_iter()
@@ -557,9 +515,12 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
             })
             .collect();
         partition_bytes += elems.iter().map(|e| e.1).sum::<u64>();
-        let (root, delta) = (source.clone(), delta.clone());
+        let root = source.clone();
         let data = sched.distribute_with_lineage(labels.distribute, elems, move |idx| {
-            PartitionSlot::new(root.partition(mode, delta.as_deref(), idx, n_partitions))
+            let root = root
+                .as_ref()
+                .expect("only a backend that replays lineage rebuilds a partition");
+            PartitionSlot::new(root.partition(mode, idx, n_partitions))
         });
         // Distributed block organization (Algorithm 3 line 4): each worker
         // walks its share of the non-zeros once. The driver never reads the

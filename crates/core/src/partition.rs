@@ -9,9 +9,10 @@
 //! fetched: a full-slab block reads the full-size cache directly, while the
 //! at-most-two edge blocks of a partition use vertically sliced caches.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use dbtf_tensor::UnfoldingStore;
+use dbtf_tensor::{BoolTensor, Mode, UnfoldingStore};
 
 /// The block types of the paper's Figure 5, keyed by how a block sits
 /// inside its PVM slab.
@@ -247,11 +248,164 @@ pub fn partition_unfolding_one<S: UnfoldingStore>(
     let q = unfolding.ncols();
     let s = unfolding.mode().slab_width(unfolding.tensor_dims()) as u64;
     let nrows = unfolding.nrows();
-    let n = n_partitions as u64;
-    let p = index as u64;
-    let col_lo = p * q / n;
-    let col_hi = (p + 1) * q / n;
+    let (col_lo, col_hi) = column_range(index, n_partitions, q);
     build_partition(unfolding, index, col_lo, col_hi, s, nrows)
+}
+
+/// The balanced column range `[p·Q/N, (p+1)·Q/N)` of partition `index`.
+fn column_range(index: usize, n_partitions: usize, q: u64) -> (u64, u64) {
+    let (n, p) = (n_partitions as u64, index as u64);
+    (p * q / n, (p + 1) * q / n)
+}
+
+/// Cuts all `n_partitions` partitions of `tensor`'s mode-`mode` unfolding
+/// straight from its entries, equal to [`partition_unfolding`] of
+/// `Unfolding::new(tensor, mode)` without building that unfolding.
+///
+/// A [`BoolTensor`] keeps its entries sorted by `(i, j, k)` and
+/// duplicate-free, so in every mode the entries of one (row, slab) pair
+/// arrive with their inner offset rising: mode 1 has row `i`, slab `k` and
+/// offset `j`; mode 2 has `j`, `k`, `i`; mode 3 has `k`, `j`, `i`. One pass
+/// counts each (block, row) pair into the block's row offsets, one scatter
+/// writes each entry's offset into its block's exactly-sized column array,
+/// and every block comes out in its final order. No row is sorted, and
+/// nothing is held beside the partitions' own arrays but one slab index.
+///
+/// # Panics
+///
+/// Panics if `n_partitions == 0` or a block holds more than `u32::MAX` ones.
+pub(crate) fn partition_tensor(
+    tensor: &BoolTensor,
+    mode: Mode,
+    n_partitions: usize,
+) -> Vec<ModePartition> {
+    assert!(n_partitions > 0, "need at least one partition");
+    cut_tensor(tensor, mode, 0..n_partitions, n_partitions)
+}
+
+/// Cuts partition `index` of the `n_partitions`-way split alone — the
+/// lineage-recompute form of [`partition_tensor`]: one pass over the
+/// entries, holding only that partition's arrays.
+///
+/// # Panics
+///
+/// Panics if `index >= n_partitions`, or where [`partition_tensor`] does.
+pub(crate) fn partition_tensor_one(
+    tensor: &BoolTensor,
+    mode: Mode,
+    index: usize,
+    n_partitions: usize,
+) -> ModePartition {
+    assert!(n_partitions > 0, "need at least one partition");
+    assert!(index < n_partitions, "partition index out of range");
+    cut_tensor(tensor, mode, index..index + 1, n_partitions)
+        .pop()
+        .expect("one partition")
+}
+
+/// Partitions `parts` of the `n`-way split, cut by [`cut_with`].
+fn cut_tensor(
+    tensor: &BoolTensor,
+    mode: Mode,
+    parts: Range<usize>,
+    n: usize,
+) -> Vec<ModePartition> {
+    match mode {
+        Mode::One => cut_with(tensor, mode, parts, n, |[i, j, k]| (i, k, j)),
+        Mode::Two => cut_with(tensor, mode, parts, n, |[i, j, k]| (j, k, i)),
+        Mode::Three => cut_with(tensor, mode, parts, n, |[i, j, k]| (k, j, i)),
+    }
+}
+
+/// The counting cut of [`partition_tensor`], for the consecutive partitions
+/// `parts`; `key` maps an entry to its (row, slab, inner offset).
+fn cut_with(
+    tensor: &BoolTensor,
+    mode: Mode,
+    parts: Range<usize>,
+    n: usize,
+    key: impl Fn([u32; 3]) -> (u32, u32, u32),
+) -> Vec<ModePartition> {
+    let dims = tensor.dims();
+    let (q, nrows) = (mode.ncols(dims), mode.nrows(dims));
+    let s = mode.slab_width(dims) as u64;
+    let mut out: Vec<ModePartition> = parts
+        .map(|index| {
+            let (col_lo, col_hi) = column_range(index, n, q);
+            ModePartition {
+                index,
+                col_lo,
+                col_hi,
+                slab_width: s as usize,
+                nrows,
+                blocks: empty_blocks(col_lo, col_hi, s, nrows),
+            }
+        })
+        .collect();
+    let (lo, hi) = (out[0].col_lo, out[out.len() - 1].col_hi);
+    // Every block of the range in column order, each with its rows zeroed.
+    let block_counts: Vec<usize> = out.iter().map(|p| p.blocks.len()).collect();
+    let mut blocks: Vec<Block> = out
+        .iter_mut()
+        .flat_map(|p| std::mem::take(&mut p.blocks))
+        .collect();
+    for b in &mut blocks {
+        b.row_offsets.resize(nrows + 1, 0);
+    }
+    // The blocks of slab `slab_lo + k` are `slab_first[k]..slab_first[k + 1]`
+    // (they tile the range, so no slab is skipped), starting at `starts`.
+    let slab_lo = blocks.first().map_or(0, |b| b.slab);
+    let mut slab_first: Vec<usize> = (0..blocks.len())
+        .filter(|&b| b == 0 || blocks[b - 1].slab != blocks[b].slab)
+        .collect();
+    slab_first.push(blocks.len());
+    let starts: Vec<u32> = blocks.iter().map(|b| b.inner_lo).collect();
+    let locate = |slab: u32, inner: u32| -> Option<usize> {
+        let col = slab as u64 * s + inner as u64;
+        if col < lo || col >= hi {
+            return None;
+        }
+        let k = slab as usize - slab_lo;
+        let (first, end) = (slab_first[k], slab_first[k + 1]);
+        Some(first + starts[first + 1..end].partition_point(|&o| o <= inner))
+    };
+
+    // Count each (block, row) pair into `row_offsets[row + 1]`: a count is at
+    // most `inner_len ≤ u32::MAX`, and the prefix sums are checked.
+    for &e in tensor.entries() {
+        let (row, slab, inner) = key(e);
+        if let Some(b) = locate(slab, inner) {
+            blocks[b].row_offsets[row as usize + 1] += 1;
+        }
+    }
+    for b in &mut blocks {
+        let mut total = 0u32;
+        for offset in &mut b.row_offsets[1..] {
+            total = total.checked_add(*offset).expect("block nnz exceeds u32");
+            *offset = total;
+        }
+        b.cols = vec![0; total as usize];
+    }
+    // Scatter, using `row_offsets[row]` as the row's cursor: afterwards it
+    // holds the row's end, and one shift restores the starts.
+    for &e in tensor.entries() {
+        let (row, slab, inner) = key(e);
+        if let Some(b) = locate(slab, inner) {
+            let block = &mut blocks[b];
+            let at = &mut block.row_offsets[row as usize];
+            block.cols[*at as usize] = inner - block.inner_lo;
+            *at += 1;
+        }
+    }
+    for b in &mut blocks {
+        b.row_offsets.copy_within(..nrows, 1);
+        b.row_offsets[0] = 0;
+    }
+    let mut blocks = blocks.into_iter();
+    for (p, count) in out.iter_mut().zip(&block_counts) {
+        p.blocks = blocks.by_ref().take(*count).collect();
+    }
+    out
 }
 
 /// The block geometry of the partition `[col_lo, col_hi)`: one empty
@@ -438,14 +592,37 @@ mod reference_props {
         Ok(())
     }
 
+    /// The counting cut of `t`, all at once and one partition at a time,
+    /// equals the reference builder's partitions of `store`.
+    fn cut_matches_reference<S: UnfoldingStore>(
+        t: &BoolTensor,
+        mode: Mode,
+        store: &S,
+        n: usize,
+        label: &str,
+    ) -> Result<(), TestCaseError> {
+        let all = partition_tensor(t, mode, n);
+        prop_assert_eq!(all.len(), n);
+        for (idx, part) in all.iter().enumerate() {
+            let want = reference_partition(store, idx, n);
+            prop_assert_eq!(part, &want, "{} partition {} of {}", label, idx, n);
+            let one = partition_tensor_one(t, mode, idx, n);
+            prop_assert_eq!(&one, &want, "{} single partition {} of {}", label, idx, n);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The one-walk builder equals the binary-search reference on heap,
-        /// mmap and overlay stores, in every mode, for every N.
+        /// mmap and overlay stores, in every mode, for every N; so does the
+        /// counting cut of the tensor, and of the updated tensor against
+        /// the overlay.
         #[test]
         fn one_walk_builder_equals_the_reference((t, edits, n) in case()) {
             let delta = TensorDelta::new(t.dims(), edits).unwrap();
+            let updated = delta.apply(&t);
             let seq = FILE_SEQ.fetch_add(1, Ordering::Relaxed);
             for mode in Mode::ALL {
                 let heap = Unfolding::new(&t, mode);
@@ -463,6 +640,11 @@ mod reference_props {
                     })
                     .and_then(|()| {
                         matches_reference(&OverlayUnfolding::new(&mmap, &delta), n, "mmap overlay")
+                    })
+                    .and_then(|()| cut_matches_reference(&t, mode, &heap, n, "tensor cut"))
+                    .and_then(|()| {
+                        let overlay = OverlayUnfolding::new(&heap, &delta);
+                        cut_matches_reference(&updated, mode, &overlay, n, "updated tensor cut")
                     });
                 drop(mmap);
                 let _ = std::fs::remove_file(&path);

@@ -246,7 +246,7 @@ fn run<B: ExecutionBackend>(
             distribute_unfoldings(
                 s,
                 x,
-                None,
+                x.nnz() as u64,
                 &CP_DISTRIBUTE_LABELS,
                 n_partitions,
                 crate::config::StorageKind::Ram,

@@ -1,7 +1,7 @@
 //! Slow, obviously-correct oracles for the incremental-update path.
 //!
-//! `dbtf::update_factors` applies a [`TensorDelta`] through copy-on-write
-//! unfolding overlays and re-sweeps only the affected factor columns. The
+//! `dbtf::update_factors` applies a [`TensorDelta`], cuts the partitions
+//! of the updated tensor and re-sweeps only the affected factor columns. The
 //! oracles here re-derive each of those steps from first principles,
 //! sharing no code with the fast path beyond element accessors:
 //!

@@ -1,5 +1,4 @@
-//! Span-based tracing, unified counters, and a log layer for the DBTF
-//! engine.
+//! Span-based tracing and unified counters for the DBTF engine.
 //!
 //! This crate is dependency-free and engine-agnostic: the cluster and
 //! core crates push spans/counters in, the CLI and CI pull Chrome
@@ -11,7 +10,6 @@
 
 mod chrome;
 mod counters;
-pub mod log;
 mod span;
 
 pub use chrome::{validate_chrome_trace, write_chrome_trace, JsonValue, TraceSummary};

@@ -121,28 +121,33 @@ fn parse_binary_header(head: &[u8; 32]) -> Result<([usize; 3], u64), ParseError>
     Ok((dims, word(3)))
 }
 
+/// The entry count of a `DBTFBIN1` body of `body_len` bytes: the body
+/// must hold exactly the header's `count` records of 12 bytes. A count
+/// that disagrees with the body is rejected before anything is allocated
+/// for it: a smaller one would drop the records past it, and an
+/// interrupted streaming write leaves its placeholder count of 0.
+fn checked_count(count: u64, body_len: u64) -> Result<usize, ParseError> {
+    count
+        .checked_mul(12)
+        .filter(|&bytes| bytes == body_len)
+        .and_then(|_| usize::try_from(count).ok())
+        .ok_or_else(|| {
+            ParseError::Malformed(
+                0,
+                format!("entry count {count} disagrees with a {body_len}-byte entry section"),
+            )
+        })
+}
+
+/// Decodes one 12-byte `DBTFBIN1` record.
+fn decode_record(rec: &[u8]) -> [u32; 3] {
+    let coord = |i: usize| u32::from_le_bytes(rec[i..i + 4].try_into().expect("4-byte slice"));
+    [coord(0), coord(4), coord(8)]
+}
+
 /// Parses the binary format produced by [`write_tensor_binary_buf`].
 pub fn read_tensor_binary_buf(data: &[u8]) -> Result<BoolTensor, ParseError> {
-    let malformed = |msg: &str| ParseError::Malformed(0, msg.to_string());
-    if data.len() < 8 + 32 || &data[..8] != BINARY_MAGIC {
-        return Err(malformed("missing DBTFBIN1 magic"));
-    }
-    let (dims, count) = parse_binary_header(data[8..40].try_into().expect("32-byte slice"))?;
-    let body = &data[40..];
-    let count = usize::try_from(count)
-        .ok()
-        .filter(|&c| c.checked_mul(12).is_some_and(|n| n <= body.len()))
-        .ok_or_else(|| malformed("truncated entry section"))?;
-    let mut builder = TensorBuilder::with_capacity(dims, count);
-    for rec in body.chunks_exact(12).take(count) {
-        let coord = |i: usize| u32::from_le_bytes(rec[i..i + 4].try_into().expect("4-byte slice"));
-        let (i, j, k) = (coord(0), coord(4), coord(8));
-        if i as usize >= dims[0] || j as usize >= dims[1] || k as usize >= dims[2] {
-            return Err(ParseError::OutOfRange(0, format!("({i}, {j}, {k})")));
-        }
-        builder.insert(i, j, k);
-    }
-    Ok(builder.build())
+    read_binary(data, data.len() as u64)
 }
 
 /// Writes a tensor to a file in the binary format.
@@ -152,7 +157,54 @@ pub fn write_tensor_binary_file<P: AsRef<Path>>(tensor: &BoolTensor, path: P) ->
 
 /// Reads a tensor from a binary-format file.
 pub fn read_tensor_binary_file<P: AsRef<Path>>(path: P) -> Result<BoolTensor, ParseError> {
-    read_tensor_binary_buf(&std::fs::read(path)?)
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    read_binary(file, len)
+}
+
+/// Records per read of [`read_binary`]'s fixed buffer.
+const RECORDS_PER_READ: usize = 8192;
+
+/// Reads a `DBTFBIN1` tensor of `len` bytes in one pass: the records
+/// stream through a fixed buffer straight into the entry vector, each
+/// range-checked as it arrives. Records that arrive strictly increasing,
+/// as every writer here emits them, skip the sort and deduplication.
+fn read_binary(mut reader: impl Read, len: u64) -> Result<BoolTensor, ParseError> {
+    let mut head = [0u8; 8 + 32];
+    if len < head.len() as u64
+        || reader.read_exact(&mut head).is_err()
+        || &head[..8] != BINARY_MAGIC
+    {
+        return Err(ParseError::Malformed(
+            0,
+            "missing DBTFBIN1 magic".to_string(),
+        ));
+    }
+    let (dims, count) = parse_binary_header(head[8..].try_into().expect("32-byte slice"))?;
+    let count = checked_count(count, len - head.len() as u64)?;
+    let mut entries: Vec<[u32; 3]> = Vec::with_capacity(count);
+    let mut sorted = true;
+    let mut buf = vec![0u8; 12 * RECORDS_PER_READ.min(count)];
+    let mut left = count;
+    while left > 0 {
+        let chunk = &mut buf[..12 * left.min(RECORDS_PER_READ)];
+        reader.read_exact(chunk)?;
+        for rec in chunk.chunks_exact(12) {
+            let e = decode_record(rec);
+            if outside(e, dims) {
+                let [i, j, k] = e;
+                return Err(ParseError::OutOfRange(0, format!("({i}, {j}, {k})")));
+            }
+            sorted &= entries.last().is_none_or(|&last| last < e);
+            entries.push(e);
+        }
+        left -= chunk.len() / 12;
+    }
+    Ok(if sorted {
+        BoolTensor::from_sorted_entries(dims, entries)
+    } else {
+        BoolTensor::from_entries(dims, entries)
+    })
 }
 
 /// Reads a tensor from a file path.
@@ -207,6 +259,8 @@ impl TensorStream {
                 .read_exact(&mut head)
                 .map_err(|_| ParseError::Malformed(0, "truncated DBTFBIN1 header".to_string()))?;
             let (dims, nnz) = parse_binary_header(&head)?;
+            let body_len = reader.get_ref().metadata()?.len().saturating_sub(8 + 32);
+            checked_count(nnz, body_len)?;
             return Ok(TensorStream {
                 dims,
                 nnz,
@@ -260,8 +314,7 @@ impl Iterator for TensorStream {
                     return Some(Err(ParseError::Io(e)));
                 }
                 *remaining -= 1;
-                let coord = |i: usize| u32::from_le_bytes(rec[i..i + 4].try_into().unwrap());
-                let e = [coord(0), coord(4), coord(8)];
+                let e = decode_record(&rec);
                 if outside(e, self.dims) {
                     *remaining = 0;
                     return Some(Err(ParseError::OutOfRange(0, format!("{e:?}"))));
@@ -671,14 +724,65 @@ mod tests {
         ));
     }
 
+    /// A `DBTFBIN1` file holding `records` as they are, in file order.
+    fn binary_records(dims: [u64; 3], records: &[[u32; 3]]) -> Vec<u8> {
+        let mut buf = binary_header(dims, records.len() as u64);
+        for c in records.iter().flatten() {
+            buf.extend_from_slice(&c.to_le_bytes());
+        }
+        buf
+    }
+
     #[test]
     fn binary_file_roundtrip() {
         let t = BoolTensor::from_entries([8, 8, 8], vec![[1, 1, 1], [7, 0, 3]]);
-        let dir = std::env::temp_dir().join("dbtf_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.dbtf");
+        let path = stream_tmp("t.dbtf");
         write_tensor_binary_file(&t, &path).unwrap();
         assert_eq!(read_tensor_binary_file(&path).unwrap(), t);
+        // Unsorted and duplicate records load like `from_entries`.
+        let records = [[7, 0, 3], [1, 1, 1], [7, 0, 3], [0, 5, 2], [1, 1, 1]];
+        let buf = binary_records([8, 8, 8], &records);
+        let want = BoolTensor::from_entries([8, 8, 8], records.to_vec());
+        assert_eq!(read_tensor_binary_buf(&buf).unwrap(), want);
+        std::fs::write(&path, &buf).unwrap();
+        assert_eq!(read_tensor_binary_file(&path).unwrap(), want);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The body must hold exactly the header's count of records: a smaller
+    /// count, a zero count over a body (an interrupted streaming write) and
+    /// a trailing byte are typed errors from every binary reader.
+    #[test]
+    fn binary_count_must_match_the_body() {
+        let records: Vec<[u32; 3]> = (0..6).map(|i| [i, i % 3, 5 - i]).collect();
+        let good = binary_records([6, 3, 6], &records);
+        let with_count = |count: u64| {
+            let mut buf = good.clone();
+            buf[32..40].copy_from_slice(&count.to_le_bytes());
+            buf
+        };
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let path = stream_tmp("count.dbtf");
+        let malformed = |r: Result<(), ParseError>| matches!(r, Err(ParseError::Malformed(0, _)));
+        for (what, buf) in [
+            ("halved count", with_count(3)),
+            ("zero count", with_count(0)),
+            ("trailing byte", trailing),
+        ] {
+            assert!(malformed(read_tensor_binary_buf(&buf).map(drop)), "{what}");
+            std::fs::write(&path, &buf).unwrap();
+            assert!(
+                malformed(read_tensor_binary_file(&path).map(drop)),
+                "{what}"
+            );
+            assert!(malformed(TensorStream::open(&path).map(drop)), "{what}");
+        }
+        let err = read_tensor_binary_buf(&with_count(3)).unwrap_err();
+        assert!(err.to_string().contains("entry count 3"), "{err}");
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(TensorStream::open(&path).unwrap().count(), 6);
+        assert_eq!(read_tensor_binary_file(&path).unwrap().nnz(), 6);
         let _ = std::fs::remove_file(&path);
     }
 

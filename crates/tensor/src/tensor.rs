@@ -50,6 +50,17 @@ impl BoolTensor {
         BoolTensor { dims, entries }
     }
 
+    /// Wraps entries that are already sorted, duplicate-free and in range
+    /// for `dims` (the binary loader checks all three as it reads).
+    pub(crate) fn from_sorted_entries(dims: [usize; 3], entries: Vec<[u32; 3]>) -> Self {
+        Self::check_dims(dims);
+        debug_assert!(
+            entries.windows(2).all(|w| w[0] < w[1]),
+            "entries not sorted"
+        );
+        BoolTensor { dims, entries }
+    }
+
     fn check_dims(dims: [usize; 3]) {
         for d in dims {
             assert!(d <= u32::MAX as usize, "mode size {d} exceeds u32 range");

@@ -7,7 +7,9 @@
 # cell-by-cell reconstruction of the re-swept factors bit for bit.
 # `dbtf update` runs in another working directory than `dbtf serve` and
 # writes a relative --output, so the reload only works if the path it
-# sends resolves on the server's side too.
+# sends resolves on the server's side too. The update runs on mmap storage
+# (it spills the updated tensor) and again on ram storage (it cuts the
+# updated tensor in memory); both must write the same store.
 #
 # Usage: scripts/delta_smoke.sh [work-dir]   (default: target/delta_smoke)
 set -euo pipefail
@@ -82,6 +84,12 @@ echo "delta_smoke: run from $dir/update with a relative --output..."
 grep -q "re-swept" "$dir/update.out"
 version=$(sed -n 's/^wrote factor set v\([0-9]*\) to .*/\1/p' "$dir/update.out")
 grep -q "reloaded $addr: serving v$version " "$dir/update.out"
+
+echo "delta_smoke: the same update on ram storage writes the same store..."
+(cd "$dir/update" && $dbtf update --input ../x.txt --delta ../delta.txt \
+  --factors ../factors.dbtfs --output factors_v2_ram.dbtfs \
+  --workers 3 --storage ram) > "$dir/update_ram.out"
+cmp "$dir/update/factors_v2.dbtfs" "$dir/update/factors_v2_ram.dbtfs"
 
 echo "delta_smoke: the server now serves the new generation (v$version)..."
 $dbtf query --connect "$addr" --info | tee "$dir/info.out"
