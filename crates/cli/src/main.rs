@@ -161,20 +161,19 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
                  respawns per worker before a net run degrades to a typed
                  error with a final checkpoint flush (default 3)
            [--storage ram|mmap]
-                 where the driver cuts the unfolded tensors'
-                 partitions from. ram (default): straight from the
-                 in-memory tensor, with no unfolding built; mmap:
-                 spilled once to on-disk columnar files, the three
-                 modes at once on one thread each within one sort
-                 budget (see DBTF_SPILL_BUDGET_MB), and partitioned
-                 through a read-only memory map. The driver holds the
-                 whole tensor either way and, while a mode ships, that
-                 mode's partitions and their encoded frames: a
-                 2560×2560×640 net job with 1.4M ones peaks near
-                 63 MiB on either storage. Factors, errors, and every
-                 meter are bit-identical either way.
+                 where a lost partition is rebuilt from. Either way
+                 the driver cuts each mode's partitions straight from
+                 the in-memory tensor, with no unfolding built. ram
+                 (default): cut again from the tensor; mmap: read back
+                 from on-disk columnar files, one per mode, written
+                 from that mode's partitions before they ship. The
+                 driver holds the whole tensor either way and, while a
+                 mode ships, that mode's partitions and their encoded
+                 frames: a 2560×2560×640 net job with 1.4M ones peaks
+                 near 46 MiB on either storage. Factors, errors, and
+                 every meter are bit-identical either way.
            [--spill-dir DIR]
-                 where --storage mmap spills its unfolding files
+                 where --storage mmap writes its unfolding files
                  (default: the system temp dir); each run uses and
                  removes its own subdirectory
   checkpointing:
@@ -701,14 +700,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn storage_flag_wins_over_env() {
+    fn storage_flag_parses_and_defaults_to_ram() {
         assert_eq!(resolve_storage(Some("mmap")).unwrap(), StorageKind::Mmap);
         assert_eq!(resolve_storage(Some("ram")).unwrap(), StorageKind::Ram);
         assert_eq!(resolve_storage(None).unwrap(), StorageKind::Ram);
     }
 
     #[test]
-    fn malformed_env_warns_and_defaults_but_malformed_flag_errors() {
+    fn malformed_storage_flag_errors() {
         let err = resolve_storage(Some("floppy")).unwrap_err();
         assert!(err.0.contains("--storage"), "{err}");
     }

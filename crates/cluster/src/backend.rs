@@ -152,13 +152,6 @@ pub trait ExecutionBackend {
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static;
 
-    /// Whether the backend ever calls a dataset's lineage `rebuild`
-    /// closure. Drivers keep a source to rebuild from only where it does;
-    /// elsewhere the closure is dropped unused.
-    fn replays_lineage(&self) -> bool {
-        true
-    }
-
     /// Ships `value` to every worker, metering `bytes` per receiver.
     fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T>;
 

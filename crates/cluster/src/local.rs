@@ -180,12 +180,6 @@ impl ExecutionBackend for LocalBackend {
         }
     }
 
-    fn replays_lineage(&self) -> bool {
-        // Nothing crashes locally: `distribute_with_lineage` drops the
-        // rebuild closure unused.
-        false
-    }
-
     fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
         // Byte metering only — the local backend never charges network
         // time (see the module docs).

@@ -262,7 +262,7 @@ fn task_panic_surfaces_cleanly_and_worker_survives() {
 }
 
 #[test]
-fn task_panic_surfaces_with_single_compute_thread() {
+fn task_panic_surfaces_with_a_single_worker() {
     let cluster = Cluster::new(ClusterConfig {
         workers: 1,
         cores_per_worker: 2,

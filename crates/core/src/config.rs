@@ -155,29 +155,25 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// Where the driver cuts the partitions of the three unfolded tensors
-/// from (DESIGN.md §1.2.7).
+/// Where lineage recovery rebuilds a lost partition from (DESIGN.md
+/// §1.2.7). On either storage the driver cuts every mode's partitions
+/// straight from the in-memory tensor's sorted entries, with no unfolding
+/// built.
 ///
 /// Both storages produce bit-identical factors, errors, op counts, Lemma
 /// 6/7 byte counters, virtual clocks, and trace fingerprints for the same
-/// configuration: the partitions a run distributes are equal byte for byte
-/// regardless of where they were cut from, and file I/O is never charged
-/// to the virtual cost model.
+/// configuration: the partitions a run distributes are the same cut either
+/// way, and file I/O is never charged to the virtual cost model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// Straight from the in-memory tensor's sorted entries, with no
-    /// unfolding built.
-    /// On backends that replay lineage the driver keeps a heap copy of the
-    /// tensor to re-cut a lost partition from; on the local backend it
-    /// copies nothing.
+    /// The tensor itself: a lost partition is cut again from it. The
+    /// lineage source is a clone of the tensor, which shares its entries.
     #[default]
     Ram,
-    /// Out-of-core unfoldings ([`dbtf_tensor::MmapUnfolding`]): each mode
-    /// is spilled to an on-disk columnar file in one streaming pass with a
-    /// bounded sort buffer, then partitioned through a read-only memory
-    /// map. The driver still holds the tensor, and one mode's partitions
-    /// while they ship (DESIGN.md §1.2.7). Lineage recompute re-opens the
-    /// file instead of keeping a heap copy of the tensor.
+    /// Out-of-core unfoldings ([`dbtf_tensor::MmapUnfolding`]): each mode's
+    /// unfolding is written to an on-disk columnar file from that mode's
+    /// partitions before they ship, and a lost partition is rebuilt by
+    /// re-opening the file through a read-only memory map.
     Mmap,
 }
 
@@ -258,8 +254,8 @@ pub struct DbtfConfig {
     /// benchmarks) read this field to pick between the simulated cluster
     /// and the local backend.
     pub backend: BackendKind,
-    /// Where the driver materializes the unfolded tensors (see
-    /// [`StorageKind`]). Results are bit-identical across storage kinds.
+    /// Where lost partitions are rebuilt from (see [`StorageKind`]).
+    /// Results are bit-identical across storage kinds.
     pub storage: StorageKind,
     /// For [`StorageKind::Mmap`]: the directory the spilled unfolding
     /// files live in. Each run creates (and on completion removes) a

@@ -7,7 +7,8 @@
 //!
 //! 1. **The partitions are cut from the updated tensor.** The driver
 //!    builds `x_new = Δ(X)` anyway, to score the pre-delta factors on
-//!    it, and cuts (or spills) it exactly as a fresh run does. The map
+//!    it, and cuts it exactly as a fresh run does (on mmap storage the
+//!    cut is also written to the spill files lineage reads). The map
 //!    is still charged `|X| + |Δ|` per mode, as a read of the old
 //!    unfoldings through the delta: each delta cell maps through the
 //!    Equation-1 index maps to exactly one `(row, column)` of each
@@ -243,8 +244,8 @@ fn run_delta<B: ExecutionBackend>(
         });
     }
 
-    // ---- Distribute the updated tensor, cut or spilled like a fresh ----
-    // run's; the map is charged as an overlay read of the old unfoldings.
+    // ---- Distribute the updated tensor, cut like a fresh run's; the ----
+    // map is charged as an overlay read of the old unfoldings.
     let ([px1, px2, px3], partition_bytes) = catch_cluster(|| {
         sched.phase("delta.distribute", |s| {
             distribute_unfoldings(

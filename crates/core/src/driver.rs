@@ -18,7 +18,6 @@
 //!    first-iteration selection among the `L` initial sets); drop the
 //!    caches.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use dbtf_cluster::{ClusterError, ExecutionBackend, PlanTrace, Scheduler};
@@ -31,8 +30,7 @@ use crate::factors::{initial_factor_sets, FactorSet};
 use crate::net_tasks;
 use crate::ooc::RunStores;
 use crate::partition::{
-    partition_tensor, partition_tensor_one, partition_unfolding, partition_unfolding_one,
-    ModePartition,
+    partition_tensor, partition_tensor_one, partition_unfolding_one, ModePartition,
 };
 use crate::stats::DbtfStats;
 use crate::sweep::{column_sweep_subset, SweepLabels};
@@ -428,11 +426,11 @@ pub(crate) const DELTA_DISTRIBUTE_LABELS: DistributeLabels = DistributeLabels {
 /// recompute-from-source contract).
 #[derive(Clone)]
 enum PartitionSource {
-    /// A heap copy of the tensor, cut again on demand.
-    Ram(Arc<BoolTensor>),
-    /// The run's three spilled columnar files, re-opened on demand. The
-    /// stores hold the spill-directory guard, so the files outlive every
-    /// dataset that could still replay from them.
+    /// The tensor itself, cut again on demand (a clone shares its entries).
+    Ram(BoolTensor),
+    /// The run's spilled columnar files, re-opened on demand. The stores
+    /// hold the spill-directory guard, so the files outlive every dataset
+    /// that could still replay from them.
     Mmap(RunStores),
 }
 
@@ -460,24 +458,21 @@ impl PartitionSource {
 /// factorization, and `|X| + |Δ|` for a delta update, which hands in the
 /// updated tensor it already built (Lemma 4 part 1).
 ///
-/// With [`StorageKind::Ram`] each mode's partitions are cut straight from
-/// the tensor's sorted entries ([`partition_tensor`]), so no unfolding
-/// exists. With [`StorageKind::Mmap`] the three modes are spilled at once,
-/// one thread each within one sort budget, to on-disk columnar files and
-/// partitioned through a read-only map. The driver holds the whole tensor
-/// either way, and each mode's N partitions plus their encoded frames
-/// while that mode ships: on the benchmark's `cp-ooc-net` job
-/// (2560×2560×640, |X| ≈ 1.4M, N = 16, two net workers) the driver
-/// peaks near 63 MiB on either storage. The partitions (and therefore
-/// every downstream byte, op, and clock meter) are identical byte for byte
-/// either way: the spill pass is real I/O, never charged to the virtual
-/// cost model.
+/// Each mode's partitions are cut straight from the tensor's sorted entries
+/// ([`partition_tensor`]) on either storage, so no unfolding is ever built
+/// or sorted. The storage only picks the lineage source a lost partition is
+/// rebuilt alone from:
 ///
-/// A lost partition is rebuilt alone from a lineage source, kept only on
-/// backends that replay lineage ([`ExecutionBackend::replays_lineage`]):
-/// RAM runs keep a heap copy of the tensor and re-cut one partition from
-/// it (`partition_tensor_one`), mmap runs re-open the spilled file. The
-/// local backend never replays, so a RAM run there copies nothing.
+/// - [`StorageKind::Ram`] keeps the tensor itself, a reference count, and
+///   re-cuts one partition from it (`partition_tensor_one`);
+/// - [`StorageKind::Mmap`] writes each mode's `DBTFUNFD` file from the N
+///   partitions just cut, before they ship, and re-opens that file.
+///
+/// The driver holds the whole tensor either way, and each mode's N
+/// partitions plus their encoded frames while that mode ships. The
+/// partitions (and therefore every downstream byte, op, and clock meter)
+/// are the same on either storage: the spill is real I/O, never charged to
+/// the virtual cost model.
 ///
 /// Shared by the CP, the delta-update and the distributed-Tucker drivers —
 /// all three operate on exactly this layout.
@@ -491,21 +486,16 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
     spill_dir: Option<&str>,
 ) -> Result<([B::Dataset<PartitionSlot>; 3], u64), DbtfError> {
     let source = match storage {
-        StorageKind::Ram => sched
-            .backend()
-            .replays_lineage()
-            .then(|| PartitionSource::Ram(Arc::new(x.clone()))),
-        StorageKind::Mmap => Some(PartitionSource::Mmap(RunStores::build(x, spill_dir)?)),
+        StorageKind::Ram => PartitionSource::Ram(x.clone()),
+        StorageKind::Mmap => PartitionSource::Mmap(RunStores::create(spill_dir)?),
     };
     let mut partition_bytes = 0u64;
     let mut datasets = Vec::with_capacity(3);
     for mode in Mode::ALL {
-        let parts = match &source {
-            Some(PartitionSource::Mmap(stores)) => {
-                partition_unfolding(&stores.open(mode)?, n_partitions)
-            }
-            Some(PartitionSource::Ram(_)) | None => partition_tensor(x, mode, n_partitions),
-        };
+        let parts = partition_tensor(x, mode, n_partitions);
+        if let PartitionSource::Mmap(stores) = &source {
+            stores.write(mode, x.dims(), &parts)?;
+        }
         sched.charge_driver(labels.map, map_ops);
         let elems: Vec<(PartitionSlot, u64)> = parts
             .into_iter()
@@ -517,9 +507,6 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
         partition_bytes += elems.iter().map(|e| e.1).sum::<u64>();
         let root = source.clone();
         let data = sched.distribute_with_lineage(labels.distribute, elems, move |idx| {
-            let root = root
-                .as_ref()
-                .expect("only a backend that replays lineage rebuilds a partition");
             PartitionSlot::new(root.partition(mode, idx, n_partitions))
         });
         // Distributed block organization (Algorithm 3 line 4): each worker

@@ -77,6 +77,5 @@ pub use config::{BackendKind, DbtfConfig, DbtfError, InitStrategy, StorageKind};
 pub use delta::{affected_columns, update_factors, update_factors_traced, DeltaResult};
 pub use driver::{factorize, factorize_instrumented, factorize_traced, DbtfResult};
 pub use factors::{initial_factor_sets, random_factor_sets, FactorSet};
-pub use ooc::SPILL_BUDGET_ENV;
 pub use stats::DbtfStats;
 pub use update::{PartitionSlot, WorkState};

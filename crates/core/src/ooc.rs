@@ -1,49 +1,31 @@
 //! Out-of-core run support (DESIGN.md §1.2.7).
 //!
-//! A [`crate::config::StorageKind::Mmap`] run never holds a heap
-//! [`dbtf_tensor::Unfolding`]: each mode is spilled once into an on-disk
-//! columnar file ([`dbtf_tensor::columnar`]) through the bounded-memory
-//! external sort in [`dbtf_tensor::stream`], the three modes at once, and
-//! the driver partitions the rows through a read-only memory map. This
-//! module owns the lifecycle of those files — a uniquely named spill
-//! subdirectory created per run and removed when the last handle drops, so
-//! lineage-rebuild closures held by the execution backend keep the files
-//! alive for exactly as long as a lost partition could still need them.
+//! A [`crate::config::StorageKind::Mmap`] run keeps its lineage on disk:
+//! the driver writes each mode's unfolding to an on-disk columnar file
+//! ([`dbtf_tensor::columnar`]) straight from the N partitions it has just
+//! cut for that mode, and a lost partition is rebuilt by re-opening the
+//! file through a read-only memory map. This module owns those files — a
+//! uniquely named spill subdirectory created per run and removed when the
+//! last handle drops, so lineage-rebuild closures held by the execution
+//! backend keep the files alive for exactly as long as a lost partition
+//! could still need them.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dbtf_tensor::stream::{
-    write_unfolding_from_slice, SortBuffers, SpillConfig, DEFAULT_CHUNK_BYTES,
-};
-use dbtf_tensor::{BoolTensor, MmapUnfolding, Mode, StoreError};
+use dbtf_tensor::{MmapUnfolding, Mode, StoreError, UnfoldingWriter};
 
 use crate::config::DbtfError;
+use crate::partition::{Block, ModePartition};
 
-/// Environment variable bounding the external-sort chunk buffers, in MiB.
-/// Unset or malformed values fall back to
-/// [`dbtf_tensor::stream::DEFAULT_CHUNK_BYTES`]. The budget bounds *driver*
-/// memory during the spill pass, the three concurrent mode sorts together;
-/// it never affects the bytes written, so results are identical for every
-/// budget.
-pub const SPILL_BUDGET_ENV: &str = "DBTF_SPILL_BUDGET_MB";
+/// Rows [`RunStores::write`] gathers from the blocks at a time: one cache
+/// line of each block's `u32` row offsets.
+const ROW_TILE: usize = 16;
 
 /// Distinguishes concurrent runs sharing one spill directory (and one
 /// process — the test suite spins up many runs under a single PID).
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// The sort-buffer size in bytes: `DBTF_SPILL_BUDGET_MB` MiB if set and
-/// parseable, the default otherwise.
-fn spill_chunk_bytes() -> usize {
-    match std::env::var(SPILL_BUDGET_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(mib) if mib > 0 => mib.saturating_mul(1 << 20),
-            _ => DEFAULT_CHUNK_BYTES,
-        },
-        Err(_) => DEFAULT_CHUNK_BYTES,
-    }
-}
 
 /// A run-scoped spill directory, deleted (best-effort) when dropped.
 ///
@@ -61,34 +43,21 @@ impl Drop for SpillGuard {
     }
 }
 
-/// The three spilled unfolding files of one out-of-core run. Clones share
-/// the spill directory, which is removed when the last clone drops.
+/// The spilled unfolding files of one out-of-core run, one per mode. Clones
+/// share the spill directory, which is removed when the last clone drops.
 #[derive(Clone, Debug)]
 pub(crate) struct RunStores {
     guard: Arc<SpillGuard>,
 }
 
 impl RunStores {
-    /// Spills all three mode unfoldings of `x` into a fresh subdirectory of
-    /// `spill_dir` (the system temporary directory if `None`). The three
-    /// modes spill at once, one thread each, every thread sorting straight
-    /// from `x`'s entry slice; one [`SPILL_BUDGET_ENV`] budget bounds the
-    /// three sort buffers together.
+    /// A fresh, empty spill subdirectory of `spill_dir` (the system
+    /// temporary directory if `None`).
     ///
     /// # Errors
     ///
-    /// The first failed mode's error, in mode order. The spill directory is
-    /// removed on every error; a panicking spill thread panics here.
-    pub(crate) fn build(x: &BoolTensor, spill_dir: Option<&str>) -> Result<RunStores, DbtfError> {
-        RunStores::build_with(x, spill_dir, spill_chunk_bytes())
-    }
-
-    /// [`RunStores::build`] under a sort budget of `chunk_bytes`.
-    fn build_with(
-        x: &BoolTensor,
-        spill_dir: Option<&str>,
-        chunk_bytes: usize,
-    ) -> Result<RunStores, DbtfError> {
+    /// [`DbtfError::StorageIo`] if the directory cannot be created.
+    pub(crate) fn create(spill_dir: Option<&str>) -> Result<RunStores, DbtfError> {
         let base = spill_dir
             .map(PathBuf::from)
             .unwrap_or_else(std::env::temp_dir);
@@ -100,42 +69,58 @@ impl RunStores {
         std::fs::create_dir_all(&dir).map_err(|e| {
             DbtfError::StorageIo(format!("create spill directory {}: {e}", dir.display()))
         })?;
-        let stores = RunStores {
+        Ok(RunStores {
             guard: Arc::new(SpillGuard { dir }),
-        };
-        let spill = SpillConfig::new(&stores.guard.dir).with_chunk_bytes(chunk_bytes);
-        let (entries, dims) = (x.entries(), x.dims());
-        let paths = Mode::ALL.map(|mode| stores.path(mode));
-        // Allocated on this thread and lent to the spill threads: glibc
-        // serves each thread from an arena of its own, and buffers a spill
-        // thread allocated would stay resident after the spill, out of
-        // reach of the distribute step's allocations (DESIGN.md §1.2.7).
-        let mut bufs =
-            Mode::ALL.map(|mode| SortBuffers::new(&spill, mode.nrows(dims), entries.len()));
-        let written = std::thread::scope(|s| {
-            let spills: Vec<_> = Mode::ALL
-                .into_iter()
-                .zip(&paths)
-                .zip(&mut bufs)
-                .map(|((mode, path), bufs)| {
-                    let spill = &spill;
-                    s.spawn(move || {
-                        write_unfolding_from_slice(entries, dims, mode, path, spill, bufs)
-                    })
-                })
-                .collect();
-            spills
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect::<Vec<_>>()
-        });
-        for result in written {
-            result?;
+        })
+    }
+
+    /// Writes mode `mode`'s unfolding of a tensor of shape `dims` from
+    /// `parts`, all N partitions of that mode's cut in index order, and
+    /// returns the number of entries written.
+    ///
+    /// No sort is needed: the partitions tile the columns in order, their
+    /// blocks tile each partition in order, and every block row is sorted,
+    /// so row `r` of the file is row `r` of every block laid end to end. The
+    /// writer still checks each entry's range and order.
+    ///
+    /// # Errors
+    ///
+    /// The writer's [`StoreError`] if the file cannot be written or the
+    /// partitions are not such a cut.
+    pub(crate) fn write(
+        &self,
+        mode: Mode,
+        dims: [usize; 3],
+        parts: &[ModePartition],
+    ) -> Result<u64, StoreError> {
+        let mut w = UnfoldingWriter::create(&self.path(mode), mode, dims)?;
+        let s = mode.slab_width(dims) as u64;
+        // Every block of the cut in column order, with its first column.
+        let blocks: Vec<(u64, &Block)> = parts
+            .iter()
+            .flat_map(|p| &p.blocks)
+            .map(|b| (b.slab as u64 * s + u64::from(b.inner_lo), b))
+            .collect();
+        // Rows are gathered ROW_TILE at a time, block by block, so each
+        // block's offsets and columns are read in runs rather than one row
+        // at a time; the gathered rows then go through the writer in order.
+        let nrows = mode.nrows(dims);
+        let mut rows = vec![Vec::new(); ROW_TILE];
+        for first in (0..nrows).step_by(ROW_TILE) {
+            let tile = first..nrows.min(first + ROW_TILE);
+            rows.iter_mut().for_each(Vec::clear);
+            for &(lo, b) in &blocks {
+                for (row, r) in rows.iter_mut().zip(tile.clone()) {
+                    row.extend(b.row(r).iter().map(|&o| lo + u64::from(o)));
+                }
+            }
+            for (row, r) in rows.iter().zip(tile) {
+                for &col in row {
+                    w.push(r as u32, col)?;
+                }
+            }
         }
-        Ok(stores)
+        w.finish()
     }
 
     /// The file holding mode `mode`'s unfolding.
@@ -154,7 +139,8 @@ impl RunStores {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtf_tensor::{Unfolding, UnfoldingStore};
+    use crate::partition::partition_tensor;
+    use dbtf_tensor::{BoolTensor, Unfolding, UnfoldingStore};
 
     fn tiny_tensor() -> BoolTensor {
         let mut entries = Vec::new();
@@ -168,9 +154,9 @@ mod tests {
         BoolTensor::from_entries([5, 4, 3], entries)
     }
 
-    /// A few hundred distinct entries of a 9 × 11 × 7 tensor, so a 1-byte
-    /// budget (64-entry chunks) spills several runs per mode.
-    fn scattered_tensor() -> BoolTensor {
+    /// A few hundred entries of a tensor of shape `dims`, so every cut of a
+    /// small shape has edge blocks with ones in them.
+    fn scattered_tensor(dims: [usize; 3]) -> BoolTensor {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let entries = (0..400)
             .map(|_| {
@@ -178,48 +164,53 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 [
-                    ((state >> 33) % 9) as u32,
-                    ((state >> 13) % 11) as u32,
-                    (state % 7) as u32,
+                    ((state >> 33) % dims[0] as u64) as u32,
+                    ((state >> 13) % dims[1] as u64) as u32,
+                    (state % dims[2] as u64) as u32,
                 ]
             })
             .collect();
-        BoolTensor::from_entries([9, 11, 7], entries)
+        BoolTensor::from_entries(dims, entries)
     }
 
-    /// The three modes spill at once; each file holds the very bytes its
-    /// heap unfolding serializes to, at the default budget (one chunk per
-    /// mode) and at a 1-byte budget (64-entry chunks, runs in every mode).
+    /// Every mode's file written from its N-way cut holds the very bytes
+    /// its heap unfolding serializes to: for N = 1, 2, 3, 7 and more
+    /// partitions than the widest mode has columns, on a small tensor, on
+    /// one with more rows than a [`ROW_TILE`] in every mode, and on an
+    /// empty tensor.
     #[test]
     fn builds_three_openable_unfoldings_matching_heap() {
-        let x = scattered_tensor();
         let base = std::env::temp_dir().join(format!("dbtf-ooc-heap-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
-        for budget in [DEFAULT_CHUNK_BYTES, 1] {
-            let stores =
-                RunStores::build_with(&x, Some(base.to_str().unwrap()), budget).expect("build");
-            for mode in Mode::ALL {
-                let mmap = stores.open(mode).expect("open");
-                let heap = Unfolding::new(&x, mode);
-                assert_eq!(mmap.nrows(), heap.nrows());
-                assert_eq!(mmap.nnz(), heap.nnz() as u64);
-                for r in 0..heap.nrows() {
-                    assert_eq!(mmap.row(r), heap.row(r), "mode {mode:?} row {r}");
+        let tensors = [
+            scattered_tensor([9, 11, 7]),
+            scattered_tensor([37, 18, 17]),
+            BoolTensor::empty([9, 11, 7]),
+        ];
+        for x in tensors {
+            let widest = Mode::ALL.iter().map(|m| m.ncols(x.dims())).max().unwrap();
+            for n in [1, 2, 3, 7, widest as usize + 2] {
+                let stores = RunStores::create(Some(base.to_str().unwrap())).expect("create");
+                for mode in Mode::ALL {
+                    let parts = partition_tensor(&x, mode, n);
+                    let written = stores.write(mode, x.dims(), &parts).expect("write");
+                    let mmap = stores.open(mode).expect("open");
+                    let heap = Unfolding::new(&x, mode);
+                    assert_eq!(written, heap.nnz() as u64, "N = {n} {mode:?}");
+                    assert_eq!(mmap.nrows(), heap.nrows());
+                    for r in 0..heap.nrows() {
+                        assert_eq!(mmap.row(r), heap.row(r), "N = {n} {mode:?} row {r}");
+                    }
+                    let serialized = base.join(format!("heap-{n}-{}.dbtfu", mode.index()));
+                    MmapUnfolding::write_from_store(&heap, &serialized).unwrap();
+                    assert_eq!(
+                        std::fs::read(stores.path(mode)).unwrap(),
+                        std::fs::read(&serialized).unwrap(),
+                        "|X| = {} N = {n} {mode:?}",
+                        x.nnz()
+                    );
                 }
-                let serialized = base.join(format!("heap-{budget}-{}.dbtfu", mode.index()));
-                MmapUnfolding::write_from_store(&heap, &serialized).unwrap();
-                assert_eq!(
-                    std::fs::read(stores.path(mode)).unwrap(),
-                    std::fs::read(&serialized).unwrap(),
-                    "budget {budget} {mode:?}"
-                );
             }
-            let runs_left = std::fs::read_dir(&stores.guard.dir)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().is_some_and(|x| x == "run"))
-                .count();
-            assert_eq!(runs_left, 0, "budget {budget}");
         }
         std::fs::remove_dir_all(&base).unwrap();
     }
@@ -227,7 +218,9 @@ mod tests {
     #[test]
     fn spill_directory_removed_when_last_guard_drops() {
         let x = tiny_tensor();
-        let stores = RunStores::build(&x, None).expect("build");
+        let stores = RunStores::create(None).expect("create");
+        let parts = partition_tensor(&x, Mode::Three, 2);
+        stores.write(Mode::Three, x.dims(), &parts).expect("write");
         let dir = stores.guard.dir.clone();
         let extra = stores.clone();
         assert!(dir.is_dir());
@@ -244,8 +237,7 @@ mod tests {
     fn honors_explicit_spill_dir() {
         let base = std::env::temp_dir().join(format!("dbtf-ooc-base-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
-        let x = tiny_tensor();
-        let stores = RunStores::build(&x, Some(base.to_str().unwrap())).expect("build");
+        let stores = RunStores::create(Some(base.to_str().unwrap())).expect("create");
         assert!(stores.path(Mode::One).starts_with(&base));
         drop(stores);
         std::fs::remove_dir_all(&base).unwrap();
@@ -253,8 +245,7 @@ mod tests {
 
     #[test]
     fn unwritable_spill_dir_is_a_storage_io_error() {
-        let x = tiny_tensor();
-        let err = RunStores::build(&x, Some("/proc/definitely/not/writable")).unwrap_err();
+        let err = RunStores::create(Some("/proc/definitely/not/writable")).unwrap_err();
         assert!(matches!(err, DbtfError::StorageIo(_)), "{err:?}");
     }
 }

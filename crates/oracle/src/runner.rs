@@ -328,8 +328,8 @@ fn check_traces_agree(v: &mut Vec<String>, what: &str, lhs: &PlanTrace, rhs: &Pl
 /// point sampled mmap and vice versa): factors, error, iteration history,
 /// and plan-trace fingerprint must all match the main run, and under a
 /// sampled fault plan the crash-recovery replica must match too — lineage
-/// recompute through a re-opened mmap must be as invisible as recompute
-/// from a heap copy.
+/// recompute through a re-opened mmap must be as invisible as a re-cut
+/// from the tensor.
 fn check_storage_differential(
     v: &mut Vec<String>,
     point: &SamplePoint,

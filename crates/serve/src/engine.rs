@@ -368,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_cache_lock_recovers_instead_of_wedging() {
+    fn poisoned_store_lock_recovers_instead_of_wedging() {
         let (engine, factors) = engine();
         let engine = Arc::new(engine);
         let recon = factors.reconstruct();

@@ -73,7 +73,7 @@ type StoreOpener<'a> = Box<dyn Fn() -> FactorStore + 'a>;
 /// Every store source against the oracle, two passes each so a repeat
 /// query must agree with its first answer too.
 #[test]
-fn seeded_sweep_agrees_with_oracle_across_sources_and_caches() {
+fn seeded_sweep_agrees_with_oracle_across_sources() {
     let factors = factors();
     let recon = cp_reconstruct(&factors.a, &factors.b, &factors.c);
     let store_path = tmp("sweep.dbtfs");

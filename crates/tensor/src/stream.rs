@@ -1,18 +1,16 @@
 //! Bounded-memory COO → columnar-unfolding conversion.
 //!
-//! Two entry points write one mode's unfolding to an on-disk
-//! [`columnar`](crate::columnar) file without ever holding the unfolding in
-//! memory. [`write_unfolding_from_slice`] sorts an in-memory entry slice
-//! chunk by chunk, straight from the slice; [`write_unfolding_from_entries`]
-//! first gathers a stream of entries into chunks of 12-byte entries. Either
-//! way every entry is checked against the tensor's dims, and each chunk is
-//! matricized and row-bucket sorted into sorted, duplicate-free rows. A lone
-//! chunk streams straight into the single-pass [`UnfoldingWriter`];
-//! otherwise each chunk spills to a run file in a spill directory and the
-//! runs are k-way merged (with duplicate elimination) into the writer. Peak
-//! memory is one chunk's sort buffers (plus, when streaming, the chunk
-//! itself) and one buffered reader per run — bounded by
-//! [`SpillConfig::chunk_bytes`], never by the nonzero count.
+//! [`write_unfolding_from_entries`] writes one mode's unfolding of a stream
+//! of COO entries to an on-disk [`columnar`](crate::columnar) file without
+//! ever holding the entries or the unfolding in memory. Entries are checked
+//! against the tensor's dims and gathered into chunks of 12-byte entries;
+//! each chunk is matricized and row-bucket sorted into sorted,
+//! duplicate-free rows. A lone chunk streams straight into the single-pass
+//! [`UnfoldingWriter`]; otherwise each chunk spills to a run file in a spill
+//! directory and the runs are k-way merged (with duplicate elimination) into
+//! the writer. Peak memory is one chunk and its sort buffers plus one
+//! buffered reader per run — bounded by [`SpillConfig::chunk_bytes`], never
+//! by the nonzero count.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,19 +30,18 @@ pub struct SpillConfig {
     /// after the merge).
     pub dir: PathBuf,
     /// In-memory sort budget in bytes: a chunk holds `chunk_bytes / 24`
-    /// entries (at least 64). Sorting a chunk costs 8 bytes per entry, its
-    /// column slot in the row-bucket buffer, so three modes sorting from
-    /// slices at once stay within the budget; a streamed chunk adds its own
-    /// 12-byte entries, 20 bytes per entry for the one mode it sorts.
+    /// entries (at least 64). A buffered entry costs 20 bytes, its 12-byte
+    /// entry plus the 8-byte column slot sorting it takes in the row-bucket
+    /// buffer, so the chunk and its sort stay within the budget.
     pub chunk_bytes: usize,
 }
 
 /// Default in-memory sort budget: 64 MiB, i.e. ~2.8M entries per chunk.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 << 20;
 
-/// Budget bytes per chunk entry: the entry's 8-byte column slot in the
-/// row-bucket buffer, once for each of the three modes that may sort at
-/// once.
+/// Budget bytes per chunk entry: the 20 bytes a buffered entry and its
+/// column slot take, with headroom for the row offsets of the row-bucket
+/// sort.
 const BYTES_PER_ENTRY: usize = 24;
 
 impl SpillConfig {
@@ -100,33 +97,15 @@ impl From<StoreError> for IngestError {
     }
 }
 
-/// The buffers one mode's sort works in: one chunk's row-bucket CSR
-/// (`nrows + 1` offsets and a column slot per entry) and the output file's
-/// row index (`nrows + 1` offsets).
-///
-/// [`write_unfolding_from_slice`] borrows them, so a caller that sorts
-/// modes on threads of its own allocates them on a thread that outlives
-/// those threads. glibc serves each thread from an arena of its own, and
-/// memory a short-lived thread allocated stays resident in that arena after
-/// it is freed, where the caller's later allocations never reuse it.
-#[derive(Debug, Default)]
-pub struct SortBuffers {
+/// One sorted chunk: its row-bucket CSR, `nrows + 1` offsets and a column
+/// slot per entry.
+#[derive(Default)]
+struct Buckets {
     offsets: Vec<usize>,
     cols: Vec<u64>,
-    index: Vec<u64>,
 }
 
-impl SortBuffers {
-    /// Buffers sized for sorting `entries` entries of an unfolding with
-    /// `nrows` rows under `spill`'s chunk budget, so no sort grows them.
-    pub fn new(spill: &SpillConfig, nrows: usize, entries: usize) -> SortBuffers {
-        SortBuffers {
-            offsets: Vec::with_capacity(nrows + 1),
-            cols: Vec::with_capacity(entries.min(spill.chunk_capacity())),
-            index: Vec::with_capacity(nrows + 1),
-        }
-    }
-
+impl Buckets {
     /// The sorted chunk's `(row, col)` entries, in order.
     fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.offsets
@@ -175,7 +154,7 @@ impl Drop for Runs {
 
 /// Writes one chunk's sorted rows as run `seq`; a failed write removes
 /// its own file.
-fn spill_run(dir: &Path, tag: &str, seq: usize, rows: &SortBuffers) -> Result<Run, StoreError> {
+fn spill_run(dir: &Path, tag: &str, seq: usize, rows: &Buckets) -> Result<Run, StoreError> {
     let path = dir.join(format!("{}-{}-{}.run", tag, std::process::id(), seq));
     let write = || -> std::io::Result<Run> {
         let mut w = BufWriter::new(File::create(&path)?);
@@ -198,18 +177,16 @@ fn spill_run(dir: &Path, tag: &str, seq: usize, rows: &SortBuffers) -> Result<Ru
     })
 }
 
-/// One mode's external sort in progress. Chunks are sorted one at a time
-/// into the borrowed buffers; a sorted chunk spills to a run only when
-/// another chunk follows it.
+/// One mode's external sort in progress. Chunks are sorted one at a time;
+/// a sorted chunk spills to a run only when another chunk follows it.
 struct ModeSort<'a> {
     dims: [usize; 3],
     mode: Mode,
     out: &'a Path,
     dir: &'a Path,
     tag: String,
-    /// Holds the last sorted chunk; it is not spilled yet if `cols` is
-    /// non-empty.
-    bufs: &'a mut SortBuffers,
+    /// The last sorted chunk; it is not spilled yet if it holds entries.
+    sorted: Buckets,
     runs: Runs,
 }
 
@@ -219,22 +196,19 @@ impl<'a> ModeSort<'a> {
         mode: Mode,
         out: &'a Path,
         spill: &'a SpillConfig,
-        bufs: &'a mut SortBuffers,
     ) -> Result<ModeSort<'a>, StoreError> {
         std::fs::create_dir_all(&spill.dir).map_err(|e| StoreError::io(&spill.dir, e))?;
         let tag = out
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| "unfolding".to_string());
-        bufs.offsets.clear();
-        bufs.cols.clear();
         Ok(ModeSort {
             dims,
             mode,
             out,
             dir: &spill.dir,
             tag,
-            bufs,
+            sorted: Buckets::default(),
             runs: Runs::default(),
         })
     }
@@ -255,16 +229,16 @@ impl<'a> ModeSort<'a> {
     /// Row-bucket sorts the next chunk of checked entries, first spilling
     /// the chunk before it.
     fn sort(&mut self, chunk: &[[u32; 3]]) -> Result<(), StoreError> {
-        if !self.bufs.cols.is_empty() {
-            let run = spill_run(self.dir, &self.tag, self.runs.0.len(), self.bufs)?;
+        if !self.sorted.cols.is_empty() {
+            let run = spill_run(self.dir, &self.tag, self.runs.0.len(), &self.sorted)?;
             self.runs.0.push(run);
         }
         let (dims, mode) = (self.dims, self.mode);
         bucket_rows(
             chunk.iter().map(|&e| mode.matricize(dims, e)),
             mode.nrows(dims),
-            &mut self.bufs.offsets,
-            &mut self.bufs.cols,
+            &mut self.sorted.offsets,
+            &mut self.sorted.cols,
         );
         Ok(())
     }
@@ -274,15 +248,14 @@ impl<'a> ModeSort<'a> {
     /// the number of distinct entries written; on error no partial `out`
     /// file is left behind.
     fn finish(mut self) -> Result<u64, StoreError> {
-        if !self.runs.0.is_empty() && !self.bufs.cols.is_empty() {
-            let run = spill_run(self.dir, &self.tag, self.runs.0.len(), self.bufs)?;
+        if !self.runs.0.is_empty() && !self.sorted.cols.is_empty() {
+            let run = spill_run(self.dir, &self.tag, self.runs.0.len(), &self.sorted)?;
             self.runs.0.push(run);
         }
-        let index = std::mem::take(&mut self.bufs.index);
-        let mut writer = UnfoldingWriter::with_index(self.out, self.mode, self.dims, index)?;
+        let mut writer = UnfoldingWriter::create(self.out, self.mode, self.dims)?;
         let mut sink = |r: u32, c: u64| writer.push(r, c);
         let result = if self.runs.0.is_empty() {
-            self.bufs.entries().try_for_each(|(r, c)| sink(r, c))
+            self.sorted.entries().try_for_each(|(r, c)| sink(r, c))
         } else {
             merge_runs(&mut self.runs.0, sink)
         };
@@ -295,45 +268,13 @@ impl<'a> ModeSort<'a> {
     }
 }
 
-/// Writes mode `mode`'s unfolding of the entries in `entries` to `out`,
-/// sorting straight from the slice a chunk at a time in `bufs`.
-///
-/// `entries` may be in any order and contain duplicates; the file is
-/// byte-identical to serializing [`Unfolding::new`](crate::Unfolding::new)
-/// of the same entries, and to what [`write_unfolding_from_entries`] writes
-/// for them, whatever the chunk budget. Returns the number of distinct
-/// entries written.
-///
-/// # Errors
-///
-/// An entry outside `dims` is [`StoreError::Invalid`] naming the entry; a
-/// failed file operation is [`StoreError::Io`]. On any error no run file
-/// and no partial `out` file is left behind.
-pub fn write_unfolding_from_slice(
-    entries: &[[u32; 3]],
-    dims: [usize; 3],
-    mode: Mode,
-    out: &Path,
-    spill: &SpillConfig,
-    bufs: &mut SortBuffers,
-) -> Result<u64, StoreError> {
-    let mut sort = ModeSort::new(dims, mode, out, spill, bufs)?;
-    for chunk in entries.chunks(spill.chunk_capacity()) {
-        chunk.iter().try_for_each(|&e| sort.check(e))?;
-        sort.sort(chunk)?;
-    }
-    sort.finish()
-}
-
 /// Streams COO entries into a columnar unfolding file for `mode`.
 ///
 /// `entries` may arrive in any order and contain duplicates; the external
 /// sort produces the same sorted, duplicate-free rows as
 /// [`Unfolding::new`](crate::Unfolding::new), so the resulting file is
 /// byte-identical to serializing the heap unfolding, whatever the chunk
-/// budget. Entries are gathered into chunks of 12-byte entries and each
-/// chunk is sorted as [`write_unfolding_from_slice`] sorts its slice.
-/// Returns the number of distinct entries written.
+/// budget. Returns the number of distinct entries written.
 ///
 /// # Errors
 ///
@@ -352,8 +293,7 @@ where
     I: IntoIterator<Item = Result<[u32; 3], ParseError>>,
 {
     let cap = spill.chunk_capacity();
-    let mut bufs = SortBuffers::default();
-    let mut sort = ModeSort::new(dims, mode, out, spill, &mut bufs)?;
+    let mut sort = ModeSort::new(dims, mode, out, spill)?;
     let mut chunk: Vec<[u32; 3]> = Vec::with_capacity(cap.min(1 << 20));
     for entry in entries {
         let e = entry?;
@@ -457,7 +397,6 @@ mod tests {
     fn in_memory_and_spilled_paths_produce_identical_files() {
         let (t, raw) = scrambled_entries();
         let dir = tmp_dir("identical");
-        let mut bufs = SortBuffers::default();
         for mode in Mode::ALL {
             let m = mode.index();
             let (big, small) = (
@@ -486,29 +425,6 @@ mod tests {
             let heap = dir.join(format!("heap{m}.unf"));
             MmapUnfolding::write_from_store(&Unfolding::new(&t, mode), &heap).unwrap();
             assert_eq!(big, std::fs::read(&heap).unwrap(), "{mode:?}");
-            // And to what the slice entry point writes at either budget,
-            // from the tensor's sorted entries or the scrambled ones with
-            // duplicates, with one set of buffers that every call resets.
-            for (b, spill) in both_budgets(&dir).into_iter().enumerate() {
-                for (side, entries) in [("sorted", t.entries()), ("scrambled", &raw[..])] {
-                    let sliced = dir.join(format!("slice-b{b}-{side}{m}.unf"));
-                    let written = write_unfolding_from_slice(
-                        entries,
-                        t.dims(),
-                        mode,
-                        &sliced,
-                        &spill,
-                        &mut bufs,
-                    )
-                    .unwrap();
-                    assert_eq!(written, t.nnz() as u64, "budget {b} {side} {mode:?}");
-                    assert_eq!(
-                        big,
-                        std::fs::read(&sliced).unwrap(),
-                        "budget {b} {side} {mode:?}"
-                    );
-                }
-            }
         }
         assert!(files_with_ext(&dir, "run").is_empty());
     }
@@ -585,26 +501,21 @@ mod tests {
         for (b, spill) in both_budgets(&dir).into_iter().enumerate() {
             for mode in Mode::ALL {
                 let out = dir.join(format!("b{b}-m{}.unf", mode.index()));
-                let streamed = write_unfolding_from_entries(
+                let got = write_unfolding_from_entries(
                     entries.iter().map(|&e| Ok(e)),
                     dims,
                     mode,
                     &out,
                     &spill,
                 );
-                let mut bufs = SortBuffers::new(&spill, mode.nrows(dims), entries.len());
-                let sliced =
-                    write_unfolding_from_slice(&entries, dims, mode, &out, &spill, &mut bufs);
-                for got in [streamed, sliced.map_err(IngestError::Store)] {
-                    match got {
-                        Err(IngestError::Store(StoreError::Invalid { detail, .. })) => {
-                            assert!(
-                                detail.contains("[0, 3, 0]"),
-                                "budget {b} {mode:?}: {detail}"
-                            )
-                        }
-                        other => panic!("budget {b} {mode:?}: expected Invalid, got {other:?}"),
+                match got {
+                    Err(IngestError::Store(StoreError::Invalid { detail, .. })) => {
+                        assert!(
+                            detail.contains("[0, 3, 0]"),
+                            "budget {b} {mode:?}: {detail}"
+                        )
                     }
+                    other => panic!("budget {b} {mode:?}: expected Invalid, got {other:?}"),
                 }
                 assert!(!out.exists(), "budget {b} {mode:?}: output left behind");
                 assert!(

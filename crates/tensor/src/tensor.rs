@@ -1,6 +1,7 @@
 //! Sparse three-way Boolean tensors.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A sparse three-way binary tensor `X ∈ B^{I×J×K}`.
 ///
@@ -11,11 +12,14 @@ use std::fmt;
 ///
 /// Construct with [`TensorBuilder`] (streaming inserts) or
 /// [`BoolTensor::from_entries`].
+///
+/// A tensor is immutable once built and shares its entries: a clone is a
+/// reference count, not a copy of `|X|` coordinates.
 #[derive(Clone, PartialEq, Eq)]
 pub struct BoolTensor {
     dims: [usize; 3],
     /// Sorted, deduplicated `(i, j, k)` coordinates of the ones.
-    entries: Vec<[u32; 3]>,
+    entries: Arc<Vec<[u32; 3]>>,
 }
 
 impl BoolTensor {
@@ -24,7 +28,7 @@ impl BoolTensor {
         Self::check_dims(dims);
         BoolTensor {
             dims,
-            entries: Vec::new(),
+            entries: Arc::default(),
         }
     }
 
@@ -47,7 +51,10 @@ impl BoolTensor {
         }
         entries.sort_unstable();
         entries.dedup();
-        BoolTensor { dims, entries }
+        BoolTensor {
+            dims,
+            entries: Arc::new(entries),
+        }
     }
 
     /// Wraps entries that are already sorted, duplicate-free and in range
@@ -58,7 +65,10 @@ impl BoolTensor {
             entries.windows(2).all(|w| w[0] < w[1]),
             "entries not sorted"
         );
-        BoolTensor { dims, entries }
+        BoolTensor {
+            dims,
+            entries: Arc::new(entries),
+        }
     }
 
     fn check_dims(dims: [usize; 3]) {
@@ -345,6 +355,8 @@ mod tests {
         let t = BoolTensor::from_entries([2, 2, 2], vec![[1, 1, 1], [0, 0, 0], [1, 1, 1]]);
         assert_eq!(t.nnz(), 2);
         assert_eq!(t.entries(), &[[0, 0, 0], [1, 1, 1]]);
+        // A clone shares the entries instead of copying them.
+        assert!(std::ptr::eq(t.entries(), t.clone().entries()));
     }
 
     #[test]

@@ -41,6 +41,9 @@ $dbtf export-factors --checkpoint "$dir/run.ckpt" --output "$dir/factors.dbtfs" 
 grep -q "exported factor set" "$dir/export.out"
 
 echo "delta_smoke: starting dbtf serve on an ephemeral port..."
+# Created before the server starts, so the address poll below never
+# reads a file the background redirect has not opened yet.
+: > "$dir/serve.out"
 $dbtf serve --store "$dir/factors.dbtfs" --addr 127.0.0.1:0 \
   > "$dir/serve.out" &
 server_pid=$!

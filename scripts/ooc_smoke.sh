@@ -7,8 +7,9 @@
 # both a streamed tensor file and a spilled `DBTFUNFD` columnar unfolding,
 # and the scaling_memory RSS-bound bench at a smoke-sized workload. The
 # benchmark's cp-ooc-net configuration (net backend, two worker processes)
-# runs three ways — ram, mmap, and mmap under a 1 MiB sort budget that
-# spills sorted runs — and must write the same factors either way.
+# runs three ways — ram, mmap, and mmap under seeded worker kills whose
+# lost partitions are rebuilt from the spilled files — and must write the
+# same factors every time.
 #
 # Usage: scripts/ooc_smoke.sh [work-dir]   (default: target/ooc_smoke)
 set -euo pipefail
@@ -46,9 +47,7 @@ if [ -d "$dir/spill" ] && [ -n "$(ls -A "$dir/spill")" ]; then
   exit 1
 fi
 
-echo "ooc_smoke: net backend (cp-ooc-net configuration): ram, mmap, mmap with spilled runs..."
-# 66,714 ones: two sort runs per mode under DBTF_SPILL_BUDGET_MB=1
-# (1 MiB / 24 B per buffered entry = 43,690 entries per run).
+echo "ooc_smoke: net backend (cp-ooc-net configuration): ram, mmap, mmap under kills..."
 $dbtf generate planted --dims 96,80,48 --rank 4 --factor-density 0.4 \
   --additive 0.02 --destructive 0.05 --seed 13 --binary --output "$dir/xn.dbtf"
 net=(factorize --input "$dir/xn.dbtf" --rank 4 --iters 2 --workers 2
@@ -56,14 +55,24 @@ net=(factorize --input "$dir/xn.dbtf" --rank 4 --iters 2 --workers 2
 $dbtf "${net[@]}" --storage ram --output "$dir/net_ram" > "$dir/net_ram.out"
 $dbtf "${net[@]}" --storage mmap --spill-dir "$dir/spill" \
   --output "$dir/net_mmap" > "$dir/net_mmap.out"
-DBTF_SPILL_BUDGET_MB=1 $dbtf "${net[@]}" --storage mmap --spill-dir "$dir/spill" \
-  --output "$dir/net_runs" > "$dir/net_runs.out"
+# Seeded SIGKILLs of the worker processes: each lost partition is rebuilt
+# by re-opening its mode's spilled file (on this input: 1 respawn, 24
+# partitions recomputed). The run must really recompute partitions.
+$dbtf "${net[@]}" --storage mmap --spill-dir "$dir/spill" \
+  --fault-kill-rate 0.02 --fault-seed 3 \
+  --output "$dir/net_kill" > "$dir/net_kill.out"
+recomputed=$(sed -n 's/^recovery: .*, \([0-9]*\) partitions recomputed,.*/\1/p' "$dir/net_kill.out")
+if [ -z "$recomputed" ] || [ "$recomputed" -eq 0 ]; then
+  echo "ooc_smoke: FAIL — the kill run recomputed no partition:" >&2
+  cat "$dir/net_kill.out" >&2
+  exit 1
+fi
 # Factors and the `factorized …` line must match; the `wire:` line is not
 # compared, since its framing-overhead figure varies from run to run.
-for run in ram mmap runs; do
+for run in ram mmap kill; do
   grep "^factorized" "$dir/net_$run.out" > "$dir/net_$run.factorized"
 done
-for run in mmap runs; do
+for run in mmap kill; do
   for m in A B C; do cmp "$dir/net_ram.$m.txt" "$dir/net_$run.$m.txt"; done
   cmp "$dir/net_ram.factorized" "$dir/net_$run.factorized"
 done

@@ -41,6 +41,9 @@ $dbtf stats --input "$dir/factors.dbtfs" > "$dir/stats_store.out"
 grep -q "factor store (DBTFFSET v1)" "$dir/stats_store.out"
 
 echo "serve_smoke: starting dbtf serve on an ephemeral port (mmap source)..."
+# Created before the server starts, so the address poll below never
+# reads a file the background redirect has not opened yet.
+: > "$dir/serve.out"
 $dbtf serve --store "$dir/factors.dbtfs" --source mmap --addr 127.0.0.1:0 \
   > "$dir/serve.out" &
 server_pid=$!

@@ -220,10 +220,10 @@ fn seeded_deltas_are_bit_identical_across_backends_and_storage() {
 }
 
 /// Worker deaths mid-update recover through lineage recompute of the
-/// *overlaid* partitions: the rebuild closure re-opens the base
-/// unfolding and re-applies the delta, so a kill-riddled networked run
-/// stays bit-identical to a clean one — on both storage kinds (the mmap
-/// lineage path replays from the spilled base file).
+/// updated tensor's partitions: the rebuild closure re-cuts the lost
+/// partition from the updated tensor (ram) or re-opens the file spilled
+/// from its cut (mmap), so a kill-riddled networked run stays
+/// bit-identical to a clean one on both storage kinds.
 #[test]
 fn kill_riddled_net_delta_update_is_bit_identical() {
     let x = planted_tensor();

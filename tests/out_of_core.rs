@@ -4,8 +4,8 @@
 //! down to the exact f64 bit, and the executed plan's fingerprint — and
 //! must match the same pre-refactor golden constants `plan_golden.rs`
 //! pins, including under injected faults (where a lost partition is
-//! recomputed by re-opening the spilled columnar file instead of
-//! re-unfolding a heap copy).
+//! recomputed by re-opening the columnar file spilled from the cut
+//! instead of re-cutting it from the tensor).
 
 use dbtf::net_tasks;
 use dbtf::{factorize_traced, DbtfConfig, DbtfResult, StorageKind};
@@ -222,19 +222,4 @@ fn spill_directory_is_cleaned_up_after_the_run() {
         "spill dir not cleaned up: {leftovers:?}"
     );
     std::fs::remove_dir_all(&base).unwrap();
-}
-
-/// A tiny sort budget forces the external-sort spill-and-merge path; the
-/// bytes on disk (and therefore the whole run) are identical to the
-/// in-memory sort's. The budget env var only ever changes *how* the spill
-/// files are produced, never what they contain.
-#[test]
-fn tiny_spill_budget_is_bit_identical() {
-    let (ram, ram_trace, _) = cp_on_cluster(StorageKind::Ram, None);
-    std::env::set_var(dbtf::SPILL_BUDGET_ENV, "1");
-    let (mmap, mmap_trace, mmap_m) = cp_on_cluster(StorageKind::Mmap, None);
-    std::env::remove_var(dbtf::SPILL_BUDGET_ENV);
-    assert_cp_golden(&mmap, &mmap_m, "mmap with 1 MiB sort budget");
-    assert_eq!(mmap.factors, ram.factors);
-    assert_eq!(mmap_trace.fingerprint(), ram_trace.fingerprint());
 }

@@ -135,7 +135,7 @@ fn cp_local_backend_is_metering_identical_to_cluster() {
 /// in whatever order the host schedules those threads; the executed plan
 /// must not depend on that order.
 #[test]
-fn cp_plan_is_invariant_across_thread_counts() {
+fn cp_plan_is_invariant_across_reruns() {
     let (_, baseline, _) = cp_on_cluster(None);
     for run in 1..=2 {
         let (_, trace, _) = cp_on_cluster(None);
@@ -262,7 +262,7 @@ fn tucker_matches_golden_and_backends_agree() {
 /// invariant across fault plans on the cluster backend — the same
 /// contract `cp_*_invariant` pins for the CP driver.
 #[test]
-fn tucker_trace_invariant_across_threads_and_faults() {
+fn tucker_trace_invariant_across_faults() {
     let xt = uniform_random([12, 10, 8], 0.2, 11);
     let tcfg = TuckerConfig {
         ranks: [3, 3, 3],
