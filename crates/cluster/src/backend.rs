@@ -3,14 +3,13 @@
 //! operators through [`crate::Scheduler`]; the backend decides *where*
 //! each operator runs ([`crate::Cluster`]: simulated multi-worker
 //! machines with fault injection and network costing;
-//! [`crate::LocalBackend`]: inline in the driver process with no network
-//! model).
+//! [`crate::NetBackend`]: worker processes behind TCP sockets;
+//! [`crate::LocalBackend`]: inline in the driver process with a free
+//! network).
 
-use crate::lock;
 use crate::metrics::MetricsSnapshot;
-use crate::storage::{Broadcast, DistVec};
+use crate::storage::Broadcast;
 use crate::task::TaskContext;
-use crate::Cluster;
 use dbtf_telemetry::KernelEvent;
 use dbtf_wire::{EncodedFrame, Wire, WireResult};
 
@@ -118,11 +117,11 @@ pub struct TaskEvents {
 
 /// A physical execution engine for dataflow plans.
 ///
-/// Implementations must be *metering-equivalent*: for the same operator
+/// Implementations are *metering-equivalent*: for the same operator
 /// sequence they produce bit-identical task results, op counts, and
-/// Lemma 6/7 byte counters. They may differ in virtual-time costing (the
-/// local backend skips the network model) and in fault handling (only the
-/// cluster injects and recovers from faults).
+/// Lemma 6/7 byte counters, because every one of them charges through the
+/// same cost model. They differ only in its inputs: the local backend
+/// runs it with a free network and no fault plan.
 pub trait ExecutionBackend {
     /// Handle to a distributed dataset of partitions of type `P`.
     type Dataset<P: Send + 'static>;
@@ -143,20 +142,61 @@ pub trait ExecutionBackend {
     /// Charges driver-side compute to the virtual clock.
     fn charge_driver(&self, ops: u64);
 
-    /// Partitions `parts` (payload, metered bytes) across workers with
-    /// `rebuild` as the dataset's lineage (see
-    /// [`Cluster::distribute_with_lineage`] for the recovery contract;
-    /// backends without faults may never call `rebuild`).
+    /// Shuffles `parts` across the workers round-robin and persists them
+    /// in worker memory, with `rebuild` as the dataset's lineage.
+    ///
+    /// Each element is `(partition_payload, payload_bytes)`; the byte
+    /// sizes meter the shuffle (Lemma 6: `O(|X|)` for the unfolded
+    /// tensors) and the per-worker memory footprint. Partition `p` lands
+    /// on worker `p mod workers`, which for DBTF's equal-width vertical
+    /// partitions balances load like the paper's Spark partitioner.
+    ///
+    /// After a worker crash, the backend calls `rebuild(idx)` to recompute
+    /// each lost partition's distribute-time payload, re-ships it to the
+    /// respawned worker, and replays every task applied since
+    /// distribution (or since the last
+    /// [`ExecutionBackend::reset_lineage`]) to restore bit-identical
+    /// partition state. `rebuild(idx)` must reproduce the exact payload
+    /// passed for partition `idx` — the engine's RDD-style "recompute from
+    /// source" contract. Backends without faults never call it.
     fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> Self::Dataset<P>
     where
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static;
 
     /// Ships `value` to every worker, metering `bytes` per receiver.
+    ///
+    /// DBTF broadcasts the three factor matrices each iteration
+    /// (Lemma 7's `O(M·I·R)` term). The accounting treats it as `workers`
+    /// transfers serialised through the driver's uplink.
     fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T>;
 
     /// Runs `f` once per partition (one superstep) and returns the results
     /// in partition order. Partition mutation persists across supersteps.
+    ///
+    /// `f` receives the global partition index, exclusive access to the
+    /// partition (the dataset is cached), and the [`TaskContext`] for cost
+    /// accounting. The driver blocks until every worker finishes; the
+    /// virtual clock advances by the worker makespan plus the
+    /// result-collection network time. Results are merged in partition
+    /// order and the accounting is reduced in worker order, so outputs and
+    /// every meter are bit-identical for every worker count.
+    ///
+    /// With a [`crate::FaultPlan`] active, scheduled worker crashes are
+    /// injected (and recovered from) at the superstep boundary, transient
+    /// task failures are retried with backoff, and slow tasks may be
+    /// speculatively re-executed — leaving results and op counts identical
+    /// to a fault-free run (only the virtual clock and the recovery
+    /// counters differ).
+    ///
+    /// # Panics
+    ///
+    /// On the cluster and networked backends, panics if `data` belongs to
+    /// another backend instance, or — with a clean per-partition message —
+    /// if a task panicked or exhausted its launch attempts. The task panic
+    /// is caught on the worker, which survives, but the partition the task
+    /// was mutating is left in an unspecified state. On the local backend
+    /// a task panic propagates as it is.
     ///
     /// Closure-bound convenience over
     /// [`ExecutionBackend::map_partitions_task`] (keeps closure argument
@@ -179,13 +219,15 @@ pub trait ExecutionBackend {
         T: Send + 'static,
         F: PartitionTask<P, T>;
 
-    /// Clones every partition back to the driver, metered like a collect.
-    fn gather<P>(&self, data: &Self::Dataset<P>) -> Vec<P>
-    where
-        P: Clone + Send + 'static;
-
     /// Truncates the dataset's lineage log (no-op on backends without
     /// crash recovery).
+    ///
+    /// Call when every partition's current state is exactly what the
+    /// dataset's rebuild closure produces (e.g. DBTF's partitions after an
+    /// `UpdateFactor` finishes: the immutable unfolding with all transient
+    /// work state dropped). Recovery after the reset only re-installs the
+    /// rebuilt payload, which bounds replay cost the way Spark
+    /// checkpointing truncates an RDD's lineage chain.
     fn reset_lineage<P: Send + 'static>(&self, data: &Self::Dataset<P>);
 
     /// Number of partitions in `data`.
@@ -199,82 +241,7 @@ pub trait ExecutionBackend {
     /// sorted by partition index (empty when capture is off).
     fn take_task_events(&self) -> Vec<crate::TaskEvents>;
 
-    /// Ops-per-virtual-second of one core on `worker` — the rate the span
-    /// layer uses to convert a task's ops into a virtual duration.
-    fn core_throughput(&self, worker: usize) -> f64;
-}
-
-impl ExecutionBackend for Cluster {
-    type Dataset<P: Send + 'static> = DistVec<P>;
-
-    fn name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn workers(&self) -> usize {
-        self.num_workers()
-    }
-
-    fn suggested_partitions(&self) -> usize {
-        self.config().workers * self.config().cores_per_worker
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        Cluster::metrics(self)
-    }
-
-    fn charge_driver(&self, ops: u64) {
-        Cluster::charge_driver(self, ops)
-    }
-
-    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> DistVec<P>
-    where
-        P: Send + 'static,
-        F: Fn(usize) -> P + Send + Sync + 'static,
-    {
-        Cluster::distribute_with_lineage(self, parts, rebuild)
-    }
-
-    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
-        Cluster::broadcast(self, value, bytes)
-    }
-
-    fn map_partitions_task<P, T, F>(&self, data: &DistVec<P>, f: F) -> Vec<T>
-    where
-        P: Send + 'static,
-        T: Send + 'static,
-        F: PartitionTask<P, T>,
-    {
-        Cluster::map_partitions_task(self, data, f)
-    }
-
-    fn gather<P>(&self, data: &DistVec<P>) -> Vec<P>
-    where
-        P: Clone + Send + 'static,
-    {
-        Cluster::gather(self, data)
-    }
-
-    fn reset_lineage<P: Send + 'static>(&self, data: &DistVec<P>) {
-        Cluster::reset_lineage(self, data)
-    }
-
-    fn dataset_partitions<P: Send + 'static>(&self, data: &DistVec<P>) -> usize {
-        data.num_partitions()
-    }
-
-    fn set_task_event_capture(&self, on: bool) {
-        self.inner
-            .capture_task_events
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn take_task_events(&self) -> Vec<crate::TaskEvents> {
-        std::mem::take(&mut *lock(&self.inner.task_events))
-    }
-
-    fn core_throughput(&self, worker: usize) -> f64 {
-        let _ = worker; // homogeneous cluster: every core runs at the same rate
-        self.config().core_throughput_ops_per_sec
-    }
+    /// Ops-per-virtual-second of one core — the rate the span layer uses
+    /// to convert a task's ops into a virtual duration.
+    fn core_throughput(&self) -> f64;
 }

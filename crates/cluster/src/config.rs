@@ -70,15 +70,6 @@ pub struct ClusterConfig {
     pub core_throughput_ops_per_sec: f64,
     /// The network cost model.
     pub network: NetworkModel,
-    /// Number of *straggler* workers (the first `stragglers` worker ids)
-    /// whose throughput is multiplied by [`ClusterConfig::straggler_slowdown`].
-    /// Real clusters are rarely homogeneous; the virtual clock makes the
-    /// impact of slow machines on the superstep makespan directly
-    /// measurable.
-    pub stragglers: usize,
-    /// Throughput multiplier for straggler workers (1.0 = no effect;
-    /// 0.5 = half speed).
-    pub straggler_slowdown: f64,
     /// Deterministic fault-injection schedule (`None` = no faults). See
     /// [`FaultPlan`]: worker crashes, transient task failures with retry,
     /// and slow tasks with speculative re-execution — all recovered by the
@@ -104,27 +95,14 @@ impl ClusterConfig {
         }
     }
 
-    /// Peak ops/second of worker `worker_id`, accounting for stragglers.
-    pub fn worker_throughput(&self, worker_id: usize) -> f64 {
-        self.cores_per_worker as f64 * self.core_throughput(worker_id)
+    /// Peak ops/second of one worker: all of its cores.
+    pub fn worker_throughput(&self) -> f64 {
+        self.cores_per_worker as f64 * self.core_throughput()
     }
 
-    /// A cluster with the given fault plan and default everything else.
-    pub fn with_fault_plan(workers: usize, plan: FaultPlan) -> Self {
-        ClusterConfig {
-            workers,
-            fault_plan: Some(plan),
-            ..ClusterConfig::default()
-        }
-    }
-
-    /// Per-core ops/second of worker `worker_id`.
-    pub fn core_throughput(&self, worker_id: usize) -> f64 {
-        if worker_id < self.stragglers {
-            self.core_throughput_ops_per_sec * self.straggler_slowdown
-        } else {
-            self.core_throughput_ops_per_sec
-        }
+    /// Ops/second of one core; every worker's cores run at this rate.
+    pub fn core_throughput(&self) -> f64 {
+        self.core_throughput_ops_per_sec
     }
 }
 
@@ -135,8 +113,6 @@ impl Default for ClusterConfig {
             cores_per_worker: 8,
             core_throughput_ops_per_sec: 2e9,
             network: NetworkModel::default(),
-            stragglers: 0,
-            straggler_slowdown: 1.0,
             fault_plan: None,
         }
     }
@@ -167,18 +143,6 @@ mod tests {
         let cfg = ClusterConfig::paper_cluster();
         assert_eq!(cfg.workers, 16);
         assert_eq!(cfg.cores_per_worker, 8);
-        assert!(cfg.worker_throughput(0) > cfg.core_throughput_ops_per_sec);
-    }
-
-    #[test]
-    fn straggler_throughput() {
-        let cfg = ClusterConfig {
-            stragglers: 2,
-            straggler_slowdown: 0.25,
-            ..ClusterConfig::default()
-        };
-        assert_eq!(cfg.worker_throughput(0), cfg.worker_throughput(3) * 0.25);
-        assert_eq!(cfg.worker_throughput(1), cfg.worker_throughput(0));
-        assert_eq!(cfg.worker_throughput(2), cfg.worker_throughput(3));
+        assert!(cfg.worker_throughput() > cfg.core_throughput_ops_per_sec);
     }
 }

@@ -1,8 +1,9 @@
-//! The cluster handle: construction, shared driver-side state, and the
-//! top-level accessors. The heavy lifting lives in the sibling modules —
-//! [`crate::scheduler`] (superstep execution), [`crate::executor`] (one
+//! The cluster handle: construction, shared driver-side state, and its
+//! [`ExecutionBackend`] operators. The rest lives in the sibling modules —
+//! [`crate::scheduler`] (the superstep merge), [`crate::executor`] (one
 //! thread per worker, tasks run inline), [`crate::storage`] (dataset
-//! registry) and [`crate::lineage`] (crash recovery).
+//! registry), [`crate::lineage`] (crash recovery) and [`crate::metrics`]
+//! (the cost model).
 //!
 //! # Fault tolerance
 //!
@@ -12,14 +13,12 @@
 //!   backoff charged to the virtual clock; a failed launch never runs the
 //!   task closure, so cached partition state is never half-mutated.
 //! - **Worker crashes** lose every partition in the worker's memory. The
-//!   engine respawns the worker and, for datasets created through
-//!   [`Cluster::distribute_with_lineage`] / [`Cluster::distribute_replicated`],
-//!   re-installs the lost partitions from their rebuild closure and replays
-//!   the per-dataset task log (Spark-style lineage), restoring bit-identical
-//!   state. Datasets without lineage make a crash fatal, with a clean error.
+//!   engine respawns the worker, re-installs the lost partitions from the
+//!   dataset's rebuild closure and replays the per-dataset task log
+//!   (Spark-style lineage), restoring bit-identical state.
 //! - **Slow tasks** stretch the superstep makespan; when speculation is on,
-//!   a straggler task gets a speculative copy on the fastest other worker
-//!   and the superstep completes at the earlier of the two finishes.
+//!   a straggler task gets a speculative copy on another worker and the
+//!   superstep completes at the earlier of the two finishes.
 //!
 //! Every recovery event is recorded in [`CommMetrics`] (retries, respawns,
 //! recomputed partitions, re-shipped bytes, speculative wins, recovery
@@ -28,17 +27,19 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::mpsc::Sender;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::config::ClusterConfig;
-use crate::executor::{spawn_worker, WorkerMsg};
+use crate::executor::{spawn_worker, BatchResult, WorkerMsg};
 use crate::fault::FaultPlan;
 use crate::lock;
 use crate::metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
-use crate::storage::DatasetState;
+use crate::scheduler::merge_superstep;
+use crate::storage::{Broadcast, DatasetState, DistVec};
 
 /// Errors surfaced while booting a [`Cluster`].
 #[derive(Debug)]
@@ -118,8 +119,6 @@ pub(crate) struct Inner {
     pub(crate) next_dataset: AtomicU64,
     pub(crate) registry: Mutex<HashMap<u64, DatasetState>>,
     pub(crate) fault: Option<Arc<FaultPlan>>,
-    /// `(superstep, worker)` crash entries already fired (each at most once).
-    pub(crate) crashes_done: Mutex<Vec<(u64, usize)>>,
     /// When set, supersteps ship per-kernel events back to the driver
     /// (tracing on). Purely observational — never affects metering.
     pub(crate) capture_task_events: std::sync::atomic::AtomicBool,
@@ -205,16 +204,10 @@ impl Cluster {
                 next_dataset: AtomicU64::new(0),
                 registry: Mutex::new(HashMap::new()),
                 fault,
-                crashes_done: Mutex::new(Vec::new()),
                 capture_task_events: std::sync::atomic::AtomicBool::new(false),
                 task_events: Mutex::new(Vec::new()),
             }),
         })
-    }
-
-    /// Number of worker machines.
-    pub fn num_workers(&self) -> usize {
-        self.inner.config.workers
     }
 
     /// The cluster configuration.
@@ -226,18 +219,192 @@ impl Cluster {
     pub fn virtual_time(&self) -> VirtualDuration {
         self.metrics().virtual_time
     }
+}
 
-    /// Snapshot of the communication and compute counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
+impl ExecutionBackend for Cluster {
+    type Dataset<P: Send + 'static> = DistVec<P>;
+
+    fn name(&self) -> &'static str {
+        "cluster"
+    }
+
+    fn workers(&self) -> usize {
+        self.inner.config.workers
+    }
+
+    fn suggested_partitions(&self) -> usize {
+        self.inner.config.workers * self.inner.config.cores_per_worker
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics.snapshot()
     }
 
-    /// Charges driver-side compute (e.g. the column-update decision loop
-    /// that Algorithm 4 runs on the driver) to the virtual clock.
-    pub fn charge_driver(&self, ops: u64) {
+    fn charge_driver(&self, ops: u64) {
+        self.inner.metrics.charge_driver(&self.inner.config, ops);
+    }
+
+    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> DistVec<P>
+    where
+        P: Send + 'static,
+        F: Fn(usize) -> P + Send + Sync + 'static,
+    {
+        let inner = &self.inner;
+        let nparts = parts.len();
+        let id = inner.next_dataset.fetch_add(1, Ordering::Relaxed);
+        let workers = inner.config.workers;
+        let mut per_worker: Vec<Vec<(usize, AnyPart)>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut placement = Vec::with_capacity(nparts);
+        let mut part_bytes = Vec::with_capacity(nparts);
+        for (idx, (payload, bytes)) in parts.into_iter().enumerate() {
+            let w = idx % workers;
+            placement.push(w);
+            part_bytes.push(bytes);
+            per_worker[w].push((idx, Box::new(payload)));
+        }
+        inner.metrics.charge_distribute(&inner.config, &part_bytes);
+
+        lock(&inner.registry).insert(
+            id,
+            DatasetState {
+                placement: placement.clone(),
+                part_bytes: part_bytes.clone(),
+                rebuild: Box::new(move |idx| Box::new(rebuild(idx)) as AnyPart),
+                log: Vec::new(),
+            },
+        );
+
+        let senders = lock(&inner.senders).clone();
+        let (ack_tx, ack_rx) = channel();
+        let mut expected = 0;
+        for (w, batch) in per_worker.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            expected += 1;
+            senders[w]
+                .send(WorkerMsg::Store {
+                    dataset: id,
+                    parts: batch,
+                    ack: ack_tx.clone(),
+                })
+                .expect("worker hung up");
+        }
+        for _ in 0..expected {
+            ack_rx.recv().expect("worker hung up");
+        }
+        DistVec {
+            id,
+            nparts,
+            placement,
+            part_bytes,
+            inner: Arc::clone(inner),
+            _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// Locally a zero-copy `Arc`; the cost model charges the transfers.
+    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
         self.inner
             .metrics
-            .advance_clock(ops as f64 / self.inner.config.core_throughput_ops_per_sec);
+            .charge_broadcast(&self.inner.config, bytes);
+        Broadcast {
+            value: Arc::new(value),
+            wire_id: None,
+        }
+    }
+
+    /// The task is shipped to every worker thread before any reply is
+    /// collected, so all workers compute concurrently.
+    fn map_partitions_task<P, T, F>(&self, data: &DistVec<P>, f: F) -> Vec<T>
+    where
+        P: Send + 'static,
+        T: Send + 'static,
+        F: PartitionTask<P, T>,
+    {
+        let inner = &self.inner;
+        assert!(
+            Arc::ptr_eq(inner, &data.inner),
+            "dataset belongs to a different cluster"
+        );
+        // Supersteps are numbered in execution order; the fault plan keys
+        // its crash, failure and slowdown decisions off this index.
+        let step = inner.submitted_steps.fetch_add(1, Ordering::Relaxed);
+        self.inject_crashes(step);
+
+        let task: Arc<TaskFn> = Arc::new(move |idx, part, ctx| {
+            let part = part
+                .downcast_mut::<P>()
+                .expect("partition type mismatch: DistVec used with wrong element type");
+            Box::new(f.run(idx, part, ctx)) as AnyPart
+        });
+        // Record the task in the dataset's lineage log (replayed after a
+        // crash) before it runs anywhere.
+        if let Some(ds) = lock(&inner.registry).get_mut(&data.id) {
+            ds.log.push(Arc::clone(&task));
+        }
+
+        let task_faults: Option<TaskFaults> = inner
+            .fault
+            .as_ref()
+            .filter(|plan| plan.task_failure_rate > 0.0)
+            .map(|plan| (Arc::clone(plan), step));
+
+        let capture = inner.capture_task_events.load(Ordering::Relaxed);
+        let (reply_tx, reply_rx): (Sender<BatchResult>, Receiver<BatchResult>) = channel();
+        let senders = lock(&inner.senders).clone();
+        for sender in &senders {
+            sender
+                .send(WorkerMsg::Run {
+                    dataset: data.id,
+                    task: Arc::clone(&task),
+                    fault: task_faults.clone(),
+                    capture,
+                    reply: reply_tx.clone(),
+                })
+                .expect("worker hung up");
+        }
+        drop(reply_tx);
+
+        let batches: Vec<BatchResult> = (0..senders.len())
+            .map(|_| reply_rx.recv().expect("worker hung up"))
+            .collect();
+        merge_superstep(
+            &inner.config,
+            &inner.metrics,
+            inner.fault.as_deref().map(|plan| (plan, step)),
+            data.nparts,
+            &data.part_bytes,
+            capture,
+            batches,
+            &inner.task_events,
+        )
+    }
+
+    fn reset_lineage<P: Send + 'static>(&self, data: &DistVec<P>) {
+        assert!(
+            Arc::ptr_eq(&self.inner, &data.inner),
+            "dataset belongs to a different cluster"
+        );
+        if let Some(ds) = lock(&self.inner.registry).get_mut(&data.id) {
+            ds.log.clear();
+        }
+    }
+
+    fn dataset_partitions<P: Send + 'static>(&self, data: &DistVec<P>) -> usize {
+        data.num_partitions()
+    }
+
+    fn set_task_event_capture(&self, on: bool) {
+        self.inner.capture_task_events.store(on, Ordering::Relaxed);
+    }
+
+    fn take_task_events(&self) -> Vec<crate::TaskEvents> {
+        std::mem::take(&mut *lock(&self.inner.task_events))
+    }
+
+    fn core_throughput(&self) -> f64 {
+        self.inner.config.core_throughput()
     }
 }
 

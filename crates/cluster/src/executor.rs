@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::engine::{AnyPart, TaskFaults, TaskFn};
+use crate::metrics::WorkerLoad;
 use crate::task::TaskContext;
 use dbtf_telemetry::KernelEvent;
 
@@ -56,7 +57,7 @@ pub(crate) struct TaskStat {
 }
 
 /// One worker's reply to a superstep: every local task's result plus the
-/// cost accounting the driver folds into the virtual clock.
+/// charges the cost model folds into the meters and the virtual clock.
 pub(crate) struct BatchResult {
     pub(crate) worker: usize,
     /// (global partition index, boxed task result) pairs, sorted by
@@ -68,9 +69,8 @@ pub(crate) struct BatchResult {
     /// Per-task cost records, sorted by partition index (covers every
     /// task, successful or not).
     pub(crate) stats: Vec<TaskStat>,
-    pub(crate) total_ops: u64,
-    pub(crate) max_task_ops: u64,
-    pub(crate) result_bytes: u64,
+    /// The batch's charges, summed in partition order.
+    pub(crate) load: WorkerLoad,
 }
 
 /// Spawns the OS thread running [`worker_loop`] for one worker machine.
@@ -202,14 +202,10 @@ pub(crate) fn run_batch(
     let mut results = Vec::with_capacity(parts.len());
     let mut panics = Vec::new();
     let mut stats = Vec::with_capacity(parts.len());
-    let mut total_ops = 0u64;
-    let mut max_task_ops = 0u64;
-    let mut result_bytes = 0u64;
+    let mut load = WorkerLoad::default();
     for &mut (idx, ref mut part) in parts {
         let outcome = run_task(worker_id, idx, part.as_mut(), task, fault, capture);
-        total_ops += outcome.ops;
-        max_task_ops = max_task_ops.max(outcome.ops);
-        result_bytes += outcome.result_bytes;
+        load.add_task(outcome.ops, outcome.result_bytes, outcome.result.is_ok());
         stats.push(TaskStat {
             idx,
             ops: outcome.ops,
@@ -226,8 +222,6 @@ pub(crate) fn run_batch(
         results,
         panics,
         stats,
-        total_ops,
-        max_task_ops,
-        result_bytes,
+        load,
     }
 }

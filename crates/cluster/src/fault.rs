@@ -56,7 +56,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// `(superstep, worker)` pairs: worker `worker` is killed at the start
     /// of superstep `superstep` (0-based, counting every
-    /// [`crate::Cluster::map_partitions`] call). Each pair fires at most
+    /// [`crate::ExecutionBackend::map_partitions`] call). Each pair fires at most
     /// once.
     pub worker_crashes: Vec<(u64, usize)>,
     /// Probability in `[0, 1]` that one launch attempt of a task fails
@@ -76,7 +76,7 @@ pub struct FaultPlan {
     pub speculation: bool,
     /// A task whose completion would exceed
     /// `speculation_threshold × fault-free superstep makespan` gets a
-    /// speculative copy on the fastest other worker (≥ 1).
+    /// speculative copy on another worker (≥ 1).
     pub speculation_threshold: f64,
     /// Probability in `[0, 1]` that a worker is killed at the start of a
     /// superstep (decided per `(superstep, worker)`). Simulated crash on

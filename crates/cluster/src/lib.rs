@@ -10,7 +10,8 @@
 //!   memory (paper Section III-B, III-F),
 //! - **broadcast variables** ([`Broadcast`]): factor matrices are broadcast
 //!   to every machine each iteration (Section III-G, Lemma 7),
-//! - **`mapPartitions`-style execution** ([`Cluster::map_partitions`]):
+//! - **`mapPartitions`-style execution**
+//!   ([`ExecutionBackend::map_partitions`]):
 //!   per-partition tasks run on the worker holding the partition and their
 //!   results are collected by the driver (Algorithm 4 lines 7–10).
 //!
@@ -33,21 +34,22 @@
 //!
 //! # Operator IR and execution backends
 //!
-//! Drivers do not call [`Cluster`] methods directly: they emit dataflow
-//! operators ([`OpKind`] — distribute, broadcast, map-partitions, gather,
-//! checkpoint, driver-compute) through a [`Scheduler`], which executes
-//! each operator on a pluggable [`ExecutionBackend`] and records it —
-//! with exact byte/op/time annotations ([`OpRecord`]) — into a
-//! [`PlanTrace`]. DBTF's plans are data-dependent (each broadcast carries
-//! a driver decision computed from the previous superstep), so plans
-//! materialize eagerly and the trace is the plan *as executed*. Two
-//! backends implement the trait: [`Cluster`] (simulated multi-worker
-//! engine with network costing and fault injection) and [`LocalBackend`]
-//! (zero-overhead inline execution with identical byte/op metering,
-//! compute-only virtual time, no faults). For a fixed algorithm run, the
-//! trace fingerprint and every algorithmic output are bit-identical
-//! across backends, worker counts, and fault plans. See `DESIGN.md`
-//! §1.2.3.
+//! Drivers emit dataflow operators ([`OpKind`] — distribute, broadcast,
+//! map-partitions, checkpoint, driver-compute) through a [`Scheduler`],
+//! which executes each operator on a pluggable [`ExecutionBackend`] and
+//! records it — with exact byte/op/time annotations ([`OpRecord`]) — into
+//! a [`PlanTrace`]. DBTF's plans are data-dependent (each broadcast
+//! carries a driver decision computed from the previous superstep), so
+//! plans materialize eagerly and the trace is the plan *as executed*.
+//! Three backends implement the trait: [`Cluster`] (simulated multi-worker
+//! engine with network costing and fault injection), [`NetBackend`]
+//! (worker processes behind TCP sockets, with the same fault injection)
+//! and [`LocalBackend`] (zero-overhead inline execution). All three charge
+//! through one cost model (the `charge_*` methods of [`CommMetrics`]); the
+//! local backend runs it with a free network and no fault plan, so its
+//! virtual time is compute only. For a fixed algorithm run, the trace
+//! fingerprint and every algorithmic output are bit-identical across
+//! backends, worker counts, and fault plans. See `DESIGN.md` §1.2.3.
 //!
 //! # Fault tolerance
 //!
@@ -55,9 +57,9 @@
 //! this engine reproduces that slice too. A deterministic, seed-driven
 //! [`FaultPlan`] on [`ClusterConfig::fault_plan`] injects worker crashes,
 //! transient task failures, and slow tasks; the engine recovers via
-//! driver-side lineage ([`Cluster::distribute_with_lineage`] /
-//! [`Cluster::distribute_replicated`] plus per-dataset task-log replay),
-//! worker respawn, bounded retries with exponential backoff, and
+//! driver-side lineage (every dataset's rebuild closure from
+//! [`ExecutionBackend::distribute_with_lineage`] plus per-dataset task-log
+//! replay), worker respawn, bounded retries with exponential backoff, and
 //! speculative re-execution of stragglers — all charged to the virtual
 //! clock and itemised in [`MetricsSnapshot`]'s recovery counters, while
 //! results, errors, and op counts stay bit-identical to a fault-free run.
@@ -66,11 +68,13 @@
 //! # Example
 //!
 //! ```
-//! use dbtf_cluster::{Cluster, ClusterConfig};
+//! use dbtf_cluster::{Cluster, ClusterConfig, ExecutionBackend};
 //!
 //! let cluster = Cluster::new(ClusterConfig::with_workers(4));
-//! // Distribute 8 integer partitions (round-robin) with 8 bytes each.
-//! let data = cluster.distribute((0u64..8).map(|v| (v, 8)).collect());
+//! // Distribute 8 integer partitions (round-robin) with 8 bytes each;
+//! // partition `idx` can be rebuilt from its index after a crash.
+//! let parts = (0u64..8).map(|v| (v, 8)).collect();
+//! let data = cluster.distribute_with_lineage(parts, |idx| idx as u64);
 //! // Square every partition on its worker; collect to the driver.
 //! let squares: Vec<u64> = cluster.map_partitions(&data, |_idx, v: &mut u64, ctx| {
 //!     ctx.charge(1);

@@ -1,8 +1,15 @@
-//! Virtual-time clock and communication metering.
+//! Virtual-time clock and communication metering, and the engine's one
+//! cost model: every backend charges its meters and its virtual clock
+//! through the `charge_*` methods on [`CommMetrics`], so the Lemma 6/7
+//! counters and the clock are the same bits on every backend by
+//! construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::config::ClusterConfig;
+use crate::executor::BatchResult;
+use crate::fault::FaultPlan;
 use crate::lock;
 
 /// A span of virtual time, in seconds.
@@ -97,7 +104,7 @@ pub struct CommMetrics {
     /// `bytes_shuffled + bytes_broadcast` on a networked run.
     pub(crate) net_wire_bytes_sent: AtomicU64,
     /// Networked backend: measured payload bytes in worker→driver frames
-    /// (task results + gathered partitions); equals `bytes_collected`.
+    /// (task results); equals `bytes_collected`.
     pub(crate) net_wire_bytes_received: AtomicU64,
     /// Networked backend: wire bytes outside the Lemma meters — frame
     /// headers, task parameters, acks, handshakes, heartbeats, and resends
@@ -114,6 +121,8 @@ pub struct CommMetrics {
     pub(crate) pool_idle_secs: Mutex<f64>,
     /// Virtual busy-seconds accumulated per worker (index = worker id).
     pub(crate) worker_busy_secs: Mutex<Vec<f64>>,
+    /// `(superstep, worker)` crashes already fired: each fires at most once.
+    crashes_fired: Mutex<Vec<(u64, usize)>>,
 }
 
 impl CommMetrics {
@@ -124,22 +133,22 @@ impl CommMetrics {
         }
     }
 
-    pub(crate) fn add_shuffled(&self, bytes: u64) {
+    fn add_shuffled(&self, bytes: u64) {
         self.bytes_shuffled.fetch_add(bytes, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_broadcast(&self, bytes: u64) {
+    fn add_broadcast(&self, bytes: u64) {
         self.bytes_broadcast.fetch_add(bytes, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_collected(&self, bytes: u64) {
+    fn add_collected(&self, bytes: u64) {
         self.bytes_collected.fetch_add(bytes, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_stored(&self, bytes: u64) {
+    fn add_stored(&self, bytes: u64) {
         self.stored_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
@@ -147,11 +156,11 @@ impl CommMetrics {
         self.stored_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    pub(crate) fn advance_clock(&self, secs: f64) {
+    fn advance_clock(&self, secs: f64) {
         *lock(&self.clock_secs) += secs;
     }
 
-    pub(crate) fn add_reshipped(&self, bytes: u64) {
+    fn add_reshipped(&self, bytes: u64) {
         self.bytes_reshipped.fetch_add(bytes, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
     }
@@ -159,7 +168,7 @@ impl CommMetrics {
     /// Charges `secs` of fault-handling overhead: advances the virtual
     /// clock *and* attributes the span to recovery, so the cost of failure
     /// stays separately measurable.
-    pub(crate) fn charge_recovery(&self, secs: f64) {
+    fn charge_recovery(&self, secs: f64) {
         self.advance_clock(secs);
         self.note_recovery(secs);
     }
@@ -168,14 +177,201 @@ impl CommMetrics {
     /// without advancing the clock again (used when the clock moves by the
     /// superstep's effective makespan and only the stretch beyond the
     /// fault-free schedule is recovery overhead).
-    pub(crate) fn note_recovery(&self, secs: f64) {
+    fn note_recovery(&self, secs: f64) {
         *lock(&self.recovery_secs) += secs;
     }
 
     /// Accumulates virtual idle time (worker busy-time below the superstep
     /// makespan, summed over workers).
-    pub(crate) fn add_pool_idle(&self, secs: f64) {
+    fn add_pool_idle(&self, secs: f64) {
         *lock(&self.pool_idle_secs) += secs;
+    }
+
+    /// Distribute (Lemma 6): the whole dataset crosses the network once
+    /// and stays in worker memory. Partition `p` lands on worker
+    /// `p mod workers`; workers receive in parallel, so the step costs
+    /// the slowest link.
+    pub(crate) fn charge_distribute(&self, cfg: &ClusterConfig, part_bytes: &[u64]) {
+        let mut worker_bytes = vec![0u64; cfg.workers];
+        for (idx, &bytes) in part_bytes.iter().enumerate() {
+            worker_bytes[idx % cfg.workers] += bytes;
+        }
+        let total: u64 = worker_bytes.iter().sum();
+        self.add_shuffled(total);
+        self.add_stored(total);
+        let secs = worker_bytes
+            .iter()
+            .map(|&b| cfg.network.transfer_secs(b))
+            .fold(0.0, f64::max);
+        self.advance_clock(secs);
+    }
+
+    /// Broadcast (Lemma 7): `bytes` to every worker, as `workers`
+    /// transfers serialised through the driver's uplink.
+    pub(crate) fn charge_broadcast(&self, cfg: &ClusterConfig, bytes: u64) {
+        let total = bytes * cfg.workers as u64;
+        self.add_broadcast(total);
+        self.advance_clock(cfg.network.transfer_secs(total));
+    }
+
+    /// Driver-side compute: `ops` on one core.
+    pub(crate) fn charge_driver(&self, cfg: &ClusterConfig, ops: u64) {
+        self.advance_clock(ops as f64 / cfg.core_throughput());
+    }
+
+    /// One superstep, from every worker's batch in worker order: each
+    /// worker's busy time, the idle meter, the op, task and collect
+    /// counters, and the clock, which advances by the makespan plus the
+    /// slowest result collection. `fault` is the fault plan and the
+    /// superstep's index, when a plan is active (see
+    /// [`CommMetrics::superstep_times`]).
+    pub(crate) fn charge_superstep(
+        &self,
+        cfg: &ClusterConfig,
+        fault: Option<(&FaultPlan, u64)>,
+        part_bytes: &[u64],
+        batches: &[BatchResult],
+    ) {
+        let times = self.superstep_times(cfg, fault, part_bytes, batches);
+        let makespan = times.iter().fold(0.0f64, |a, &b| a.max(b));
+        // Idle meter: per-worker busy-time shortfall against the makespan
+        // (observability only; excluded from snapshot equality).
+        let idle: f64 = times.iter().map(|&t| makespan - t).sum();
+        if idle > 0.0 {
+            self.add_pool_idle(idle);
+        }
+        let mut collect_secs = 0.0f64;
+        {
+            let mut busy = lock(&self.worker_busy_secs);
+            for (batch, &time) in batches.iter().zip(&times) {
+                let load = &batch.load;
+                busy[batch.worker] += time;
+                collect_secs = collect_secs.max(cfg.network.transfer_secs(load.result_bytes));
+                self.add_collected(load.result_bytes);
+                self.total_ops.fetch_add(load.total_ops, Ordering::Relaxed);
+                self.tasks_run.fetch_add(load.tasks, Ordering::Relaxed);
+            }
+        }
+        self.advance_clock(makespan + collect_secs);
+        self.supersteps.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Virtual completion time of each batch (same order as `batches`).
+    /// Fault-free, a worker's time is [`worker_secs`]. Under a fault plan
+    /// with slow tasks or transient failures, each task is stretched by
+    /// its slowdown and retry backoffs, and with speculation on, a task
+    /// past the deadline gets a copy on another worker and finishes at
+    /// the earlier of the two.
+    fn superstep_times(
+        &self,
+        cfg: &ClusterConfig,
+        fault: Option<(&FaultPlan, u64)>,
+        part_bytes: &[u64],
+        batches: &[BatchResult],
+    ) -> Vec<f64> {
+        let nominal: Vec<f64> = batches
+            .iter()
+            .map(|b| worker_secs(cfg, b.load.total_ops, b.load.max_task_ops))
+            .collect();
+        let Some((plan, step)) =
+            fault.filter(|(p, _)| p.task_failure_rate > 0.0 || p.slow_task_rate > 0.0)
+        else {
+            return nominal;
+        };
+
+        let nominal_makespan = nominal.iter().fold(0.0, |a: f64, &b| a.max(b));
+        let deadline = plan.speculation_threshold * nominal_makespan;
+        // A speculative copy runs on the lowest worker id other than the
+        // slow task's; every worker runs at the same rate, so only whether
+        // another worker exists matters.
+        let can_speculate = plan.speculation && cfg.workers > 1;
+        let mut retries_total = 0u64;
+        let mut effective = Vec::with_capacity(batches.len());
+        for b in batches {
+            let agg = b.load.total_ops as f64 / cfg.worker_throughput();
+            let mut longest = 0.0f64;
+            for stat in &b.stats {
+                retries_total += stat.retries as u64;
+                let mut t = (stat.ops as f64 / cfg.core_throughput())
+                    * plan.task_slowdown(step, stat.idx)
+                    + plan.backoff_secs(stat.retries);
+                if can_speculate && t > deadline {
+                    self.speculative_tasks.fetch_add(1, Ordering::Relaxed);
+                    self.recovery_ops.fetch_add(stat.ops, Ordering::Relaxed);
+                    let copy = deadline
+                        + cfg.network.transfer_secs(part_bytes[stat.idx])
+                        + stat.ops as f64 / cfg.core_throughput();
+                    if copy < t {
+                        self.speculative_wins.fetch_add(1, Ordering::Relaxed);
+                        self.add_reshipped(part_bytes[stat.idx]);
+                        t = copy;
+                    }
+                }
+                longest = longest.max(t);
+            }
+            effective.push(agg.max(longest));
+        }
+        if retries_total > 0 {
+            self.task_retries
+                .fetch_add(retries_total, Ordering::Relaxed);
+        }
+        // The makespan stretch beyond the fault-free schedule is the
+        // superstep's recovery overhead (the clock itself advances by the
+        // effective makespan in the caller).
+        let eff_makespan = effective.iter().fold(0.0, |a: f64, &b| a.max(b));
+        let overhead = (eff_makespan - nominal_makespan).max(0.0);
+        if overhead > 0.0 {
+            self.note_recovery(overhead);
+        }
+        effective
+    }
+
+    /// The fire-once crash filter: the workers `plan` kills at superstep
+    /// `step` (see [`FaultPlan::kills_at`]) that have not been killed at
+    /// that superstep before, in the plan's order.
+    pub(crate) fn crashes_to_fire(
+        &self,
+        plan: Option<&FaultPlan>,
+        step: u64,
+        workers: usize,
+    ) -> Vec<usize> {
+        let Some(plan) = plan.filter(|p| p.schedules_crashes()) else {
+            return Vec::new();
+        };
+        let mut fired = lock(&self.crashes_fired);
+        plan.kills_at(step, workers)
+            .into_iter()
+            .filter(|&w| {
+                let fresh = !fired.contains(&(step, w));
+                if fresh {
+                    fired.push((step, w));
+                }
+                fresh
+            })
+            .collect()
+    }
+
+    /// A worker respawned after a crash.
+    pub(crate) fn charge_respawn(&self) {
+        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Recovery re-ship: `partitions` lost partitions, `bytes` in all,
+    /// recomputed from lineage and shipped to a respawned worker over
+    /// one link.
+    pub(crate) fn charge_reship(&self, cfg: &ClusterConfig, partitions: usize, bytes: u64) {
+        self.partitions_recomputed
+            .fetch_add(partitions as u64, Ordering::Relaxed);
+        self.add_reshipped(bytes);
+        self.charge_recovery(cfg.network.transfer_secs(bytes));
+    }
+
+    /// Recovery replay of one logged task on a respawned worker: its ops
+    /// go to `recovery_ops`, never to `total_ops`, and its time to the
+    /// recovery clock.
+    pub(crate) fn charge_replay(&self, cfg: &ClusterConfig, total_ops: u64, max_task_ops: u64) {
+        self.recovery_ops.fetch_add(total_ops, Ordering::Relaxed);
+        self.charge_recovery(worker_secs(cfg, total_ops, max_task_ops));
     }
 
     /// Takes a consistent snapshot of all counters.
@@ -211,6 +407,37 @@ impl CommMetrics {
     }
 }
 
+/// Virtual seconds one worker needs for a superstep share of `total_ops`
+/// ops: perfect parallelism over its cores, floored by its largest single
+/// task (`max_task_ops`) on one core.
+pub(crate) fn worker_secs(cfg: &ClusterConfig, total_ops: u64, max_task_ops: u64) -> f64 {
+    (total_ops as f64 / cfg.worker_throughput()).max(max_task_ops as f64 / cfg.core_throughput())
+}
+
+/// One worker's share of a superstep, as the cost model charges it.
+#[derive(Default)]
+pub(crate) struct WorkerLoad {
+    /// Ops charged by all of the worker's tasks.
+    pub(crate) total_ops: u64,
+    /// Ops charged by its largest task.
+    pub(crate) max_task_ops: u64,
+    /// Declared result bytes collected from it.
+    pub(crate) result_bytes: u64,
+    /// Tasks that returned a result.
+    pub(crate) tasks: u64,
+}
+
+impl WorkerLoad {
+    /// Adds one task's charges; `returned` is false for a task that
+    /// panicked or exhausted its launch attempts.
+    pub(crate) fn add_task(&mut self, ops: u64, result_bytes: u64, returned: bool) {
+        self.total_ops += ops;
+        self.max_task_ops = self.max_task_ops.max(ops);
+        self.result_bytes += result_bytes;
+        self.tasks += u64::from(returned);
+    }
+}
+
 /// A point-in-time copy of a cluster's [`CommMetrics`].
 ///
 /// Equality (`PartialEq`) covers every *deterministic* field — the ones the
@@ -220,10 +447,10 @@ impl CommMetrics {
 /// schedule or on injected wire faults; see the manual impl below.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// Bytes moved by [`crate::Cluster::distribute`] (the one-off
-    /// partitioning shuffle — Lemma 6).
+    /// Bytes moved by [`crate::ExecutionBackend::distribute_with_lineage`]
+    /// (the one-off partitioning shuffle — Lemma 6).
     pub bytes_shuffled: u64,
-    /// Bytes moved by [`crate::Cluster::broadcast`] (factor matrices each
+    /// Bytes moved by [`crate::ExecutionBackend::broadcast`] (factor matrices each
     /// iteration — Lemma 7).
     pub bytes_broadcast: u64,
     /// Bytes returned from workers to the driver (per-column error

@@ -1,15 +1,14 @@
 //! The networked execution backend: workers as separate OS processes (or
 //! protocol-speaking threads in tests) connected to the driver over TCP,
 //! with a length-prefixed binary wire format for every Distribute /
-//! Broadcast / MapPartitions / Gather — so the Lemma 6/7 byte meters can
-//! be checked against *measured* wire bytes, not just declared sizes.
+//! Broadcast / MapPartitions — so the Lemma 6/7 byte meters can be checked
+//! against *measured* wire bytes, not just declared sizes.
 //!
 //! # Metering equivalence
 //!
-//! [`NetBackend`] mirrors [`crate::Cluster`]'s accounting operation for
-//! operation: the same declared-byte counters (`bytes_shuffled`,
-//! `bytes_broadcast`, `bytes_collected`), the same virtual-clock charges,
-//! and the same deterministic merge through the shared
+//! [`NetBackend`] charges through the same cost model as
+//! [`crate::Cluster`] (the `charge_*` methods of
+//! [`crate::CommMetrics`]) and merges supersteps through the shared
 //! `merge_superstep` path — so factors, op counts, traces, and every
 //! compared counter are bit-identical to the simulated cluster and the
 //! local backend for the same plan. On top of that it keeps *measured*
@@ -54,7 +53,7 @@ use crate::engine::{AnyPart, ClusterError};
 use crate::executor::{BatchResult, TaskStat};
 use crate::fault::FaultPlan;
 use crate::lock;
-use crate::metrics::{CommMetrics, MetricsSnapshot};
+use crate::metrics::{CommMetrics, MetricsSnapshot, WorkerLoad};
 use crate::net::proto::{BatchReply, Frame};
 use crate::net::registry::intern_kernel_name;
 use crate::net::supervisor::{InFlight, Supervisor};
@@ -87,7 +86,7 @@ struct NetDatasetState {
     part_bytes: Vec<u64>,
     codec: &'static str,
     /// Re-encodes a partition's distribute-time payload for recovery.
-    rebuild: Option<Arc<dyn Fn(usize) -> EncodedFrame + Send + Sync>>,
+    rebuild: Box<dyn Fn(usize) -> EncodedFrame + Send + Sync>,
     /// Wire tasks applied since distribution (or the last lineage reset).
     log: Vec<RunSpec>,
 }
@@ -115,8 +114,6 @@ struct NetShared {
     /// DBTF broadcasts are O(I·R/8) bytes, an accepted memory/robustness
     /// trade-off (DESIGN.md §1.2.6).
     broadcast_cache: Mutex<Vec<BroadcastEntry>>,
-    /// `(superstep, worker)` kill entries already fired (each at most once).
-    crashes_done: Mutex<Vec<(u64, usize)>>,
     capture_task_events: AtomicBool,
     task_events: Mutex<Vec<crate::TaskEvents>>,
 }
@@ -127,7 +124,6 @@ struct NetShared {
 pub struct NetVec<P> {
     id: u64,
     nparts: usize,
-    placement: Vec<usize>,
     part_bytes: Vec<u64>,
     shared: Arc<NetShared>,
     _marker: std::marker::PhantomData<fn() -> P>,
@@ -206,7 +202,6 @@ impl NetBackend {
                 next_broadcast: AtomicU64::new(0),
                 datasets: Mutex::new(HashMap::new()),
                 broadcast_cache: Mutex::new(Vec::new()),
-                crashes_done: Mutex::new(Vec::new()),
                 capture_task_events: AtomicBool::new(false),
                 task_events: Mutex::new(Vec::new()),
             }),
@@ -216,102 +211,6 @@ impl NetBackend {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.shared.config
-    }
-
-    /// Distributes without lineage (a crash losing one of these
-    /// partitions fails the run with a clean error).
-    pub fn distribute<P: Send + 'static>(&self, parts: Vec<(P, u64)>) -> NetVec<P> {
-        self.distribute_inner(parts, None)
-    }
-
-    /// See [`crate::Cluster::distribute_replicated`].
-    pub fn distribute_replicated<P>(&self, parts: Vec<(P, u64)>) -> NetVec<P>
-    where
-        P: Clone + Send + Sync + 'static,
-    {
-        let replica: Arc<Vec<P>> = Arc::new(parts.iter().map(|(p, _)| p.clone()).collect());
-        self.distribute_with_lineage(parts, move |idx| replica[idx].clone())
-    }
-
-    fn distribute_inner<P: Send + 'static>(
-        &self,
-        parts: Vec<(P, u64)>,
-        rebuild: Option<Arc<dyn Fn(usize) -> EncodedFrame + Send + Sync>>,
-    ) -> NetVec<P> {
-        let shared = &self.shared;
-        let codec = shared.registry.part_codec_of::<P>();
-        let (encode, codec_name) = (codec.encode, codec.name);
-        let nparts = parts.len();
-        let id = shared.next_dataset.fetch_add(1, Ordering::Relaxed);
-        let workers = shared.config.workers;
-        let mut per_worker: Vec<Vec<(u64, Vec<u8>)>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut primary_per_worker = vec![0u64; workers];
-        let mut placement = Vec::with_capacity(nparts);
-        let mut part_bytes = Vec::with_capacity(nparts);
-        let mut worker_bytes = vec![0u64; workers];
-        for (idx, (payload, bytes)) in parts.into_iter().enumerate() {
-            let w = idx % workers;
-            placement.push(w);
-            part_bytes.push(bytes);
-            worker_bytes[w] += bytes;
-            let frame = encode(&payload as &(dyn Any + Send));
-            primary_per_worker[w] += frame.data_len;
-            per_worker[w].push((idx as u64, frame.bytes));
-        }
-        // Declared-byte metering, identical to the simulated cluster.
-        let total_bytes: u64 = worker_bytes.iter().sum();
-        shared.metrics.add_shuffled(total_bytes);
-        shared.metrics.add_stored(total_bytes);
-        let net = &shared.config.network;
-        let step_secs = worker_bytes
-            .iter()
-            .map(|&b| net.transfer_secs(b))
-            .fold(0.0, f64::max);
-        shared.metrics.advance_clock(step_secs);
-
-        let step_ctx = shared.submitted_steps.load(Ordering::Relaxed);
-        let builders: Vec<FrameBuilder<'_>> = per_worker
-            .into_iter()
-            .map(|batch| {
-                if batch.is_empty() {
-                    None
-                } else {
-                    let batch: Arc<[(u64, Vec<u8>)]> = batch.into();
-                    Some(Box::new(move |req, _delivery| Frame::Store {
-                        req,
-                        dataset: id,
-                        codec: codec_name.to_string(),
-                        parts: Arc::clone(&batch),
-                    })
-                        as Box<dyn Fn(u64, u64) -> Frame + '_>)
-                }
-            })
-            .collect();
-        let exchanges = shared.fanout(step_ctx, None, &builders);
-        for (w, ex) in exchanges.into_iter().enumerate() {
-            let Some(ex) = ex else { continue };
-            shared.expect_ack(&ex.reply);
-            shared.meter_exchange(primary_per_worker[w], 0, ex.bytes_sent, ex.bytes_received);
-        }
-
-        lock(&shared.datasets).insert(
-            id,
-            NetDatasetState {
-                placement: placement.clone(),
-                part_bytes: part_bytes.clone(),
-                codec: codec_name,
-                rebuild,
-                log: Vec::new(),
-            },
-        );
-        NetVec {
-            id,
-            nparts,
-            placement,
-            part_bytes,
-            shared: Arc::clone(shared),
-            _marker: std::marker::PhantomData,
-        }
     }
 
     fn run_faults(&self) -> RunFaults {
@@ -333,31 +232,13 @@ impl NetBackend {
     /// each at most once, and runs full respawn + recovery.
     fn inject_kills(&self, step: u64) {
         let shared = &self.shared;
-        let Some(plan) = &shared.fault else { return };
-        if !plan.schedules_crashes() {
-            return;
-        }
-        let kills = plan.kills_at(step, shared.config.workers);
-        if kills.is_empty() {
-            return;
-        }
-        let pending: Vec<usize> = {
-            let mut done = lock(&shared.crashes_done);
-            kills
-                .into_iter()
-                .filter(|&w| {
-                    if done.contains(&(step, w)) {
-                        false
-                    } else {
-                        done.push((step, w));
-                        true
-                    }
-                })
-                .collect()
-        };
-        for w in pending {
+        for w in
+            shared
+                .metrics
+                .crashes_to_fire(shared.fault.as_deref(), step, shared.config.workers)
+        {
             shared.supervisor.kill_worker(w);
-            shared.respawn_and_recover(step, w, None);
+            shared.respawn_and_recover(w, None);
         }
     }
 }
@@ -382,9 +263,7 @@ impl ExecutionBackend for NetBackend {
     }
 
     fn charge_driver(&self, ops: u64) {
-        self.shared
-            .metrics
-            .advance_clock(ops as f64 / self.shared.config.core_throughput_ops_per_sec);
+        self.shared.metrics.charge_driver(&self.shared.config, ops);
     }
 
     fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> NetVec<P>
@@ -392,28 +271,79 @@ impl ExecutionBackend for NetBackend {
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static,
     {
-        let encode = self.shared.registry.part_codec_of::<P>().encode;
-        self.distribute_inner(
-            parts,
-            Some(Arc::new(move |idx| {
-                let payload = rebuild(idx);
-                encode(&payload as &(dyn Any + Send))
-            })),
-        )
+        let shared = &self.shared;
+        let codec = shared.registry.part_codec_of::<P>();
+        let (encode, codec_name) = (codec.encode, codec.name);
+        let nparts = parts.len();
+        let id = shared.next_dataset.fetch_add(1, Ordering::Relaxed);
+        let workers = shared.config.workers;
+        let mut per_worker: Vec<Vec<(u64, Vec<u8>)>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut primary_per_worker = vec![0u64; workers];
+        let mut placement = Vec::with_capacity(nparts);
+        let mut part_bytes = Vec::with_capacity(nparts);
+        for (idx, (payload, bytes)) in parts.into_iter().enumerate() {
+            let w = idx % workers;
+            placement.push(w);
+            part_bytes.push(bytes);
+            let frame = encode(&payload as &(dyn Any + Send));
+            primary_per_worker[w] += frame.data_len;
+            per_worker[w].push((idx as u64, frame.bytes));
+        }
+        shared
+            .metrics
+            .charge_distribute(&shared.config, &part_bytes);
+
+        let builders: Vec<FrameBuilder<'_>> = per_worker
+            .into_iter()
+            .map(|batch| {
+                if batch.is_empty() {
+                    None
+                } else {
+                    let batch: Arc<[(u64, Vec<u8>)]> = batch.into();
+                    Some(Box::new(move |req, _delivery| Frame::Store {
+                        req,
+                        dataset: id,
+                        codec: codec_name.to_string(),
+                        parts: Arc::clone(&batch),
+                    })
+                        as Box<dyn Fn(u64, u64) -> Frame + '_>)
+                }
+            })
+            .collect();
+        let exchanges = shared.fanout(&builders);
+        for (w, ex) in exchanges.into_iter().enumerate() {
+            let Some(ex) = ex else { continue };
+            shared.expect_ack(&ex.reply);
+            shared.meter_exchange(primary_per_worker[w], 0, ex.bytes_sent, ex.bytes_received);
+        }
+
+        lock(&shared.datasets).insert(
+            id,
+            NetDatasetState {
+                placement,
+                part_bytes: part_bytes.clone(),
+                codec: codec_name,
+                rebuild: Box::new(move |idx| encode(&rebuild(idx) as &(dyn Any + Send))),
+                log: Vec::new(),
+            },
+        );
+        NetVec {
+            id,
+            nparts,
+            part_bytes,
+            shared: Arc::clone(shared),
+            _marker: std::marker::PhantomData,
+        }
     }
 
     fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
         let shared = &self.shared;
-        let workers = shared.config.workers as u64;
-        shared.metrics.add_broadcast(bytes * workers);
-        let secs = shared.config.network.transfer_secs(bytes * workers);
-        shared.metrics.advance_clock(secs);
+        shared.metrics.charge_broadcast(&shared.config, bytes);
         let encoder = shared.registry.bcast_encoder_of::<T>();
         let frame = encoder(&value as &(dyn Any + Send + Sync));
         let data_len = frame.data_len;
         let frame_bytes = Arc::new(frame.bytes);
         let id = shared.next_broadcast.fetch_add(1, Ordering::Relaxed);
-        let step_ctx = shared.submitted_steps.load(Ordering::Relaxed);
         let builders: Vec<FrameBuilder<'_>> = (0..shared.config.workers)
             .map(|_| {
                 let frame_bytes = Arc::clone(&frame_bytes);
@@ -424,11 +354,7 @@ impl ExecutionBackend for NetBackend {
                 }) as Box<dyn Fn(u64, u64) -> Frame + '_>)
             })
             .collect();
-        for ex in shared
-            .fanout(step_ctx, None, &builders)
-            .into_iter()
-            .flatten()
-        {
+        for ex in shared.fanout(&builders).into_iter().flatten() {
             shared.expect_ack(&ex.reply);
             shared.meter_exchange(data_len, 0, ex.bytes_sent, ex.bytes_received);
         }
@@ -460,13 +386,11 @@ impl ExecutionBackend for NetBackend {
             )
         });
         if let Some(ds) = lock(&shared.datasets).get_mut(&data.id) {
-            if ds.rebuild.is_some() {
-                ds.log.push(RunSpec {
-                    step,
-                    name: wire.name,
-                    params: wire.params.bytes.clone(),
-                });
-            }
+            ds.log.push(RunSpec {
+                step,
+                name: wire.name,
+                params: wire.params.bytes.clone(),
+            });
         }
         let capture = shared.capture_task_events.load(Ordering::Relaxed);
         let faults = self.run_faults();
@@ -485,11 +409,11 @@ impl ExecutionBackend for NetBackend {
             shared.supervisor.set_busy(w);
         }
         let inflights: Vec<InFlight> = (0..shared.config.workers)
-            .map(|w| shared.begin_recovering(step, w, Some(step), &build))
+            .map(|w| shared.begin_recovering(w, Some(step), &build))
             .collect();
         let mut batches = Vec::with_capacity(shared.config.workers);
         for (w, inflight) in inflights.into_iter().enumerate() {
-            let ex = shared.finish_recovering(step, w, Some(step), inflight, &build);
+            let ex = shared.finish_recovering(w, Some(step), inflight, &build);
             shared.supervisor.set_idle(w);
             let (bytes_sent, bytes_received) = (ex.bytes_sent, ex.bytes_received);
             let Frame::Batch { reply, .. } = ex.reply else {
@@ -505,117 +429,7 @@ impl ExecutionBackend for NetBackend {
         merge_superstep(
             &shared.config,
             &shared.metrics,
-            shared.fault.as_ref(),
-            step,
-            data.nparts,
-            &data.part_bytes,
-            capture,
-            batches,
-            &shared.task_events,
-        )
-    }
-
-    fn gather<P>(&self, data: &NetVec<P>) -> Vec<P>
-    where
-        P: Clone + Send + 'static,
-    {
-        let shared = &self.shared;
-        assert!(
-            Arc::ptr_eq(shared, &data.shared),
-            "dataset belongs to a different cluster"
-        );
-        // A gather is a superstep (same step numbering and fault draws as
-        // the simulated cluster's clone-collect superstep). The clone task
-        // charges no ops and replays as a no-op, so it is not logged.
-        let step = shared.submitted_steps.fetch_add(1, Ordering::Relaxed);
-        self.inject_kills(step);
-        let capture = shared.capture_task_events.load(Ordering::Relaxed);
-        let codec = shared.registry.part_codec_of::<P>();
-        let (decode, codec_name) = (codec.decode, codec.name);
-        let builders: Vec<FrameBuilder<'_>> = (0..shared.config.workers)
-            .map(|_| {
-                Some(Box::new(move |req, _delivery| Frame::Gather {
-                    req,
-                    dataset: data.id,
-                    step,
-                    codec: codec_name.to_string(),
-                    capture,
-                }) as Box<dyn Fn(u64, u64) -> Frame + '_>)
-            })
-            .collect();
-        let exchanges = shared.fanout(step, None, &builders);
-        let mut batches = Vec::with_capacity(shared.config.workers);
-        for (w, ex) in exchanges.into_iter().enumerate() {
-            let ex = ex.expect("gather queried every worker");
-            let (bytes_sent, bytes_received) = (ex.bytes_sent, ex.bytes_received);
-            let Frame::Batch { reply, .. } = ex.reply else {
-                NetShared::fatal(format!("gather expected a Batch reply, got {:?}", ex.reply));
-            };
-            let mut by_idx: HashMap<u64, Vec<u8>> = reply.results.into_iter().collect();
-            let local: Vec<usize> = data
-                .placement
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p == w)
-                .map(|(idx, _)| idx)
-                .collect();
-            let mut results: Vec<(usize, AnyPart)> = Vec::with_capacity(local.len());
-            let mut panics: Vec<(usize, String)> = Vec::new();
-            let mut stats: Vec<TaskStat> = Vec::with_capacity(local.len());
-            let mut result_bytes = 0u64;
-            let mut primary_received = 0u64;
-            for idx in local {
-                // Mirror the worker-side launch-retry draws the simulated
-                // cluster's clone task would make for this partition.
-                let retries = match shared.launch_retries(step, idx) {
-                    Ok(retries) => retries,
-                    Err((retries, msg)) => {
-                        panics.push((idx, msg));
-                        stats.push(TaskStat {
-                            idx,
-                            ops: 0,
-                            retries,
-                            kernels: Vec::new(),
-                        });
-                        continue;
-                    }
-                };
-                let bytes = by_idx.remove(&(idx as u64)).unwrap_or_else(|| {
-                    NetShared::fatal(format!(
-                        "worker {w} did not return partition {idx} of dataset {}",
-                        data.id
-                    ))
-                });
-                primary_received += frame_data_len(&bytes)
-                    .unwrap_or_else(|e| NetShared::fatal(format!("corrupt result frame: {e}")));
-                let part = (decode)(&bytes).unwrap_or_else(|e| {
-                    NetShared::fatal(format!("partition {idx} failed to decode: {}", e.0))
-                });
-                results.push((idx, part));
-                result_bytes += data.part_bytes[idx];
-                stats.push(TaskStat {
-                    idx,
-                    ops: 0,
-                    retries,
-                    kernels: Vec::new(),
-                });
-            }
-            shared.meter_exchange(0, primary_received, bytes_sent, bytes_received);
-            batches.push(BatchResult {
-                worker: w,
-                results,
-                panics,
-                stats,
-                total_ops: 0,
-                max_task_ops: 0,
-                result_bytes,
-            });
-        }
-        merge_superstep(
-            &shared.config,
-            &shared.metrics,
-            shared.fault.as_ref(),
-            step,
+            shared.fault.as_deref().map(|plan| (plan, step)),
             data.nparts,
             &data.part_bytes,
             capture,
@@ -642,9 +456,8 @@ impl ExecutionBackend for NetBackend {
         std::mem::take(&mut *lock(&self.shared.task_events))
     }
 
-    fn core_throughput(&self, worker: usize) -> f64 {
-        let _ = worker; // homogeneous cluster
-        self.shared.config.core_throughput_ops_per_sec
+    fn core_throughput(&self) -> f64 {
+        self.shared.config.core_throughput()
     }
 }
 
@@ -698,6 +511,12 @@ fn decode_batch<T: Send + 'static>(
             (idx as usize, Box::new(value) as AnyPart)
         })
         .collect();
+    let load = WorkerLoad {
+        total_ops: reply.total_ops,
+        max_task_ops: reply.max_task_ops,
+        result_bytes: reply.result_bytes,
+        tasks: results.len() as u64,
+    };
     let batch = BatchResult {
         worker: reply.worker as usize,
         results,
@@ -723,9 +542,7 @@ fn decode_batch<T: Send + 'static>(
                     .collect(),
             })
             .collect(),
-        total_ops: reply.total_ops,
-        max_task_ops: reply.max_task_ops,
-        result_bytes: reply.result_bytes,
+        load,
     };
     (batch, primary)
 }

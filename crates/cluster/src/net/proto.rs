@@ -35,9 +35,9 @@ pub(crate) struct StatEntry {
     pub(crate) kernels: Vec<(String, u64)>,
 }
 
-/// One worker's reply to a `Run` or `Gather` request: the wire form of the
-/// executor's `BatchResult`, with task results as encoded frames.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// One worker's reply to a `Run` request: the wire form of the executor's
+/// `BatchResult`, with task results as encoded frames.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BatchReply {
     pub(crate) worker: u64,
     /// `(global partition index, encoded result frame)`, sorted by index.
@@ -91,14 +91,6 @@ pub(crate) enum Frame {
         delivery: u64,
         capture: bool,
     },
-    /// Encode and return every local partition of a dataset.
-    Gather {
-        req: u64,
-        dataset: u64,
-        step: u64,
-        codec: String,
-        capture: bool,
-    },
     /// Evict a dataset from worker memory (no reply).
     DropDataset { dataset: u64 },
     /// Liveness probe.
@@ -112,7 +104,7 @@ pub(crate) enum Frame {
     Ack { req: u64 },
     /// Reply to `Ping`.
     Pong { req: u64 },
-    /// Reply to `Run`/`Gather`.
+    /// Reply to `Run`.
     Batch { req: u64, reply: BatchReply },
 }
 
@@ -121,7 +113,8 @@ const TAG_HELLO_ACK: u8 = 2;
 const TAG_STORE: u8 = 3;
 const TAG_BROADCAST: u8 = 4;
 const TAG_RUN: u8 = 5;
-const TAG_GATHER: u8 = 6;
+// Tag 6 stays unassigned: a peer that still sends the old partition-gather
+// request gets a typed unknown-tag error, never another frame's decoding.
 const TAG_DROP_DATASET: u8 = 7;
 const TAG_PING: u8 = 8;
 const TAG_SHUTDOWN: u8 = 9;
@@ -291,20 +284,6 @@ impl Frame {
                 w.meta_u64(*delivery);
                 w.meta_u8(u8::from(*capture));
             }
-            Frame::Gather {
-                req,
-                dataset,
-                step,
-                codec,
-                capture,
-            } => {
-                w.meta_u8(TAG_GATHER);
-                w.meta_u64(*req);
-                w.meta_u64(*dataset);
-                w.meta_u64(*step);
-                put_string(&mut w, codec);
-                w.meta_u8(u8::from(*capture));
-            }
             Frame::DropDataset { dataset } => {
                 w.meta_u8(TAG_DROP_DATASET);
                 w.meta_u64(*dataset);
@@ -364,13 +343,6 @@ impl Frame {
                 delay_rate: f64::from_bits(r.meta_u64()?),
                 delay_ms: r.meta_u64()?,
                 delivery: r.meta_u64()?,
-                capture: r.meta_u8()? != 0,
-            },
-            TAG_GATHER => Frame::Gather {
-                req: r.meta_u64()?,
-                dataset: r.meta_u64()?,
-                step: r.meta_u64()?,
-                codec: get_string(&mut r)?,
                 capture: r.meta_u8()? != 0,
             },
             TAG_DROP_DATASET => Frame::DropDataset {
@@ -527,13 +499,6 @@ mod tests {
             delivery: 1,
             capture: true,
         });
-        roundtrip(Frame::Gather {
-            req: 12,
-            dataset: 2,
-            step: 6,
-            codec: "u64".into(),
-            capture: false,
-        });
         roundtrip(Frame::DropDataset { dataset: 2 });
         roundtrip(Frame::Ping { req: 13 });
         roundtrip(Frame::Shutdown);
@@ -604,9 +569,17 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_an_error() {
-        let mut w = WireWriter::new();
-        w.meta_u8(200);
-        let encoded = w.finish();
-        assert!(Frame::decode(&encoded.bytes).is_err());
+        // 6 is the retired gather tag: a frame carrying it, even with the
+        // fields it used to have, is a typed error.
+        for tag in [6u8, 200] {
+            let mut w = WireWriter::new();
+            w.meta_u8(tag);
+            for field in [12u64, 2, 6] {
+                w.meta_u64(field);
+            }
+            let encoded = w.finish();
+            let err = Frame::decode(&encoded.bytes).unwrap_err();
+            assert_eq!(err.0, format!("unknown frame tag {tag}"));
+        }
     }
 }

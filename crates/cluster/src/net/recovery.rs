@@ -2,8 +2,8 @@
 //! classification for the networked backend: the [`NetShared`] machinery
 //! that [`super::NetBackend`]'s operator implementations are built on.
 //!
-//! Recovery mirrors the simulated cluster's `crash_and_recover` exactly —
-//! same declared metering, same panic messages — so a kill-riddled
+//! Recovery follows the simulated cluster's `crash_and_recover` step for
+//! step and charges through the same cost model, so a kill-riddled
 //! networked run stays bit-identical to the in-process golden.
 
 use std::sync::atomic::Ordering;
@@ -12,6 +12,7 @@ use std::sync::Arc;
 use crate::lock;
 use crate::net::proto::Frame;
 use crate::net::supervisor::{Exchange, InFlight, RequestError};
+use crate::storage::partitions_on;
 use crate::ClusterError;
 
 use super::NetShared;
@@ -54,12 +55,7 @@ impl NetShared {
     /// Ships one request per participating worker, then collects the
     /// replies — all workers compute concurrently. Workers that die along
     /// the way are respawned, recovered, and re-asked.
-    pub(super) fn fanout(
-        &self,
-        step: u64,
-        exclude_step: Option<u64>,
-        builders: &[super::FrameBuilder<'_>],
-    ) -> Vec<Option<Exchange>> {
+    pub(super) fn fanout(&self, builders: &[super::FrameBuilder<'_>]) -> Vec<Option<Exchange>> {
         for (w, b) in builders.iter().enumerate() {
             if b.is_some() {
                 self.supervisor.set_busy(w);
@@ -70,7 +66,7 @@ impl NetShared {
             .enumerate()
             .map(|(w, b)| {
                 b.as_ref()
-                    .map(|build| self.begin_recovering(step, w, exclude_step, build.as_ref()))
+                    .map(|build| self.begin_recovering(w, None, build.as_ref()))
             })
             .collect();
         builders
@@ -79,7 +75,7 @@ impl NetShared {
             .map(|(w, b)| {
                 let ex = b.as_ref().map(|build| {
                     let inflight = inflights[w].take().expect("begun above");
-                    self.finish_recovering(step, w, exclude_step, inflight, build.as_ref())
+                    self.finish_recovering(w, None, inflight, build.as_ref())
                 });
                 self.supervisor.set_idle(w);
                 ex
@@ -89,7 +85,6 @@ impl NetShared {
 
     pub(super) fn begin_recovering(
         &self,
-        step: u64,
         w: usize,
         exclude_step: Option<u64>,
         build: &dyn Fn(u64, u64) -> Frame,
@@ -97,7 +92,7 @@ impl NetShared {
         loop {
             match self.supervisor.begin(w, build) {
                 Ok(inflight) => return inflight,
-                Err(RequestError::WorkerDead) => self.respawn_and_recover(step, w, exclude_step),
+                Err(RequestError::WorkerDead) => self.respawn_and_recover(w, exclude_step),
                 Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
             }
         }
@@ -105,7 +100,6 @@ impl NetShared {
 
     pub(super) fn finish_recovering(
         &self,
-        step: u64,
         w: usize,
         exclude_step: Option<u64>,
         mut inflight: InFlight,
@@ -115,8 +109,8 @@ impl NetShared {
             match self.supervisor.finish(w, inflight, build) {
                 Ok(ex) => return ex,
                 Err(RequestError::WorkerDead) => {
-                    self.respawn_and_recover(step, w, exclude_step);
-                    inflight = self.begin_recovering(step, w, exclude_step, build);
+                    self.respawn_and_recover(w, exclude_step);
+                    inflight = self.begin_recovering(w, exclude_step, build);
                 }
                 Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
             }
@@ -125,11 +119,11 @@ impl NetShared {
 
     /// Respawns worker `w` (enforcing the respawn budget) and restores it:
     /// re-ship cached broadcasts, rebuild + re-ship lost partitions of
-    /// every lineage-backed dataset, replay the task logs. Mirrors the
-    /// simulated cluster's `crash_and_recover` metering exactly;
-    /// `exclude_step` skips the in-flight superstep's log entry (it will
-    /// be re-delivered by the caller, not replayed).
-    pub(super) fn respawn_and_recover(&self, step: u64, w: usize, exclude_step: Option<u64>) {
+    /// every dataset, replay the task logs. Charges like the simulated
+    /// cluster's `crash_and_recover`; `exclude_step` skips the in-flight
+    /// superstep's log entry (it will be re-delivered by the caller, not
+    /// replayed).
+    pub(super) fn respawn_and_recover(&self, w: usize, exclude_step: Option<u64>) {
         loop {
             let respawns = match self.supervisor.respawn(w) {
                 Ok(r) => r,
@@ -147,8 +141,8 @@ impl NetShared {
             if respawns > self.tuning.respawn_budget {
                 self.panic_budget(w, respawns);
             }
-            self.metrics.worker_respawns.fetch_add(1, Ordering::Relaxed);
-            match self.recover_worker(step, w, exclude_step) {
+            self.metrics.charge_respawn();
+            match self.recover_worker(w, exclude_step) {
                 Ok(()) => return,
                 Err(RequestError::WorkerDead) => continue, // died again mid-recovery
                 Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
@@ -162,7 +156,6 @@ impl NetShared {
 
     pub(super) fn recover_worker(
         &self,
-        step: u64,
         w: usize,
         exclude_step: Option<u64>,
     ) -> Result<(), RequestError> {
@@ -181,40 +174,22 @@ impl NetShared {
             self.expect_ack(&ex.reply);
             reship += ex.bytes_sent + ex.bytes_received;
         }
-        let mut datasets = lock(&self.datasets);
+        let datasets = lock(&self.datasets);
         let mut ids: Vec<u64> = datasets.keys().copied().collect();
         ids.sort_unstable(); // deterministic recovery order
         for id in ids {
-            let ds = datasets.get_mut(&id).expect("registered dataset");
-            let lost: Vec<usize> = ds
-                .placement
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p == w)
-                .map(|(idx, _)| idx)
-                .collect();
+            let ds = &datasets[&id];
+            let lost = partitions_on(&ds.placement, w);
             if lost.is_empty() {
                 continue;
             }
-            let Some(rebuild) = ds.rebuild.clone() else {
-                panic!(
-                    "worker {w} crashed at superstep {step}: dataset {id} lost {} partition(s) \
-                     and has no lineage (distribute it with distribute_with_lineage or \
-                     distribute_replicated to make it crash-recoverable)",
-                    lost.len()
-                );
-            };
-            // Re-install the distribute-time payloads (declared-byte
-            // metering identical to the simulated cluster's recovery).
+            // Re-install the distribute-time payloads.
             let bytes: u64 = lost.iter().map(|&i| ds.part_bytes[i]).sum();
-            let parts: Arc<[(u64, Vec<u8>)]> =
-                lost.iter().map(|&i| (i as u64, rebuild(i).bytes)).collect();
-            self.metrics
-                .partitions_recomputed
-                .fetch_add(lost.len() as u64, Ordering::Relaxed);
-            self.metrics.add_reshipped(bytes);
-            self.metrics
-                .charge_recovery(cfg.network.transfer_secs(bytes));
+            let parts: Arc<[(u64, Vec<u8>)]> = lost
+                .iter()
+                .map(|&i| (i as u64, (ds.rebuild)(i).bytes))
+                .collect();
+            self.metrics.charge_reship(cfg, lost.len(), bytes);
             let codec = ds.codec.to_string();
             let ex = self.supervisor.request(w, &|req, _| Frame::Store {
                 req,
@@ -265,11 +240,7 @@ impl NetShared {
                         .join("; ")
                 );
                 self.metrics
-                    .recovery_ops
-                    .fetch_add(reply.total_ops, Ordering::Relaxed);
-                let time = (reply.total_ops as f64 / cfg.worker_throughput(w))
-                    .max(reply.max_task_ops as f64 / cfg.core_throughput(w));
-                self.metrics.charge_recovery(time);
+                    .charge_replay(cfg, reply.total_ops, reply.max_task_ops);
                 reship += ex.bytes_sent + ex.bytes_received;
             }
         }
@@ -277,28 +248,5 @@ impl NetShared {
             .net_wire_reship_bytes
             .fetch_add(reship, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Mirrors the worker-side launch-retry loop for driver-synthesised
-    /// supersteps (gather): same deterministic draws, same exhaustion
-    /// message.
-    pub(super) fn launch_retries(&self, step: u64, idx: usize) -> Result<u32, (u32, String)> {
-        let Some(plan) = self.fault.as_ref().filter(|p| p.task_failure_rate > 0.0) else {
-            return Ok(0);
-        };
-        let mut retries = 0u32;
-        while plan.task_fails(step, idx, retries) {
-            retries += 1;
-            if retries >= plan.max_task_attempts {
-                return Err((
-                    retries,
-                    format!(
-                        "task exhausted {} launch attempts (injected transient faults)",
-                        plan.max_task_attempts
-                    ),
-                ));
-            }
-        }
-        Ok(retries)
     }
 }

@@ -82,8 +82,8 @@ impl NetRegistry {
     }
 
     /// Registers `P` as a distributable partition type under
-    /// `P::WIRE_NAME` (drives `Store` encoding on the driver, decoding on
-    /// workers, and both directions of `Gather`).
+    /// `P::WIRE_NAME` (drives `Store` encoding on the driver and decoding
+    /// on workers).
     pub fn register_part<P: WireNamed>(&mut self) -> &mut Self {
         self.part_names.insert(TypeId::of::<P>(), P::WIRE_NAME);
         self.part_codecs.insert(

@@ -37,7 +37,7 @@ struct WorkerState {
     worker: usize,
     datasets: HashMap<u64, Vec<(usize, AnyPart)>>,
     bstore: BroadcastStore,
-    /// Last `Run`/`Gather` reply, kept for resend dedup: a driver retry
+    /// Last `Run` reply, kept for resend dedup: a driver retry
     /// after a drop or timeout is answered from cache, never re-executed.
     cached_reply: Option<(u64, Frame)>,
 }
@@ -201,45 +201,6 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                 }
                 Frame::Batch { req, reply }
             }
-            Frame::Gather {
-                req,
-                dataset,
-                step: _,
-                codec,
-                capture: _,
-            } => {
-                if let Some((cached_req, cached)) = &state.cached_reply {
-                    if *cached_req == req {
-                        let cached = cached.clone();
-                        if write_frame(stream, &cached).is_err() {
-                            return Served::ConnLost;
-                        }
-                        continue;
-                    }
-                }
-                let codec = registry.part_codec_named(&codec).unwrap_or_else(|| {
-                    panic!(
-                        "worker {} has no partition codec named {codec:?}; driver and \
-                         worker registries differ",
-                        state.worker
-                    )
-                });
-                let mut results = Vec::new();
-                if let Some(parts) = state.datasets.get(&dataset) {
-                    for (idx, part) in parts {
-                        let frame = (codec.encode)(part.as_ref());
-                        results.push((*idx as u64, frame.bytes));
-                    }
-                }
-                Frame::Batch {
-                    req,
-                    reply: BatchReply {
-                        worker: state.worker as u64,
-                        results,
-                        ..BatchReply::default()
-                    },
-                }
-            }
             Frame::DropDataset { dataset } => {
                 state.datasets.remove(&dataset);
                 continue; // no reply
@@ -342,8 +303,8 @@ fn run_request(
                     .collect(),
             })
             .collect(),
-        total_ops: batch.total_ops,
-        max_task_ops: batch.max_task_ops,
-        result_bytes: batch.result_bytes,
+        total_ops: batch.load.total_ops,
+        max_task_ops: batch.load.max_task_ops,
+        result_bytes: batch.load.result_bytes,
     }
 }

@@ -23,8 +23,6 @@ pub enum OpKind {
     /// One superstep: run a task per partition, collect results (Lemma 7
     /// collect).
     MapPartitions,
-    /// Clone every partition back to the driver.
-    Gather,
     /// Persist driver-side algorithm state outside the engine.
     Checkpoint,
     /// Driver-local compute charged to the virtual clock (e.g. the
@@ -38,7 +36,6 @@ impl std::fmt::Display for OpKind {
             OpKind::Distribute => "distribute",
             OpKind::Broadcast => "broadcast",
             OpKind::MapPartitions => "map_partitions",
-            OpKind::Gather => "gather",
             OpKind::Checkpoint => "checkpoint",
             OpKind::DriverCompute => "driver_compute",
         };

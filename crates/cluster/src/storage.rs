@@ -14,13 +14,23 @@ use crate::lock;
 pub(crate) struct DatasetState {
     pub(crate) placement: Vec<usize>,
     pub(crate) part_bytes: Vec<u64>,
-    /// Recomputes partition `idx`'s distribute-time payload (`None` for
-    /// datasets created by plain [`Cluster::distribute`]).
-    pub(crate) rebuild: Option<Arc<RebuildFn>>,
+    /// Recomputes partition `idx`'s distribute-time payload.
+    pub(crate) rebuild: Box<RebuildFn>,
     /// Tasks applied since distribution (or the last
-    /// [`Cluster::reset_lineage`]), in superstep order — replayed onto
-    /// rebuilt partitions after a worker crash.
+    /// [`crate::ExecutionBackend::reset_lineage`]), in superstep order —
+    /// replayed onto rebuilt partitions after a worker crash.
     pub(crate) log: Vec<Arc<TaskFn>>,
+}
+
+/// The partitions that `placement` puts on worker `w`, in index order:
+/// what a crash of `w` loses.
+pub(crate) fn partitions_on(placement: &[usize], w: usize) -> Vec<usize> {
+    placement
+        .iter()
+        .enumerate()
+        .filter(|&(_, &p)| p == w)
+        .map(|(idx, _)| idx)
+        .collect()
 }
 
 impl Cluster {
@@ -62,7 +72,7 @@ impl Cluster {
 /// machines (the engine's RDD analogue).
 ///
 /// Partitions live in worker memory until the handle is dropped. Access is
-/// exclusively through [`Cluster::map_partitions`] / [`Cluster::gather`].
+/// exclusively through [`crate::ExecutionBackend::map_partitions`].
 pub struct DistVec<P> {
     pub(crate) id: u64,
     pub(crate) nparts: usize,
@@ -115,7 +125,7 @@ impl<P> Drop for DistVec<P> {
 /// A broadcast variable: one logical value visible to every task.
 ///
 /// Cheap to clone (an `Arc`); read with [`Broadcast::get`]. The network cost
-/// was charged when [`Cluster::broadcast`] created it.
+/// was charged when [`crate::ExecutionBackend::broadcast`] created it.
 pub struct Broadcast<T> {
     pub(crate) value: Arc<T>,
     /// Wire id assigned by the networked backend (the value was shipped to

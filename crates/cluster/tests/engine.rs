@@ -3,7 +3,9 @@
 //! exercised through the crate's public API (moved out of
 //! `src/engine.rs` when the engine was split into focused modules).
 
-use dbtf_cluster::{Cluster, ClusterConfig, DistVec, FaultPlan, NetworkModel};
+use std::sync::Arc;
+
+use dbtf_cluster::{Cluster, ClusterConfig, DistVec, ExecutionBackend, FaultPlan, NetworkModel};
 
 fn small_cluster(workers: usize) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -18,10 +20,24 @@ fn small_cluster(workers: usize) -> Cluster {
     })
 }
 
+/// Distributes `parts` with a driver-kept replica as their lineage.
+fn distribute<P: Clone + Send + Sync + 'static>(
+    cluster: &Cluster,
+    parts: Vec<(P, u64)>,
+) -> DistVec<P> {
+    let replica: Arc<Vec<P>> = Arc::new(parts.iter().map(|(p, _)| p.clone()).collect());
+    cluster.distribute_with_lineage(parts, move |idx| replica[idx].clone())
+}
+
+/// Reads every partition back to the driver with one superstep.
+fn read<P: Clone + Send + 'static>(cluster: &Cluster, data: &DistVec<P>) -> Vec<P> {
+    cluster.map_partitions(data, |_idx, part: &mut P, _ctx| part.clone())
+}
+
 #[test]
 fn round_robin_placement() {
     let cluster = small_cluster(3);
-    let data = cluster.distribute((0..7u32).map(|v| (v, 4)).collect());
+    let data = distribute(&cluster, (0..7u32).map(|v| (v, 4)).collect());
     assert_eq!(data.num_partitions(), 7);
     for idx in 0..7 {
         assert_eq!(data.worker_of(idx), idx % 3);
@@ -32,7 +48,7 @@ fn round_robin_placement() {
 #[test]
 fn map_partitions_returns_in_order() {
     let cluster = small_cluster(4);
-    let data = cluster.distribute((0..10u64).map(|v| (v, 8)).collect());
+    let data = distribute(&cluster, (0..10u64).map(|v| (v, 8)).collect());
     let doubled: Vec<u64> = cluster.map_partitions(&data, |_idx, v, ctx| {
         ctx.charge(1);
         *v * 2
@@ -43,13 +59,13 @@ fn map_partitions_returns_in_order() {
 #[test]
 fn partitions_are_cached_and_mutable() {
     let cluster = small_cluster(2);
-    let data = cluster.distribute(vec![(0u32, 4), (0u32, 4), (0u32, 4)]);
+    let data = distribute(&cluster, vec![(0u32, 4), (0u32, 4), (0u32, 4)]);
     for _ in 0..3 {
         cluster.map_partitions(&data, |_idx, v, _ctx| {
             *v += 1;
         });
     }
-    let values = cluster.gather(&data);
+    let values = read(&cluster, &data);
     assert_eq!(values, vec![3, 3, 3]);
 }
 
@@ -58,7 +74,7 @@ fn shuffle_and_store_metering() {
     let cluster = small_cluster(2);
     let before = cluster.metrics();
     assert_eq!(before.bytes_shuffled, 0);
-    let data = cluster.distribute(vec![(1u8, 100), (2u8, 200), (3u8, 300)]);
+    let data = distribute(&cluster, vec![(1u8, 100), (2u8, 200), (3u8, 300)]);
     let m = cluster.metrics();
     assert_eq!(m.bytes_shuffled, 600);
     assert_eq!(m.stored_bytes, 600);
@@ -105,7 +121,7 @@ fn broadcast_costing_matches_network_model() {
 fn broadcast_visible_in_tasks() {
     let cluster = small_cluster(2);
     let b = cluster.broadcast(10u64, 8);
-    let data = cluster.distribute((0..4u64).map(|v| (v, 8)).collect());
+    let data = distribute(&cluster, (0..4u64).map(|v| (v, 8)).collect());
     let shifted: Vec<u64> = {
         let b = b.clone();
         cluster.map_partitions(&data, move |_idx, v, _ctx| *v + *b.get())
@@ -116,7 +132,7 @@ fn broadcast_visible_in_tasks() {
 #[test]
 fn virtual_clock_advances_with_charges() {
     let cluster = small_cluster(1);
-    let data = cluster.distribute(vec![((), 0), ((), 0)]);
+    let data = distribute(&cluster, vec![((), 0), ((), 0)]);
     let t0 = cluster.virtual_time().as_secs_f64();
     cluster.map_partitions(&data, |_idx, _v: &mut (), ctx| ctx.charge(2_000_000));
     let t1 = cluster.virtual_time().as_secs_f64();
@@ -128,7 +144,7 @@ fn virtual_clock_advances_with_charges() {
 fn makespan_is_max_over_workers() {
     // Two workers, one heavily loaded: clock advances by the slow one.
     let cluster = small_cluster(2);
-    let data = cluster.distribute(vec![(10u64, 0), (1u64, 0)]);
+    let data = distribute(&cluster, vec![(10u64, 0), (1u64, 0)]);
     let t0 = cluster.virtual_time().as_secs_f64();
     cluster.map_partitions(&data, |_idx, v, ctx| ctx.charge(*v * 1_000_000));
     let elapsed = cluster.virtual_time().as_secs_f64() - t0;
@@ -141,7 +157,7 @@ fn makespan_is_max_over_workers() {
 fn more_workers_reduce_virtual_time() {
     let run = |workers: usize| {
         let cluster = small_cluster(workers);
-        let data = cluster.distribute((0..16u64).map(|_| (1u64, 0)).collect());
+        let data = distribute(&cluster, (0..16u64).map(|_| (1u64, 0)).collect());
         let t0 = cluster.virtual_time().as_secs_f64();
         cluster.map_partitions(&data, |_idx, _v, ctx| ctx.charge(1_000_000));
         cluster.virtual_time().as_secs_f64() - t0
@@ -157,7 +173,7 @@ fn more_workers_reduce_virtual_time() {
 #[test]
 fn collect_bytes_metered() {
     let cluster = small_cluster(2);
-    let data = cluster.distribute(vec![(0u8, 1), (0u8, 1)]);
+    let data = distribute(&cluster, vec![(0u8, 1), (0u8, 1)]);
     cluster.map_partitions(&data, |_idx, _v, ctx| {
         ctx.set_result_bytes(50);
     });
@@ -175,7 +191,7 @@ fn charge_driver_advances_clock() {
 #[test]
 fn worker_busy_time_tracks_imbalance() {
     let cluster = small_cluster(2);
-    let data = cluster.distribute(vec![(4u64, 0), (1u64, 0)]);
+    let data = distribute(&cluster, vec![(4u64, 0), (1u64, 0)]);
     cluster.map_partitions(&data, |_idx, v, ctx| ctx.charge(*v * 1_000_000));
     let busy = cluster.metrics().worker_busy_secs;
     assert!(busy[0] > busy[1]);
@@ -184,7 +200,7 @@ fn worker_busy_time_tracks_imbalance() {
 #[test]
 fn empty_dataset() {
     let cluster = small_cluster(3);
-    let data: DistVec<u32> = cluster.distribute(Vec::new());
+    let data: DistVec<u32> = distribute(&cluster, Vec::new());
     let out: Vec<u32> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
     assert!(out.is_empty());
 }
@@ -192,41 +208,11 @@ fn empty_dataset() {
 #[test]
 fn many_supersteps_counted() {
     let cluster = small_cluster(2);
-    let data = cluster.distribute(vec![(0u8, 1)]);
+    let data = distribute(&cluster, vec![(0u8, 1)]);
     for _ in 0..5 {
         cluster.map_partitions(&data, |_idx, _v, _ctx| {});
     }
     assert_eq!(cluster.metrics().supersteps, 5);
-}
-
-#[test]
-fn stragglers_dominate_makespan() {
-    let base = ClusterConfig {
-        workers: 4,
-        cores_per_worker: 1,
-        core_throughput_ops_per_sec: 1e6,
-        network: NetworkModel::free(),
-        ..ClusterConfig::default()
-    };
-    let run = |cfg: ClusterConfig| {
-        let cluster = Cluster::new(cfg);
-        let data = cluster.distribute((0..4u64).map(|_| (1u64, 0)).collect());
-        let t0 = cluster.virtual_time().as_secs_f64();
-        cluster.map_partitions(&data, |_idx, _v, ctx| ctx.charge(1_000_000));
-        cluster.virtual_time().as_secs_f64() - t0
-    };
-    let uniform = run(base.clone());
-    let with_straggler = run(ClusterConfig {
-        stragglers: 1,
-        straggler_slowdown: 0.25,
-        ..base
-    });
-    assert!((uniform - 1.0).abs() < 1e-9, "uniform {uniform}");
-    // Worker 0 at quarter speed takes 4 s: the whole superstep waits.
-    assert!(
-        (with_straggler - 4.0).abs() < 1e-9,
-        "straggler {with_straggler}"
-    );
 }
 
 #[test]
@@ -238,7 +224,7 @@ fn task_panic_surfaces_cleanly_and_worker_survives() {
         network: NetworkModel::free(),
         ..ClusterConfig::default()
     });
-    let data = cluster.distribute((0..8u32).map(|v| (v, 4)).collect());
+    let data = distribute(&cluster, (0..8u32).map(|v| (v, 4)).collect());
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _: Vec<u32> = cluster.map_partitions(&data, |idx, v, _ctx| {
             if idx == 3 {
@@ -269,7 +255,7 @@ fn task_panic_surfaces_with_a_single_worker() {
         core_throughput_ops_per_sec: 1e6,
         ..ClusterConfig::default()
     });
-    let data = cluster.distribute(vec![(0u8, 1), (1u8, 1)]);
+    let data = distribute(&cluster, vec![(0u8, 1), (1u8, 1)]);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         cluster.map_partitions(&data, |idx, _v, _ctx| {
             assert!(idx != 1, "failing task");
@@ -291,7 +277,7 @@ fn non_string_panic_payload_surfaces_cleanly() {
         network: NetworkModel::free(),
         ..ClusterConfig::default()
     });
-    let data = cluster.distribute((0..6u32).map(|v| (v, 4)).collect());
+    let data = distribute(&cluster, (0..6u32).map(|v| (v, 4)).collect());
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _: Vec<u32> = cluster.map_partitions(&data, |idx, v, _ctx| {
             if idx == 2 {
@@ -335,7 +321,7 @@ fn mixed_panic_kinds_keep_deterministic_order() {
             network: NetworkModel::free(),
             ..ClusterConfig::default()
         });
-        let data = cluster.distribute((0..9u32).map(|v| (v, 4)).collect());
+        let data = distribute(&cluster, (0..9u32).map(|v| (v, 4)).collect());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _: Vec<u32> = cluster.map_partitions(&data, |idx, v, _ctx| {
                 match idx {
@@ -365,14 +351,14 @@ fn mixed_panic_kinds_keep_deterministic_order() {
 fn cross_cluster_dataset_rejected() {
     let a = small_cluster(1);
     let b = small_cluster(1);
-    let data = a.distribute(vec![(1u8, 1)]);
+    let data = distribute(&a, vec![(1u8, 1)]);
     let _: Vec<u8> = b.map_partitions(&data, |_idx, v, _ctx| *v);
 }
 
 #[test]
 fn stored_partition_count_tracks_eviction() {
     let cluster = small_cluster(2);
-    let data = cluster.distribute((0..5u32).map(|v| (v, 4)).collect());
+    let data = distribute(&cluster, (0..5u32).map(|v| (v, 4)).collect());
     let id = data.id();
     assert_eq!(cluster.stored_partition_count(&data), 5);
     drop(data);
@@ -392,9 +378,8 @@ fn transient_failures_retry_to_identical_results() {
             core_throughput_ops_per_sec: 1e6,
             network: NetworkModel::free(),
             fault_plan: plan,
-            ..ClusterConfig::default()
         });
-        let data = cluster.distribute((0..12u64).map(|v| (v, 8)).collect());
+        let data = distribute(&cluster, (0..12u64).map(|v| (v, 8)).collect());
         let mut outs = Vec::new();
         for _ in 0..4 {
             outs.push(cluster.map_partitions(&data, |idx, v, ctx| {
@@ -403,7 +388,7 @@ fn transient_failures_retry_to_identical_results() {
                 *v
             }));
         }
-        (outs, cluster.gather(&data), cluster.metrics())
+        (outs, read(&cluster, &data), cluster.metrics())
     };
     let (clean_out, clean_gather, clean_m) = run(None);
     let plan = FaultPlan {
@@ -438,7 +423,7 @@ fn exhausted_attempts_surface_like_a_panic() {
         }),
         ..ClusterConfig::default()
     });
-    let data = cluster.distribute(vec![(1u8, 1)]);
+    let data = distribute(&cluster, vec![(1u8, 1)]);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _: Vec<u8> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
     }))
@@ -460,16 +445,15 @@ fn worker_crash_recovers_from_lineage() {
                 bandwidth_bytes_per_sec: 1e6,
             },
             fault_plan: plan,
-            ..ClusterConfig::default()
         });
-        let data = cluster.distribute_replicated((0..6u64).map(|v| (v, 8)).collect());
+        let data = distribute(&cluster, (0..6u64).map(|v| (v, 8)).collect());
         for _ in 0..4 {
             cluster.map_partitions(&data, |_idx, v, ctx| {
                 ctx.charge(1000);
                 *v += 1;
             });
         }
-        (cluster.gather(&data), cluster.metrics())
+        (read(&cluster, &data), cluster.metrics())
     };
     let (clean, clean_m) = run(None);
     let plan = FaultPlan {
@@ -495,29 +479,6 @@ fn worker_crash_recovers_from_lineage() {
 }
 
 #[test]
-fn crash_without_lineage_is_a_clean_error() {
-    let cluster = Cluster::new(ClusterConfig {
-        workers: 2,
-        cores_per_worker: 1,
-        network: NetworkModel::free(),
-        fault_plan: Some(FaultPlan {
-            worker_crashes: vec![(1, 0)],
-            ..FaultPlan::with_seed(0)
-        }),
-        ..ClusterConfig::default()
-    });
-    let data = cluster.distribute((0..4u32).map(|v| (v, 4)).collect());
-    cluster.map_partitions(&data, |_idx, _v, _ctx| {}); // superstep 0: fine
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cluster.map_partitions(&data, |_idx, _v, _ctx| {});
-    }))
-    .expect_err("crash with no lineage must fail");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("no lineage"), "message was: {msg}");
-    assert!(msg.contains("worker 0 crashed"), "message was: {msg}");
-}
-
-#[test]
 fn reset_lineage_bounds_replay() {
     let cluster = Cluster::new(ClusterConfig {
         workers: 2,
@@ -528,9 +489,8 @@ fn reset_lineage_bounds_replay() {
             worker_crashes: vec![(3, 0)],
             ..FaultPlan::with_seed(0)
         }),
-        ..ClusterConfig::default()
     });
-    let data = cluster.distribute_replicated((0..4u64).map(|v| (v, 8)).collect());
+    let data = distribute(&cluster, (0..4u64).map(|v| (v, 8)).collect());
     // Two read-only supersteps, then truncate the log: current state is
     // still exactly what the replica rebuilds.
     for _ in 0..2 {
@@ -571,9 +531,8 @@ fn slow_tasks_stretch_makespan_and_speculation_recovers() {
             core_throughput_ops_per_sec: 1e6,
             network: NetworkModel::free(),
             fault_plan: plan,
-            ..ClusterConfig::default()
         });
-        let data = cluster.distribute_replicated((0..4u64).map(|v| (v, 8)).collect());
+        let data = distribute(&cluster, (0..4u64).map(|v| (v, 8)).collect());
         let out: Vec<u64> = cluster.map_partitions(&data, |_idx, v, ctx| {
             ctx.charge(1_000_000);
             *v
@@ -617,13 +576,13 @@ fn crash_entries_fire_at_most_once() {
         }),
         ..ClusterConfig::default()
     });
-    let data = cluster.distribute_replicated((0..4u64).map(|v| (v, 8)).collect());
+    let data = distribute(&cluster, (0..4u64).map(|v| (v, 8)).collect());
     for _ in 0..3 {
         cluster.map_partitions(&data, |_idx, v, _ctx| {
             *v += 1;
         });
     }
-    assert_eq!(cluster.gather(&data), vec![3, 4, 5, 6]);
+    assert_eq!(read(&cluster, &data), vec![3, 4, 5, 6]);
     assert_eq!(cluster.metrics().worker_respawns, 2);
 }
 
@@ -648,7 +607,7 @@ fn distribute_with_lineage_rebuild_closure_is_used() {
     cluster.map_partitions(&data, |_idx, v: &mut usize, _ctx| {
         *v += 1;
     });
-    assert_eq!(cluster.gather(&data), vec![2, 12, 22, 32, 42, 52]);
+    assert_eq!(read(&cluster, &data), vec![2, 12, 22, 32, 42, 52]);
     let m = cluster.metrics();
     assert_eq!(m.worker_respawns, 1);
     assert_eq!(m.partitions_recomputed, 3);

@@ -51,7 +51,6 @@ fn config(workers: usize, plan: Option<FaultPlan>) -> ClusterConfig {
             bandwidth_bytes_per_sec: 1e6,
         },
         fault_plan: plan,
-        ..ClusterConfig::default()
     }
 }
 
@@ -71,13 +70,11 @@ fn net_backend(workers: usize, plan: Option<FaultPlan>) -> NetBackend {
     .expect("net backend boots")
 }
 
-/// Distributes 8 partitions with lineage, broadcasts a delta, applies the
-/// scale-add task for `rounds` supersteps, and gathers. Identical calls on
-/// every backend.
-fn workload<B: ExecutionBackend>(
-    backend: &B,
-    rounds: usize,
-) -> (Vec<Vec<u64>>, Vec<u64>, MetricsSnapshot) {
+/// Distributes 8 partitions with lineage, broadcasts a delta, and applies
+/// the scale-add task for `rounds` supersteps; each round's outputs are the
+/// partitions' new values, so the last round reads the final state.
+/// Identical calls on every backend.
+fn workload<B: ExecutionBackend>(backend: &B, rounds: usize) -> (Vec<Vec<u64>>, MetricsSnapshot) {
     let data = backend
         .distribute_with_lineage((0..8u64).map(|v| (v * 3 + 1, 8)).collect(), |idx| {
             idx as u64 * 3 + 1
@@ -95,19 +92,17 @@ fn workload<B: ExecutionBackend>(
         let out: Vec<u64> = backend.map_partitions_task(&data, task);
         outputs.push(out);
     }
-    let gathered = backend.gather(&data);
     let metrics = backend.metrics();
-    (outputs, gathered, metrics)
+    (outputs, metrics)
 }
 
 #[test]
 fn networked_run_matches_simulated_cluster_bit_for_bit() {
     let cluster = Cluster::new(config(3, None));
     let net = net_backend(3, None);
-    let (out_c, gather_c, m_c) = workload(&cluster, 3);
-    let (out_n, gather_n, m_n) = workload(&net, 3);
+    let (out_c, m_c) = workload(&cluster, 3);
+    let (out_n, m_n) = workload(&net, 3);
     assert_eq!(out_c, out_n);
-    assert_eq!(gather_c, gather_n);
     // Snapshot equality covers every declared counter and the virtual
     // clock; the net_*/pool_* observability fields are outside `==`.
     assert_eq!(m_c, m_n);
@@ -116,7 +111,7 @@ fn networked_run_matches_simulated_cluster_bit_for_bit() {
 #[test]
 fn measured_wire_bytes_match_lemma_meters_exactly() {
     let net = net_backend(3, None);
-    let (_, _, m) = workload(&net, 3);
+    let (_, m) = workload(&net, 3);
     // Lemma 6/7 on the wire: every driver→worker payload byte is either
     // shuffle or broadcast; every worker→driver payload byte is collect.
     assert_eq!(m.net_wire_bytes_sent, m.bytes_shuffled + m.bytes_broadcast);
@@ -142,17 +137,16 @@ fn seeded_process_kills_recover_bit_identically_to_simulated_crashes() {
     let netted = workload(&net_backend(3, Some(plan)), 4);
     assert_eq!(baseline.0, crashed.0);
     assert_eq!(baseline.0, netted.0);
-    assert_eq!(baseline.1, netted.1);
-    assert_eq!(crashed.2, netted.2);
-    assert!(netted.2.worker_respawns > 0, "plan must actually kill");
-    assert_eq!(netted.2.worker_respawns, crashed.2.worker_respawns);
-    assert!(netted.2.net_wire_reship_bytes > 0);
+    assert_eq!(crashed.1, netted.1);
+    assert!(netted.1.worker_respawns > 0, "plan must actually kill");
+    assert_eq!(netted.1.worker_respawns, crashed.1.worker_respawns);
+    assert!(netted.1.net_wire_reship_bytes > 0);
     // Recovery traffic never leaks into the Lemma-mirroring meters.
     assert_eq!(
-        netted.2.net_wire_bytes_sent,
-        netted.2.bytes_shuffled + netted.2.bytes_broadcast
+        netted.1.net_wire_bytes_sent,
+        netted.1.bytes_shuffled + netted.1.bytes_broadcast
     );
-    assert_eq!(netted.2.net_wire_bytes_received, netted.2.bytes_collected);
+    assert_eq!(netted.1.net_wire_bytes_received, netted.1.bytes_collected);
 }
 
 #[test]
@@ -167,14 +161,13 @@ fn connection_drops_and_delays_change_nothing_but_reconnect_counters() {
     let dropped = workload(&net_backend(3, Some(plan)), 3);
     assert_eq!(baseline.0, dropped.0);
     assert_eq!(baseline.1, dropped.1);
-    assert_eq!(baseline.2, dropped.2);
-    assert!(dropped.2.net_reconnects > 0, "seed must actually drop");
-    assert_eq!(dropped.2.worker_respawns, 0, "drops alone never escalate");
+    assert!(dropped.1.net_reconnects > 0, "seed must actually drop");
+    assert_eq!(dropped.1.worker_respawns, 0, "drops alone never escalate");
     assert_eq!(
-        dropped.2.net_wire_bytes_sent,
-        dropped.2.bytes_shuffled + dropped.2.bytes_broadcast
+        dropped.1.net_wire_bytes_sent,
+        dropped.1.bytes_shuffled + dropped.1.bytes_broadcast
     );
-    assert_eq!(dropped.2.net_wire_bytes_received, dropped.2.bytes_collected);
+    assert_eq!(dropped.1.net_wire_bytes_received, dropped.1.bytes_collected);
 }
 
 #[test]
@@ -189,10 +182,9 @@ fn consecutive_kills_of_one_worker_recover_cleanly() {
     let crashed = workload(&Cluster::new(config(3, Some(plan.clone()))), 4);
     let netted = workload(&net_backend(3, Some(plan)), 4);
     assert_eq!(baseline.0, netted.0);
-    assert_eq!(baseline.1, netted.1);
-    assert_eq!(crashed.2, netted.2);
-    assert_eq!(netted.2.worker_respawns, 2);
-    assert!(netted.2.partitions_recomputed >= 4, "both crashes rebuilt");
+    assert_eq!(crashed.1, netted.1);
+    assert_eq!(netted.1.worker_respawns, 2);
+    assert!(netted.1.partitions_recomputed >= 4, "both crashes rebuilt");
 }
 
 #[test]

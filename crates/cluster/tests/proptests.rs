@@ -2,8 +2,19 @@
 //! and the metering must follow their closed forms for arbitrary task
 //! charges and cluster shapes.
 
-use dbtf_cluster::{Cluster, ClusterConfig, NetworkModel};
+use std::sync::Arc;
+
+use dbtf_cluster::{Cluster, ClusterConfig, DistVec, ExecutionBackend, NetworkModel};
 use proptest::prelude::*;
+
+/// Distributes `parts` with a driver-kept replica as their lineage.
+fn distribute<P: Clone + Send + Sync + 'static>(
+    cluster: &Cluster,
+    parts: Vec<(P, u64)>,
+) -> DistVec<P> {
+    let replica: Arc<Vec<P>> = Arc::new(parts.iter().map(|(p, _)| p.clone()).collect());
+    cluster.distribute_with_lineage(parts, move |idx| replica[idx].clone())
+}
 
 fn free_net_config(workers: usize, cores: usize) -> ClusterConfig {
     ClusterConfig {
@@ -29,7 +40,7 @@ proptest! {
         let cfg = free_net_config(workers, cores);
         let cluster = Cluster::new(cfg);
         let parts: Vec<(u64, u64)> = charges.iter().map(|&c| (c, 0)).collect();
-        let data = cluster.distribute(parts);
+        let data = distribute(&cluster, parts);
         let t0 = cluster.virtual_time().as_secs_f64();
         cluster.map_partitions(&data, |_idx, ops, ctx| ctx.charge(*ops));
         let elapsed = cluster.virtual_time().as_secs_f64() - t0;
@@ -61,7 +72,7 @@ proptest! {
         rounds in 1usize..4,
     ) {
         let cluster = Cluster::new(free_net_config(workers, 1));
-        let data = cluster.distribute((0..n as u64).map(|v| (v, 8)).collect());
+        let data = distribute(&cluster, (0..n as u64).map(|v| (v, 8)).collect());
         for _ in 0..rounds {
             cluster.map_partitions(&data, |_idx, v, _ctx| {
                 *v += 1000;
@@ -84,7 +95,7 @@ proptest! {
         let cluster = Cluster::new(free_net_config(workers, 2));
         let total: u64 = part_bytes.iter().sum();
         let n = part_bytes.len() as u64;
-        let data = cluster.distribute(part_bytes.into_iter().map(|b| (b, b)).collect());
+        let data = distribute(&cluster, part_bytes.into_iter().map(|b| (b, b)).collect());
         prop_assert_eq!(cluster.metrics().bytes_shuffled, total);
         prop_assert_eq!(cluster.metrics().stored_bytes, total);
 
@@ -107,7 +118,7 @@ proptest! {
         steps in proptest::collection::vec(0u64..1_000_000, 1..8),
     ) {
         let cluster = Cluster::new(free_net_config(workers, 1));
-        let data = cluster.distribute(vec![(0u8, 0)]);
+        let data = distribute(&cluster, vec![(0u8, 0)]);
         let mut last = cluster.virtual_time().as_secs_f64();
         for ops in steps {
             cluster.map_partitions(&data, move |_idx, _v, ctx| ctx.charge(ops));

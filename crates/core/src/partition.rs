@@ -157,40 +157,6 @@ pub struct ModePartition {
     pub blocks: Vec<Block>,
 }
 
-/// Read access to a partition's geometry and blocks — the only surface the
-/// [`WorkState`](crate::update::WorkState) hot kernels touch.
-///
-/// Kernels are generic over this trait with static dispatch, so they
-/// monomorphize to exactly the pre-refactor code for [`ModePartition`]
-/// (proven flat by the `factor_update` criterion bench) while admitting
-/// alternative block containers (e.g. store-backed or borrowed views)
-/// without another kernel rewrite.
-pub trait PartitionData {
-    /// Row count `P` of the unfolding.
-    fn nrows(&self) -> usize;
-    /// PVM slab width `S`.
-    fn slab_width(&self) -> usize;
-    /// The partition's blocks, in column order.
-    fn blocks(&self) -> &[Block];
-}
-
-impl PartitionData for ModePartition {
-    #[inline]
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    #[inline]
-    fn slab_width(&self) -> usize {
-        self.slab_width
-    }
-
-    #[inline]
-    fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-}
-
 impl ModePartition {
     /// Number of ones stored in this partition.
     pub fn nnz(&self) -> usize {

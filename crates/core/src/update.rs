@@ -40,7 +40,7 @@ use dbtf_tensor::{BitMatrix, BitVec};
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 use crate::cache::hardware_popcnt;
 use crate::cache::{GroupLayout, RowSumCache};
-use crate::partition::{BlockKind, ModePartition, PartitionData};
+use crate::partition::{BlockKind, ModePartition};
 
 /// A partition plus its transient update state; the element type stored in
 /// the cluster's distributed datasets.
@@ -119,8 +119,8 @@ impl WorkState {
     /// per-block `M_f` key masks, converts `a` into the incremental
     /// row-key buffer, and sizes all kernel scratch. Returns the state and
     /// the charged ops.
-    pub fn build<P: PartitionData + ?Sized>(
-        part: &P,
+    pub fn build(
+        part: &ModePartition,
         a: &BitMatrix,
         mf: &BitMatrix,
         ms: &BitMatrix,
@@ -131,20 +131,20 @@ impl WorkState {
         debug_assert_eq!(ms.cols(), rank);
         debug_assert_eq!(
             ms.rows(),
-            part.slab_width(),
+            part.slab_width,
             "M_s height must be the slab width"
         );
         let layout = GroupLayout::new(rank, v_limit);
         let ngroups = layout.num_groups();
 
         let full_cache = RowSumCache::build(ms, &layout);
-        let width_words = part.slab_width().div_ceil(64) as u64;
+        let width_words = part.slab_width.div_ceil(64) as u64;
         let mut ops = full_cache.num_entries() as u64 * width_words;
 
-        let mut mf_masks = Vec::with_capacity(part.blocks().len());
-        let mut block_caches = Vec::with_capacity(part.blocks().len());
+        let mut mf_masks = Vec::with_capacity(part.blocks.len());
+        let mut block_caches = Vec::with_capacity(part.blocks.len());
         let mut dense_bytes = 0u64;
-        for block in part.blocks() {
+        for block in &part.blocks {
             let mut masks = vec![0u64; ngroups];
             layout.row_masks(mf, block.slab, &mut masks);
             mf_masks.push(masks);
@@ -170,16 +170,16 @@ impl WorkState {
         }
 
         // Seed the incremental key buffer from the initial factor copy.
-        let mut row_masks = vec![0u64; part.nrows() * ngroups];
-        for r in 0..part.nrows() {
+        let mut row_masks = vec![0u64; part.nrows * ngroups];
+        for r in 0..part.nrows {
             layout.row_masks(a, r, &mut row_masks[r * ngroups..(r + 1) * ngroups]);
         }
-        ops += (part.nrows() * ngroups) as u64 * cost::KEY;
+        ops += (part.nrows * ngroups) as u64 * cost::KEY;
 
-        let scratch_words = part.slab_width().div_ceil(64).max(1);
+        let scratch_words = part.slab_width.div_ceil(64).max(1);
         let state = WorkState {
             layout,
-            nrows: part.nrows(),
+            nrows: part.nrows,
             row_masks,
             mf_masks,
             full_cache,
@@ -246,11 +246,7 @@ impl WorkState {
     ///
     /// Aside from the returned vector (the task's result payload), this
     /// performs no heap allocation: all scratch lives in the state.
-    pub fn column_errors<P: PartitionData + ?Sized>(
-        &mut self,
-        part: &P,
-        col: usize,
-    ) -> (Vec<(u64, u64)>, u64) {
+    pub fn column_errors(&mut self, part: &ModePartition, col: usize) -> (Vec<(u64, u64)>, u64) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if hardware_popcnt() {
             // SAFETY: `hardware_popcnt` just confirmed the CPU has `popcnt`.
@@ -266,28 +262,24 @@ impl WorkState {
     /// The CPU must support `popcnt` (see [`hardware_popcnt`]).
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     #[target_feature(enable = "popcnt")]
-    fn column_errors_popcnt<P: PartitionData + ?Sized>(
-        &mut self,
-        part: &P,
-        col: usize,
-    ) -> (Vec<(u64, u64)>, u64) {
+    fn column_errors_popcnt(&mut self, part: &ModePartition, col: usize) -> (Vec<(u64, u64)>, u64) {
         self.column_errors_portable(part, col)
     }
 
     #[inline(always)]
-    fn column_errors_portable<P: PartitionData + ?Sized>(
+    fn column_errors_portable(
         &mut self,
-        part: &P,
+        part: &ModePartition,
         col: usize,
     ) -> (Vec<(u64, u64)>, u64) {
-        let nrows = part.nrows();
+        let nrows = part.nrows;
         let ngroups = self.layout.num_groups();
         let (gc, off) = self.layout.locate(col);
         let col_bit = 1u64 << off;
         let mut ops = 0u64;
         let mut errs = vec![(0u64, 0u64); nrows];
 
-        for (b, block) in part.blocks().iter().enumerate() {
+        for (b, block) in part.blocks.iter().enumerate() {
             let mf = &self.mf_masks[b];
             if (mf[gc] & col_bit) == 0 {
                 continue; // irrelevant: both candidates reconstruct equally
@@ -412,7 +404,7 @@ impl WorkState {
     /// Exact reconstruction error of this partition's column range under
     /// the *current* working factor copy:
     /// `Σ_rows |[X_(n)]_{r, lo..hi} ⊕ [A ∘ (M_f ⊙ M_s)ᵀ]_{r, lo..hi}|`.
-    pub fn partition_error<P: PartitionData + ?Sized>(&mut self, part: &P) -> (u64, u64) {
+    pub fn partition_error(&mut self, part: &ModePartition) -> (u64, u64) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if hardware_popcnt() {
             // SAFETY: `hardware_popcnt` just confirmed the CPU has `popcnt`.
@@ -428,17 +420,17 @@ impl WorkState {
     /// The CPU must support `popcnt` (see [`hardware_popcnt`]).
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     #[target_feature(enable = "popcnt")]
-    fn partition_error_popcnt<P: PartitionData + ?Sized>(&mut self, part: &P) -> (u64, u64) {
+    fn partition_error_popcnt(&mut self, part: &ModePartition) -> (u64, u64) {
         self.partition_error_portable(part)
     }
 
     #[inline(always)]
-    fn partition_error_portable<P: PartitionData + ?Sized>(&mut self, part: &P) -> (u64, u64) {
-        let nrows = part.nrows();
+    fn partition_error_portable(&mut self, part: &ModePartition) -> (u64, u64) {
+        let nrows = part.nrows;
         let ngroups = self.layout.num_groups();
         let mut ops = 0u64;
         let mut err = 0u64;
-        for (b, block) in part.blocks().iter().enumerate() {
+        for (b, block) in part.blocks.iter().enumerate() {
             let mf = &self.mf_masks[b];
             let cache = match &self.block_caches[b] {
                 BlockCache::Full => &self.full_cache,

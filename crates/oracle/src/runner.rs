@@ -28,7 +28,9 @@ use dbtf::reference::factorize_reference;
 use dbtf::tucker::TuckerConfig;
 use dbtf::tucker_distributed::tucker_factorize_distributed_traced;
 use dbtf::{factorize_instrumented, factorize_traced, DbtfConfig, DbtfResult, StorageKind};
-use dbtf_cluster::{Cluster, ClusterConfig, FaultPlan, LocalBackend, MetricsSnapshot, PlanTrace};
+use dbtf_cluster::{
+    Cluster, ClusterConfig, ExecutionBackend, FaultPlan, LocalBackend, MetricsSnapshot, PlanTrace,
+};
 use dbtf_datagen::Family;
 use dbtf_telemetry::Tracer;
 use dbtf_tensor::BoolTensor;

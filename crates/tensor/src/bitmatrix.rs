@@ -178,11 +178,6 @@ impl BitMatrix {
         self.data.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Number of ones in row `r`.
-    pub fn row_count_ones(&self, r: usize) -> usize {
-        self.row(r).iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Fraction of ones (0.0 for an empty matrix).
     pub fn density(&self) -> f64 {
         let cells = self.rows * self.cols;

@@ -570,8 +570,10 @@ impl MmapUnfolding {
     /// Drops the store's resident pages back to the kernel (best-effort;
     /// no-op on the heap fallback). Subsequent reads re-fault from the file.
     ///
-    /// The out-of-core driver calls this between partitions so peak RSS
-    /// tracks the partition being built, not the whole tensor.
+    /// The `scaling_memory` harness calls this between partitions so its
+    /// peak RSS tracks the partition being built, not the whole file. The
+    /// driver does not call it: it cuts partitions from the tensor and
+    /// only writes and re-reads the file.
     pub fn evict(&self) {
         match &self.backing {
             #[cfg(all(unix, target_endian = "little"))]

@@ -64,7 +64,7 @@ fn main() {
     println!(
         "cluster: {:.3} virtual s on {} workers | shuffled {} B, broadcast {} B, collected {} B",
         s.virtual_secs,
-        cluster.num_workers(),
+        cluster.config().workers,
         s.comm.bytes_shuffled,
         s.comm.bytes_broadcast,
         s.comm.bytes_collected,

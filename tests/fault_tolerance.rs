@@ -6,7 +6,7 @@
 //! driver.
 
 use dbtf::{factorize, factorize_traced, Checkpoint, DbtfConfig, DbtfError, DbtfResult};
-use dbtf_cluster::{Cluster, ClusterConfig, FaultPlan, PlanTrace};
+use dbtf_cluster::{Cluster, ClusterConfig, ExecutionBackend, FaultPlan, PlanTrace};
 use dbtf_datagen::{NoiseSpec, PlantedConfig, PlantedTensor};
 use dbtf_tensor::BoolTensor;
 

@@ -15,6 +15,7 @@ use dbtf::{factorize_traced, DbtfConfig, DbtfResult};
 use dbtf_cluster::{
     Cluster, ClusterConfig, FaultPlan, LocalBackend, MetricsSnapshot, OpKind, PlanTrace,
 };
+use dbtf_cluster::{ExecutionBackend, NetworkModel};
 use dbtf_datagen::uniform_random;
 use dbtf_tensor::{BitMatrix, BoolTensor};
 
@@ -46,6 +47,8 @@ const CP_TASKS: u64 = 1368;
 const CP_SUPERSTEPS: u64 = 57;
 /// Cluster-backend virtual time, as exact f64 bits (compute + network).
 const CP_VIRTUAL_TIME_BITS: u64 = 0x3fba4742e614d894;
+/// Local-backend virtual time (compute only), as exact f64 bits.
+const CP_LOCAL_VIRTUAL_TIME_BITS: u64 = 0x3ee2fc8f90b4cc2f;
 
 fn cp_tensor() -> BoolTensor {
     uniform_random([18, 15, 12], 0.15, 3)
@@ -107,7 +110,6 @@ fn cp_cluster_matches_pre_refactor_golden() {
     assert_eq!(trace.count(OpKind::Broadcast), rounds * (1 + 4));
     // Driver compute: 3 unfolding maps + 1 init + R reduces per update.
     assert_eq!(trace.count(OpKind::DriverCompute), 3 + 1 + rounds * 4);
-    assert_eq!(trace.count(OpKind::Gather), 0);
     assert_eq!(trace.count(OpKind::Checkpoint), 0);
 }
 
@@ -129,6 +131,50 @@ fn cp_local_backend_is_metering_identical_to_cluster() {
     // time, so its virtual clock reads strictly less (compute-only).
     assert!(local_m.virtual_time < cluster_m.virtual_time);
     assert!(local_m.virtual_time.as_secs_f64() > 0.0);
+}
+
+/// The local backend's compute-only clock, pinned to the bit on both
+/// golden inputs.
+#[test]
+fn local_backend_virtual_time_matches_golden() {
+    let backend = LocalBackend::new(3, 8);
+    factorize_traced(&backend, &cp_tensor(), &cp_config()).unwrap();
+    let bits = backend.metrics().virtual_time.as_secs_f64().to_bits();
+    assert_eq!(bits, CP_LOCAL_VIRTUAL_TIME_BITS, "cp: {bits:#x}");
+
+    let backend = LocalBackend::new(2, 2);
+    tucker_factorize_distributed_traced(&backend, &tucker_tensor(), &tucker_config()).unwrap();
+    let bits = backend.metrics().virtual_time.as_secs_f64().to_bits();
+    assert_eq!(bits, TUCKER_LOCAL_VIRTUAL_TIME_BITS, "tucker: {bits:#x}");
+}
+
+/// The local backend meters exactly like a fault-free cluster of the same
+/// shape whose network is free: every compared counter, the clock bits,
+/// the idle meter and every operator's annotations agree.
+#[test]
+fn cp_local_backend_equals_a_free_network_cluster() {
+    let cluster = Cluster::new(ClusterConfig {
+        workers: 3,
+        cores_per_worker: 8,
+        network: NetworkModel::free(),
+        ..ClusterConfig::default()
+    });
+    let (cluster_result, cluster_trace) =
+        factorize_traced(&cluster, &cp_tensor(), &cp_config()).unwrap();
+    let cluster_m = cluster.metrics();
+
+    let backend = LocalBackend::new(3, 8);
+    let (local_result, local_trace) =
+        factorize_traced(&backend, &cp_tensor(), &cp_config()).unwrap();
+    let local_m = backend.metrics();
+
+    assert_eq!(local_result.factors, cluster_result.factors);
+    assert_eq!(local_m, cluster_m);
+    assert_eq!(
+        local_m.pool_idle_secs.to_bits(),
+        cluster_m.pool_idle_secs.to_bits()
+    );
+    assert_eq!(local_trace, cluster_trace);
 }
 
 /// Each worker is one thread, and a superstep's replies reach the driver
@@ -190,6 +236,21 @@ const TUCKER_BYTES_COLLECTED: u64 = 22880;
 const TUCKER_TASKS: u64 = 548;
 const TUCKER_SUPERSTEPS: u64 = 137;
 const TUCKER_VIRTUAL_TIME_BITS: u64 = 0x3fd0035daa4c9199;
+const TUCKER_LOCAL_VIRTUAL_TIME_BITS: u64 = 0x3ed2939a3ff67eee;
+
+fn tucker_tensor() -> BoolTensor {
+    uniform_random([12, 10, 8], 0.2, 11)
+}
+
+fn tucker_config() -> TuckerConfig {
+    TuckerConfig {
+        ranks: [3, 3, 3],
+        max_iters: 3,
+        initial_sets: 1,
+        seed: 5,
+        ..TuckerConfig::default()
+    }
+}
 
 #[test]
 fn tucker_matches_golden_and_backends_agree() {
