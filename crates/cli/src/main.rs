@@ -25,7 +25,9 @@
 //! ```
 //!
 //! Tensor files use the text format (`i j k` per line, `# dims` header) or
-//! the `DBTFBIN1` binary format with `--binary`. Factors are written as
+//! the `DBTFBIN1` binary format. Readers tell the two apart by the file's
+//! first bytes; writers write binary with `--binary` or a `.dbtf` name.
+//! Factors are written as
 //! `PREFIX.A.txt`, `PREFIX.B.txt`, `PREFIX.C.txt` (and `PREFIX.core.txt`
 //! for Tucker) in the sparse matrix text format.
 
@@ -135,13 +137,16 @@ commands:
   tucker       Boolean Tucker factorization (single machine)
   select-rank  MDL sweep over candidate ranks
   generate     synthetic workloads: random | planted | proxy
-  stats        shape/density summary of a tensor, checkpoint, or store file
-  serve        answer reconstruction queries from a factor store over TCP
-  export-factors  convert a checkpoint into a binary DBTFFSET factor store
+  stats        shape/density summary of a tensor, unfolding, factor-set
+               (checkpoint or store) or trace file
+  serve        answer reconstruction queries from a factor set over TCP
+  export-factors  write a checkpoint's factors as a plain DBTFFSET store
   query        one-shot client for a running `dbtf serve`
 
 common options:
-  --input FILE     input tensor (text format; --binary for DBTFBIN1)
+  --input FILE     input tensor, text or DBTFBIN1 binary (told apart by
+                   the file's first bytes; `generate --binary` or a .dbtf
+                   name writes binary)
   --output PREFIX  where results are written
   --seed N         RNG seed (default 0)
 
@@ -177,7 +182,8 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
                  (default: the system temp dir); each run uses and
                  removes its own subdirectory
   checkpointing:
-           [--checkpoint FILE]    write factors to FILE every K iterations
+           [--checkpoint FILE]    write factors and the error history to
+                                  FILE (a DBTFFSET file) every K iterations
            [--checkpoint-every K] (default 1 when --checkpoint is given)
            [--resume]             continue from FILE if it exists
   fault injection (deterministic; results stay bit-identical):
@@ -206,8 +212,9 @@ update:    --input X.txt --delta DELTA.txt --factors STORE --output FILE
            [--spill-dir DIR] [--net-respawn-budget N] [--fault-* …]
                  X.txt is the *pre-delta* tensor; DELTA.txt lists edits
                  (`+ i j k` sets a cell, `- i j k` clears one, `#`
-                 comments). STORE (DBTFFSET or DBTFCKPT) holds factors
-                 fitted to the pre-delta tensor; the rank comes from it.
+                 comments). STORE (a DBTFFSET store or checkpoint) holds
+                 factors fitted to the pre-delta tensor; the rank comes
+                 from it.
                  Only the factor columns the delta is incident to are
                  re-swept, over partitions cut from the updated tensor,
                  and the result is proven no worse than the old factors
@@ -227,11 +234,13 @@ stats:     --input X.txt | --trace TRACE.json
                  per-superstep/operator time breakdown; tensor stats
                  stream the file in constant memory, and DBTFUNFD
                  columnar-unfolding files are summarized from the
-                 header and row index alone)
-serve:     --store FILE (DBTFFSET export or DBTFCKPT checkpoint)
+                 header and row index alone; a DBTFFSET file prints its
+                 shape and set version, and a checkpoint its iteration,
+                 error and trajectory too)
+serve:     --store FILE (a DBTFFSET store or checkpoint)
            [--addr HOST:PORT]    listen address (default 127.0.0.1:7450)
            [--source ram|mmap]   factor rows on the heap or served from a
-                 read-only map of the DBTFFSET file (checkpoints: ram only)
+                 read-only map of the file
            [--max-line-bytes N] [--max-batch N]  protocol limits
                  the protocol is line-delimited JSON; each line is one
                  request object or an array of them (a batch), answered
@@ -246,7 +255,9 @@ serve:     --store FILE (DBTFFSET export or DBTFCKPT checkpoint)
                  (see `dbtf update --reload`): queries already in flight
                  finish against the old generation, new ones see the new
 export-factors: --checkpoint CKPT --output FILE [--set-version N]
-                 (default set version: the checkpoint's iteration count)
+                 writes the factors of CKPT (any DBTFFSET file) as a plain
+                 store (default set version: CKPT's, which for a
+                 checkpoint is its iteration count)
 query:     --connect ADDR, plus exactly one of
            --point i,j,k         print true/false for cell X̃[i,j,k]
            --slice MODE:LO,HI    nonzero indices of a fiber; MODE is the
@@ -268,12 +279,7 @@ fn load_tensor(parsed: &ParsedArgs) -> Result<BoolTensor, Box<dyn std::error::Er
     let path = parsed
         .get_str("input")
         .ok_or_else(|| ArgError("missing required option --input".into()))?;
-    let tensor = if parsed.has_flag("binary") || path.ends_with(".dbtf") {
-        tio::read_tensor_binary_file(path)?
-    } else {
-        tio::read_tensor_file(path)?
-    };
-    Ok(tensor)
+    Ok(tio::read_tensor_file(path)?)
 }
 
 fn save_tensor(

@@ -6,7 +6,6 @@ use std::path::Path;
 use std::time::Duration;
 
 use crate::args::{ArgError, ParsedArgs};
-use dbtf::Checkpoint;
 use dbtf_oracle::{cp_reconstruct, serving_point, serving_slice, serving_topk};
 use dbtf_serve::{
     FactorStore, QueryMix, Request, SeededQueries, ServeClient, ServeLimits, Server, ServerConfig,
@@ -25,8 +24,9 @@ fn source_arg(parsed: &ParsedArgs) -> Result<SourceKind, ArgError> {
 /// `dbtf serve --store FILE [--addr HOST:PORT] [--source ram|mmap]
 /// [--max-line-bytes N] [--max-batch N]`
 ///
-/// Loads a factor store (a `DBTFFSET` export or a `DBTFCKPT` checkpoint)
-/// and serves reconstruction queries until a client sends `shutdown`.
+/// Loads a `DBTFFSET` factor-set file (a checkpoint or an exported store)
+/// from either source and serves reconstruction queries until a client
+/// sends `shutdown`.
 pub fn cmd_serve(parsed: &ParsedArgs) -> CliResult {
     let store_path: String = parsed.require("store")?;
     let store = FactorStore::open(Path::new(&store_path), source_arg(parsed)?)?;
@@ -57,20 +57,19 @@ pub fn cmd_serve(parsed: &ParsedArgs) -> CliResult {
 
 /// `dbtf export-factors --checkpoint CKPT --output FILE [--set-version N]`
 ///
-/// Converts a text checkpoint into the binary `DBTFFSET` store (the only
-/// format `dbtf serve --source mmap` accepts). The set version defaults
-/// to the checkpoint's completed-iteration count.
+/// Writes the factors of the factor-set file `CKPT` (a checkpoint, or any
+/// store) to `FILE` as a plain store at set version `N`, which defaults to
+/// `CKPT`'s own: a checkpoint's completed-iteration count.
 pub fn cmd_export_factors(parsed: &ParsedArgs) -> CliResult {
     let ck_path: String = parsed.require("checkpoint")?;
     let out_path: String = parsed.require("output")?;
-    let ck = Checkpoint::read(Path::new(&ck_path))?;
-    let set_version = parsed.get("set-version", ck.iteration as u64)?;
-    FactorStore::write_store(Path::new(&out_path), set_version, &ck.factors)?;
-    let store = FactorStore::open(Path::new(&out_path), SourceKind::Ram)?;
-    let [i, j, k] = store.dims();
+    let ck = FactorStore::open(Path::new(&ck_path), SourceKind::Ram)?;
+    let set_version = parsed.get("set-version", ck.set_version())?;
+    FactorStore::write_store(Path::new(&out_path), set_version, &ck.to_factor_set())?;
+    let [i, j, k] = ck.dims();
     println!(
         "exported factor set v{set_version} ({i} × {j} × {k}, rank {}) to {out_path}",
-        store.rank()
+        ck.rank()
     );
     Ok(())
 }
@@ -81,8 +80,8 @@ pub fn cmd_export_factors(parsed: &ParsedArgs) -> CliResult {
 ///
 /// One-shot client for a running `dbtf serve`. `--oracle-check` replays
 /// a seeded query sweep and compares every answer against the oracle's
-/// cell-by-cell reconstruction of the factors in `FACTORS` (checkpoint
-/// or store) — the CI smoke test's agreement gate.
+/// cell-by-cell reconstruction of the factors in the factor-set file
+/// `FACTORS` — the CI smoke test's agreement gate.
 pub fn cmd_query(parsed: &ParsedArgs) -> CliResult {
     let addr: String = parsed.require("connect")?;
     let mut client = ServeClient::connect(
@@ -265,63 +264,4 @@ fn parse_colon_list(name: &str, raw: &str, want: usize) -> Result<Vec<usize>, Ar
         return Err(ArgError(format!("--{name} mode must be 1, 2, or 3")));
     }
     Ok(parts)
-}
-
-/// `dbtf stats` on a `DBTFCKPT` checkpoint: shape, rank, iteration, and
-/// error trajectory — without ever parsing it as a tensor file.
-pub fn checkpoint_stats(path: &str) -> CliResult {
-    let ck = Checkpoint::read(Path::new(path))?;
-    println!("checkpoint (DBTFCKPT v{})", dbtf::CHECKPOINT_FORMAT_VERSION);
-    println!(
-        "factors:   {} × {} × {}, rank {}",
-        ck.factors.a.rows(),
-        ck.factors.b.rows(),
-        ck.factors.c.rows(),
-        ck.factors.rank()
-    );
-    println!("iteration: {}", ck.iteration);
-    println!("error:     {}", ck.error);
-    println!(
-        "trajectory: {}",
-        ck.iteration_errors
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join(" → ")
-    );
-    Ok(())
-}
-
-/// `dbtf stats` on a binary `DBTFFSET` factor store.
-pub fn store_stats(path: &str) -> CliResult {
-    let store = FactorStore::open(Path::new(path), SourceKind::Ram)?;
-    let [i, j, k] = store.dims();
-    println!(
-        "factor store (DBTFFSET v{})",
-        dbtf_serve::store::STORE_FORMAT_VERSION
-    );
-    println!("factors:   {i} × {j} × {k}, rank {}", store.rank());
-    println!("set version: {}", store.set_version());
-    let rows = i + j + k;
-    let words = rows * store.words_per_row();
-    println!("payload:   {rows} packed rows, {} bytes", words * 8);
-    Ok(())
-}
-
-/// Whether `path` starts with the binary `DBTFFSET` magic.
-pub fn is_store_file(path: &str) -> bool {
-    use std::io::Read;
-    let mut magic = [0u8; 8];
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .is_ok_and(|_| magic == *b"DBTFFSET")
-}
-
-/// Whether `path` starts with the text `DBTFCKPT` magic.
-pub fn is_checkpoint_file(path: &str) -> bool {
-    use std::io::Read;
-    let mut magic = [0u8; 8];
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .is_ok_and(|_| &magic == b"DBTFCKPT")
 }

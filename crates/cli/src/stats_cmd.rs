@@ -1,10 +1,12 @@
 //! `dbtf stats` — shape/density summaries for every on-disk artifact the
 //! toolchain produces: tensors (text or binary, streamed in constant
-//! memory), spilled `DBTFUNFD` columnar unfoldings, `DBTFCKPT`
-//! checkpoints, `DBTFFSET` factor stores, and Chrome trace-event JSON.
+//! memory), spilled `DBTFUNFD` columnar unfoldings, `DBTFFSET` factor
+//! sets (checkpoints and stores), and Chrome trace-event JSON.
+
+use std::path::Path;
 
 use crate::args::{ArgError, ParsedArgs};
-use crate::serve_cmd;
+use dbtf::checkpoint::{is_factor_set_file, FactorSetFile};
 use dbtf_telemetry::validate_chrome_trace;
 use dbtf_tensor::{columnar, io as tio, MmapUnfolding};
 
@@ -18,13 +20,10 @@ pub fn cmd_stats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
     if is_unfolding_file(path) {
         return unfolding_stats(path);
     }
-    // Checkpoints and factor stores are self-describing; summarize them
-    // as what they are instead of failing to parse them as tensors.
-    if serve_cmd::is_checkpoint_file(path) {
-        return serve_cmd::checkpoint_stats(path);
-    }
-    if serve_cmd::is_store_file(path) {
-        return serve_cmd::store_stats(path);
+    // Factor-set files are self-describing; summarize them as what they
+    // are instead of failing to parse them as tensors.
+    if is_factor_set_file(Path::new(path)) {
+        return factor_set_stats(path);
     }
     // One streaming pass in constant memory: the tensor is never
     // materialized. Three occupancy bitsets (one bit per index) replace
@@ -72,6 +71,33 @@ pub fn cmd_stats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
+/// `dbtf stats` on a `DBTFFSET` factor-set file: shape, rank and set
+/// version, plus a checkpoint's iteration, error and trajectory.
+fn factor_set_stats(path: &str) -> Result<(), Box<dyn std::error::Error>> {
+    let file = FactorSetFile::open(Path::new(path), false)?;
+    let [i, j, k] = file.dims();
+    println!("factor store (DBTFFSET v{})", file.format_version());
+    println!("factors:   {i} × {j} × {k}, rank {}", file.rank());
+    println!("set version: {}", file.set_version());
+    let rows = i + j + k;
+    let bytes = rows * file.words_per_row() * 8;
+    println!("payload:   {rows} packed rows, {bytes} bytes");
+    let history = file.history();
+    if let Some(error) = history.last() {
+        println!("iteration: {}", history.len());
+        println!("error:     {error}");
+        println!(
+            "trajectory: {}",
+            history
+                .iter()
+                .map(|e| e.to_string())
+                .collect::<Vec<_>>()
+                .join(" → ")
+        );
+    }
+    Ok(())
+}
+
 /// Whether `path` starts with the `DBTFUNFD` columnar-unfolding magic.
 fn is_unfolding_file(path: &str) -> bool {
     use std::io::Read;
@@ -86,7 +112,7 @@ fn is_unfolding_file(path: &str) -> bool {
 /// mapped but never faulted in, so this is O(header + index) I/O no matter
 /// how large the unfolding is.
 fn unfolding_stats(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let store = MmapUnfolding::open(std::path::Path::new(path))?;
+    let store = MmapUnfolding::open(Path::new(path))?;
     let h = store.header();
     let [i, j, k] = h.dims;
     println!(

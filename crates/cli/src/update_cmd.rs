@@ -21,7 +21,7 @@ use dbtf_tensor::TensorDelta;
 /// `--input` is the *pre-delta* tensor; `--delta` lists the edits
 /// (`+ i j k` to set, `- i j k` to clear, `#` comments). `--factors`
 /// is the factor set fitted to the pre-delta tensor — a `DBTFFSET`
-/// export or a `DBTFCKPT` checkpoint; the rank comes from it. Only the
+/// store or checkpoint; the rank comes from it. Only the
 /// factor columns incident to the delta are re-swept, and the result
 /// is never worse than the old factors on the updated tensor.
 ///

@@ -283,17 +283,45 @@ fn binary_count_disagreeing_with_the_body_is_a_clean_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `DBTFFSET` header cannot size anything beyond what the file holds:
+/// crafted claims, each with valid checksums, are typed errors that leave
+/// no output behind.
 #[test]
 fn crafted_checkpoint_header_is_a_clean_error() {
+    use dbtf_tensor::columnar::fnv_words;
     let dir = tempdir("crafted_checkpoint");
     let ck = dir.join("ck.dbtf");
     let store = dir.join("f.dbtfs");
-    for matrices in [
-        "matrix a 1099511627776 64\n",
-        "matrix a 0 1099511627776\nmatrix b 0 1099511627776\nmatrix c 0 1099511627776\n",
+    let factors = dbtf::FactorSet {
+        a: dbtf_tensor::BitMatrix::identity(3),
+        b: dbtf_tensor::BitMatrix::identity(3),
+        c: dbtf_tensor::BitMatrix::identity(3),
+    };
+    dbtf::Checkpoint {
+        iteration: 1,
+        error: 0,
+        iteration_errors: vec![0],
+        factors,
+    }
+    .write(&ck)
+    .unwrap();
+    let good: Vec<u64> = std::fs::read(&ck)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let count_word = good.len() - 2;
+    for (what, word, value) in [
+        ("2^40 rows", 3, 1u64 << 40),
+        ("huge rank", 6, u64::MAX),
+        ("history count past the end", count_word, 1 << 40),
     ] {
-        let preamble = "DBTFCKPT v1\niteration 1\nerror 0\niteration_errors 0\n";
-        std::fs::write(&ck, format!("{preamble}{matrices}")).unwrap();
+        let mut words = good.clone();
+        words[word] = value;
+        words[7] = fnv_words(&words[9..], 0x1000_0000_01b3);
+        words[8] = fnv_words(&words[..8], 0x1000_0000_01b3);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(&ck, bytes).unwrap();
         let out = dbtf(&[
             "export-factors",
             "--checkpoint",
@@ -301,9 +329,72 @@ fn crafted_checkpoint_header_is_a_clean_error() {
             "--output",
             store.to_str().unwrap(),
         ]);
-        assert_clean_runtime_error(&out, matrices);
-        assert!(!store.exists());
+        assert_clean_runtime_error(&out, what);
+        assert!(!store.exists() && !store.with_extension("tmp").exists());
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The file's bytes pick the tensor format, not its name: a binary tensor
+/// named `.bin` and a text tensor named `.dbtf` factorize to the factor
+/// files of the correctly named originals.
+#[test]
+fn misnamed_tensor_files_factorize_by_their_bytes() {
+    let dir = tempdir("misnamed");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    for name in ["x.txt", "x.dbtf"] {
+        let out = dbtf(&[
+            "generate",
+            "planted",
+            "--dims",
+            "14,12,10",
+            "--rank",
+            "2",
+            "--factor-density",
+            "0.4",
+            "--seed",
+            "4",
+            "--output",
+            &path(name),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    std::fs::copy(path("x.dbtf"), path("bin.bin")).unwrap();
+    std::fs::copy(path("x.txt"), path("txt.dbtf")).unwrap();
+    let factorize = |input: &str, prefix: &str| {
+        let out = dbtf(&[
+            "factorize",
+            "--input",
+            &path(input),
+            "--rank",
+            "2",
+            "--iters",
+            "2",
+            "--seed",
+            "1",
+            "--backend",
+            "local",
+            "--workers",
+            "1",
+            "--output",
+            &path(prefix),
+        ]);
+        assert!(
+            out.status.success(),
+            "{input}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        ["A", "B", "C"].map(|m| std::fs::read(path(&format!("{prefix}.{m}.txt"))).unwrap())
+    };
+    let text = factorize("x.txt", "text");
+    assert_eq!(factorize("txt.dbtf", "text-misnamed"), text);
+    let binary = factorize("x.dbtf", "binary");
+    assert_eq!(factorize("bin.bin", "binary-misnamed"), binary);
+    assert_eq!(binary, text, "both files hold the same tensor");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

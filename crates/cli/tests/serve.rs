@@ -1,8 +1,9 @@
 //! End-to-end tests of the serving subcommands against the real binary:
-//! `export-factors` round-trips a checkpoint into a `DBTFFSET` store,
-//! `stats` recognizes both file kinds, and a spawned `dbtf serve`
-//! process answers a scripted `dbtf query` session — including the
-//! oracle-backed agreement sweep — before draining cleanly.
+//! `export-factors` round-trips a checkpoint into a plain `DBTFFSET`
+//! store, `stats` recognizes both, files from older builds open (v1
+//! stores) or fail with a typed error (text checkpoints), and a spawned
+//! `dbtf serve` process answers a scripted `dbtf query` session —
+//! including the oracle-backed agreement sweep — before draining cleanly.
 
 use std::io::{BufRead, BufReader, Lines};
 use std::path::{Path, PathBuf};
@@ -125,16 +126,19 @@ fn export_factors_round_trip_and_stats_recognize_both_formats() {
     let ck = make_checkpoint(&dir);
     let store = export(&dir, &ck);
 
-    // `stats` must recognize both serving formats by magic, not suffix.
+    // `stats` must recognize both kinds of factor-set file by magic, not
+    // suffix: a checkpoint shows its history, a plain store has none.
     let text = stdout(&dbtf(&["stats", "--input", &ck]));
-    assert!(text.contains("checkpoint (DBTFCKPT v1)"), "{text}");
+    assert!(text.contains("factor store (DBTFFSET v2)"), "{text}");
     assert!(text.contains("24 × 20 × 16, rank 3"), "{text}");
+    assert!(text.contains("set version: 2"), "{text}");
     assert!(text.contains("iteration: 2"), "{text}");
 
     let text = stdout(&dbtf(&["stats", "--input", &store]));
-    assert!(text.contains("factor store (DBTFFSET v1)"), "{text}");
+    assert!(text.contains("factor store (DBTFFSET v2)"), "{text}");
     assert!(text.contains("24 × 20 × 16, rank 3"), "{text}");
     assert!(text.contains("set version: 2"), "{text}");
+    assert!(!text.contains("iteration:"), "{text}");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -167,38 +171,158 @@ fn closed_stdout_pipe_kills_quietly_instead_of_panicking() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn stats_refuses_future_checkpoint_version_with_clear_message() {
-    let dir = tempdir("future");
-    let path = dir.join("future.ckpt");
-    std::fs::write(&path, "DBTFCKPT v3\nwhatever follows\n").unwrap();
-    let out = dbtf(&["stats", "--input", path.to_str().unwrap()]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("checkpoint format v3 is newer than this build"),
-        "{err}"
-    );
-    assert!(err.contains("max v1"), "{err}");
-    std::fs::remove_dir_all(&dir).unwrap();
+/// The words of the factor-set file at `path`.
+fn read_words(path: &str) -> Vec<u64> {
+    std::fs::read(path)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+/// Writes `words` to `path` after recomputing both `DBTFFSET` checksums
+/// under the multiplier v1 fixed.
+fn write_sealed(path: &Path, mut words: Vec<u64>) {
+    use dbtf_tensor::columnar::fnv_words;
+    words[7] = fnv_words(&words[9..], 0x1000_0000_01b3);
+    words[8] = fnv_words(&words[..8], 0x1000_0000_01b3);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    std::fs::write(path, bytes).unwrap();
 }
 
 #[test]
-fn serve_on_checkpoint_with_mmap_points_at_export_factors() {
+fn stats_refuses_future_checkpoint_version_with_clear_message() {
+    let dir = tempdir("future");
+    let ck = make_checkpoint(&dir);
+    let mut words = read_words(&ck);
+    words[1] = 3;
+    let path = dir.join("future.ckpt");
+    write_sealed(&path, words);
+    let out = dbtf(&["stats", "--input", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("format v3 is newer than this build"), "{err}");
+    assert!(err.contains("max v2"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint is a `DBTFFSET` file, so it serves from a read-only map
+/// as well as from the heap, at its iteration count as the set version.
+#[test]
+fn serve_on_checkpoint_with_mmap_answers_queries() {
     let dir = tempdir("mmapck");
     let ck = make_checkpoint(&dir);
-    let out = dbtf(&[
-        "serve",
-        "--store",
-        &ck,
-        "--source",
-        "mmap",
-        "--addr",
-        "127.0.0.1:0",
-    ]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("export-factors"), "{err}");
+    let (mut server, _stdout, addr) = spawn_serve(&dir, &["--store", &ck, "--source", "mmap"]);
+    let query = |extra: &[&str]| {
+        let mut args = vec!["query", "--connect", addr.as_str()];
+        args.extend_from_slice(extra);
+        dbtf(&args)
+    };
+    let info = query(&["--info"]);
+    let check = query(&["--oracle-check", &ck, "--count", "100"]);
+    // Stop the server before asserting, so a failure leaves no process.
+    query(&["--shutdown-server"]);
+    let status = server.wait().expect("serve exits");
+    let info = stdout(&info);
+    assert!(
+        info.contains("factor set v2 24 × 20 × 16 rank 3 (mmap)"),
+        "{info}"
+    );
+    let check = stdout(&check);
+    assert!(check.contains("oracle-check: 100 queries agree"), "{check}");
+    assert!(status.success(), "serve exited {status:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Older builds wrote checkpoints as `DBTFCKPT` text. Every command that
+/// reads a factor set refuses one with a typed error naming the format:
+/// exit code 1, one message line, and no output file.
+#[test]
+fn text_checkpoint_from_an_older_build_is_a_typed_error() {
+    let dir = tempdir("oldckpt");
+    let x = dir.join("x.txt");
+    std::fs::write(&x, "# dims 2 2 2\n0 0 0\n1 1 1\n").unwrap();
+    let delta = dir.join("delta.txt");
+    std::fs::write(&delta, "+ 0 1 0\n").unwrap();
+    let ck = dir.join("old.ckpt");
+    let old = "DBTFCKPT v1\niteration 1\nerror 0\niteration_errors 0\n\
+               matrix a 2 1\n1\n0\nmatrix b 2 1\n1\n0\nmatrix c 2 1\n1\n0\n";
+    std::fs::write(&ck, old).unwrap();
+    let (ck, x, delta) = (
+        ck.to_str().unwrap(),
+        x.to_str().unwrap(),
+        delta.to_str().unwrap(),
+    );
+    let out_path = dir.join("out.dbtfs");
+    let out = out_path.to_str().unwrap();
+    for args in [
+        vec!["stats", "--input", ck],
+        vec!["serve", "--store", ck, "--source", "mmap"],
+        vec!["export-factors", "--checkpoint", ck, "--output", out],
+        vec!["update", "--input", x, "--delta", delta, "--factors", ck],
+        vec!["factorize", "--input", x, "--rank", "1", "--checkpoint", ck],
+    ] {
+        let mut args = args;
+        if args[0] == "update" {
+            args.extend(["--output", out, "--workers", "1"]);
+        } else if args[0] == "factorize" {
+            args.extend(["--resume", "--workers", "1"]);
+        }
+        let run = dbtf(&args);
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains("DBTFCKPT text checkpoint"), "{args:?}: {err}");
+        assert!(err.contains("re-run the factorization"), "{args:?}: {err}");
+        assert!(run.stdout.is_empty(), "{args:?}");
+        assert!(!out_path.exists() && !out_path.with_extension("tmp").exists());
+    }
+    assert_eq!(std::fs::read_to_string(ck).unwrap(), old, "left untouched");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Stores written by older builds are `DBTFFSET` v1: no history, data
+/// checksum over the rows alone. One built here from that layout opens
+/// as `update --factors`, whose output is a v2 store one version on.
+#[test]
+fn v1_store_from_an_older_build_works_as_update_factors() {
+    let dir = tempdir("v1store");
+    let ck = make_checkpoint(&dir);
+    // Today's v2 image minus the history section and its count word is
+    // exactly the v1 layout; the header says v1 and is resealed.
+    let mut words = read_words(&ck);
+    let history = 2;
+    words.truncate(words.len() - 1 - history);
+    words[1] = 1;
+    words[2] = 7;
+    let v1 = dir.join("v1.dbtfs");
+    write_sealed(&v1, words);
+    let v1 = v1.to_str().unwrap();
+    let text = stdout(&dbtf(&["stats", "--input", v1]));
+    assert!(text.contains("factor store (DBTFFSET v1)"), "{text}");
+    assert!(text.contains("set version: 7"), "{text}");
+
+    let delta = dir.join("delta.txt");
+    std::fs::write(&delta, "+ 0 0 0\n- 1 2 3\n").unwrap();
+    let x = dir.join("x.txt");
+    let next = dir.join("next.dbtfs");
+    let text = stdout(&dbtf(&[
+        "update",
+        "--input",
+        x.to_str().unwrap(),
+        "--delta",
+        delta.to_str().unwrap(),
+        "--factors",
+        v1,
+        "--output",
+        next.to_str().unwrap(),
+        "--workers",
+        "2",
+    ]));
+    assert!(text.contains("wrote factor set v8"), "{text}");
+    let text = stdout(&dbtf(&["stats", "--input", next.to_str().unwrap()]));
+    assert!(text.contains("factor store (DBTFFSET v2)"), "{text}");
+    assert!(text.contains("set version: 8"), "{text}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

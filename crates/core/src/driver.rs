@@ -275,7 +275,7 @@ fn run<B: ExecutionBackend>(
                 && f.a.cols() == config.rank
                 && f.b.cols() == config.rank
                 && f.c.cols() == config.rank;
-            if !shape_ok || ck.iteration == 0 {
+            if !shape_ok {
                 return Err(DbtfError::Checkpoint(format!(
                     "{}: checkpoint factors are {}×{}/{}×{}/{}×{} but this run needs \
                      {}×{r}/{}×{r}/{}×{r}",

@@ -72,7 +72,7 @@ pub mod tucker;
 pub mod tucker_distributed;
 pub mod update;
 
-pub use checkpoint::{Checkpoint, CHECKPOINT_FORMAT_VERSION};
+pub use checkpoint::{Checkpoint, FactorSetError, FactorSetFile};
 pub use config::{BackendKind, DbtfConfig, DbtfError, InitStrategy, StorageKind};
 pub use delta::{affected_columns, update_factors, update_factors_traced, DeltaResult};
 pub use driver::{factorize, factorize_instrumented, factorize_traced, DbtfResult};

@@ -2,8 +2,8 @@
 //! factorizations.
 //!
 //! The factorization side of this repository ends with a set of Boolean CP
-//! factors `(A, B, C)` — either in a `DBTFCKPT v1` checkpoint or exported
-//! by `dbtf export-factors` into the binary `DBTFFSET` store format. This
+//! factors `(A, B, C)` in a `DBTFFSET` factor-set file — the checkpoint a
+//! run writes, or the store `dbtf export-factors` writes from it. This
 //! crate opens those factors for *queries*: a long-running `dbtf serve`
 //! process loads a [`FactorStore`] and answers reconstruction questions
 //! over a line-delimited JSON protocol on TCP:
@@ -18,7 +18,7 @@
 //! a fiber is one masked scan over a single factor, and both are
 //! computed from the factor rows on every query ([`QueryEngine`]). The
 //! store itself reads from the heap or from a read-only memory map of
-//! the `DBTFFSET` file ([`SourceKind`]), so a serving process can stay
+//! the file ([`SourceKind`]), so a serving process can stay
 //! far smaller than the factors it would need for a dense
 //! reconstruction.
 //!
@@ -34,8 +34,8 @@
 //! Everything here is continuously verified against `crates/oracle`'s
 //! cell-by-cell CP reconstruction: the differential tests replay seeded
 //! query sweeps ([`sweep`]) through a real server ([`ServeHarness`]) and
-//! require bit-exact agreement for heap, mmap and checkpoint stores, on
-//! the first pass and on replay.
+//! require bit-exact agreement for stores and checkpoints from both
+//! sources, on the first pass and on replay.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

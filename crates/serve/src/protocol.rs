@@ -91,7 +91,7 @@ pub enum Request {
     /// `reload`: hot-swap a new factor-set generation into the server.
     Reload {
         /// Path (on the server's filesystem) of the `DBTFFSET` store or
-        /// `DBTFCKPT` checkpoint to load.
+        /// checkpoint to load.
         path: String,
         /// Optional storage source override (`"ram"` or `"mmap"`);
         /// defaults to how the serving store was opened.

@@ -98,8 +98,12 @@ fn seeded_sweep_agrees_with_oracle_across_sources() {
             Box::new(|| FactorStore::open(&store_path, SourceKind::Mmap).unwrap()),
         ),
         (
-            "checkpoint",
+            "checkpoint ram",
             Box::new(|| FactorStore::open(&ck_path, SourceKind::Ram).unwrap()),
+        ),
+        (
+            "checkpoint mmap",
+            Box::new(|| FactorStore::open(&ck_path, SourceKind::Mmap).unwrap()),
         ),
     ];
     for (label, open) in &sources {

@@ -40,6 +40,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use crate::mmap_sys::FileWords;
 use crate::store::{StoreError, UnfoldingStore};
 use crate::unfold::Mode;
 
@@ -116,9 +117,9 @@ impl Fnv {
 /// FNV-1a over a word slice under multiplier `prime`, hashing each word's
 /// little-endian bytes so the digest equals a byte-wise hash of the
 /// on-disk section on any host. The checksum of both word-aligned file
-/// formats: `DBTFUNFD` sections here (with [`FNV_PRIME`]) and the serving
-/// layer's `DBTFFSET` factor store (with the multiplier its v1 format
-/// fixed).
+/// formats: `DBTFUNFD` sections here (with [`FNV_PRIME`]) and the
+/// `DBTFFSET` factor-set file of checkpoints and stores (with the
+/// multiplier its v1 format fixed).
 pub fn fnv_words(words: &[u64], prime: u64) -> u64 {
     let mut h = Fnv::new(prime);
     for &w in words {
@@ -400,29 +401,6 @@ impl UnfoldingWriter {
     }
 }
 
-#[cfg(all(unix, target_endian = "little"))]
-use crate::mmap_sys as sys;
-
-enum Backing {
-    /// Zero-copy page-cache view of the file.
-    #[cfg(all(unix, target_endian = "little"))]
-    Map(sys::Map),
-    /// Portable fallback: the file decoded into heap words. Loses the
-    /// out-of-core memory bound but preserves every observable behaviour.
-    #[cfg_attr(all(unix, target_endian = "little"), allow(dead_code))]
-    Heap(Vec<u64>),
-}
-
-impl Backing {
-    fn words(&self) -> &[u64] {
-        match self {
-            #[cfg(all(unix, target_endian = "little"))]
-            Backing::Map(m) => m.words(),
-            Backing::Heap(v) => v,
-        }
-    }
-}
-
 /// An on-disk mode-n unfolding served through [`UnfoldingStore`].
 ///
 /// Opened read-only from a file written by [`UnfoldingWriter`]; rows are
@@ -431,7 +409,7 @@ impl Backing {
 pub struct MmapUnfolding {
     path: PathBuf,
     header: UnfoldingHeader,
-    backing: Backing,
+    backing: FileWords,
     index_word: usize,
     data_word: usize,
 }
@@ -471,7 +449,11 @@ impl MmapUnfolding {
                 section: "column data",
             });
         }
-        let backing = Self::back(&mut file, path, needed as usize)?;
+        // Unfolding files are written once (`UnfoldingWriter`) and never
+        // modified in place, and the file holds `needed` bytes (checked
+        // above), as the map requires.
+        let backing =
+            FileWords::map(&file, needed as usize).map_err(|e| StoreError::io(path, e))?;
         let store = MmapUnfolding {
             path: path.to_path_buf(),
             index_word: (header.index_off / 8) as usize,
@@ -496,29 +478,6 @@ impl MmapUnfolding {
             });
         }
         Ok(store)
-    }
-
-    #[cfg(all(unix, target_endian = "little"))]
-    fn back(file: &mut File, path: &Path, needed: usize) -> Result<Backing, StoreError> {
-        // SAFETY: unfolding files are written once (`UnfoldingWriter`) and
-        // never modified in place, and `open` checked the file holds
-        // `needed` bytes.
-        let map = unsafe { sys::Map::new(file, needed) };
-        Ok(Backing::Map(map.map_err(|e| StoreError::io(path, e))?))
-    }
-
-    #[cfg(not(all(unix, target_endian = "little")))]
-    fn back(file: &mut File, path: &Path, needed: usize) -> Result<Backing, StoreError> {
-        file.seek(SeekFrom::Start(0))
-            .map_err(|e| StoreError::io(path, e))?;
-        let mut bytes = vec![0u8; needed];
-        file.read_exact(&mut bytes)
-            .map_err(|e| StoreError::io(path, e))?;
-        let words = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(Backing::Heap(words))
     }
 
     /// Streams an existing store into a new columnar file at `path` and
@@ -575,11 +534,7 @@ impl MmapUnfolding {
     /// driver does not call it: it cuts partitions from the tensor and
     /// only writes and re-reads the file.
     pub fn evict(&self) {
-        match &self.backing {
-            #[cfg(all(unix, target_endian = "little"))]
-            Backing::Map(m) => m.evict(),
-            Backing::Heap(_) => {}
-        }
+        self.backing.evict();
     }
 }
 

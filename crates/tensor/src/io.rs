@@ -5,7 +5,7 @@
 //! comment lines ignored. A header comment `# dims I J K` pins the shape;
 //! without it the shape is inferred as `max+1` per mode.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
 use crate::{BoolTensor, TensorBuilder};
@@ -44,20 +44,38 @@ impl From<io::Error> for ParseError {
 }
 
 /// Reads a tensor from the text format.
+///
+/// A `# dims` line may come after entries, so every entry is checked
+/// against the final shape, as [`TensorStream`] checks it: the first entry
+/// outside it is a [`ParseError::OutOfRange`] with its line number.
 pub fn read_tensor<R: Read>(reader: R) -> Result<BoolTensor, ParseError> {
     let mut shape = TextShape::default();
     let mut entries: Vec<[u32; 3]> = Vec::new();
-    scan_text(reader, |parsed, line_no, line| {
+    // Entry `n` is on line `n + 1 + skipped` (lines before it without an
+    // entry); runs of one `skipped` are kept as `(first entry, skipped)`,
+    // as a line number per entry would cost as much memory as the entry.
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    scan_text(reader, |parsed, line_no, _| {
         if let TextLine::Entry(e) = parsed {
-            if shape.declared.is_some_and(|dims| outside(e, dims)) {
-                return Err(ParseError::OutOfRange(line_no, line.to_string()));
+            let skipped = line_no - 1 - entries.len();
+            if runs.last().is_none_or(|&(_, s)| s != skipped) {
+                runs.push((entries.len(), skipped));
             }
             entries.push(e);
         }
         shape.note(parsed);
         Ok(())
     })?;
-    let mut builder = TensorBuilder::with_capacity(shape.dims(), entries.len());
+    let dims = shape.dims();
+    if let Some(n) = entries.iter().position(|&e| outside(e, dims)) {
+        let skipped = runs[runs.partition_point(|&(first, _)| first <= n) - 1].1;
+        let [i, j, k] = entries[n];
+        return Err(ParseError::OutOfRange(
+            n + 1 + skipped,
+            format!("{i} {j} {k}"),
+        ));
+    }
+    let mut builder = TensorBuilder::with_capacity(dims, entries.len());
     for [i, j, k] in entries {
         builder.insert(i, j, k);
     }
@@ -100,43 +118,40 @@ pub fn write_tensor_binary_buf(tensor: &BoolTensor) -> Vec<u8> {
     buf
 }
 
-/// Decodes the 32 header bytes after the `DBTFBIN1` magic: three `u64`
-/// mode sizes and the `u64` entry count. A mode size above `u32::MAX`
-/// cannot be addressed by the `u32` coordinates, so it is a parse error
-/// here instead of a panic in [`TensorBuilder`].
-fn parse_binary_header(head: &[u8; 32]) -> Result<([usize; 3], u64), ParseError> {
-    let word =
-        |i: usize| u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().expect("8-byte slice"));
+/// Reads the 40-byte head of a `len`-byte `DBTFBIN1` file: the magic,
+/// three `u64` mode sizes (each within `u32`, as the coordinates are) and
+/// the `u64` entry count. The body must hold exactly the count's 12-byte
+/// records, checked before anything is allocated for them: a smaller count
+/// would drop the records past it, and an interrupted streaming write
+/// leaves its placeholder count of 0.
+fn read_binary_head(reader: &mut impl Read, len: u64) -> Result<([usize; 3], usize), ParseError> {
+    let mut head = [0u8; 8 + 32];
+    if len < head.len() as u64
+        || reader.read_exact(&mut head).is_err()
+        || &head[..8] != BINARY_MAGIC
+    {
+        let msg = "missing DBTFBIN1 magic or header".to_string();
+        return Err(ParseError::Malformed(0, msg));
+    }
+    let word = |i: usize| u64::from_le_bytes(head[8 * i..][..8].try_into().expect("8 bytes"));
     let mut dims = [0usize; 3];
-    for (m, d) in dims.iter_mut().enumerate() {
-        let size = word(m);
+    for (d, size) in dims.iter_mut().zip((1..4).map(word)) {
         if size > u64::from(u32::MAX) {
-            return Err(ParseError::Malformed(
-                0,
-                format!("mode size {size} exceeds u32 range"),
-            ));
+            let msg = format!("mode size {size} exceeds u32 range");
+            return Err(ParseError::Malformed(0, msg));
         }
         *d = size as usize;
     }
-    Ok((dims, word(3)))
-}
-
-/// The entry count of a `DBTFBIN1` body of `body_len` bytes: the body
-/// must hold exactly the header's `count` records of 12 bytes. A count
-/// that disagrees with the body is rejected before anything is allocated
-/// for it: a smaller one would drop the records past it, and an
-/// interrupted streaming write leaves its placeholder count of 0.
-fn checked_count(count: u64, body_len: u64) -> Result<usize, ParseError> {
-    count
+    let (count, body_len) = (word(4), len - head.len() as u64);
+    let count = count
         .checked_mul(12)
         .filter(|&bytes| bytes == body_len)
         .and_then(|_| usize::try_from(count).ok())
         .ok_or_else(|| {
-            ParseError::Malformed(
-                0,
-                format!("entry count {count} disagrees with a {body_len}-byte entry section"),
-            )
-        })
+            let msg = format!("entry count {count} disagrees with a {body_len}-byte entry section");
+            ParseError::Malformed(0, msg)
+        })?;
+    Ok((dims, count))
 }
 
 /// Decodes one 12-byte `DBTFBIN1` record.
@@ -170,18 +185,7 @@ const RECORDS_PER_READ: usize = 8192;
 /// range-checked as it arrives. Records that arrive strictly increasing,
 /// as every writer here emits them, skip the sort and deduplication.
 fn read_binary(mut reader: impl Read, len: u64) -> Result<BoolTensor, ParseError> {
-    let mut head = [0u8; 8 + 32];
-    if len < head.len() as u64
-        || reader.read_exact(&mut head).is_err()
-        || &head[..8] != BINARY_MAGIC
-    {
-        return Err(ParseError::Malformed(
-            0,
-            "missing DBTFBIN1 magic".to_string(),
-        ));
-    }
-    let (dims, count) = parse_binary_header(head[8..].try_into().expect("32-byte slice"))?;
-    let count = checked_count(count, len - head.len() as u64)?;
+    let (dims, count) = read_binary_head(&mut reader, len)?;
     let mut entries: Vec<[u32; 3]> = Vec::with_capacity(count);
     let mut sorted = true;
     let mut buf = vec![0u8; 12 * RECORDS_PER_READ.min(count)];
@@ -207,9 +211,24 @@ fn read_binary(mut reader: impl Read, len: u64) -> Result<BoolTensor, ParseError
     })
 }
 
-/// Reads a tensor from a file path.
+/// Reads a tensor file in either format, told apart by its first bytes:
+/// the `DBTFBIN1` magic is the binary format, anything else is text.
 pub fn read_tensor_file<P: AsRef<Path>>(path: P) -> Result<BoolTensor, ParseError> {
-    read_tensor(std::fs::File::open(path)?)
+    let mut file = std::fs::File::open(path)?;
+    if starts_binary(&mut file)? {
+        let len = file.metadata()?.len();
+        read_binary(file, len)
+    } else {
+        read_tensor(file)
+    }
+}
+
+/// Whether `file` starts with the `DBTFBIN1` magic; leaves it rewound.
+fn starts_binary(file: &mut std::fs::File) -> io::Result<bool> {
+    let mut head = Vec::with_capacity(8);
+    (&*file).take(8).read_to_end(&mut head)?;
+    file.rewind()?;
+    Ok(head == BINARY_MAGIC)
 }
 
 /// A bounded-memory streaming reader over the entries of a tensor file.
@@ -243,24 +262,11 @@ impl TensorStream {
     pub fn open<P: AsRef<Path>>(path: P) -> Result<TensorStream, ParseError> {
         let path = path.as_ref();
         let mut file = std::fs::File::open(path)?;
-        let mut magic = [0u8; 8];
-        let mut got = 0;
-        while got < 8 {
-            let n = file.read(&mut magic[got..])?;
-            if n == 0 {
-                break;
-            }
-            got += n;
-        }
-        if got == 8 && &magic == BINARY_MAGIC {
+        if starts_binary(&mut file)? {
+            let len = file.metadata()?.len();
             let mut reader = BufReader::new(file);
-            let mut head = [0u8; 32];
-            reader
-                .read_exact(&mut head)
-                .map_err(|_| ParseError::Malformed(0, "truncated DBTFBIN1 header".to_string()))?;
-            let (dims, nnz) = parse_binary_header(&head)?;
-            let body_len = reader.get_ref().metadata()?.len().saturating_sub(8 + 32);
-            checked_count(nnz, body_len)?;
+            let (dims, nnz) = read_binary_head(&mut reader, len)?;
+            let nnz = nnz as u64;
             return Ok(TensorStream {
                 dims,
                 nnz,
@@ -271,9 +277,8 @@ impl TensorStream {
             });
         }
         // Text: pre-scan for declared dims / max coordinates and the count.
-        drop(file);
         let mut shape = TextShape::default();
-        scan_text(std::fs::File::open(path)?, |parsed, _, _| {
+        scan_text(file, |parsed, _, _| {
             shape.note(parsed);
             Ok(())
         })?;
@@ -536,7 +541,6 @@ impl StreamingTensorWriter {
     /// Flushes and (for binary files) patches the entry count. Returns the
     /// number of entries written.
     pub fn finish(self) -> io::Result<u64> {
-        use std::io::Seek;
         let mut file = self.file.into_inner().map_err(|e| e.into_error())?;
         if self.binary {
             file.seek(io::SeekFrom::Start(32))?;
@@ -601,11 +605,26 @@ mod tests {
 
     #[test]
     fn out_of_range_with_header() {
-        let text = "# dims 2 2 2\n0 0 2\n";
-        assert!(matches!(
-            read_tensor(text.as_bytes()),
-            Err(ParseError::OutOfRange(2, _))
-        ));
+        let path = stream_tmp("oor_header.tsv");
+        // Every entry is checked against the final shape, wherever the
+        // `# dims` line is, by both readers and at the same line.
+        for (text, line) in [
+            ("# dims 2 2 2\n0 0 2\n", 2),
+            ("5 5 5\n# dims 2 2 2\n0 0 0\n", 1),
+            ("# dims 5 5 5\n4 4 4\n# dims 2 2 2\n0 0 0\n", 2),
+            ("# c\n\n0 0 0\n# c\n1 1 1\n\n1 1 3\n# dims 2 2 2\n", 7),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let stream_error = TensorStream::open(&path).unwrap().find_map(Result::err);
+            for err in [read_tensor(text.as_bytes()).err(), stream_error] {
+                let at = matches!(err, Some(ParseError::OutOfRange(at, _)) if at == line);
+                assert!(at, "{text:?}: {err:?}");
+            }
+        }
+        // An entry outside an earlier `# dims` but inside the final one
+        // is in range.
+        let t = read_tensor("# dims 2 2 2\n4 4 4\n# dims 5 5 5\n".as_bytes()).unwrap();
+        assert_eq!((t.dims(), t.nnz()), ([5, 5, 5], 1));
     }
 
     #[test]
@@ -836,12 +855,6 @@ mod tests {
         assert!(matches!(
             TensorStream::open(&path),
             Err(ParseError::Malformed(3, _))
-        ));
-        let path = stream_tmp("oor.tsv");
-        std::fs::write(&path, "# dims 2 2 2\n0 0 5\n").unwrap();
-        assert!(matches!(
-            TensorStream::open(&path).unwrap().next(),
-            Some(Err(ParseError::OutOfRange(2, _)))
         ));
     }
 

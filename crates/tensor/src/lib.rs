@@ -60,7 +60,6 @@ pub mod columnar;
 mod delta;
 pub mod io;
 pub mod matrix_io;
-#[cfg(all(unix, target_endian = "little"))]
 pub mod mmap_sys;
 pub mod ops;
 pub mod reconstruct;

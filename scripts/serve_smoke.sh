@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Serving-path smoke check: factorize → export → serve → scripted query
-# session → oracle agreement → graceful drain, all through the real CLI
-# on a real TCP socket. The oracle-check step is the agreement gate: a
+# Serving-path smoke check: factorize → serve the checkpoint → export →
+# serve → scripted query session → oracle agreement → graceful drain, all
+# through the real CLI on a real TCP socket. The oracle-check step is the agreement gate: a
 # seeded query sweep answered by the live server must match the oracle's
 # cell-by-cell CP reconstruction bit for bit.
 #
@@ -34,36 +34,52 @@ $dbtf export-factors --checkpoint "$dir/run.ckpt" --output "$dir/factors.dbtfs" 
   | tee "$dir/export.out"
 grep -q "exported factor set" "$dir/export.out"
 
-echo "serve_smoke: stats must recognize both serving formats..."
+echo "serve_smoke: stats must recognize the checkpoint and the store..."
 $dbtf stats --input "$dir/run.ckpt" > "$dir/stats_ckpt.out"
-grep -q "checkpoint (DBTFCKPT v1)" "$dir/stats_ckpt.out"
+grep -q "factor store (DBTFFSET v2)" "$dir/stats_ckpt.out"
+grep -qx "iteration: 3" "$dir/stats_ckpt.out"
 $dbtf stats --input "$dir/factors.dbtfs" > "$dir/stats_store.out"
-grep -q "factor store (DBTFFSET v1)" "$dir/stats_store.out"
+grep -q "factor store (DBTFFSET v2)" "$dir/stats_store.out"
 
-echo "serve_smoke: starting dbtf serve on an ephemeral port (mmap source)..."
-# Created before the server starts, so the address poll below never
-# reads a file the background redirect has not opened yet.
-: > "$dir/serve.out"
-$dbtf serve --store "$dir/factors.dbtfs" --source mmap --addr 127.0.0.1:0 \
-  > "$dir/serve.out" &
-server_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/^listening on //p' "$dir/serve.out")
-  [ -n "$addr" ] && break
-  if ! kill -0 "$server_pid" 2>/dev/null; then
-    echo "serve_smoke: FAIL — server exited before listening:" >&2
-    cat "$dir/serve.out" >&2
+# Starts `dbtf serve --addr 127.0.0.1:0 ARGS...` in the background with
+# its stdout in $dir/$log, and sets server_pid and addr.
+start_server() {
+  local log="$1"
+  shift
+  # Created before the server starts, so the address poll below never
+  # reads a file the background redirect has not opened yet.
+  : > "$dir/$log"
+  $dbtf serve --addr 127.0.0.1:0 "$@" > "$dir/$log" &
+  server_pid=$!
+  addr=""
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^listening on //p' "$dir/$log")
+    [ -n "$addr" ] && break
+    if ! kill -0 "$server_pid" 2>/dev/null; then
+      echo "serve_smoke: FAIL — server exited before listening:" >&2
+      cat "$dir/$log" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  if [ -z "$addr" ]; then
+    echo "serve_smoke: FAIL — server never printed its address" >&2
     exit 1
   fi
-  sleep 0.1
-done
-if [ -z "$addr" ]; then
-  echo "serve_smoke: FAIL — server never printed its address" >&2
-  exit 1
-fi
-echo "serve_smoke: server is listening on $addr"
+  echo "serve_smoke: server is listening on $addr"
+}
+
+echo "serve_smoke: serving the checkpoint itself from a map..."
+start_server serve_ckpt.out --store "$dir/run.ckpt" --source mmap
+$dbtf query --connect "$addr" --info | tee "$dir/info_ckpt.out"
+# The set version of a checkpoint is its iteration count (--iters 3).
+grep -q "factor set v3 32 × 28 × 24 rank 4 (mmap)" "$dir/info_ckpt.out"
+$dbtf query --connect "$addr" --shutdown-server > /dev/null
+wait "$server_pid"
+server_pid=""
+
+echo "serve_smoke: starting dbtf serve on the store (mmap source)..."
+start_server serve.out --store "$dir/factors.dbtfs" --source mmap
 
 echo "serve_smoke: scripted query session..."
 $dbtf query --connect "$addr" --ping > "$dir/ping.out"

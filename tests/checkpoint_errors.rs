@@ -65,7 +65,7 @@ fn corrupt_magic_header_is_a_clear_error() {
     match resume_error(&path) {
         DbtfError::Checkpoint(msg) => {
             assert!(
-                msg.contains("DBTFCKPT"),
+                msg.contains("DBTFFSET"),
                 "message should name the format: {msg}"
             );
             assert!(
@@ -82,12 +82,13 @@ fn truncated_file_is_a_clear_error() {
     let path = temp_path("trunc");
     write_valid_checkpoint(&path);
     let bytes = std::fs::read(&path).unwrap();
-    // Cut mid-matrix: the header parses, the payload ends early.
-    std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    // Cut mid-rows at a word boundary: the header verifies, the factor
+    // rows end early.
+    std::fs::write(&path, &bytes[..bytes.len() / 8 * 2 / 3 * 8]).unwrap();
 
     match resume_error(&path) {
         DbtfError::Checkpoint(msg) => {
-            assert!(!msg.is_empty());
+            assert!(msg.contains("too few"), "{msg}");
         }
         other => panic!("expected DbtfError::Checkpoint, got {other:?}"),
     }
