@@ -86,7 +86,6 @@ fn run_net(
         WorkerHost::Thread(net_tasks::build_registry()),
         NetTuning {
             respawn_budget: 1024,
-            ..NetTuning::default()
         },
     )
     .expect("net backend binds and spawns");

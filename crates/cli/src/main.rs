@@ -1,37 +1,17 @@
-//! `dbtf` — command-line interface to the DBTF reproduction.
-//!
-//! ```text
-//! dbtf factorize   --input X.txt --rank 10 [--workers 16] [--iters 10]
-//!                  [--sets 1] [--seed 0] [--partitions N] [--v 15]
-//!                  [--backend cluster|local|net] [--output PREFIX]
-//!                  [--storage ram|mmap] [--spill-dir DIR]
-//!                  [--net-respawn-budget N]
-//!                  [--checkpoint FILE] [--checkpoint-every K] [--resume]
-//!                  [--fault-crash S:W,…] [--fault-task-failure-rate F]
-//!                  [--fault-slow-rate F] [--fault-slow-factor M]
-//!                  [--fault-kill-rate F] [--fault-drop-rate F]
-//!                  [--fault-delay-rate F] [--fault-delay-ms MS]
-//!                  [--fault-seed N] [--no-speculation] [--trace-out FILE]
-//! dbtf worker      --connect ADDR --id N [--incarnation N]
-//! dbtf tucker      --input X.txt --ranks 4,4,4 [--iters 10] [--sets 1]
-//!                  [--seed 0] [--output PREFIX] [--trace-out FILE]
-//! dbtf select-rank --input X.txt --candidates 2,4,6,8 [--sets 4]
-//! dbtf generate random  --dims I,J,K --density D --output X.txt
-//! dbtf generate planted --dims I,J,K --rank R --factor-density D
-//!                  [--additive A] [--destructive Dn] --output X.txt
-//! dbtf generate proxy   --name Facebook --scale 0.01 --output X.txt
-//! dbtf stats       --input X.txt
-//! dbtf stats       --trace TRACE.json
-//! ```
+//! `dbtf` — command-line interface to the DBTF reproduction: factorize,
+//! update, tucker, select-rank, worker, generate, stats, serve,
+//! export-factors and query. `long_help`, printed by `dbtf help`, is the
+//! one list of their options and defaults; an option a command does not
+//! read is an error (exit 2).
 //!
 //! Tensor files use the text format (`i j k` per line, `# dims` header) or
-//! the `DBTFBIN1` binary format. Readers tell the two apart by the file's
-//! first bytes; writers write binary with `--binary` or a `.dbtf` name.
-//! Factors are written as
+//! the `DBTFBIN1` binary format, told apart by their first bytes; writers
+//! write binary with `--binary` or a `.dbtf` name. Factors are written as
 //! `PREFIX.A.txt`, `PREFIX.B.txt`, `PREFIX.C.txt` (and `PREFIX.core.txt`
 //! for Tucker) in the sparse matrix text format.
 
 mod args;
+mod backend;
 mod serve_cmd;
 mod stats_cmd;
 mod update_cmd;
@@ -39,17 +19,19 @@ mod update_cmd;
 use std::process::ExitCode;
 
 use args::{ArgError, ParsedArgs};
+use backend::{Backend, BackendOptions};
 use dbtf::model_selection::select_rank;
 use dbtf::tucker::{tucker_factorize, TuckerConfig};
-use dbtf::tucker_distributed::tucker_factorize_distributed_instrumented;
-use dbtf::{factorize_instrumented, BackendKind, DbtfConfig, StorageKind};
-use dbtf_cluster::{
-    Cluster, ClusterConfig, ExecutionBackend, FaultPlan, LocalBackend, NetTuning, WorkerHost,
-};
+use dbtf::tucker_distributed::{tucker_factorize_distributed_instrumented, MAX_DISTRIBUTED_RANK};
+use dbtf::{factorize_instrumented, BackendKind, DbtfConfig};
 use dbtf_datagen::proxies::{generate_proxy, proxy_specs};
 use dbtf_datagen::{stream_uniform_random, NoiseSpec, PlantedConfig, PlantedTensor};
 use dbtf_telemetry::{write_chrome_trace, Tracer};
-use dbtf_tensor::{io as tio, matrix_io, BoolTensor};
+use dbtf_tensor::{io as tio, matrix_io, BitMatrix};
+
+/// What every command returns: a typed [`ArgError`] for a bad command
+/// line, any other error for a failed run.
+type CliResult = Result<(), Box<dyn std::error::Error>>;
 
 const USAGE: &str =
     "usage: dbtf <factorize|update|tucker|select-rank|generate|stats|serve|export-factors|query> [options]
@@ -105,7 +87,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
+fn run(argv: Vec<String>) -> CliResult {
     let parsed = ParsedArgs::parse(argv)?;
     match parsed.command.first().map(String::as_str) {
         Some("factorize") => cmd_factorize(&parsed),
@@ -134,7 +116,7 @@ commands:
   update       incremental re-sweep after a tensor delta (and optional
                live reload of a running `dbtf serve`)
   worker       networked worker process (spawned by --backend net)
-  tucker       Boolean Tucker factorization (single machine)
+  tucker       Boolean Tucker factorization
   select-rank  MDL sweep over candidate ranks
   generate     synthetic workloads: random | planted | proxy
   stats        shape/density summary of a tensor, unfolding, factor-set
@@ -149,9 +131,8 @@ common options:
                    name writes binary)
   --output PREFIX  where results are written
   --seed N         RNG seed (default 0)
-
-factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
-           [--partitions N] [--v 15] [--output PREFIX]
+  an option a command does not read is an error (exit 2), never ignored
+backend options (factorize, update, tucker, select-rank):
            [--backend cluster|local|net]
                  cluster (default): simulated multi-worker engine with
                  network-model costing and optional fault injection;
@@ -162,10 +143,25 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
                  `worker` subcommand) over TCP — identical factors/errors
                  and byte counters, with shuffle/broadcast bytes measured
                  on the wire and process kills delivered as real SIGKILLs
-           [--net-respawn-budget N]
+           [--workers 16]  logical workers (the paper's 16-machine cluster)
+           [--net-respawn-budget 3]
                  respawns per worker before a net run degrades to a typed
-                 error with a final checkpoint flush (default 3)
-           [--storage ram|mmap]
+                 error with a final checkpoint flush
+  fault injection (deterministic; results stay bit-identical):
+           [--fault-crash S:W,…]          kill worker W at superstep S
+           [--fault-task-failure-rate F]  transient task-launch failures
+           [--fault-slow-rate F]          slow-task (hang) probability
+           [--fault-slow-factor 4]        slowdown multiplier
+           [--fault-kill-rate F]          per-worker-superstep kill rate
+                 (simulated crash on cluster, real SIGKILL on net — same
+                 seeded schedule, so results stay identical)
+           [--fault-drop-rate F]          connection-drop rate (net only)
+           [--fault-delay-rate F]         response-delay rate (net only)
+           [--fault-delay-ms 5]           injected delay in ms
+           [--fault-seed 0]               fault-decision seed
+           [--no-speculation]             disable speculative re-execution
+run options (factorize, update): the backend options, plus
+           [--iters 10] [--partitions N] [--v 15] [--seed 0] [--storage ram|mmap]
                  where a lost partition is rebuilt from. Either way
                  the driver cuts each mode's partitions straight from
                  the in-memory tensor, with no unfolding built. ram
@@ -181,24 +177,12 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
                  where --storage mmap writes its unfolding files
                  (default: the system temp dir); each run uses and
                  removes its own subdirectory
+factorize: --rank R [--sets 1] [run options] [--output PREFIX]
   checkpointing:
            [--checkpoint FILE]    write factors and the error history to
                                   FILE (a DBTFFSET file) every K iterations
            [--checkpoint-every K] (default 1 when --checkpoint is given)
            [--resume]             continue from FILE if it exists
-  fault injection (deterministic; results stay bit-identical):
-           [--fault-crash S:W,…]          kill worker W at superstep S
-           [--fault-task-failure-rate F]  transient task-launch failures
-           [--fault-slow-rate F]          slow-task (hang) probability
-           [--fault-slow-factor M]        slowdown multiplier (default 4)
-           [--fault-kill-rate F]          per-worker-superstep kill rate
-                 (simulated crash on cluster, real SIGKILL on net — same
-                 seeded schedule, so results stay identical)
-           [--fault-drop-rate F]          connection-drop rate (net only)
-           [--fault-delay-rate F]         response-delay rate (net only)
-           [--fault-delay-ms MS]          injected delay (default 5 ms)
-           [--fault-seed N]               fault-decision seed (default 0)
-           [--no-speculation]             disable speculative re-execution
   tracing:
            [--trace-out FILE]  record a span trace (driver phases, operator
                  supersteps, per-task and per-kernel spans on the virtual
@@ -207,15 +191,12 @@ factorize: --rank R [--workers 16] [--iters 10] [--sets 1]
                  `dbtf stats --trace FILE`
 update:    --input X.txt --delta DELTA.txt --factors STORE --output FILE
            [--set-version N]  (default: input store's version + 1)
-           [--workers 16] [--iters 10] [--partitions N] [--v 15]
-           [--backend cluster|local|net] [--storage ram|mmap]
-           [--spill-dir DIR] [--net-respawn-budget N] [--fault-* …]
+           [run options]
                  X.txt is the *pre-delta* tensor; DELTA.txt lists edits
                  (`+ i j k` sets a cell, `- i j k` clears one, `#`
                  comments). STORE (a DBTFFSET store or checkpoint) holds
                  factors fitted to the pre-delta tensor; the rank comes
-                 from it.
-                 Only the factor columns the delta is incident to are
+                 from it. Only the factor columns the delta is incident to are
                  re-swept, over partitions cut from the updated tensor,
                  and the result is proven no worse than the old factors
                  on the updated tensor.
@@ -227,8 +208,11 @@ update:    --input X.txt --delta DELTA.txt --factors STORE --output FILE
 worker:    --connect ADDR --id N [--incarnation N]
                  connect to a --backend net driver and serve tasks; spawned
                  automatically, only useful directly for debugging
-tucker:    --ranks R1,R2,R3 [--iters 10] [--sets 1] [--workers M]\n           [--output PREFIX]   (--workers runs the distributed driver)
-select-rank: --candidates R1,R2,… [--sets 4]
+tucker:    --ranks R1,R2,R3 [--iters 10] [--sets 1] [--seed 0]
+           [backend options but net] [--output PREFIX] [--trace-out FILE]
+                 ranks above 64 run the sequential driver: same factors,
+                 but no backend options
+select-rank: --candidates R1,R2,… [--sets 4] [--seed 0] [backend options]
 stats:     --input X.txt | --trace TRACE.json
                  (--trace validates the trace file and prints a
                  per-superstep/operator time breakdown; tensor stats
@@ -275,113 +259,33 @@ generate proxy:   --name NAME --scale S --output FILE
                   (names: Facebook DBLP CAIDA-DDoS-S CAIDA-DDoS-L NELL-S NELL-L)"
 }
 
-fn load_tensor(parsed: &ParsedArgs) -> Result<BoolTensor, Box<dyn std::error::Error>> {
-    let path = parsed
-        .get_str("input")
-        .ok_or_else(|| ArgError("missing required option --input".into()))?;
-    Ok(tio::read_tensor_file(path)?)
-}
-
-fn save_tensor(
-    tensor: &BoolTensor,
-    parsed: &ParsedArgs,
-) -> Result<String, Box<dyn std::error::Error>> {
-    let path = parsed
-        .get_str("output")
-        .ok_or_else(|| ArgError("missing required option --output".into()))?;
-    if parsed.has_flag("binary") || path.ends_with(".dbtf") {
-        tio::write_tensor_binary_file(tensor, path)?;
-    } else {
-        tio::write_tensor_file(tensor, path)?;
-    }
-    Ok(path.to_string())
-}
-
-fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let x = load_tensor(parsed)?;
-    let workers: usize = parsed.get("workers", 16)?;
+fn cmd_factorize(parsed: &ParsedArgs) -> CliResult {
+    let input: String = parsed.require("input")?;
+    let opts = BackendOptions::parse(parsed)?;
     let checkpoint_path = parsed.get_str("checkpoint").map(str::to_string);
     let config = DbtfConfig {
         rank: parsed.require("rank")?,
-        max_iters: parsed.get("iters", 10)?,
         initial_sets: parsed.get("sets", 1)?,
-        partitions: parsed
-            .get_str("partitions")
-            .map(str::parse)
-            .transpose()
-            .map_err(|_| ArgError("invalid value for --partitions".into()))?,
-        cache_group_limit: parsed.get("v", 15)?,
-        seed: parsed.get("seed", 0)?,
-        checkpoint_every: checkpoint_path
-            .is_some()
-            .then(|| parsed.get("checkpoint-every", 1))
-            .transpose()?,
+        checkpoint_every: parsed
+            .get_opt("checkpoint-every")?
+            .or(checkpoint_path.as_ref().map(|_| 1)),
         checkpoint_path,
         resume: parsed.has_flag("resume"),
-        backend: parsed.get("backend", BackendKind::default())?,
-        storage: resolve_storage(parsed.get_str("storage"))?,
-        spill_dir: parsed.get_str("spill-dir").map(str::to_string),
-        ..DbtfConfig::default()
+        ..opts.dbtf_config(parsed)?
     };
     let trace_out = parsed.get_str("trace-out");
-    let tracer = if trace_out.is_some() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
+    let output = parsed.get_str("output");
+    parsed.reject_unread()?;
+
+    let x = tio::read_tensor_file(&input)?;
+    let backend = opts.boot()?;
+    let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
+    let result = match &backend {
+        Backend::Cluster(b) => factorize_instrumented(b, &x, &config, &tracer)?.0,
+        Backend::Local(b) => factorize_instrumented(b, &x, &config, &tracer)?.0,
+        Backend::Net(b) => factorize_instrumented(b, &x, &config, &tracer)?.0,
     };
-    let fault_plan = parse_fault_plan(parsed)?;
-    let cluster_config = ClusterConfig {
-        workers,
-        fault_plan: fault_plan.clone(),
-        ..ClusterConfig::paper_cluster()
-    };
-    // Factors/errors/byte counters are identical on all three backends;
-    // the local one skips the network model (virtual time is compute-only)
-    // and cannot inject faults; the net one runs workers as separate OS
-    // processes over TCP and measures the Lemma 6/7 bytes on the wire.
-    let (result, recovery, wire) = match config.backend {
-        BackendKind::Cluster => {
-            let cluster = Cluster::try_new(cluster_config)?;
-            let result = factorize_instrumented(&cluster, &x, &config, &tracer)?.0;
-            let recovery = fault_plan.is_some().then(|| cluster.metrics());
-            (result, recovery, None)
-        }
-        BackendKind::Local => {
-            if fault_plan.is_some() {
-                return Err(Box::new(ArgError(
-                    "--fault-* options need --backend cluster or net \
-                     (the local backend injects no faults)"
-                        .into(),
-                )));
-            }
-            let backend = LocalBackend::from_cluster_config(&cluster_config);
-            (
-                factorize_instrumented(&backend, &x, &config, &tracer)?.0,
-                None,
-                None,
-            )
-        }
-        BackendKind::Net => {
-            let tuning = NetTuning {
-                respawn_budget: parsed
-                    .get("net-respawn-budget", NetTuning::default().respawn_budget)?,
-                ..NetTuning::default()
-            };
-            let host = WorkerHost::Process {
-                program: std::env::current_exe()?,
-                args: vec!["worker".into()],
-            };
-            let backend = dbtf::net_tasks::net_backend(cluster_config, host, tuning)?;
-            let result = factorize_instrumented(&backend, &x, &config, &tracer)?.0;
-            let metrics = backend.metrics();
-            let recovery = fault_plan.is_some().then(|| metrics.clone());
-            (result, recovery, Some(metrics))
-        }
-    };
-    if let Some(path) = trace_out {
-        write_trace(&tracer, path)?;
-        println!("wrote {path}");
-    }
+    write_trace(&tracer, trace_out)?;
     println!(
         "factorized {:?} at rank {}: |X ⊕ X̃| = {} ({:.2}% of |X|), {} iterations{}",
         x,
@@ -391,180 +295,89 @@ fn cmd_factorize(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
         result.iterations,
         if result.converged { " (converged)" } else { "" }
     );
-    println!(
-        "{}: {:.3} virtual s on {} workers; shuffled {} B, broadcast {} B, collected {} B",
-        config.backend,
-        result.stats.virtual_secs,
-        workers,
-        result.stats.comm.bytes_shuffled,
-        result.stats.comm.bytes_broadcast,
-        result.stats.comm.bytes_collected
-    );
-    if config.storage == StorageKind::Mmap {
-        println!(
-            "storage: mmap (unfoldings spilled under {})",
-            config.spill_dir.as_deref().unwrap_or("the system temp dir")
-        );
-    }
-    if let Some(m) = &wire {
-        println!(
-            "wire: {} B sent, {} B received (payload, equal to the meters \
-             above), {} B framing overhead, {} B re-shipped, {} reconnects",
-            m.net_wire_bytes_sent,
-            m.net_wire_bytes_received,
-            m.net_wire_overhead_bytes,
-            m.net_wire_reship_bytes,
-            m.net_reconnects,
-        );
-    }
-    if let Some(m) = recovery {
-        println!(
-            "recovery: {} respawns, {} partitions recomputed, {} B re-shipped, \
-             {} task retries, {} speculative ({} won), {:.3} virtual s of {:.3} total",
-            m.worker_respawns,
-            m.partitions_recomputed,
-            m.bytes_reshipped,
-            m.task_retries,
-            m.speculative_tasks,
-            m.speculative_wins,
-            m.recovery_time.as_secs_f64(),
-            m.virtual_time.as_secs_f64(),
-        );
-    }
-    if let Some(prefix) = parsed.get_str("output") {
-        for (name, m) in [
-            ("A", &result.factors.a),
-            ("B", &result.factors.b),
-            ("C", &result.factors.c),
-        ] {
-            let path = format!("{prefix}.{name}.txt");
-            matrix_io::write_matrix_file(m, &path)?;
-            println!("wrote {path}");
-        }
+    backend.report(&result.stats.comm, Some(&config));
+    write_factors(
+        output,
+        [&result.factors.a, &result.factors.b, &result.factors.c],
+    )
+}
+
+/// Writes `A`, `B` and `C` to `PREFIX.{A,B,C}.txt` when `--output` gave a
+/// prefix.
+fn write_factors(prefix: Option<&str>, factors: [&BitMatrix; 3]) -> CliResult {
+    let Some(prefix) = prefix else { return Ok(()) };
+    for (name, m) in ["A", "B", "C"].into_iter().zip(factors) {
+        let path = format!("{prefix}.{name}.txt");
+        matrix_io::write_matrix_file(m, &path)?;
+        println!("wrote {path}");
     }
     Ok(())
-}
-
-/// Parses the `--storage ram|mmap` flag (default `ram`); a malformed value
-/// is an argument error.
-fn resolve_storage(flag: Option<&str>) -> Result<StorageKind, ArgError> {
-    flag.map_or(Ok(StorageKind::default()), |raw| {
-        raw.parse()
-            .map_err(|e| ArgError(format!("invalid value for --storage: {e}")))
-    })
-}
-
-/// Builds a [`FaultPlan`] from the `--fault-*` options, or `None` if no
-/// fault option was given.
-fn parse_fault_plan(parsed: &ParsedArgs) -> Result<Option<FaultPlan>, Box<dyn std::error::Error>> {
-    let crashes: Vec<(u64, usize)> = match parsed.get_str("fault-crash") {
-        Some(spec) => spec
-            .split(',')
-            .map(|pair| {
-                let (step, worker) = pair.split_once(':').ok_or_else(|| {
-                    ArgError(format!(
-                        "--fault-crash entries are SUPERSTEP:WORKER, got {pair:?}"
-                    ))
-                })?;
-                Ok((
-                    step.parse()
-                        .map_err(|_| ArgError(format!("bad superstep in {pair:?}")))?,
-                    worker
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad worker in {pair:?}")))?,
-                ))
-            })
-            .collect::<Result<_, ArgError>>()?,
-        None => Vec::new(),
-    };
-    let plan = FaultPlan {
-        worker_crashes: crashes,
-        task_failure_rate: parsed.get("fault-task-failure-rate", 0.0)?,
-        slow_task_rate: parsed.get("fault-slow-rate", 0.0)?,
-        slow_task_factor: parsed.get("fault-slow-factor", 4.0)?,
-        process_kill_rate: parsed.get("fault-kill-rate", 0.0)?,
-        connection_drop_rate: parsed.get("fault-drop-rate", 0.0)?,
-        response_delay_rate: parsed.get("fault-delay-rate", 0.0)?,
-        response_delay_ms: parsed.get("fault-delay-ms", 5)?,
-        speculation: !parsed.has_flag("no-speculation"),
-        ..FaultPlan::with_seed(parsed.get("fault-seed", 0)?)
-    };
-    Ok(plan.is_active().then_some(plan))
 }
 
 /// `dbtf worker --connect ADDR --id N [--incarnation N]`: the networked
 /// worker process. `--backend net` drivers spawn this subcommand (via
-/// [`WorkerHost::Process`]) once per worker and again on every respawn;
-/// it connects back to the driver, registers the same task bodies the
-/// driver schedules (see `dbtf::net_tasks`), and serves supersteps until
-/// told to exit or killed.
-fn cmd_worker(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
+/// [`dbtf_cluster::WorkerHost::Process`]) once per worker and again on
+/// every respawn; it connects back to the driver, registers the same task
+/// bodies the driver schedules (see `dbtf::net_tasks`), and serves
+/// supersteps until told to exit or killed.
+fn cmd_worker(parsed: &ParsedArgs) -> CliResult {
     let addr: std::net::SocketAddr = parsed.require("connect")?;
     let id: usize = parsed.require("id")?;
     let incarnation: u64 = parsed.get("incarnation", 0)?;
+    parsed.reject_unread()?;
     dbtf_cluster::worker_main(addr, id, incarnation, dbtf::net_tasks::build_registry())?;
     Ok(())
 }
 
-fn cmd_tucker(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let x = load_tensor(parsed)?;
+fn cmd_tucker(parsed: &ParsedArgs) -> CliResult {
+    let input: String = parsed.require("input")?;
     let config = TuckerConfig {
         ranks: parsed.require_triple("ranks")?,
         max_iters: parsed.get("iters", 10)?,
         initial_sets: parsed.get("sets", 1)?,
         seed: parsed.get("seed", 0)?,
-        ..TuckerConfig::default()
     };
-    let trace_out = parsed.get_str("trace-out");
-    let tracer = if trace_out.is_some() {
-        Tracer::enabled()
+    let output = parsed.get_str("output");
+    // Core ranks past the distributed driver's limit run the sequential
+    // reference, the only implementation there, which has no backend.
+    let (opts, trace_out) = if config.ranks.iter().any(|&r| r > MAX_DISTRIBUTED_RANK) {
+        parsed.reject_unread().map_err(|ArgError(msg)| {
+            ArgError(format!(
+                "{msg}: core ranks above {MAX_DISTRIBUTED_RANK} run the sequential \
+                 Tucker, which takes no backend options"
+            ))
+        })?;
+        (None, None)
     } else {
-        Tracer::disabled()
-    };
-    // With --workers, run the distributed driver (identical results);
-    // --backend local runs the same plan without the network model.
-    let result = match parsed.get_str("workers") {
-        Some(w) => {
-            let cluster_config = ClusterConfig {
-                workers: w
-                    .parse()
-                    .map_err(|_| ArgError(format!("invalid --workers {w:?}")))?,
-                ..ClusterConfig::paper_cluster()
-            };
-            match parsed.get("backend", BackendKind::default())? {
-                BackendKind::Cluster => {
-                    let cluster = Cluster::try_new(cluster_config)?;
-                    tucker_factorize_distributed_instrumented(&cluster, &x, &config, &tracer)?.0
-                }
-                BackendKind::Local => {
-                    let backend = LocalBackend::from_cluster_config(&cluster_config);
-                    tucker_factorize_distributed_instrumented(&backend, &x, &config, &tracer)?.0
-                }
-                // Tucker's supersteps are plain closures (its broadcast
-                // tuples have no registered wire codecs), so they cannot
-                // cross a process boundary.
-                BackendKind::Net => {
-                    return Err(Box::new(ArgError(
-                        "tucker supports --backend cluster|local only \
-                         (its tasks are not wire-encodable)"
-                            .into(),
-                    )))
-                }
-            }
+        let opts = BackendOptions::parse(parsed)?;
+        // Tucker's supersteps are plain closures (its broadcast tuples have
+        // no registered wire codecs), so they cannot cross a process boundary.
+        if opts.kind == BackendKind::Net {
+            return Err(Box::new(ArgError(
+                "tucker supports --backend cluster|local only \
+                 (its tasks are not wire-encodable)"
+                    .into(),
+            )));
         }
-        None => {
-            if trace_out.is_some() {
-                return Err(Box::new(ArgError(
-                    "--trace-out needs the distributed driver; add --workers N".into(),
-                )));
-            }
-            tucker_factorize(&x, &config)?
-        }
+        let trace_out = parsed.get_str("trace-out");
+        parsed.reject_unread()?;
+        (Some(opts), trace_out)
     };
-    if let Some(path) = trace_out {
-        write_trace(&tracer, path)?;
-        println!("wrote {path}");
-    }
+
+    let x = tio::read_tensor_file(&input)?;
+    let backend = opts.map(BackendOptions::boot).transpose()?;
+    let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
+    let result = match &backend {
+        None => tucker_factorize(&x, &config)?,
+        Some(Backend::Cluster(b)) => {
+            tucker_factorize_distributed_instrumented(b, &x, &config, &tracer)?.0
+        }
+        Some(Backend::Local(b)) => {
+            tucker_factorize_distributed_instrumented(b, &x, &config, &tracer)?.0
+        }
+        Some(Backend::Net(_)) => unreachable!("refused above"),
+    };
+    write_trace(&tracer, trace_out)?;
     println!(
         "tucker-factorized {:?} with core {:?}: |X ⊕ X̃| = {} ({:.2}% of |X|), \
          {} core entries, {} iterations",
@@ -575,33 +388,38 @@ fn cmd_tucker(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         result.factorization.core.nnz(),
         result.iterations
     );
-    if let Some(prefix) = parsed.get_str("output") {
-        for (name, m) in [
-            ("A", &result.factorization.a),
-            ("B", &result.factorization.b),
-            ("C", &result.factorization.c),
-        ] {
-            let path = format!("{prefix}.{name}.txt");
-            matrix_io::write_matrix_file(m, &path)?;
-            println!("wrote {path}");
-        }
+    if let Some(backend) = &backend {
+        backend.report(&backend.metrics(), None);
+    }
+    let f = &result.factorization;
+    write_factors(output, [&f.a, &f.b, &f.c])?;
+    if let Some(prefix) = output {
         let core_path = format!("{prefix}.core.txt");
-        tio::write_tensor_file(&result.factorization.core, &core_path)?;
+        tio::write_tensor_file(&f.core, &core_path)?;
         println!("wrote {core_path}");
     }
     Ok(())
 }
 
-fn cmd_select_rank(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let x = load_tensor(parsed)?;
-    let candidates = parsed.require_list("candidates")?;
+fn cmd_select_rank(parsed: &ParsedArgs) -> CliResult {
+    let input: String = parsed.require("input")?;
+    let candidates: Vec<usize> = parsed.require_list("candidates", None)?;
+    let opts = BackendOptions::parse(parsed)?;
     let base = DbtfConfig {
         initial_sets: parsed.get("sets", 4)?,
         seed: parsed.get("seed", 0)?,
+        backend: opts.kind,
         ..DbtfConfig::default()
     };
-    let cluster = Cluster::new(ClusterConfig::with_workers(parsed.get("workers", 8)?));
-    let selection = select_rank(&cluster, &x, &candidates, &base)?;
+    parsed.reject_unread()?;
+
+    let x = tio::read_tensor_file(&input)?;
+    let backend = opts.boot()?;
+    let selection = match &backend {
+        Backend::Cluster(b) => select_rank(b, &x, &candidates, &base)?,
+        Backend::Local(b) => select_rank(b, &x, &candidates, &base)?,
+        Backend::Net(b) => select_rank(b, &x, &candidates, &base)?,
+    };
     println!("{:>6} {:>12} {:>16}", "rank", "error", "DL (bits)");
     for c in &selection.candidates {
         let marker = if c.rank == selection.best_rank {
@@ -614,12 +432,21 @@ fn cmd_select_rank(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>
             c.rank, c.error, c.description_length
         );
     }
+    backend.report(&backend.metrics(), None);
     Ok(())
 }
 
-fn cmd_generate(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_generate(parsed: &ParsedArgs) -> CliResult {
+    let kind = parsed.command.get(1).map(String::as_str);
+    if !matches!(kind, Some("random" | "planted" | "proxy")) {
+        return Err(Box::new(ArgError(format!(
+            "generate needs a kind (random|planted|proxy), got {kind:?}"
+        ))));
+    }
     let seed: u64 = parsed.get("seed", 0)?;
-    let tensor = match parsed.command.get(1).map(String::as_str) {
+    let path: String = parsed.require("output")?;
+    let binary = parsed.has_flag("binary") || path.ends_with(".dbtf");
+    let tensor = match kind {
         Some("random") => {
             // Streamed straight to the output file: the entries go from the
             // gap sampler into the writer one at a time, so generating a
@@ -628,11 +455,8 @@ fn cmd_generate(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             // writer both use strictly increasing lexicographic order).
             let dims = parsed.require_triple("dims")?;
             let density: f64 = parsed.require("density")?;
-            let path = parsed
-                .get_str("output")
-                .ok_or_else(|| ArgError("missing required option --output".into()))?;
-            let binary = parsed.has_flag("binary") || path.ends_with(".dbtf");
-            let mut writer = tio::StreamingTensorWriter::create(path, dims, binary)?;
+            parsed.reject_unread()?;
+            let mut writer = tio::StreamingTensorWriter::create(&path, dims, binary)?;
             let mut io_err: Option<std::io::Error> = None;
             stream_uniform_random(dims, density, seed, |e| {
                 if io_err.is_none() {
@@ -652,7 +476,7 @@ fn cmd_generate(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             return Ok(());
         }
         Some("planted") => {
-            let planted = PlantedTensor::generate(PlantedConfig {
+            let config = PlantedConfig {
                 dims: parsed.require_triple("dims")?,
                 rank: parsed.require("rank")?,
                 factor_density: parsed.require("factor-density")?,
@@ -661,11 +485,13 @@ fn cmd_generate(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
                     destructive: parsed.get("destructive", 0.0)?,
                 },
                 seed,
-            });
-            planted.tensor
+            };
+            parsed.reject_unread()?;
+            PlantedTensor::generate(config).tensor
         }
-        Some("proxy") => {
+        _ => {
             let name: String = parsed.require("name")?;
+            let scale = parsed.get("scale", 0.01)?;
             let spec = proxy_specs()
                 .into_iter()
                 .find(|s| s.name.eq_ignore_ascii_case(&name))
@@ -679,42 +505,27 @@ fn cmd_generate(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
                             .join(" ")
                     ))
                 })?;
-            generate_proxy(&spec, parsed.get("scale", 0.01)?, seed)
-        }
-        other => {
-            return Err(Box::new(ArgError(format!(
-                "generate needs a kind (random|planted|proxy), got {other:?}"
-            ))))
+            parsed.reject_unread()?;
+            generate_proxy(&spec, scale, seed)
         }
     };
-    let path = save_tensor(&tensor, parsed)?;
+    if binary {
+        tio::write_tensor_binary_file(&tensor, &path)?;
+    } else {
+        tio::write_tensor_file(&tensor, &path)?;
+    }
     println!("wrote {tensor:?} to {path}");
     Ok(())
 }
 
-/// Serializes the tracer's finished log as Chrome trace-event JSON.
-fn write_trace(tracer: &Tracer, path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let log = tracer.finish();
-    let mut buf = Vec::new();
-    write_chrome_trace(&log, &mut buf)?;
-    std::fs::write(path, buf)?;
+/// Writes the tracer's finished log to `--trace-out`, if given, as Chrome
+/// trace-event JSON.
+fn write_trace(tracer: &Tracer, trace_out: Option<&str>) -> CliResult {
+    if let Some(path) = trace_out {
+        let mut buf = Vec::new();
+        write_chrome_trace(&tracer.finish(), &mut buf)?;
+        std::fs::write(path, buf)?;
+        println!("wrote {path}");
+    }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn storage_flag_parses_and_defaults_to_ram() {
-        assert_eq!(resolve_storage(Some("mmap")).unwrap(), StorageKind::Mmap);
-        assert_eq!(resolve_storage(Some("ram")).unwrap(), StorageKind::Ram);
-        assert_eq!(resolve_storage(None).unwrap(), StorageKind::Ram);
-    }
-
-    #[test]
-    fn malformed_storage_flag_errors() {
-        let err = resolve_storage(Some("floppy")).unwrap_err();
-        assert!(err.0.contains("--storage"), "{err}");
-    }
 }

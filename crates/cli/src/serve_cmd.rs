@@ -2,24 +2,17 @@
 //! and `dbtf query` (including the oracle-backed `--oracle-check` sweep
 //! the CI smoke script runs against a live server).
 
+use std::net::SocketAddr;
 use std::path::Path;
 use std::time::Duration;
 
-use crate::args::{ArgError, ParsedArgs};
+use crate::args::{split_list, ArgError, ParsedArgs};
+use crate::CliResult;
 use dbtf_oracle::{cp_reconstruct, serving_point, serving_slice, serving_topk};
 use dbtf_serve::{
     FactorStore, QueryMix, Request, SeededQueries, ServeClient, ServeLimits, Server, ServerConfig,
     SourceKind,
 };
-
-type CliResult = Result<(), Box<dyn std::error::Error>>;
-
-fn source_arg(parsed: &ParsedArgs) -> Result<SourceKind, ArgError> {
-    match parsed.get_str("source") {
-        None => Ok(SourceKind::Ram),
-        Some(raw) => raw.parse().map_err(|e: String| ArgError(e)),
-    }
-}
 
 /// `dbtf serve --store FILE [--addr HOST:PORT] [--source ram|mmap]
 /// [--max-line-bytes N] [--max-batch N]`
@@ -29,7 +22,7 @@ fn source_arg(parsed: &ParsedArgs) -> Result<SourceKind, ArgError> {
 /// sends `shutdown`.
 pub fn cmd_serve(parsed: &ParsedArgs) -> CliResult {
     let store_path: String = parsed.require("store")?;
-    let store = FactorStore::open(Path::new(&store_path), source_arg(parsed)?)?;
+    let source = parsed.get("source", SourceKind::Ram)?;
     let defaults = ServeLimits::default();
     let config = ServerConfig {
         addr: parsed.get("addr", "127.0.0.1:7450".to_string())?,
@@ -38,6 +31,12 @@ pub fn cmd_serve(parsed: &ParsedArgs) -> CliResult {
             max_batch: parsed.get("max-batch", defaults.max_batch)?,
         },
     };
+    // The server keeps no fiber cache, but the benchmark's serving
+    // workloads (the ledger's `serve-hot` and `update-reload`) still pass
+    // `--cache-fibers N`: read the value and ignore it.
+    let _: Option<usize> = parsed.get_opt("cache-fibers")?;
+    parsed.reject_unread()?;
+    let store = FactorStore::open(Path::new(&store_path), source)?;
     let [i, j, k] = store.dims();
     println!(
         "serving factor set v{} ({i} × {j} × {k}, rank {}, {} source)",
@@ -63,8 +62,10 @@ pub fn cmd_serve(parsed: &ParsedArgs) -> CliResult {
 pub fn cmd_export_factors(parsed: &ParsedArgs) -> CliResult {
     let ck_path: String = parsed.require("checkpoint")?;
     let out_path: String = parsed.require("output")?;
+    let set_version: Option<u64> = parsed.get_opt("set-version")?;
+    parsed.reject_unread()?;
     let ck = FactorStore::open(Path::new(&ck_path), SourceKind::Ram)?;
-    let set_version = parsed.get("set-version", ck.set_version())?;
+    let set_version = set_version.unwrap_or(ck.set_version());
     FactorStore::write_store(Path::new(&out_path), set_version, &ck.to_factor_set())?;
     let [i, j, k] = ck.dims();
     println!(
@@ -83,18 +84,31 @@ pub fn cmd_export_factors(parsed: &ParsedArgs) -> CliResult {
 /// cell-by-cell reconstruction of the factors in the factor-set file
 /// `FACTORS` — the CI smoke test's agreement gate.
 pub fn cmd_query(parsed: &ParsedArgs) -> CliResult {
-    let addr: String = parsed.require("connect")?;
-    let mut client = ServeClient::connect(
-        addr.parse()
-            .map_err(|e| ArgError(format!("invalid --connect address {addr:?}: {e}")))?,
-    )?;
-    if let Some(cells) = parsed.get_str("point") {
-        let [i, j, k] = parse_triple("point", cells)?;
-        println!("{}", client.point(i, j, k)?);
-    } else if let Some(spec) = parsed.get_str("slice") {
+    let addr: SocketAddr = parsed.require("connect")?;
+    let [point, slice, topk, oracle] =
+        ["point", "slice", "topk", "oracle-check"].map(|name| parsed.get_str(name));
+    let [ping, info, stats, shutdown] =
+        ["ping", "info", "stats", "shutdown-server"].map(|name| parsed.has_flag(name));
+    let seed = parsed.get("seed", 0u64)?;
+    let count = parsed.get("count", 500usize)?;
+    let given = [point, slice, topk, oracle].iter().flatten().count()
+        + [ping, info, stats, shutdown].iter().filter(|&&f| f).count();
+    if given != 1 {
+        return Err(Box::new(ArgError(
+            "query needs exactly one of --point/--slice/--topk/--ping/--info/--stats/\
+             --shutdown-server/--oracle-check"
+                .into(),
+        )));
+    }
+    parsed.reject_unread()?;
+    let mut client = ServeClient::connect(addr)?;
+    if let Some(cells) = point {
+        let cell: Vec<usize> = split_list("point", cells, ',', Some(3))?;
+        println!("{}", client.point(cell[0], cell[1], cell[2])?);
+    } else if let Some(spec) = slice {
         let (mode, rest) = split_mode("slice", spec)?;
-        let [lo, hi] = parse_pair("slice", rest)?;
-        let ones = client.slice(mode, lo, hi)?;
+        let fixed: Vec<usize> = split_list("slice", rest, ',', Some(2))?;
+        let ones = client.slice(mode, fixed[0], fixed[1])?;
         println!(
             "{}",
             ones.iter()
@@ -102,37 +116,30 @@ pub fn cmd_query(parsed: &ParsedArgs) -> CliResult {
                 .collect::<Vec<_>>()
                 .join(" ")
         );
-    } else if let Some(spec) = parsed.get_str("topk") {
-        let parts = parse_colon_list("topk", spec, 3)?;
-        for (col, weight) in client.topk(parts[0], parts[1], parts[2])? {
+    } else if let Some(spec) = topk {
+        let (mode, rest) = split_mode("topk", spec)?;
+        let entity_k: Vec<usize> = split_list("topk", rest, ':', Some(2))?;
+        for (col, weight) in client.topk(mode, entity_k[0], entity_k[1])? {
             println!("{col} {weight}");
         }
-    } else if parsed.has_flag("ping") {
+    } else if ping {
         client.ping()?;
         println!("pong");
-    } else if parsed.has_flag("info") {
+    } else if info {
         let info = client.info()?;
         println!(
             "factor set v{} {} × {} × {} rank {} ({})",
             info.set_version, info.dims[0], info.dims[1], info.dims[2], info.rank, info.source
         );
-    } else if parsed.has_flag("stats") {
+    } else if stats {
         for (name, value) in client.stats()? {
             println!("{name} {value}");
         }
-    } else if parsed.has_flag("shutdown-server") {
+    } else if shutdown {
         client.shutdown()?;
         println!("server draining");
-    } else if let Some(factors_path) = parsed.get_str("oracle-check") {
-        let seed = parsed.get("seed", 0u64)?;
-        let count = parsed.get("count", 500usize)?;
+    } else if let Some(factors_path) = oracle {
         oracle_check(&mut client, Path::new(factors_path), seed, count)?;
-    } else {
-        return Err(Box::new(ArgError(
-            "query needs one of --point/--slice/--topk/--ping/--info/--stats/\
-             --shutdown-server/--oracle-check"
-                .into(),
-        )));
     }
     Ok(())
 }
@@ -207,34 +214,6 @@ fn disagree(
     format!("oracle disagreement at query {n} ({what}): served {got:?}, oracle {want:?}").into()
 }
 
-fn parse_triple(name: &str, raw: &str) -> Result<[usize; 3], ArgError> {
-    let parts: Vec<usize> = raw
-        .split(',')
-        .map(|p| p.trim().parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| ArgError(format!("invalid --{name} {raw:?} (want i,j,k)")))?;
-    if parts.len() != 3 {
-        return Err(ArgError(format!(
-            "--{name} needs three indices, got {raw:?}"
-        )));
-    }
-    Ok([parts[0], parts[1], parts[2]])
-}
-
-fn parse_pair(name: &str, raw: &str) -> Result<[usize; 2], ArgError> {
-    let parts: Vec<usize> = raw
-        .split(',')
-        .map(|p| p.trim().parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| ArgError(format!("invalid --{name} fixed indices {raw:?}")))?;
-    if parts.len() != 2 {
-        return Err(ArgError(format!(
-            "--{name} needs two fixed indices, got {raw:?}"
-        )));
-    }
-    Ok([parts[0], parts[1]])
-}
-
 /// Splits a `MODE:...` spec, validating the 1-based mode.
 fn split_mode<'a>(name: &str, raw: &'a str) -> Result<(usize, &'a str), ArgError> {
     let (mode, rest) = raw
@@ -247,21 +226,4 @@ fn split_mode<'a>(name: &str, raw: &'a str) -> Result<(usize, &'a str), ArgError
         return Err(ArgError(format!("--{name} mode must be 1, 2, or 3")));
     }
     Ok((mode, rest))
-}
-
-fn parse_colon_list(name: &str, raw: &str, want: usize) -> Result<Vec<usize>, ArgError> {
-    let parts: Vec<usize> = raw
-        .split(':')
-        .map(|p| p.trim().parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| ArgError(format!("invalid --{name} spec {raw:?}")))?;
-    if parts.len() != want {
-        return Err(ArgError(format!(
-            "--{name} wants {want} colon-separated values, got {raw:?}"
-        )));
-    }
-    if !(1..=3).contains(&parts[0]) {
-        return Err(ArgError(format!("--{name} mode must be 1, 2, or 3")));
-    }
-    Ok(parts)
 }

@@ -6,17 +6,19 @@
 use std::path::Path;
 
 use crate::args::{ArgError, ParsedArgs};
+use crate::CliResult;
 use dbtf::checkpoint::{is_factor_set_file, FactorSetFile};
 use dbtf_telemetry::validate_chrome_trace;
 use dbtf_tensor::{columnar, io as tio, MmapUnfolding};
 
-pub fn cmd_stats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = parsed.get_str("trace") {
+pub fn cmd_stats(parsed: &ParsedArgs) -> CliResult {
+    let trace = parsed.get_str("trace");
+    let input = parsed.get_str("input");
+    parsed.reject_unread()?;
+    if let Some(path) = trace {
         return trace_stats(path);
     }
-    let path = parsed
-        .get_str("input")
-        .ok_or_else(|| ArgError("missing required option --input".into()))?;
+    let path = input.ok_or_else(|| ArgError("missing required option --input".into()))?;
     if is_unfolding_file(path) {
         return unfolding_stats(path);
     }
@@ -73,7 +75,7 @@ pub fn cmd_stats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
 
 /// `dbtf stats` on a `DBTFFSET` factor-set file: shape, rank and set
 /// version, plus a checkpoint's iteration, error and trajectory.
-fn factor_set_stats(path: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn factor_set_stats(path: &str) -> CliResult {
     let file = FactorSetFile::open(Path::new(path), false)?;
     let [i, j, k] = file.dims();
     println!("factor store (DBTFFSET v{})", file.format_version());
@@ -111,7 +113,7 @@ fn is_unfolding_file(path: &str) -> bool {
 /// from the 4 KiB header page and the row index — the column data is
 /// mapped but never faulted in, so this is O(header + index) I/O no matter
 /// how large the unfolding is.
-fn unfolding_stats(path: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn unfolding_stats(path: &str) -> CliResult {
     let store = MmapUnfolding::open(Path::new(path))?;
     let h = store.header();
     let [i, j, k] = h.dims;
@@ -153,7 +155,7 @@ fn unfolding_stats(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `dbtf stats --trace FILE`: validates the trace-event JSON and prints a
 /// per-superstep/operator breakdown of virtual time.
-fn trace_stats(path: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn trace_stats(path: &str) -> CliResult {
     let text = std::fs::read_to_string(path)?;
     let summary =
         validate_chrome_trace(&text).map_err(|e| format!("invalid trace {path:?}: {e}"))?;

@@ -3,20 +3,20 @@
 //! generation on disk, and (optionally) a live hot-swap of a running
 //! `dbtf serve` via the `reload` protocol request.
 
+use std::net::SocketAddr;
 use std::path::Path;
 
-use crate::args::{ArgError, ParsedArgs};
-use crate::{parse_fault_plan, resolve_storage};
-use dbtf::{update_factors, BackendKind, DbtfConfig, StorageKind};
-use dbtf_cluster::{Cluster, ClusterConfig, ExecutionBackend, LocalBackend, NetTuning, WorkerHost};
+use crate::args::ParsedArgs;
+use crate::backend::{Backend, BackendOptions};
+use crate::CliResult;
+use dbtf::{update_factors, DbtfConfig};
 use dbtf_serve::{FactorStore, ServeClient, SourceKind};
-use dbtf_tensor::TensorDelta;
+use dbtf_tensor::{io as tio, TensorDelta};
 
 /// `dbtf update --input X.txt --delta DELTA.txt --factors STORE
-/// --output FILE [--set-version N] [--workers 16] [--iters 10]
-/// [--partitions N] [--v 15] [--backend cluster|local|net]
-/// [--storage ram|mmap] [--spill-dir DIR] [--net-respawn-budget N]
-/// [--fault-* …] [--reload ADDR [--reload-source ram|mmap]]`
+/// --output FILE [--set-version N] [run options]
+/// [--reload ADDR [--reload-source ram|mmap]]`, the run options being
+/// those of `dbtf factorize` (see [`BackendOptions`]).
 ///
 /// `--input` is the *pre-delta* tensor; `--delta` lists the edits
 /// (`+ i j k` to set, `- i j k` to clear, `#` comments). `--factors`
@@ -31,80 +31,36 @@ use dbtf_tensor::TensorDelta;
 /// the new store. The server opens the path itself, so it is sent
 /// absolute: a relative `--output` names a file in *this* process's
 /// working directory, not the server's.
-pub fn cmd_update(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let x = crate::load_tensor(parsed)?;
+pub fn cmd_update(parsed: &ParsedArgs) -> CliResult {
+    let input: String = parsed.require("input")?;
     let delta_path: String = parsed.require("delta")?;
+    let factors_path: String = parsed.require("factors")?;
+    let out_path: String = parsed.require("output")?;
+    let set_version: Option<u64> = parsed.get_opt("set-version")?;
+    let opts = BackendOptions::parse(parsed)?;
+    let base = opts.dbtf_config(parsed)?;
+    let reload: Option<SocketAddr> = parsed.get_opt("reload")?;
+    let reload_source: Option<SourceKind> = parsed.get_opt("reload-source")?;
+    parsed.reject_unread()?;
+
+    let x = tio::read_tensor_file(&input)?;
     let delta_text = std::fs::read_to_string(&delta_path)
         .map_err(|e| format!("cannot read --delta {delta_path}: {e}"))?;
     let delta = TensorDelta::parse(&delta_text, x.dims())
         .map_err(|e| format!("invalid delta file {delta_path}: {e}"))?;
-    let factors_path: String = parsed.require("factors")?;
     let store = FactorStore::open(Path::new(&factors_path), SourceKind::Ram)?;
     let factors = store.to_factor_set();
-    let out_path: String = parsed.require("output")?;
-    let set_version = parsed.get("set-version", store.set_version() + 1)?;
-
-    let workers: usize = parsed.get("workers", 16)?;
+    let set_version = set_version.unwrap_or(store.set_version() + 1);
     let config = DbtfConfig {
         rank: factors.rank(),
-        max_iters: parsed.get("iters", 10)?,
-        partitions: parsed
-            .get_str("partitions")
-            .map(str::parse)
-            .transpose()
-            .map_err(|_| ArgError("invalid value for --partitions".into()))?,
-        cache_group_limit: parsed.get("v", 15)?,
-        seed: parsed.get("seed", 0)?,
-        backend: parsed.get("backend", BackendKind::default())?,
-        storage: resolve_storage(parsed.get_str("storage"))?,
-        spill_dir: parsed.get_str("spill-dir").map(str::to_string),
-        ..DbtfConfig::default()
+        ..base
     };
-    let fault_plan = parse_fault_plan(parsed)?;
-    let cluster_config = ClusterConfig {
-        workers,
-        fault_plan: fault_plan.clone(),
-        ..ClusterConfig::paper_cluster()
-    };
-    // The same backend triad as `dbtf factorize` — results are
-    // bit-identical on all three (and for both storage kinds).
-    let result = match config.backend {
-        BackendKind::Cluster => {
-            let cluster = Cluster::try_new(cluster_config)?;
-            update_factors(&cluster, &x, &delta, &factors, &config)?
-        }
-        BackendKind::Local => {
-            if fault_plan.is_some() {
-                return Err(Box::new(ArgError(
-                    "--fault-* options need --backend cluster or net \
-                     (the local backend injects no faults)"
-                        .into(),
-                )));
-            }
-            let backend = LocalBackend::from_cluster_config(&cluster_config);
-            update_factors(&backend, &x, &delta, &factors, &config)?
-        }
-        BackendKind::Net => {
-            let tuning = NetTuning {
-                respawn_budget: parsed
-                    .get("net-respawn-budget", NetTuning::default().respawn_budget)?,
-                ..NetTuning::default()
-            };
-            let host = WorkerHost::Process {
-                program: std::env::current_exe()?,
-                args: vec!["worker".into()],
-            };
-            let backend = dbtf::net_tasks::net_backend(cluster_config, host, tuning)?;
-            let result = update_factors(&backend, &x, &delta, &factors, &config)?;
-            let m = backend.metrics();
-            if m.worker_respawns > 0 {
-                println!(
-                    "recovery: {} respawns, {} partitions recomputed, {} B re-shipped",
-                    m.worker_respawns, m.partitions_recomputed, m.bytes_reshipped
-                );
-            }
-            result
-        }
+    // Bit-identical on all three backends and both storage kinds.
+    let backend = opts.boot()?;
+    let result = match &backend {
+        Backend::Cluster(b) => update_factors(b, &x, &delta, &factors, &config)?,
+        Backend::Local(b) => update_factors(b, &x, &delta, &factors, &config)?,
+        Backend::Net(b) => update_factors(b, &x, &delta, &factors, &config)?,
     };
 
     let sets = delta.cells().iter().filter(|c| c.set).count();
@@ -124,32 +80,19 @@ pub fn cmd_update(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>>
         result.iterations,
         if result.converged { " (converged)" } else { "" }
     );
-    if config.storage == StorageKind::Mmap {
-        println!(
-            "storage: mmap (unfoldings spilled under {})",
-            config.spill_dir.as_deref().unwrap_or("the system temp dir")
-        );
-    }
+    backend.report(&result.stats.comm, Some(&config));
     FactorStore::write_store(Path::new(&out_path), set_version, &result.factors)?;
     println!("wrote factor set v{set_version} to {out_path}");
 
-    if let Some(addr) = parsed.get_str("reload") {
-        let mut client = ServeClient::connect(
-            addr.parse()
-                .map_err(|e| ArgError(format!("invalid --reload address {addr:?}: {e}")))?,
-        )?;
-        let source = parsed.get_str("reload-source");
-        if let Some(raw) = source {
-            // Validate locally so a typo fails before the server round-trip.
-            raw.parse::<SourceKind>()
-                .map_err(|e| ArgError(format!("invalid --reload-source: {e}")))?;
-        }
+    if let Some(addr) = reload {
+        let mut client = ServeClient::connect(addr)?;
         let store_path = std::fs::canonicalize(&out_path)
             .map_err(|e| format!("cannot resolve --output {out_path}: {e}"))?;
         let store_path = store_path
             .to_str()
             .ok_or_else(|| format!("--output {out_path} resolves to a non-UTF-8 path"))?;
-        let (version, generation) = client.reload(store_path, source)?;
+        let source = reload_source.map(|s| s.to_string());
+        let (version, generation) = client.reload(store_path, source.as_deref())?;
         println!("reloaded {addr}: serving v{version} (generation {generation})");
     }
     Ok(())

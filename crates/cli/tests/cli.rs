@@ -139,41 +139,78 @@ fn tucker_and_select_rank() {
     ])
     .status
     .success());
-
-    let prefix = dir.join("t");
-    let out = dbtf(&[
-        "tucker",
-        "--input",
-        x.to_str().unwrap(),
-        "--ranks",
-        "2,2,2",
-        "--sets",
-        "4",
-        "--output",
-        prefix.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let (x, d) = (x.to_str().unwrap(), dir.to_str().unwrap());
+    let run = |args: &[&str]| {
+        let out = dbtf(&[args, &["--input", x]].concat());
+        let (stdout, stderr) = (&out.stdout, &out.stderr);
+        let text = String::from_utf8_lossy(&[&stdout[..], stderr].concat()).to_string();
+        (out.status.code(), text)
+    };
+    let files = |name: &str| -> Vec<Vec<u8>> {
+        let file = |m| std::fs::read(dir.join(format!("{name}.{m}.txt"))).unwrap();
+        ["A", "B", "C", "core"].map(file).to_vec()
+    };
+    // Ranks up to 64 take the distributed driver, whatever the backend
+    // options say, and write the same files; a crash is recovered and
+    // reported.
+    let tucker = ["tucker", "--ranks", "2,2,2", "--sets", "4", "--output"];
+    assert_eq!(
+        run(&[&tucker[..], &[&format!("{d}/t")]].concat()).0,
+        Some(0)
     );
-    assert!(dir.join("t.core.txt").exists());
-
-    let out = dbtf(&[
-        "select-rank",
-        "--input",
-        x.to_str().unwrap(),
-        "--candidates",
-        "1,2,3",
-        "--workers",
-        "2",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    for (name, extra) in [
+        ("w4", &["--workers", "4"][..]),
+        ("local4", &["--backend", "local", "--workers", "4"]),
+        ("crash", &["--workers", "2", "--fault-crash", "1:0"]),
+    ] {
+        let (code, text) = run(&[&tucker[..], &[&format!("{d}/{name}")], extra].concat());
+        assert_eq!(code, Some(0), "{name}: {text}");
+        assert_eq!(files(name), files("t"), "{name}");
+        let crashed = text.contains("recovery: 1 respawns");
+        assert_eq!(crashed, name == "crash", "{name}: {text}");
+    }
+    // Above rank 64 only the sequential driver runs, and it refuses the
+    // backend options.
+    assert_eq!(
+        run(&["tucker", "--ranks", "65,2,2", "--iters", "2"]).0,
+        Some(0)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("← best"));
+    let (code, text) = run(&["tucker", "--ranks", "65,2,2", "--workers", "4"]);
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("--workers"), "{text}");
+
+    for backend in ["cluster", "local"] {
+        let select = ["select-rank", "--candidates", "1,2,3", "--workers", "2"];
+        let (code, text) = run(&[&select[..], &["--backend", backend]].concat());
+        assert_eq!(code, Some(0), "{text}");
+        assert!(text.contains("← best"), "{text}");
+        assert!(text.contains(&format!("{backend}: ")), "{text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--workers 0` is a runtime error on every driver command and backend:
+/// exit 1 and one line, never a panic.
+#[test]
+fn zero_workers_is_a_clean_error() {
+    let dir = tempdir("zero");
+    let x = dir.join("x.txt");
+    std::fs::write(&x, "# dims 2 2 2\n0 0 0\n1 1 1\n").unwrap();
+    let x = x.to_str().unwrap();
+    for backend in ["cluster", "local", "net"] {
+        let common = ["--input", x, "--backend", backend, "--workers", "0"];
+        for command in [
+            &["factorize", "--rank", "1"][..],
+            &["select-rank", "--candidates", "1"],
+            &["tucker", "--ranks", "1,1,1"],
+        ] {
+            // Tucker refuses the net backend before it boots one.
+            if backend != "net" || command[0] != "tucker" {
+                let args = [command, &common].concat();
+                assert_clean_runtime_error(&dbtf(&args), &format!("{args:?}"));
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -213,6 +250,24 @@ fn usage_and_runtime_errors_use_distinct_exit_codes() {
         !stderr.contains("usage:"),
         "runtime errors must not print the usage banner: {stderr}"
     );
+
+    // An option the command does not read, or a malformed value, is a
+    // bad invocation naming the option, refused before any input is read.
+    for extra in [
+        ["--iter", "3"],
+        ["--storage", "floppy"],
+        ["--backend", "cloud"],
+    ] {
+        let args = [
+            &["factorize", "--input", "/nonexistent/x", "--rank", "3"][..],
+            &extra,
+        ]
+        .concat();
+        let out = dbtf(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(extra[0]), "{args:?}: {stderr}");
+    }
 }
 
 /// A crafted input fails like any other bad input: exit 1 and a one-line
@@ -451,20 +506,25 @@ fn trace_out_roundtrips_through_stats() {
     let out = dbtf(&["stats", "--trace", x.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid trace"));
-    let _ = std::fs::remove_dir_all(&dir);
-}
 
-#[test]
-fn tucker_trace_out_needs_workers() {
+    // Tucker traces with its default flags, on the distributed driver.
+    let (x, trace) = (x.to_str().unwrap(), dir.join("tucker.json"));
+    let trace = trace.to_str().unwrap();
     let out = dbtf(&[
         "tucker",
         "--input",
-        "/dev/null",
+        x,
         "--ranks",
         "2,2,2",
         "--trace-out",
-        "/dev/null",
+        trace,
     ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--workers"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = dbtf(&["stats", "--trace", trace]);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("complete events"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -198,11 +198,61 @@ fn stats_refuses_future_checkpoint_version_with_clear_message() {
     words[1] = 3;
     let path = dir.join("future.ckpt");
     write_sealed(&path, words);
-    let out = dbtf(&["stats", "--input", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("format v3 is newer than this build"), "{err}");
-    assert!(err.contains("max v2"), "{err}");
+    // `update` reads a tensor, a delta and a factor set: the message names
+    // the one that is too new.
+    let (delta, next) = (dir.join("delta.txt"), dir.join("next.dbtfs"));
+    std::fs::write(&delta, "+ 0 0 0\n").unwrap();
+    let [x, delta, path, next] =
+        [dir.join("x.txt"), delta, path, next].map(|p| p.to_str().unwrap().to_string());
+    let update = [
+        "update",
+        "--input",
+        &x,
+        "--delta",
+        &delta,
+        "--factors",
+        &path,
+    ];
+    for args in [
+        &["stats", "--input", &path][..],
+        &[&update[..], &["--output", &next]].concat(),
+    ] {
+        let out = dbtf(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with(&format!("dbtf: {path}: ")), "{err}");
+        assert!(err.contains("format v3 is newer than this build"), "{err}");
+        assert!(err.contains("max v2"), "{err}");
+    }
+    assert!(!Path::new(&next).exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `dbtf update` reports its run like `dbtf factorize`, with a
+/// `recovery:` line when a fault plan is set, and recovers to the store
+/// the fault-free run writes.
+#[test]
+fn update_reports_and_recovers_a_crash() {
+    let dir = tempdir("updcrash");
+    let ck = make_checkpoint(&dir);
+    std::fs::write(dir.join("delta.txt"), "+ 0 0 0\n- 1 2 3\n").unwrap();
+    let [x, delta] = ["x.txt", "delta.txt"].map(|f| dir.join(f).to_str().unwrap().to_string());
+    let update = |name: &str, extra: &[&str]| {
+        let out = dir.join(name).to_str().unwrap().to_string();
+        let args = ["update", "--input", &x, "--delta", &delta, "--factors", &ck];
+        let text = stdout(&dbtf(
+            &[&args[..], &["--output", &out, "--workers", "2"], extra].concat(),
+        ));
+        (text, std::fs::read(&out).unwrap())
+    };
+    let (clean, store) = update("clean.dbtfs", &[]);
+    assert!(
+        clean.contains("cluster: ") && !clean.contains("recovery:"),
+        "{clean}"
+    );
+    let (crash, recovered) = update("crash.dbtfs", &["--fault-crash", "1:0"]);
+    assert!(crash.contains("recovery: 1 respawns"), "{crash}");
+    assert_eq!(recovered, store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,5 +1,6 @@
 //! Cluster and network configuration.
 
+use crate::engine::ClusterError;
 use crate::fault::FaultPlan;
 
 /// A simple latency + bandwidth network cost model.
@@ -103,6 +104,27 @@ impl ClusterConfig {
     /// Ops/second of one core; every worker's cores run at this rate.
     pub fn core_throughput(&self) -> f64 {
         self.core_throughput_ops_per_sec
+    }
+
+    /// Checks the configuration every backend boots from: a
+    /// [`ClusterError::InvalidConfig`] for zero workers or zero cores per
+    /// worker, and a panic if the fault plan fails [`FaultPlan::validate`]
+    /// (a malformed *test* plan is a programming error).
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        if self.workers == 0 {
+            return Err(ClusterError::InvalidConfig(
+                "a cluster needs at least one worker".to_string(),
+            ));
+        }
+        if self.cores_per_worker == 0 {
+            return Err(ClusterError::InvalidConfig(
+                "workers need at least one core".to_string(),
+            ));
+        }
+        if let Some(plan) = &self.fault_plan {
+            plan.validate(self.workers);
+        }
+        Ok(())
     }
 }
 

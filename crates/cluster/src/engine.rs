@@ -148,12 +148,7 @@ impl Cluster {
     /// [`FaultPlan::validate`]. Use [`Cluster::try_new`] to get a typed
     /// [`ClusterError`] instead.
     pub fn new(config: ClusterConfig) -> Self {
-        match Cluster::try_new(config) {
-            Ok(cluster) => cluster,
-            // Keep the historical bare panic messages for invalid configs.
-            Err(ClusterError::InvalidConfig(msg)) => panic!("{msg}"),
-            Err(err) => panic!("{err}"),
-        }
+        Cluster::try_new(config).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Boots a cluster with the given configuration, surfacing invalid
@@ -166,19 +161,7 @@ impl Cluster {
     /// malformed *test* plan is a programming error, not a runtime
     /// condition).
     pub fn try_new(config: ClusterConfig) -> Result<Self, ClusterError> {
-        if config.workers == 0 {
-            return Err(ClusterError::InvalidConfig(
-                "a cluster needs at least one worker".to_string(),
-            ));
-        }
-        if config.cores_per_worker == 0 {
-            return Err(ClusterError::InvalidConfig(
-                "workers need at least one core".to_string(),
-            ));
-        }
-        if let Some(plan) = &config.fault_plan {
-            plan.validate(config.workers);
-        }
+        config.validate()?;
         let mut senders = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
         for worker_id in 0..config.workers {

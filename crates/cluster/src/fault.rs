@@ -65,9 +65,6 @@ pub struct FaultPlan {
     /// Maximum launch attempts per task (≥ 1). If every attempt fails the
     /// task surfaces as a clean per-partition error, like a task panic.
     pub max_task_attempts: u32,
-    /// Base retry backoff in virtual seconds; attempt `k` waits
-    /// `base × 2^k`, so `r` retries cost `base × (2^r − 1)` total.
-    pub retry_backoff_secs: f64,
     /// Probability in `[0, 1]` that a task is slowed (simulated hang).
     pub slow_task_rate: f64,
     /// Virtual-duration multiplier for slowed tasks (≥ 1).
@@ -102,7 +99,6 @@ impl Default for FaultPlan {
             worker_crashes: Vec::new(),
             task_failure_rate: 0.0,
             max_task_attempts: 5,
-            retry_backoff_secs: 0.05,
             slow_task_rate: 0.0,
             slow_task_factor: 4.0,
             speculation: true,
@@ -114,6 +110,10 @@ impl Default for FaultPlan {
         }
     }
 }
+
+/// Base retry backoff in virtual seconds; attempt `k` waits
+/// `base × 2^k`, so `r` retries cost `base × (2^r − 1)` total.
+const RETRY_BACKOFF_SECS: f64 = 0.05;
 
 /// SplitMix64 — a tiny, high-quality mixer; the standard choice for
 /// turning structured integers into uniform bits.
@@ -215,7 +215,7 @@ impl FaultPlan {
         if retries == 0 {
             0.0
         } else {
-            self.retry_backoff_secs * ((1u64 << retries.min(63)) - 1) as f64
+            RETRY_BACKOFF_SECS * ((1u64 << retries.min(63)) - 1) as f64
         }
     }
 
@@ -264,10 +264,6 @@ impl FaultPlan {
         assert!(
             self.max_task_attempts >= 1,
             "max_task_attempts must be at least 1"
-        );
-        assert!(
-            self.retry_backoff_secs >= 0.0 && self.retry_backoff_secs.is_finite(),
-            "retry_backoff_secs must be finite and non-negative"
         );
         assert!(
             self.slow_task_factor >= 1.0,
@@ -357,14 +353,11 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential() {
-        let plan = FaultPlan {
-            retry_backoff_secs: 0.1,
-            ..FaultPlan::default()
-        };
+        let plan = FaultPlan::default();
         assert_eq!(plan.backoff_secs(0), 0.0);
-        assert!((plan.backoff_secs(1) - 0.1).abs() < 1e-12);
-        assert!((plan.backoff_secs(2) - 0.3).abs() < 1e-12);
-        assert!((plan.backoff_secs(3) - 0.7).abs() < 1e-12);
+        assert!((plan.backoff_secs(1) - 0.05).abs() < 1e-12);
+        assert!((plan.backoff_secs(2) - 0.15).abs() < 1e-12);
+        assert!((plan.backoff_secs(3) - 0.35).abs() < 1e-12);
     }
 
     #[test]

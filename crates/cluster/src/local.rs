@@ -64,16 +64,11 @@ impl LocalBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers == 0` or `config.cores_per_worker == 0`.
+    /// Panics if `config` fails [`ClusterConfig::validate`].
     pub fn from_cluster_config(config: &ClusterConfig) -> Self {
-        assert!(
-            config.workers > 0,
-            "a backend needs at least one logical worker"
-        );
-        assert!(
-            config.cores_per_worker > 0,
-            "workers need at least one core"
-        );
+        if let Err(err) = config.validate() {
+            panic!("{err}");
+        }
         LocalBackend {
             inner: Arc::new(LocalInner {
                 config: ClusterConfig {

@@ -171,23 +171,10 @@ impl NetBackend {
         host: WorkerHost,
         tuning: NetTuning,
     ) -> Result<NetBackend, ClusterError> {
-        if config.workers == 0 {
-            return Err(ClusterError::InvalidConfig(
-                "a cluster needs at least one worker".to_string(),
-            ));
-        }
-        if config.cores_per_worker == 0 {
-            return Err(ClusterError::InvalidConfig(
-                "workers need at least one core".to_string(),
-            ));
-        }
-        if let Some(plan) = &config.fault_plan {
-            plan.validate(config.workers);
-        }
+        config.validate()?;
         let metrics = Arc::new(CommMetrics::new(config.workers));
-        let supervisor =
-            Supervisor::start(config.workers, host, tuning.clone(), Arc::clone(&metrics))
-                .map_err(|e| ClusterError::Net(e.to_string()))?;
+        let supervisor = Supervisor::start(config.workers, host, Arc::clone(&metrics))
+            .map_err(|e| ClusterError::Net(e.to_string()))?;
         let fault = config.fault_plan.clone().map(Arc::new);
         Ok(NetBackend {
             shared: Arc::new(NetShared {

@@ -49,20 +49,21 @@ pub enum WorkerHost {
     Thread(Arc<NetRegistry>),
 }
 
-/// Timeouts and retry limits of the networked backend.
+/// Budget for a (re)connecting worker's `Hello` to arrive.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Budget for one request's reply (generous: covers task compute).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
+/// Period of the supervisor's liveness probes.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
+/// Budget for a `Pong` before a heartbeat counts as missed.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Delivery attempts per request (timeouts + reconnects) before the
+/// worker is declared dead and respawned.
+const MAX_REQUEST_RETRIES: u64 = 3;
+
+/// The one tunable of the networked backend.
 #[derive(Debug, Clone)]
 pub struct NetTuning {
-    /// Budget for a (re)connecting worker's `Hello` to arrive.
-    pub connect_timeout: Duration,
-    /// Budget for one request's reply (generous: covers task compute).
-    pub request_timeout: Duration,
-    /// Period of the supervisor's liveness probes; zero disables them.
-    pub heartbeat_interval: Duration,
-    /// Budget for a `Pong` before a heartbeat counts as missed.
-    pub heartbeat_timeout: Duration,
-    /// Delivery attempts per request (timeouts + reconnects) before the
-    /// worker is declared dead and respawned.
-    pub max_request_retries: u32,
     /// Respawns per worker before the run degrades to a typed error
     /// (enforced by the backend, carried here for configuration).
     pub respawn_budget: u32,
@@ -70,14 +71,7 @@ pub struct NetTuning {
 
 impl Default for NetTuning {
     fn default() -> Self {
-        NetTuning {
-            connect_timeout: Duration::from_secs(10),
-            request_timeout: Duration::from_secs(60),
-            heartbeat_interval: Duration::from_millis(500),
-            heartbeat_timeout: Duration::from_secs(2),
-            max_request_retries: 3,
-            respawn_budget: 3,
-        }
+        NetTuning { respawn_budget: 3 }
     }
 }
 
@@ -136,7 +130,6 @@ struct PendingConns {
 pub(crate) struct Supervisor {
     addr: SocketAddr,
     host: WorkerHost,
-    tuning: NetTuning,
     slots: Arc<Vec<Mutex<WorkerSlot>>>,
     /// Per-worker "superstep in flight" flags; heartbeats skip busy
     /// workers so a long compute is never mistaken for a dead one.
@@ -154,7 +147,6 @@ impl Supervisor {
     pub(crate) fn start(
         workers: usize,
         host: WorkerHost,
-        tuning: NetTuning,
         metrics: Arc<CommMetrics>,
     ) -> io::Result<Supervisor> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
@@ -174,7 +166,6 @@ impl Supervisor {
         let mut sup = Supervisor {
             addr,
             host,
-            tuning,
             slots: Arc::new(
                 (0..workers)
                     .map(|_| Mutex::new(WorkerSlot::default()))
@@ -198,18 +189,15 @@ impl Supervisor {
             sup.reacquire(&mut slot, w)
                 .map_err(|e| io::Error::other(format!("worker {w} failed to connect: {e:?}")))?;
         }
-        if !sup.tuning.heartbeat_interval.is_zero() {
-            let slots = Arc::clone(&sup.slots);
-            let busy = Arc::clone(&sup.busy);
-            let metrics = Arc::clone(&sup.metrics);
-            let shutdown = Arc::clone(&sup.hb_shutdown);
-            let tuning = sup.tuning.clone();
-            sup.heartbeat = Some(
-                std::thread::Builder::new()
-                    .name("dbtf-net-heartbeat".into())
-                    .spawn(move || heartbeat_loop(&slots, &busy, &metrics, &shutdown, &tuning))?,
-            );
-        }
+        let slots = Arc::clone(&sup.slots);
+        let busy = Arc::clone(&sup.busy);
+        let metrics = Arc::clone(&sup.metrics);
+        let shutdown = Arc::clone(&sup.hb_shutdown);
+        sup.heartbeat = Some(
+            std::thread::Builder::new()
+                .name("dbtf-net-heartbeat".into())
+                .spawn(move || heartbeat_loop(&slots, &busy, &metrics, &shutdown))?,
+        );
         Ok(sup)
     }
 
@@ -288,7 +276,7 @@ impl Supervisor {
                 self.deliver(&mut slot, w, build, &mut inflight)?;
             }
             let stream = slot.stream.as_mut().expect("stream ensured above");
-            match read_matching(stream, inflight.req, self.tuning.request_timeout) {
+            match read_matching(stream, inflight.req, REQUEST_TIMEOUT) {
                 Ok((reply, n)) => {
                     received += n;
                     return Ok(Exchange {
@@ -327,7 +315,7 @@ impl Supervisor {
         inflight: &mut InFlight,
     ) -> Result<(), RequestError> {
         loop {
-            if inflight.delivery > self.tuning.max_request_retries as u64 {
+            if inflight.delivery > MAX_REQUEST_RETRIES {
                 // Alive but unresponsive past every retry: put it out of
                 // its misery so the caller's respawn starts clean.
                 self.kill_locked(slot);
@@ -449,7 +437,7 @@ impl Supervisor {
     /// its `Hello` with a `HelloAck`, and installs the stream.
     fn reacquire(&self, slot: &mut WorkerSlot, w: usize) -> Result<(), RequestError> {
         let incarnation = slot.incarnation;
-        let deadline = Instant::now() + self.tuning.connect_timeout;
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
         let mut map = lock(&self.pending.map);
         loop {
             if let Some(mut conn) = map.remove(&(w, incarnation)) {
@@ -579,20 +567,15 @@ fn heartbeat_loop(
     busy: &[AtomicBool],
     metrics: &CommMetrics,
     shutdown: &AtomicBool,
-    tuning: &NetTuning,
 ) {
     let mut last_beat = Instant::now();
     loop {
         // Parked until the next beat is due; `Supervisor::drop` unparks it.
-        std::thread::park_timeout(
-            tuning
-                .heartbeat_interval
-                .saturating_sub(last_beat.elapsed()),
-        );
+        std::thread::park_timeout(HEARTBEAT_INTERVAL.saturating_sub(last_beat.elapsed()));
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        if last_beat.elapsed() < tuning.heartbeat_interval {
+        if last_beat.elapsed() < HEARTBEAT_INTERVAL {
             continue;
         }
         last_beat = Instant::now();
@@ -616,7 +599,7 @@ fn heartbeat_loop(
             let ok = match write_frame(stream, &Frame::Ping { req }) {
                 Ok(n) => {
                     traffic += n;
-                    match read_matching(stream, req, tuning.heartbeat_timeout) {
+                    match read_matching(stream, req, HEARTBEAT_TIMEOUT) {
                         Ok((Frame::Pong { .. }, n)) => {
                             traffic += n;
                             true

@@ -57,10 +57,7 @@ fn config(workers: usize, plan: Option<FaultPlan>) -> ClusterConfig {
 fn net_backend(workers: usize, plan: Option<FaultPlan>) -> NetBackend {
     // The simulated cluster respawns crashed workers without limit, so the
     // parity tests raise the budget; the exhaustion test uses the default.
-    let tuning = NetTuning {
-        respawn_budget: 64,
-        ..NetTuning::default()
-    };
+    let tuning = NetTuning { respawn_budget: 64 };
     NetBackend::new(
         config(workers, plan),
         registry(),

@@ -88,6 +88,8 @@ pub enum FactorSetError {
     Format(String),
     /// The file is from a newer format version.
     Version {
+        /// The file.
+        path: String,
         /// The version found in the file header.
         found: u64,
     },
@@ -101,10 +103,10 @@ impl std::fmt::Display for FactorSetError {
         match self {
             FactorSetError::Io(msg) => write!(f, "factor store I/O error: {msg}"),
             FactorSetError::Format(msg) => write!(f, "malformed factor store: {msg}"),
-            FactorSetError::Version { found } => write!(
+            FactorSetError::Version { path, found } => write!(
                 f,
-                "factor store format v{found} is newer than this build supports \
-                 (max v{FACTOR_SET_VERSION}); re-export it with a matching build"
+                "{path}: factor store format v{found} is newer than this build \
+                 supports (max v{FACTOR_SET_VERSION}); re-export it with a matching build"
             ),
             FactorSetError::TextCheckpoint(path) => write!(
                 f,
@@ -244,6 +246,7 @@ impl FactorSetFile {
         let format_version = header[1];
         if format_version > FACTOR_SET_VERSION {
             return Err(FactorSetError::Version {
+                path: path.display().to_string(),
                 found: format_version,
             });
         }
@@ -635,7 +638,7 @@ mod tests {
         std::fs::write(&path, to_bytes(&words)).unwrap();
         assert!(matches!(
             FactorSetFile::open(&path, false),
-            Err(FactorSetError::Version { found: 3 })
+            Err(FactorSetError::Version { path: p, found: 3 }) if p == path.display().to_string()
         ));
         let err = Checkpoint::read(&path).unwrap_err();
         let DbtfError::Checkpoint(msg) = &err else {

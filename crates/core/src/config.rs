@@ -18,25 +18,11 @@ pub enum DbtfError {
     /// the variant stores a `String` because this enum is `Clone + Eq` and
     /// the underlying `std::io::Error` is neither.
     Engine(String),
-    /// An out-of-core unfolding file does not start with the `DBTFUNFD`
-    /// magic — it is not a columnar unfolding at all.
-    StorageBadMagic(String),
-    /// An out-of-core unfolding file ends before a declared section (header,
-    /// row index, or column data) — a partial write or external truncation.
-    StorageTruncated(String),
-    /// A checksum over an out-of-core unfolding section did not match the
-    /// stored digest: the bytes on disk were corrupted after the write.
-    StorageChecksum(String),
-    /// An out-of-core unfolding file was written by an unsupported format
-    /// version.
-    StorageVersionSkew(String),
-    /// Reading or writing spilled unfolding files failed at the OS level
-    /// (permissions, disk full, missing spill directory).
-    StorageIo(String),
-    /// A spilled unfolding is structurally inconsistent (geometry or row
-    /// index do not describe a valid unfolding) or the ingest stream was
-    /// malformed.
-    StorageInvalid(String),
+    /// Writing, reading or re-opening a spilled `DBTFUNFD` unfolding failed:
+    /// bad magic, truncation, a checksum mismatch, an unsupported format
+    /// version, an OS-level I/O failure, or an inconsistent file. Carries
+    /// the rendered [`dbtf_tensor::StoreError`], which names the file.
+    Storage(String),
 }
 
 impl std::fmt::Display for DbtfError {
@@ -46,12 +32,7 @@ impl std::fmt::Display for DbtfError {
             DbtfError::EmptyTensor => write!(f, "input tensor has a zero-sized mode"),
             DbtfError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             DbtfError::Engine(msg) => write!(f, "engine error: {msg}"),
-            DbtfError::StorageBadMagic(msg) => write!(f, "storage error: {msg}"),
-            DbtfError::StorageTruncated(msg) => write!(f, "storage error: {msg}"),
-            DbtfError::StorageChecksum(msg) => write!(f, "storage error: {msg}"),
-            DbtfError::StorageVersionSkew(msg) => write!(f, "storage error: {msg}"),
-            DbtfError::StorageIo(msg) => write!(f, "storage error: {msg}"),
-            DbtfError::StorageInvalid(msg) => write!(f, "storage error: {msg}"),
+            DbtfError::Storage(msg) => write!(f, "storage error: {msg}"),
         }
     }
 }
@@ -66,25 +47,7 @@ impl From<dbtf_cluster::ClusterError> for DbtfError {
 
 impl From<dbtf_tensor::StoreError> for DbtfError {
     fn from(err: dbtf_tensor::StoreError) -> Self {
-        use dbtf_tensor::StoreError;
-        let msg = err.to_string();
-        match err {
-            StoreError::BadMagic { .. } => DbtfError::StorageBadMagic(msg),
-            StoreError::Truncated { .. } => DbtfError::StorageTruncated(msg),
-            StoreError::ChecksumMismatch { .. } => DbtfError::StorageChecksum(msg),
-            StoreError::VersionSkew { .. } => DbtfError::StorageVersionSkew(msg),
-            StoreError::Io { .. } => DbtfError::StorageIo(msg),
-            StoreError::Invalid { .. } => DbtfError::StorageInvalid(msg),
-        }
-    }
-}
-
-impl From<dbtf_tensor::stream::IngestError> for DbtfError {
-    fn from(err: dbtf_tensor::stream::IngestError) -> Self {
-        match err {
-            dbtf_tensor::stream::IngestError::Store(e) => e.into(),
-            dbtf_tensor::stream::IngestError::Parse(e) => DbtfError::StorageInvalid(e.to_string()),
-        }
+        DbtfError::Storage(err.to_string())
     }
 }
 
@@ -473,49 +436,36 @@ mod tests {
     }
 
     #[test]
-    fn store_errors_map_to_distinct_variants() {
+    fn store_errors_render_as_storage_errors() {
         use dbtf_tensor::StoreError;
         let path = String::from("u.dbtfu");
-        type Check = fn(&DbtfError) -> bool;
-        let cases: [(StoreError, Check); 5] = [
-            (StoreError::BadMagic { path: path.clone() }, |e| {
-                matches!(e, DbtfError::StorageBadMagic(_))
-            }),
-            (
-                StoreError::Truncated {
-                    path: path.clone(),
-                    section: "row index",
-                },
-                |e| matches!(e, DbtfError::StorageTruncated(_)),
-            ),
-            (
-                StoreError::ChecksumMismatch {
-                    path: path.clone(),
-                    section: "header",
-                },
-                |e| matches!(e, DbtfError::StorageChecksum(_)),
-            ),
-            (
-                StoreError::VersionSkew {
-                    path: path.clone(),
-                    found: 9,
-                    supported: 1,
-                },
-                |e| matches!(e, DbtfError::StorageVersionSkew(_)),
-            ),
-            (
-                StoreError::Invalid {
-                    path,
-                    detail: "row index not monotone".into(),
-                },
-                |e| matches!(e, DbtfError::StorageInvalid(_)),
-            ),
+        let cases = [
+            StoreError::BadMagic { path: path.clone() },
+            StoreError::Truncated {
+                path: path.clone(),
+                section: "row index",
+            },
+            StoreError::ChecksumMismatch {
+                path: path.clone(),
+                section: "header",
+            },
+            StoreError::VersionSkew {
+                path: path.clone(),
+                found: 9,
+                supported: 1,
+            },
+            StoreError::Invalid {
+                path,
+                detail: "row index not monotone".into(),
+            },
         ];
-        for (err, is_expected) in cases {
+        for err in cases {
             let rendered = err.to_string();
-            let converted = DbtfError::from(err);
-            assert!(is_expected(&converted), "wrong variant for {converted:?}");
-            assert_eq!(converted.to_string(), format!("storage error: {rendered}"));
+            assert_eq!(DbtfError::from(err), DbtfError::Storage(rendered.clone()));
+            assert_eq!(
+                DbtfError::Storage(rendered.clone()).to_string(),
+                format!("storage error: {rendered}")
+            );
         }
     }
 

@@ -56,7 +56,7 @@ impl RunStores {
     ///
     /// # Errors
     ///
-    /// [`DbtfError::StorageIo`] if the directory cannot be created.
+    /// [`DbtfError::Storage`] if the directory cannot be created.
     pub(crate) fn create(spill_dir: Option<&str>) -> Result<RunStores, DbtfError> {
         let base = spill_dir
             .map(PathBuf::from)
@@ -67,7 +67,7 @@ impl RunStores {
             RUN_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).map_err(|e| {
-            DbtfError::StorageIo(format!("create spill directory {}: {e}", dir.display()))
+            DbtfError::Storage(format!("create spill directory {}: {e}", dir.display()))
         })?;
         Ok(RunStores {
             guard: Arc::new(SpillGuard { dir }),
@@ -246,6 +246,6 @@ mod tests {
     #[test]
     fn unwritable_spill_dir_is_a_storage_io_error() {
         let err = RunStores::create(Some("/proc/definitely/not/writable")).unwrap_err();
-        assert!(matches!(err, DbtfError::StorageIo(_)), "{err:?}");
+        assert!(matches!(err, DbtfError::Storage(_)), "{err:?}");
     }
 }

@@ -40,6 +40,10 @@ use std::collections::HashMap;
 
 use crate::config::DbtfError;
 
+/// A Tucker run stops when an iteration changes the error by at most
+/// this fraction of `|X|`.
+pub(crate) const CONVERGENCE_THRESHOLD: f64 = 1e-4;
+
 /// Configuration of a Boolean Tucker run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuckerConfig {
@@ -47,8 +51,6 @@ pub struct TuckerConfig {
     pub ranks: [usize; 3],
     /// Maximum ALS iterations.
     pub max_iters: usize,
-    /// Stop when the error change is at most `threshold × |X|`.
-    pub convergence_threshold: f64,
     /// Number of random initial sets; the best after one iteration is kept.
     pub initial_sets: usize,
     /// RNG seed.
@@ -60,7 +62,6 @@ impl Default for TuckerConfig {
         TuckerConfig {
             ranks: [4, 4, 4],
             max_iters: 10,
-            convergence_threshold: 1e-4,
             initial_sets: 1,
             seed: 0,
         }
@@ -180,7 +181,7 @@ pub fn tucker_factorize(x: &BoolTensor, config: &TuckerConfig) -> Result<TuckerR
     let (mut factorization, mut error) = best.expect("initial_sets ≥ 1");
     let mut iteration_errors = vec![error];
     let mut converged = error == 0;
-    let threshold = config.convergence_threshold * x.nnz().max(1) as f64;
+    let threshold = CONVERGENCE_THRESHOLD * x.nnz().max(1) as f64;
     for t in 2..=config.max_iters {
         if converged {
             break;

@@ -42,6 +42,7 @@ use crate::partition::ModePartition;
 use crate::sweep::{column_sweep, SweepLabels};
 use crate::tucker::{
     init_set, revive_dead_components, TuckerConfig, TuckerFactorization, TuckerResult,
+    CONVERGENCE_THRESHOLD,
 };
 use crate::update::PartitionSlot;
 
@@ -170,12 +171,16 @@ impl TuckerWorkState {
     }
 }
 
+/// The largest core rank the distributed driver takes: its masks are
+/// single machine words.
+pub const MAX_DISTRIBUTED_RANK: usize = 64;
+
 /// Distributed Boolean Tucker factorization (see the module docs).
 ///
 /// Produces bit-for-bit the same factorization as
 /// [`crate::tucker::tucker_factorize`] for the same configuration, for any
-/// backend, worker count, or partition count. All core ranks must be ≤ 64
-/// (masks are single machine words).
+/// backend, worker count, or partition count. All core ranks must be at
+/// most [`MAX_DISTRIBUTED_RANK`].
 pub fn tucker_factorize_distributed<B: ExecutionBackend>(
     backend: &B,
     x: &BoolTensor,
@@ -205,10 +210,10 @@ pub fn tucker_factorize_distributed_instrumented<B: ExecutionBackend>(
     tracer: &Tracer,
 ) -> Result<(TuckerResult, PlanTrace), DbtfError> {
     config.validate()?;
-    if config.ranks.iter().any(|&r| r > 64) {
-        return Err(DbtfError::InvalidConfig(
-            "distributed Tucker supports core ranks up to 64".into(),
-        ));
+    if config.ranks.iter().any(|&r| r > MAX_DISTRIBUTED_RANK) {
+        return Err(DbtfError::InvalidConfig(format!(
+            "distributed Tucker supports core ranks up to {MAX_DISTRIBUTED_RANK}"
+        )));
     }
     let dims = x.dims();
     if dims.contains(&0) {
@@ -272,7 +277,7 @@ fn run<B: ExecutionBackend>(
     let (mut factorization, mut error) = best.expect("initial_sets ≥ 1");
     let mut iteration_errors = vec![error];
     let mut converged = error == 0;
-    let threshold = config.convergence_threshold * x.nnz().max(1) as f64;
+    let threshold = CONVERGENCE_THRESHOLD * x.nnz().max(1) as f64;
     for t in 2..=config.max_iters {
         if converged {
             break;

@@ -212,7 +212,6 @@ fn distributed_tucker_matches_sequential() {
             max_iters: 3,
             initial_sets: 2,
             seed: 13,
-            ..TuckerConfig::default()
         };
         let sequential = tucker_factorize(&x, &config).unwrap();
         for workers in [1usize, 3] {

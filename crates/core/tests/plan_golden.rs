@@ -70,7 +70,6 @@ fn tucker_trace_fingerprints_invariant() {
         max_iters: 2,
         initial_sets: 1,
         seed: 5,
-        ..TuckerConfig::default()
     };
     let x = tensor();
     let run = |backend: &dyn Fn(&Tracer)| {

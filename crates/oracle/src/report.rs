@@ -6,6 +6,7 @@
 //! serializes to a small hand-written JSON document for CI artifacts.
 
 use crate::runner::PointReport;
+use dbtf_telemetry::push_json_string;
 
 /// Aggregated outcome of a verification sweep.
 #[derive(Clone, Debug, Default)]
@@ -72,7 +73,7 @@ impl SweepReport {
     }
 
     /// Renders the report as a JSON document (hand-written for this flat
-    /// shape; strings pass through [`json_escape`]).
+    /// shape; strings pass through [`push_json_string`]).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"points\": {},\n", self.points.len()));
@@ -86,15 +87,11 @@ impl SweepReport {
         out.push_str("  \"results\": [\n");
         for (i, p) in self.points.iter().enumerate() {
             let sep = if i + 1 == self.points.len() { "" } else { "," };
-            let violations: Vec<String> = p
-                .violations
-                .iter()
-                .map(|m| format!("\"{}\"", json_escape(m)))
-                .collect();
+            let violations: Vec<String> = p.violations.iter().map(|m| json_string(m)).collect();
             out.push_str(&format!(
-                "    {{\"seed\": {}, \"point\": \"{}\", \"passed\": {}, \"violations\": [{}]}}{sep}\n",
+                "    {{\"seed\": {}, \"point\": {}, \"passed\": {}, \"violations\": [{}]}}{sep}\n",
                 p.point.seed,
-                json_escape(&p.point.describe()),
+                json_string(&p.point.describe()),
                 p.passed(),
                 violations.join(", "),
             ));
@@ -104,19 +101,10 @@ impl SweepReport {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(s, &mut out);
     out
 }
 
@@ -147,7 +135,7 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}\r"), "\"\\u0001\\r\"");
     }
 }

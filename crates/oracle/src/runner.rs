@@ -521,7 +521,6 @@ fn check_tucker(v: &mut Vec<String>, point: &SamplePoint, x: &BoolTensor) {
         max_iters: 2,
         initial_sets: 1,
         seed: point.seed ^ 0x7CC,
-        ..TuckerConfig::default()
     };
     let cluster = Cluster::new(ClusterConfig {
         workers: point.workers,

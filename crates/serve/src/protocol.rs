@@ -28,6 +28,7 @@
 //! `{"ok":false,"code":...,"error":...}`, and hard limits
 //! ([`ServeLimits`]) fail fast before any large allocation.
 
+pub use dbtf_telemetry::push_json_string;
 use dbtf_telemetry::JsonValue;
 
 use crate::engine::QueryError;
@@ -340,23 +341,6 @@ fn parse_request(value: &JsonValue) -> (Option<u64>, Result<Request, RequestErro
         }
     })();
     (id, request)
-}
-
-/// Appends `s` as a JSON string literal (quotes included).
-pub fn push_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn open_reply(id: Option<u64>, ok: bool) -> String {

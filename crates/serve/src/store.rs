@@ -366,7 +366,14 @@ mod tests {
         write_sealed(&path, words);
         for source in [SourceKind::Ram, SourceKind::Mmap] {
             let err = FactorStore::open(&path, source).unwrap_err();
-            assert!(matches!(err, ServeError::Version { found: 3 }), "{err}");
+            assert!(
+                matches!(&err, ServeError::Version { path: p, found: 3 }
+                    if *p == path.display().to_string()),
+                "{err}"
+            );
+            assert!(err
+                .to_string()
+                .starts_with(&format!("{}: ", path.display())));
             assert!(err.to_string().contains("newer than this build"), "{err}");
         }
 

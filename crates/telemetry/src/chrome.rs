@@ -20,7 +20,9 @@
 use crate::span::{SpanKind, TraceLog};
 use std::io::{self, Write};
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal, quotes included, with
+/// quotes, backslashes and control characters escaped.
+pub fn push_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -106,9 +108,9 @@ pub fn write_chrome_trace(log: &TraceLog, w: &mut impl Write) -> io::Result<()> 
 
         line.clear();
         line.push_str("  {\"name\": ");
-        escape_json(span.name, &mut line);
+        push_json_string(span.name, &mut line);
         line.push_str(", \"cat\": ");
-        escape_json(&span.kind.to_string(), &mut line);
+        push_json_string(&span.kind.to_string(), &mut line);
         line.push_str(&format!(
             ", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": {pid}, \"tid\": {tid}",
             fmt_f64(us(span.virtual_start)),
@@ -121,7 +123,7 @@ pub fn write_chrome_trace(log: &TraceLog, w: &mut impl Write) -> io::Result<()> 
                 line.push_str(", ");
             }
             first_arg = false;
-            escape_json(key, line);
+            push_json_string(key, line);
             line.push_str(": ");
             line.push_str(&val);
         };
@@ -151,7 +153,7 @@ pub fn write_chrome_trace(log: &TraceLog, w: &mut impl Write) -> io::Result<()> 
     for (name, value) in &log.counters {
         line.clear();
         line.push_str("  {\"name\": ");
-        escape_json(name, &mut line);
+        push_json_string(name, &mut line);
         line.push_str(&format!(
             ", \"ph\": \"C\", \"ts\": {}, \"pid\": 0, \"tid\": 0, \"args\": {{\"value\": {}}}}}",
             fmt_f64(trace_end * 1e6),

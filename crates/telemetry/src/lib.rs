@@ -12,6 +12,8 @@ mod chrome;
 mod counters;
 mod span;
 
-pub use chrome::{validate_chrome_trace, write_chrome_trace, JsonValue, TraceSummary};
+pub use chrome::{
+    push_json_string, validate_chrome_trace, write_chrome_trace, JsonValue, TraceSummary,
+};
 pub use counters::CounterRegistry;
 pub use span::{BreakdownRow, KernelEvent, SpanId, SpanKind, SpanRecord, TraceLog, Tracer};

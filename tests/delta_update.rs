@@ -70,10 +70,7 @@ fn net_backend(plan: Option<FaultPlan>, respawn_budget: u32) -> NetBackend {
     net_tasks::net_backend(
         cluster_config(plan),
         WorkerHost::Thread(net_tasks::build_registry()),
-        NetTuning {
-            respawn_budget,
-            ..NetTuning::default()
-        },
+        NetTuning { respawn_budget },
     )
     .expect("net backend binds and spawns")
 }

@@ -62,10 +62,7 @@ fn net_backend(workers: usize, plan: Option<FaultPlan>, respawn_budget: u32) -> 
     net_tasks::net_backend(
         cluster_config(workers, plan),
         WorkerHost::Thread(net_tasks::build_registry()),
-        NetTuning {
-            respawn_budget,
-            ..NetTuning::default()
-        },
+        NetTuning { respawn_budget },
     )
     .expect("net backend binds and spawns")
 }

@@ -98,10 +98,7 @@ fn net_backend(plan: Option<FaultPlan>) -> NetBackend {
             ..ClusterConfig::default()
         },
         WorkerHost::Thread(net_tasks::build_registry()),
-        NetTuning {
-            respawn_budget: 64,
-            ..NetTuning::default()
-        },
+        NetTuning { respawn_budget: 64 },
     )
     .expect("net backend binds and spawns")
 }

@@ -248,7 +248,6 @@ fn tucker_config() -> TuckerConfig {
         max_iters: 3,
         initial_sets: 1,
         seed: 5,
-        ..TuckerConfig::default()
     }
 }
 
@@ -260,7 +259,6 @@ fn tucker_matches_golden_and_backends_agree() {
         max_iters: 3,
         initial_sets: 1,
         seed: 5,
-        ..TuckerConfig::default()
     };
 
     let cluster = Cluster::new(ClusterConfig {
@@ -330,7 +328,6 @@ fn tucker_trace_invariant_across_faults() {
         max_iters: 3,
         initial_sets: 1,
         seed: 5,
-        ..TuckerConfig::default()
     };
     let run = |plan: Option<FaultPlan>| {
         let expect_respawns = plan.as_ref().is_some_and(|p| !p.worker_crashes.is_empty());
