@@ -11,8 +11,8 @@ use dbtf_cluster::{
 use crate::args::{split_list, ArgError, ParsedArgs};
 
 /// The backend options of a driver command: `--backend`, `--workers`
-/// (default 16, the paper's cluster), the `--fault-*` plan and
-/// `--net-respawn-budget`.
+/// (default 16, the paper's cluster), the `--fault-*` plan and, on
+/// `--backend net` only, `--net-respawn-budget`.
 pub struct BackendOptions {
     /// The backend `--backend` names.
     pub kind: BackendKind,
@@ -30,10 +30,13 @@ pub enum Backend {
 
 impl BackendOptions {
     /// Reads the backend options. A fault plan on the local backend is an
-    /// argument error.
+    /// argument error. The options only the net backend acts on are read
+    /// on `--backend net` alone, so any other backend refuses them as
+    /// unread.
     pub fn parse(parsed: &ParsedArgs) -> Result<BackendOptions, ArgError> {
         let kind = parsed.get("backend", BackendKind::default())?;
-        let fault_plan = parse_fault_plan(parsed)?;
+        let net = kind == BackendKind::Net;
+        let fault_plan = parse_fault_plan(parsed, net)?;
         if kind == BackendKind::Local && fault_plan.is_some() {
             return Err(ArgError(
                 "--fault-* options need --backend cluster or net \
@@ -48,9 +51,13 @@ impl BackendOptions {
                 fault_plan,
                 ..ClusterConfig::paper_cluster()
             },
-            tuning: NetTuning {
-                respawn_budget: parsed
-                    .get("net-respawn-budget", NetTuning::default().respawn_budget)?,
+            tuning: if net {
+                NetTuning {
+                    respawn_budget: parsed
+                        .get("net-respawn-budget", NetTuning::default().respawn_budget)?,
+                }
+            } else {
+                NetTuning::default()
             },
         })
     }
@@ -153,8 +160,9 @@ impl Backend {
 }
 
 /// Builds a [`FaultPlan`] from the `--fault-*` options, or `None` if no
-/// fault option was given.
-fn parse_fault_plan(parsed: &ParsedArgs) -> Result<Option<FaultPlan>, ArgError> {
+/// fault option was given. The wire faults (`--fault-drop-rate`,
+/// `--fault-delay-rate`, `--fault-delay-ms`) are read only when `net`.
+fn parse_fault_plan(parsed: &ParsedArgs, net: bool) -> Result<Option<FaultPlan>, ArgError> {
     let worker_crashes = match parsed.get_str("fault-crash") {
         Some(spec) => spec
             .split(',')
@@ -165,17 +173,19 @@ fn parse_fault_plan(parsed: &ParsedArgs) -> Result<Option<FaultPlan>, ArgError> 
             .collect::<Result<_, ArgError>>()?,
         None => Vec::new(),
     };
-    let plan = FaultPlan {
+    let mut plan = FaultPlan {
         worker_crashes,
         task_failure_rate: parsed.get("fault-task-failure-rate", 0.0)?,
         slow_task_rate: parsed.get("fault-slow-rate", 0.0)?,
         slow_task_factor: parsed.get("fault-slow-factor", 4.0)?,
         process_kill_rate: parsed.get("fault-kill-rate", 0.0)?,
-        connection_drop_rate: parsed.get("fault-drop-rate", 0.0)?,
-        response_delay_rate: parsed.get("fault-delay-rate", 0.0)?,
-        response_delay_ms: parsed.get("fault-delay-ms", 5)?,
         speculation: !parsed.has_flag("no-speculation"),
         ..FaultPlan::with_seed(parsed.get("fault-seed", 0)?)
     };
+    if net {
+        plan.connection_drop_rate = parsed.get("fault-drop-rate", 0.0)?;
+        plan.response_delay_rate = parsed.get("fault-delay-rate", 0.0)?;
+        plan.response_delay_ms = parsed.get("fault-delay-ms", 5)?;
+    }
     Ok(plan.is_active().then_some(plan))
 }

@@ -144,7 +144,7 @@ backend options (factorize, update, tucker, select-rank):
                  and byte counters, with shuffle/broadcast bytes measured
                  on the wire and process kills delivered as real SIGKILLs
            [--workers 16]  logical workers (the paper's 16-machine cluster)
-           [--net-respawn-budget 3]
+           [--net-respawn-budget 3]  (net only)
                  respawns per worker before a net run degrades to a typed
                  error with a final checkpoint flush
   fault injection (deterministic; results stay bit-identical):
@@ -157,7 +157,7 @@ backend options (factorize, update, tucker, select-rank):
                  seeded schedule, so results stay identical)
            [--fault-drop-rate F]          connection-drop rate (net only)
            [--fault-delay-rate F]         response-delay rate (net only)
-           [--fault-delay-ms 5]           injected delay in ms
+           [--fault-delay-ms 5]           injected delay in ms (net only)
            [--fault-seed 0]               fault-decision seed
            [--no-speculation]             disable speculative re-execution
 run options (factorize, update): the backend options, plus

@@ -189,26 +189,43 @@ fn tucker_and_select_rank() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--workers 0` is a runtime error on every driver command and backend:
-/// exit 1 and one line, never a panic.
+/// `--workers 0` and an out-of-range fault plan are runtime errors on
+/// every driver command and backend: exit 1 and one line, never a panic.
 #[test]
 fn zero_workers_is_a_clean_error() {
     let dir = tempdir("zero");
-    let x = dir.join("x.txt");
+    let (x, delta, ckpt) = (dir.join("x.txt"), dir.join("d.txt"), dir.join("run.ckpt"));
     std::fs::write(&x, "# dims 2 2 2\n0 0 0\n1 1 1\n").unwrap();
-    let x = x.to_str().unwrap();
+    std::fs::write(&delta, "+ 0 1 0\n").unwrap();
+    let [x, delta, ckpt] = [&x, &delta, &ckpt].map(|p| p.to_str().unwrap());
+    let fit = ["factorize", "--input", x, "--rank", "1", "--workers", "1"];
+    assert_eq!(
+        dbtf(&[&fit[..], &["--checkpoint", ckpt]].concat())
+            .status
+            .code(),
+        Some(0)
+    );
+    let out = dir.join("u.dbtfs");
+    let update = ["update", "--input", x, "--delta", delta, "--factors", ckpt];
+    let commands = [
+        &["factorize", "--input", x, "--rank", "1"][..],
+        &[&update[..], &["--output", out.to_str().unwrap()]].concat(),
+        &["select-rank", "--input", x, "--candidates", "1"],
+        &["tucker", "--input", x, "--ranks", "1,1,1"],
+    ];
     for backend in ["cluster", "local", "net"] {
-        let common = ["--input", x, "--backend", backend, "--workers", "0"];
-        for command in [
-            &["factorize", "--rank", "1"][..],
-            &["select-rank", "--candidates", "1"],
-            &["tucker", "--ranks", "1,1,1"],
-        ] {
+        for command in &commands {
             // Tucker refuses the net backend before it boots one.
             if backend != "net" || command[0] != "tucker" {
-                let args = [command, &common].concat();
+                let args = [command, &["--backend", backend, "--workers", "0"][..]].concat();
                 assert_clean_runtime_error(&dbtf(&args), &format!("{args:?}"));
             }
+        }
+    }
+    for plan in [["--fault-crash", "1:5"], ["--fault-kill-rate", "2"]] {
+        for command in &commands {
+            let args = [command, &["--workers", "2"][..], &plan].concat();
+            assert_clean_runtime_error(&dbtf(&args), &format!("{args:?}"));
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -253,11 +270,23 @@ fn usage_and_runtime_errors_use_distinct_exit_codes() {
 
     // An option the command does not read, or a malformed value, is a
     // bad invocation naming the option, refused before any input is read.
-    for extra in [
-        ["--iter", "3"],
-        ["--storage", "floppy"],
-        ["--backend", "cloud"],
+    // The options only the net backend acts on go unread elsewhere.
+    let mut extras = vec![
+        vec!["--iter", "3"],
+        vec!["--storage", "floppy"],
+        vec!["--backend", "cloud"],
+    ];
+    for option in [
+        "--net-respawn-budget",
+        "--fault-drop-rate",
+        "--fault-delay-rate",
+        "--fault-delay-ms",
     ] {
+        for backend in ["cluster", "local"] {
+            extras.push(vec![option, "1", "--backend", backend]);
+        }
+    }
+    for extra in extras {
         let args = [
             &["factorize", "--input", "/nonexistent/x", "--rank", "3"][..],
             &extra,

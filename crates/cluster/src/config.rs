@@ -107,9 +107,8 @@ impl ClusterConfig {
     }
 
     /// Checks the configuration every backend boots from: a
-    /// [`ClusterError::InvalidConfig`] for zero workers or zero cores per
-    /// worker, and a panic if the fault plan fails [`FaultPlan::validate`]
-    /// (a malformed *test* plan is a programming error).
+    /// [`ClusterError::InvalidConfig`] for zero workers, zero cores per
+    /// worker, or a fault plan that fails [`FaultPlan::validate`].
     pub fn validate(&self) -> Result<(), ClusterError> {
         if self.workers == 0 {
             return Err(ClusterError::InvalidConfig(
@@ -121,10 +120,12 @@ impl ClusterConfig {
                 "workers need at least one core".to_string(),
             ));
         }
-        if let Some(plan) = &self.fault_plan {
-            plan.validate(self.workers);
+        match &self.fault_plan {
+            Some(plan) => plan
+                .validate(self.workers)
+                .map_err(ClusterError::InvalidConfig),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

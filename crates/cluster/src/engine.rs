@@ -143,9 +143,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers == 0`, `config.cores_per_worker == 0`, a
-    /// worker thread cannot be spawned, or the fault plan fails
-    /// [`FaultPlan::validate`]. Use [`Cluster::try_new`] to get a typed
+    /// Panics if `config` fails [`ClusterConfig::validate`] or a worker
+    /// thread cannot be spawned. Use [`Cluster::try_new`] to get a typed
     /// [`ClusterError`] instead.
     pub fn new(config: ClusterConfig) -> Self {
         Cluster::try_new(config).unwrap_or_else(|err| panic!("{err}"))
@@ -154,12 +153,6 @@ impl Cluster {
     /// Boots a cluster with the given configuration, surfacing invalid
     /// configurations and OS thread-spawn failures as a [`ClusterError`]
     /// instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if the fault plan fails [`FaultPlan::validate`] (a
-    /// malformed *test* plan is a programming error, not a runtime
-    /// condition).
     pub fn try_new(config: ClusterConfig) -> Result<Self, ClusterError> {
         config.validate()?;
         let mut senders = Vec::with_capacity(config.workers);

@@ -230,58 +230,45 @@ impl FaultPlan {
 
     /// Checks the plan against a cluster of `workers` machines.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range rates, a crash target beyond the worker
-    /// count, `max_task_attempts == 0`, or sub-1 slowdown/speculation
-    /// factors — all misconfigurations, caught at cluster boot.
-    pub fn validate(&self, workers: usize) {
-        assert!(
-            (0.0..=1.0).contains(&self.task_failure_rate),
-            "task_failure_rate must be in [0, 1], got {}",
-            self.task_failure_rate
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.slow_task_rate),
-            "slow_task_rate must be in [0, 1], got {}",
-            self.slow_task_rate
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.process_kill_rate),
-            "process_kill_rate must be in [0, 1], got {}",
-            self.process_kill_rate
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.connection_drop_rate),
-            "connection_drop_rate must be in [0, 1], got {}",
-            self.connection_drop_rate
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.response_delay_rate),
-            "response_delay_rate must be in [0, 1], got {}",
-            self.response_delay_rate
-        );
-        assert!(
-            self.max_task_attempts >= 1,
-            "max_task_attempts must be at least 1"
-        );
-        assert!(
-            self.slow_task_factor >= 1.0,
-            "slow_task_factor must be at least 1 (got {})",
-            self.slow_task_factor
-        );
-        assert!(
-            self.speculation_threshold >= 1.0,
-            "speculation_threshold must be at least 1 (got {})",
-            self.speculation_threshold
-        );
-        for &(step, w) in &self.worker_crashes {
-            assert!(
-                w < workers,
+    /// A message naming the first out-of-range rate, a crash target beyond
+    /// the worker count, `max_task_attempts == 0`, or a sub-1 slowdown or
+    /// speculation factor.
+    pub fn validate(&self, workers: usize) -> Result<(), String> {
+        for (name, rate) in [
+            ("task_failure_rate", self.task_failure_rate),
+            ("slow_task_rate", self.slow_task_rate),
+            ("process_kill_rate", self.process_kill_rate),
+            ("connection_drop_rate", self.connection_drop_rate),
+            ("response_delay_rate", self.response_delay_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("{name} must be in [0, 1], got {rate}"));
+            }
+        }
+        if self.max_task_attempts < 1 {
+            return Err("max_task_attempts must be at least 1".to_string());
+        }
+        if !(1.0..).contains(&self.slow_task_factor) {
+            return Err(format!(
+                "slow_task_factor must be at least 1 (got {})",
+                self.slow_task_factor
+            ));
+        }
+        if !(1.0..).contains(&self.speculation_threshold) {
+            return Err(format!(
+                "speculation_threshold must be at least 1 (got {})",
+                self.speculation_threshold
+            ));
+        }
+        if let Some(&(step, w)) = self.worker_crashes.iter().find(|&&(_, w)| w >= workers) {
+            return Err(format!(
                 "fault plan kills worker {w} at superstep {step}, but the cluster has \
                  only {workers} workers"
-            );
+            ));
         }
+        Ok(())
     }
 }
 
@@ -361,23 +348,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only 2 workers")]
     fn validate_rejects_out_of_range_crash() {
         let plan = FaultPlan {
             worker_crashes: vec![(0, 5)],
             ..FaultPlan::default()
         };
-        plan.validate(2);
+        assert_eq!(
+            plan.validate(2).unwrap_err(),
+            "fault plan kills worker 5 at superstep 0, but the cluster has only 2 workers"
+        );
+        assert!(plan.validate(6).is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "task_failure_rate")]
     fn validate_rejects_bad_rate() {
         let plan = FaultPlan {
             task_failure_rate: 1.5,
             ..FaultPlan::default()
         };
-        plan.validate(2);
+        assert_eq!(
+            plan.validate(2).unwrap_err(),
+            "task_failure_rate must be in [0, 1], got 1.5"
+        );
     }
 
     #[test]
@@ -449,12 +441,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "process_kill_rate")]
     fn validate_rejects_bad_kill_rate() {
         let plan = FaultPlan {
             process_kill_rate: -0.1,
             ..FaultPlan::default()
         };
-        plan.validate(2);
+        assert_eq!(
+            plan.validate(2).unwrap_err(),
+            "process_kill_rate must be in [0, 1], got -0.1"
+        );
     }
 }

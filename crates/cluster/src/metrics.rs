@@ -610,14 +610,10 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Total bytes that crossed the network.
-    pub fn total_network_bytes(&self) -> u64 {
-        self.bytes_shuffled + self.bytes_broadcast + self.bytes_collected
-    }
-
     /// Every counter as a `(name, value)` list in a fixed order — the
-    /// unified export consumed by the telemetry counter registry and the
-    /// Chrome trace writer. Names are stable API: tooling keys off them.
+    /// export the drivers hand to [`dbtf_telemetry::Tracer::set_counter`]
+    /// for the Chrome trace writer. Names are stable API: tooling keys off
+    /// them.
     pub fn named_counters(&self) -> Vec<(&'static str, f64)> {
         let mut out = vec![
             ("net.bytes_shuffled", self.bytes_shuffled as f64),
@@ -705,7 +701,6 @@ mod tests {
         assert_eq!(s.bytes_collected, 5);
         assert_eq!(s.messages, 3);
         assert_eq!(s.stored_bytes, 100);
-        assert_eq!(s.total_network_bytes(), 115);
         assert_eq!(s.virtual_time.as_secs_f64(), 1.25);
         m.sub_stored(40);
         assert_eq!(m.snapshot().stored_bytes, 60);

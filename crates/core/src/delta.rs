@@ -42,12 +42,11 @@ use dbtf_tensor::{BoolTensor, TensorDelta};
 
 use crate::config::{DbtfConfig, DbtfError};
 use crate::driver::{
-    catch_cluster, distribute_unfoldings, update_factor_subset, UpdateOutcome,
-    DELTA_DISTRIBUTE_LABELS, DELTA_UPDATE_LABELS,
+    catch_cluster, distribute_unfoldings, iterate, traced, Progress, DELTA_DISTRIBUTE_LABELS,
+    DELTA_UPDATE_LABELS,
 };
 use crate::factors::FactorSet;
 use crate::stats::DbtfStats;
-use crate::update::PartitionSlot;
 
 /// The outcome of an incremental [`update_factors`] run.
 #[derive(Clone, Debug)]
@@ -119,12 +118,12 @@ pub fn affected_columns(delta: &TensorDelta, factors: &FactorSet) -> Vec<usize> 
 /// Incrementally updates `factors` after applying `delta` to `x` (the
 /// *pre-delta* tensor), on the given backend.
 ///
-/// Runs a bounded greedy re-sweep of only the [`affected_columns`]
-/// through the same superstep pipeline as [`crate::factorize`] — begin /
-/// per-column sweep / finish, metered under `delta.*` operator labels —
-/// over the partitions of the updated tensor. Deterministic
-/// for a fixed `(config, x, delta, factors)` regardless of backend,
-/// worker count, or partitioning, exactly like the full driver.
+/// Runs the factorization's own iteration loop from `factors`, over the
+/// partitions of the updated tensor and only the [`affected_columns`]:
+/// the same begin / per-column sweep / finish supersteps as
+/// [`crate::factorize`], metered under `delta.*` operator labels.
+/// Deterministic for a fixed `(config, x, delta, factors)` regardless of
+/// backend, worker count, or partitioning, exactly like the full driver.
 ///
 /// # Errors
 ///
@@ -163,33 +162,16 @@ pub fn update_factors_traced<B: ExecutionBackend>(
             delta.dims()
         )));
     }
-    let shape_ok = factors.a.rows() == dims[0]
-        && factors.b.rows() == dims[1]
-        && factors.c.rows() == dims[2]
-        && factors.rank() == config.rank
-        && factors.b.cols() == config.rank
-        && factors.c.cols() == config.rank;
-    if !shape_ok {
-        return Err(DbtfError::InvalidConfig(format!(
-            "factors are {}×{}/{}×{}/{}×{} but this update needs {}×{r}/{}×{r}/{}×{r}",
-            factors.a.rows(),
-            factors.a.cols(),
-            factors.b.rows(),
-            factors.b.cols(),
-            factors.c.rows(),
-            factors.c.cols(),
-            dims[0],
-            dims[1],
-            dims[2],
-            r = config.rank,
-        )));
-    }
-    let sched = Scheduler::with_tracer(backend, Tracer::disabled());
-    let result = run_delta(&sched, x, delta, factors, config);
-    Ok((result?, sched.into_trace()))
+    factors
+        .check_shape(dims, config.rank, "update")
+        .map_err(DbtfError::InvalidConfig)?;
+    let (result, trace) = traced(backend, &Tracer::disabled(), "delta.update", |sched| {
+        run_delta(sched, x, delta, factors, config)
+    });
+    Ok((result?, trace))
 }
 
-/// The delta-driver body: everything after validation.
+/// The delta-driver body: the prologue, then the shared iteration loop.
 fn run_delta<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
     x: &BoolTensor,
@@ -215,18 +197,16 @@ fn run_delta<B: ExecutionBackend>(
         (delta.len() as u64 * config.rank as u64).max(1),
     );
 
-    let stats = |partition_bytes, peak_cache_bytes| DbtfStats {
-        wall_secs: wall_start.elapsed().as_secs_f64(),
-        virtual_secs: sched
-            .backend()
-            .metrics()
-            .since(&metrics_start)
-            .virtual_time
-            .as_secs_f64(),
-        comm: sched.backend().metrics().since(&metrics_start),
-        n_partitions,
-        partition_bytes,
-        peak_cache_bytes,
+    let stats = |partition_bytes, peak_cache_bytes| {
+        let comm = sched.backend().metrics().since(&metrics_start);
+        DbtfStats {
+            wall_secs: wall_start.elapsed().as_secs_f64(),
+            virtual_secs: comm.virtual_time.as_secs_f64(),
+            comm,
+            n_partitions,
+            partition_bytes,
+            peak_cache_bytes,
+        }
     };
 
     if cols.is_empty() {
@@ -246,7 +226,7 @@ fn run_delta<B: ExecutionBackend>(
 
     // ---- Distribute the updated tensor, cut like a fresh run's; the ----
     // map is charged as an overlay read of the old unfoldings.
-    let ([px1, px2, px3], partition_bytes) = catch_cluster(|| {
+    let (px, partition_bytes) = catch_cluster(|| {
         sched.phase("delta.distribute", |s| {
             distribute_unfoldings(
                 s,
@@ -260,81 +240,40 @@ fn run_delta<B: ExecutionBackend>(
         })
     })??;
 
-    // ---- Bounded re-sweep rounds over the affected columns only. -------
-    let threshold = config.convergence_threshold * x_new.nnz().max(1) as f64;
-    let mut set = factors.clone();
-    let mut error = pre_error;
-    let mut iteration_errors = Vec::new();
-    let mut converged = false;
-    let mut peak_cache_bytes = 0u64;
-    for _t in 1..=config.max_iters {
-        let (next, next_error, cache) = catch_cluster(|| {
-            sched.phase("delta.iteration", |s| {
-                delta_round(s, &px1, &px2, &px3, set.clone(), &cols, config)
-            })
-        })?;
-        peak_cache_bytes = peak_cache_bytes.max(cache);
-        let step = error.abs_diff(next_error) as f64;
-        set = next;
-        error = next_error;
-        iteration_errors.push(error);
-        if step <= threshold || error == 0 {
-            converged = true;
-            break;
-        }
-    }
+    // ---- The factorization's loop, from the fitted factors and over ----
+    // the affected columns only; an update writes no checkpoint.
+    let start = Progress {
+        factors: factors.clone(),
+        error: pre_error,
+        iteration_errors: Vec::new(),
+        peak_cache_bytes: 0,
+    };
+    let (end, converged) = iterate(
+        sched,
+        &px,
+        config,
+        &DELTA_UPDATE_LABELS,
+        &cols,
+        x_new.nnz(),
+        None,
+        start,
+    )?;
 
     debug_assert!(
-        error <= pre_error,
-        "greedy re-sweep increased the error ({error} > {pre_error})"
+        end.error <= pre_error,
+        "greedy re-sweep increased the error ({} > {pre_error})",
+        end.error
     );
     Ok(DeltaResult {
-        factors: set,
-        error,
+        factors: end.factors,
+        error: end.error,
         pre_error,
         affected_columns: cols,
-        iterations: iteration_errors.len(),
+        iterations: end.iteration_errors.len(),
         converged,
-        stats: stats(partition_bytes, peak_cache_bytes),
-        iteration_errors,
+        stats: stats(partition_bytes, end.peak_cache_bytes),
+        iteration_errors: end.iteration_errors,
     })
-}
-
-/// One re-sweep round: update A, B, C in turn over `cols` only,
-/// computing the exact reconstruction error on the final mode (the
-/// `delta.*`-labelled mirror of the full driver's `update_round`).
-fn delta_round<B: ExecutionBackend>(
-    sched: &Scheduler<'_, B>,
-    px1: &B::Dataset<PartitionSlot>,
-    px2: &B::Dataset<PartitionSlot>,
-    px3: &B::Dataset<PartitionSlot>,
-    set: FactorSet,
-    cols: &[usize],
-    config: &DbtfConfig,
-) -> (FactorSet, u64, u64) {
-    let v = config.cache_group_limit;
-    let sweep = |data, a: &_, mf: &_, ms: &_, compute_error| -> UpdateOutcome {
-        update_factor_subset(
-            sched,
-            data,
-            a,
-            mf,
-            ms,
-            v,
-            compute_error,
-            &DELTA_UPDATE_LABELS,
-            cols,
-        )
-    };
-    let o1 = sweep(px1, &set.a, &set.c, &set.b, false);
-    let a = o1.a;
-    let o2 = sweep(px2, &set.b, &set.c, &a, false);
-    let b = o2.a;
-    let o3 = sweep(px3, &set.c, &b, &a, true);
-    let c = o3.a;
-    let error = o3.error.expect("error requested");
-    let cache = o1.cache_bytes.max(o2.cache_bytes).max(o3.cache_bytes);
-    (FactorSet { a, b, c }, error, cache)
 }
 
 #[cfg(test)]

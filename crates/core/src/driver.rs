@@ -4,7 +4,8 @@
 //! [`ExecutionBackend`] and emits a dataflow plan through a
 //! [`Scheduler`] — it never talks to the engine directly. It partitions
 //! and distributes the three unfolded tensors once, then iterates factor
-//! updates. One `UpdateFactor` call runs `R + 2` supersteps:
+//! updates. One `UpdateFactor` call sweeping all `R` columns runs `R + 2`
+//! supersteps:
 //!
 //! 1. **begin** — broadcast `(A, M_f, M_s)`; every partition builds its
 //!    [`WorkState`] (cached row summations, sliced caches for edge blocks).
@@ -17,12 +18,20 @@
 //!    partition-local reconstruction error (for convergence and for the
 //!    first-iteration selection among the `L` initial sets); drop the
 //!    caches.
+//!
+//! A factorization and an incremental update (`crate::delta`) share one
+//! skeleton: the traced shell [`traced`], the iteration loop [`iterate`],
+//! its round [`update_round`] and the factor update [`update_factor`]. The
+//! update enters the loop from fitted factors and sweeps only the columns
+//! its delta touches; the distributed Tucker driver shares the shell and
+//! the sweep but keeps its own loop.
 
+use std::path::Path;
 use std::time::Instant;
 
 use dbtf_cluster::{ClusterError, ExecutionBackend, PlanTrace, Scheduler};
 use dbtf_telemetry::{SpanKind, Tracer};
-use dbtf_tensor::{BitMatrix, BoolTensor, FactorTriple, Mode};
+use dbtf_tensor::{reconstruct, BitMatrix, BoolTensor, FactorTriple, Mode};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{DbtfConfig, DbtfError, StorageKind};
@@ -33,7 +42,7 @@ use crate::partition::{
     partition_tensor, partition_tensor_one, partition_unfolding_one, ModePartition,
 };
 use crate::stats::DbtfStats;
-use crate::sweep::{column_sweep_subset, SweepLabels};
+use crate::sweep::{column_sweep, SweepLabels};
 use crate::update::PartitionSlot;
 
 /// The outcome of a [`factorize`] run.
@@ -57,16 +66,18 @@ pub struct DbtfResult {
     pub stats: DbtfStats,
 }
 
-pub(crate) struct UpdateOutcome {
-    pub(crate) a: BitMatrix,
-    pub(crate) error: Option<u64>,
-    pub(crate) cache_bytes: u64,
+struct UpdateOutcome {
+    a: BitMatrix,
+    error: Option<u64>,
+    cache_bytes: u64,
 }
 
-/// Trace labels for the supersteps of one `UpdateFactor` call, so the
-/// full-sweep CP path and the bounded delta re-sweep meter under
-/// distinct `cp.*` / `delta.*` operator names.
+/// Trace labels of one driver's rounds, so the full-sweep CP path and
+/// the bounded delta re-sweep meter under distinct `cp.*` / `delta.*`
+/// operator names.
 pub(crate) struct UpdateLabels {
+    /// The phase span of one round.
+    pub iteration: &'static str,
     /// The factor-triple `Broadcast`.
     pub factors: &'static str,
     /// The cache-building begin superstep.
@@ -83,6 +94,7 @@ pub(crate) struct UpdateLabels {
 
 /// The labels of the full CP sweep (Algorithm 4 as written).
 pub(crate) const CP_UPDATE_LABELS: UpdateLabels = UpdateLabels {
+    iteration: "cp.iteration",
     factors: "cp.update.factors",
     begin: "cp.update.begin",
     sweep: "cp.update.sweep",
@@ -93,6 +105,7 @@ pub(crate) const CP_UPDATE_LABELS: UpdateLabels = UpdateLabels {
 
 /// The labels of the bounded delta re-sweep (`dbtf update`).
 pub(crate) const DELTA_UPDATE_LABELS: UpdateLabels = UpdateLabels {
+    iteration: "delta.iteration",
     factors: "delta.update.factors",
     begin: "delta.update.begin",
     sweep: "delta.update.sweep",
@@ -150,17 +163,33 @@ pub fn factorize_instrumented<B: ExecutionBackend>(
     tracer: &Tracer,
 ) -> Result<(DbtfResult, PlanTrace), DbtfError> {
     config.validate()?;
-    let dims = x.dims();
-    if dims.contains(&0) {
+    if x.dims().contains(&0) {
         return Err(DbtfError::EmptyTensor);
     }
+    let (result, trace) = traced(backend, tracer, "cp.factorize", |sched| {
+        run(sched, x, config)
+    });
+    Ok((result?, trace))
+}
+
+/// The shell every distributed driver runs its body in: a [`Scheduler`]
+/// over `backend` recording into `tracer`, and a `Run` span named `name`
+/// on the virtual clock around `body`. With the tracer on, the backend's
+/// counters are exported into it afterwards and task capture is switched
+/// off. Returns the body's result and the executed plan.
+pub(crate) fn traced<B: ExecutionBackend, R>(
+    backend: &B,
+    tracer: &Tracer,
+    name: &'static str,
+    body: impl FnOnce(&Scheduler<'_, B>) -> R,
+) -> (R, PlanTrace) {
     let sched = Scheduler::with_tracer(backend, tracer.clone());
     let root = tracer.begin(
         SpanKind::Run,
-        "cp.factorize",
+        name,
         backend.metrics().virtual_time.as_secs_f64(),
     );
-    let result = run(&sched, x, config);
+    let result = body(&sched);
     tracer.end(root, backend.metrics().virtual_time.as_secs_f64());
     if tracer.is_enabled() {
         for (name, value) in backend.metrics().named_counters() {
@@ -168,7 +197,7 @@ pub fn factorize_instrumented<B: ExecutionBackend>(
         }
         backend.set_task_event_capture(false);
     }
-    Ok((result?, sched.into_trace()))
+    (result, sched.into_trace())
 }
 
 /// Runs `f`, converting a panicking [`ClusterError`] — how backends
@@ -192,20 +221,9 @@ pub(crate) fn catch_cluster<R>(f: impl FnOnce() -> R) -> Result<R, ClusterError>
 /// not through the scheduler — the backend may be unusable) so the run can
 /// later `--resume`, then surface the typed engine error. A flush failure
 /// never masks the cluster error.
-fn degrade(
-    ckpt_path: Option<&std::path::Path>,
-    factors: &FactorSet,
-    iteration_errors: &[u64],
-    err: ClusterError,
-) -> DbtfError {
-    if let (Some(path), Some(&error)) = (ckpt_path, iteration_errors.last()) {
-        let _ = Checkpoint {
-            iteration: iteration_errors.len(),
-            error,
-            iteration_errors: iteration_errors.to_vec(),
-            factors: factors.clone(),
-        }
-        .write(path);
+fn degrade(ckpt_path: Option<&Path>, state: &Progress, err: ClusterError) -> DbtfError {
+    if let Some(path) = ckpt_path.filter(|_| !state.iteration_errors.is_empty()) {
+        let _ = state.checkpoint().write(path);
     }
     DbtfError::from(err)
 }
@@ -226,7 +244,7 @@ fn run<B: ExecutionBackend>(
     // ---- Partition the three unfolded tensors (Algorithm 2 lines 1–3). --
     // No iteration has committed yet, so an unrecoverable cluster failure
     // here degrades to the typed error with nothing to checkpoint.
-    let ([px1, px2, px3], partition_bytes) = catch_cluster(|| {
+    let (px, partition_bytes) = catch_cluster(|| {
         sched.phase("cp.distribute", |s| {
             distribute_unfoldings(
                 s,
@@ -239,26 +257,8 @@ fn run<B: ExecutionBackend>(
             )
         })
     })??;
-
-    let threshold = config.convergence_threshold * x.nnz().max(1) as f64;
-    let ckpt_path = config.checkpoint_path.as_deref().map(std::path::Path::new);
-    let save_if_due =
-        |completed: usize, factors: &FactorSet, errors: &[u64]| -> Result<(), DbtfError> {
-            if let (Some(k), Some(path)) = (config.checkpoint_every, ckpt_path) {
-                if completed.is_multiple_of(k) {
-                    sched.checkpoint("cp.checkpoint", || {
-                        Checkpoint {
-                            iteration: completed,
-                            error: *errors.last().expect("at least one iteration"),
-                            iteration_errors: errors.to_vec(),
-                            factors: factors.clone(),
-                        }
-                        .write(path)
-                    })?;
-                }
-            }
-            Ok(())
-        };
+    let cols: Vec<usize> = (0..config.rank).collect();
+    let ckpt_path = config.checkpoint_path.as_deref().map(Path::new);
 
     // ---- Resume from a checkpoint, or initialize L factor sets ---------
     // (Algorithm 2 line 6). The RNG is consumed only here, so iterations
@@ -268,48 +268,24 @@ fn run<B: ExecutionBackend>(
         let path = ckpt_path.expect("validate() requires checkpoint_path with resume");
         let ck = Checkpoint::read_if_exists(path)?;
         if let Some(ck) = &ck {
-            let f = &ck.factors;
-            let shape_ok = f.a.rows() == dims[0]
-                && f.b.rows() == dims[1]
-                && f.c.rows() == dims[2]
-                && f.a.cols() == config.rank
-                && f.b.cols() == config.rank
-                && f.c.cols() == config.rank;
-            if !shape_ok {
-                return Err(DbtfError::Checkpoint(format!(
-                    "{}: checkpoint factors are {}×{}/{}×{}/{}×{} but this run needs \
-                     {}×{r}/{}×{r}/{}×{r}",
-                    path.display(),
-                    f.a.rows(),
-                    f.a.cols(),
-                    f.b.rows(),
-                    f.b.cols(),
-                    f.c.rows(),
-                    f.c.cols(),
-                    dims[0],
-                    dims[1],
-                    dims[2],
-                    r = config.rank,
-                )));
-            }
+            ck.factors
+                .check_shape(dims, config.rank, "run")
+                .map_err(|e| {
+                    DbtfError::Checkpoint(format!("{}: checkpoint {e}", path.display()))
+                })?;
         }
         ck
     } else {
         None
     };
 
-    let mut peak_cache_bytes = 0u64;
-    let (mut factors, mut error, mut iteration_errors, mut converged) = match resumed {
-        Some(ck) => {
-            // Re-derive the convergence flag from the error history, so a
-            // checkpoint taken after convergence does not iterate further.
-            let n = ck.iteration_errors.len();
-            let converged = ck.error == 0
-                || (n >= 2
-                    && ck.iteration_errors[n - 2].abs_diff(ck.iteration_errors[n - 1]) as f64
-                        <= threshold);
-            (ck.factors, ck.error, ck.iteration_errors, converged)
-        }
+    let start = match resumed {
+        Some(ck) => Progress {
+            factors: ck.factors,
+            error: ck.error,
+            iteration_errors: ck.iteration_errors,
+            peak_cache_bytes: 0,
+        },
         None => {
             let sets = initial_factor_sets(x, config);
             sched.charge_driver(
@@ -321,11 +297,12 @@ fn run<B: ExecutionBackend>(
             // A cluster failure here is before the first commit — typed
             // error, no checkpoint (a partial best over the initial sets
             // is not a committed iteration).
+            let mut peak_cache_bytes = 0u64;
             let mut best: Option<(FactorSet, u64)> = None;
             for set in sets {
                 let (factors, error, cache) = catch_cluster(|| {
-                    sched.phase("cp.iteration", |s| {
-                        update_round(s, &px1, &px2, &px3, set, config)
+                    sched.phase(CP_UPDATE_LABELS.iteration, |s| {
+                        update_round(s, &px, set, config, &CP_UPDATE_LABELS, &cols)
                     })
                 })?;
                 peak_cache_bytes = peak_cache_bytes.max(cache);
@@ -334,66 +311,140 @@ fn run<B: ExecutionBackend>(
                 }
             }
             let (factors, error) = best.expect("initial_sets ≥ 1");
-            let iteration_errors = vec![error];
-            save_if_due(1, &factors, &iteration_errors)?;
-            (factors, error, iteration_errors, error == 0)
+            let first = Progress {
+                factors,
+                error,
+                iteration_errors: vec![error],
+                peak_cache_bytes,
+            };
+            save_if_due(sched, config, ckpt_path, &first)?;
+            first
         }
     };
 
     // ---- Iterations 2..T (lines 9–12); a resumed run continues where ----
     // the checkpoint left off.
-    for _t in (iteration_errors.len() + 1)..=config.max_iters {
-        if converged {
-            break;
-        }
-        let round = catch_cluster(|| {
-            sched.phase("cp.iteration", |s| {
-                update_round(s, &px1, &px2, &px3, factors.clone(), config)
-            })
-        });
-        let (next, next_error, cache) = match round {
-            Ok(r) => r,
-            // The last committed iteration's factors are still in hand:
-            // flush them durably, then fail with the typed engine error.
-            Err(err) => return Err(degrade(ckpt_path, &factors, &iteration_errors, err)),
-        };
-        peak_cache_bytes = peak_cache_bytes.max(cache);
-        let delta = error.abs_diff(next_error) as f64;
-        factors = next;
-        error = next_error;
-        iteration_errors.push(error);
-        if delta <= threshold || error == 0 {
-            converged = true;
-        }
-        save_if_due(iteration_errors.len(), &factors, &iteration_errors)?;
-    }
+    let (end, converged) = iterate(
+        sched,
+        &px,
+        config,
+        &CP_UPDATE_LABELS,
+        &cols,
+        x.nnz(),
+        ckpt_path,
+        start,
+    )?;
 
     let comm = sched.backend().metrics().since(&metrics_start);
-    let relative_error = if x.nnz() == 0 {
-        if error == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        error as f64 / x.nnz() as f64
-    };
     Ok(DbtfResult {
-        iterations: iteration_errors.len(),
+        iterations: end.iteration_errors.len(),
         converged,
-        relative_error,
-        error,
-        factors,
+        relative_error: reconstruct::error_ratio(end.error, x.nnz()),
+        error: end.error,
+        factors: end.factors,
         stats: DbtfStats {
             wall_secs: wall_start.elapsed().as_secs_f64(),
             virtual_secs: comm.virtual_time.as_secs_f64(),
             comm,
             n_partitions,
             partition_bytes,
-            peak_cache_bytes,
+            peak_cache_bytes: end.peak_cache_bytes,
         },
-        iteration_errors,
+        iteration_errors: end.iteration_errors,
     })
+}
+
+/// A run's state after its last committed round: the factors, their
+/// error, the error after every round so far, and the largest cache any
+/// round built.
+pub(crate) struct Progress {
+    pub(crate) factors: FactorSet,
+    pub(crate) error: u64,
+    pub(crate) iteration_errors: Vec<u64>,
+    pub(crate) peak_cache_bytes: u64,
+}
+
+impl Progress {
+    /// The checkpoint of the rounds committed so far.
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            iteration: self.iteration_errors.len(),
+            error: self.error,
+            iteration_errors: self.iteration_errors.clone(),
+            factors: self.factors.clone(),
+        }
+    }
+}
+
+/// The iteration loop (Algorithm 2 lines 9–12): from `state`, runs rounds
+/// `len + 1 ..= max_iters` over `cols` (see [`update_round`]) until a
+/// round moves the error by at most `convergence_threshold · nnz` or the
+/// error is 0. The flag is first derived from the history handed in, so a
+/// checkpoint taken after convergence does not iterate further and an
+/// empty history always runs a round. After each round the error is
+/// pushed and, with a `checkpoint` path, a due checkpoint is written.
+/// Returns the final state and whether it converged.
+///
+/// An unrecoverable cluster failure goes through [`degrade`]: the last
+/// committed round is flushed to `checkpoint`, if any, before the typed
+/// engine error is returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn iterate<B: ExecutionBackend>(
+    sched: &Scheduler<'_, B>,
+    px: &[B::Dataset<PartitionSlot>; 3],
+    config: &DbtfConfig,
+    labels: &UpdateLabels,
+    cols: &[usize],
+    nnz: usize,
+    checkpoint: Option<&Path>,
+    mut state: Progress,
+) -> Result<(Progress, bool), DbtfError> {
+    let threshold = config.convergence_threshold * nnz.max(1) as f64;
+    let settled = |prev: u64, next: u64| prev.abs_diff(next) as f64 <= threshold || next == 0;
+    let mut converged = match state.iteration_errors[..] {
+        [] => false,
+        [error] => error == 0,
+        [.., prev, error] => settled(prev, error),
+    };
+    for _t in (state.iteration_errors.len() + 1)..=config.max_iters {
+        if converged {
+            break;
+        }
+        let round = catch_cluster(|| {
+            sched.phase(labels.iteration, |s| {
+                update_round(s, px, state.factors.clone(), config, labels, cols)
+            })
+        });
+        let (factors, error, cache) = match round {
+            Ok(r) => r,
+            // The last committed round's factors are still in hand: flush
+            // them durably, then fail with the typed engine error.
+            Err(err) => return Err(degrade(checkpoint, &state, err)),
+        };
+        converged = settled(state.error, error);
+        state.peak_cache_bytes = state.peak_cache_bytes.max(cache);
+        state.factors = factors;
+        state.error = error;
+        state.iteration_errors.push(error);
+        save_if_due(sched, config, checkpoint, &state)?;
+    }
+    Ok((state, converged))
+}
+
+/// Writes `state`'s checkpoint to `path` when `config.checkpoint_every`
+/// says one is due after its rounds.
+fn save_if_due<B: ExecutionBackend>(
+    sched: &Scheduler<'_, B>,
+    config: &DbtfConfig,
+    path: Option<&Path>,
+    state: &Progress,
+) -> Result<(), DbtfError> {
+    if let (Some(k), Some(path)) = (config.checkpoint_every, path) {
+        if state.iteration_errors.len().is_multiple_of(k) {
+            sched.checkpoint("cp.checkpoint", || state.checkpoint().write(path))?;
+        }
+    }
+    Ok(())
 }
 
 /// Trace labels of one distribute phase, so the full factorization and
@@ -523,67 +574,48 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
     Ok(([px1, px2, px3], partition_bytes))
 }
 
-/// One full `UpdateFactors` round (Algorithm 2 lines 14–18): update A, B, C
-/// in turn, computing the exact reconstruction error on the final mode.
+/// One `UpdateFactors` round (Algorithm 2 lines 14–18): update A, B, C in
+/// turn over `cols`, computing the exact reconstruction error on the final
+/// mode. Returns the factors, the error and the round's largest cache.
 fn update_round<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
-    px1: &B::Dataset<PartitionSlot>,
-    px2: &B::Dataset<PartitionSlot>,
-    px3: &B::Dataset<PartitionSlot>,
+    [px1, px2, px3]: &[B::Dataset<PartitionSlot>; 3],
     set: FactorSet,
     config: &DbtfConfig,
+    labels: &UpdateLabels,
+    cols: &[usize],
 ) -> (FactorSet, u64, u64) {
-    let v = config.cache_group_limit;
+    let sweep = |data, a: &_, mf: &_, ms: &_, compute_error| {
+        let v = config.cache_group_limit;
+        update_factor(sched, data, a, mf, ms, v, compute_error, labels, cols)
+    };
     // X_(1) ≈ A ∘ (C ⊙ B)ᵀ.
-    let o1 = update_factor(sched, px1, &set.a, &set.c, &set.b, v, false);
+    let o1 = sweep(px1, &set.a, &set.c, &set.b, false);
     let a = o1.a;
     // X_(2) ≈ B ∘ (C ⊙ A)ᵀ.
-    let o2 = update_factor(sched, px2, &set.b, &set.c, &a, v, false);
+    let o2 = sweep(px2, &set.b, &set.c, &a, false);
     let b = o2.a;
     // X_(3) ≈ C ∘ (B ⊙ A)ᵀ; |X_(3) ⊕ C ∘ (B ⊙ A)ᵀ| = |X ⊕ X̃|.
-    let o3 = update_factor(sched, px3, &set.c, &b, &a, v, true);
+    let o3 = sweep(px3, &set.c, &b, &a, true);
     let c = o3.a;
     let error = o3.error.expect("error requested");
     let cache = o1.cache_bytes.max(o2.cache_bytes).max(o3.cache_bytes);
     (FactorSet { a, b, c }, error, cache)
 }
 
-fn matrix_bytes(m: &BitMatrix) -> u64 {
+/// The bytes of `m` packed one bit per entry — a broadcast's meter.
+pub(crate) fn matrix_bytes(m: &BitMatrix) -> u64 {
     ((m.rows() * m.cols()) as u64).div_ceil(8)
 }
 
 /// One `UpdateFactor` call (Algorithm 4): updates the factor `a` of the
 /// mode whose partitioned unfolding is `data`, against the fixed Khatri-Rao
-/// operands `mf` and `ms`.
-fn update_factor<B: ExecutionBackend>(
-    sched: &Scheduler<'_, B>,
-    data: &B::Dataset<PartitionSlot>,
-    a: &BitMatrix,
-    mf: &BitMatrix,
-    ms: &BitMatrix,
-    v_limit: usize,
-    compute_error: bool,
-) -> UpdateOutcome {
-    let cols: Vec<usize> = (0..a.cols()).collect();
-    update_factor_subset(
-        sched,
-        data,
-        a,
-        mf,
-        ms,
-        v_limit,
-        compute_error,
-        &CP_UPDATE_LABELS,
-        &cols,
-    )
-}
-
-/// [`update_factor`] restricted to an explicit, non-empty column subset —
-/// the bounded re-sweep of the incremental-update path. Columns outside
-/// `cols` keep their values from `a` (and are still part of the caches,
-/// error scoring, and the finish-superstep reconstruction error).
+/// operands `mf` and `ms`, sweeping the non-empty column list `cols`.
+/// Columns outside `cols` keep their values from `a` (and are still part
+/// of the caches, error scoring, and the finish-superstep reconstruction
+/// error).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn update_factor_subset<B: ExecutionBackend>(
+fn update_factor<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
     data: &B::Dataset<PartitionSlot>,
     a: &BitMatrix,
@@ -594,7 +626,6 @@ pub(crate) fn update_factor_subset<B: ExecutionBackend>(
     labels: &UpdateLabels,
     cols: &[usize],
 ) -> UpdateOutcome {
-    assert!(!cols.is_empty(), "subset sweep needs at least one column");
     // Begin: broadcast the factors, build per-partition caches
     // (Algorithm 4 line 1 / Algorithm 5). Every superstep of the update is
     // a named `RemoteTask` whose body lives in `net_tasks`, so the same
@@ -615,7 +646,7 @@ pub(crate) fn update_factor_subset<B: ExecutionBackend>(
 
     // Column sweep (Algorithm 4 lines 2–12): one superstep per column.
     let mut master = a.clone();
-    let last = column_sweep_subset(
+    let last = column_sweep(
         sched,
         SweepLabels {
             sweep: labels.sweep,
@@ -626,8 +657,7 @@ pub(crate) fn update_factor_subset<B: ExecutionBackend>(
         &mut master,
         cols,
         net_tasks::sweep_task,
-    )
-    .expect("cols is non-empty");
+    );
 
     // Finish: apply the last column; optionally compute the exact error;
     // drop the caches.

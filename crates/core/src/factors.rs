@@ -44,6 +44,28 @@ impl FactorSet {
     pub fn total_ones(&self) -> usize {
         self.a.count_ones() + self.b.count_ones() + self.c.count_ones()
     }
+
+    /// Checks that the factors fit a `dims` tensor at `rank`. The error
+    /// compares both shapes: `factors are I×R/J×R/K×R but this {job} needs
+    /// …`.
+    pub(crate) fn check_shape(
+        &self,
+        dims: [usize; 3],
+        rank: usize,
+        job: &str,
+    ) -> Result<(), String> {
+        let have = [&self.a, &self.b, &self.c].map(|m| (m.rows(), m.cols()));
+        let need = dims.map(|rows| (rows, rank));
+        if have == need {
+            return Ok(());
+        }
+        let show = |shape: [(usize, usize); 3]| shape.map(|(r, c)| format!("{r}×{c}")).join("/");
+        Err(format!(
+            "factors are {} but this {job} needs {}",
+            show(have),
+            show(need)
+        ))
+    }
 }
 
 fn set_rng(config: &DbtfConfig, l: usize) -> StdRng {

@@ -1,17 +1,18 @@
 //! The shared greedy column sweep of Algorithm 4 — the superstep loop
 //! both the CP and the distributed-Tucker factor updates are built on.
 //!
-//! One sweep runs `R` supersteps over a partitioned unfolding. In
-//! superstep `c`, every partition first applies the previously decided
-//! column (piggybacked on the broadcast, so apply and score share one
-//! superstep), then scores both candidate values of every row's entry in
-//! column `c` and ships the per-row `(e0, e1)` error pairs to the driver.
-//! The driver sums the pairs across partitions, picks the smaller error
-//! per row (ties prefer `0` — the sparser factor), writes the decision
-//! into the master copy, and broadcasts the decided column for the next
-//! superstep. What differs between CP and Tucker is only *how* a
-//! partition applies and scores a column — callers pass a task factory
-//! producing the per-column superstep task. CP's factory builds
+//! One sweep runs one superstep per swept column over a partitioned
+//! unfolding: all `R` columns, or for an incremental update only those its
+//! delta touches. In superstep `c`, every partition first applies the
+//! previously decided column (piggybacked on the broadcast, so apply and
+//! score share one superstep), then scores both candidate values of every
+//! row's entry in column `c` and ships the per-row `(e0, e1)` error pairs
+//! to the driver. The driver sums the pairs across partitions, picks the
+//! smaller error per row (ties prefer `0` — the sparser factor), writes
+//! the decision into the master copy, and broadcasts the decided column
+//! for the next superstep. What differs between CP and Tucker is only
+//! *how* a partition applies and scores a column — callers pass a task
+//! factory producing the per-column superstep task. CP's factory builds
 //! [`dbtf_cluster::RemoteTask`]s (so the sweep can run in separate worker
 //! processes over the networked backend); Tucker's builds plain closures
 //! (in-process backends only).
@@ -32,45 +33,28 @@ pub(crate) struct SweepLabels {
 }
 
 /// Runs the column sweep over `data`, mutating `master` (the driver's
-/// copy of the factor being updated) column by column. Returns the last
-/// decided column's broadcast — the caller's finish superstep still has
-/// to apply it on the workers.
+/// copy of the factor being updated) one column of `cols` at a time, in
+/// the order given (callers pass them ascending for determinism): columns
+/// not listed keep their current values in `master` and on the workers.
+/// Returns the last decided column's broadcast — the caller's finish
+/// superstep still has to apply it on the workers.
 ///
 /// `make_task(col, prev)` builds the superstep task for column `col`:
 /// apply the previously decided column `prev` (if any), then score both
 /// candidate values of every row's entry in column `col`, returning the
 /// partition's per-row `(e0, e1)` error pairs.
+///
+/// # Panics
+///
+/// Panics if `cols` is empty: there would be no decision to finish.
 pub(crate) fn column_sweep<B, F, K>(
-    sched: &Scheduler<'_, B>,
-    labels: SweepLabels,
-    data: &B::Dataset<PartitionSlot>,
-    master: &mut BitMatrix,
-    make_task: F,
-) -> Broadcast<ColumnDecision>
-where
-    B: ExecutionBackend,
-    F: Fn(usize, Option<Broadcast<ColumnDecision>>) -> K,
-    K: PartitionTask<PartitionSlot, Vec<(u64, u64)>>,
-{
-    let cols: Vec<usize> = (0..master.cols()).collect();
-    column_sweep_subset(sched, labels, data, master, &cols, make_task)
-        .expect("rank ≥ 1 means a non-empty column list")
-}
-
-/// [`column_sweep`] restricted to an explicit column subset — the
-/// bounded re-sweep of the incremental-update path. Columns run in the
-/// order given (callers pass them ascending for determinism); columns
-/// not listed keep their current values in `master` and on the workers.
-/// Returns `None` when `cols` is empty (nothing swept, nothing to
-/// finish).
-pub(crate) fn column_sweep_subset<B, F, K>(
     sched: &Scheduler<'_, B>,
     labels: SweepLabels,
     data: &B::Dataset<PartitionSlot>,
     master: &mut BitMatrix,
     cols: &[usize],
     make_task: F,
-) -> Option<Broadcast<ColumnDecision>>
+) -> Broadcast<ColumnDecision>
 where
     B: ExecutionBackend,
     F: Fn(usize, Option<Broadcast<ColumnDecision>>) -> K,
@@ -105,5 +89,5 @@ where
             (nrows as u64).div_ceil(8) + 8,
         ));
     }
-    pending
+    pending.expect("a column sweep needs at least one column")
 }

@@ -33,7 +33,7 @@
 //! and convergence conventions as [`crate::factorize`] so results are
 //! comparable.
 
-use dbtf_tensor::{BitMatrix, BitVec, BoolTensor, Mode, TensorBuilder, Unfolding};
+use dbtf_tensor::{reconstruct, BitMatrix, BitVec, BoolTensor, Mode, TensorBuilder, Unfolding};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -211,19 +211,10 @@ pub fn tucker_factorize(x: &BoolTensor, config: &TuckerConfig) -> Result<TuckerR
             converged = true;
         }
     }
-    let relative_error = if x.nnz() == 0 {
-        if error == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        error as f64 / x.nnz() as f64
-    };
     Ok(TuckerResult {
         iterations: iteration_errors.len(),
         converged,
-        relative_error,
+        relative_error: reconstruct::error_ratio(error, x.nnz()),
         error,
         factorization,
         iteration_errors,

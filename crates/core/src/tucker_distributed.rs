@@ -17,7 +17,10 @@
 //! Tucker ORs per-column core masks. The column sweep itself — one
 //! superstep per column, driver-side reduce, decision broadcast — is the
 //! shared `crate::sweep::column_sweep` helper, reused verbatim by both
-//! drivers.
+//! drivers, and the run's `Run` span, counters and plan come from the CP
+//! driver's traced shell. Tucker keeps its own iteration loop: it revives
+//! dead components, rejects a round that raised the error, and converges
+//! only on a round that changes nothing or reaches zero error.
 //!
 //! The core update distributes as one superstep per core entry: partitions
 //! count, within their column range, the block cells that are exclusively
@@ -30,14 +33,14 @@
 //! [`ExecutionBackend`] and emits operators through a [`Scheduler`].
 
 use dbtf_cluster::{ExecutionBackend, PlanTrace, Scheduler, TaskContext};
-use dbtf_telemetry::{SpanKind, Tracer};
-use dbtf_tensor::{BitMatrix, BitVec, BoolTensor};
+use dbtf_telemetry::Tracer;
+use dbtf_tensor::{reconstruct, BitMatrix, BitVec, BoolTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cache::{GroupLayout, RowSumCache};
 use crate::config::DbtfError;
-use crate::driver::{distribute_unfoldings, CP_DISTRIBUTE_LABELS};
+use crate::driver::{distribute_unfoldings, matrix_bytes, traced, CP_DISTRIBUTE_LABELS};
 use crate::partition::ModePartition;
 use crate::sweep::{column_sweep, SweepLabels};
 use crate::tucker::{
@@ -219,21 +222,9 @@ pub fn tucker_factorize_distributed_instrumented<B: ExecutionBackend>(
     if dims.contains(&0) {
         return Err(DbtfError::EmptyTensor);
     }
-    let sched = Scheduler::with_tracer(backend, tracer.clone());
-    let root = tracer.begin(
-        SpanKind::Run,
-        "tucker.factorize",
-        backend.metrics().virtual_time.as_secs_f64(),
-    );
-    let result = run(&sched, x, config);
-    tracer.end(root, backend.metrics().virtual_time.as_secs_f64());
-    if tracer.is_enabled() {
-        for (name, value) in backend.metrics().named_counters() {
-            tracer.set_counter(name, value);
-        }
-        backend.set_task_event_capture(false);
-    }
-    Ok((result, sched.into_trace()))
+    Ok(traced(backend, tracer, "tucker.factorize", |sched| {
+        run(sched, x, config)
+    }))
 }
 
 /// The driver body: everything after validation, emitting through `sched`.
@@ -300,19 +291,10 @@ fn run<B: ExecutionBackend>(
             converged = true;
         }
     }
-    let relative_error = if x.nnz() == 0 {
-        if error == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        error as f64 / x.nnz() as f64
-    };
     TuckerResult {
         iterations: iteration_errors.len(),
         converged,
-        relative_error,
+        relative_error: reconstruct::error_ratio(error, x.nnz()),
         error,
         factorization,
         iteration_errors,
@@ -356,10 +338,6 @@ fn core_masks(core: &BoolTensor, t_axis: usize, oc_axis: usize, in_axis: usize) 
     mat
 }
 
-fn matrix_bytes(m: &BitMatrix) -> u64 {
-    ((m.rows() * m.cols()) as u64).div_ceil(8)
-}
-
 fn update_factor_distributed<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
     data: &B::Dataset<PartitionSlot>,
@@ -395,6 +373,7 @@ fn update_factor_distributed<B: ExecutionBackend>(
     // networked backend rejects it with instructions at the first
     // superstep.
     let mut master = factor.clone();
+    let cols: Vec<usize> = (0..r_t).collect();
     let last = column_sweep(
         sched,
         SweepLabels {
@@ -404,6 +383,7 @@ fn update_factor_distributed<B: ExecutionBackend>(
         },
         data,
         &mut master,
+        &cols,
         move |col, prev| {
             move |_idx: usize, slot: &mut PartitionSlot, ctx: &mut TaskContext| {
                 if let Some(decided) = prev.as_deref() {

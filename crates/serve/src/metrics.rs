@@ -5,15 +5,10 @@
 //! connection thread, and the admin `stats` query, so everything is a
 //! relaxed [`AtomicU64`] — the counters are monotonic tallies, not
 //! synchronization. [`ServeMetrics::named_counters`] exports them under
-//! stable dotted names (the `crates/cluster` `MetricsSnapshot` idiom) and
-//! [`ServeMetrics::export_into`] drops the same view into a
-//! `dbtf-telemetry` [`CounterRegistry`] so serve counters land in the
-//! same reports as factorization counters.
+//! stable dotted names (the `crates/cluster` `MetricsSnapshot` idiom).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-use dbtf_telemetry::CounterRegistry;
 
 /// Shared atomic counters for one serving process.
 #[derive(Debug, Default)]
@@ -137,13 +132,6 @@ impl ServeMetrics {
             ("serve.reload.errors", get(&self.reload_errors)),
         ]
     }
-
-    /// Copies the current counter values into a telemetry registry.
-    pub fn export_into(&self, registry: &mut CounterRegistry) {
-        for (name, value) in self.named_counters() {
-            registry.set(name, value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -180,15 +168,6 @@ mod tests {
         ] {
             assert_eq!(counters[name], 1.0, "{name}");
         }
-    }
-
-    #[test]
-    fn export_lands_in_a_registry() {
-        let m = ServeMetrics::new();
-        ServeMetrics::add(&m.point_queries, 3);
-        let mut registry = CounterRegistry::new();
-        m.export_into(&mut registry);
-        assert_eq!(registry.get("serve.point.queries"), Some(3.0));
     }
 
     #[test]

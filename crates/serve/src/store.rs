@@ -173,11 +173,6 @@ impl FactorStore {
         self.file.factors()
     }
 
-    /// Column popcount `|m_:r|` of factor `mode`.
-    pub fn column_count(&self, mode: usize, r: usize) -> u64 {
-        self.column_counts[mode][r]
-    }
-
     /// The weight `topk` ranks column `r` by for an entity of `mode`: the
     /// number of reconstruction cells the column contributes in that
     /// entity's slice — the product of the *other* two factors' column
@@ -316,9 +311,6 @@ mod tests {
                 factors.b.column(r).count_ones() as u64,
                 factors.c.column(r).count_ones() as u64,
             ];
-            for (mode, &want) in counts.iter().enumerate() {
-                assert_eq!(store.column_count(mode, r), want);
-            }
             assert_eq!(store.column_weight(0, r), counts[1] * counts[2]);
             assert_eq!(store.column_weight(1, r), counts[0] * counts[2]);
             assert_eq!(store.column_weight(2, r), counts[0] * counts[1]);

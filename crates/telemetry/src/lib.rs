@@ -1,4 +1,4 @@
-//! Span-based tracing and unified counters for the DBTF engine.
+//! Span-based tracing for the DBTF engine.
 //!
 //! This crate is dependency-free and engine-agnostic: the cluster and
 //! core crates push spans/counters in, the CLI and CI pull Chrome
@@ -9,11 +9,9 @@
 #![warn(missing_docs)]
 
 mod chrome;
-mod counters;
 mod span;
 
 pub use chrome::{
     push_json_string, validate_chrome_trace, write_chrome_trace, JsonValue, TraceSummary,
 };
-pub use counters::CounterRegistry;
 pub use span::{BreakdownRow, KernelEvent, SpanId, SpanKind, SpanRecord, TraceLog, Tracer};

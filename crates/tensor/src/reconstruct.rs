@@ -49,33 +49,24 @@ pub fn reconstruction_error(x: &BoolTensor, a: &BitMatrix, b: &BitMatrix, c: &Bi
     x.xor_count(&x_hat)
 }
 
-/// Relative reconstruction error `|X ⊕ X̃| / |X|`.
-///
-/// Returns 0.0 for an all-zero input reconstructed exactly, and positive
-/// infinity when `|X| = 0` but the reconstruction is non-empty.
+/// Relative reconstruction error `|X ⊕ X̃| / |X|` ([`error_ratio`] of
+/// [`reconstruction_error`]).
 pub fn relative_error(x: &BoolTensor, a: &BitMatrix, b: &BitMatrix, c: &BitMatrix) -> f64 {
-    let err = reconstruction_error(x, a, b, c);
-    if x.nnz() == 0 {
-        if err == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        err as f64 / x.nnz() as f64
-    }
+    error_ratio(reconstruction_error(x, a, b, c) as u64, x.nnz())
 }
 
-/// Number of ones of `x` covered by the reconstruction and number of ones
-/// the reconstruction adds outside `x`: `(|X ∧ X̃|, |X̃ \ X|)`.
-///
-/// `error = (|X| − covered) + extra`; exposing the split helps the
-/// Walk'n'Merge-style coverage analyses and the examples.
-pub fn coverage(x: &BoolTensor, a: &BitMatrix, b: &BitMatrix, c: &BitMatrix) -> (usize, usize) {
-    let x_hat = reconstruct(a, b, c);
-    let covered = x.and_count(&x_hat);
-    let extra = x_hat.nnz() - covered;
-    (covered, extra)
+/// `error / nnz`: the relative error of a reconstruction `error` cells
+/// away from an input with `nnz` ones. Returns 0.0 for an all-zero input
+/// reconstructed exactly, and positive infinity when `nnz` is 0 but
+/// `error` is not.
+pub fn error_ratio(error: u64, nnz: usize) -> f64 {
+    if error == 0 {
+        0.0
+    } else if nnz == 0 {
+        f64::INFINITY
+    } else {
+        error as f64 / nnz as f64
+    }
 }
 
 #[cfg(test)]
@@ -153,18 +144,6 @@ mod tests {
         let x = BoolTensor::from_entries([2, 2, 2], vec![[1, 1, 1]]);
         assert_eq!(reconstruction_error(&x, &a, &b, &c), 2);
         assert_eq!(relative_error(&x, &a, &b, &c), 2.0);
-    }
-
-    #[test]
-    fn coverage_split() {
-        let a = BitMatrix::from_rows(2, 1, &[&[0][..], &[0][..]]);
-        let b = BitMatrix::from_rows(1, 1, &[&[0][..]]);
-        let c = BitMatrix::from_rows(1, 1, &[&[0][..]]);
-        // X̃ = {(0,0,0), (1,0,0)}; X = {(0,0,0)}.
-        let x = BoolTensor::from_entries([2, 1, 1], vec![[0, 0, 0]]);
-        let (covered, extra) = coverage(&x, &a, &b, &c);
-        assert_eq!(covered, 1);
-        assert_eq!(extra, 1);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 
 use dbtf::tucker::TuckerConfig;
 use dbtf::tucker_distributed::tucker_factorize_distributed_traced;
-use dbtf::{factorize_traced, DbtfConfig, DbtfResult};
+use dbtf::{factorize_traced, update_factors_traced, DbtfConfig, DbtfResult};
 use dbtf_cluster::{
     Cluster, ClusterConfig, FaultPlan, LocalBackend, MetricsSnapshot, OpKind, PlanTrace,
 };
 use dbtf_cluster::{ExecutionBackend, NetworkModel};
 use dbtf_datagen::uniform_random;
-use dbtf_tensor::{BitMatrix, BoolTensor};
+use dbtf_tensor::{BitMatrix, BoolTensor, DeltaCell, TensorDelta};
 
 /// FNV-style position-sensitive hash of a bit matrix (golden constants
 /// below were captured with exactly this function on pre-refactor output).
@@ -219,6 +219,80 @@ fn cp_plan_is_invariant_under_faults_with_recovery_visible_in_trace() {
     );
     let recovery_secs: f64 = faulty_trace.ops.iter().map(|op| op.recovery_secs).sum();
     assert!(recovery_secs > 0.0);
+}
+
+// ---- Delta golden run: the CP golden's factors, updated after --------
+// DELTA_CELLS on a fresh cluster of the same shape (3 workers × 8 cores).
+// One absent cell set and three present cells cleared; together they touch
+// columns 2 and 3 only.
+const DELTA_CELLS: &[([u32; 3], bool)] = &[
+    ([1, 4, 11], true),
+    ([15, 12, 6], false),
+    ([11, 11, 11], false),
+    ([11, 4, 11], false),
+];
+const DELTA_AFFECTED_COLUMNS: &[usize] = &[2, 3];
+const DELTA_PRE_ERROR: u64 = 464;
+const DELTA_ERROR: u64 = 461;
+const DELTA_ITERATION_ERRORS: &[u64] = &[461, 461];
+const DELTA_HASH_A: u64 = 0x3a16c91ac54ff225;
+const DELTA_HASH_B: u64 = 0x411806208a296818;
+const DELTA_HASH_C: u64 = 0x8fb3a084afc02dd0;
+/// FNV-1a of the plan's [`PlanTrace::fingerprint`].
+const DELTA_PLAN_HASH: u64 = 0x740de41511e0e9e0;
+const DELTA_TOTAL_OPS: u64 = 17460;
+const DELTA_BYTES_SHUFFLED: u64 = 22800;
+const DELTA_BYTES_BROADCAST: u64 = 786;
+const DELTA_BYTES_COLLECTED: u64 = 71424;
+const DELTA_SUPERSTEPS: u64 = 27;
+const DELTA_VIRTUAL_TIME_BITS: u64 = 0x3fa72d07fa393066;
+
+/// FNV-1a over bytes.
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// `dbtf update`'s plan and results: the bounded re-sweep over the
+/// affected columns, pinned like the CP golden.
+#[test]
+fn delta_update_matches_golden() {
+    let (fit, _, _) = cp_on_cluster(None);
+    let x = cp_tensor();
+    let cells = DELTA_CELLS
+        .iter()
+        .map(|&(coord, set)| DeltaCell { coord, set })
+        .collect();
+    let delta = TensorDelta::new(x.dims(), cells).unwrap();
+    let cluster = Cluster::new(ClusterConfig {
+        workers: 3,
+        ..ClusterConfig::default()
+    });
+    let (result, trace) =
+        update_factors_traced(&cluster, &x, &delta, &fit.factors, &cp_config()).unwrap();
+    let m = cluster.metrics();
+
+    assert_eq!(result.affected_columns, DELTA_AFFECTED_COLUMNS);
+    assert_eq!(result.pre_error, DELTA_PRE_ERROR);
+    assert_eq!(result.error, DELTA_ERROR);
+    assert_eq!(result.iteration_errors, DELTA_ITERATION_ERRORS);
+    assert_eq!(hash_matrix(&result.factors.a), DELTA_HASH_A);
+    assert_eq!(hash_matrix(&result.factors.b), DELTA_HASH_B);
+    assert_eq!(hash_matrix(&result.factors.c), DELTA_HASH_C);
+    assert_eq!(hash_bytes(trace.fingerprint().as_bytes()), DELTA_PLAN_HASH);
+    assert_eq!(m.total_ops, DELTA_TOTAL_OPS);
+    assert_eq!(m.bytes_shuffled, DELTA_BYTES_SHUFFLED);
+    assert_eq!(m.bytes_broadcast, DELTA_BYTES_BROADCAST);
+    assert_eq!(m.bytes_collected, DELTA_BYTES_COLLECTED);
+    assert_eq!(m.supersteps, DELTA_SUPERSTEPS);
+    assert_eq!(
+        m.virtual_time.as_secs_f64().to_bits(),
+        DELTA_VIRTUAL_TIME_BITS
+    );
 }
 
 // ---- Tucker golden run: uniform_random([12,10,8], 0.2, seed 11), -------
