@@ -126,9 +126,6 @@ pub trait ExecutionBackend {
     /// Handle to a distributed dataset of partitions of type `P`.
     type Dataset<P: Send + 'static>;
 
-    /// Short backend name for logs and CLI output (`"cluster"`/`"local"`).
-    fn name(&self) -> &'static str;
-
     /// Number of (possibly logical) worker machines.
     fn workers(&self) -> usize;
 
@@ -191,12 +188,12 @@ pub trait ExecutionBackend {
     ///
     /// # Panics
     ///
-    /// On the cluster and networked backends, panics if `data` belongs to
-    /// another backend instance, or — with a clean per-partition message —
-    /// if a task panicked or exhausted its launch attempts. The task panic
-    /// is caught on the worker, which survives, but the partition the task
-    /// was mutating is left in an unspecified state. On the local backend
-    /// a task panic propagates as it is.
+    /// On every backend, panics with a clean per-partition message if a
+    /// task panicked or exhausted its launch attempts: the executor's batch
+    /// loop catches the task panic, so the worker survives, but the
+    /// partition the task was mutating is left in an unspecified state.
+    /// The cluster and networked backends also panic if `data` belongs to
+    /// another backend instance.
     ///
     /// Closure-bound convenience over
     /// [`ExecutionBackend::map_partitions_task`] (keeps closure argument

@@ -106,6 +106,30 @@ impl ClusterConfig {
         self.core_throughput_ops_per_sec
     }
 
+    /// The one placement rule: partition `idx` lives on worker
+    /// `idx mod workers`, which for DBTF's equal-width vertical partitions
+    /// balances load like the paper's Spark partitioner.
+    pub(crate) fn worker_of(&self, idx: usize) -> usize {
+        idx % self.workers
+    }
+
+    /// Splits `parts` across the workers by [`ClusterConfig::worker_of`]:
+    /// each worker's `(global index, prepare(payload))` list in index
+    /// order, plus every partition's metered bytes.
+    pub(crate) fn place<P, Q>(
+        &self,
+        parts: Vec<(P, u64)>,
+        mut prepare: impl FnMut(P) -> Q,
+    ) -> (Vec<Vec<(usize, Q)>>, Vec<u64>) {
+        let mut per_worker: Vec<Vec<(usize, Q)>> = (0..self.workers).map(|_| Vec::new()).collect();
+        let mut part_bytes = Vec::with_capacity(parts.len());
+        for (idx, (payload, bytes)) in parts.into_iter().enumerate() {
+            part_bytes.push(bytes);
+            per_worker[self.worker_of(idx)].push((idx, prepare(payload)));
+        }
+        (per_worker, part_bytes)
+    }
+
     /// Checks the configuration every backend boots from: a
     /// [`ClusterError::InvalidConfig`] for zero workers, zero cores per
     /// worker, or a fault plan that fails [`FaultPlan::validate`].

@@ -1,9 +1,9 @@
-//! The cluster handle: construction, shared driver-side state, and its
-//! [`ExecutionBackend`] operators. The rest lives in the sibling modules —
-//! [`crate::scheduler`] (the superstep merge), [`crate::executor`] (one
-//! thread per worker, tasks run inline), [`crate::storage`] (dataset
-//! registry), [`crate::lineage`] (crash recovery) and [`crate::metrics`]
-//! (the cost model).
+//! The cluster handle: construction, shared driver-side state, its
+//! [`ExecutionBackend`] operators, and simulated crashes. The rest lives in
+//! the sibling modules — [`crate::scheduler`] (the superstep merge),
+//! [`crate::executor`] (one thread per worker, tasks run inline),
+//! [`crate::storage`] (dataset handles), [`crate::lineage`] (the lineage
+//! book and its recovery pass) and [`crate::metrics`] (the cost model).
 //!
 //! # Fault tolerance
 //!
@@ -13,9 +13,10 @@
 //!   backoff charged to the virtual clock; a failed launch never runs the
 //!   task closure, so cached partition state is never half-mutated.
 //! - **Worker crashes** lose every partition in the worker's memory. The
-//!   engine respawns the worker, re-installs the lost partitions from the
-//!   dataset's rebuild closure and replays the per-dataset task log
-//!   (Spark-style lineage), restoring bit-identical state.
+//!   engine restores the worker through the lineage book: it re-installs
+//!   the lost partitions from the dataset's rebuild closure and replays the
+//!   per-dataset task log (Spark-style lineage), restoring bit-identical
+//!   state.
 //! - **Slow tasks** stretch the superstep makespan; when speculation is on,
 //!   a straggler task gets a speculative copy on another worker and the
 //!   superstep completes at the earlier of the two finishes.
@@ -25,21 +26,23 @@
 //! virtual time), so the cost of failure is measurable while factors,
 //! errors, and op counts stay bit-identical to a fault-free run.
 
-use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::config::ClusterConfig;
-use crate::executor::{spawn_worker, BatchResult, WorkerMsg};
+use crate::executor::{
+    erase_task, spawn_worker, AnyPart, BatchResult, TaskFaults, TaskFn, WorkerMsg,
+};
 use crate::fault::FaultPlan;
+use crate::lineage::{LineageBook, Replayed, Restore};
 use crate::lock;
 use crate::metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
 use crate::scheduler::merge_superstep;
-use crate::storage::{Broadcast, DatasetState, DistVec};
+use crate::storage::{Broadcast, DistVec};
 
 /// Errors surfaced while booting a [`Cluster`].
 #[derive(Debug)]
@@ -95,33 +98,24 @@ impl std::error::Error for ClusterError {
     }
 }
 
-/// A type-erased partition payload as it travels to and from workers.
-pub(crate) type AnyPart = Box<dyn Any + Send>;
-/// A type-erased partition task (global index, partition, context → result).
-pub(crate) type TaskFn =
-    dyn Fn(usize, &mut (dyn Any + Send), &mut crate::task::TaskContext) -> AnyPart + Send + Sync;
-/// Recomputes a partition's distribute-time payload from its global index.
-pub(crate) type RebuildFn = dyn Fn(usize) -> AnyPart + Send + Sync;
-
-/// Fault context shipped with a superstep: the plan plus the superstep
-/// index, enough for a worker to make deterministic per-attempt decisions.
-pub(crate) type TaskFaults = (Arc<FaultPlan>, u64);
-
 /// Shared driver-side state of a [`Cluster`].
 pub(crate) struct Inner {
     pub(crate) config: ClusterConfig,
     /// Supersteps handed to workers so far: the index the fault plan keys
     /// its per-superstep decisions off.
     pub(crate) submitted_steps: AtomicU64,
-    pub(crate) senders: Mutex<Vec<Sender<WorkerMsg>>>,
-    pub(crate) handles: Mutex<Vec<Option<JoinHandle<()>>>>,
+    /// One mailbox per worker thread, for the cluster's lifetime.
+    pub(crate) senders: Vec<Sender<WorkerMsg>>,
+    /// The worker threads, joined when the cluster drops.
+    pub(crate) handles: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) metrics: CommMetrics,
-    pub(crate) next_dataset: AtomicU64,
-    pub(crate) registry: Mutex<HashMap<u64, DatasetState>>,
+    /// Every live dataset's lineage: rebuilt partitions travel as boxed
+    /// payloads, logged tasks as the closures the workers ran.
+    pub(crate) lineage: LineageBook<Vec<(usize, AnyPart)>, Arc<TaskFn>>,
     pub(crate) fault: Option<Arc<FaultPlan>>,
     /// When set, supersteps ship per-kernel events back to the driver
     /// (tracing on). Purely observational — never affects metering.
-    pub(crate) capture_task_events: std::sync::atomic::AtomicBool,
+    pub(crate) capture_task_events: AtomicBool,
     /// Task events of the most recent superstep, sorted by partition
     /// index; drained by [`crate::ExecutionBackend::take_task_events`].
     pub(crate) task_events: Mutex<Vec<crate::TaskEvents>>,
@@ -133,7 +127,8 @@ pub(crate) struct Inner {
 /// See the crate docs for the execution and virtual-time model. Dropping the
 /// `Cluster` shuts the workers down. `Cluster` is the multi-worker
 /// implementation of [`crate::ExecutionBackend`]; drivers that want a
-/// zero-overhead single-process run use [`crate::LocalBackend`] instead.
+/// single-process run without worker threads use [`crate::LocalBackend`]
+/// instead.
 pub struct Cluster {
     pub(crate) inner: Arc<Inner>,
 }
@@ -167,7 +162,7 @@ impl Cluster {
                     worker: worker_id,
                     source,
                 })?;
-            handles.push(Some(handle));
+            handles.push(handle);
         }
         let fault = config.fault_plan.clone().map(Arc::new);
         Ok(Cluster {
@@ -175,12 +170,11 @@ impl Cluster {
                 metrics: CommMetrics::new(config.workers),
                 config,
                 submitted_steps: AtomicU64::new(0),
-                senders: Mutex::new(senders),
+                senders,
                 handles: Mutex::new(handles),
-                next_dataset: AtomicU64::new(0),
-                registry: Mutex::new(HashMap::new()),
+                lineage: LineageBook::new(),
                 fault,
-                capture_task_events: std::sync::atomic::AtomicBool::new(false),
+                capture_task_events: AtomicBool::new(false),
                 task_events: Mutex::new(Vec::new()),
             }),
         })
@@ -195,14 +189,78 @@ impl Cluster {
     pub fn virtual_time(&self) -> VirtualDuration {
         self.metrics().virtual_time
     }
+
+    /// Fires every crash the fault plan injects at `step` — scheduled
+    /// `(superstep, worker)` entries plus seed-hashed `process_kill_rate`
+    /// draws, via [`crate::FaultPlan::kills_at`] — each at most once, and
+    /// recovers from each.
+    fn inject_crashes(&self, step: u64) {
+        let inner = &self.inner;
+        for w in inner
+            .metrics
+            .crashes_to_fire(inner.fault.as_deref(), step, inner.config.workers)
+        {
+            self.crash_and_recover(w);
+        }
+    }
+
+    /// Crashes worker `w` — it drops every partition in its memory — and
+    /// restores it through the lineage book.
+    fn crash_and_recover(&self, w: usize) {
+        let inner = &self.inner;
+        let sender = &inner.senders[w];
+        sender.send(WorkerMsg::Crash).expect("worker hung up");
+        inner.metrics.charge_respawn();
+        let Ok(()) = inner
+            .lineage
+            .recover(&inner.config, &inner.metrics, w, &mut Mailbox(sender));
+    }
+}
+
+/// One worker's mailbox, as the driver asks it for something; also the
+/// cluster's recovery transport.
+pub(crate) struct Mailbox<'a>(pub(crate) &'a Sender<WorkerMsg>);
+
+impl Mailbox<'_> {
+    /// Sends the message `msg` builds around a reply channel and waits for
+    /// the reply.
+    pub(crate) fn ask<R>(&self, msg: impl FnOnce(Sender<R>) -> WorkerMsg) -> R {
+        let (reply, replied) = channel();
+        self.0.send(msg(reply)).expect("worker hung up");
+        replied.recv().expect("worker hung up")
+    }
+}
+
+impl Restore<Vec<(usize, AnyPart)>, Arc<TaskFn>> for Mailbox<'_> {
+    type Error = Infallible;
+
+    fn install(&mut self, dataset: u64, parts: Vec<(usize, AnyPart)>) -> Result<(), Infallible> {
+        self.ask(|ack| WorkerMsg::Store {
+            dataset,
+            parts,
+            ack,
+        });
+        Ok(())
+    }
+
+    fn replay(&mut self, dataset: u64, task: &Arc<TaskFn>) -> Result<Option<Replayed>, Infallible> {
+        let batch = self.ask(|reply| WorkerMsg::Run {
+            dataset,
+            task: Arc::clone(task),
+            fault: None,
+            capture: false,
+            reply,
+        });
+        Ok(Some(Replayed {
+            panics: batch.panics,
+            total_ops: batch.load.total_ops,
+            max_task_ops: batch.load.max_task_ops,
+        }))
+    }
 }
 
 impl ExecutionBackend for Cluster {
     type Dataset<P: Send + 'static> = DistVec<P>;
-
-    fn name(&self) -> &'static str {
-        "cluster"
-    }
 
     fn workers(&self) -> usize {
         self.inner.config.workers
@@ -226,53 +284,28 @@ impl ExecutionBackend for Cluster {
         F: Fn(usize) -> P + Send + Sync + 'static,
     {
         let inner = &self.inner;
-        let nparts = parts.len();
-        let id = inner.next_dataset.fetch_add(1, Ordering::Relaxed);
-        let workers = inner.config.workers;
-        let mut per_worker: Vec<Vec<(usize, AnyPart)>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut placement = Vec::with_capacity(nparts);
-        let mut part_bytes = Vec::with_capacity(nparts);
-        for (idx, (payload, bytes)) in parts.into_iter().enumerate() {
-            let w = idx % workers;
-            placement.push(w);
-            part_bytes.push(bytes);
-            per_worker[w].push((idx, Box::new(payload)));
-        }
+        let id = inner.lineage.allocate();
+        let (per_worker, part_bytes) = inner
+            .config
+            .place(parts, |payload| Box::new(payload) as AnyPart);
         inner.metrics.charge_distribute(&inner.config, &part_bytes);
 
-        lock(&inner.registry).insert(
-            id,
-            DatasetState {
-                placement: placement.clone(),
-                part_bytes: part_bytes.clone(),
-                rebuild: Box::new(move |idx| Box::new(rebuild(idx)) as AnyPart),
-                log: Vec::new(),
-            },
-        );
-
-        let senders = lock(&inner.senders).clone();
-        let (ack_tx, ack_rx) = channel();
-        let mut expected = 0;
-        for (w, batch) in per_worker.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+        for (sender, batch) in inner.senders.iter().zip(per_worker) {
+            if !batch.is_empty() {
+                let Ok(()) = Mailbox(sender).install(id, batch);
             }
-            expected += 1;
-            senders[w]
-                .send(WorkerMsg::Store {
-                    dataset: id,
-                    parts: batch,
-                    ack: ack_tx.clone(),
-                })
-                .expect("worker hung up");
         }
-        for _ in 0..expected {
-            ack_rx.recv().expect("worker hung up");
-        }
+        inner.lineage.insert(
+            id,
+            part_bytes.clone(),
+            Box::new(move |lost: &[usize]| {
+                lost.iter()
+                    .map(|&idx| (idx, Box::new(rebuild(idx)) as AnyPart))
+                    .collect()
+            }),
+        );
         DistVec {
             id,
-            nparts,
-            placement,
             part_bytes,
             inner: Arc::clone(inner),
             _marker: std::marker::PhantomData,
@@ -308,17 +341,10 @@ impl ExecutionBackend for Cluster {
         let step = inner.submitted_steps.fetch_add(1, Ordering::Relaxed);
         self.inject_crashes(step);
 
-        let task: Arc<TaskFn> = Arc::new(move |idx, part, ctx| {
-            let part = part
-                .downcast_mut::<P>()
-                .expect("partition type mismatch: DistVec used with wrong element type");
-            Box::new(f.run(idx, part, ctx)) as AnyPart
-        });
+        let task = erase_task(f);
         // Record the task in the dataset's lineage log (replayed after a
         // crash) before it runs anywhere.
-        if let Some(ds) = lock(&inner.registry).get_mut(&data.id) {
-            ds.log.push(Arc::clone(&task));
-        }
+        inner.lineage.log(data.id, Arc::clone(&task));
 
         let task_faults: Option<TaskFaults> = inner
             .fault
@@ -328,8 +354,7 @@ impl ExecutionBackend for Cluster {
 
         let capture = inner.capture_task_events.load(Ordering::Relaxed);
         let (reply_tx, reply_rx): (Sender<BatchResult>, Receiver<BatchResult>) = channel();
-        let senders = lock(&inner.senders).clone();
-        for sender in &senders {
+        for sender in &inner.senders {
             sender
                 .send(WorkerMsg::Run {
                     dataset: data.id,
@@ -342,14 +367,13 @@ impl ExecutionBackend for Cluster {
         }
         drop(reply_tx);
 
-        let batches: Vec<BatchResult> = (0..senders.len())
+        let batches: Vec<BatchResult> = (0..inner.senders.len())
             .map(|_| reply_rx.recv().expect("worker hung up"))
             .collect();
         merge_superstep(
             &inner.config,
             &inner.metrics,
             inner.fault.as_deref().map(|plan| (plan, step)),
-            data.nparts,
             &data.part_bytes,
             capture,
             batches,
@@ -362,9 +386,7 @@ impl ExecutionBackend for Cluster {
             Arc::ptr_eq(&self.inner, &data.inner),
             "dataset belongs to a different cluster"
         );
-        if let Some(ds) = lock(&self.inner.registry).get_mut(&data.id) {
-            ds.log.clear();
-        }
+        self.inner.lineage.reset(data.id);
     }
 
     fn dataset_partitions<P: Send + 'static>(&self, data: &DistVec<P>) -> usize {
@@ -386,13 +408,11 @@ impl ExecutionBackend for Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        for sender in lock(&self.inner.senders).iter() {
+        for sender in &self.inner.senders {
             let _ = sender.send(WorkerMsg::Shutdown);
         }
-        for handle in lock(&self.inner.handles).iter_mut() {
-            if let Some(handle) = handle.take() {
-                let _ = handle.join();
-            }
+        for handle in lock(&self.inner.handles).drain(..) {
+            let _ = handle.join();
         }
     }
 }

@@ -11,10 +11,37 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::engine::{AnyPart, TaskFaults, TaskFn};
+use crate::backend::PartitionTask;
+use crate::fault::FaultPlan;
 use crate::metrics::WorkerLoad;
 use crate::task::TaskContext;
 use dbtf_telemetry::KernelEvent;
+
+/// A type-erased partition payload or task result.
+pub(crate) type AnyPart = Box<dyn Any + Send>;
+/// A type-erased partition task (global index, partition, context → result).
+pub(crate) type TaskFn =
+    dyn Fn(usize, &mut (dyn Any + Send), &mut TaskContext) -> AnyPart + Send + Sync;
+
+/// Fault context shipped with a superstep: the plan plus the superstep
+/// index, enough for a worker to make deterministic per-attempt decisions.
+pub(crate) type TaskFaults = (Arc<FaultPlan>, u64);
+
+/// Erases a typed partition task into the [`TaskFn`] that [`run_batch`]
+/// runs: the partition is downcast to `P` and the result boxed.
+pub(crate) fn erase_task<P, T, F>(f: F) -> Arc<TaskFn>
+where
+    P: Send + 'static,
+    T: Send + 'static,
+    F: PartitionTask<P, T>,
+{
+    Arc::new(move |idx, part, ctx| {
+        let part = part
+            .downcast_mut::<P>()
+            .expect("partition type mismatch: dataset used with wrong element type");
+        Box::new(f.run(idx, part, ctx)) as AnyPart
+    })
+}
 
 /// Messages a worker thread understands.
 pub(crate) enum WorkerMsg {
@@ -41,6 +68,8 @@ pub(crate) enum WorkerMsg {
     Count { dataset: u64, reply: Sender<usize> },
     /// Evict a dataset from this worker's memory.
     DropDataset { dataset: u64 },
+    /// A simulated crash: lose every partition in this worker's memory.
+    Crash,
     /// Terminate the worker thread.
     Shutdown,
 }
@@ -120,6 +149,7 @@ fn worker_loop(worker_id: usize, rx: Receiver<WorkerMsg>) {
             WorkerMsg::DropDataset { dataset } => {
                 datasets.remove(&dataset);
             }
+            WorkerMsg::Crash => datasets.clear(),
             WorkerMsg::Shutdown => break,
         }
     }

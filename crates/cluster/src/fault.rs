@@ -28,11 +28,11 @@
 //! same seed discipline:
 //!
 //! - **process kills** — with probability [`FaultPlan::process_kill_rate`]
-//!   a worker dies at the start of a superstep. On the in-process backends
-//!   this is a simulated crash (thread killed, memory lost); on the
+//!   a worker dies at the start of a superstep. On the simulated cluster
+//!   this is a simulated crash (the worker's memory is cleared); on the
 //!   networked backend it is a literal `SIGKILL` of the worker process.
-//!   Both paths recover through the same lineage machinery, so a
-//!   kill-riddled networked run stays bit-identical to the simulated one.
+//!   Both paths recover through the same lineage book, so a kill-riddled
+//!   networked run stays bit-identical to the simulated one.
 //! - **connection drops** — with probability
 //!   [`FaultPlan::connection_drop_rate`] a worker severs its driver
 //!   connection after receiving a request; the driver reconnects and
@@ -41,7 +41,7 @@
 //! - **delayed responses** — with probability
 //!   [`FaultPlan::response_delay_rate`] a worker sleeps
 //!   [`FaultPlan::response_delay_ms`] wall-clock milliseconds before
-//!   replying, exercising the driver's timeout/heartbeat paths. Wire-level
+//!   replying, exercising the driver's request-timeout path. Wire-level
 //!   only: no metering impact.
 
 /// A deterministic, seed-driven fault schedule for one cluster.

@@ -44,7 +44,8 @@
 //! Three backends implement the trait: [`Cluster`] (simulated multi-worker
 //! engine with network costing and fault injection), [`NetBackend`]
 //! (worker processes behind TCP sockets, with the same fault injection)
-//! and [`LocalBackend`] (zero-overhead inline execution). All three charge
+//! and [`LocalBackend`] (inline execution on the driver thread). All three
+//! run their supersteps through one batch loop and one merge, and charge
 //! through one cost model (the `charge_*` methods of [`CommMetrics`]); the
 //! local backend runs it with a free network and no fault plan, so its
 //! virtual time is compute only. For a fixed algorithm run, the trace
@@ -57,9 +58,11 @@
 //! this engine reproduces that slice too. A deterministic, seed-driven
 //! [`FaultPlan`] on [`ClusterConfig::fault_plan`] injects worker crashes,
 //! transient task failures, and slow tasks; the engine recovers via
-//! driver-side lineage (every dataset's rebuild closure from
-//! [`ExecutionBackend::distribute_with_lineage`] plus per-dataset task-log
-//! replay), worker respawn, bounded retries with exponential backoff, and
+//! driver-side lineage (one lineage book holding every dataset's rebuild
+//! closure from [`ExecutionBackend::distribute_with_lineage`] plus its
+//! task log, replayed onto a crashed worker by one recovery pass on the
+//! simulated and the networked backend), bounded retries with exponential
+//! backoff, and
 //! speculative re-execution of stragglers — all charged to the virtual
 //! clock and itemised in [`MetricsSnapshot`]'s recovery counters, while
 //! results, errors, and op counts stay bit-identical to a fault-free run.

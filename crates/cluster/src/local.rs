@@ -1,13 +1,16 @@
-//! [`LocalBackend`]: a zero-overhead, single-process
-//! [`crate::ExecutionBackend`] for debugging and baselines.
+//! [`LocalBackend`]: a single-process [`crate::ExecutionBackend`] for
+//! debugging and baselines.
 //!
 //! Operators run inline on the driver thread — no worker threads, no
-//! channels, no boxing of task results. The backend still *meters* like
-//! the cluster: partitions map to logical workers round-robin, and every
-//! charge goes through the cluster's own cost model, run with
-//! [`NetworkModel::free`] and no fault plan. So every transfer costs no
-//! virtual time, `virtual_time` reflects pure compute, and nothing can
-//! crash.
+//! channels. A superstep is the cluster's own: each logical worker's
+//! partitions (placed by the one placement rule) run through the
+//! executor's batch loop, on the driver thread and one worker after
+//! another, and the batches merge through the same superstep merge, so a
+//! task panic surfaces with the same per-partition message as on the
+//! other backends. Every charge goes through the cluster's own cost model,
+//! run with [`NetworkModel::free`] and no fault plan. So every transfer
+//! costs no virtual time, `virtual_time` reflects pure compute, and nothing
+//! can crash.
 //!
 //! Consequence: for the same driver run, `LocalBackend` produces
 //! bit-identical factors, errors, op counts, byte counters and clock to a
@@ -16,16 +19,17 @@
 //! gigabit network only `virtual_time` differs, by exactly the network
 //! term.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::config::{ClusterConfig, NetworkModel};
-use crate::executor::BatchResult;
+use crate::executor::{erase_task, run_batch, AnyPart};
 use crate::lock;
-use crate::metrics::{CommMetrics, MetricsSnapshot, WorkerLoad};
+use crate::metrics::{CommMetrics, MetricsSnapshot};
+use crate::scheduler::merge_superstep;
 use crate::storage::Broadcast;
-use crate::task::TaskContext;
 
 struct LocalInner {
     /// The metered shape, with a free network and no fault plan.
@@ -85,11 +89,13 @@ impl LocalBackend {
 }
 
 /// A dataset held by a [`LocalBackend`]: partitions live in driver
-/// memory, tagged with their logical worker for metering.
+/// memory, grouped by their logical worker.
 pub struct LocalDataset<P> {
-    parts: Mutex<Vec<P>>,
+    /// Each logical worker's `(global index, partition)` list.
+    parts: Mutex<Vec<Vec<(usize, AnyPart)>>>,
     part_bytes: Vec<u64>,
     inner: Arc<LocalInner>,
+    _marker: PhantomData<fn() -> P>,
 }
 
 impl<P> LocalDataset<P> {
@@ -113,10 +119,6 @@ impl<P> Drop for LocalDataset<P> {
 impl ExecutionBackend for LocalBackend {
     type Dataset<P: Send + 'static> = LocalDataset<P>;
 
-    fn name(&self) -> &'static str {
-        "local"
-    }
-
     fn workers(&self) -> usize {
         self.inner.config.workers
     }
@@ -139,14 +141,14 @@ impl ExecutionBackend for LocalBackend {
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static,
     {
-        let (payloads, part_bytes): (Vec<P>, Vec<u64>) = parts.into_iter().unzip();
-        self.inner
-            .metrics
-            .charge_distribute(&self.inner.config, &part_bytes);
+        let cfg = &self.inner.config;
+        let (per_worker, part_bytes) = cfg.place(parts, |payload| Box::new(payload) as AnyPart);
+        self.inner.metrics.charge_distribute(cfg, &part_bytes);
         LocalDataset {
-            parts: Mutex::new(payloads),
+            parts: Mutex::new(per_worker),
             part_bytes,
             inner: Arc::clone(&self.inner),
+            _marker: PhantomData,
         }
     }
 
@@ -160,51 +162,31 @@ impl ExecutionBackend for LocalBackend {
         }
     }
 
-    /// Runs every task inline, in partition order, and charges each
-    /// logical worker's share (partition `idx` belongs to worker
-    /// `idx % workers`) like the cluster charges its batches.
+    /// Runs each logical worker's batch inline, one worker after another,
+    /// and merges the batches like the cluster merges its workers'
+    /// replies.
     fn map_partitions_task<P, T, F>(&self, data: &LocalDataset<P>, f: F) -> Vec<T>
     where
         P: Send + 'static,
         T: Send + 'static,
         F: PartitionTask<P, T>,
     {
-        let cfg = &self.inner.config;
         let capture = self.inner.capture_task_events.load(Ordering::Relaxed);
-        let mut parts = lock(&data.parts);
-        let mut out = Vec::with_capacity(parts.len());
-        let mut batches: Vec<BatchResult> = (0..cfg.workers)
-            .map(|worker| BatchResult {
-                worker,
-                results: Vec::new(),
-                panics: Vec::new(),
-                stats: Vec::new(),
-                load: WorkerLoad::default(),
-            })
+        let task = erase_task(f);
+        let batches = lock(&data.parts)
+            .iter_mut()
+            .enumerate()
+            .map(|(worker, parts)| run_batch(worker, parts, task.as_ref(), None, capture))
             .collect();
-        let mut events: Vec<crate::TaskEvents> = Vec::new();
-        for (idx, part) in parts.iter_mut().enumerate() {
-            let batch = &mut batches[idx % cfg.workers];
-            let mut ctx = TaskContext::with_capture(batch.worker, idx, 0, capture);
-            out.push(f.run(idx, part, &mut ctx));
-            batch.load.add_task(ctx.ops(), ctx.result_bytes(), true);
-            if capture {
-                events.push(crate::TaskEvents {
-                    partition: idx,
-                    worker: batch.worker,
-                    ops: ctx.ops(),
-                    kernels: ctx.take_kernels(),
-                });
-            }
-        }
-        if capture {
-            // Already in partition order (inline execution).
-            *lock(&self.inner.task_events) = events;
-        }
-        self.inner
-            .metrics
-            .charge_superstep(cfg, None, &data.part_bytes, &batches);
-        out
+        merge_superstep(
+            &self.inner.config,
+            &self.inner.metrics,
+            None,
+            &data.part_bytes,
+            capture,
+            batches,
+            &self.inner.task_events,
+        )
     }
 
     fn reset_lineage<P: Send + 'static>(&self, _data: &LocalDataset<P>) {

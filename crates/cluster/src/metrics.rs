@@ -93,8 +93,6 @@ pub struct CommMetrics {
     pub(crate) recovery_ops: AtomicU64,
     pub(crate) speculative_tasks: AtomicU64,
     pub(crate) speculative_wins: AtomicU64,
-    /// Networked backend: heartbeat probes that timed out or errored.
-    pub(crate) net_heartbeats_missed: AtomicU64,
     /// Networked backend: times a live worker's connection was re-established.
     pub(crate) net_reconnects: AtomicU64,
     /// Networked backend: requests that hit the per-request socket timeout.
@@ -107,8 +105,8 @@ pub struct CommMetrics {
     /// (task results); equals `bytes_collected`.
     pub(crate) net_wire_bytes_received: AtomicU64,
     /// Networked backend: wire bytes outside the Lemma meters — frame
-    /// headers, task parameters, acks, handshakes, heartbeats, and resends
-    /// after connection drops.
+    /// headers, task parameters, acks, handshakes, and resends after
+    /// connection drops.
     pub(crate) net_wire_overhead_bytes: AtomicU64,
     /// Networked backend: payload bytes re-shipped to a respawned worker
     /// process during lineage recovery (the wire-level counterpart of
@@ -188,13 +186,13 @@ impl CommMetrics {
     }
 
     /// Distribute (Lemma 6): the whole dataset crosses the network once
-    /// and stays in worker memory. Partition `p` lands on worker
-    /// `p mod workers`; workers receive in parallel, so the step costs
-    /// the slowest link.
+    /// and stays in worker memory. Each partition lands on its worker by
+    /// [`ClusterConfig::worker_of`]; workers receive in parallel, so the
+    /// step costs the slowest link.
     pub(crate) fn charge_distribute(&self, cfg: &ClusterConfig, part_bytes: &[u64]) {
         let mut worker_bytes = vec![0u64; cfg.workers];
         for (idx, &bytes) in part_bytes.iter().enumerate() {
-            worker_bytes[idx % cfg.workers] += bytes;
+            worker_bytes[cfg.worker_of(idx)] += bytes;
         }
         let total: u64 = worker_bytes.iter().sum();
         self.add_shuffled(total);
@@ -396,7 +394,6 @@ impl CommMetrics {
             virtual_time: VirtualDuration::from_secs_f64(*lock(&self.clock_secs)),
             worker_busy_secs: lock(&self.worker_busy_secs).clone(),
             pool_idle_secs: *lock(&self.pool_idle_secs),
-            net_heartbeats_missed: self.net_heartbeats_missed.load(Ordering::Relaxed),
             net_reconnects: self.net_reconnects.load(Ordering::Relaxed),
             net_request_timeouts: self.net_request_timeouts.load(Ordering::Relaxed),
             net_wire_bytes_sent: self.net_wire_bytes_sent.load(Ordering::Relaxed),
@@ -469,7 +466,8 @@ pub struct MetricsSnapshot {
     pub stored_bytes: u64,
     /// Transient task-launch failures that were retried (fault injection).
     pub task_retries: u64,
-    /// Worker threads killed by the fault plan and respawned by the engine.
+    /// Workers crashed by the fault plan (or found dead on the networked
+    /// backend) and restored by the engine.
     pub worker_respawns: u64,
     /// Partitions rebuilt from lineage after a worker crash.
     pub partitions_recomputed: u64,
@@ -501,9 +499,6 @@ pub struct MetricsSnapshot {
     /// because counter names are stable API. Deterministic but
     /// observability-only; excluded from `==`.
     pub pool_idle_secs: f64,
-    /// Networked backend: heartbeat probes that timed out or errored.
-    /// Wall-clock statistic — nondeterministic, excluded from `==`.
-    pub net_heartbeats_missed: u64,
     /// Networked backend: live-worker connections re-established after a
     /// drop. Depends on injected wire faults — excluded from `==`.
     pub net_reconnects: u64,
@@ -520,7 +515,7 @@ pub struct MetricsSnapshot {
     /// in-process backends).
     pub net_wire_bytes_received: u64,
     /// Networked backend: wire bytes outside the Lemma meters (headers,
-    /// task params, acks, heartbeats, drop-triggered resends). Excluded
+    /// task params, acks, handshakes, drop-triggered resends). Excluded
     /// from `==`.
     pub net_wire_overhead_bytes: u64,
     /// Networked backend: payload bytes re-shipped to respawned worker
@@ -577,9 +572,6 @@ impl MetricsSnapshot {
             recovery_time: self.recovery_time - earlier.recovery_time,
             virtual_time: self.virtual_time - earlier.virtual_time,
             pool_idle_secs: (self.pool_idle_secs - earlier.pool_idle_secs).max(0.0),
-            net_heartbeats_missed: self
-                .net_heartbeats_missed
-                .saturating_sub(earlier.net_heartbeats_missed),
             net_reconnects: self.net_reconnects.saturating_sub(earlier.net_reconnects),
             net_request_timeouts: self
                 .net_request_timeouts
@@ -643,7 +635,6 @@ impl MetricsSnapshot {
         ));
         out.extend([
             ("pool.idle_virtual_secs", self.pool_idle_secs),
-            ("net.heartbeats_missed", self.net_heartbeats_missed as f64),
             ("net.reconnects", self.net_reconnects as f64),
             ("net.request_timeouts", self.net_request_timeouts as f64),
             ("net.wire_bytes_sent", self.net_wire_bytes_sent as f64),
@@ -751,7 +742,6 @@ mod tests {
         // snapshots that differ only there still compare equal.
         let mut other = s.clone();
         other.pool_idle_secs = 0.0;
-        other.net_heartbeats_missed = 7;
         other.net_reconnects = 3;
         other.net_request_timeouts = 2;
         other.net_wire_bytes_sent = 1 << 20;
@@ -767,7 +757,6 @@ mod tests {
         let names: Vec<&str> = s.named_counters().iter().map(|(n, _)| *n).collect();
         for name in [
             "pool.idle_virtual_secs",
-            "net.heartbeats_missed",
             "net.reconnects",
             "net.request_timeouts",
             "net.wire_bytes_sent",
@@ -782,7 +771,6 @@ mod tests {
     #[test]
     fn net_counters_snapshot_and_since() {
         let m = CommMetrics::new(2);
-        m.net_heartbeats_missed.fetch_add(2, Ordering::Relaxed);
         m.net_reconnects.fetch_add(1, Ordering::Relaxed);
         m.net_request_timeouts.fetch_add(3, Ordering::Relaxed);
         m.net_wire_bytes_sent.fetch_add(1000, Ordering::Relaxed);
@@ -790,7 +778,6 @@ mod tests {
         m.net_wire_overhead_bytes.fetch_add(64, Ordering::Relaxed);
         m.net_wire_reship_bytes.fetch_add(128, Ordering::Relaxed);
         let s = m.snapshot();
-        assert_eq!(s.net_heartbeats_missed, 2);
         assert_eq!(s.net_reconnects, 1);
         assert_eq!(s.net_request_timeouts, 3);
         assert_eq!(s.net_wire_bytes_sent, 1000);

@@ -21,14 +21,15 @@
 //! # Robustness
 //!
 //! The driver-side [`supervisor`] keeps one connection per worker with
-//! heartbeats, request timeouts, bounded redelivery, and reconnects.
-//! A dead worker (real `SIGKILL` under process hosting, `Die` frame under
-//! thread hosting) is respawned and restored through the same
-//! lineage-recovery sequence the simulated cluster uses — rebuild lost
-//! partitions, re-ship cached broadcasts, replay the task log — with the
-//! same recovery metering. When a worker exhausts its respawn budget the
-//! run fails with a typed [`crate::ClusterError::RespawnBudgetExhausted`]
-//! instead of hanging.
+//! request timeouts, bounded redelivery, and reconnects. The request path
+//! is the one liveness check: a worker is found dead (real `SIGKILL` under
+//! process hosting, `Die` frame under thread hosting) when a request to it
+//! fails and its process or thread has exited. It is then respawned, sent
+//! the cached broadcasts again, and restored through the lineage book the
+//! simulated cluster uses ([`crate::lineage`]: rebuild lost partitions,
+//! replay the task log) with the same recovery metering. When a worker
+//! exhausts its respawn budget the run fails with a typed
+//! [`crate::ClusterError::RespawnBudgetExhausted`] instead of hanging.
 
 mod proto;
 mod recovery;
@@ -41,37 +42,25 @@ pub use supervisor::{NetTuning, WorkerHost};
 pub use worker::worker_main;
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dbtf_wire::{frame_data_len, EncodedFrame, WireResult};
+use dbtf_wire::{frame_data_len, WireResult};
 
 use crate::backend::{ExecutionBackend, PartitionTask};
 use crate::config::ClusterConfig;
-use crate::engine::{AnyPart, ClusterError};
-use crate::executor::{BatchResult, TaskStat};
+use crate::engine::ClusterError;
+use crate::executor::{AnyPart, BatchResult, TaskStat};
 use crate::fault::FaultPlan;
+use crate::lineage::LineageBook;
 use crate::lock;
 use crate::metrics::{CommMetrics, MetricsSnapshot, WorkerLoad};
-use crate::net::proto::{BatchReply, Frame};
+use crate::net::proto::{BatchReply, Frame, RunFaults};
 use crate::net::registry::intern_kernel_name;
 use crate::net::supervisor::{InFlight, Supervisor};
 use crate::scheduler::merge_superstep;
 use crate::storage::Broadcast;
 use dbtf_telemetry::KernelEvent;
-
-/// Fault-plan fields shipped inside every `Run` frame so workers draw the
-/// same deterministic decisions the simulated cluster draws.
-#[derive(Clone, Copy, Default)]
-struct RunFaults {
-    seed: u64,
-    failure_rate: f64,
-    max_attempts: u32,
-    drop_rate: f64,
-    delay_rate: f64,
-    delay_ms: u64,
-}
 
 /// One logged wire-task application (the networked lineage log entry).
 struct RunSpec {
@@ -80,16 +69,9 @@ struct RunSpec {
     params: Vec<u8>,
 }
 
-/// Driver-side record of one distributed dataset.
-struct NetDatasetState {
-    placement: Vec<usize>,
-    part_bytes: Vec<u64>,
-    codec: &'static str,
-    /// Re-encodes a partition's distribute-time payload for recovery.
-    rebuild: Box<dyn Fn(usize) -> EncodedFrame + Send + Sync>,
-    /// Wire tasks applied since distribution (or the last lineage reset).
-    log: Vec<RunSpec>,
-}
+/// Rebuilt partitions as one recovery `Store` ships them: the partition
+/// codec's name and the encoded `(global index, partition frame)` list.
+type StoreParts = (&'static str, Arc<[(u64, Vec<u8>)]>);
 
 /// A per-worker closure producing the request frame for a given
 /// `(request id, delivery attempt)` pair; `None` skips the worker.
@@ -106,9 +88,8 @@ struct NetShared {
     registry: Arc<NetRegistry>,
     fault: Option<Arc<FaultPlan>>,
     submitted_steps: AtomicU64,
-    next_dataset: AtomicU64,
     next_broadcast: AtomicU64,
-    datasets: Mutex<HashMap<u64, NetDatasetState>>,
+    lineage: LineageBook<StoreParts, RunSpec>,
     /// Every broadcast ever shipped, kept for respawn re-ship:
     /// `(wire id, frame bytes, data-channel length)`. Never evicted —
     /// DBTF broadcasts are O(I·R/8) bytes, an accepted memory/robustness
@@ -123,7 +104,6 @@ struct NetShared {
 /// partitions from worker memory (best-effort).
 pub struct NetVec<P> {
     id: u64,
-    nparts: usize,
     part_bytes: Vec<u64>,
     shared: Arc<NetShared>,
     _marker: std::marker::PhantomData<fn() -> P>,
@@ -132,14 +112,14 @@ pub struct NetVec<P> {
 impl<P> NetVec<P> {
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.nparts
+        self.part_bytes.len()
     }
 }
 
 impl<P> Drop for NetVec<P> {
     fn drop(&mut self) {
         self.shared.metrics.sub_stored(self.part_bytes.iter().sum());
-        lock(&self.shared.datasets).remove(&self.id);
+        self.shared.lineage.remove(self.id);
         let mut overhead = 0u64;
         for w in 0..self.shared.config.workers {
             overhead += self
@@ -162,9 +142,8 @@ pub struct NetBackend {
 }
 
 impl NetBackend {
-    /// Boots the backend: binds the driver listener, spawns and connects
-    /// `config.workers` workers hosted per `host`, and starts the
-    /// heartbeat monitor.
+    /// Boots the backend: binds the driver listener, then spawns and
+    /// connects `config.workers` workers hosted per `host`.
     pub fn new(
         config: ClusterConfig,
         registry: Arc<NetRegistry>,
@@ -185,9 +164,8 @@ impl NetBackend {
                 registry,
                 fault,
                 submitted_steps: AtomicU64::new(0),
-                next_dataset: AtomicU64::new(0),
                 next_broadcast: AtomicU64::new(0),
-                datasets: Mutex::new(HashMap::new()),
+                lineage: LineageBook::new(),
                 broadcast_cache: Mutex::new(Vec::new()),
                 capture_task_events: AtomicBool::new(false),
                 task_events: Mutex::new(Vec::new()),
@@ -198,20 +176,6 @@ impl NetBackend {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.shared.config
-    }
-
-    fn run_faults(&self) -> RunFaults {
-        match &self.shared.fault {
-            Some(p) => RunFaults {
-                seed: p.seed,
-                failure_rate: p.task_failure_rate,
-                max_attempts: p.max_task_attempts,
-                drop_rate: p.connection_drop_rate,
-                delay_rate: p.response_delay_rate,
-                delay_ms: p.response_delay_ms,
-            },
-            None => RunFaults::default(),
-        }
     }
 
     /// Fires every process kill the fault plan injects at `step` (shared
@@ -232,10 +196,6 @@ impl NetBackend {
 
 impl ExecutionBackend for NetBackend {
     type Dataset<P: Send + 'static> = NetVec<P>;
-
-    fn name(&self) -> &'static str {
-        "net"
-    }
 
     fn workers(&self) -> usize {
         self.shared.config.workers
@@ -261,32 +221,28 @@ impl ExecutionBackend for NetBackend {
         let shared = &self.shared;
         let codec = shared.registry.part_codec_of::<P>();
         let (encode, codec_name) = (codec.encode, codec.name);
-        let nparts = parts.len();
-        let id = shared.next_dataset.fetch_add(1, Ordering::Relaxed);
-        let workers = shared.config.workers;
-        let mut per_worker: Vec<Vec<(u64, Vec<u8>)>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut primary_per_worker = vec![0u64; workers];
-        let mut placement = Vec::with_capacity(nparts);
-        let mut part_bytes = Vec::with_capacity(nparts);
-        for (idx, (payload, bytes)) in parts.into_iter().enumerate() {
-            let w = idx % workers;
-            placement.push(w);
-            part_bytes.push(bytes);
-            let frame = encode(&payload as &(dyn Any + Send));
-            primary_per_worker[w] += frame.data_len;
-            per_worker[w].push((idx as u64, frame.bytes));
-        }
+        let id = shared.lineage.allocate();
+        let (per_worker, part_bytes) = shared
+            .config
+            .place(parts, |payload| encode(&payload as &(dyn Any + Send)));
         shared
             .metrics
             .charge_distribute(&shared.config, &part_bytes);
 
+        let primary_per_worker: Vec<u64> = per_worker
+            .iter()
+            .map(|batch| batch.iter().map(|(_, frame)| frame.data_len).sum())
+            .collect();
         let builders: Vec<FrameBuilder<'_>> = per_worker
             .into_iter()
             .map(|batch| {
                 if batch.is_empty() {
                     None
                 } else {
-                    let batch: Arc<[(u64, Vec<u8>)]> = batch.into();
+                    let batch: Arc<[(u64, Vec<u8>)]> = batch
+                        .into_iter()
+                        .map(|(idx, frame)| (idx as u64, frame.bytes))
+                        .collect();
                     Some(Box::new(move |req, _delivery| Frame::Store {
                         req,
                         dataset: id,
@@ -304,19 +260,22 @@ impl ExecutionBackend for NetBackend {
             shared.meter_exchange(primary_per_worker[w], 0, ex.bytes_sent, ex.bytes_received);
         }
 
-        lock(&shared.datasets).insert(
+        shared.lineage.insert(
             id,
-            NetDatasetState {
-                placement,
-                part_bytes: part_bytes.clone(),
-                codec: codec_name,
-                rebuild: Box::new(move |idx| encode(&rebuild(idx) as &(dyn Any + Send))),
-                log: Vec::new(),
-            },
+            part_bytes.clone(),
+            Box::new(move |lost: &[usize]| {
+                let parts = lost
+                    .iter()
+                    .map(|&idx| {
+                        let frame = encode(&rebuild(idx) as &(dyn Any + Send));
+                        (idx as u64, frame.bytes)
+                    })
+                    .collect();
+                (codec_name, parts)
+            }),
         );
         NetVec {
             id,
-            nparts,
             part_bytes,
             shared: Arc::clone(shared),
             _marker: std::marker::PhantomData,
@@ -372,15 +331,16 @@ impl ExecutionBackend for NetBackend {
                  registry (NetRegistry::register_task)"
             )
         });
-        if let Some(ds) = lock(&shared.datasets).get_mut(&data.id) {
-            ds.log.push(RunSpec {
+        shared.lineage.log(
+            data.id,
+            RunSpec {
                 step,
                 name: wire.name,
                 params: wire.params.bytes.clone(),
-            });
-        }
+            },
+        );
         let capture = shared.capture_task_events.load(Ordering::Relaxed);
-        let faults = self.run_faults();
+        let faults = RunFaults::of(shared.fault.as_deref());
         let build = run_builder(
             data.id,
             step,
@@ -392,16 +352,12 @@ impl ExecutionBackend for NetBackend {
         // Send to every worker before collecting any reply, so all workers
         // compute concurrently; then decode each reply as it is collected,
         // so at most one undecoded batch is held at a time.
-        for w in 0..shared.config.workers {
-            shared.supervisor.set_busy(w);
-        }
         let inflights: Vec<InFlight> = (0..shared.config.workers)
             .map(|w| shared.begin_recovering(w, Some(step), &build))
             .collect();
         let mut batches = Vec::with_capacity(shared.config.workers);
         for (w, inflight) in inflights.into_iter().enumerate() {
             let ex = shared.finish_recovering(w, Some(step), inflight, &build);
-            shared.supervisor.set_idle(w);
             let (bytes_sent, bytes_received) = (ex.bytes_sent, ex.bytes_received);
             let Frame::Batch { reply, .. } = ex.reply else {
                 NetShared::fatal(format!(
@@ -417,7 +373,6 @@ impl ExecutionBackend for NetBackend {
             &shared.config,
             &shared.metrics,
             shared.fault.as_deref().map(|plan| (plan, step)),
-            data.nparts,
             &data.part_bytes,
             capture,
             batches,
@@ -426,13 +381,11 @@ impl ExecutionBackend for NetBackend {
     }
 
     fn reset_lineage<P: Send + 'static>(&self, data: &NetVec<P>) {
-        if let Some(ds) = lock(&self.shared.datasets).get_mut(&data.id) {
-            ds.log.clear();
-        }
+        self.shared.lineage.reset(data.id);
     }
 
     fn dataset_partitions<P: Send + 'static>(&self, data: &NetVec<P>) -> usize {
-        data.nparts
+        data.num_partitions()
     }
 
     fn set_task_event_capture(&self, on: bool) {
@@ -448,8 +401,9 @@ impl ExecutionBackend for NetBackend {
     }
 }
 
-/// Builds the `Run`-frame constructor for one superstep delivery.
-fn run_builder(
+/// Builds the `Run`-frame constructor for one superstep delivery (or, with
+/// no faults and capture off, one lineage replay).
+pub(super) fn run_builder(
     dataset: u64,
     step: u64,
     name: &'static str,
@@ -464,12 +418,7 @@ fn run_builder(
         step,
         name: name.to_string(),
         params: params.clone(),
-        seed: faults.seed,
-        failure_rate: faults.failure_rate,
-        max_attempts: faults.max_attempts,
-        drop_rate: faults.drop_rate,
-        delay_rate: faults.delay_rate,
-        delay_ms: faults.delay_ms,
+        faults,
         delivery,
         capture,
     }

@@ -20,6 +20,8 @@ use std::sync::Arc;
 
 use dbtf_wire::{EncodedFrame, WireError, WireReader, WireResult, WireWriter};
 
+use crate::fault::FaultPlan;
+
 /// Upper bound on one frame's size — far above anything the engine ships,
 /// so a corrupt length prefix fails fast instead of allocating wildly.
 const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -50,6 +52,45 @@ pub(crate) struct BatchReply {
     pub(crate) result_bytes: u64,
 }
 
+/// The fault-plan fields every `Run` frame carries, so a worker draws the
+/// same deterministic task, drop and delay decisions the driver's plan
+/// draws.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct RunFaults {
+    pub(crate) seed: u64,
+    pub(crate) failure_rate: f64,
+    pub(crate) max_attempts: u32,
+    pub(crate) drop_rate: f64,
+    pub(crate) delay_rate: f64,
+    pub(crate) delay_ms: u64,
+}
+
+impl RunFaults {
+    /// The fields of `plan` a worker needs; all zero without a plan.
+    pub(crate) fn of(plan: Option<&FaultPlan>) -> RunFaults {
+        plan.map_or_else(RunFaults::default, |p| RunFaults {
+            seed: p.seed,
+            failure_rate: p.task_failure_rate,
+            max_attempts: p.max_task_attempts,
+            drop_rate: p.connection_drop_rate,
+            delay_rate: p.response_delay_rate,
+            delay_ms: p.response_delay_ms,
+        })
+    }
+
+    /// The worker's copy of the plan: these fields, the rest default.
+    pub(crate) fn plan(&self) -> FaultPlan {
+        FaultPlan {
+            task_failure_rate: self.failure_rate,
+            max_task_attempts: self.max_attempts,
+            connection_drop_rate: self.drop_rate,
+            response_delay_rate: self.delay_rate,
+            response_delay_ms: self.delay_ms,
+            ..FaultPlan::with_seed(self.seed)
+        }
+    }
+}
+
 /// A protocol frame. Driver→worker requests, worker→driver replies, plus
 /// the `Hello`/`HelloAck` handshake a (re)connecting worker opens with.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,13 +119,7 @@ pub(crate) enum Frame {
         name: String,
         /// Encoded task-parameter frame.
         params: Vec<u8>,
-        /// Fault-plan fields the worker needs for deterministic decisions.
-        seed: u64,
-        failure_rate: f64,
-        max_attempts: u32,
-        drop_rate: f64,
-        delay_rate: f64,
-        delay_ms: u64,
+        faults: RunFaults,
         /// Number of times this request has been delivered before (resends
         /// after drops/timeouts increment it), so injected connection
         /// drops cannot strand a request forever.
@@ -93,8 +128,6 @@ pub(crate) enum Frame {
     },
     /// Evict a dataset from worker memory (no reply).
     DropDataset { dataset: u64 },
-    /// Liveness probe.
-    Ping { req: u64 },
     /// Clean worker termination (no reply).
     Shutdown,
     /// Thread-hosted-worker analogue of `SIGKILL`: exit immediately,
@@ -102,8 +135,6 @@ pub(crate) enum Frame {
     Die,
     /// Generic acknowledgement of `Store`/`BroadcastValue`.
     Ack { req: u64 },
-    /// Reply to `Ping`.
-    Pong { req: u64 },
     /// Reply to `Run`.
     Batch { req: u64, reply: BatchReply },
 }
@@ -113,14 +144,13 @@ const TAG_HELLO_ACK: u8 = 2;
 const TAG_STORE: u8 = 3;
 const TAG_BROADCAST: u8 = 4;
 const TAG_RUN: u8 = 5;
-// Tag 6 stays unassigned: a peer that still sends the old partition-gather
-// request gets a typed unknown-tag error, never another frame's decoding.
+// Tags 6, 8 and 12 stay unassigned: a peer that still sends the old
+// partition-gather request or the old idle-liveness probe and its reply
+// gets a typed unknown-tag error, never another frame's decoding.
 const TAG_DROP_DATASET: u8 = 7;
-const TAG_PING: u8 = 8;
 const TAG_SHUTDOWN: u8 = 9;
 const TAG_DIE: u8 = 10;
 const TAG_ACK: u8 = 11;
-const TAG_PONG: u8 = 12;
 const TAG_BATCH: u8 = 13;
 
 fn put_blob(w: &mut WireWriter, bytes: &[u8]) {
@@ -260,12 +290,7 @@ impl Frame {
                 step,
                 name,
                 params,
-                seed,
-                failure_rate,
-                max_attempts,
-                drop_rate,
-                delay_rate,
-                delay_ms,
+                faults,
                 delivery,
                 capture,
             } => {
@@ -275,12 +300,12 @@ impl Frame {
                 w.meta_u64(*step);
                 put_string(&mut w, name);
                 put_blob(&mut w, params);
-                w.meta_u64(*seed);
-                w.meta_u64(failure_rate.to_bits());
-                w.meta_u64(*max_attempts as u64);
-                w.meta_u64(drop_rate.to_bits());
-                w.meta_u64(delay_rate.to_bits());
-                w.meta_u64(*delay_ms);
+                w.meta_u64(faults.seed);
+                w.meta_u64(faults.failure_rate.to_bits());
+                w.meta_u64(faults.max_attempts as u64);
+                w.meta_u64(faults.drop_rate.to_bits());
+                w.meta_u64(faults.delay_rate.to_bits());
+                w.meta_u64(faults.delay_ms);
                 w.meta_u64(*delivery);
                 w.meta_u8(u8::from(*capture));
             }
@@ -288,18 +313,10 @@ impl Frame {
                 w.meta_u8(TAG_DROP_DATASET);
                 w.meta_u64(*dataset);
             }
-            Frame::Ping { req } => {
-                w.meta_u8(TAG_PING);
-                w.meta_u64(*req);
-            }
             Frame::Shutdown => w.meta_u8(TAG_SHUTDOWN),
             Frame::Die => w.meta_u8(TAG_DIE),
             Frame::Ack { req } => {
                 w.meta_u8(TAG_ACK);
-                w.meta_u64(*req);
-            }
-            Frame::Pong { req } => {
-                w.meta_u8(TAG_PONG);
                 w.meta_u64(*req);
             }
             Frame::Batch { req, reply } => {
@@ -336,23 +353,23 @@ impl Frame {
                 step: r.meta_u64()?,
                 name: get_string(&mut r)?,
                 params: get_blob(&mut r)?,
-                seed: r.meta_u64()?,
-                failure_rate: f64::from_bits(r.meta_u64()?),
-                max_attempts: r.meta_u64()? as u32,
-                drop_rate: f64::from_bits(r.meta_u64()?),
-                delay_rate: f64::from_bits(r.meta_u64()?),
-                delay_ms: r.meta_u64()?,
+                faults: RunFaults {
+                    seed: r.meta_u64()?,
+                    failure_rate: f64::from_bits(r.meta_u64()?),
+                    max_attempts: r.meta_u64()? as u32,
+                    drop_rate: f64::from_bits(r.meta_u64()?),
+                    delay_rate: f64::from_bits(r.meta_u64()?),
+                    delay_ms: r.meta_u64()?,
+                },
                 delivery: r.meta_u64()?,
                 capture: r.meta_u8()? != 0,
             },
             TAG_DROP_DATASET => Frame::DropDataset {
                 dataset: r.meta_u64()?,
             },
-            TAG_PING => Frame::Ping { req: r.meta_u64()? },
             TAG_SHUTDOWN => Frame::Shutdown,
             TAG_DIE => Frame::Die,
             TAG_ACK => Frame::Ack { req: r.meta_u64()? },
-            TAG_PONG => Frame::Pong { req: r.meta_u64()? },
             TAG_BATCH => Frame::Batch {
                 req: r.meta_u64()?,
                 reply: get_reply(&mut r)?,
@@ -490,21 +507,21 @@ mod tests {
             step: 5,
             name: "cp.sweep".into(),
             params: vec![1, 1, 2, 3],
-            seed: 42,
-            failure_rate: 0.25,
-            max_attempts: 5,
-            drop_rate: 0.1,
-            delay_rate: 0.0,
-            delay_ms: 20,
+            faults: RunFaults {
+                seed: 42,
+                failure_rate: 0.25,
+                max_attempts: 5,
+                drop_rate: 0.1,
+                delay_rate: 0.0,
+                delay_ms: 20,
+            },
             delivery: 1,
             capture: true,
         });
         roundtrip(Frame::DropDataset { dataset: 2 });
-        roundtrip(Frame::Ping { req: 13 });
         roundtrip(Frame::Shutdown);
         roundtrip(Frame::Die);
         roundtrip(Frame::Ack { req: 9 });
-        roundtrip(Frame::Pong { req: 13 });
         roundtrip(Frame::Batch {
             req: 11,
             reply: BatchReply {
@@ -569,9 +586,10 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_an_error() {
-        // 6 is the retired gather tag: a frame carrying it, even with the
-        // fields it used to have, is a typed error.
-        for tag in [6u8, 200] {
+        // 6 is the retired gather tag, 8 and 12 the retired idle-liveness
+        // probe and its reply: a frame carrying one, even with the fields
+        // it used to have, is a typed error.
+        for tag in [6u8, 8, 12, 200] {
             let mut w = WireWriter::new();
             w.meta_u8(tag);
             for field in [12u64, 2, 6] {

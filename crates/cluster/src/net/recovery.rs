@@ -2,20 +2,21 @@
 //! classification for the networked backend: the [`NetShared`] machinery
 //! that [`super::NetBackend`]'s operator implementations are built on.
 //!
-//! Recovery follows the simulated cluster's `crash_and_recover` step for
-//! step and charges through the same cost model, so a kill-riddled
-//! networked run stays bit-identical to the in-process golden.
+//! Recovery runs the lineage book's one recovery pass, the simulated
+//! cluster's too, over `Store`/`Run` requests, so a kill-riddled networked
+//! run charges the same recovery meters and stays bit-identical to the
+//! in-process golden.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use crate::lineage::{Replayed, Restore};
 use crate::lock;
-use crate::net::proto::Frame;
+use crate::net::proto::{Frame, RunFaults};
 use crate::net::supervisor::{Exchange, InFlight, RequestError};
-use crate::storage::partitions_on;
 use crate::ClusterError;
 
-use super::NetShared;
+use super::{run_builder, NetShared, RunSpec, StoreParts};
 
 impl NetShared {
     pub(super) fn fatal(msg: String) -> ! {
@@ -56,11 +57,6 @@ impl NetShared {
     /// replies — all workers compute concurrently. Workers that die along
     /// the way are respawned, recovered, and re-asked.
     pub(super) fn fanout(&self, builders: &[super::FrameBuilder<'_>]) -> Vec<Option<Exchange>> {
-        for (w, b) in builders.iter().enumerate() {
-            if b.is_some() {
-                self.supervisor.set_busy(w);
-            }
-        }
         let mut inflights: Vec<Option<InFlight>> = builders
             .iter()
             .enumerate()
@@ -73,12 +69,10 @@ impl NetShared {
             .iter()
             .enumerate()
             .map(|(w, b)| {
-                let ex = b.as_ref().map(|build| {
+                b.as_ref().map(|build| {
                     let inflight = inflights[w].take().expect("begun above");
                     self.finish_recovering(w, None, inflight, build.as_ref())
-                });
-                self.supervisor.set_idle(w);
-                ex
+                })
             })
             .collect()
     }
@@ -117,12 +111,10 @@ impl NetShared {
         }
     }
 
-    /// Respawns worker `w` (enforcing the respawn budget) and restores it:
-    /// re-ship cached broadcasts, rebuild + re-ship lost partitions of
-    /// every dataset, replay the task logs. Charges like the simulated
-    /// cluster's `crash_and_recover`; `exclude_step` skips the in-flight
-    /// superstep's log entry (it will be re-delivered by the caller, not
-    /// replayed).
+    /// Respawns worker `w` (enforcing the respawn budget) and restores it
+    /// with [`NetShared::recover_worker`]; `exclude_step` skips the
+    /// in-flight superstep's log entry (it will be re-delivered by the
+    /// caller, not replayed).
     pub(super) fn respawn_and_recover(&self, w: usize, exclude_step: Option<u64>) {
         loop {
             let respawns = match self.supervisor.respawn(w) {
@@ -154,14 +146,21 @@ impl NetShared {
         std::panic::panic_any(ClusterError::RespawnBudgetExhausted { worker, respawns })
     }
 
+    /// Restores a respawned worker `w`: re-ships every cached broadcast
+    /// (replayed tasks may read any of them), then runs the lineage book's
+    /// recovery pass over requests to `w`. A dead worker aborts the pass;
+    /// the caller respawns and starts over.
     pub(super) fn recover_worker(
         &self,
         w: usize,
         exclude_step: Option<u64>,
     ) -> Result<(), RequestError> {
-        let cfg = &self.config;
-        let mut reship = 0u64;
-        // Broadcasts first: replayed tasks below may read any of them.
+        let mut restore = Requests {
+            shared: self,
+            w,
+            exclude_step,
+            reship: 0,
+        };
         let broadcasts: Vec<(u64, Arc<Vec<u8>>, u64)> = lock(&self.broadcast_cache).clone();
         for (bid, frame, _) in &broadcasts {
             let ex = self
@@ -171,82 +170,157 @@ impl NetShared {
                     id: *bid,
                     frame: frame.to_vec(),
                 })?;
-            self.expect_ack(&ex.reply);
-            reship += ex.bytes_sent + ex.bytes_received;
+            restore.ack(&ex);
         }
-        let datasets = lock(&self.datasets);
-        let mut ids: Vec<u64> = datasets.keys().copied().collect();
-        ids.sort_unstable(); // deterministic recovery order
-        for id in ids {
-            let ds = &datasets[&id];
-            let lost = partitions_on(&ds.placement, w);
-            if lost.is_empty() {
-                continue;
-            }
-            // Re-install the distribute-time payloads.
-            let bytes: u64 = lost.iter().map(|&i| ds.part_bytes[i]).sum();
-            let parts: Arc<[(u64, Vec<u8>)]> = lost
-                .iter()
-                .map(|&i| (i as u64, (ds.rebuild)(i).bytes))
-                .collect();
-            self.metrics.charge_reship(cfg, lost.len(), bytes);
-            let codec = ds.codec.to_string();
-            let ex = self.supervisor.request(w, &|req, _| Frame::Store {
-                req,
-                dataset: id,
-                codec: codec.clone(),
-                parts: Arc::clone(&parts),
-            })?;
-            self.expect_ack(&ex.reply);
-            reship += ex.bytes_sent + ex.bytes_received;
-            // Replay the lineage log (fault-free, capture off, results
-            // discarded) to roll the partitions forward to the present.
-            for spec in &ds.log {
-                if Some(spec.step) == exclude_step {
-                    continue;
-                }
-                let name = spec.name.to_string();
-                let params = spec.params.clone();
-                let spec_step = spec.step;
-                let ex = self.supervisor.request(w, &|req, delivery| Frame::Run {
-                    req,
-                    dataset: id,
-                    step: spec_step,
-                    name: name.clone(),
-                    params: params.clone(),
-                    seed: 0,
-                    failure_rate: 0.0,
-                    max_attempts: 0,
-                    drop_rate: 0.0,
-                    delay_rate: 0.0,
-                    delay_ms: 0,
-                    delivery,
-                    capture: false,
-                })?;
-                let Frame::Batch { reply, .. } = &ex.reply else {
-                    NetShared::fatal(format!(
-                        "lineage replay expected a Batch reply, got {:?}",
-                        ex.reply
-                    ));
-                };
-                assert!(
-                    reply.panics.is_empty(),
-                    "lineage replay of dataset {id} on worker {w} panicked: {}",
-                    reply
-                        .panics
-                        .iter()
-                        .map(|(idx, msg)| format!("partition {idx}: {msg}"))
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                );
-                self.metrics
-                    .charge_replay(cfg, reply.total_ops, reply.max_task_ops);
-                reship += ex.bytes_sent + ex.bytes_received;
-            }
-        }
+        self.lineage
+            .recover(&self.config, &self.metrics, w, &mut restore)?;
         self.metrics
             .net_wire_reship_bytes
-            .fetch_add(reship, Ordering::Relaxed);
+            .fetch_add(restore.reship, Ordering::Relaxed);
         Ok(())
+    }
+}
+
+/// The networked backend's recovery transport: `Store` and `Run` requests
+/// to the worker being restored, metering their wire traffic as re-ship.
+struct Requests<'a> {
+    shared: &'a NetShared,
+    w: usize,
+    /// The in-flight superstep, whose log entry the caller redelivers
+    /// instead of having it replayed.
+    exclude_step: Option<u64>,
+    reship: u64,
+}
+
+impl Requests<'_> {
+    fn ack(&mut self, ex: &Exchange) {
+        self.shared.expect_ack(&ex.reply);
+        self.reship += ex.bytes_sent + ex.bytes_received;
+    }
+}
+
+impl Restore<StoreParts, RunSpec> for Requests<'_> {
+    type Error = RequestError;
+
+    fn install(&mut self, dataset: u64, (codec, parts): StoreParts) -> Result<(), RequestError> {
+        let ex = self
+            .shared
+            .supervisor
+            .request(self.w, &|req, _| Frame::Store {
+                req,
+                dataset,
+                codec: codec.to_string(),
+                parts: Arc::clone(&parts),
+            })?;
+        self.ack(&ex);
+        Ok(())
+    }
+
+    fn replay(&mut self, dataset: u64, spec: &RunSpec) -> Result<Option<Replayed>, RequestError> {
+        if Some(spec.step) == self.exclude_step {
+            return Ok(None);
+        }
+        let run = run_builder(
+            dataset,
+            spec.step,
+            spec.name,
+            &spec.params,
+            RunFaults::default(),
+            false,
+        );
+        let ex = self.shared.supervisor.request(self.w, &run)?;
+        self.reship += ex.bytes_sent + ex.bytes_received;
+        let Frame::Batch { reply, .. } = ex.reply else {
+            NetShared::fatal(format!(
+                "lineage replay expected a Batch reply, got {:?}",
+                ex.reply
+            ));
+        };
+        Ok(Some(Replayed {
+            panics: reply
+                .panics
+                .into_iter()
+                .map(|(idx, msg)| (idx as usize, msg))
+                .collect(),
+            total_ops: reply.total_ops,
+            max_task_ops: reply.max_task_ops,
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::any::Any;
+    use std::sync::Arc;
+
+    use dbtf_wire::Wire;
+
+    use crate::{
+        ClusterConfig, ExecutionBackend, FaultPlan, MetricsSnapshot, NetBackend, NetRegistry,
+        NetTuning, RemoteTask, TaskContext, WorkerHost, WorkerTaskFn,
+    };
+
+    fn bump(v: &mut u64, by: u64, ctx: &mut TaskContext) -> u64 {
+        *v = *v * 3 + by;
+        ctx.charge(*v % 13 + 1);
+        ctx.set_result_bytes(8);
+        *v
+    }
+
+    /// Three supersteps of `bump` over 6 partitions on 2 thread-hosted
+    /// workers; `before_last` runs before the third.
+    fn run(
+        plan: Option<FaultPlan>,
+        before_last: impl Fn(&NetBackend),
+    ) -> (Vec<Vec<u64>>, MetricsSnapshot) {
+        let mut registry = NetRegistry::new();
+        registry.register_part::<u64>();
+        registry.register_task("test.bump", |params, _bstore| {
+            let by = u64::from_frame(params)?;
+            Ok(Box::new(
+                move |_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
+                    bump(part.downcast_mut().expect("u64 partition"), by, ctx).to_frame()
+                },
+            ) as WorkerTaskFn)
+        });
+        let registry = Arc::new(registry);
+        let config = ClusterConfig {
+            fault_plan: plan,
+            ..ClusterConfig::with_workers(2)
+        };
+        let host = WorkerHost::Thread(Arc::clone(&registry));
+        let net = NetBackend::new(config, registry, host, NetTuning::default())
+            .expect("net backend boots");
+        let data =
+            net.distribute_with_lineage((1..=6).map(|v| (v, 8)).collect(), |idx| idx as u64 + 1);
+        let outputs = (0..3u64)
+            .map(|step| {
+                if step == 2 {
+                    before_last(&net);
+                }
+                let body = move |_idx, v: &mut u64, ctx: &mut TaskContext| bump(v, step, ctx);
+                net.map_partitions_task(&data, RemoteTask::new("test.bump", &step, body))
+            })
+            .collect();
+        (outputs, net.metrics())
+    }
+
+    /// A worker killed while idle, outside the fault plan, is found dead by
+    /// the next request sent to it, respawned once and restored: the run
+    /// equals one whose plan crashes that worker at that superstep.
+    #[test]
+    fn a_worker_that_dies_while_idle_is_found_by_the_next_request() {
+        let planned = run(
+            Some(FaultPlan {
+                worker_crashes: vec![(2, 1)],
+                ..FaultPlan::with_seed(0)
+            }),
+            |_| {},
+        );
+        let idle = run(None, |net| net.shared.supervisor.kill_worker(1));
+        assert_eq!(planned.1.worker_respawns, 1);
+        assert_eq!(idle.1.worker_respawns, 1);
+        assert_eq!(idle.0, planned.0);
+        assert_eq!(idle.1, planned.1);
     }
 }

@@ -15,11 +15,9 @@ use std::sync::{Arc, Mutex};
 
 use dbtf_wire::{EncodedFrame, Wire, WireNamed, WireResult};
 
+use crate::executor::AnyPart;
 use crate::lock;
 use crate::task::TaskContext;
-
-/// A type-erased partition payload (mirrors the executor's `AnyPart`).
-pub(crate) type AnyPart = Box<dyn Any + Send>;
 
 /// A worker-side task body produced by a [`NetRegistry`] task factory:
 /// runs on one partition and returns the encoded result frame.

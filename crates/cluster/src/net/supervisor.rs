@@ -1,6 +1,6 @@
 //! Driver-side worker supervision for the networked backend: process /
-//! thread lifecycle, connection management, heartbeats, request delivery
-//! with timeouts and reconnects, and kill/respawn.
+//! thread lifecycle, connection management, request delivery with
+//! timeouts and reconnects, and kill/respawn.
 //!
 //! The supervisor deliberately knows nothing about datasets or lineage —
 //! it reports a dead worker to the caller ([`crate::net::NetBackend`]),
@@ -9,12 +9,15 @@
 //! (timeouts, retry caps, respawn budget enforced by the caller), so a
 //! faulty cluster degrades to a typed error instead of a hang.
 //!
-//! Failure handling is uniform: any write error, read error, or read
-//! timeout drops the driver-side stream. The worker notices the closed
-//! socket, reconnects with a `Hello`, and the next delivery attempt picks
-//! the fresh connection out of the pending map. Workers answer re-sent
-//! requests from their reply cache, so at-least-once delivery stays
-//! exactly-once execution.
+//! The request path is the one liveness check, and failure handling is
+//! uniform: any write error, read error, or read timeout drops the
+//! driver-side stream, and the worker is declared dead if its process or
+//! thread has exited. A live worker notices the closed socket, reconnects
+//! with a `Hello`, and the next delivery attempt picks the fresh
+//! connection out of the pending map. A worker that died while idle is
+//! found the same way by the next request sent to it. Workers answer
+//! re-sent requests from their reply cache, so at-least-once delivery
+//! stays exactly-once execution.
 
 use std::collections::HashMap;
 use std::io;
@@ -53,10 +56,6 @@ pub enum WorkerHost {
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Budget for one request's reply (generous: covers task compute).
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
-/// Period of the supervisor's liveness probes.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
-/// Budget for a `Pong` before a heartbeat counts as missed.
-const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(2);
 /// Delivery attempts per request (timeouts + reconnects) before the
 /// worker is declared dead and respawned.
 const MAX_REQUEST_RETRIES: u64 = 3;
@@ -130,20 +129,15 @@ struct PendingConns {
 pub(crate) struct Supervisor {
     addr: SocketAddr,
     host: WorkerHost,
-    slots: Arc<Vec<Mutex<WorkerSlot>>>,
-    /// Per-worker "superstep in flight" flags; heartbeats skip busy
-    /// workers so a long compute is never mistaken for a dead one.
-    busy: Arc<Vec<AtomicBool>>,
+    slots: Vec<Mutex<WorkerSlot>>,
     pending: Arc<PendingConns>,
     metrics: Arc<CommMetrics>,
     acceptor: Option<JoinHandle<()>>,
-    heartbeat: Option<JoinHandle<()>>,
-    hb_shutdown: Arc<AtomicBool>,
 }
 
 impl Supervisor {
-    /// Binds the driver listener, spawns `workers` workers, completes
-    /// their handshakes, and starts the heartbeat monitor.
+    /// Binds the driver listener, spawns `workers` workers, and completes
+    /// their handshakes.
     pub(crate) fn start(
         workers: usize,
         host: WorkerHost,
@@ -163,20 +157,15 @@ impl Supervisor {
                 .name("dbtf-net-acceptor".into())
                 .spawn(move || acceptor_loop(listener, &pending))?
         };
-        let mut sup = Supervisor {
+        let sup = Supervisor {
             addr,
             host,
-            slots: Arc::new(
-                (0..workers)
-                    .map(|_| Mutex::new(WorkerSlot::default()))
-                    .collect(),
-            ),
-            busy: Arc::new((0..workers).map(|_| AtomicBool::new(false)).collect()),
+            slots: (0..workers)
+                .map(|_| Mutex::new(WorkerSlot::default()))
+                .collect(),
             pending,
             metrics,
             acceptor: Some(acceptor),
-            heartbeat: None,
-            hb_shutdown: Arc::new(AtomicBool::new(false)),
         };
         // Spawn everyone first, then collect the handshakes: workers
         // connect concurrently instead of serially.
@@ -189,26 +178,7 @@ impl Supervisor {
             sup.reacquire(&mut slot, w)
                 .map_err(|e| io::Error::other(format!("worker {w} failed to connect: {e:?}")))?;
         }
-        let slots = Arc::clone(&sup.slots);
-        let busy = Arc::clone(&sup.busy);
-        let metrics = Arc::clone(&sup.metrics);
-        let shutdown = Arc::clone(&sup.hb_shutdown);
-        sup.heartbeat = Some(
-            std::thread::Builder::new()
-                .name("dbtf-net-heartbeat".into())
-                .spawn(move || heartbeat_loop(&slots, &busy, &metrics, &shutdown))?,
-        );
         Ok(sup)
-    }
-
-    /// Marks a worker as mid-superstep; heartbeats skip it until
-    /// [`Supervisor::set_idle`].
-    pub(crate) fn set_busy(&self, w: usize) {
-        self.busy[w].store(true, Ordering::Release);
-    }
-
-    pub(crate) fn set_idle(&self, w: usize) {
-        self.busy[w].store(false, Ordering::Release);
     }
 
     /// Respawns performed for worker `w` so far.
@@ -218,7 +188,8 @@ impl Supervisor {
 
     /// Kills worker `w`'s current incarnation: a real `SIGKILL` for
     /// process hosting, a `Die` frame for thread hosting. Used by the
-    /// fault injector at superstep boundaries.
+    /// fault injector at superstep boundaries; the next request to `w`
+    /// finds it dead.
     pub(crate) fn kill_worker(&self, w: usize) {
         let mut slot = lock(&self.slots[w]);
         self.kill_locked(&mut slot);
@@ -270,13 +241,13 @@ impl Supervisor {
         let mut received = 0u64;
         loop {
             if slot.stream.is_none() {
-                // Heartbeat (or a failed attempt below) dropped the
-                // connection since the request went out: re-deliver. The
-                // worker's reply cache keeps re-execution impossible.
+                // A failed attempt below dropped the connection since the
+                // request went out: re-deliver. The worker's reply cache
+                // keeps re-execution impossible.
                 self.deliver(&mut slot, w, build, &mut inflight)?;
             }
             let stream = slot.stream.as_mut().expect("stream ensured above");
-            match read_matching(stream, inflight.req, REQUEST_TIMEOUT) {
+            match read_matching(stream, inflight.req) {
                 Ok((reply, n)) => {
                     received += n;
                     return Ok(Exchange {
@@ -479,21 +450,15 @@ impl Supervisor {
 
 impl Drop for Supervisor {
     fn drop(&mut self) {
-        // 1. Stop the heartbeat monitor (wake it if it is parked).
-        self.hb_shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.heartbeat.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-        // 2. Stop the acceptor (poke it with a throwaway connection).
+        // 1. Stop the acceptor (poke it with a throwaway connection).
         self.pending.shutdown.store(true, Ordering::Release);
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        // 3. Unblock any worker parked on an unanswered Hello.
+        // 2. Unblock any worker parked on an unanswered Hello.
         lock(&self.pending.map).clear();
-        // 4. Tell every worker to shut down, so they all exit at once...
+        // 3. Tell every worker to shut down, so they all exit at once...
         for slot in self.slots.iter() {
             let mut slot = lock(slot);
             if let Some(mut stream) = slot.stream.take() {
@@ -501,7 +466,7 @@ impl Drop for Supervisor {
             }
             slot.graveyard.clear();
         }
-        // 5. ...then reap them. Shutdown was sent (or the socket closed);
+        // 4. ...then reap them. Shutdown was sent (or the socket closed);
         // give the processes a moment, then force the issue.
         let deadline = Instant::now() + Duration::from_secs(5);
         for slot in self.slots.iter() {
@@ -562,82 +527,17 @@ fn acceptor_loop(listener: TcpListener, pending: &PendingConns) {
     }
 }
 
-fn heartbeat_loop(
-    slots: &[Mutex<WorkerSlot>],
-    busy: &[AtomicBool],
-    metrics: &CommMetrics,
-    shutdown: &AtomicBool,
-) {
-    let mut last_beat = Instant::now();
-    loop {
-        // Parked until the next beat is due; `Supervisor::drop` unparks it.
-        std::thread::park_timeout(HEARTBEAT_INTERVAL.saturating_sub(last_beat.elapsed()));
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if last_beat.elapsed() < HEARTBEAT_INTERVAL {
-            continue;
-        }
-        last_beat = Instant::now();
-        for (w, slot) in slots.iter().enumerate() {
-            if shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            if busy[w].load(Ordering::Acquire) {
-                continue;
-            }
-            let Ok(mut slot) = slot.try_lock() else {
-                continue;
-            };
-            if slot.stream.is_none() {
-                continue;
-            }
-            let req = slot.next_req;
-            slot.next_req += 1;
-            let stream = slot.stream.as_mut().expect("checked above");
-            let mut traffic = 0u64;
-            let ok = match write_frame(stream, &Frame::Ping { req }) {
-                Ok(n) => {
-                    traffic += n;
-                    match read_matching(stream, req, HEARTBEAT_TIMEOUT) {
-                        Ok((Frame::Pong { .. }, n)) => {
-                            traffic += n;
-                            true
-                        }
-                        _ => false,
-                    }
-                }
-                Err(_) => false,
-            };
-            metrics
-                .net_wire_overhead_bytes
-                .fetch_add(traffic, Ordering::Relaxed);
-            if !ok {
-                metrics
-                    .net_heartbeats_missed
-                    .fetch_add(1, Ordering::Relaxed);
-                // Drop the stream; the worker reconnects (or its death is
-                // discovered) on the next request.
-                slot.stream = None;
-            }
-        }
-    }
-}
-
-/// Reads frames until one matches `expected`, discarding stale duplicates
-/// (replies to earlier deliveries that were already answered another way).
-fn read_matching(
-    stream: &mut TcpStream,
-    expected: u64,
-    timeout: Duration,
-) -> io::Result<(Frame, u64)> {
-    stream.set_read_timeout(Some(timeout))?;
+/// Reads frames until one matches `expected`, within
+/// [`REQUEST_TIMEOUT`] per frame, discarding stale duplicates (replies to
+/// earlier deliveries that were already answered another way).
+fn read_matching(stream: &mut TcpStream, expected: u64) -> io::Result<(Frame, u64)> {
+    stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
     let mut total = 0u64;
     loop {
         let (frame, n) = read_frame(stream)?;
         total += n;
         let req = match &frame {
-            Frame::Ack { req } | Frame::Pong { req } | Frame::Batch { req, .. } => *req,
+            Frame::Ack { req } | Frame::Batch { req, .. } => *req,
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

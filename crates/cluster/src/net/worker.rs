@@ -20,11 +20,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::engine::{TaskFaults, TaskFn};
-use crate::executor::run_batch;
-use crate::fault::FaultPlan;
+use crate::executor::{run_batch, AnyPart, TaskFaults, TaskFn};
 use crate::net::proto::{read_frame, write_frame, BatchReply, Frame, StatEntry};
-use crate::net::registry::{AnyPart, BroadcastStore, NetRegistry};
+use crate::net::registry::{BroadcastStore, NetRegistry};
 
 /// How long the worker keeps trying to (re)connect to the driver before
 /// giving up (the driver is normally already listening).
@@ -154,12 +152,7 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                 step,
                 name,
                 params,
-                seed,
-                failure_rate,
-                max_attempts,
-                drop_rate,
-                delay_rate,
-                delay_ms,
+                faults,
                 delivery,
                 capture,
             } => {
@@ -174,30 +167,25 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                         continue;
                     }
                 }
-                let wire_faults = FaultPlan {
-                    connection_drop_rate: drop_rate,
-                    response_delay_rate: delay_rate,
-                    ..FaultPlan::with_seed(seed)
-                };
-                if wire_faults.connection_drops(step, state.worker, delivery) {
+                let plan = faults.plan();
+                if plan.connection_drops(step, state.worker, delivery) {
                     // Injected drop: sever the connection *before*
                     // executing; the driver reconnects and redelivers.
                     return Served::ConnLost;
                 }
+                let delayed = plan.response_delayed(step, state.worker);
+                let task_faults = (plan.task_failure_rate > 0.0).then(|| (Arc::new(plan), step));
                 let reply = run_request(
                     state,
                     registry,
                     dataset,
-                    step,
                     &name,
                     &params,
-                    seed,
-                    failure_rate,
-                    max_attempts,
+                    task_faults,
                     capture,
                 );
-                if wire_faults.response_delayed(step, state.worker) {
-                    std::thread::sleep(Duration::from_millis(delay_ms));
+                if delayed {
+                    std::thread::sleep(Duration::from_millis(faults.delay_ms));
                 }
                 Frame::Batch { req, reply }
             }
@@ -205,7 +193,6 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                 state.datasets.remove(&dataset);
                 continue; // no reply
             }
-            Frame::Ping { req } => Frame::Pong { req },
             Frame::Shutdown => return Served::Exit,
             Frame::Die => {
                 // SIGKILL analogue for thread-hosted workers: drop all
@@ -219,12 +206,8 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                 );
             }
         };
-        if let Frame::Batch { .. } = &reply {
-            let req = match &reply {
-                Frame::Batch { req, .. } => *req,
-                _ => unreachable!(),
-            };
-            state.cached_reply = Some((req, reply.clone()));
+        if let Frame::Batch { req, .. } = &reply {
+            state.cached_reply = Some((*req, reply.clone()));
         }
         if write_frame(stream, &reply).is_err() {
             return Served::ConnLost;
@@ -234,17 +217,13 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
 
 /// Executes one `Run` request through the executor's `run_batch` — the
 /// same retry/panic/merge machinery the in-process worker uses.
-#[allow(clippy::too_many_arguments)]
 fn run_request(
     state: &mut WorkerState,
     registry: &NetRegistry,
     dataset: u64,
-    step: u64,
     name: &str,
     params: &[u8],
-    seed: u64,
-    failure_rate: f64,
-    max_attempts: u32,
+    faults: Option<TaskFaults>,
     capture: bool,
 ) -> BatchReply {
     let factory = registry.task_factory(name).unwrap_or_else(|| {
@@ -257,16 +236,6 @@ fn run_request(
         .unwrap_or_else(|e| panic!("task {name:?} rejected its parameter frame: {}", e.0));
     let task: Box<TaskFn> =
         Box::new(move |idx, part, ctx| Box::new(body(idx, part, ctx)) as AnyPart);
-    let faults: Option<TaskFaults> = (failure_rate > 0.0).then(|| {
-        (
-            Arc::new(FaultPlan {
-                task_failure_rate: failure_rate,
-                max_task_attempts: max_attempts,
-                ..FaultPlan::with_seed(seed)
-            }),
-            step,
-        )
-    });
     let parts = state
         .datasets
         .get_mut(&dataset)

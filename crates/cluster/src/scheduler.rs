@@ -1,7 +1,7 @@
 //! The [`Scheduler`] that executes dataflow plans against any
 //! [`ExecutionBackend`] while recording the per-operator trace, and the
-//! superstep merge (deterministic result slotting and panic report) the
-//! cluster and networked backends share.
+//! superstep merge (deterministic result slotting and panic report) every
+//! backend shares.
 
 use std::sync::Mutex;
 
@@ -271,17 +271,16 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     }
 }
 
-/// Merges one superstep's per-worker batches: charges the superstep
-/// through the cost model ([`crate::metrics::CommMetrics::charge_superstep`]),
-/// then slots the results in partition order, reports task panics sorted
-/// by partition, and keeps the task events when capture is on. The
-/// simulated cluster and the networked backend both call this.
-#[allow(clippy::too_many_arguments)]
+/// Merges one superstep's per-worker batches over a dataset of
+/// `part_bytes.len()` partitions: charges the superstep through the cost
+/// model ([`crate::metrics::CommMetrics::charge_superstep`]), then slots
+/// the results in partition order, reports task panics sorted by
+/// partition, and keeps the task events when capture is on. Every backend
+/// calls this.
 pub(crate) fn merge_superstep<T: Send + 'static>(
     cfg: &crate::ClusterConfig,
     metrics: &crate::metrics::CommMetrics,
     fault: Option<(&crate::FaultPlan, u64)>,
-    nparts: usize,
     part_bytes: &[u64],
     capture: bool,
     mut batches: Vec<BatchResult>,
@@ -291,7 +290,7 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
     batches.sort_by_key(|b| b.worker);
     metrics.charge_superstep(cfg, fault, part_bytes, &batches);
 
-    let mut slots: Vec<Option<T>> = (0..nparts).map(|_| None).collect();
+    let mut slots: Vec<Option<T>> = part_bytes.iter().map(|_| None).collect();
     let mut task_panics: Vec<(usize, usize, String)> = Vec::new();
     let mut events: Vec<crate::TaskEvents> = Vec::new();
     for batch in batches {

@@ -1,37 +1,12 @@
-//! Driver-side dataset storage: the lineage registry entry for each
-//! distributed dataset, the [`DistVec`] handle (the engine's RDD
-//! analogue), [`Broadcast`] variables, and residency probes.
+//! Driver-side dataset storage: the [`DistVec`] handle (the engine's RDD
+//! analogue), [`Broadcast`] variables, and residency probes. Each
+//! dataset's lineage lives in the cluster's [`crate::lineage`] book.
 
 use std::marker::PhantomData;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 
-use crate::engine::{Cluster, Inner, RebuildFn, TaskFn};
+use crate::engine::{Cluster, Inner, Mailbox};
 use crate::executor::WorkerMsg;
-use crate::lock;
-
-/// Driver-side lineage record of one distributed dataset.
-pub(crate) struct DatasetState {
-    pub(crate) placement: Vec<usize>,
-    pub(crate) part_bytes: Vec<u64>,
-    /// Recomputes partition `idx`'s distribute-time payload.
-    pub(crate) rebuild: Box<RebuildFn>,
-    /// Tasks applied since distribution (or the last
-    /// [`crate::ExecutionBackend::reset_lineage`]), in superstep order —
-    /// replayed onto rebuilt partitions after a worker crash.
-    pub(crate) log: Vec<Arc<TaskFn>>,
-}
-
-/// The partitions that `placement` puts on worker `w`, in index order:
-/// what a crash of `w` loses.
-pub(crate) fn partitions_on(placement: &[usize], w: usize) -> Vec<usize> {
-    placement
-        .iter()
-        .enumerate()
-        .filter(|&(_, &p)| p == w)
-        .map(|(idx, _)| idx)
-        .collect()
-}
 
 impl Cluster {
     /// How many partitions of `data` are currently resident in worker
@@ -49,34 +24,21 @@ impl Cluster {
     /// the `DistVec` handle was dropped (see [`DistVec::id`]), e.g. to
     /// verify that dropping the handle actually evicted worker memory.
     pub fn stored_partition_count_by_id(&self, dataset: u64) -> usize {
-        let senders = lock(&self.inner.senders).clone();
-        let (tx, rx) = channel();
-        for sender in &senders {
-            sender
-                .send(WorkerMsg::Count {
-                    dataset,
-                    reply: tx.clone(),
-                })
-                .expect("worker hung up");
-        }
-        drop(tx);
-        let mut total = 0;
-        while let Ok(count) = rx.recv() {
-            total += count;
-        }
-        total
+        self.inner
+            .senders
+            .iter()
+            .map(|sender| Mailbox(sender).ask(|reply| WorkerMsg::Count { dataset, reply }))
+            .sum()
     }
 }
 
-/// A distributed dataset: `nparts` partitions of type `P` pinned to worker
+/// A distributed dataset: partitions of type `P` pinned to worker
 /// machines (the engine's RDD analogue).
 ///
 /// Partitions live in worker memory until the handle is dropped. Access is
 /// exclusively through [`crate::ExecutionBackend::map_partitions`].
 pub struct DistVec<P> {
     pub(crate) id: u64,
-    pub(crate) nparts: usize,
-    pub(crate) placement: Vec<usize>,
     pub(crate) part_bytes: Vec<u64>,
     pub(crate) inner: Arc<Inner>,
     pub(crate) _marker: PhantomData<fn() -> P>,
@@ -92,17 +54,12 @@ impl<P> DistVec<P> {
 
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.nparts
+        self.part_bytes.len()
     }
 
     /// The worker holding partition `idx`.
     pub fn worker_of(&self, idx: usize) -> usize {
-        self.placement[idx]
-    }
-
-    /// Metered payload bytes of partition `idx`.
-    pub fn partition_bytes(&self, idx: usize) -> u64 {
-        self.part_bytes[idx]
+        self.inner.config.worker_of(idx)
     }
 
     /// Total metered bytes stored across workers.
@@ -114,8 +71,8 @@ impl<P> DistVec<P> {
 impl<P> Drop for DistVec<P> {
     fn drop(&mut self) {
         self.inner.metrics.sub_stored(self.total_bytes());
-        lock(&self.inner.registry).remove(&self.id);
-        for sender in lock(&self.inner.senders).iter() {
+        self.inner.lineage.remove(self.id);
+        for sender in &self.inner.senders {
             // The cluster may already be shut down; eviction is best-effort.
             let _ = sender.send(WorkerMsg::DropDataset { dataset: self.id });
         }

@@ -6,6 +6,7 @@
 
 use std::any::Any;
 use std::sync::Arc;
+use std::time::Duration;
 
 use dbtf_cluster::{
     Cluster, ClusterConfig, ClusterError, ExecutionBackend, FaultPlan, MetricsSnapshot, NetBackend,
@@ -72,6 +73,15 @@ fn net_backend(workers: usize, plan: Option<FaultPlan>) -> NetBackend {
 /// partitions' new values, so the last round reads the final state.
 /// Identical calls on every backend.
 fn workload<B: ExecutionBackend>(backend: &B, rounds: usize) -> (Vec<Vec<u64>>, MetricsSnapshot) {
+    paced_workload(backend, rounds, Duration::ZERO)
+}
+
+/// [`workload`], sleeping `pause` of wall time after every superstep.
+fn paced_workload<B: ExecutionBackend>(
+    backend: &B,
+    rounds: usize,
+    pause: Duration,
+) -> (Vec<Vec<u64>>, MetricsSnapshot) {
     let data = backend
         .distribute_with_lineage((0..8u64).map(|v| (v * 3 + 1, 8)).collect(), |idx| {
             idx as u64 * 3 + 1
@@ -88,6 +98,7 @@ fn workload<B: ExecutionBackend>(backend: &B, rounds: usize) -> (Vec<Vec<u64>>, 
         );
         let out: Vec<u64> = backend.map_partitions_task(&data, task);
         outputs.push(out);
+        std::thread::sleep(pause);
     }
     let metrics = backend.metrics();
     (outputs, metrics)
@@ -117,6 +128,19 @@ fn measured_wire_bytes_match_lemma_meters_exactly() {
     // Framing, params, acks, and handshakes are accounted, separately.
     assert!(m.net_wire_overhead_bytes > 0);
     assert!(m.bytes_shuffled > 0 && m.bytes_broadcast > 0 && m.bytes_collected > 0);
+}
+
+#[test]
+fn framing_overhead_does_not_depend_on_wall_time() {
+    // Idle wall time between supersteps puts nothing on the wire, so a run
+    // that pauses after every superstep meters the same framing bytes.
+    let brisk = workload(&net_backend(2, None), 2);
+    let paced = paced_workload(&net_backend(2, None), 2, Duration::from_millis(1200));
+    assert_eq!(brisk.0, paced.0);
+    assert_eq!(
+        brisk.1.net_wire_overhead_bytes,
+        paced.1.net_wire_overhead_bytes
+    );
 }
 
 #[test]

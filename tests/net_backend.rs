@@ -132,8 +132,8 @@ fn measured_wire_bytes_equal_cost_model_meters() {
     let oracle = CommOracle::for_run(&x, &cfg, &result, 3);
     assert_eq!(oracle.check(&x, &m), Vec::<String>::new());
 
-    // Framing (headers, heartbeats, task params) is accounted separately
-    // and never leaks into the payload meters.
+    // Framing (headers, acks, handshakes, task params) is accounted
+    // separately and never leaks into the payload meters.
     assert!(m.net_wire_overhead_bytes > 0, "framing is metered");
     assert_eq!(m.net_wire_reship_bytes, 0, "no recovery on a clean run");
     assert_eq!(m.net_reconnects, 0);
