@@ -6,102 +6,112 @@
 //! [`crate::NetBackend`]: worker processes behind TCP sockets;
 //! [`crate::LocalBackend`]: inline in the driver process with a free
 //! network).
+//!
+//! A superstep takes one task and returns its results with their
+//! [`TaskEvents`]. The task is a [`WireTask`] — one type that encodes its
+//! parameters, decodes them on a worker and runs, so it can cross a
+//! process boundary — or, on the in-process backends only, a closure
+//! ([`InProcess`]).
 
 use crate::metrics::MetricsSnapshot;
+use crate::net::BroadcastStore;
 use crate::storage::Broadcast;
 use crate::task::TaskContext;
 use dbtf_telemetry::KernelEvent;
 use dbtf_wire::{EncodedFrame, Wire, WireResult};
 
-/// One partition's unit of work in a superstep.
+/// A partition task that can cross a process boundary, written once as
+/// one type.
 ///
-/// Every closure of the right shape is a `PartitionTask` (via the blanket
-/// impl), so in-process backends keep their ergonomic closure API. The
-/// networked backend, however, cannot ship a closure to another OS
-/// process: it requires tasks that additionally describe themselves as a
-/// *named wire task* ([`PartitionTask::wire`]) — a registry name plus an
-/// encoded parameter frame that the worker process resolves against its
-/// own copy of the task registry. [`RemoteTask`] wraps a closure with
-/// that description; plain closures return `None` and are rejected by the
-/// networked backend with a clear panic.
+/// The type is the task's parameters. [`WireTask::encode`] writes them as
+/// the parameter frame the networked backend ships in a `Run` frame, under
+/// [`WireTask::NAME`]; a worker process resolves the name in its
+/// [`crate::NetRegistry`] and rebuilds the value with [`WireTask::decode`],
+/// which reads broadcast parameters back as [`Broadcast`] handles from
+/// its [`BroadcastStore`]. The in-process backends run the value the
+/// driver built; the networked backend runs the value the worker decoded.
+/// Either way the same [`WireTask::run`] executes, so every backend
+/// computes the same bits.
+pub trait WireTask: Sized + Send + Sync + 'static {
+    /// The name the worker registry resolves the task under.
+    const NAME: &'static str;
+    /// The partition type the task runs on.
+    type Part: Send + 'static;
+    /// The per-partition result, collected to the driver.
+    type Output: Wire + Send + 'static;
+
+    /// Writes the parameter frame.
+    fn encode(&self) -> EncodedFrame;
+
+    /// Reads a parameter frame written by [`WireTask::encode`], resolving
+    /// broadcast ids against the worker's `broadcasts`.
+    fn decode(params: &[u8], broadcasts: &BroadcastStore) -> WireResult<Self>;
+
+    /// Executes the task on one partition (its global index is
+    /// [`TaskContext::partition_index`]).
+    fn run(&self, part: &mut Self::Part, ctx: &mut TaskContext) -> Self::Output;
+}
+
+/// One partition's unit of work in a superstep: every [`WireTask`] is
+/// one, and so is a closure wrapped in [`InProcess`].
+///
+/// Only a wire task describes itself as a [`WireCall`]; the networked
+/// backend cannot ship a closure to another OS process and refuses one
+/// with a clear panic.
 pub trait PartitionTask<P, T>: Send + Sync + 'static {
     /// Executes the task on one partition (the in-process path).
     fn run(&self, idx: usize, part: &mut P, ctx: &mut TaskContext) -> T;
 
     /// The task's wire description, if it can run in a worker process.
-    fn wire(&self) -> Option<WireTask<T>> {
-        None
+    fn wire(&self) -> Option<WireCall<T>>;
+}
+
+impl<W: WireTask> PartitionTask<W::Part, W::Output> for W {
+    fn run(&self, _idx: usize, part: &mut W::Part, ctx: &mut TaskContext) -> W::Output {
+        WireTask::run(self, part, ctx)
+    }
+
+    fn wire(&self) -> Option<WireCall<W::Output>> {
+        Some(WireCall {
+            name: W::NAME,
+            params: self.encode(),
+            decode_result: W::Output::from_frame,
+        })
     }
 }
 
-impl<P, T, F> PartitionTask<P, T> for F
+/// A closure as a [`PartitionTask`]: it runs on the in-process backends
+/// only. [`ExecutionBackend::map_partitions`] wraps its closure in one.
+pub struct InProcess<F>(pub F);
+
+impl<P, T, F> PartitionTask<P, T> for InProcess<F>
 where
     F: Fn(usize, &mut P, &mut TaskContext) -> T + Send + Sync + 'static,
 {
     fn run(&self, idx: usize, part: &mut P, ctx: &mut TaskContext) -> T {
-        self(idx, part, ctx)
+        (self.0)(idx, part, ctx)
+    }
+
+    fn wire(&self) -> Option<WireCall<T>> {
+        None
     }
 }
 
 /// A serialized task invocation: what the networked backend ships in a
 /// `Run` frame instead of a closure.
-pub struct WireTask<T> {
-    /// Registry name the worker process resolves the task body under.
-    pub name: &'static str,
+pub struct WireCall<T> {
+    /// Registry name the worker process resolves the task under.
+    pub(crate) name: &'static str,
     /// Encoded parameter frame (broadcast ids, column indices, flags).
-    pub params: EncodedFrame,
+    pub(crate) params: EncodedFrame,
     /// Decodes one task result from its reply frame.
-    pub decode_result: fn(&[u8]) -> WireResult<T>,
+    pub(crate) decode_result: fn(&[u8]) -> WireResult<T>,
 }
 
-/// A [`PartitionTask`] that can execute both in-process (it carries the
-/// closure) and in a worker process (it carries the registry name and the
-/// encoded parameters the registered body will be called with).
-///
-/// The closure and the registered body must compute the same function —
-/// the idiom is to write the task body once as a free function and have
-/// both call it (see `dbtf`'s `net_tasks` module).
-pub struct RemoteTask<F> {
-    name: &'static str,
-    params: EncodedFrame,
-    f: F,
-}
-
-impl<F> RemoteTask<F> {
-    /// Wraps `f` as the in-process body of the wire task `name`, with
-    /// `args` encoded as the parameter frame shipped to worker processes.
-    pub fn new<A: Wire>(name: &'static str, args: &A, f: F) -> Self {
-        RemoteTask {
-            name,
-            params: args.to_frame(),
-            f,
-        }
-    }
-}
-
-impl<P, T, F> PartitionTask<P, T> for RemoteTask<F>
-where
-    T: Wire + Send + 'static,
-    F: Fn(usize, &mut P, &mut TaskContext) -> T + Send + Sync + 'static,
-{
-    fn run(&self, idx: usize, part: &mut P, ctx: &mut TaskContext) -> T {
-        (self.f)(idx, part, ctx)
-    }
-
-    fn wire(&self) -> Option<WireTask<T>> {
-        Some(WireTask {
-            name: self.name,
-            params: self.params.clone(),
-            decode_result: T::from_frame,
-        })
-    }
-}
-
-/// The observational record of one partition task, shipped to the span
-/// layer when task-event capture is on. Always sorted by `partition` when
-/// returned from [`ExecutionBackend::take_task_events`] — the same merge
-/// discipline that keeps result order deterministic keeps traces
-/// deterministic under any worker count.
+/// The observational record of one partition task, returned with a
+/// superstep's results when it ran with capture on. Always sorted by
+/// `partition` — the same merge discipline that keeps result order
+/// deterministic keeps traces deterministic under any worker count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskEvents {
     /// Global partition index.
@@ -193,24 +203,36 @@ pub trait ExecutionBackend {
     /// loop catches the task panic, so the worker survives, but the
     /// partition the task was mutating is left in an unspecified state.
     /// The cluster and networked backends also panic if `data` belongs to
-    /// another backend instance.
+    /// another backend instance, and the networked backend panics on a
+    /// closure, which cannot cross a process boundary.
     ///
-    /// Closure-bound convenience over
-    /// [`ExecutionBackend::map_partitions_task`] (keeps closure argument
-    /// types inferable at call sites).
+    /// Closure convenience over [`ExecutionBackend::map_partitions_task`]
+    /// with capture off (keeps closure argument types inferable at call
+    /// sites).
     fn map_partitions<P, T, F>(&self, data: &Self::Dataset<P>, f: F) -> Vec<T>
     where
         P: Send + 'static,
         T: Send + 'static,
         F: Fn(usize, &mut P, &mut TaskContext) -> T + Send + Sync + 'static,
     {
-        self.map_partitions_task(data, f)
+        self.map_partitions_task(data, InProcess(f), false).0
     }
 
-    /// [`ExecutionBackend::map_partitions`] for any [`PartitionTask`] —
-    /// in particular [`RemoteTask`]s, which the networked backend can ship
-    /// to worker processes. The method backends implement.
-    fn map_partitions_task<P, T, F>(&self, data: &Self::Dataset<P>, f: F) -> Vec<T>
+    /// [`ExecutionBackend::map_partitions`] for any [`PartitionTask`] — in
+    /// particular [`WireTask`]s, which the networked backend can ship to
+    /// worker processes. The method backends implement.
+    ///
+    /// Returns the results in partition order with the superstep's
+    /// [`TaskEvents`], sorted by partition: with `capture` on, one per
+    /// task, carrying the kernels the task charged; with it off, none.
+    /// Capture is purely observational — metering is bit-identical either
+    /// way.
+    fn map_partitions_task<P, T, F>(
+        &self,
+        data: &Self::Dataset<P>,
+        task: F,
+        capture: bool,
+    ) -> (Vec<T>, Vec<TaskEvents>)
     where
         P: Send + 'static,
         T: Send + 'static,
@@ -226,17 +248,6 @@ pub trait ExecutionBackend {
     /// rebuilt payload, which bounds replay cost the way Spark
     /// checkpointing truncates an RDD's lineage chain.
     fn reset_lineage<P: Send + 'static>(&self, data: &Self::Dataset<P>);
-
-    /// Number of partitions in `data`.
-    fn dataset_partitions<P: Send + 'static>(&self, data: &Self::Dataset<P>) -> usize;
-
-    /// Enables/disables per-task event capture (tracing). Off by default;
-    /// purely observational — metering is bit-identical either way.
-    fn set_task_event_capture(&self, on: bool);
-
-    /// Drains the task events recorded by the most recent superstep,
-    /// sorted by partition index (empty when capture is off).
-    fn take_task_events(&self) -> Vec<crate::TaskEvents>;
 
     /// Ops-per-virtual-second of one core — the rate the span layer uses
     /// to convert a task's ops into a virtual duration.

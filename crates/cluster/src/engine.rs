@@ -27,12 +27,12 @@
 //! errors, and op counts stay bit-identical to a fault-free run.
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::backend::{ExecutionBackend, PartitionTask};
+use crate::backend::{ExecutionBackend, PartitionTask, TaskEvents};
 use crate::config::ClusterConfig;
 use crate::executor::{
     erase_task, spawn_worker, AnyPart, BatchResult, TaskFaults, TaskFn, WorkerMsg,
@@ -113,12 +113,6 @@ pub(crate) struct Inner {
     /// payloads, logged tasks as the closures the workers ran.
     pub(crate) lineage: LineageBook<Vec<(usize, AnyPart)>, Arc<TaskFn>>,
     pub(crate) fault: Option<Arc<FaultPlan>>,
-    /// When set, supersteps ship per-kernel events back to the driver
-    /// (tracing on). Purely observational — never affects metering.
-    pub(crate) capture_task_events: AtomicBool,
-    /// Task events of the most recent superstep, sorted by partition
-    /// index; drained by [`crate::ExecutionBackend::take_task_events`].
-    pub(crate) task_events: Mutex<Vec<crate::TaskEvents>>,
 }
 
 /// A simulated cluster: one driver (the calling thread) plus
@@ -174,8 +168,6 @@ impl Cluster {
                 handles: Mutex::new(handles),
                 lineage: LineageBook::new(),
                 fault,
-                capture_task_events: AtomicBool::new(false),
-                task_events: Mutex::new(Vec::new()),
             }),
         })
     }
@@ -325,7 +317,12 @@ impl ExecutionBackend for Cluster {
 
     /// The task is shipped to every worker thread before any reply is
     /// collected, so all workers compute concurrently.
-    fn map_partitions_task<P, T, F>(&self, data: &DistVec<P>, f: F) -> Vec<T>
+    fn map_partitions_task<P, T, F>(
+        &self,
+        data: &DistVec<P>,
+        task: F,
+        capture: bool,
+    ) -> (Vec<T>, Vec<TaskEvents>)
     where
         P: Send + 'static,
         T: Send + 'static,
@@ -341,7 +338,7 @@ impl ExecutionBackend for Cluster {
         let step = inner.submitted_steps.fetch_add(1, Ordering::Relaxed);
         self.inject_crashes(step);
 
-        let task = erase_task(f);
+        let task = erase_task(task);
         // Record the task in the dataset's lineage log (replayed after a
         // crash) before it runs anywhere.
         inner.lineage.log(data.id, Arc::clone(&task));
@@ -352,7 +349,6 @@ impl ExecutionBackend for Cluster {
             .filter(|plan| plan.task_failure_rate > 0.0)
             .map(|plan| (Arc::clone(plan), step));
 
-        let capture = inner.capture_task_events.load(Ordering::Relaxed);
         let (reply_tx, reply_rx): (Sender<BatchResult>, Receiver<BatchResult>) = channel();
         for sender in &inner.senders {
             sender
@@ -377,7 +373,6 @@ impl ExecutionBackend for Cluster {
             &data.part_bytes,
             capture,
             batches,
-            &inner.task_events,
         )
     }
 
@@ -387,18 +382,6 @@ impl ExecutionBackend for Cluster {
             "dataset belongs to a different cluster"
         );
         self.inner.lineage.reset(data.id);
-    }
-
-    fn dataset_partitions<P: Send + 'static>(&self, data: &DistVec<P>) -> usize {
-        data.num_partitions()
-    }
-
-    fn set_task_event_capture(&self, on: bool) {
-        self.inner.capture_task_events.store(on, Ordering::Relaxed);
-    }
-
-    fn take_task_events(&self) -> Vec<crate::TaskEvents> {
-        std::mem::take(&mut *lock(&self.inner.task_events))
     }
 
     fn core_throughput(&self) -> f64 {

@@ -69,12 +69,10 @@ pub struct FaultPlan {
     pub slow_task_rate: f64,
     /// Virtual-duration multiplier for slowed tasks (≥ 1).
     pub slow_task_factor: f64,
-    /// Enables speculative re-execution of straggler tasks.
+    /// Enables speculative re-execution of straggler tasks: a task whose
+    /// completion would exceed 1.5 × the fault-free superstep makespan
+    /// gets a speculative copy on another worker.
     pub speculation: bool,
-    /// A task whose completion would exceed
-    /// `speculation_threshold × fault-free superstep makespan` gets a
-    /// speculative copy on another worker (≥ 1).
-    pub speculation_threshold: f64,
     /// Probability in `[0, 1]` that a worker is killed at the start of a
     /// superstep (decided per `(superstep, worker)`). Simulated crash on
     /// in-process backends, real `SIGKILL` on the networked backend; both
@@ -102,7 +100,6 @@ impl Default for FaultPlan {
             slow_task_rate: 0.0,
             slow_task_factor: 4.0,
             speculation: true,
-            speculation_threshold: 1.5,
             process_kill_rate: 0.0,
             connection_drop_rate: 0.0,
             response_delay_rate: 0.0,
@@ -189,11 +186,26 @@ impl FaultPlan {
         out
     }
 
-    /// Whether worker `worker` severs its driver connection after receiving
-    /// request `attempt` of `superstep` (networked backend only).
-    pub fn connection_drops(&self, superstep: u64, worker: usize, attempt: u64) -> bool {
+    /// Whether incarnation `incarnation` of worker `worker` (0 until its
+    /// first respawn) severs its driver connection after receiving
+    /// delivery `delivery` of a request in `superstep` (networked backend
+    /// only). A respawned worker sees a re-sent request from delivery 0
+    /// again, so its incarnation keys the draw: without it, a request whose
+    /// first deliveries drop would drop the same way after every respawn.
+    pub fn connection_drops(
+        &self,
+        superstep: u64,
+        worker: usize,
+        incarnation: u64,
+        delivery: u64,
+    ) -> bool {
         self.connection_drop_rate > 0.0
-            && self.unit(0x6472_6f70, superstep, worker as u64, attempt) < self.connection_drop_rate
+            && self.unit(
+                0x6472_6f70,
+                superstep,
+                worker as u64,
+                incarnation << 32 | delivery,
+            ) < self.connection_drop_rate
     }
 
     /// Whether worker `worker` delays its reply in `superstep` (networked
@@ -233,8 +245,8 @@ impl FaultPlan {
     /// # Errors
     ///
     /// A message naming the first out-of-range rate, a crash target beyond
-    /// the worker count, `max_task_attempts == 0`, or a sub-1 slowdown or
-    /// speculation factor.
+    /// the worker count, `max_task_attempts == 0`, or a sub-1 slowdown
+    /// factor.
     pub fn validate(&self, workers: usize) -> Result<(), String> {
         for (name, rate) in [
             ("task_failure_rate", self.task_failure_rate),
@@ -254,12 +266,6 @@ impl FaultPlan {
             return Err(format!(
                 "slow_task_factor must be at least 1 (got {})",
                 self.slow_task_factor
-            ));
-        }
-        if !(1.0..).contains(&self.speculation_threshold) {
-            return Err(format!(
-                "speculation_threshold must be at least 1 (got {})",
-                self.speculation_threshold
             ));
         }
         if let Some(&(step, w)) = self.worker_crashes.iter().find(|&&(_, w)| w >= workers) {
@@ -408,7 +414,7 @@ mod tests {
         let quiet = FaultPlan::with_seed(5);
         for step in 0..4u64 {
             for w in 0..4usize {
-                assert!(!quiet.connection_drops(step, w, 0));
+                assert!(!quiet.connection_drops(step, w, 0, 0));
                 assert!(!quiet.response_delayed(step, w));
             }
         }
@@ -424,8 +430,8 @@ mod tests {
         for step in 0..4u64 {
             for w in 0..4usize {
                 assert_eq!(
-                    noisy.connection_drops(step, w, 1),
-                    noisy.connection_drops(step, w, 1)
+                    noisy.connection_drops(step, w, 0, 1),
+                    noisy.connection_drops(step, w, 0, 1)
                 );
                 assert_eq!(
                     noisy.response_delayed(step, w),
@@ -438,6 +444,37 @@ mod tests {
             ..FaultPlan::with_seed(5)
         };
         assert!(kills.schedules_crashes() && kills.is_active());
+    }
+
+    /// Incarnation 0 draws on the delivery alone, so runs without a
+    /// respawn keep their drops; a respawned worker draws afresh for the
+    /// same request.
+    #[test]
+    fn connection_drops_draw_afresh_after_a_respawn() {
+        let plan = FaultPlan {
+            connection_drop_rate: 0.3,
+            ..FaultPlan::with_seed(2)
+        };
+        let mut redrawn = 0;
+        for step in 0..16u64 {
+            for w in 0..3usize {
+                for delivery in 0..4u64 {
+                    let first = plan.connection_drops(step, w, 0, delivery);
+                    let by_delivery = plan.unit(0x6472_6f70, step, w as u64, delivery) < 0.3;
+                    assert_eq!(first, by_delivery);
+                    if plan.connection_drops(step, w, 1, delivery) != first {
+                        redrawn += 1;
+                    }
+                }
+            }
+        }
+        assert!(redrawn > 32, "only {redrawn} of 192 draws changed");
+        // A request whose first deliveries all drop at incarnation 0 is
+        // not doomed to drop them all again at incarnation 1.
+        let doomed = (0..4096u64)
+            .find(|&step| (0..4).all(|d| plan.connection_drops(step, 0, 0, d)))
+            .expect("some request drops four times in a row");
+        assert!((0..4).any(|d| !plan.connection_drops(doomed, 0, 1, d)));
     }
 
     #[test]

@@ -104,15 +104,14 @@ mod scheduler;
 mod storage;
 mod task;
 
-pub use backend::{ExecutionBackend, PartitionTask, RemoteTask, TaskEvents, WireTask};
+pub use backend::{ExecutionBackend, InProcess, PartitionTask, TaskEvents, WireCall, WireTask};
 pub use config::{ClusterConfig, NetworkModel};
 pub use engine::{Cluster, ClusterError};
 pub use fault::FaultPlan;
 pub use local::{LocalBackend, LocalDataset};
 pub use metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
 pub use net::{
-    worker_main, BroadcastStore, NetBackend, NetRegistry, NetTuning, NetVec, TaskFactory,
-    WorkerHost, WorkerTaskFn,
+    worker_main, BroadcastStore, NetBackend, NetRegistry, NetTuning, NetVec, WorkerHost,
 };
 pub use plan::{OpKind, OpRecord, PlanTrace};
 pub use scheduler::Scheduler;

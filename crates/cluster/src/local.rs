@@ -20,10 +20,9 @@
 //! term.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{ExecutionBackend, PartitionTask};
+use crate::backend::{ExecutionBackend, PartitionTask, TaskEvents};
 use crate::config::{ClusterConfig, NetworkModel};
 use crate::executor::{erase_task, run_batch, AnyPart};
 use crate::lock;
@@ -35,8 +34,6 @@ struct LocalInner {
     /// The metered shape, with a free network and no fault plan.
     config: ClusterConfig,
     metrics: CommMetrics,
-    capture_task_events: AtomicBool,
-    task_events: Mutex<Vec<crate::TaskEvents>>,
 }
 
 /// A pure-local execution backend: plans run inline on the calling
@@ -81,8 +78,6 @@ impl LocalBackend {
                     ..config.clone()
                 },
                 metrics: CommMetrics::new(config.workers),
-                capture_task_events: AtomicBool::new(false),
-                task_events: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -99,11 +94,6 @@ pub struct LocalDataset<P> {
 }
 
 impl<P> LocalDataset<P> {
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.part_bytes.len()
-    }
-
     /// Total metered bytes stored.
     pub fn total_bytes(&self) -> u64 {
         self.part_bytes.iter().sum()
@@ -165,14 +155,18 @@ impl ExecutionBackend for LocalBackend {
     /// Runs each logical worker's batch inline, one worker after another,
     /// and merges the batches like the cluster merges its workers'
     /// replies.
-    fn map_partitions_task<P, T, F>(&self, data: &LocalDataset<P>, f: F) -> Vec<T>
+    fn map_partitions_task<P, T, F>(
+        &self,
+        data: &LocalDataset<P>,
+        task: F,
+        capture: bool,
+    ) -> (Vec<T>, Vec<TaskEvents>)
     where
         P: Send + 'static,
         T: Send + 'static,
         F: PartitionTask<P, T>,
     {
-        let capture = self.inner.capture_task_events.load(Ordering::Relaxed);
-        let task = erase_task(f);
+        let task = erase_task(task);
         let batches = lock(&data.parts)
             .iter_mut()
             .enumerate()
@@ -185,24 +179,11 @@ impl ExecutionBackend for LocalBackend {
             &data.part_bytes,
             capture,
             batches,
-            &self.inner.task_events,
         )
     }
 
     fn reset_lineage<P: Send + 'static>(&self, _data: &LocalDataset<P>) {
         // No crashes, no lineage log.
-    }
-
-    fn dataset_partitions<P: Send + 'static>(&self, data: &LocalDataset<P>) -> usize {
-        data.num_partitions()
-    }
-
-    fn set_task_event_capture(&self, on: bool) {
-        self.inner.capture_task_events.store(on, Ordering::Relaxed);
-    }
-
-    fn take_task_events(&self) -> Vec<crate::TaskEvents> {
-        std::mem::take(&mut *lock(&self.inner.task_events))
     }
 
     fn core_throughput(&self) -> f64 {

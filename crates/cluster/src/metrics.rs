@@ -278,7 +278,7 @@ impl CommMetrics {
         };
 
         let nominal_makespan = nominal.iter().fold(0.0, |a: f64, &b| a.max(b));
-        let deadline = plan.speculation_threshold * nominal_makespan;
+        let deadline = SPECULATION_THRESHOLD * nominal_makespan;
         // A speculative copy runs on the lowest worker id other than the
         // slow task's; every worker runs at the same rate, so only whether
         // another worker exists matters.
@@ -403,6 +403,11 @@ impl CommMetrics {
         }
     }
 }
+
+/// With [`FaultPlan::speculation`] on, a task whose completion would
+/// exceed this multiple of the fault-free superstep makespan gets a
+/// speculative copy on another worker.
+const SPECULATION_THRESHOLD: f64 = 1.5;
 
 /// Virtual seconds one worker needs for a superstep share of `total_ops`
 /// ops: perfect parallelism over its cores, floored by its largest single

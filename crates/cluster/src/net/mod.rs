@@ -37,17 +37,17 @@ mod registry;
 mod supervisor;
 mod worker;
 
-pub use registry::{BroadcastStore, NetRegistry, TaskFactory, WorkerTaskFn};
+pub use registry::{BroadcastStore, NetRegistry};
 pub use supervisor::{NetTuning, WorkerHost};
 pub use worker::worker_main;
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dbtf_wire::{frame_data_len, WireResult};
 
-use crate::backend::{ExecutionBackend, PartitionTask};
+use crate::backend::{ExecutionBackend, PartitionTask, TaskEvents};
 use crate::config::ClusterConfig;
 use crate::engine::ClusterError;
 use crate::executor::{AnyPart, BatchResult, TaskStat};
@@ -95,8 +95,6 @@ struct NetShared {
     /// DBTF broadcasts are O(I·R/8) bytes, an accepted memory/robustness
     /// trade-off (DESIGN.md §1.2.6).
     broadcast_cache: Mutex<Vec<BroadcastEntry>>,
-    capture_task_events: AtomicBool,
-    task_events: Mutex<Vec<crate::TaskEvents>>,
 }
 
 /// Handle to a dataset partitioned across networked workers (the
@@ -107,13 +105,6 @@ pub struct NetVec<P> {
     part_bytes: Vec<u64>,
     shared: Arc<NetShared>,
     _marker: std::marker::PhantomData<fn() -> P>,
-}
-
-impl<P> NetVec<P> {
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.part_bytes.len()
-    }
 }
 
 impl<P> Drop for NetVec<P> {
@@ -167,8 +158,6 @@ impl NetBackend {
                 next_broadcast: AtomicU64::new(0),
                 lineage: LineageBook::new(),
                 broadcast_cache: Mutex::new(Vec::new()),
-                capture_task_events: AtomicBool::new(false),
-                task_events: Mutex::new(Vec::new()),
             }),
         })
     }
@@ -311,7 +300,12 @@ impl ExecutionBackend for NetBackend {
         }
     }
 
-    fn map_partitions_task<P, T, F>(&self, data: &NetVec<P>, f: F) -> Vec<T>
+    fn map_partitions_task<P, T, F>(
+        &self,
+        data: &NetVec<P>,
+        task: F,
+        capture: bool,
+    ) -> (Vec<T>, Vec<TaskEvents>)
     where
         P: Send + 'static,
         T: Send + 'static,
@@ -324,11 +318,11 @@ impl ExecutionBackend for NetBackend {
         );
         let step = shared.submitted_steps.fetch_add(1, Ordering::Relaxed);
         self.inject_kills(step);
-        let wire = f.wire().unwrap_or_else(|| {
+        let wire = task.wire().unwrap_or_else(|| {
             panic!(
                 "the networked backend cannot ship a plain closure to worker processes; \
-                 wrap the task body in RemoteTask::new(..) and register it in the worker \
-                 registry (NetRegistry::register_task)"
+                 write the task as a type implementing WireTask and register it in the \
+                 worker registry (NetRegistry::register_task::<T>())"
             )
         });
         shared.lineage.log(
@@ -339,7 +333,6 @@ impl ExecutionBackend for NetBackend {
                 params: wire.params.bytes.clone(),
             },
         );
-        let capture = shared.capture_task_events.load(Ordering::Relaxed);
         let faults = RunFaults::of(shared.fault.as_deref());
         let build = run_builder(
             data.id,
@@ -376,24 +369,11 @@ impl ExecutionBackend for NetBackend {
             &data.part_bytes,
             capture,
             batches,
-            &shared.task_events,
         )
     }
 
     fn reset_lineage<P: Send + 'static>(&self, data: &NetVec<P>) {
         self.shared.lineage.reset(data.id);
-    }
-
-    fn dataset_partitions<P: Send + 'static>(&self, data: &NetVec<P>) -> usize {
-        data.num_partitions()
-    }
-
-    fn set_task_event_capture(&self, on: bool) {
-        self.shared.capture_task_events.store(on, Ordering::Relaxed);
-    }
-
-    fn take_task_events(&self) -> Vec<crate::TaskEvents> {
-        std::mem::take(&mut *lock(&self.shared.task_events))
     }
 
     fn core_throughput(&self) -> f64 {

@@ -250,39 +250,47 @@ impl Restore<StoreParts, RunSpec> for Requests<'_> {
 
 #[cfg(test)]
 mod tests {
-    use std::any::Any;
     use std::sync::Arc;
 
-    use dbtf_wire::Wire;
+    use dbtf_wire::{EncodedFrame, Wire, WireResult};
 
     use crate::{
-        ClusterConfig, ExecutionBackend, FaultPlan, MetricsSnapshot, NetBackend, NetRegistry,
-        NetTuning, RemoteTask, TaskContext, WorkerHost, WorkerTaskFn,
+        BroadcastStore, ClusterConfig, ExecutionBackend, FaultPlan, MetricsSnapshot, NetBackend,
+        NetRegistry, NetTuning, TaskContext, WireTask, WorkerHost,
     };
 
-    fn bump(v: &mut u64, by: u64, ctx: &mut TaskContext) -> u64 {
-        *v = *v * 3 + by;
-        ctx.charge(*v % 13 + 1);
-        ctx.set_result_bytes(8);
-        *v
+    /// Multiplies a `u64` partition by 3 and adds the step.
+    struct Bump(u64);
+
+    impl WireTask for Bump {
+        const NAME: &'static str = "test.bump";
+        type Part = u64;
+        type Output = u64;
+
+        fn encode(&self) -> EncodedFrame {
+            self.0.to_frame()
+        }
+
+        fn decode(params: &[u8], _broadcasts: &BroadcastStore) -> WireResult<Self> {
+            Ok(Bump(u64::from_frame(params)?))
+        }
+
+        fn run(&self, v: &mut u64, ctx: &mut TaskContext) -> u64 {
+            *v = *v * 3 + self.0;
+            ctx.charge(*v % 13 + 1);
+            ctx.set_result_bytes(8);
+            *v
+        }
     }
 
-    /// Three supersteps of `bump` over 6 partitions on 2 thread-hosted
+    /// Three supersteps of `Bump` over 6 partitions on 2 thread-hosted
     /// workers; `before_last` runs before the third.
     fn run(
         plan: Option<FaultPlan>,
         before_last: impl Fn(&NetBackend),
     ) -> (Vec<Vec<u64>>, MetricsSnapshot) {
         let mut registry = NetRegistry::new();
-        registry.register_part::<u64>();
-        registry.register_task("test.bump", |params, _bstore| {
-            let by = u64::from_frame(params)?;
-            Ok(Box::new(
-                move |_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
-                    bump(part.downcast_mut().expect("u64 partition"), by, ctx).to_frame()
-                },
-            ) as WorkerTaskFn)
-        });
+        registry.register_part::<u64>().register_task::<Bump>();
         let registry = Arc::new(registry);
         let config = ClusterConfig {
             fault_plan: plan,
@@ -298,8 +306,7 @@ mod tests {
                 if step == 2 {
                     before_last(&net);
                 }
-                let body = move |_idx, v: &mut u64, ctx: &mut TaskContext| bump(v, step, ctx);
-                net.map_partitions_task(&data, RemoteTask::new("test.bump", &step, body))
+                net.map_partitions_task(&data, Bump(step), false).0
             })
             .collect();
         (outputs, net.metrics())

@@ -2,12 +2,13 @@
 //! broadcast store.
 //!
 //! A closure cannot cross a process boundary, so the networked backend
-//! ships *names*: partition types and task bodies are registered under
-//! stable names in a [`NetRegistry`] that both the driver and every worker
-//! process construct identically (the driver ships the name + encoded
-//! parameters; the worker resolves them against its own copy). Broadcast
-//! values are shipped once per worker as encoded frames and decoded
-//! lazily, with type-erased caching, by the [`BroadcastStore`].
+//! ships *names*: partition types, broadcast types and [`WireTask`] types
+//! are registered under stable names in a [`NetRegistry`] that both the
+//! driver and every worker process construct identically (the driver
+//! ships the task's name and encoded parameters; the worker decodes the
+//! task against its own copy and runs it). Broadcast values are shipped
+//! once per worker as encoded frames and decoded lazily, with type-erased
+//! caching, by the [`BroadcastStore`].
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -15,19 +16,25 @@ use std::sync::{Arc, Mutex};
 
 use dbtf_wire::{EncodedFrame, Wire, WireNamed, WireResult};
 
-use crate::executor::AnyPart;
+use crate::backend::{InProcess, WireTask};
+use crate::executor::{erase_task, AnyPart, TaskFn};
 use crate::lock;
+use crate::storage::Broadcast;
 use crate::task::TaskContext;
 
-/// A worker-side task body produced by a [`NetRegistry`] task factory:
-/// runs on one partition and returns the encoded result frame.
-pub type WorkerTaskFn =
-    Box<dyn Fn(usize, &mut (dyn Any + Send), &mut TaskContext) -> EncodedFrame + Send + Sync>;
+/// Decodes a registered task's parameter frame against the worker's
+/// broadcast store into the task the executor runs; its results are the
+/// encoded result frames.
+pub(crate) type TaskDecoder = fn(&[u8], &BroadcastStore) -> WireResult<Arc<TaskFn>>;
 
-/// Builds a [`WorkerTaskFn`] from an encoded parameter frame and the
-/// worker's broadcast store. Registered under the task's wire name.
-pub type TaskFactory =
-    Arc<dyn Fn(&[u8], &BroadcastStore) -> WireResult<WorkerTaskFn> + Send + Sync>;
+fn decode_task<W: WireTask>(params: &[u8], broadcasts: &BroadcastStore) -> WireResult<Arc<TaskFn>> {
+    let task = W::decode(params, broadcasts)?;
+    Ok(erase_task(InProcess(
+        move |_idx: usize, part: &mut W::Part, ctx: &mut TaskContext| {
+            task.run(part, ctx).to_frame()
+        },
+    )))
+}
 
 /// Encode/decode functions for one registered partition type.
 pub(crate) struct PartCodec {
@@ -58,7 +65,7 @@ fn encode_bcast<T: Wire + 'static>(value: &(dyn Any + Send + Sync)) -> EncodedFr
         .to_frame()
 }
 
-/// Registry of partition codecs, broadcast encoders, and task bodies the
+/// Registry of partition codecs, broadcast encoders, and wire tasks the
 /// networked backend resolves wire names against.
 ///
 /// The driver and every worker must build the registry with the *same*
@@ -70,7 +77,7 @@ pub struct NetRegistry {
     part_names: HashMap<TypeId, &'static str>,
     part_codecs: HashMap<&'static str, PartCodec>,
     bcast_encoders: HashMap<TypeId, fn(&(dyn Any + Send + Sync)) -> EncodedFrame>,
-    tasks: HashMap<&'static str, TaskFactory>,
+    tasks: HashMap<&'static str, TaskDecoder>,
 }
 
 impl NetRegistry {
@@ -102,18 +109,15 @@ impl NetRegistry {
         self
     }
 
-    /// Registers a task body under `name` (the name a
-    /// [`crate::RemoteTask`] ships in its `Run` frames).
-    pub fn register_task<F>(&mut self, name: &'static str, factory: F) -> &mut Self
-    where
-        F: Fn(&[u8], &BroadcastStore) -> WireResult<WorkerTaskFn> + Send + Sync + 'static,
-    {
-        self.tasks.insert(name, Arc::new(factory));
+    /// Registers the wire task `W` under [`WireTask::NAME`], the name its
+    /// `Run` frames carry.
+    pub fn register_task<W: WireTask>(&mut self) -> &mut Self {
+        self.tasks.insert(W::NAME, decode_task::<W>);
         self
     }
 
-    /// Whether a task body is registered under `name` — lets binaries
-    /// sanity-check driver/worker registry agreement at boot.
+    /// Whether a task is registered under `name` — lets a caller check
+    /// that a registry holds every task its driver emits.
     pub fn has_task(&self, name: &str) -> bool {
         self.tasks.contains_key(name)
     }
@@ -150,8 +154,8 @@ impl NetRegistry {
             })
     }
 
-    pub(crate) fn task_factory(&self, name: &str) -> Option<&TaskFactory> {
-        self.tasks.get(name)
+    pub(crate) fn task_decoder(&self, name: &str) -> Option<TaskDecoder> {
+        self.tasks.get(name).copied()
     }
 }
 
@@ -174,11 +178,13 @@ struct BcastEntry {
 }
 
 impl BroadcastStore {
-    pub(crate) fn new() -> Self {
+    /// An empty store.
+    pub fn new() -> Self {
         BroadcastStore::default()
     }
 
-    pub(crate) fn insert(&self, id: u64, frame: Vec<u8>) {
+    /// Installs the encoded frame of broadcast `id`.
+    pub fn insert(&self, id: u64, frame: Vec<u8>) {
         lock(&self.inner).insert(
             id,
             BcastEntry {
@@ -188,32 +194,37 @@ impl BroadcastStore {
         );
     }
 
-    /// Reads broadcast `id` as a `T`, decoding on first access.
+    /// Reads broadcast `id` as the [`Broadcast`] handle the driver holds,
+    /// decoding the value on first access.
     ///
     /// # Panics
     ///
     /// Panics if the id was never installed (driver/worker protocol bug)
     /// or the frame does not decode as `T` (mismatched registries).
-    pub fn get<T: Wire + Send + Sync + 'static>(&self, id: u64) -> Arc<T> {
+    pub fn get<T: Wire + Send + Sync + 'static>(&self, id: u64) -> Broadcast<T> {
         let mut map = lock(&self.inner);
         let entry = map
             .get_mut(&id)
             .unwrap_or_else(|| panic!("broadcast id {id} is not installed on this worker"));
-        if let Some(cached) = &entry.cached {
-            if let Ok(typed) = Arc::clone(cached).downcast::<T>() {
-                return typed;
-            }
+        let cached = entry
+            .cached
+            .as_ref()
+            .and_then(|cached| Arc::clone(cached).downcast::<T>().ok());
+        let value = cached.unwrap_or_else(|| {
+            let typed = Arc::new(T::from_frame(&entry.frame).unwrap_or_else(|e| {
+                panic!(
+                    "broadcast {id} does not decode as {}: {}",
+                    std::any::type_name::<T>(),
+                    e.0
+                )
+            }));
+            entry.cached = Some(Arc::clone(&typed) as Arc<dyn Any + Send + Sync>);
+            typed
+        });
+        Broadcast {
+            value,
+            wire_id: Some(id),
         }
-        let frame = Arc::clone(&entry.frame);
-        let typed = Arc::new(T::from_frame(&frame).unwrap_or_else(|e| {
-            panic!(
-                "broadcast {id} does not decode as {}: {}",
-                std::any::type_name::<T>(),
-                e.0
-            )
-        }));
-        entry.cached = Some(Arc::clone(&typed) as Arc<dyn Any + Send + Sync>);
-        typed
     }
 }
 
@@ -262,42 +273,60 @@ mod tests {
     fn broadcast_store_decodes_lazily_and_caches() {
         let store = BroadcastStore::new();
         store.insert(3, (41u64).to_frame().bytes);
-        let a: Arc<u64> = store.get(3);
-        let b: Arc<u64> = store.get(3);
+        let a: Broadcast<u64> = store.get(3);
+        let b: Broadcast<u64> = store.get(3);
         assert_eq!((*a, *b), (41, 41));
+        assert_eq!((a.wire_id(), b.wire_id()), (Some(3), Some(3)));
         // Cached: both reads share one allocation.
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a.get(), b.get()));
     }
 
     #[test]
     #[should_panic(expected = "not installed on this worker")]
     fn missing_broadcast_panics() {
         let store = BroadcastStore::new();
-        let _: Arc<u64> = store.get(9);
+        let _: Broadcast<u64> = store.get(9);
+    }
+
+    /// Adds its parameter to a `u64` partition.
+    struct Add(u64);
+
+    impl WireTask for Add {
+        const NAME: &'static str = "test.add";
+        type Part = u64;
+        type Output = u64;
+
+        fn encode(&self) -> EncodedFrame {
+            self.0.to_frame()
+        }
+
+        fn decode(params: &[u8], _broadcasts: &BroadcastStore) -> WireResult<Self> {
+            Ok(Add(u64::from_frame(params)?))
+        }
+
+        fn run(&self, v: &mut u64, ctx: &mut TaskContext) -> u64 {
+            *v += self.0;
+            ctx.charge(1);
+            *v
+        }
     }
 
     #[test]
-    fn task_factory_resolves_and_runs() {
+    fn registered_task_decodes_and_runs() {
         let mut reg = NetRegistry::new();
-        reg.register_task("test.add", |params, _bstore| {
-            let delta = u64::from_frame(params)?;
-            Ok(Box::new(
-                move |_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
-                    let v = part.downcast_mut::<u64>().expect("u64 partition");
-                    *v += delta;
-                    ctx.charge(1);
-                    (*v).to_frame()
-                },
-            ) as WorkerTaskFn)
-        });
-        let factory = reg.task_factory("test.add").unwrap();
+        reg.register_task::<Add>();
+        assert!(reg.has_task("test.add"));
+        let decode = reg.task_decoder("test.add").unwrap();
         let store = BroadcastStore::new();
-        let task = factory(&(5u64).to_frame().bytes, &store).unwrap();
+        let task = decode(&Add(5).encode().bytes, &store).unwrap();
         let mut part: AnyPart = Box::new(10u64);
         let mut ctx = TaskContext::new(0, 0, 0);
-        let frame = task(0, part.as_mut(), &mut ctx);
+        let frame = task(0, part.as_mut(), &mut ctx)
+            .downcast::<EncodedFrame>()
+            .expect("a worker task returns its encoded result");
         assert_eq!(u64::from_frame(&frame.bytes).unwrap(), 15);
-        assert!(reg.task_factory("nope").is_none());
+        assert_eq!(*part.downcast::<u64>().unwrap(), 15);
+        assert!(reg.task_decoder("nope").is_none());
     }
 
     #[test]

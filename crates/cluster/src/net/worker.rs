@@ -20,7 +20,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::executor::{run_batch, AnyPart, TaskFaults, TaskFn};
+use crate::executor::{run_batch, AnyPart, TaskFaults};
 use crate::net::proto::{read_frame, write_frame, BatchReply, Frame, StatEntry};
 use crate::net::registry::{BroadcastStore, NetRegistry};
 
@@ -33,6 +33,9 @@ const CONNECT_RETRY_DELAY: Duration = Duration::from_millis(50);
 /// no data; only a process kill does).
 struct WorkerState {
     worker: usize,
+    /// How many times the supervisor respawned this worker before this
+    /// process started; keys its injected connection drops.
+    incarnation: u64,
     datasets: HashMap<u64, Vec<(usize, AnyPart)>>,
     bstore: BroadcastStore,
     /// Last `Run` reply, kept for resend dedup: a driver retry
@@ -59,6 +62,7 @@ pub fn worker_main(
 ) -> io::Result<()> {
     let mut state = WorkerState {
         worker,
+        incarnation,
         datasets: HashMap::new(),
         bstore: BroadcastStore::new(),
         cached_reply: None,
@@ -168,7 +172,7 @@ fn serve(stream: &mut TcpStream, state: &mut WorkerState, registry: &NetRegistry
                     }
                 }
                 let plan = faults.plan();
-                if plan.connection_drops(step, state.worker, delivery) {
+                if plan.connection_drops(step, state.worker, state.incarnation, delivery) {
                     // Injected drop: sever the connection *before*
                     // executing; the driver reconnects and redelivers.
                     return Served::ConnLost;
@@ -226,16 +230,14 @@ fn run_request(
     faults: Option<TaskFaults>,
     capture: bool,
 ) -> BatchReply {
-    let factory = registry.task_factory(name).unwrap_or_else(|| {
+    let decode = registry.task_decoder(name).unwrap_or_else(|| {
         panic!(
             "worker {} has no task named {name:?}; driver and worker registries differ",
             state.worker
         )
     });
-    let body = factory(params, &state.bstore)
+    let task = decode(params, &state.bstore)
         .unwrap_or_else(|e| panic!("task {name:?} rejected its parameter frame: {}", e.0));
-    let task: Box<TaskFn> =
-        Box::new(move |idx, part, ctx| Box::new(body(idx, part, ctx)) as AnyPart);
     let parts = state
         .datasets
         .get_mut(&dataset)

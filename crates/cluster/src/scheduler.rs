@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use crate::backend::{ExecutionBackend, PartitionTask};
+use crate::backend::{ExecutionBackend, InProcess, PartitionTask, TaskEvents};
 use crate::executor::BatchResult;
 use crate::lock;
 use crate::plan::{OpKind, OpRecord, PlanTrace};
@@ -36,13 +36,10 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     }
 
     /// Like [`Scheduler::new`], but additionally records a span per
-    /// operator (and per task/kernel) into `tracer`. Enabling the tracer
-    /// turns on the backend's task-event capture; metering is unaffected
-    /// either way.
+    /// operator (and per task/kernel) into `tracer`. With the tracer on,
+    /// every superstep runs with task-event capture on; metering is
+    /// unaffected either way.
     pub fn with_tracer(backend: &'a B, tracer: Tracer) -> Self {
-        if tracer.is_enabled() {
-            backend.set_task_event_capture(true);
-        }
         Scheduler {
             backend,
             trace: Mutex::new(Vec::new()),
@@ -83,24 +80,29 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         }
     }
 
-    /// The single instrumentation point: runs `f`, then records the
-    /// metrics deltas it caused under (`kind`, `label`) — and, with a
-    /// tracer attached, an operator/superstep span with task and kernel
-    /// child spans built from the backend's task events.
+    /// The single instrumentation point: runs `f`, which returns its
+    /// value, the operator's partition count and its task events, then
+    /// records the metrics deltas it caused under (`kind`, `label`) — and,
+    /// with a tracer attached, an operator/superstep span with task and
+    /// kernel child spans built from the task events.
     fn instrumented<R>(
         &self,
         kind: OpKind,
         label: &'static str,
-        partitions: usize,
-        f: impl FnOnce() -> R,
+        f: impl FnOnce() -> (R, usize, Vec<TaskEvents>),
     ) -> R {
         let before = self.backend.metrics();
         let wall_start = self.tracer.wall_now();
-        let out = f();
+        let (out, partitions, events) = f();
         let after = self.backend.metrics();
         let record = OpRecord::from_snapshots(kind, label, partitions, &before, &after);
         if self.tracer.is_enabled() {
-            self.record_op_spans(kind, label, &record, &before, &after, wall_start);
+            let virt = (
+                before.virtual_time.as_secs_f64(),
+                after.virtual_time.as_secs_f64(),
+            );
+            let wall = (wall_start, self.tracer.wall_now());
+            self.record_op_spans(kind, label, &record, virt, wall, events);
         }
         lock(&self.trace).push(record);
         out
@@ -109,17 +111,17 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// Builds the span tree for one executed operator. Every annotation is
     /// a metering delta (bit-identical across worker counts and, excluding
     /// virtual stamps, across backends), so traces inherit the engine's
-    /// determinism contract.
+    /// determinism contract. `virt` and `wall` are the operator's virtual
+    /// and wall-clock intervals.
     fn record_op_spans(
         &self,
         kind: OpKind,
         label: &'static str,
         record: &OpRecord,
-        before: &crate::MetricsSnapshot,
-        after: &crate::MetricsSnapshot,
-        wall_start: f64,
+        virt: (f64, f64),
+        wall: (f64, f64),
+        events: Vec<TaskEvents>,
     ) {
-        let wall_end = self.tracer.wall_now();
         let span_kind = match kind {
             OpKind::MapPartitions => SpanKind::Superstep,
             _ => SpanKind::Operator,
@@ -135,19 +137,9 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         if record.recovery_events > 0 {
             args.push(("recovery_events", record.recovery_events));
         }
-        let op_span = self.tracer.record(
-            span_kind,
-            label,
-            None,
-            (
-                before.virtual_time.as_secs_f64(),
-                after.virtual_time.as_secs_f64(),
-            ),
-            (wall_start, wall_end),
-            None,
-            None,
-            args,
-        );
+        let op_span = self
+            .tracer
+            .record(span_kind, label, None, virt, wall, None, None, args);
         if kind != OpKind::MapPartitions {
             return;
         }
@@ -155,8 +147,8 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         // runs for ops/core-rate on its worker — the engine's own cost
         // model, laid out per partition. Kernels tile the task interval
         // end-to-end in recorded order.
-        let v0 = before.virtual_time.as_secs_f64();
-        for event in self.backend.take_task_events() {
+        let v0 = virt.0;
+        for event in events {
             let rate = self.backend.core_throughput();
             let task_end = v0 + event.ops as f64 / rate;
             let task_span = self.tracer.record(
@@ -164,7 +156,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
                 label,
                 Some(op_span),
                 (v0, task_end),
-                (wall_start, wall_end),
+                wall,
                 Some(event.worker),
                 Some(event.partition),
                 vec![("ops", event.ops)],
@@ -177,7 +169,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
                     kernel.name,
                     Some(task_span),
                     (cursor, end),
-                    (wall_start, wall_end),
+                    wall,
                     Some(event.worker),
                     Some(event.partition),
                     vec![("ops", kernel.ops)],
@@ -202,8 +194,9 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         F: Fn(usize) -> P + Send + Sync + 'static,
     {
         let nparts = parts.len();
-        self.instrumented(OpKind::Distribute, label, nparts, || {
-            self.backend.distribute_with_lineage(parts, rebuild)
+        self.instrumented(OpKind::Distribute, label, || {
+            let data = self.backend.distribute_with_lineage(parts, rebuild);
+            (data, nparts, Vec::new())
         })
     }
 
@@ -214,8 +207,8 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         value: T,
         bytes: u64,
     ) -> Broadcast<T> {
-        self.instrumented(OpKind::Broadcast, label, 0, || {
-            self.backend.broadcast(value, bytes)
+        self.instrumented(OpKind::Broadcast, label, || {
+            (self.backend.broadcast(value, bytes), 0, Vec::new())
         })
     }
 
@@ -226,34 +219,38 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         T: Send + 'static,
         F: Fn(usize, &mut P, &mut TaskContext) -> T + Send + Sync + 'static,
     {
-        self.map_partitions_task(label, data, f)
+        self.map_partitions_task(label, data, InProcess(f))
     }
 
     /// [`Scheduler::map_partitions`] for any [`PartitionTask`] value —
-    /// the entry point for [`crate::RemoteTask`]s, which the networked
+    /// the entry point for [`crate::WireTask`]s, which the networked
     /// backend ships to worker processes by name instead of by closure.
+    /// With the tracer on, the superstep runs with capture on and its task
+    /// events become task and kernel spans.
     pub fn map_partitions_task<P, T, F>(
         &self,
         label: &'static str,
         data: &B::Dataset<P>,
-        f: F,
+        task: F,
     ) -> Vec<T>
     where
         P: Send + 'static,
         T: Send + 'static,
         F: PartitionTask<P, T>,
     {
-        let nparts = self.backend.dataset_partitions(data);
-        self.instrumented(OpKind::MapPartitions, label, nparts, || {
-            self.backend.map_partitions_task(data, f)
+        let capture = self.tracer.is_enabled();
+        self.instrumented(OpKind::MapPartitions, label, || {
+            let (results, events) = self.backend.map_partitions_task(data, task, capture);
+            let partitions = results.len();
+            (results, partitions, events)
         })
     }
 
     /// Records a `DriverCompute` op charging `ops` driver-side operations
     /// to the virtual clock (Algorithm 4's column-decision reduce).
     pub fn charge_driver(&self, label: &'static str, ops: u64) {
-        self.instrumented(OpKind::DriverCompute, label, 0, || {
-            self.backend.charge_driver(ops)
+        self.instrumented(OpKind::DriverCompute, label, || {
+            (self.backend.charge_driver(ops), 0, Vec::new())
         });
     }
 
@@ -261,7 +258,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// checkpoint write) and records it in the trace. Local disk I/O is
     /// not network traffic, so no bytes are metered.
     pub fn checkpoint<R>(&self, label: &'static str, f: impl FnOnce() -> R) -> R {
-        self.instrumented(OpKind::Checkpoint, label, 0, f)
+        self.instrumented(OpKind::Checkpoint, label, || (f(), 0, Vec::new()))
     }
 
     /// Truncates the lineage log of `data` (not an operator: pure
@@ -275,8 +272,8 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
 /// `part_bytes.len()` partitions: charges the superstep through the cost
 /// model ([`crate::metrics::CommMetrics::charge_superstep`]), then slots
 /// the results in partition order, reports task panics sorted by
-/// partition, and keeps the task events when capture is on. Every backend
-/// calls this.
+/// partition, and returns the results with the task events, sorted by
+/// partition (none with capture off). Every backend calls this.
 pub(crate) fn merge_superstep<T: Send + 'static>(
     cfg: &crate::ClusterConfig,
     metrics: &crate::metrics::CommMetrics,
@@ -284,22 +281,21 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
     part_bytes: &[u64],
     capture: bool,
     mut batches: Vec<BatchResult>,
-    task_events: &Mutex<Vec<crate::TaskEvents>>,
-) -> Vec<T> {
+) -> (Vec<T>, Vec<TaskEvents>) {
     // Fixed reduction order regardless of reply arrival.
     batches.sort_by_key(|b| b.worker);
     metrics.charge_superstep(cfg, fault, part_bytes, &batches);
 
     let mut slots: Vec<Option<T>> = part_bytes.iter().map(|_| None).collect();
     let mut task_panics: Vec<(usize, usize, String)> = Vec::new();
-    let mut events: Vec<crate::TaskEvents> = Vec::new();
+    let mut events: Vec<TaskEvents> = Vec::new();
     for batch in batches {
         for (idx, msg) in batch.panics {
             task_panics.push((idx, batch.worker, msg));
         }
         if capture {
             for stat in batch.stats {
-                events.push(crate::TaskEvents {
+                events.push(TaskEvents {
                     partition: stat.idx,
                     worker: batch.worker,
                     ops: stat.ops,
@@ -327,13 +323,11 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
             lines.join("; ")
         );
     }
-    if capture {
-        events.sort_by_key(|e| e.partition);
-        *lock(task_events) = events;
-    }
-    slots
+    events.sort_by_key(|e| e.partition);
+    let results = slots
         .into_iter()
         .enumerate()
         .map(|(idx, s)| s.unwrap_or_else(|| panic!("partition {idx} produced no result")))
-        .collect()
+        .collect();
+    (results, events)
 }

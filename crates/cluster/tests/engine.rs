@@ -522,7 +522,6 @@ fn slow_tasks_stretch_makespan_and_speculation_recovers() {
             slow_task_rate: 1.0, // every task hangs…
             slow_task_factor: 8.0,
             speculation,
-            speculation_threshold: 1.5,
             ..FaultPlan::with_seed(1)
         });
         let cluster = Cluster::new(ClusterConfig {

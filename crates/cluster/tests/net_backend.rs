@@ -4,41 +4,58 @@
 //! measured-wire == Lemma-meter equality, fault recovery, and typed
 //! respawn-budget degradation.
 
-use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dbtf_cluster::{
-    Cluster, ClusterConfig, ClusterError, ExecutionBackend, FaultPlan, MetricsSnapshot, NetBackend,
-    NetRegistry, NetTuning, NetworkModel, RemoteTask, TaskContext, WorkerHost, WorkerTaskFn,
+    Broadcast, BroadcastStore, Cluster, ClusterConfig, ClusterError, ExecutionBackend, FaultPlan,
+    MetricsSnapshot, NetBackend, NetRegistry, NetTuning, NetworkModel, TaskContext, WireTask,
+    WorkerHost,
 };
-use dbtf_wire::Wire;
+use dbtf_wire::{EncodedFrame, Wire, WireResult};
 
-const SCALE_ADD: &str = "test.scale_add";
+/// `v ← v · factor + delta` on a `u64` partition, with `delta` a
+/// broadcast: the in-process backends run the value the test builds, the
+/// networked workers the value they decode.
+struct ScaleAdd {
+    factor: u64,
+    delta: Broadcast<u64>,
+}
 
-/// The one task body both the in-process closure and the worker-process
-/// registration call — the idiom that keeps the two paths bit-identical.
-fn scale_add_body(v: &mut u64, factor: u64, delta: u64, ctx: &mut TaskContext) -> u64 {
-    *v = v.wrapping_mul(factor).wrapping_add(delta);
-    ctx.charge(*v % 97 + 5);
-    ctx.set_result_bytes(8);
-    *v
+impl WireTask for ScaleAdd {
+    const NAME: &'static str = "test.scale_add";
+    type Part = u64;
+    type Output = u64;
+
+    fn encode(&self) -> EncodedFrame {
+        let bid = self
+            .delta
+            .wire_id()
+            .expect("the delta was broadcast over the wire");
+        (self.factor, bid).to_frame()
+    }
+
+    fn decode(params: &[u8], broadcasts: &BroadcastStore) -> WireResult<Self> {
+        let (factor, bid) = <(u64, u64)>::from_frame(params)?;
+        Ok(ScaleAdd {
+            factor,
+            delta: broadcasts.get(bid),
+        })
+    }
+
+    fn run(&self, v: &mut u64, ctx: &mut TaskContext) -> u64 {
+        *v = v.wrapping_mul(self.factor).wrapping_add(*self.delta);
+        ctx.charge(*v % 97 + 5);
+        ctx.set_result_bytes(8);
+        *v
+    }
 }
 
 fn registry() -> Arc<NetRegistry> {
     let mut reg = NetRegistry::new();
-    reg.register_part::<u64>();
-    reg.register_broadcast::<u64>();
-    reg.register_task(SCALE_ADD, |params, bstore| {
-        let (factor, bid) = <(u64, u64)>::from_frame(params)?;
-        let delta = *bstore.get::<u64>(bid);
-        Ok(Box::new(
-            move |_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
-                let v = part.downcast_mut::<u64>().expect("u64 partition");
-                scale_add_body(v, factor, delta, ctx).to_frame()
-            },
-        ) as WorkerTaskFn)
-    });
+    reg.register_part::<u64>()
+        .register_broadcast::<u64>()
+        .register_task::<ScaleAdd>();
     Arc::new(reg)
 }
 
@@ -86,17 +103,14 @@ fn paced_workload<B: ExecutionBackend>(
         .distribute_with_lineage((0..8u64).map(|v| (v * 3 + 1, 8)).collect(), |idx| {
             idx as u64 * 3 + 1
         });
-    let bcast = backend.broadcast(7u64, 8);
-    let bid = bcast.wire_id().unwrap_or(u64::MAX);
-    let delta = *bcast.get();
+    let delta = backend.broadcast(7u64, 8);
     let mut outputs = Vec::new();
     for _ in 0..rounds {
-        let task = RemoteTask::new(
-            SCALE_ADD,
-            &(2u64, bid),
-            move |_idx, v: &mut u64, ctx: &mut TaskContext| scale_add_body(v, 2, delta, ctx),
-        );
-        let out: Vec<u64> = backend.map_partitions_task(&data, task);
+        let task = ScaleAdd {
+            factor: 2,
+            delta: delta.clone(),
+        };
+        let (out, _events) = backend.map_partitions_task(&data, task, false);
         outputs.push(out);
         std::thread::sleep(pause);
     }
@@ -244,8 +258,7 @@ fn plain_closures_are_rejected_with_instructions() {
     let net = net_backend(2, None);
     let data = net.distribute_with_lineage(vec![(1u64, 8), (2u64, 8)], |idx| idx as u64 + 1);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _: Vec<u64> =
-            net.map_partitions_task(&data, |_idx, v: &mut u64, _ctx: &mut TaskContext| *v);
+        let _: Vec<u64> = net.map_partitions(&data, |_idx, v: &mut u64, _ctx| *v);
     }));
     let payload = result.expect_err("closures cannot cross process boundaries");
     let msg = payload
@@ -253,5 +266,5 @@ fn plain_closures_are_rejected_with_instructions() {
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_default();
-    assert!(msg.contains("RemoteTask"), "actionable message, got: {msg}");
+    assert!(msg.contains("WireTask"), "actionable message, got: {msg}");
 }

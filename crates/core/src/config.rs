@@ -212,10 +212,10 @@ pub struct DbtfConfig {
     pub resume: bool,
     /// Which execution backend the caller intends to run the plan on.
     ///
-    /// Advisory: [`crate::factorize`] is generic over the backend it is
-    /// handed, but entry points that *construct* the backend (the CLI,
-    /// benchmarks) read this field to pick between the simulated cluster
-    /// and the local backend.
+    /// Nothing reads it: every driver runs on the backend it is handed,
+    /// and the CLI and the benchmark ledger set this field but pick their
+    /// backend from their own options. It stays only because the ledger
+    /// sets it; deleting it means editing the ledger.
     pub backend: BackendKind,
     /// Where lost partitions are rebuilt from (see [`StorageKind`]).
     /// Results are bit-identical across storage kinds.

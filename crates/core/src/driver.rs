@@ -36,7 +36,7 @@ use dbtf_tensor::{reconstruct, BitMatrix, BoolTensor, FactorTriple, Mode};
 use crate::checkpoint::Checkpoint;
 use crate::config::{DbtfConfig, DbtfError, StorageKind};
 use crate::factors::{initial_factor_sets, FactorSet};
-use crate::net_tasks;
+use crate::net_tasks::{BeginTask, FinishTask, OrganizeTask, SweepTask};
 use crate::ooc::RunStores;
 use crate::partition::{
     partition_tensor, partition_tensor_one, partition_unfolding_one, ModePartition,
@@ -175,8 +175,8 @@ pub fn factorize_instrumented<B: ExecutionBackend>(
 /// The shell every distributed driver runs its body in: a [`Scheduler`]
 /// over `backend` recording into `tracer`, and a `Run` span named `name`
 /// on the virtual clock around `body`. With the tracer on, the backend's
-/// counters are exported into it afterwards and task capture is switched
-/// off. Returns the body's result and the executed plan.
+/// counters are exported into it afterwards. Returns the body's result
+/// and the executed plan.
 pub(crate) fn traced<B: ExecutionBackend, R>(
     backend: &B,
     tracer: &Tracer,
@@ -195,7 +195,6 @@ pub(crate) fn traced<B: ExecutionBackend, R>(
         for (name, value) in backend.metrics().named_counters() {
             tracer.set_counter(name, value);
         }
-        backend.set_task_event_capture(false);
     }
     (result, sched.into_trace())
 }
@@ -563,7 +562,7 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
         // Distributed block organization (Algorithm 3 line 4): each worker
         // walks its share of the non-zeros once. The driver never reads the
         // result.
-        sched.map_partitions_task(labels.organize, &data, net_tasks::organize_task());
+        sched.map_partitions_task(labels.organize, &data, OrganizeTask);
         // Read-only superstep: partitions still equal their rebuilt form.
         sched.reset_lineage(&data);
         datasets.push(data);
@@ -628,8 +627,8 @@ fn update_factor<B: ExecutionBackend>(
 ) -> UpdateOutcome {
     // Begin: broadcast the factors, build per-partition caches
     // (Algorithm 4 line 1 / Algorithm 5). Every superstep of the update is
-    // a named `RemoteTask` whose body lives in `net_tasks`, so the same
-    // plan runs unchanged over the networked multi-process backend.
+    // a `WireTask` type from `net_tasks`, so the same plan runs unchanged
+    // over the networked multi-process backend.
     let bytes = matrix_bytes(a) + matrix_bytes(mf) + matrix_bytes(ms);
     let factors = sched.broadcast(
         labels.factors,
@@ -641,7 +640,7 @@ fn update_factor<B: ExecutionBackend>(
         bytes,
     );
     let cache_bytes: Vec<u64> =
-        sched.map_partitions_task(labels.begin, data, net_tasks::begin_task(&factors, v_limit));
+        sched.map_partitions_task(labels.begin, data, BeginTask { factors, v_limit });
     let peak_cache: u64 = cache_bytes.iter().sum();
 
     // Column sweep (Algorithm 4 lines 2–12): one superstep per column.
@@ -656,19 +655,16 @@ fn update_factor<B: ExecutionBackend>(
         data,
         &mut master,
         cols,
-        net_tasks::sweep_task,
+        |col, prev| SweepTask { col, prev },
     );
 
-    // Finish: apply the last column; optionally compute the exact error;
-    // drop the caches.
-    let finish = net_tasks::finish_task(&last, compute_error);
-    let errors: Option<Vec<u64>> = if compute_error {
-        Some(sched.map_partitions_task(labels.finish, data, finish))
-    } else {
-        // All results are zero and nothing downstream reads them.
-        sched.map_partitions_task(labels.finish, data, finish);
-        None
+    // Finish: apply the last column; optionally compute the exact error
+    // (every result is zero without it); drop the caches.
+    let finish = FinishTask {
+        last,
+        compute_error,
     };
+    let errors: Vec<u64> = sched.map_partitions_task(labels.finish, data, finish);
     // The partitions are back to their distribute-time state (`part` is
     // never mutated, `work` is None again), so a crash from here on only
     // needs the rebuild closure — truncating the lineage log keeps replay
@@ -676,7 +672,7 @@ fn update_factor<B: ExecutionBackend>(
     sched.reset_lineage(data);
     UpdateOutcome {
         a: master,
-        error: errors.map(|e| e.iter().sum()),
+        error: compute_error.then(|| errors.iter().sum()),
         cache_bytes: peak_cache,
     }
 }

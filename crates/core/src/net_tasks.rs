@@ -3,11 +3,12 @@
 //! The networked [`NetBackend`] executes in separate worker processes, so
 //! every dataset element, broadcast value, and task the CP driver uses
 //! must have a wire codec and a registry entry the worker resolves by
-//! name. This module is that registry, plus the shared task bodies: each
-//! driver superstep is written once as a free function, called both by
-//! the in-process closure (simulated cluster / local backend) and by the
-//! worker-process registration — the idiom that keeps all three backends
-//! bit-identical.
+//! name. This module is that registry, plus the CP supersteps themselves:
+//! each is one [`WireTask`] type holding its parameters, with the
+//! parameter frame's encoder and decoder and the task body in one impl.
+//! The simulated cluster and the local backend run the value the driver
+//! built; a worker process runs the value it decoded. The same `run`
+//! executes either way, which keeps all three backends bit-identical.
 //!
 //! # Partition wire format
 //!
@@ -29,27 +30,17 @@
 //! Per-block non-zero counts ride the meta channel (framing, not
 //! payload); block kinds are re-derived from slab geometry on decode.
 
-use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
 use dbtf_cluster::{
     Broadcast, BroadcastStore, ClusterConfig, ClusterError, NetBackend, NetRegistry, NetTuning,
-    RemoteTask, TaskContext, WorkerHost, WorkerTaskFn,
+    TaskContext, WireTask, WorkerHost,
 };
 use dbtf_tensor::{ColumnDecision, FactorTriple};
-use dbtf_wire::{Wire, WireError, WireNamed, WireReader, WireResult, WireWriter};
+use dbtf_wire::{EncodedFrame, Wire, WireError, WireNamed, WireReader, WireResult, WireWriter};
 
 use crate::partition::{Block, BlockKind, ModePartition};
 use crate::update::{PartitionSlot, WorkState};
-
-/// Registry name of the distributed block-organization superstep.
-pub const ORGANIZE_TASK: &str = "unfold.organize";
-/// Registry name of the cache-building begin superstep (Algorithm 5).
-pub const BEGIN_TASK: &str = "cp.update.begin";
-/// Registry name of the apply-and-score column superstep (Algorithm 4).
-pub const SWEEP_TASK: &str = "cp.update.sweep";
-/// Registry name of the apply-last-column/error finish superstep.
-pub const FINISH_TASK: &str = "cp.update.finish";
 
 impl Wire for PartitionSlot {
     fn encode(&self, w: &mut WireWriter) {
@@ -191,148 +182,157 @@ impl WireNamed for PartitionSlot {
     const WIRE_NAME: &'static str = "dbtf.partition_slot";
 }
 
-// ---- Shared task bodies --------------------------------------------------
-// One free function per superstep; the RemoteTask closure and the worker
-// registration both call it, so the two execution paths cannot drift.
+// ---- Wire tasks ------------------------------------------------------------
 
-fn organize_body(slot: &mut PartitionSlot, ctx: &mut TaskContext) {
-    ctx.charge_kernel("kernel.organize_blocks", slot.part.nnz() as u64);
+/// The distributed block-organization superstep (Algorithm 3 line 4):
+/// each worker walks its share of the non-zeros once.
+pub(crate) struct OrganizeTask;
+
+impl WireTask for OrganizeTask {
+    const NAME: &'static str = "unfold.organize";
+    type Part = PartitionSlot;
+    type Output = ();
+
+    fn encode(&self) -> EncodedFrame {
+        ().to_frame()
+    }
+
+    fn decode(params: &[u8], _broadcasts: &BroadcastStore) -> WireResult<Self> {
+        <()>::from_frame(params).map(|()| OrganizeTask)
+    }
+
+    fn run(&self, slot: &mut PartitionSlot, ctx: &mut TaskContext) {
+        ctx.charge_kernel("kernel.organize_blocks", slot.part.nnz() as u64);
+    }
 }
 
-fn begin_body(
-    slot: &mut PartitionSlot,
-    factors: &FactorTriple,
-    v_limit: usize,
-    ctx: &mut TaskContext,
-) -> u64 {
-    let (state, ops) = WorkState::build(&slot.part, &factors.a, &factors.mf, &factors.ms, v_limit);
-    ctx.charge_kernel("kernel.build_cache", ops);
-    ctx.set_result_bytes(8);
-    let bytes = state.cache_bytes();
-    slot.work = Some(state);
-    bytes
+/// The cache-building begin superstep (Algorithm 5): every partition
+/// builds its [`WorkState`] against the broadcast factors and returns its
+/// cache bytes.
+pub(crate) struct BeginTask {
+    pub(crate) factors: Broadcast<FactorTriple>,
+    pub(crate) v_limit: usize,
 }
 
-fn apply_body(slot: &mut PartitionSlot, decided: &ColumnDecision, ctx: &mut TaskContext) {
+impl WireTask for BeginTask {
+    const NAME: &'static str = "cp.update.begin";
+    type Part = PartitionSlot;
+    type Output = u64;
+
+    fn encode(&self) -> EncodedFrame {
+        (self.factors.wire_id(), self.v_limit as u64).to_frame()
+    }
+
+    fn decode(params: &[u8], broadcasts: &BroadcastStore) -> WireResult<Self> {
+        let (factors, v_limit) = <(Option<u64>, u64)>::from_frame(params)?;
+        Ok(BeginTask {
+            factors: broadcasts.get(required(factors, "factor")?),
+            v_limit: v_limit as usize,
+        })
+    }
+
+    fn run(&self, slot: &mut PartitionSlot, ctx: &mut TaskContext) -> u64 {
+        let FactorTriple { a, mf, ms } = self.factors.get();
+        let (state, ops) = WorkState::build(&slot.part, a, mf, ms, self.v_limit);
+        ctx.charge_kernel("kernel.build_cache", ops);
+        ctx.set_result_bytes(8);
+        let bytes = state.cache_bytes();
+        slot.work = Some(state);
+        bytes
+    }
+}
+
+/// One apply-and-score column superstep of the sweep (Algorithm 4): apply
+/// the previous column's decision (absent for the first column), then
+/// return the per-row `(error_if_zero, error_if_one)` pairs of column
+/// `col` over the partition's rows.
+pub(crate) struct SweepTask {
+    pub(crate) col: usize,
+    pub(crate) prev: Option<Broadcast<ColumnDecision>>,
+}
+
+impl WireTask for SweepTask {
+    const NAME: &'static str = "cp.update.sweep";
+    type Part = PartitionSlot;
+    type Output = Vec<(u64, u64)>;
+
+    fn encode(&self) -> EncodedFrame {
+        let prev = self.prev.as_ref().and_then(Broadcast::wire_id);
+        (self.col as u64, prev).to_frame()
+    }
+
+    fn decode(params: &[u8], broadcasts: &BroadcastStore) -> WireResult<Self> {
+        let (col, prev) = <(u64, Option<u64>)>::from_frame(params)?;
+        Ok(SweepTask {
+            col: col as usize,
+            prev: prev.map(|id| broadcasts.get(id)),
+        })
+    }
+
+    fn run(&self, slot: &mut PartitionSlot, ctx: &mut TaskContext) -> Vec<(u64, u64)> {
+        if let Some(decided) = &self.prev {
+            apply(slot, decided, ctx);
+        }
+        let state = slot.work.as_mut().expect("update_factor not begun");
+        let (errs, ops) = state.column_errors(&slot.part, self.col);
+        ctx.charge_kernel("kernel.column_errors", ops);
+        ctx.set_result_bytes(errs.len() as u64 * 16);
+        errs
+    }
+}
+
+/// The finish superstep: apply the last decided column, optionally
+/// compute the exact partition error (0 otherwise), drop the caches.
+pub(crate) struct FinishTask {
+    pub(crate) last: Broadcast<ColumnDecision>,
+    pub(crate) compute_error: bool,
+}
+
+impl WireTask for FinishTask {
+    const NAME: &'static str = "cp.update.finish";
+    type Part = PartitionSlot;
+    type Output = u64;
+
+    fn encode(&self) -> EncodedFrame {
+        (self.last.wire_id(), self.compute_error).to_frame()
+    }
+
+    fn decode(params: &[u8], broadcasts: &BroadcastStore) -> WireResult<Self> {
+        let (last, compute_error) = <(Option<u64>, bool)>::from_frame(params)?;
+        Ok(FinishTask {
+            last: broadcasts.get(required(last, "decision")?),
+            compute_error,
+        })
+    }
+
+    fn run(&self, slot: &mut PartitionSlot, ctx: &mut TaskContext) -> u64 {
+        apply(slot, &self.last, ctx);
+        let err = if self.compute_error {
+            let state = slot.work.as_mut().expect("update_factor not begun");
+            let (err, ops) = state.partition_error(&slot.part);
+            ctx.charge_kernel("kernel.partition_error", ops);
+            err
+        } else {
+            0
+        };
+        ctx.set_result_bytes(8);
+        slot.work = None;
+        err
+    }
+}
+
+/// Applies a decided column to the partition's caches.
+fn apply(slot: &mut PartitionSlot, decided: &ColumnDecision, ctx: &mut TaskContext) {
     let state = slot.work.as_mut().expect("update_factor not begun");
     state.apply_column(decided.col, &decided.values);
     ctx.charge_kernel("kernel.apply_column", decided.values.len() as u64);
 }
 
-/// Per-partition column-error pairs `(error_if_zero, error_if_one)`, one per
-/// owned row of the column under consideration.
-type ColumnErrors = Vec<(u64, u64)>;
-
-fn sweep_body(
-    slot: &mut PartitionSlot,
-    prev: Option<&ColumnDecision>,
-    col: usize,
-    ctx: &mut TaskContext,
-) -> ColumnErrors {
-    if let Some(decided) = prev {
-        apply_body(slot, decided, ctx);
-    }
-    let state = slot.work.as_mut().expect("update_factor not begun");
-    let (errs, ops) = state.column_errors(&slot.part, col);
-    ctx.charge_kernel("kernel.column_errors", ops);
-    ctx.set_result_bytes(errs.len() as u64 * 16);
-    errs
-}
-
-fn finish_body(
-    slot: &mut PartitionSlot,
-    last: &ColumnDecision,
-    compute_error: bool,
-    ctx: &mut TaskContext,
-) -> u64 {
-    apply_body(slot, last, ctx);
-    let err = if compute_error {
-        let state = slot.work.as_mut().expect("update_factor not begun");
-        let (err, ops) = state.partition_error(&slot.part);
-        ctx.charge_kernel("kernel.partition_error", ops);
-        err
-    } else {
-        0
-    };
-    ctx.set_result_bytes(8);
-    slot.work = None;
-    err
-}
-
-// ---- Driver-side task constructors ---------------------------------------
-
-/// The distributed block-organization superstep (Algorithm 3 line 4).
-pub(crate) fn organize_task(
-) -> RemoteTask<impl Fn(usize, &mut PartitionSlot, &mut TaskContext) + Send + Sync + 'static> {
-    RemoteTask::new(
-        ORGANIZE_TASK,
-        &(),
-        |_idx, slot: &mut PartitionSlot, ctx: &mut TaskContext| organize_body(slot, ctx),
-    )
-}
-
-/// The cache-building begin superstep; parameters reference the factor
-/// broadcast by wire id.
-pub(crate) fn begin_task(
-    factors: &Broadcast<FactorTriple>,
-    v_limit: usize,
-) -> RemoteTask<impl Fn(usize, &mut PartitionSlot, &mut TaskContext) -> u64 + Send + Sync + 'static>
-{
-    let factors = factors.clone();
-    RemoteTask::new(
-        BEGIN_TASK,
-        &(factors.wire_id(), v_limit as u64),
-        move |_idx, slot: &mut PartitionSlot, ctx: &mut TaskContext| {
-            begin_body(slot, factors.get(), v_limit, ctx)
-        },
-    )
-}
-
-/// One apply-and-score column superstep of the sweep; `prev` is the
-/// previous column's decision broadcast (absent for the first column).
-pub(crate) fn sweep_task(
-    col: usize,
-    prev: Option<Broadcast<ColumnDecision>>,
-) -> RemoteTask<
-    impl Fn(usize, &mut PartitionSlot, &mut TaskContext) -> ColumnErrors + Send + Sync + 'static,
-> {
-    let prev_id = prev.as_ref().and_then(Broadcast::wire_id);
-    RemoteTask::new(
-        SWEEP_TASK,
-        &(col as u64, prev_id),
-        move |_idx, slot: &mut PartitionSlot, ctx: &mut TaskContext| {
-            sweep_body(slot, prev.as_deref(), col, ctx)
-        },
-    )
-}
-
-/// The finish superstep: apply the last decided column, optionally compute
-/// the exact partition error, drop the caches.
-pub(crate) fn finish_task(
-    last: &Broadcast<ColumnDecision>,
-    compute_error: bool,
-) -> RemoteTask<impl Fn(usize, &mut PartitionSlot, &mut TaskContext) -> u64 + Send + Sync + 'static>
-{
-    let last = last.clone();
-    RemoteTask::new(
-        FINISH_TASK,
-        &(last.wire_id(), compute_error),
-        move |_idx, slot: &mut PartitionSlot, ctx: &mut TaskContext| {
-            finish_body(slot, last.get(), compute_error, ctx)
-        },
-    )
-}
-
-// ---- Worker-side registry ------------------------------------------------
-
-fn slot_of(part: &mut (dyn Any + Send)) -> &mut PartitionSlot {
-    part.downcast_mut::<PartitionSlot>()
-        .expect("dataset element is a PartitionSlot")
-}
-
 fn required(id: Option<u64>, what: &str) -> WireResult<u64> {
     id.ok_or_else(|| WireError(format!("{what} broadcast id missing from task parameters")))
 }
+
+// ---- Worker-side registry ------------------------------------------------
 
 /// Builds the task/codec registry every CP worker process (and the driver
 /// side of the networked backend) resolves names against.
@@ -342,44 +342,13 @@ fn required(id: Option<u64>, what: &str) -> WireResult<u64> {
 /// "unknown task" errors.
 pub fn build_registry() -> Arc<NetRegistry> {
     let mut reg = NetRegistry::new();
-    reg.register_part::<PartitionSlot>();
-    reg.register_broadcast::<FactorTriple>();
-    reg.register_broadcast::<ColumnDecision>();
-    reg.register_task(ORGANIZE_TASK, |_params, _bstore| {
-        Ok(
-            Box::new(|_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
-                organize_body(slot_of(part), ctx);
-                ().to_frame()
-            }) as WorkerTaskFn,
-        )
-    });
-    reg.register_task(BEGIN_TASK, |params, bstore: &BroadcastStore| {
-        let (fid, v_limit) = <(Option<u64>, u64)>::from_frame(params)?;
-        let factors = bstore.get::<FactorTriple>(required(fid, "factor")?);
-        Ok(Box::new(
-            move |_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
-                begin_body(slot_of(part), &factors, v_limit as usize, ctx).to_frame()
-            },
-        ) as WorkerTaskFn)
-    });
-    reg.register_task(SWEEP_TASK, |params, bstore: &BroadcastStore| {
-        let (col, prev_id) = <(u64, Option<u64>)>::from_frame(params)?;
-        let prev = prev_id.map(|id| bstore.get::<ColumnDecision>(id));
-        Ok(Box::new(
-            move |_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
-                sweep_body(slot_of(part), prev.as_deref(), col as usize, ctx).to_frame()
-            },
-        ) as WorkerTaskFn)
-    });
-    reg.register_task(FINISH_TASK, |params, bstore: &BroadcastStore| {
-        let (lid, compute_error) = <(Option<u64>, bool)>::from_frame(params)?;
-        let last = bstore.get::<ColumnDecision>(required(lid, "decision")?);
-        Ok(Box::new(
-            move |_idx, part: &mut (dyn Any + Send), ctx: &mut TaskContext| {
-                finish_body(slot_of(part), &last, compute_error, ctx).to_frame()
-            },
-        ) as WorkerTaskFn)
-    });
+    reg.register_part::<PartitionSlot>()
+        .register_broadcast::<FactorTriple>()
+        .register_broadcast::<ColumnDecision>()
+        .register_task::<OrganizeTask>()
+        .register_task::<BeginTask>()
+        .register_task::<SweepTask>()
+        .register_task::<FinishTask>();
     Arc::new(reg)
 }
 
@@ -504,12 +473,72 @@ mod tests {
 
     #[test]
     fn registry_registers_all_cp_tasks() {
-        // A driver-side smoke check: every task name the CP driver emits
+        // A driver-side smoke check: every task type the CP driver emits
         // resolves in the worker registry (a worker with a partial
         // registry would fail mid-run, not at boot).
         let reg = build_registry();
-        for name in [ORGANIZE_TASK, BEGIN_TASK, SWEEP_TASK, FINISH_TASK] {
+        for name in [
+            OrganizeTask::NAME,
+            BeginTask::NAME,
+            SweepTask::NAME,
+            FinishTask::NAME,
+        ] {
             assert!(reg.has_task(name), "missing task {name}");
+        }
+    }
+
+    /// Encodes `task`, decodes the frame against `store` and encodes the
+    /// decoded task again: the two frames must be byte-identical.
+    fn reencoded<W: WireTask>(task: &W, store: &BroadcastStore) -> Vec<u8> {
+        let frame = task.encode().bytes;
+        let decoded = W::decode(&frame, store).expect("a task decodes its own frame");
+        assert_eq!(decoded.encode().bytes, frame, "{}", W::NAME);
+        frame
+    }
+
+    /// Each CP task's parameter frame round-trips through a worker's
+    /// broadcast store byte for byte, and is the tuple frame the wire
+    /// protocol has always carried for that task, so every `Run` frame and
+    /// wire counter stays the same.
+    #[test]
+    fn cp_task_frames_roundtrip_as_their_tuple_frames() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let store = BroadcastStore::new();
+        let factors = FactorTriple {
+            a: BitMatrix::random(5, 3, 0.5, &mut rng),
+            mf: BitMatrix::random(4, 3, 0.5, &mut rng),
+            ms: BitMatrix::random(6, 3, 0.5, &mut rng),
+        };
+        let decision = ColumnDecision {
+            col: 1,
+            values: BitMatrix::random(5, 1, 0.5, &mut rng).column(0),
+        };
+        store.insert(4, factors.to_frame().bytes);
+        store.insert(9, decision.to_frame().bytes);
+        let factors = store.get::<FactorTriple>(4);
+        let decision = store.get::<ColumnDecision>(9);
+
+        assert_eq!(reencoded(&OrganizeTask, &store), ().to_frame().bytes);
+        let begin = BeginTask {
+            factors,
+            v_limit: 15,
+        };
+        assert_eq!(
+            reencoded(&begin, &store),
+            (Some(4u64), 15u64).to_frame().bytes
+        );
+        for prev in [None, Some(decision.clone())] {
+            let tuple = (2u64, prev.as_ref().map(|_| 9u64)).to_frame().bytes;
+            assert_eq!(reencoded(&SweepTask { col: 2, prev }, &store), tuple);
+        }
+        for compute_error in [false, true] {
+            let last = decision.clone();
+            let finish = FinishTask {
+                last,
+                compute_error,
+            };
+            let tuple = (Some(9u64), compute_error).to_frame().bytes;
+            assert_eq!(reencoded(&finish, &store), tuple);
         }
     }
 }

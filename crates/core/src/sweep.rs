@@ -11,11 +11,12 @@
 //! smaller error per row (ties prefer `0` — the sparser factor), writes
 //! the decision into the master copy, and broadcasts the decided column
 //! for the next superstep. What differs between CP and Tucker is only
-//! *how* a partition applies and scores a column — callers pass a task
-//! factory producing the per-column superstep task. CP's factory builds
-//! [`dbtf_cluster::RemoteTask`]s (so the sweep can run in separate worker
-//! processes over the networked backend); Tucker's builds plain closures
-//! (in-process backends only).
+//! *how* a partition applies and scores a column — callers pass a
+//! function building the per-column superstep task. CP's builds the
+//! [`dbtf_cluster::WireTask`] `SweepTask` (so the sweep can run in
+//! separate worker processes over the networked backend); Tucker's builds
+//! plain closures wrapped in [`dbtf_cluster::InProcess`] (in-process
+//! backends only).
 
 use dbtf_cluster::{Broadcast, ExecutionBackend, PartitionTask, Scheduler};
 use dbtf_tensor::{BitMatrix, BitVec, ColumnDecision};

@@ -32,7 +32,7 @@
 //! Like the CP driver, everything here is generic over an
 //! [`ExecutionBackend`] and emits operators through a [`Scheduler`].
 
-use dbtf_cluster::{ExecutionBackend, PlanTrace, Scheduler, TaskContext};
+use dbtf_cluster::{ExecutionBackend, InProcess, PlanTrace, Scheduler, TaskContext};
 use dbtf_telemetry::Tracer;
 use dbtf_tensor::{reconstruct, BitMatrix, BitVec, BoolTensor};
 use rand::rngs::StdRng;
@@ -385,7 +385,7 @@ fn update_factor_distributed<B: ExecutionBackend>(
         &mut master,
         &cols,
         move |col, prev| {
-            move |_idx: usize, slot: &mut PartitionSlot, ctx: &mut TaskContext| {
+            let task = move |_idx: usize, slot: &mut PartitionSlot, ctx: &mut TaskContext| {
                 if let Some(decided) = prev.as_deref() {
                     let state = slot.tucker.as_mut().expect("tucker update not begun");
                     state.apply_column(decided.col, &decided.values);
@@ -413,7 +413,8 @@ fn update_factor_distributed<B: ExecutionBackend>(
                 ctx.charge_kernel("kernel.column_errors", ops);
                 ctx.set_result_bytes(errs.len() as u64 * 16);
                 errs
-            }
+            };
+            InProcess(task)
         },
     );
 

@@ -14,4 +14,4 @@ mod span;
 pub use chrome::{
     push_json_string, validate_chrome_trace, write_chrome_trace, JsonValue, TraceSummary,
 };
-pub use span::{BreakdownRow, KernelEvent, SpanId, SpanKind, SpanRecord, TraceLog, Tracer};
+pub use span::{KernelEvent, SpanId, SpanKind, SpanRecord, TraceLog, Tracer};

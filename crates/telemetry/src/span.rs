@@ -356,57 +356,6 @@ impl TraceLog {
             out.push('\n');
         }
     }
-
-    /// Aggregates spans of `kind` by label, in first-seen order:
-    /// `(name, count, total ops, total virtual seconds, total wall
-    /// seconds)`. The per-superstep breakdown table of `dbtf stats` is
-    /// this over [`SpanKind::Superstep`] + [`SpanKind::Operator`].
-    pub fn breakdown(&self, kinds: &[SpanKind]) -> Vec<BreakdownRow> {
-        let mut rows: Vec<BreakdownRow> = Vec::new();
-        for span in &self.spans {
-            if !kinds.contains(&span.kind) {
-                continue;
-            }
-            let ops = span
-                .args
-                .iter()
-                .find(|(k, _)| *k == "ops")
-                .map_or(0, |(_, v)| *v);
-            let row = match rows.iter_mut().find(|r| r.name == span.name) {
-                Some(row) => row,
-                None => {
-                    rows.push(BreakdownRow {
-                        name: span.name.to_string(),
-                        count: 0,
-                        ops: 0,
-                        virtual_secs: 0.0,
-                        wall_secs: 0.0,
-                    });
-                    rows.last_mut().expect("just pushed")
-                }
-            };
-            row.count += 1;
-            row.ops += ops;
-            row.virtual_secs += span.virtual_secs();
-            row.wall_secs += span.wall_secs();
-        }
-        rows
-    }
-}
-
-/// One aggregated row of a [`TraceLog::breakdown`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct BreakdownRow {
-    /// Span label.
-    pub name: String,
-    /// Number of spans with this label.
-    pub count: usize,
-    /// Total abstract ops across them.
-    pub ops: u64,
-    /// Total virtual seconds.
-    pub virtual_secs: f64,
-    /// Total wall seconds.
-    pub wall_secs: f64,
 }
 
 #[cfg(test)]
@@ -488,43 +437,6 @@ mod tests {
         assert_eq!(a.fingerprint_virtual(), b.fingerprint_virtual());
         assert_eq!(a.fingerprint(), c.fingerprint());
         assert_ne!(a.fingerprint_virtual(), c.fingerprint_virtual());
-    }
-
-    #[test]
-    fn breakdown_aggregates_by_label() {
-        let t = Tracer::enabled();
-        let run = t.begin(SpanKind::Run, "run", 0.0);
-        for i in 0..3u64 {
-            t.record(
-                SpanKind::Superstep,
-                "sweep",
-                None,
-                (i as f64, i as f64 + 1.0),
-                (0.0, 0.0),
-                None,
-                None,
-                vec![("ops", 10)],
-            );
-        }
-        t.record(
-            SpanKind::Operator,
-            "broadcast",
-            None,
-            (3.0, 3.5),
-            (0.0, 0.0),
-            None,
-            None,
-            vec![],
-        );
-        t.end(run, 3.5);
-        let log = t.finish();
-        let rows = log.breakdown(&[SpanKind::Superstep, SpanKind::Operator]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].name, "sweep");
-        assert_eq!(rows[0].count, 3);
-        assert_eq!(rows[0].ops, 30);
-        assert!((rows[0].virtual_secs - 3.0).abs() < 1e-12);
-        assert_eq!(rows[1].name, "broadcast");
     }
 
     #[test]
