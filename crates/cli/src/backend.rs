@@ -179,7 +179,6 @@ fn parse_fault_plan(parsed: &ParsedArgs, net: bool) -> Result<Option<FaultPlan>,
         slow_task_rate: parsed.get("fault-slow-rate", 0.0)?,
         slow_task_factor: parsed.get("fault-slow-factor", 4.0)?,
         process_kill_rate: parsed.get("fault-kill-rate", 0.0)?,
-        speculation: !parsed.has_flag("no-speculation"),
         ..FaultPlan::with_seed(parsed.get("fault-seed", 0)?)
     };
     if net {

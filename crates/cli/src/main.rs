@@ -57,17 +57,6 @@ fn restore_sigpipe() {}
 
 fn main() -> ExitCode {
     restore_sigpipe();
-    // `ClusterError` panics are typed control flow: the engine unwinds to
-    // the driver's catch, which flushes a final checkpoint and converts
-    // them into `DbtfError`. The default hook's backtrace would dress
-    // that graceful degradation up as a crash, so silence it for exactly
-    // that payload type.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !info.payload().is::<dbtf_cluster::ClusterError>() {
-            default_hook(info);
-        }
-    }));
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(argv) {
         Ok(()) => ExitCode::SUCCESS,
@@ -159,7 +148,9 @@ backend options (factorize, update, tucker, select-rank):
            [--fault-delay-rate F]         response-delay rate (net only)
            [--fault-delay-ms 5]           injected delay in ms (net only)
            [--fault-seed 0]               fault-decision seed
-           [--no-speculation]             disable speculative re-execution
+                 a task that fails every launch attempt ends the run
+                 with an engine error (exit 1); on more than one worker
+                 a slowed task gets a speculative copy
 run options (factorize, update): the backend options, plus
            [--iters 10] [--partitions N] [--v 15] [--seed 0] [--storage ram|mmap]
                  where a lost partition is rebuilt from. Either way

@@ -222,10 +222,32 @@ fn zero_workers_is_a_clean_error() {
             }
         }
     }
-    for plan in [["--fault-crash", "1:5"], ["--fault-kill-rate", "2"]] {
+    for plan in [
+        &["--fault-crash", "1:5"][..],
+        &["--fault-kill-rate", "2"],
+        &["--fault-slow-rate", "1", "--fault-slow-factor", "inf"],
+    ] {
         for command in &commands {
-            let args = [command, &["--workers", "2"][..], &plan].concat();
+            let args = [command, &["--workers", "2"][..], plan].concat();
             assert_clean_runtime_error(&dbtf(&args), &format!("{args:?}"));
+        }
+    }
+    // Every launch attempt fails, so the first superstep exhausts its
+    // attempts: the run ends with the typed engine error.
+    for backend in ["cluster", "net"] {
+        for command in &commands {
+            if backend != "net" || command[0] != "tucker" {
+                let plan = ["--backend", backend, "--fault-task-failure-rate", "1"];
+                let args = [command, &["--workers", "2"][..], &plan].concat();
+                let out = dbtf(&args);
+                assert_clean_runtime_error(&out, &format!("{args:?}"));
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    stderr.starts_with("dbtf: engine error: ")
+                        && stderr.contains("task(s) failed during superstep"),
+                    "{args:?}: {stderr}"
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -13,6 +13,7 @@
 //! process boundary — or, on the in-process backends only, a closure
 //! ([`InProcess`]).
 
+use crate::engine::Result;
 use crate::metrics::MetricsSnapshot;
 use crate::net::BroadcastStore;
 use crate::storage::Broadcast;
@@ -132,6 +133,7 @@ pub struct TaskEvents {
 /// Lemma 6/7 byte counters, because every one of them charges through the
 /// same cost model. They differ only in its inputs: the local backend
 /// runs it with a free network and no fault plan.
+/// An operator the engine cannot complete returns a [`crate::ClusterError`].
 pub trait ExecutionBackend {
     /// Handle to a distributed dataset of partitions of type `P`.
     type Dataset<P: Send + 'static>;
@@ -166,7 +168,11 @@ pub trait ExecutionBackend {
     /// partition state. `rebuild(idx)` must reproduce the exact payload
     /// passed for partition `idx` — the engine's RDD-style "recompute from
     /// source" contract. Backends without faults never call it.
-    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> Self::Dataset<P>
+    fn distribute_with_lineage<P, F>(
+        &self,
+        parts: Vec<(P, u64)>,
+        rebuild: F,
+    ) -> Result<Self::Dataset<P>>
     where
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static;
@@ -176,7 +182,7 @@ pub trait ExecutionBackend {
     /// DBTF broadcasts the three factor matrices each iteration
     /// (Lemma 7's `O(M·I·R)` term). The accounting treats it as `workers`
     /// transfers serialised through the driver's uplink.
-    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T>;
+    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Result<Broadcast<T>>;
 
     /// Runs `f` once per partition (one superstep) and returns the results
     /// in partition order. Partition mutation persists across supersteps.
@@ -196,26 +202,24 @@ pub trait ExecutionBackend {
     /// to a fault-free run (only the virtual clock and the recovery
     /// counters differ).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// On every backend, panics with a clean per-partition message if a
-    /// task panicked or exhausted its launch attempts: the executor's batch
-    /// loop catches the task panic, so the worker survives, but the
-    /// partition the task was mutating is left in an unspecified state.
-    /// The cluster and networked backends also panic if `data` belongs to
-    /// another backend instance, and the networked backend panics on a
-    /// closure, which cannot cross a process boundary.
+    /// [`crate::ClusterError::TaskFailed`] if a task panicked or exhausted its
+    /// launch attempts: the batch loop catches the panic, so the worker
+    /// survives, but the partition the task was mutating is left in an
+    /// unspecified state. Another backend's dataset, or a closure on the
+    /// networked backend, is a caller bug and panics.
     ///
     /// Closure convenience over [`ExecutionBackend::map_partitions_task`]
     /// with capture off (keeps closure argument types inferable at call
     /// sites).
-    fn map_partitions<P, T, F>(&self, data: &Self::Dataset<P>, f: F) -> Vec<T>
+    fn map_partitions<P, T, F>(&self, data: &Self::Dataset<P>, f: F) -> Result<Vec<T>>
     where
         P: Send + 'static,
         T: Send + 'static,
         F: Fn(usize, &mut P, &mut TaskContext) -> T + Send + Sync + 'static,
     {
-        self.map_partitions_task(data, InProcess(f), false).0
+        Ok(self.map_partitions_task(data, InProcess(f), false)?.0)
     }
 
     /// [`ExecutionBackend::map_partitions`] for any [`PartitionTask`] — in
@@ -232,7 +236,7 @@ pub trait ExecutionBackend {
         data: &Self::Dataset<P>,
         task: F,
         capture: bool,
-    ) -> (Vec<T>, Vec<TaskEvents>)
+    ) -> Result<(Vec<T>, Vec<TaskEvents>)>
     where
         P: Send + 'static,
         T: Send + 'static,

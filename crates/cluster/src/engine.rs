@@ -17,7 +17,7 @@
 //!   the lost partitions from the dataset's rebuild closure and replays the
 //!   per-dataset task log (Spark-style lineage), restoring bit-identical
 //!   state.
-//! - **Slow tasks** stretch the superstep makespan; when speculation is on,
+//! - **Slow tasks** stretch the superstep makespan; on more than one worker,
 //!   a straggler task gets a speculative copy on another worker and the
 //!   superstep completes at the earlier of the two finishes.
 //!
@@ -44,7 +44,7 @@ use crate::metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
 use crate::scheduler::merge_superstep;
 use crate::storage::{Broadcast, DistVec};
 
-/// Errors surfaced while booting a [`Cluster`].
+/// The engine's errors: a failed boot, or an operator it cannot complete.
 #[derive(Debug)]
 pub enum ClusterError {
     /// The configuration is structurally invalid (zero workers/cores).
@@ -68,12 +68,19 @@ pub enum ClusterError {
     /// A networked-backend I/O failure that retries and reconnects could
     /// not mask (listener setup, handshake, unrecoverable socket error).
     Net(String),
+    /// A superstep's task panicked or exhausted its launch attempts; the
+    /// message names each failed partition, its worker and the cause.
+    TaskFailed(String),
 }
+
+/// What an engine operator returns: its value, or the [`ClusterError`] it
+/// failed with.
+pub type Result<T, E = ClusterError> = std::result::Result<T, E>;
 
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClusterError::InvalidConfig(msg) => f.write_str(msg),
+            ClusterError::InvalidConfig(msg) | ClusterError::TaskFailed(msg) => f.write_str(msg),
             ClusterError::WorkerSpawn { worker, source } => {
                 write!(f, "failed to spawn threads for worker {worker}: {source}")
             }
@@ -92,7 +99,8 @@ impl std::error::Error for ClusterError {
         match self {
             ClusterError::InvalidConfig(_)
             | ClusterError::RespawnBudgetExhausted { .. }
-            | ClusterError::Net(_) => None,
+            | ClusterError::Net(_)
+            | ClusterError::TaskFailed(_) => None,
             ClusterError::WorkerSpawn { source, .. } => Some(source),
         }
     }
@@ -142,7 +150,7 @@ impl Cluster {
     /// Boots a cluster with the given configuration, surfacing invalid
     /// configurations and OS thread-spawn failures as a [`ClusterError`]
     /// instead of panicking.
-    pub fn try_new(config: ClusterConfig) -> Result<Self, ClusterError> {
+    pub fn try_new(config: ClusterConfig) -> Result<Self> {
         config.validate()?;
         let mut senders = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
@@ -270,7 +278,7 @@ impl ExecutionBackend for Cluster {
         self.inner.metrics.charge_driver(&self.inner.config, ops);
     }
 
-    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> DistVec<P>
+    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> Result<DistVec<P>>
     where
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static,
@@ -296,23 +304,23 @@ impl ExecutionBackend for Cluster {
                     .collect()
             }),
         );
-        DistVec {
+        Ok(DistVec {
             id,
             part_bytes,
             inner: Arc::clone(inner),
             _marker: std::marker::PhantomData,
-        }
+        })
     }
 
     /// Locally a zero-copy `Arc`; the cost model charges the transfers.
-    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
+    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Result<Broadcast<T>> {
         self.inner
             .metrics
             .charge_broadcast(&self.inner.config, bytes);
-        Broadcast {
+        Ok(Broadcast {
             value: Arc::new(value),
             wire_id: None,
-        }
+        })
     }
 
     /// The task is shipped to every worker thread before any reply is
@@ -322,7 +330,7 @@ impl ExecutionBackend for Cluster {
         data: &DistVec<P>,
         task: F,
         capture: bool,
-    ) -> (Vec<T>, Vec<TaskEvents>)
+    ) -> Result<(Vec<T>, Vec<TaskEvents>)>
     where
         P: Send + 'static,
         T: Send + 'static,

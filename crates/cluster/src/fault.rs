@@ -63,16 +63,16 @@ pub struct FaultPlan {
     /// transiently.
     pub task_failure_rate: f64,
     /// Maximum launch attempts per task (≥ 1). If every attempt fails the
-    /// task surfaces as a clean per-partition error, like a task panic.
+    /// superstep fails with a per-partition
+    /// [`crate::ClusterError::TaskFailed`], like a task panic.
     pub max_task_attempts: u32,
     /// Probability in `[0, 1]` that a task is slowed (simulated hang).
     pub slow_task_rate: f64,
-    /// Virtual-duration multiplier for slowed tasks (≥ 1).
+    /// Virtual-duration multiplier for slowed tasks (finite, ≥ 1). On a
+    /// cluster of more than one worker, a task whose completion would
+    /// exceed 1.5 × the fault-free superstep makespan gets a speculative
+    /// copy on another worker.
     pub slow_task_factor: f64,
-    /// Enables speculative re-execution of straggler tasks: a task whose
-    /// completion would exceed 1.5 × the fault-free superstep makespan
-    /// gets a speculative copy on another worker.
-    pub speculation: bool,
     /// Probability in `[0, 1]` that a worker is killed at the start of a
     /// superstep (decided per `(superstep, worker)`). Simulated crash on
     /// in-process backends, real `SIGKILL` on the networked backend; both
@@ -99,7 +99,6 @@ impl Default for FaultPlan {
             max_task_attempts: 5,
             slow_task_rate: 0.0,
             slow_task_factor: 4.0,
-            speculation: true,
             process_kill_rate: 0.0,
             connection_drop_rate: 0.0,
             response_delay_rate: 0.0,
@@ -245,8 +244,8 @@ impl FaultPlan {
     /// # Errors
     ///
     /// A message naming the first out-of-range rate, a crash target beyond
-    /// the worker count, `max_task_attempts == 0`, or a sub-1 slowdown
-    /// factor.
+    /// the worker count, `max_task_attempts == 0`, or a slowdown factor
+    /// that is below 1 or not finite.
     pub fn validate(&self, workers: usize) -> Result<(), String> {
         for (name, rate) in [
             ("task_failure_rate", self.task_failure_rate),
@@ -262,9 +261,9 @@ impl FaultPlan {
         if self.max_task_attempts < 1 {
             return Err("max_task_attempts must be at least 1".to_string());
         }
-        if !(1.0..).contains(&self.slow_task_factor) {
+        if !(self.slow_task_factor.is_finite() && self.slow_task_factor >= 1.0) {
             return Err(format!(
-                "slow_task_factor must be at least 1 (got {})",
+                "slow_task_factor must be finite and at least 1 (got {})",
                 self.slow_task_factor
             ));
         }

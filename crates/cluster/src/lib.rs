@@ -77,14 +77,15 @@
 //! // Distribute 8 integer partitions (round-robin) with 8 bytes each;
 //! // partition `idx` can be rebuilt from its index after a crash.
 //! let parts = (0u64..8).map(|v| (v, 8)).collect();
-//! let data = cluster.distribute_with_lineage(parts, |idx| idx as u64);
+//! let data = cluster.distribute_with_lineage(parts, |idx| idx as u64)?;
 //! // Square every partition on its worker; collect to the driver.
 //! let squares: Vec<u64> = cluster.map_partitions(&data, |_idx, v: &mut u64, ctx| {
 //!     ctx.charge(1);
 //!     *v * *v
-//! });
+//! })?;
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! assert!(cluster.virtual_time().as_secs_f64() > 0.0);
+//! # Ok::<(), dbtf_cluster::ClusterError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -106,7 +107,7 @@ mod task;
 
 pub use backend::{ExecutionBackend, InProcess, PartitionTask, TaskEvents, WireCall, WireTask};
 pub use config::{ClusterConfig, NetworkModel};
-pub use engine::{Cluster, ClusterError};
+pub use engine::{Cluster, ClusterError, Result};
 pub use fault::FaultPlan;
 pub use local::{LocalBackend, LocalDataset};
 pub use metrics::{CommMetrics, MetricsSnapshot, VirtualDuration};
@@ -121,10 +122,10 @@ pub use task::TaskContext;
 use std::sync::{Mutex, MutexGuard};
 
 /// Locks ignoring poisoning; every mutex in this crate is locked through
-/// here. The executor runs every task under `catch_unwind`, the guarded
-/// state is plain data that a panic cannot leave half-updated in a way
-/// later readers care about, and a panicking superstep must not wedge a
-/// shutdown path that locks after it.
+/// here. The executor catches every task's panic, the guarded state is
+/// plain data that a panic cannot leave half-updated in a way later
+/// readers care about, and an engine bug's panic must not wedge a shutdown
+/// path that locks after it.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,

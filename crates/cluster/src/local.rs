@@ -6,8 +6,8 @@
 //! partitions (placed by the one placement rule) run through the
 //! executor's batch loop, on the driver thread and one worker after
 //! another, and the batches merge through the same superstep merge, so a
-//! task panic surfaces with the same per-partition message as on the
-//! other backends. Every charge goes through the cluster's own cost model,
+//! task panic surfaces as the same per-partition error as on the other
+//! backends. Every charge goes through the cluster's own cost model,
 //! run with [`NetworkModel::free`] and no fault plan. So every transfer
 //! costs no virtual time, `virtual_time` reflects pure compute, and nothing
 //! can crash.
@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::backend::{ExecutionBackend, PartitionTask, TaskEvents};
 use crate::config::{ClusterConfig, NetworkModel};
+use crate::engine::Result;
 use crate::executor::{erase_task, run_batch, AnyPart};
 use crate::lock;
 use crate::metrics::{CommMetrics, MetricsSnapshot};
@@ -126,7 +127,11 @@ impl ExecutionBackend for LocalBackend {
     }
 
     /// No faults locally, so the lineage closure is never called.
-    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, _rebuild: F) -> LocalDataset<P>
+    fn distribute_with_lineage<P, F>(
+        &self,
+        parts: Vec<(P, u64)>,
+        _rebuild: F,
+    ) -> Result<LocalDataset<P>>
     where
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static,
@@ -134,22 +139,22 @@ impl ExecutionBackend for LocalBackend {
         let cfg = &self.inner.config;
         let (per_worker, part_bytes) = cfg.place(parts, |payload| Box::new(payload) as AnyPart);
         self.inner.metrics.charge_distribute(cfg, &part_bytes);
-        LocalDataset {
+        Ok(LocalDataset {
             parts: Mutex::new(per_worker),
             part_bytes,
             inner: Arc::clone(&self.inner),
             _marker: PhantomData,
-        }
+        })
     }
 
-    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
+    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Result<Broadcast<T>> {
         self.inner
             .metrics
             .charge_broadcast(&self.inner.config, bytes);
-        Broadcast {
+        Ok(Broadcast {
             value: Arc::new(value),
             wire_id: None,
-        }
+        })
     }
 
     /// Runs each logical worker's batch inline, one worker after another,
@@ -160,7 +165,7 @@ impl ExecutionBackend for LocalBackend {
         data: &LocalDataset<P>,
         task: F,
         capture: bool,
-    ) -> (Vec<T>, Vec<TaskEvents>)
+    ) -> Result<(Vec<T>, Vec<TaskEvents>)>
     where
         P: Send + 'static,
         T: Send + 'static,

@@ -257,9 +257,9 @@ impl CommMetrics {
     /// Virtual completion time of each batch (same order as `batches`).
     /// Fault-free, a worker's time is [`worker_secs`]. Under a fault plan
     /// with slow tasks or transient failures, each task is stretched by
-    /// its slowdown and retry backoffs, and with speculation on, a task
-    /// past the deadline gets a copy on another worker and finishes at
-    /// the earlier of the two.
+    /// its slowdown and retry backoffs, and on more than one worker, a task
+    /// past the deadline gets a speculative copy on another worker and
+    /// finishes at the earlier of the two.
     fn superstep_times(
         &self,
         cfg: &ClusterConfig,
@@ -282,7 +282,7 @@ impl CommMetrics {
         // A speculative copy runs on the lowest worker id other than the
         // slow task's; every worker runs at the same rate, so only whether
         // another worker exists matters.
-        let can_speculate = plan.speculation && cfg.workers > 1;
+        let can_speculate = cfg.workers > 1;
         let mut retries_total = 0u64;
         let mut effective = Vec::with_capacity(batches.len());
         for b in batches {
@@ -404,7 +404,7 @@ impl CommMetrics {
     }
 }
 
-/// With [`FaultPlan::speculation`] on, a task whose completion would
+/// On a cluster of more than one worker, a task whose completion would
 /// exceed this multiple of the fault-free superstep makespan gets a
 /// speculative copy on another worker.
 const SPECULATION_THRESHOLD: f64 = 1.5;

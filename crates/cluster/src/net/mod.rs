@@ -49,7 +49,7 @@ use dbtf_wire::{frame_data_len, WireResult};
 
 use crate::backend::{ExecutionBackend, PartitionTask, TaskEvents};
 use crate::config::ClusterConfig;
-use crate::engine::ClusterError;
+use crate::engine::{ClusterError, Result};
 use crate::executor::{AnyPart, BatchResult, TaskStat};
 use crate::fault::FaultPlan;
 use crate::lineage::LineageBook;
@@ -140,7 +140,7 @@ impl NetBackend {
         registry: Arc<NetRegistry>,
         host: WorkerHost,
         tuning: NetTuning,
-    ) -> Result<NetBackend, ClusterError> {
+    ) -> Result<NetBackend> {
         config.validate()?;
         let metrics = Arc::new(CommMetrics::new(config.workers));
         let supervisor = Supervisor::start(config.workers, host, Arc::clone(&metrics))
@@ -170,7 +170,7 @@ impl NetBackend {
     /// Fires every process kill the fault plan injects at `step` (shared
     /// schedule with the simulated cluster via [`FaultPlan::kills_at`]),
     /// each at most once, and runs full respawn + recovery.
-    fn inject_kills(&self, step: u64) {
+    fn inject_kills(&self, step: u64) -> Result<()> {
         let shared = &self.shared;
         for w in
             shared
@@ -178,8 +178,9 @@ impl NetBackend {
                 .crashes_to_fire(shared.fault.as_deref(), step, shared.config.workers)
         {
             shared.supervisor.kill_worker(w);
-            shared.respawn_and_recover(w, None);
+            shared.respawn_and_recover(w, None)?;
         }
+        Ok(())
     }
 }
 
@@ -202,7 +203,7 @@ impl ExecutionBackend for NetBackend {
         self.shared.metrics.charge_driver(&self.shared.config, ops);
     }
 
-    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> NetVec<P>
+    fn distribute_with_lineage<P, F>(&self, parts: Vec<(P, u64)>, rebuild: F) -> Result<NetVec<P>>
     where
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static,
@@ -242,12 +243,7 @@ impl ExecutionBackend for NetBackend {
                 }
             })
             .collect();
-        let exchanges = shared.fanout(&builders);
-        for (w, ex) in exchanges.into_iter().enumerate() {
-            let Some(ex) = ex else { continue };
-            shared.expect_ack(&ex.reply);
-            shared.meter_exchange(primary_per_worker[w], 0, ex.bytes_sent, ex.bytes_received);
-        }
+        shared.fanout(&builders, |w| primary_per_worker[w])?;
 
         shared.lineage.insert(
             id,
@@ -263,15 +259,15 @@ impl ExecutionBackend for NetBackend {
                 (codec_name, parts)
             }),
         );
-        NetVec {
+        Ok(NetVec {
             id,
             part_bytes,
             shared: Arc::clone(shared),
             _marker: std::marker::PhantomData,
-        }
+        })
     }
 
-    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Broadcast<T> {
+    fn broadcast<T: Send + Sync + 'static>(&self, value: T, bytes: u64) -> Result<Broadcast<T>> {
         let shared = &self.shared;
         shared.metrics.charge_broadcast(&shared.config, bytes);
         let encoder = shared.registry.bcast_encoder_of::<T>();
@@ -289,15 +285,12 @@ impl ExecutionBackend for NetBackend {
                 }) as Box<dyn Fn(u64, u64) -> Frame + '_>)
             })
             .collect();
-        for ex in shared.fanout(&builders).into_iter().flatten() {
-            shared.expect_ack(&ex.reply);
-            shared.meter_exchange(data_len, 0, ex.bytes_sent, ex.bytes_received);
-        }
+        shared.fanout(&builders, |_| data_len)?;
         lock(&shared.broadcast_cache).push((id, frame_bytes, data_len));
-        Broadcast {
+        Ok(Broadcast {
             value: Arc::new(value),
             wire_id: Some(id),
-        }
+        })
     }
 
     fn map_partitions_task<P, T, F>(
@@ -305,7 +298,7 @@ impl ExecutionBackend for NetBackend {
         data: &NetVec<P>,
         task: F,
         capture: bool,
-    ) -> (Vec<T>, Vec<TaskEvents>)
+    ) -> Result<(Vec<T>, Vec<TaskEvents>)>
     where
         P: Send + 'static,
         T: Send + 'static,
@@ -317,7 +310,7 @@ impl ExecutionBackend for NetBackend {
             "dataset belongs to a different cluster"
         );
         let step = shared.submitted_steps.fetch_add(1, Ordering::Relaxed);
-        self.inject_kills(step);
+        self.inject_kills(step)?;
         let wire = task.wire().unwrap_or_else(|| {
             panic!(
                 "the networked backend cannot ship a plain closure to worker processes; \
@@ -345,20 +338,20 @@ impl ExecutionBackend for NetBackend {
         // Send to every worker before collecting any reply, so all workers
         // compute concurrently; then decode each reply as it is collected,
         // so at most one undecoded batch is held at a time.
-        let inflights: Vec<InFlight> = (0..shared.config.workers)
+        let inflights = (0..shared.config.workers)
             .map(|w| shared.begin_recovering(w, Some(step), &build))
-            .collect();
+            .collect::<Result<Vec<InFlight>, _>>()?;
         let mut batches = Vec::with_capacity(shared.config.workers);
         for (w, inflight) in inflights.into_iter().enumerate() {
-            let ex = shared.finish_recovering(w, Some(step), inflight, &build);
+            let ex = shared.finish_recovering(w, Some(step), inflight, &build)?;
             let (bytes_sent, bytes_received) = (ex.bytes_sent, ex.bytes_received);
             let Frame::Batch { reply, .. } = ex.reply else {
-                NetShared::fatal(format!(
+                return Err(ClusterError::Net(format!(
                     "superstep expected a Batch reply, got {:?}",
                     ex.reply
-                ));
+                )));
             };
-            let (batch, primary_received) = decode_batch::<T>(reply, wire.decode_result);
+            let (batch, primary_received) = decode_batch::<T>(reply, wire.decode_result)?;
             shared.meter_exchange(0, primary_received, bytes_sent, bytes_received);
             batches.push(batch);
         }
@@ -406,27 +399,28 @@ pub(super) fn run_builder(
 
 /// Converts a wire [`BatchReply`] into the executor's [`BatchResult`],
 /// decoding result frames as `T` and interning kernel names. Returns the
-/// batch plus the primary (data-channel) bytes of the result frames.
+/// batch plus the primary (data-channel) bytes of the result frames; a
+/// result frame that does not decode is a [`ClusterError::Net`].
 fn decode_batch<T: Send + 'static>(
     reply: BatchReply,
     decode: fn(&[u8]) -> WireResult<T>,
-) -> (BatchResult, u64) {
+) -> Result<(BatchResult, u64)> {
     let mut primary = 0u64;
-    let results: Vec<(usize, AnyPart)> = reply
+    let results = reply
         .results
         .into_iter()
         .map(|(idx, bytes)| {
             primary += frame_data_len(&bytes)
-                .unwrap_or_else(|e| NetShared::fatal(format!("corrupt result frame: {e}")));
-            let value = decode(&bytes).unwrap_or_else(|e| {
-                NetShared::fatal(format!(
+                .map_err(|e| ClusterError::Net(format!("corrupt result frame: {e}")))?;
+            let value = decode(&bytes).map_err(|e| {
+                ClusterError::Net(format!(
                     "task result for partition {idx} failed to decode: {}",
                     e.0
                 ))
-            });
-            (idx as usize, Box::new(value) as AnyPart)
+            })?;
+            Ok((idx as usize, Box::new(value) as AnyPart))
         })
-        .collect();
+        .collect::<Result<Vec<_>>>()?;
     let load = WorkerLoad {
         total_ops: reply.total_ops,
         max_task_ops: reply.max_task_ops,
@@ -460,5 +454,5 @@ fn decode_batch<T: Send + 'static>(
             .collect(),
         load,
     };
-    (batch, primary)
+    Ok((batch, primary))
 }

@@ -14,21 +14,20 @@ use crate::lineage::{Replayed, Restore};
 use crate::lock;
 use crate::net::proto::{Frame, RunFaults};
 use crate::net::supervisor::{Exchange, InFlight, RequestError};
-use crate::ClusterError;
+use crate::{ClusterError, Result};
 
 use super::{run_builder, NetShared, RunSpec, StoreParts};
 
+/// Checks that a worker answered a request with an `Ack`; the error is
+/// the message naming what it sent instead.
+fn expect_ack(reply: &Frame) -> Result<(), String> {
+    match reply {
+        Frame::Ack { .. } => Ok(()),
+        other => Err(format!("expected Ack, worker replied {other:?}")),
+    }
+}
+
 impl NetShared {
-    pub(super) fn fatal(msg: String) -> ! {
-        std::panic::panic_any(ClusterError::Net(msg))
-    }
-
-    pub(super) fn expect_ack(&self, reply: &Frame) {
-        if !matches!(reply, Frame::Ack { .. }) {
-            NetShared::fatal(format!("expected Ack, worker replied {reply:?}"));
-        }
-    }
-
     /// Classifies one exchange's measured traffic: `primary_*` data-channel
     /// bytes into the Lemma-mirroring wire counters, everything else
     /// (scaffolding, meta channels, resends, stale duplicates) into
@@ -54,27 +53,33 @@ impl NetShared {
     }
 
     /// Ships one request per participating worker, then collects the
-    /// replies — all workers compute concurrently. Workers that die along
-    /// the way are respawned, recovered, and re-asked.
-    pub(super) fn fanout(&self, builders: &[super::FrameBuilder<'_>]) -> Vec<Option<Exchange>> {
-        let mut inflights: Vec<Option<InFlight>> = builders
+    /// replies — all workers compute concurrently — and meters each
+    /// acknowledged exchange with the `primary(w)` data-channel bytes it
+    /// sent worker `w`. Workers that die along the way are respawned,
+    /// recovered, and re-asked.
+    pub(super) fn fanout(
+        &self,
+        builders: &[super::FrameBuilder<'_>],
+        primary: impl Fn(usize) -> u64,
+    ) -> Result<()> {
+        let inflights = builders
             .iter()
             .enumerate()
             .map(|(w, b)| {
                 b.as_ref()
                     .map(|build| self.begin_recovering(w, None, build.as_ref()))
+                    .transpose()
             })
-            .collect();
-        builders
-            .iter()
-            .enumerate()
-            .map(|(w, b)| {
-                b.as_ref().map(|build| {
-                    let inflight = inflights[w].take().expect("begun above");
-                    self.finish_recovering(w, None, inflight, build.as_ref())
-                })
-            })
-            .collect()
+            .collect::<Result<Vec<Option<InFlight>>, _>>()?;
+        for (w, (build, inflight)) in builders.iter().zip(inflights).enumerate() {
+            let (Some(build), Some(inflight)) = (build, inflight) else {
+                continue;
+            };
+            let ex = self.finish_recovering(w, None, inflight, build.as_ref())?;
+            expect_ack(&ex.reply).map_err(ClusterError::Net)?;
+            self.meter_exchange(primary(w), 0, ex.bytes_sent, ex.bytes_received);
+        }
+        Ok(())
     }
 
     pub(super) fn begin_recovering(
@@ -82,12 +87,12 @@ impl NetShared {
         w: usize,
         exclude_step: Option<u64>,
         build: &dyn Fn(u64, u64) -> Frame,
-    ) -> InFlight {
+    ) -> Result<InFlight> {
         loop {
             match self.supervisor.begin(w, build) {
-                Ok(inflight) => return inflight,
-                Err(RequestError::WorkerDead) => self.respawn_and_recover(w, exclude_step),
-                Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
+                Ok(inflight) => return Ok(inflight),
+                Err(RequestError::WorkerDead) => self.respawn_and_recover(w, exclude_step)?,
+                Err(RequestError::Fatal(msg)) => return Err(ClusterError::Net(msg)),
             }
         }
     }
@@ -98,15 +103,15 @@ impl NetShared {
         exclude_step: Option<u64>,
         mut inflight: InFlight,
         build: &dyn Fn(u64, u64) -> Frame,
-    ) -> Exchange {
+    ) -> Result<Exchange> {
         loop {
             match self.supervisor.finish(w, inflight, build) {
-                Ok(ex) => return ex,
+                Ok(ex) => return Ok(ex),
                 Err(RequestError::WorkerDead) => {
-                    self.respawn_and_recover(w, exclude_step);
-                    inflight = self.begin_recovering(w, exclude_step, build);
+                    self.respawn_and_recover(w, exclude_step)?;
+                    inflight = self.begin_recovering(w, exclude_step, build)?;
                 }
-                Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
+                Err(RequestError::Fatal(msg)) => return Err(ClusterError::Net(msg)),
             }
         }
     }
@@ -115,7 +120,11 @@ impl NetShared {
     /// with [`NetShared::recover_worker`]; `exclude_step` skips the
     /// in-flight superstep's log entry (it will be re-delivered by the
     /// caller, not replayed).
-    pub(super) fn respawn_and_recover(&self, w: usize, exclude_step: Option<u64>) {
+    pub(super) fn respawn_and_recover(&self, w: usize, exclude_step: Option<u64>) -> Result<()> {
+        let exhausted = |respawns| ClusterError::RespawnBudgetExhausted {
+            worker: w,
+            respawns,
+        };
         loop {
             let respawns = match self.supervisor.respawn(w) {
                 Ok(r) => r,
@@ -124,26 +133,22 @@ impl NetShared {
                     // budget-check and try again.
                     let r = self.supervisor.respawns(w);
                     if r >= self.tuning.respawn_budget {
-                        self.panic_budget(w, r);
+                        return Err(exhausted(r));
                     }
                     continue;
                 }
-                Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
+                Err(RequestError::Fatal(msg)) => return Err(ClusterError::Net(msg)),
             };
             if respawns > self.tuning.respawn_budget {
-                self.panic_budget(w, respawns);
+                return Err(exhausted(respawns));
             }
             self.metrics.charge_respawn();
             match self.recover_worker(w, exclude_step) {
-                Ok(()) => return,
+                Ok(()) => return Ok(()),
                 Err(RequestError::WorkerDead) => continue, // died again mid-recovery
-                Err(RequestError::Fatal(msg)) => NetShared::fatal(msg),
+                Err(RequestError::Fatal(msg)) => return Err(ClusterError::Net(msg)),
             }
         }
-    }
-
-    pub(super) fn panic_budget(&self, worker: usize, respawns: u32) -> ! {
-        std::panic::panic_any(ClusterError::RespawnBudgetExhausted { worker, respawns })
     }
 
     /// Restores a respawned worker `w`: re-ships every cached broadcast
@@ -170,7 +175,7 @@ impl NetShared {
                     id: *bid,
                     frame: frame.to_vec(),
                 })?;
-            restore.ack(&ex);
+            restore.ack(&ex)?;
         }
         self.lineage
             .recover(&self.config, &self.metrics, w, &mut restore)?;
@@ -193,9 +198,10 @@ struct Requests<'a> {
 }
 
 impl Requests<'_> {
-    fn ack(&mut self, ex: &Exchange) {
-        self.shared.expect_ack(&ex.reply);
+    fn ack(&mut self, ex: &Exchange) -> Result<(), RequestError> {
+        expect_ack(&ex.reply).map_err(RequestError::Fatal)?;
         self.reship += ex.bytes_sent + ex.bytes_received;
+        Ok(())
     }
 }
 
@@ -212,8 +218,7 @@ impl Restore<StoreParts, RunSpec> for Requests<'_> {
                 codec: codec.to_string(),
                 parts: Arc::clone(&parts),
             })?;
-        self.ack(&ex);
-        Ok(())
+        self.ack(&ex)
     }
 
     fn replay(&mut self, dataset: u64, spec: &RunSpec) -> Result<Option<Replayed>, RequestError> {
@@ -231,10 +236,10 @@ impl Restore<StoreParts, RunSpec> for Requests<'_> {
         let ex = self.shared.supervisor.request(self.w, &run)?;
         self.reship += ex.bytes_sent + ex.bytes_received;
         let Frame::Batch { reply, .. } = ex.reply else {
-            NetShared::fatal(format!(
+            return Err(RequestError::Fatal(format!(
                 "lineage replay expected a Batch reply, got {:?}",
                 ex.reply
-            ));
+            )));
         };
         Ok(Some(Replayed {
             panics: reply
@@ -299,14 +304,15 @@ mod tests {
         let host = WorkerHost::Thread(Arc::clone(&registry));
         let net = NetBackend::new(config, registry, host, NetTuning::default())
             .expect("net backend boots");
-        let data =
-            net.distribute_with_lineage((1..=6).map(|v| (v, 8)).collect(), |idx| idx as u64 + 1);
+        let data = net
+            .distribute_with_lineage((1..=6).map(|v| (v, 8)).collect(), |idx| idx as u64 + 1)
+            .unwrap();
         let outputs = (0..3u64)
             .map(|step| {
                 if step == 2 {
                     before_last(&net);
                 }
-                net.map_partitions_task(&data, Bump(step), false).0
+                net.map_partitions_task(&data, Bump(step), false).unwrap().0
             })
             .collect();
         (outputs, net.metrics())

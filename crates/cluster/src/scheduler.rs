@@ -1,11 +1,13 @@
 //! The [`Scheduler`] that executes dataflow plans against any
 //! [`ExecutionBackend`] while recording the per-operator trace, and the
-//! superstep merge (deterministic result slotting and panic report) every
+//! superstep merge (deterministic result slotting and failure report) every
 //! backend shares.
 
+use std::convert::Infallible;
 use std::sync::Mutex;
 
 use crate::backend::{ExecutionBackend, InProcess, PartitionTask, TaskEvents};
+use crate::engine::{ClusterError, Result};
 use crate::executor::BatchResult;
 use crate::lock;
 use crate::plan::{OpKind, OpRecord, PlanTrace};
@@ -84,16 +86,17 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     /// value, the operator's partition count and its task events, then
     /// records the metrics deltas it caused under (`kind`, `label`) — and,
     /// with a tracer attached, an operator/superstep span with task and
-    /// kernel child spans built from the task events.
-    fn instrumented<R>(
+    /// kernel child spans built from the task events. An operator that
+    /// fails records nothing.
+    fn instrumented<R, E>(
         &self,
         kind: OpKind,
         label: &'static str,
-        f: impl FnOnce() -> (R, usize, Vec<TaskEvents>),
-    ) -> R {
+        f: impl FnOnce() -> Result<(R, usize, Vec<TaskEvents>), E>,
+    ) -> Result<R, E> {
         let before = self.backend.metrics();
         let wall_start = self.tracer.wall_now();
-        let (out, partitions, events) = f();
+        let (out, partitions, events) = f()?;
         let after = self.backend.metrics();
         let record = OpRecord::from_snapshots(kind, label, partitions, &before, &after);
         if self.tracer.is_enabled() {
@@ -105,7 +108,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
             self.record_op_spans(kind, label, &record, virt, wall, events);
         }
         lock(&self.trace).push(record);
-        out
+        Ok(out)
     }
 
     /// Builds the span tree for one executed operator. Every annotation is
@@ -188,15 +191,15 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         label: &'static str,
         parts: Vec<(P, u64)>,
         rebuild: F,
-    ) -> B::Dataset<P>
+    ) -> Result<B::Dataset<P>>
     where
         P: Send + 'static,
         F: Fn(usize) -> P + Send + Sync + 'static,
     {
         let nparts = parts.len();
         self.instrumented(OpKind::Distribute, label, || {
-            let data = self.backend.distribute_with_lineage(parts, rebuild);
-            (data, nparts, Vec::new())
+            let data = self.backend.distribute_with_lineage(parts, rebuild)?;
+            Ok((data, nparts, Vec::new()))
         })
     }
 
@@ -206,14 +209,19 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         label: &'static str,
         value: T,
         bytes: u64,
-    ) -> Broadcast<T> {
+    ) -> Result<Broadcast<T>> {
         self.instrumented(OpKind::Broadcast, label, || {
-            (self.backend.broadcast(value, bytes), 0, Vec::new())
+            Ok((self.backend.broadcast(value, bytes)?, 0, Vec::new()))
         })
     }
 
     /// Executes a `MapPartitions` op (one superstep) over `data`.
-    pub fn map_partitions<P, T, F>(&self, label: &'static str, data: &B::Dataset<P>, f: F) -> Vec<T>
+    pub fn map_partitions<P, T, F>(
+        &self,
+        label: &'static str,
+        data: &B::Dataset<P>,
+        f: F,
+    ) -> Result<Vec<T>>
     where
         P: Send + 'static,
         T: Send + 'static,
@@ -232,7 +240,7 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
         label: &'static str,
         data: &B::Dataset<P>,
         task: F,
-    ) -> Vec<T>
+    ) -> Result<Vec<T>>
     where
         P: Send + 'static,
         T: Send + 'static,
@@ -240,25 +248,29 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
     {
         let capture = self.tracer.is_enabled();
         self.instrumented(OpKind::MapPartitions, label, || {
-            let (results, events) = self.backend.map_partitions_task(data, task, capture);
+            let (results, events) = self.backend.map_partitions_task(data, task, capture)?;
             let partitions = results.len();
-            (results, partitions, events)
+            Ok((results, partitions, events))
         })
     }
 
     /// Records a `DriverCompute` op charging `ops` driver-side operations
     /// to the virtual clock (Algorithm 4's column-decision reduce).
     pub fn charge_driver(&self, label: &'static str, ops: u64) {
-        self.instrumented(OpKind::DriverCompute, label, || {
-            (self.backend.charge_driver(ops), 0, Vec::new())
+        let Ok(()) = self.instrumented(OpKind::DriverCompute, label, || {
+            Ok::<_, Infallible>((self.backend.charge_driver(ops), 0, Vec::new()))
         });
     }
 
     /// Executes a `Checkpoint` op: runs `f` (typically a driver-side
-    /// checkpoint write) and records it in the trace. Local disk I/O is
-    /// not network traffic, so no bytes are metered.
-    pub fn checkpoint<R>(&self, label: &'static str, f: impl FnOnce() -> R) -> R {
-        self.instrumented(OpKind::Checkpoint, label, || (f(), 0, Vec::new()))
+    /// checkpoint write) and records it in the trace unless it fails.
+    /// Local disk I/O is not network traffic, so no bytes are metered.
+    pub fn checkpoint<R, E>(
+        &self,
+        label: &'static str,
+        f: impl FnOnce() -> Result<R, E>,
+    ) -> Result<R, E> {
+        self.instrumented(OpKind::Checkpoint, label, || Ok((f()?, 0, Vec::new())))
     }
 
     /// Truncates the lineage log of `data` (not an operator: pure
@@ -271,9 +283,10 @@ impl<'a, B: ExecutionBackend> Scheduler<'a, B> {
 /// Merges one superstep's per-worker batches over a dataset of
 /// `part_bytes.len()` partitions: charges the superstep through the cost
 /// model ([`crate::metrics::CommMetrics::charge_superstep`]), then slots
-/// the results in partition order, reports task panics sorted by
-/// partition, and returns the results with the task events, sorted by
-/// partition (none with capture off). Every backend calls this.
+/// the results in partition order and returns them with the task events,
+/// sorted by partition (none with capture off), or fails the superstep
+/// with [`ClusterError::TaskFailed`] if any task panicked or exhausted its
+/// launch attempts. Every backend calls this.
 pub(crate) fn merge_superstep<T: Send + 'static>(
     cfg: &crate::ClusterConfig,
     metrics: &crate::metrics::CommMetrics,
@@ -281,17 +294,17 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
     part_bytes: &[u64],
     capture: bool,
     mut batches: Vec<BatchResult>,
-) -> (Vec<T>, Vec<TaskEvents>) {
+) -> Result<(Vec<T>, Vec<TaskEvents>)> {
     // Fixed reduction order regardless of reply arrival.
     batches.sort_by_key(|b| b.worker);
     metrics.charge_superstep(cfg, fault, part_bytes, &batches);
 
     let mut slots: Vec<Option<T>> = part_bytes.iter().map(|_| None).collect();
-    let mut task_panics: Vec<(usize, usize, String)> = Vec::new();
+    let mut failures: Vec<(usize, usize, String)> = Vec::new();
     let mut events: Vec<TaskEvents> = Vec::new();
     for batch in batches {
         for (idx, msg) in batch.panics {
-            task_panics.push((idx, batch.worker, msg));
+            failures.push((idx, batch.worker, msg));
         }
         if capture {
             for stat in batch.stats {
@@ -311,17 +324,17 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
             slots[idx] = Some(value);
         }
     }
-    if !task_panics.is_empty() {
-        task_panics.sort_by_key(|(idx, ..)| *idx);
-        let lines: Vec<String> = task_panics
+    if !failures.is_empty() {
+        failures.sort_by_key(|(idx, ..)| *idx);
+        let lines: Vec<String> = failures
             .iter()
             .map(|(idx, w, msg)| format!("partition {idx} on worker {w}: {msg}"))
             .collect();
-        panic!(
-            "{} task(s) panicked during superstep — {}",
-            task_panics.len(),
+        return Err(ClusterError::TaskFailed(format!(
+            "{} task(s) failed during superstep — {}",
+            failures.len(),
             lines.join("; ")
-        );
+        )));
     }
     events.sort_by_key(|e| e.partition);
     let results = slots
@@ -329,5 +342,5 @@ pub(crate) fn merge_superstep<T: Send + 'static>(
         .enumerate()
         .map(|(idx, s)| s.unwrap_or_else(|| panic!("partition {idx} produced no result")))
         .collect();
-    (results, events)
+    Ok((results, events))
 }

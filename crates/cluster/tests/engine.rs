@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use dbtf_cluster::{Cluster, ClusterConfig, DistVec, ExecutionBackend, FaultPlan, NetworkModel};
+use dbtf_cluster::{
+    Cluster, ClusterConfig, ClusterError, DistVec, ExecutionBackend, FaultPlan, NetworkModel,
+};
 
 fn small_cluster(workers: usize) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -26,12 +28,24 @@ fn distribute<P: Clone + Send + Sync + 'static>(
     parts: Vec<(P, u64)>,
 ) -> DistVec<P> {
     let replica: Arc<Vec<P>> = Arc::new(parts.iter().map(|(p, _)| p.clone()).collect());
-    cluster.distribute_with_lineage(parts, move |idx| replica[idx].clone())
+    cluster
+        .distribute_with_lineage(parts, move |idx| replica[idx].clone())
+        .unwrap()
+}
+
+/// The message of a superstep that must fail with a task failure.
+fn task_failure<T: std::fmt::Debug>(result: Result<T, ClusterError>) -> String {
+    match result {
+        Err(ClusterError::TaskFailed(msg)) => msg,
+        other => panic!("expected a task failure, got {other:?}"),
+    }
 }
 
 /// Reads every partition back to the driver with one superstep.
 fn read<P: Clone + Send + 'static>(cluster: &Cluster, data: &DistVec<P>) -> Vec<P> {
-    cluster.map_partitions(data, |_idx, part: &mut P, _ctx| part.clone())
+    cluster
+        .map_partitions(data, |_idx, part: &mut P, _ctx| part.clone())
+        .unwrap()
 }
 
 #[test]
@@ -49,10 +63,12 @@ fn round_robin_placement() {
 fn map_partitions_returns_in_order() {
     let cluster = small_cluster(4);
     let data = distribute(&cluster, (0..10u64).map(|v| (v, 8)).collect());
-    let doubled: Vec<u64> = cluster.map_partitions(&data, |_idx, v, ctx| {
-        ctx.charge(1);
-        *v * 2
-    });
+    let doubled: Vec<u64> = cluster
+        .map_partitions(&data, |_idx, v, ctx| {
+            ctx.charge(1);
+            *v * 2
+        })
+        .unwrap();
     assert_eq!(doubled, (0..10u64).map(|v| v * 2).collect::<Vec<_>>());
 }
 
@@ -61,9 +77,11 @@ fn partitions_are_cached_and_mutable() {
     let cluster = small_cluster(2);
     let data = distribute(&cluster, vec![(0u32, 4), (0u32, 4), (0u32, 4)]);
     for _ in 0..3 {
-        cluster.map_partitions(&data, |_idx, v, _ctx| {
-            *v += 1;
-        });
+        cluster
+            .map_partitions(&data, |_idx, v, _ctx| {
+                *v += 1;
+            })
+            .unwrap();
     }
     let values = read(&cluster, &data);
     assert_eq!(values, vec![3, 3, 3]);
@@ -87,7 +105,7 @@ fn shuffle_and_store_metering() {
 #[test]
 fn broadcast_metering_scales_with_workers() {
     let cluster = small_cluster(4);
-    let b = cluster.broadcast(vec![1u8; 100], 100);
+    let b = cluster.broadcast(vec![1u8; 100], 100).unwrap();
     assert_eq!(b.get().len(), 100);
     assert_eq!(cluster.metrics().bytes_broadcast, 400);
 }
@@ -108,23 +126,25 @@ fn broadcast_costing_matches_network_model() {
         ..ClusterConfig::default()
     });
     let t0 = cluster.virtual_time().as_secs_f64();
-    cluster.broadcast(0u8, 200);
+    cluster.broadcast(0u8, 200).unwrap();
     let elapsed = cluster.virtual_time().as_secs_f64() - t0;
     assert_eq!(elapsed, net.transfer_secs(200 * 3));
     // Zero-byte broadcasts stay free.
     let t1 = cluster.virtual_time().as_secs_f64();
-    cluster.broadcast(0u8, 0);
+    cluster.broadcast(0u8, 0).unwrap();
     assert_eq!(cluster.virtual_time().as_secs_f64(), t1);
 }
 
 #[test]
 fn broadcast_visible_in_tasks() {
     let cluster = small_cluster(2);
-    let b = cluster.broadcast(10u64, 8);
+    let b = cluster.broadcast(10u64, 8).unwrap();
     let data = distribute(&cluster, (0..4u64).map(|v| (v, 8)).collect());
     let shifted: Vec<u64> = {
         let b = b.clone();
-        cluster.map_partitions(&data, move |_idx, v, _ctx| *v + *b.get())
+        cluster
+            .map_partitions(&data, move |_idx, v, _ctx| *v + *b.get())
+            .unwrap()
     };
     assert_eq!(shifted, vec![10, 11, 12, 13]);
 }
@@ -134,7 +154,9 @@ fn virtual_clock_advances_with_charges() {
     let cluster = small_cluster(1);
     let data = distribute(&cluster, vec![((), 0), ((), 0)]);
     let t0 = cluster.virtual_time().as_secs_f64();
-    cluster.map_partitions(&data, |_idx, _v: &mut (), ctx| ctx.charge(2_000_000));
+    cluster
+        .map_partitions(&data, |_idx, _v: &mut (), ctx| ctx.charge(2_000_000))
+        .unwrap();
     let t1 = cluster.virtual_time().as_secs_f64();
     // 4M ops on one 2-core × 1M ops/s worker = 2 virtual seconds.
     assert!((t1 - t0 - 2.0).abs() < 1e-9, "elapsed {}", t1 - t0);
@@ -146,7 +168,9 @@ fn makespan_is_max_over_workers() {
     let cluster = small_cluster(2);
     let data = distribute(&cluster, vec![(10u64, 0), (1u64, 0)]);
     let t0 = cluster.virtual_time().as_secs_f64();
-    cluster.map_partitions(&data, |_idx, v, ctx| ctx.charge(*v * 1_000_000));
+    cluster
+        .map_partitions(&data, |_idx, v, ctx| ctx.charge(*v * 1_000_000))
+        .unwrap();
     let elapsed = cluster.virtual_time().as_secs_f64() - t0;
     // Worker 0 runs the 10M-op task on 2 cores but a single task
     // occupies one core: 10 s; worker 1: 1 s.
@@ -159,7 +183,9 @@ fn more_workers_reduce_virtual_time() {
         let cluster = small_cluster(workers);
         let data = distribute(&cluster, (0..16u64).map(|_| (1u64, 0)).collect());
         let t0 = cluster.virtual_time().as_secs_f64();
-        cluster.map_partitions(&data, |_idx, _v, ctx| ctx.charge(1_000_000));
+        cluster
+            .map_partitions(&data, |_idx, _v, ctx| ctx.charge(1_000_000))
+            .unwrap();
         cluster.virtual_time().as_secs_f64() - t0
     };
     let t2 = run(2);
@@ -174,9 +200,11 @@ fn more_workers_reduce_virtual_time() {
 fn collect_bytes_metered() {
     let cluster = small_cluster(2);
     let data = distribute(&cluster, vec![(0u8, 1), (0u8, 1)]);
-    cluster.map_partitions(&data, |_idx, _v, ctx| {
-        ctx.set_result_bytes(50);
-    });
+    cluster
+        .map_partitions(&data, |_idx, _v, ctx| {
+            ctx.set_result_bytes(50);
+        })
+        .unwrap();
     assert_eq!(cluster.metrics().bytes_collected, 100);
 }
 
@@ -192,7 +220,9 @@ fn charge_driver_advances_clock() {
 fn worker_busy_time_tracks_imbalance() {
     let cluster = small_cluster(2);
     let data = distribute(&cluster, vec![(4u64, 0), (1u64, 0)]);
-    cluster.map_partitions(&data, |_idx, v, ctx| ctx.charge(*v * 1_000_000));
+    cluster
+        .map_partitions(&data, |_idx, v, ctx| ctx.charge(*v * 1_000_000))
+        .unwrap();
     let busy = cluster.metrics().worker_busy_secs;
     assert!(busy[0] > busy[1]);
 }
@@ -201,7 +231,7 @@ fn worker_busy_time_tracks_imbalance() {
 fn empty_dataset() {
     let cluster = small_cluster(3);
     let data: DistVec<u32> = distribute(&cluster, Vec::new());
-    let out: Vec<u32> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
+    let out: Vec<u32> = cluster.map_partitions(&data, |_idx, v, _ctx| *v).unwrap();
     assert!(out.is_empty());
 }
 
@@ -210,7 +240,7 @@ fn many_supersteps_counted() {
     let cluster = small_cluster(2);
     let data = distribute(&cluster, vec![(0u8, 1)]);
     for _ in 0..5 {
-        cluster.map_partitions(&data, |_idx, _v, _ctx| {});
+        cluster.map_partitions(&data, |_idx, _v, _ctx| {}).unwrap();
     }
     assert_eq!(cluster.metrics().supersteps, 5);
 }
@@ -225,25 +255,18 @@ fn task_panic_surfaces_cleanly_and_worker_survives() {
         ..ClusterConfig::default()
     });
     let data = distribute(&cluster, (0..8u32).map(|v| (v, 4)).collect());
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _: Vec<u32> = cluster.map_partitions(&data, |idx, v, _ctx| {
-            if idx == 3 {
-                panic!("boom in partition {idx}");
-            }
-            *v
-        });
-    }))
-    .expect_err("superstep with a panicking task must fail");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("clean String panic message");
+    let msg = task_failure(cluster.map_partitions(&data, |idx, v, _ctx| {
+        if idx == 3 {
+            panic!("boom in partition {idx}");
+        }
+        *v
+    }));
     assert!(msg.contains("partition 3"), "message was: {msg}");
     assert!(msg.contains("boom in partition 3"), "message was: {msg}");
     assert!(msg.contains("worker 1"), "message was: {msg}");
     // The worker threads caught the panic and must still serve
     // supersteps (no hang, no "worker hung up").
-    let out: Vec<u32> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
+    let out: Vec<u32> = cluster.map_partitions(&data, |_idx, v, _ctx| *v).unwrap();
     assert_eq!(out, (0..8u32).collect::<Vec<_>>());
 }
 
@@ -256,15 +279,11 @@ fn task_panic_surfaces_with_a_single_worker() {
         ..ClusterConfig::default()
     });
     let data = distribute(&cluster, vec![(0u8, 1), (1u8, 1)]);
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cluster.map_partitions(&data, |idx, _v, _ctx| {
-            assert!(idx != 1, "failing task");
-        });
-    }))
-    .expect_err("must propagate");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    let msg = task_failure(cluster.map_partitions(&data, |idx, _v, _ctx| {
+        assert!(idx != 1, "failing task");
+    }));
     assert!(msg.contains("partition 1"), "message was: {msg}");
-    cluster.map_partitions(&data, |_idx, _v, _ctx| {});
+    cluster.map_partitions(&data, |_idx, _v, _ctx| {}).unwrap();
 }
 
 #[test]
@@ -278,22 +297,15 @@ fn non_string_panic_payload_surfaces_cleanly() {
         ..ClusterConfig::default()
     });
     let data = distribute(&cluster, (0..6u32).map(|v| (v, 4)).collect());
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _: Vec<u32> = cluster.map_partitions(&data, |idx, v, _ctx| {
-            if idx == 2 {
-                std::panic::panic_any(42usize);
-            }
-            if idx == 5 {
-                std::panic::panic_any(vec![1u8, 2, 3]);
-            }
-            *v
-        });
-    }))
-    .expect_err("superstep must fail");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("clean String panic message");
+    let msg = task_failure(cluster.map_partitions(&data, |idx, v, _ctx| {
+        if idx == 2 {
+            std::panic::panic_any(42usize);
+        }
+        if idx == 5 {
+            std::panic::panic_any(vec![1u8, 2, 3]);
+        }
+        *v
+    }));
     assert!(
         msg.contains("partition 2 on worker 0: non-string panic payload"),
         "message was: {msg}"
@@ -308,7 +320,7 @@ fn non_string_panic_payload_surfaces_cleanly() {
         "panics must be sorted by partition index: {msg}"
     );
     // Workers survive the non-string panic.
-    let out: Vec<u32> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
+    let out: Vec<u32> = cluster.map_partitions(&data, |_idx, v, _ctx| *v).unwrap();
     assert_eq!(out, (0..6u32).collect::<Vec<_>>());
 }
 
@@ -322,24 +334,20 @@ fn mixed_panic_kinds_keep_deterministic_order() {
             ..ClusterConfig::default()
         });
         let data = distribute(&cluster, (0..9u32).map(|v| (v, 4)).collect());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Vec<u32> = cluster.map_partitions(&data, |idx, v, _ctx| {
-                match idx {
-                    1 => panic!("string panic"),
-                    4 => std::panic::panic_any(7i32),
-                    7 => panic!("{}", format!("formatted {idx}")),
-                    _ => {}
-                }
-                *v
-            });
+        task_failure(cluster.map_partitions(&data, |idx, v, _ctx| {
+            match idx {
+                1 => panic!("string panic"),
+                4 => std::panic::panic_any(7i32),
+                7 => panic!("{}", format!("formatted {idx}")),
+                _ => {}
+            }
+            *v
         }))
-        .expect_err("superstep must fail");
-        err.downcast_ref::<String>().cloned().unwrap()
     };
     let a = run();
     let b = run();
     assert_eq!(a, b, "panic report must be deterministic");
-    assert!(a.contains("3 task(s) panicked"), "message was: {a}");
+    assert!(a.contains("3 task(s) failed"), "message was: {a}");
     let p1 = a.find("partition 1").unwrap();
     let p4 = a.find("partition 4").unwrap();
     let p7 = a.find("partition 7").unwrap();
@@ -352,7 +360,7 @@ fn cross_cluster_dataset_rejected() {
     let a = small_cluster(1);
     let b = small_cluster(1);
     let data = distribute(&a, vec![(1u8, 1)]);
-    let _: Vec<u8> = b.map_partitions(&data, |_idx, v, _ctx| *v);
+    let _: Vec<u8> = b.map_partitions(&data, |_idx, v, _ctx| *v).unwrap();
 }
 
 #[test]
@@ -382,11 +390,15 @@ fn transient_failures_retry_to_identical_results() {
         let data = distribute(&cluster, (0..12u64).map(|v| (v, 8)).collect());
         let mut outs = Vec::new();
         for _ in 0..4 {
-            outs.push(cluster.map_partitions(&data, |idx, v, ctx| {
-                ctx.charge((idx as u64 + 1) * 1000);
-                *v = v.wrapping_mul(7).wrapping_add(1);
-                *v
-            }));
+            outs.push(
+                cluster
+                    .map_partitions(&data, |idx, v, ctx| {
+                        ctx.charge((idx as u64 + 1) * 1000);
+                        *v = v.wrapping_mul(7).wrapping_add(1);
+                        *v
+                    })
+                    .unwrap(),
+            );
         }
         (outs, read(&cluster, &data), cluster.metrics())
     };
@@ -424,11 +436,7 @@ fn exhausted_attempts_surface_like_a_panic() {
         ..ClusterConfig::default()
     });
     let data = distribute(&cluster, vec![(1u8, 1)]);
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _: Vec<u8> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
-    }))
-    .expect_err("all attempts fail");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    let msg = task_failure(cluster.map_partitions(&data, |_idx, v: &mut u8, _ctx| *v));
     assert!(msg.contains("exhausted 3 launch attempts"), "was: {msg}");
     assert!(msg.contains("partition 0"), "was: {msg}");
 }
@@ -448,10 +456,12 @@ fn worker_crash_recovers_from_lineage() {
         });
         let data = distribute(&cluster, (0..6u64).map(|v| (v, 8)).collect());
         for _ in 0..4 {
-            cluster.map_partitions(&data, |_idx, v, ctx| {
-                ctx.charge(1000);
-                *v += 1;
-            });
+            cluster
+                .map_partitions(&data, |_idx, v, ctx| {
+                    ctx.charge(1000);
+                    *v += 1;
+                })
+                .unwrap();
         }
         (read(&cluster, &data), cluster.metrics())
     };
@@ -494,19 +504,23 @@ fn reset_lineage_bounds_replay() {
     // Two read-only supersteps, then truncate the log: current state is
     // still exactly what the replica rebuilds.
     for _ in 0..2 {
-        let _: Vec<u64> = cluster.map_partitions(&data, |_idx, v, ctx| {
-            ctx.charge(1000);
-            *v
-        });
+        let _: Vec<u64> = cluster
+            .map_partitions(&data, |_idx, v, ctx| {
+                ctx.charge(1000);
+                *v
+            })
+            .unwrap();
     }
     cluster.reset_lineage(&data);
     // One more read-only superstep post-reset, then the crash fires at
     // superstep 3: only the post-reset task is replayed.
-    let _: Vec<u64> = cluster.map_partitions(&data, |_idx, v, ctx| {
-        ctx.charge(1000);
-        *v
-    });
-    let out: Vec<u64> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
+    let _: Vec<u64> = cluster
+        .map_partitions(&data, |_idx, v, ctx| {
+            ctx.charge(1000);
+            *v
+        })
+        .unwrap();
+    let out: Vec<u64> = cluster.map_partitions(&data, |_idx, v, _ctx| *v).unwrap();
     assert_eq!(out, vec![0, 1, 2, 3]);
     let m = cluster.metrics();
     assert_eq!(m.worker_respawns, 1);
@@ -517,30 +531,33 @@ fn reset_lineage_bounds_replay() {
 
 #[test]
 fn slow_tasks_stretch_makespan_and_speculation_recovers() {
-    let run = |slow: bool, speculation: bool| {
+    // Four cores either way: four one-core workers, or one four-core
+    // worker, where no other worker can run a speculative copy.
+    let run = |slow: bool, workers: usize| {
         let plan = slow.then(|| FaultPlan {
             slow_task_rate: 1.0, // every task hangs…
             slow_task_factor: 8.0,
-            speculation,
             ..FaultPlan::with_seed(1)
         });
         let cluster = Cluster::new(ClusterConfig {
-            workers: 4,
-            cores_per_worker: 1,
+            workers,
+            cores_per_worker: 4 / workers,
             core_throughput_ops_per_sec: 1e6,
             network: NetworkModel::free(),
             fault_plan: plan,
         });
         let data = distribute(&cluster, (0..4u64).map(|v| (v, 8)).collect());
-        let out: Vec<u64> = cluster.map_partitions(&data, |_idx, v, ctx| {
-            ctx.charge(1_000_000);
-            *v
-        });
+        let out: Vec<u64> = cluster
+            .map_partitions(&data, |_idx, v, ctx| {
+                ctx.charge(1_000_000);
+                *v
+            })
+            .unwrap();
         (out, cluster.metrics())
     };
-    let (base_out, base_m) = run(false, false);
-    let (nospec_out, nospec_m) = run(true, false);
-    let (spec_out, spec_m) = run(true, true);
+    let (base_out, base_m) = run(false, 4);
+    let (nospec_out, nospec_m) = run(true, 1);
+    let (spec_out, spec_m) = run(true, 4);
     assert_eq!(base_out, nospec_out);
     assert_eq!(base_out, spec_out);
     let t_base = base_m.virtual_time.as_secs_f64();
@@ -577,9 +594,11 @@ fn crash_entries_fire_at_most_once() {
     });
     let data = distribute(&cluster, (0..4u64).map(|v| (v, 8)).collect());
     for _ in 0..3 {
-        cluster.map_partitions(&data, |_idx, v, _ctx| {
-            *v += 1;
-        });
+        cluster
+            .map_partitions(&data, |_idx, v, _ctx| {
+                *v += 1;
+            })
+            .unwrap();
     }
     assert_eq!(read(&cluster, &data), vec![3, 4, 5, 6]);
     assert_eq!(cluster.metrics().worker_respawns, 2);
@@ -598,14 +617,19 @@ fn distribute_with_lineage_rebuild_closure_is_used() {
         ..ClusterConfig::default()
     });
     // Rebuild computes the payload from the index (no replica kept).
-    let data =
-        cluster.distribute_with_lineage((0..6usize).map(|i| (i * 10, 8)).collect(), |idx| idx * 10);
-    cluster.map_partitions(&data, |_idx, v: &mut usize, _ctx| {
-        *v += 1;
-    });
-    cluster.map_partitions(&data, |_idx, v: &mut usize, _ctx| {
-        *v += 1;
-    });
+    let data = cluster
+        .distribute_with_lineage((0..6usize).map(|i| (i * 10, 8)).collect(), |idx| idx * 10)
+        .unwrap();
+    cluster
+        .map_partitions(&data, |_idx, v: &mut usize, _ctx| {
+            *v += 1;
+        })
+        .unwrap();
+    cluster
+        .map_partitions(&data, |_idx, v: &mut usize, _ctx| {
+            *v += 1;
+        })
+        .unwrap();
     assert_eq!(read(&cluster, &data), vec![2, 12, 22, 32, 42, 52]);
     let m = cluster.metrics();
     assert_eq!(m.worker_respawns, 1);

@@ -89,41 +89,40 @@ fn net_backend(workers: usize, plan: Option<FaultPlan>) -> NetBackend {
 /// the scale-add task for `rounds` supersteps; each round's outputs are the
 /// partitions' new values, so the last round reads the final state.
 /// Identical calls on every backend.
-fn workload<B: ExecutionBackend>(backend: &B, rounds: usize) -> (Vec<Vec<u64>>, MetricsSnapshot) {
+fn workload<B: ExecutionBackend>(backend: &B, rounds: usize) -> Outcome {
     paced_workload(backend, rounds, Duration::ZERO)
 }
 
+/// Each round's outputs and the final meters, or the engine's error.
+type Outcome = Result<(Vec<Vec<u64>>, MetricsSnapshot), ClusterError>;
+
 /// [`workload`], sleeping `pause` of wall time after every superstep.
-fn paced_workload<B: ExecutionBackend>(
-    backend: &B,
-    rounds: usize,
-    pause: Duration,
-) -> (Vec<Vec<u64>>, MetricsSnapshot) {
+fn paced_workload<B: ExecutionBackend>(backend: &B, rounds: usize, pause: Duration) -> Outcome {
     let data = backend
         .distribute_with_lineage((0..8u64).map(|v| (v * 3 + 1, 8)).collect(), |idx| {
             idx as u64 * 3 + 1
-        });
-    let delta = backend.broadcast(7u64, 8);
+        })?;
+    let delta = backend.broadcast(7u64, 8)?;
     let mut outputs = Vec::new();
     for _ in 0..rounds {
         let task = ScaleAdd {
             factor: 2,
             delta: delta.clone(),
         };
-        let (out, _events) = backend.map_partitions_task(&data, task, false);
+        let (out, _events) = backend.map_partitions_task(&data, task, false)?;
         outputs.push(out);
         std::thread::sleep(pause);
     }
     let metrics = backend.metrics();
-    (outputs, metrics)
+    Ok((outputs, metrics))
 }
 
 #[test]
 fn networked_run_matches_simulated_cluster_bit_for_bit() {
     let cluster = Cluster::new(config(3, None));
     let net = net_backend(3, None);
-    let (out_c, m_c) = workload(&cluster, 3);
-    let (out_n, m_n) = workload(&net, 3);
+    let (out_c, m_c) = workload(&cluster, 3).unwrap();
+    let (out_n, m_n) = workload(&net, 3).unwrap();
     assert_eq!(out_c, out_n);
     // Snapshot equality covers every declared counter and the virtual
     // clock; the net_*/pool_* observability fields are outside `==`.
@@ -133,7 +132,7 @@ fn networked_run_matches_simulated_cluster_bit_for_bit() {
 #[test]
 fn measured_wire_bytes_match_lemma_meters_exactly() {
     let net = net_backend(3, None);
-    let (_, m) = workload(&net, 3);
+    let (_, m) = workload(&net, 3).unwrap();
     // Lemma 6/7 on the wire: every driver→worker payload byte is either
     // shuffle or broadcast; every worker→driver payload byte is collect.
     assert_eq!(m.net_wire_bytes_sent, m.bytes_shuffled + m.bytes_broadcast);
@@ -148,8 +147,8 @@ fn measured_wire_bytes_match_lemma_meters_exactly() {
 fn framing_overhead_does_not_depend_on_wall_time() {
     // Idle wall time between supersteps puts nothing on the wire, so a run
     // that pauses after every superstep meters the same framing bytes.
-    let brisk = workload(&net_backend(2, None), 2);
-    let paced = paced_workload(&net_backend(2, None), 2, Duration::from_millis(1200));
+    let brisk = workload(&net_backend(2, None), 2).unwrap();
+    let paced = paced_workload(&net_backend(2, None), 2, Duration::from_millis(1200)).unwrap();
     assert_eq!(brisk.0, paced.0);
     assert_eq!(
         brisk.1.net_wire_overhead_bytes,
@@ -167,9 +166,9 @@ fn seeded_process_kills_recover_bit_identically_to_simulated_crashes() {
         process_kill_rate: 0.3,
         ..FaultPlan::with_seed(41)
     };
-    let baseline = workload(&Cluster::new(config(3, None)), 4);
-    let crashed = workload(&Cluster::new(config(3, Some(plan.clone()))), 4);
-    let netted = workload(&net_backend(3, Some(plan)), 4);
+    let baseline = workload(&Cluster::new(config(3, None)), 4).unwrap();
+    let crashed = workload(&Cluster::new(config(3, Some(plan.clone()))), 4).unwrap();
+    let netted = workload(&net_backend(3, Some(plan)), 4).unwrap();
     assert_eq!(baseline.0, crashed.0);
     assert_eq!(baseline.0, netted.0);
     assert_eq!(crashed.1, netted.1);
@@ -192,8 +191,8 @@ fn connection_drops_and_delays_change_nothing_but_reconnect_counters() {
         response_delay_ms: 5,
         ..FaultPlan::with_seed(11)
     };
-    let baseline = workload(&Cluster::new(config(3, None)), 3);
-    let dropped = workload(&net_backend(3, Some(plan)), 3);
+    let baseline = workload(&Cluster::new(config(3, None)), 3).unwrap();
+    let dropped = workload(&net_backend(3, Some(plan)), 3).unwrap();
     assert_eq!(baseline.0, dropped.0);
     assert_eq!(baseline.1, dropped.1);
     assert!(dropped.1.net_reconnects > 0, "seed must actually drop");
@@ -213,9 +212,9 @@ fn consecutive_kills_of_one_worker_recover_cleanly() {
         worker_crashes: vec![(1, 1), (2, 1)],
         ..FaultPlan::with_seed(5)
     };
-    let baseline = workload(&Cluster::new(config(3, None)), 4);
-    let crashed = workload(&Cluster::new(config(3, Some(plan.clone()))), 4);
-    let netted = workload(&net_backend(3, Some(plan)), 4);
+    let baseline = workload(&Cluster::new(config(3, None)), 4).unwrap();
+    let crashed = workload(&Cluster::new(config(3, Some(plan.clone()))), 4).unwrap();
+    let netted = workload(&net_backend(3, Some(plan)), 4).unwrap();
     assert_eq!(baseline.0, netted.0);
     assert_eq!(crashed.1, netted.1);
     assert_eq!(netted.1.worker_respawns, 2);
@@ -238,16 +237,9 @@ fn respawn_budget_exhaustion_is_a_typed_error_not_a_hang() {
         NetTuning::default(),
     )
     .expect("net backend boots");
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        workload(&net, 1);
-    }));
-    let payload = result.expect_err("must fail, not succeed");
-    let err = payload
-        .downcast_ref::<ClusterError>()
-        .expect("panic payload is the typed ClusterError");
-    match err {
+    match workload(&net, 1).expect_err("must fail, not succeed") {
         ClusterError::RespawnBudgetExhausted { respawns, .. } => {
-            assert_eq!(*respawns, NetTuning::default().respawn_budget + 1);
+            assert_eq!(respawns, NetTuning::default().respawn_budget + 1);
         }
         other => panic!("expected RespawnBudgetExhausted, got {other}"),
     }
@@ -256,9 +248,13 @@ fn respawn_budget_exhaustion_is_a_typed_error_not_a_hang() {
 #[test]
 fn plain_closures_are_rejected_with_instructions() {
     let net = net_backend(2, None);
-    let data = net.distribute_with_lineage(vec![(1u64, 8), (2u64, 8)], |idx| idx as u64 + 1);
+    let data = net
+        .distribute_with_lineage(vec![(1u64, 8), (2u64, 8)], |idx| idx as u64 + 1)
+        .unwrap();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _: Vec<u64> = net.map_partitions(&data, |_idx, v: &mut u64, _ctx| *v);
+        let _: Vec<u64> = net
+            .map_partitions(&data, |_idx, v: &mut u64, _ctx| *v)
+            .unwrap();
     }));
     let payload = result.expect_err("closures cannot cross process boundaries");
     let msg = payload

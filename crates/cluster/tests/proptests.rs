@@ -13,7 +13,9 @@ fn distribute<P: Clone + Send + Sync + 'static>(
     parts: Vec<(P, u64)>,
 ) -> DistVec<P> {
     let replica: Arc<Vec<P>> = Arc::new(parts.iter().map(|(p, _)| p.clone()).collect());
-    cluster.distribute_with_lineage(parts, move |idx| replica[idx].clone())
+    cluster
+        .distribute_with_lineage(parts, move |idx| replica[idx].clone())
+        .unwrap()
 }
 
 fn free_net_config(workers: usize, cores: usize) -> ClusterConfig {
@@ -42,7 +44,7 @@ proptest! {
         let parts: Vec<(u64, u64)> = charges.iter().map(|&c| (c, 0)).collect();
         let data = distribute(&cluster, parts);
         let t0 = cluster.virtual_time().as_secs_f64();
-        cluster.map_partitions(&data, |_idx, ops, ctx| ctx.charge(*ops));
+        cluster.map_partitions(&data, |_idx, ops, ctx| ctx.charge(*ops)).unwrap();
         let elapsed = cluster.virtual_time().as_secs_f64() - t0;
 
         // Recompute the expected makespan (round-robin placement).
@@ -76,9 +78,9 @@ proptest! {
         for _ in 0..rounds {
             cluster.map_partitions(&data, |_idx, v, _ctx| {
                 *v += 1000;
-            });
+            }).unwrap();
         }
-        let values: Vec<u64> = cluster.map_partitions(&data, |_idx, v, _ctx| *v);
+        let values: Vec<u64> = cluster.map_partitions(&data, |_idx, v, _ctx| *v).unwrap();
         let expect: Vec<u64> = (0..n as u64).map(|v| v + 1000 * rounds as u64).collect();
         prop_assert_eq!(values, expect);
     }
@@ -99,12 +101,12 @@ proptest! {
         prop_assert_eq!(cluster.metrics().bytes_shuffled, total);
         prop_assert_eq!(cluster.metrics().stored_bytes, total);
 
-        let _b = cluster.broadcast((), bcast);
+        let _b = cluster.broadcast((), bcast).unwrap();
         prop_assert_eq!(cluster.metrics().bytes_broadcast, bcast * workers as u64);
 
         cluster.map_partitions(&data, move |_idx, _v, ctx| {
             ctx.set_result_bytes(result_bytes);
-        });
+        }).unwrap();
         prop_assert_eq!(cluster.metrics().bytes_collected, result_bytes * n);
 
         drop(data);
@@ -121,7 +123,7 @@ proptest! {
         let data = distribute(&cluster, vec![(0u8, 0)]);
         let mut last = cluster.virtual_time().as_secs_f64();
         for ops in steps {
-            cluster.map_partitions(&data, move |_idx, _v, ctx| ctx.charge(ops));
+            cluster.map_partitions(&data, move |_idx, _v, ctx| ctx.charge(ops)).unwrap();
             let now = cluster.virtual_time().as_secs_f64();
             prop_assert!(now >= last);
             last = now;

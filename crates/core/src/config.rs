@@ -13,10 +13,11 @@ pub enum DbtfError {
     /// is not an error (the run starts fresh); a corrupt or mismatched one
     /// is.
     Checkpoint(String),
-    /// Booting the execution engine failed (e.g. the OS refused to spawn a
-    /// worker thread). Carries the rendered engine error;
-    /// the variant stores a `String` because this enum is `Clone + Eq` and
-    /// the underlying `std::io::Error` is neither.
+    /// The execution engine failed to boot (e.g. the OS refused to spawn a
+    /// worker thread) or to complete an operator (a task that failed, an
+    /// exhausted respawn budget). Carries the rendered engine error; the
+    /// variant stores a `String` because this enum is `Clone + Eq` and the
+    /// underlying `std::io::Error` is neither.
     Engine(String),
     /// Writing, reading or re-opening a spilled `DBTFUNFD` unfolding failed:
     /// bad magic, truncation, a checksum mismatch, an unsupported format

@@ -42,8 +42,7 @@ use dbtf_tensor::{BoolTensor, TensorDelta};
 
 use crate::config::{DbtfConfig, DbtfError};
 use crate::driver::{
-    catch_cluster, distribute_unfoldings, iterate, traced, Progress, DELTA_DISTRIBUTE_LABELS,
-    DELTA_UPDATE_LABELS,
+    distribute_unfoldings, iterate, traced, Progress, DELTA_DISTRIBUTE_LABELS, DELTA_UPDATE_LABELS,
 };
 use crate::factors::FactorSet;
 use crate::stats::DbtfStats;
@@ -226,19 +225,17 @@ fn run_delta<B: ExecutionBackend>(
 
     // ---- Distribute the updated tensor, cut like a fresh run's; the ----
     // map is charged as an overlay read of the old unfoldings.
-    let (px, partition_bytes) = catch_cluster(|| {
-        sched.phase("delta.distribute", |s| {
-            distribute_unfoldings(
-                s,
-                &x_new,
-                (x.nnz() + delta.len()) as u64,
-                &DELTA_DISTRIBUTE_LABELS,
-                n_partitions,
-                config.storage,
-                config.spill_dir.as_deref(),
-            )
-        })
-    })??;
+    let (px, partition_bytes) = sched.phase("delta.distribute", |s| {
+        distribute_unfoldings(
+            s,
+            &x_new,
+            (x.nnz() + delta.len()) as u64,
+            &DELTA_DISTRIBUTE_LABELS,
+            n_partitions,
+            config.storage,
+            config.spill_dir.as_deref(),
+        )
+    })?;
 
     // ---- The factorization's loop, from the fitted factors and over ----
     // the affected columns only; an update writes no checkpoint.

@@ -124,8 +124,10 @@ pub(crate) const DELTA_UPDATE_LABELS: UpdateLabels = UpdateLabels {
 ///
 /// # Errors
 ///
-/// Returns [`DbtfError::InvalidConfig`] for bad configurations and
-/// [`DbtfError::EmptyTensor`] if any mode of `x` has size 0.
+/// Returns [`DbtfError::InvalidConfig`] for bad configurations,
+/// [`DbtfError::EmptyTensor`] if any mode of `x` has size 0, and
+/// [`DbtfError::Engine`] if an engine operator fails, after flushing the
+/// last committed iteration to the checkpoint path, if one is set.
 pub fn factorize<B: ExecutionBackend>(
     backend: &B,
     x: &BoolTensor,
@@ -199,23 +201,8 @@ pub(crate) fn traced<B: ExecutionBackend, R>(
     (result, sched.into_trace())
 }
 
-/// Runs `f`, converting a panicking [`ClusterError`] — how backends
-/// report unrecoverable cluster failures, e.g. the networked backend's
-/// exhausted respawn budget — into a typed result instead of unwinding
-/// through the driver. Any other panic resumes unwinding. Safe because
-/// every operator runs to completion before the next is issued, so
-/// dropping mid-phase state never double-panics.
-pub(crate) fn catch_cluster<R>(f: impl FnOnce() -> R) -> Result<R, ClusterError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(payload) => match payload.downcast::<ClusterError>() {
-            Ok(err) => Err(*err),
-            Err(payload) => std::panic::resume_unwind(payload),
-        },
-    }
-}
-
-/// Graceful degradation on an unrecoverable cluster failure: flush the
+/// Graceful degradation on a failed operator (a task that failed, an
+/// unrecoverable wire failure, an exhausted respawn budget): flush the
 /// last *committed* iteration to the configured checkpoint path (directly,
 /// not through the scheduler — the backend may be unusable) so the run can
 /// later `--resume`, then surface the typed engine error. A flush failure
@@ -241,21 +228,19 @@ fn run<B: ExecutionBackend>(
         .unwrap_or_else(|| sched.backend().suggested_partitions());
 
     // ---- Partition the three unfolded tensors (Algorithm 2 lines 1–3). --
-    // No iteration has committed yet, so an unrecoverable cluster failure
-    // here degrades to the typed error with nothing to checkpoint.
-    let (px, partition_bytes) = catch_cluster(|| {
-        sched.phase("cp.distribute", |s| {
-            distribute_unfoldings(
-                s,
-                x,
-                x.nnz() as u64,
-                &CP_DISTRIBUTE_LABELS,
-                n_partitions,
-                config.storage,
-                config.spill_dir.as_deref(),
-            )
-        })
-    })??;
+    // No iteration has committed yet, so a failed operator here is the
+    // typed error with nothing to checkpoint.
+    let (px, partition_bytes) = sched.phase("cp.distribute", |s| {
+        distribute_unfoldings(
+            s,
+            x,
+            x.nnz() as u64,
+            &CP_DISTRIBUTE_LABELS,
+            n_partitions,
+            config.storage,
+            config.spill_dir.as_deref(),
+        )
+    })?;
     let cols: Vec<usize> = (0..config.rank).collect();
     let ckpt_path = config.checkpoint_path.as_deref().map(Path::new);
 
@@ -293,16 +278,14 @@ fn run<B: ExecutionBackend>(
             );
 
             // Iteration 1: update every set, keep the best (lines 7–8).
-            // A cluster failure here is before the first commit — typed
+            // A failed operator here is before the first commit — typed
             // error, no checkpoint (a partial best over the initial sets
             // is not a committed iteration).
             let mut peak_cache_bytes = 0u64;
             let mut best: Option<(FactorSet, u64)> = None;
             for set in sets {
-                let (factors, error, cache) = catch_cluster(|| {
-                    sched.phase(CP_UPDATE_LABELS.iteration, |s| {
-                        update_round(s, &px, set, config, &CP_UPDATE_LABELS, &cols)
-                    })
+                let (factors, error, cache) = sched.phase(CP_UPDATE_LABELS.iteration, |s| {
+                    update_round(s, &px, set, config, &CP_UPDATE_LABELS, &cols)
                 })?;
                 peak_cache_bytes = peak_cache_bytes.max(cache);
                 if best.as_ref().is_none_or(|(_, be)| error < *be) {
@@ -384,9 +367,9 @@ impl Progress {
 /// pushed and, with a `checkpoint` path, a due checkpoint is written.
 /// Returns the final state and whether it converged.
 ///
-/// An unrecoverable cluster failure goes through [`degrade`]: the last
-/// committed round is flushed to `checkpoint`, if any, before the typed
-/// engine error is returned.
+/// A failed operator goes through [`degrade`]: the last committed round
+/// is flushed to `checkpoint`, if any, before the typed engine error is
+/// returned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn iterate<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
@@ -409,17 +392,13 @@ pub(crate) fn iterate<B: ExecutionBackend>(
         if converged {
             break;
         }
-        let round = catch_cluster(|| {
-            sched.phase(labels.iteration, |s| {
+        // On a failed round, the last committed round's factors are still
+        // in hand: flush them durably, then fail with the engine error.
+        let (factors, error, cache) = sched
+            .phase(labels.iteration, |s| {
                 update_round(s, px, state.factors.clone(), config, labels, cols)
             })
-        });
-        let (factors, error, cache) = match round {
-            Ok(r) => r,
-            // The last committed round's factors are still in hand: flush
-            // them durably, then fail with the typed engine error.
-            Err(err) => return Err(degrade(checkpoint, &state, err)),
-        };
+            .map_err(|err| degrade(checkpoint, &state, err))?;
         converged = settled(state.error, error);
         state.peak_cache_bytes = state.peak_cache_bytes.max(cache);
         state.factors = factors;
@@ -558,11 +537,11 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
         let root = source.clone();
         let data = sched.distribute_with_lineage(labels.distribute, elems, move |idx| {
             PartitionSlot::new(root.partition(mode, idx, n_partitions))
-        });
+        })?;
         // Distributed block organization (Algorithm 3 line 4): each worker
         // walks its share of the non-zeros once. The driver never reads the
         // result.
-        sched.map_partitions_task(labels.organize, &data, OrganizeTask);
+        sched.map_partitions_task(labels.organize, &data, OrganizeTask)?;
         // Read-only superstep: partitions still equal their rebuilt form.
         sched.reset_lineage(&data);
         datasets.push(data);
@@ -583,23 +562,23 @@ fn update_round<B: ExecutionBackend>(
     config: &DbtfConfig,
     labels: &UpdateLabels,
     cols: &[usize],
-) -> (FactorSet, u64, u64) {
+) -> Result<(FactorSet, u64, u64), ClusterError> {
     let sweep = |data, a: &_, mf: &_, ms: &_, compute_error| {
         let v = config.cache_group_limit;
         update_factor(sched, data, a, mf, ms, v, compute_error, labels, cols)
     };
     // X_(1) ≈ A ∘ (C ⊙ B)ᵀ.
-    let o1 = sweep(px1, &set.a, &set.c, &set.b, false);
+    let o1 = sweep(px1, &set.a, &set.c, &set.b, false)?;
     let a = o1.a;
     // X_(2) ≈ B ∘ (C ⊙ A)ᵀ.
-    let o2 = sweep(px2, &set.b, &set.c, &a, false);
+    let o2 = sweep(px2, &set.b, &set.c, &a, false)?;
     let b = o2.a;
     // X_(3) ≈ C ∘ (B ⊙ A)ᵀ; |X_(3) ⊕ C ∘ (B ⊙ A)ᵀ| = |X ⊕ X̃|.
-    let o3 = sweep(px3, &set.c, &b, &a, true);
+    let o3 = sweep(px3, &set.c, &b, &a, true)?;
     let c = o3.a;
     let error = o3.error.expect("error requested");
     let cache = o1.cache_bytes.max(o2.cache_bytes).max(o3.cache_bytes);
-    (FactorSet { a, b, c }, error, cache)
+    Ok((FactorSet { a, b, c }, error, cache))
 }
 
 /// The bytes of `m` packed one bit per entry — a broadcast's meter.
@@ -624,7 +603,7 @@ fn update_factor<B: ExecutionBackend>(
     compute_error: bool,
     labels: &UpdateLabels,
     cols: &[usize],
-) -> UpdateOutcome {
+) -> Result<UpdateOutcome, ClusterError> {
     // Begin: broadcast the factors, build per-partition caches
     // (Algorithm 4 line 1 / Algorithm 5). Every superstep of the update is
     // a `WireTask` type from `net_tasks`, so the same plan runs unchanged
@@ -638,9 +617,9 @@ fn update_factor<B: ExecutionBackend>(
             ms: ms.clone(),
         },
         bytes,
-    );
+    )?;
     let cache_bytes: Vec<u64> =
-        sched.map_partitions_task(labels.begin, data, BeginTask { factors, v_limit });
+        sched.map_partitions_task(labels.begin, data, BeginTask { factors, v_limit })?;
     let peak_cache: u64 = cache_bytes.iter().sum();
 
     // Column sweep (Algorithm 4 lines 2–12): one superstep per column.
@@ -656,7 +635,7 @@ fn update_factor<B: ExecutionBackend>(
         &mut master,
         cols,
         |col, prev| SweepTask { col, prev },
-    );
+    )?;
 
     // Finish: apply the last column; optionally compute the exact error
     // (every result is zero without it); drop the caches.
@@ -664,15 +643,15 @@ fn update_factor<B: ExecutionBackend>(
         last,
         compute_error,
     };
-    let errors: Vec<u64> = sched.map_partitions_task(labels.finish, data, finish);
+    let errors: Vec<u64> = sched.map_partitions_task(labels.finish, data, finish)?;
     // The partitions are back to their distribute-time state (`part` is
     // never mutated, `work` is None again), so a crash from here on only
     // needs the rebuild closure — truncating the lineage log keeps replay
     // cost bounded by one UpdateFactor instead of the whole run.
     sched.reset_lineage(data);
-    UpdateOutcome {
+    Ok(UpdateOutcome {
         a: master,
         error: compute_error.then(|| errors.iter().sum()),
         cache_bytes: peak_cache,
-    }
+    })
 }

@@ -18,7 +18,7 @@
 //! plain closures wrapped in [`dbtf_cluster::InProcess`] (in-process
 //! backends only).
 
-use dbtf_cluster::{Broadcast, ExecutionBackend, PartitionTask, Scheduler};
+use dbtf_cluster::{Broadcast, ClusterError, ExecutionBackend, PartitionTask, Scheduler};
 use dbtf_tensor::{BitMatrix, BitVec, ColumnDecision};
 
 use crate::update::PartitionSlot;
@@ -55,7 +55,7 @@ pub(crate) fn column_sweep<B, F, K>(
     master: &mut BitMatrix,
     cols: &[usize],
     make_task: F,
-) -> Broadcast<ColumnDecision>
+) -> Result<Broadcast<ColumnDecision>, ClusterError>
 where
     B: ExecutionBackend,
     F: Fn(usize, Option<Broadcast<ColumnDecision>>) -> K,
@@ -65,7 +65,7 @@ where
     let mut pending: Option<Broadcast<ColumnDecision>> = None;
     for &col in cols {
         let errs: Vec<Vec<(u64, u64)>> =
-            sched.map_partitions_task(labels.sweep, data, make_task(col, pending.clone()));
+            sched.map_partitions_task(labels.sweep, data, make_task(col, pending.clone()))?;
         // Driver: sum errors across partitions, pick the smaller per row
         // (ties prefer 0 — the sparser factor).
         let mut decision = BitVec::zeros(nrows);
@@ -88,7 +88,7 @@ where
                 values: decision,
             },
             (nrows as u64).div_ceil(8) + 8,
-        ));
+        )?);
     }
-    pending.expect("a column sweep needs at least one column")
+    Ok(pending.expect("a column sweep needs at least one column"))
 }

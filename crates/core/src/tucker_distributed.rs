@@ -32,7 +32,7 @@
 //! Like the CP driver, everything here is generic over an
 //! [`ExecutionBackend`] and emits operators through a [`Scheduler`].
 
-use dbtf_cluster::{ExecutionBackend, InProcess, PlanTrace, Scheduler, TaskContext};
+use dbtf_cluster::{ClusterError, ExecutionBackend, InProcess, PlanTrace, Scheduler, TaskContext};
 use dbtf_telemetry::Tracer;
 use dbtf_tensor::{reconstruct, BitMatrix, BitVec, BoolTensor};
 use rand::rngs::StdRng;
@@ -222,9 +222,10 @@ pub fn tucker_factorize_distributed_instrumented<B: ExecutionBackend>(
     if dims.contains(&0) {
         return Err(DbtfError::EmptyTensor);
     }
-    Ok(traced(backend, tracer, "tucker.factorize", |sched| {
+    let (result, trace) = traced(backend, tracer, "tucker.factorize", |sched| {
         run(sched, x, config)
-    }))
+    });
+    Ok((result?, trace))
 }
 
 /// The driver body: everything after validation, emitting through `sched`.
@@ -232,11 +233,11 @@ fn run<B: ExecutionBackend>(
     sched: &Scheduler<'_, B>,
     x: &BoolTensor,
     config: &TuckerConfig,
-) -> TuckerResult {
+) -> Result<TuckerResult, DbtfError> {
     let n_partitions = sched.backend().suggested_partitions();
     // The Tucker driver is RAM-only: its tensors are the small core-search
     // workloads, so the out-of-core path adds no value there (DESIGN.md
-    // §1.2.7). RAM distribution is infallible.
+    // §1.2.7).
     let [px1, px2, px3] = sched
         .phase("tucker.distribute", |s| {
             distribute_unfoldings(
@@ -248,8 +249,7 @@ fn run<B: ExecutionBackend>(
                 crate::config::StorageKind::Ram,
                 None,
             )
-        })
-        .expect("RAM distribution cannot fail")
+        })?
         .0;
 
     let mut best: Option<(TuckerFactorization, u64)> = None;
@@ -260,7 +260,7 @@ fn run<B: ExecutionBackend>(
         let set = init_set(x, config, &mut rng);
         let (set, error) = sched.phase("tucker.iteration", |s| {
             distributed_round(s, &px1, &px2, &px3, set)
-        });
+        })?;
         if best.as_ref().is_none_or(|(_, be)| error < *be) {
             best = Some((set, error));
         }
@@ -277,7 +277,7 @@ fn run<B: ExecutionBackend>(
         let revived = revive_dead_components(x, factorization.clone(), &mut rng);
         let (next, next_error) = sched.phase("tucker.iteration", |s| {
             distributed_round(s, &px1, &px2, &px3, revived)
-        });
+        })?;
         if next_error > error {
             iteration_errors.push(error);
             continue;
@@ -291,14 +291,14 @@ fn run<B: ExecutionBackend>(
             converged = true;
         }
     }
-    TuckerResult {
+    Ok(TuckerResult {
         iterations: iteration_errors.len(),
         converged,
         relative_error: reconstruct::error_ratio(error, x.nnz()),
         error,
         factorization,
         iteration_errors,
-    }
+    })
 }
 
 /// One distributed round, mirroring the sequential `update_round`:
@@ -309,18 +309,18 @@ fn distributed_round<B: ExecutionBackend>(
     px2: &B::Dataset<PartitionSlot>,
     px3: &B::Dataset<PartitionSlot>,
     set: TuckerFactorization,
-) -> (TuckerFactorization, u64) {
+) -> Result<(TuckerFactorization, u64), ClusterError> {
     let TuckerFactorization { core, a, b, c } = set;
-    let core = update_core_distributed(sched, px1, &core, &a, &b, &c);
+    let core = update_core_distributed(sched, px1, &core, &a, &b, &c)?;
     // Mode 1: outer C, inner B; core axes (t=p, oc=r, in=q).
-    let a = update_factor_distributed(sched, px1, &a, &c, &core_masks(&core, 0, 2, 1), &b);
+    let a = update_factor_distributed(sched, px1, &a, &c, &core_masks(&core, 0, 2, 1), &b)?;
     // Mode 2: outer C, inner A; core axes (t=q, oc=r, in=p).
-    let b = update_factor_distributed(sched, px2, &b, &c, &core_masks(&core, 1, 2, 0), &a);
+    let b = update_factor_distributed(sched, px2, &b, &c, &core_masks(&core, 1, 2, 0), &a)?;
     // Mode 3: outer B, inner A; core axes (t=r, oc=q, in=p).
-    let c = update_factor_distributed(sched, px3, &c, &b, &core_masks(&core, 2, 1, 0), &a);
-    let core = update_core_distributed(sched, px1, &core, &a, &b, &c);
-    let error = distributed_error(sched, px1, &a, &c, &core_masks(&core, 0, 2, 1), &b);
-    (TuckerFactorization { core, a, b, c }, error)
+    let c = update_factor_distributed(sched, px3, &c, &b, &core_masks(&core, 2, 1, 0), &a)?;
+    let core = update_core_distributed(sched, px1, &core, &a, &b, &c)?;
+    let error = distributed_error(sched, px1, &a, &c, &core_masks(&core, 0, 2, 1), &b)?;
+    Ok((TuckerFactorization { core, a, b, c }, error))
 }
 
 /// `core_mat[t][oc]` = the `R_in`-bit mask `{ in : g(entry) = 1 }` where
@@ -345,7 +345,7 @@ fn update_factor_distributed<B: ExecutionBackend>(
     mf: &BitMatrix,
     core_mat: &[Vec<u64>],
     ms: &BitMatrix,
-) -> BitMatrix {
+) -> Result<BitMatrix, ClusterError> {
     let r_t = factor.cols();
     let bytes = matrix_bytes(factor)
         + matrix_bytes(mf)
@@ -355,7 +355,7 @@ fn update_factor_distributed<B: ExecutionBackend>(
         "tucker.update.factors",
         (factor.clone(), mf.clone(), core_mat.to_vec(), ms.clone()),
         bytes,
-    );
+    )?;
 
     // Begin: build the per-partition state.
     sched.map_partitions("tucker.update.begin", data, {
@@ -366,7 +366,7 @@ fn update_factor_distributed<B: ExecutionBackend>(
             ctx.charge_kernel("kernel.build_cache", ops);
             slot.tucker = Some(state);
         }
-    });
+    })?;
 
     // The Tucker sweep task stays a plain closure (no wire registration),
     // so distributed Tucker runs on the in-process backends only — the
@@ -416,7 +416,7 @@ fn update_factor_distributed<B: ExecutionBackend>(
             };
             InProcess(task)
         },
-    );
+    )?;
 
     // Finish: apply the last column and drop the state.
     sched.map_partitions("tucker.update.finish", data, move |_idx, slot, ctx| {
@@ -425,12 +425,12 @@ fn update_factor_distributed<B: ExecutionBackend>(
         state.apply_column(decided.col, &decided.values);
         ctx.charge_kernel("kernel.apply_column", decided.values.len() as u64);
         slot.tucker = None;
-    });
+    })?;
     // Every partition is back to its distribute-time state (`part` is never
     // mutated, `tucker` is None again), so crash recovery no longer needs
     // to replay this update's supersteps.
     sched.reset_lineage(data);
-    master
+    Ok(master)
 }
 
 /// The exact reconstruction error under the current model, computed over
@@ -442,12 +442,12 @@ fn distributed_error<B: ExecutionBackend>(
     mf: &BitMatrix,
     core_mat: &[Vec<u64>],
     ms: &BitMatrix,
-) -> u64 {
+) -> Result<u64, ClusterError> {
     let payload = sched.broadcast(
         "tucker.error.factors",
         (factor.clone(), mf.clone(), core_mat.to_vec(), ms.clone()),
         matrix_bytes(factor) + matrix_bytes(mf) + matrix_bytes(ms),
-    );
+    )?;
     let errors: Vec<u64> =
         sched.map_partitions("tucker.error.map", data, move |_idx, slot, ctx| {
             let (factor, mf, core_mat, ms) = payload.get();
@@ -468,8 +468,8 @@ fn distributed_error<B: ExecutionBackend>(
             ctx.charge_kernel("kernel.partition_error", ops);
             ctx.set_result_bytes(8);
             err
-        });
-    errors.iter().sum()
+        })?;
+    Ok(errors.iter().sum())
 }
 
 /// One distributed greedy core update: the driver walks the entries in the
@@ -483,13 +483,13 @@ fn update_core_distributed<B: ExecutionBackend>(
     a: &BitMatrix,
     b: &BitMatrix,
     c: &BitMatrix,
-) -> BoolTensor {
+) -> Result<BoolTensor, ClusterError> {
     let [r1, r2, r3] = core.dims();
     let factors = sched.broadcast(
         "tucker.core.factors",
         (a.clone(), b.clone(), c.clone()),
         matrix_bytes(a) + matrix_bytes(b) + matrix_bytes(c),
-    );
+    )?;
     let mut entries: Vec<[u32; 3]> = core.iter().collect();
     for p in 0..r1 {
         for q in 0..r2 {
@@ -508,7 +508,7 @@ fn update_core_distributed<B: ExecutionBackend>(
                     "tucker.core.entries",
                     entries.clone(),
                     entries.len() as u64 * 6 + 16,
-                );
+                )?;
                 let counts: Vec<(u64, u64)> = sched.map_partitions("tucker.core.count", px1, {
                     let factors = factors.clone();
                     let current = current.clone();
@@ -520,7 +520,7 @@ fn update_core_distributed<B: ExecutionBackend>(
                         ctx.set_result_bytes(16);
                         (ones, zeros)
                     }
-                });
+                })?;
                 let ones: u64 = counts.iter().map(|&(o, _)| o).sum();
                 let zeros: u64 = counts.iter().map(|&(_, z)| z).sum();
                 sched.charge_driver("tucker.core.reduce", counts.len() as u64);
@@ -542,7 +542,7 @@ fn update_core_distributed<B: ExecutionBackend>(
             }
         }
     }
-    BoolTensor::from_entries([r1, r2, r3], entries)
+    Ok(BoolTensor::from_entries([r1, r2, r3], entries))
 }
 
 /// Counts, within this mode-1 partition, the cells of `entry`'s block that

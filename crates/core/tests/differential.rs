@@ -263,6 +263,30 @@ fn distributed_tucker_error_paths() {
     assert!(tucker_factorize_distributed(&cluster, &empty, &TuckerConfig::default()).is_err());
 }
 
+/// A distributed Tucker run whose tasks fail every launch attempt returns
+/// the typed engine error instead of unwinding.
+#[test]
+fn distributed_tucker_returns_task_failures() {
+    use dbtf::tucker::TuckerConfig;
+    use dbtf::tucker_distributed::tucker_factorize_distributed;
+    use dbtf::DbtfError;
+    use dbtf_cluster::FaultPlan;
+    let cluster = Cluster::new(ClusterConfig {
+        fault_plan: Some(FaultPlan {
+            task_failure_rate: 1.0,
+            ..FaultPlan::with_seed(0)
+        }),
+        ..ClusterConfig::with_workers(2)
+    });
+    let x = random_tensor([4, 4, 4], 0.2, 202);
+    match tucker_factorize_distributed(&cluster, &x, &TuckerConfig::default()) {
+        Err(DbtfError::Engine(msg)) => {
+            assert!(msg.contains("task(s) failed during superstep"), "{msg}")
+        }
+        other => panic!("expected a typed engine error, got {other:?}"),
+    }
+}
+
 /// An all-zero tensor factorizes to all-zero factors with zero error.
 #[test]
 fn all_zero_tensor() {

@@ -219,6 +219,64 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A task that exhausts its launch attempts after iteration 1 ends the run
+/// with the typed engine error, and the degrade flush leaves the committed
+/// iterations on disk, equal to the uninterrupted run's prefix.
+#[test]
+fn exhausted_task_degrades_to_the_committed_checkpoint() {
+    let x = planted_tensor();
+    let dir = std::env::temp_dir().join(format!("dbtf-ft-exhaust-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.ckpt");
+    let cluster = |fault_plan| {
+        Cluster::new(ClusterConfig {
+            workers: 2,
+            cores_per_worker: 4,
+            fault_plan,
+            ..ClusterConfig::default()
+        })
+    };
+    let base = DbtfConfig {
+        rank: 3,
+        max_iters: 4,
+        initial_sets: 2,
+        seed: 7,
+        convergence_threshold: -1.0, // run all iterations
+        ..DbtfConfig::default()
+    };
+    let full = factorize(&cluster(None), &x, &base).unwrap();
+
+    // Eight partitions. Supersteps 0-2 organize the modes, 3-32 are
+    // iteration 1 (two initial sets × three modes × begin, three columns
+    // and finish) and each later iteration takes 15. At a 0.3 failure rate
+    // with 5 attempts, the first task of seed 24 to fail all five is
+    // partition 0 in superstep 68, inside iteration 4 (63-77), so three
+    // iterations have committed when the run fails.
+    let plan = FaultPlan {
+        task_failure_rate: 0.3,
+        max_task_attempts: 5,
+        ..FaultPlan::with_seed(24)
+    };
+    let doomed = DbtfConfig {
+        checkpoint_path: Some(path.to_str().unwrap().into()),
+        // Periodic checkpoints effectively off: the file below is the
+        // failure's flush.
+        checkpoint_every: Some(100),
+        ..base
+    };
+    match factorize(&cluster(Some(plan)), &x, &doomed) {
+        Err(DbtfError::Engine(msg)) => assert!(
+            msg.contains("partition 0 on worker 0: task exhausted 5 launch attempts"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("expected a typed engine error, got {other:?}"),
+    }
+    let ck = Checkpoint::read(&path).expect("the failure flushed a checkpoint");
+    assert_eq!(ck.iteration, 3);
+    assert_eq!(ck.iteration_errors, full.iteration_errors[..3]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Checkpointing composes with fault injection: a faulty, checkpointed,
 /// resumed run still lands on the fault-free answer.
 #[test]
